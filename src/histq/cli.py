@@ -5,7 +5,8 @@ Usage:
           [--scenario PATH] [--out DIR] [--seed INT]
           [--max-n INT] [--series b1|b2]
 
-Exit codes: 0 success, 2 scenario validation error, 3 property failure.
+Exit codes: 0 success, 2 scenario or ``HISTQ_TOL`` validation error,
+3 property failure.
 Without ``--scenario`` the bundled qubit scenario is used.
 """
 
@@ -20,6 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .consistency import is_maximally_refined, search_windows
+from .core import active_tolerances
 from .decoherence import DecoherenceState, d_basis_sum, d_trace, ils_reconstruct
 from .divergence import b1_series, b2_series, growth_fit
 from .entropy import min_entropy, sup_refinement_entropy, window_entropy, window_entropy_pnorm
@@ -237,6 +239,12 @@ def main(argv=None) -> int:
                         help="largest truncation for diverge")
     parser.add_argument("--series", choices=["b1", "b2", "both"], default="both")
     args = parser.parse_args(argv)
+
+    try:
+        active_tolerances()
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
     source = args.scenario or str(bundled_scenario_path())
     try:

@@ -8,12 +8,18 @@ consistent when the projections are mutually orthogonal, complete, and all
 off-diagonal decoherence values have vanishing real part.
 
 The search enumerates coarse grainings of product-history families built from
-per-time projective decompositions; set partitions are generated as
-restricted-growth strings so that ordering is deterministic.
+per-time projective decompositions.  Set partitions are generated as
+restricted-growth strings, so the ordering is deterministic.  Every quantity
+``check_window`` tests on a coarse graining is a block sum of two N x N
+matrices of the base family (the Gram matrix of the state and the
+Hilbert-Schmidt Gram matrix), so the strings are scored in fixed-size
+vectorised chunks first; only the partitions that pass this screen become
+windows, and ``check_window`` alone decides whether they are consistent.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Iterator, Sequence
@@ -47,6 +53,12 @@ __all__ = [
 ]
 
 MAX_BASE_FAMILY = 12
+# Restricted-growth strings scored per vectorised screen batch; bounds the
+# screen's memory independently of the Bell number of the family.
+_SCREEN_CHUNK = 256
+# Multiple of the summation-order rounding bound by which the screen widens
+# the check_window thresholds (see _rounding_slack).
+_ROUNDING_ULPS = 16
 
 
 @dataclass
@@ -248,6 +260,69 @@ def _window_key(w: Window) -> tuple[bytes, ...]:
     return tuple(sorted(_member_key(x.op) for x in w.members))
 
 
+def _gram_matrices(t: WrightOperator, base: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``G[a, b] = <base_a, T base_b>`` and ``S[a, b] = <base_a, base_b>``.
+
+    ``base`` stacks the N family operators along axis 0.  Row a of ``vecs``
+    is the column-major vectorisation of ``base[a]``, as in ``probability``.
+    """
+    n, k, _ = base.shape
+    vecs = base.transpose(0, 2, 1).reshape(n, k * k)
+    conj = vecs.conj()
+    return conj @ t.matrix @ vecs.T / k, conj @ vecs.T / k
+
+
+def _rounding_slack(g: np.ndarray, s: np.ndarray, op_dim: int) -> float:
+    """How far a screened block sum may differ from ``check_window``'s value.
+
+    Both compute the same exact numbers in different summation orders: the
+    screen adds up to N^2 entries of G or S, and each entry and each value of
+    ``check_window`` is itself a sum over the op_dim^2 vector entries.
+    """
+    n = g.shape[0]
+    scale = max(1.0, max_abs(g), max_abs(s))
+    return _ROUNDING_ULPS * (n * n + op_dim * op_dim) * np.finfo(float).eps * scale
+
+
+def _screen(g: np.ndarray, s: np.ndarray, rgs: np.ndarray, tol: Tolerances,
+            slack: float) -> np.ndarray:
+    """Mask of the partitions (rows of ``rgs``) that ``check_window`` may accept.
+
+    With the one-hot block matrix O[a, i] = [rgs[a] == i] of a partition,
+    O^T G O holds <x_i, T x_j> and O^T S O holds <x_i, x_j> for its coarse
+    members x_i.  Orthogonality, positivity and additivity are tested on
+    these block sums with every threshold widened by ``slack``, so no
+    partition that ``check_window`` accepts is dropped.  Completeness is the
+    same for every partition of a family and is left to ``check_window``.
+    """
+    n = g.shape[0]
+    onehot = (rgs[:, :, None] == np.arange(n)).astype(float)
+    onehot_t = onehot.transpose(0, 2, 1)
+    # O is real, so Re(O^T G O) = O^T Re(G) O; real matmuls are cheaper
+    greal = onehot_t @ g.real @ onehot
+    overlap = np.hypot(onehot_t @ s.real @ onehot, onehot_t @ s.imag @ onehot)
+    used = np.arange(n) < rgs.max(axis=1, keepdims=True) + 1
+    probs = np.diagonal(greal, axis1=1, axis2=2)
+    upper = np.triu(np.ones((n, n), dtype=bool), 1)
+    bound = tol.consistency + slack
+    orth = np.max(overlap[:, upper], axis=1, initial=0.0)
+    cross = np.max(np.abs(greal[:, upper]), axis=1, initial=0.0)
+    total = probs.sum(axis=1)  # empty blocks add exact zeros
+    positive = np.all(~used | ((probs > tol.strict_positive - slack) & (probs <= 1.0 + bound)),
+                      axis=1)
+    return positive & (orth <= bound) & (np.maximum(cross, np.abs(total - 1.0)) <= bound)
+
+
+def _rgs_chunks(n: int, budget: int | None) -> Iterator[np.ndarray]:
+    """The first ``budget`` (all, when None) restricted-growth strings of
+    length n, as integer arrays of at most ``_SCREEN_CHUNK`` rows."""
+    strings = restricted_growth_strings(n)
+    if budget is not None:
+        strings = itertools.islice(strings, max(budget, 0))
+    while chunk := list(itertools.islice(strings, _SCREEN_CHUNK)):
+        yield np.array(chunk, dtype=np.intp)
+
+
 def search_windows(ds: DecoherenceState, t: WrightOperator,
                    pvms: Sequence[Sequence[Sequence[np.ndarray]]],
                    budget: int | None = None,
@@ -258,8 +333,18 @@ def search_windows(ds: DecoherenceState, t: WrightOperator,
     the k-th support time of ``t``.  For every choice of one decomposition
     per time, the Cartesian product of their elements (transported to the
     Heisenberg picture and tensored in time order) forms a base family of at
-    most ``MAX_BASE_FAMILY`` orthogonal projectors; all set partitions of the
-    base family are tested, up to ``budget`` partitions per family.
+    most ``MAX_BASE_FAMILY`` orthogonal projectors.  The set partitions of
+    the base family are its restricted-growth strings, up to the first
+    ``budget`` strings per family.
+
+    The strings are streamed in chunks of ``_SCREEN_CHUNK``, so memory does
+    not grow with the Bell number.  Each chunk is scored at once from two
+    N x N matrices built once per family, ``G[a, b] = <base_a, T base_b>``
+    and ``S[a, b] = <base_a, base_b>``: every block probability, cross term
+    and overlap of a coarse graining is a block sum of them.  The screen
+    keeps every partition that ``check_window`` could accept; only those
+    become windows, and ``check_window`` (then ``check_window_operators``
+    for projector windows) alone decides and fills the reports.
 
     Returns the consistent windows, deduplicated, largest first, with ties
     broken by a canonical byte key, so the output does not depend on the
@@ -297,27 +382,20 @@ def search_windows(ds: DecoherenceState, t: WrightOperator,
         if len(combos) > MAX_BASE_FAMILY:
             raise ValueError(
                 f"base family too large: {len(combos)} > {MAX_BASE_FAMILY}")
-        base = []
-        for combo in combos:
-            op = combo[0]
-            for factor in combo[1:]:
-                op = np.kron(op, factor)
-            base.append(op)
-        examined = 0
-        for blocks in set_partitions(base):
-            if budget is not None and examined >= budget:
-                break
-            examined += 1
-            ops = [np.sum(block, axis=0) for block in blocks]
-            cand = window(space, ops)
-            krep = check_window(cand, t, tol)
-            if not krep.consistent:
-                continue
-            if all(is_projector(x.op, tol) for x in cand.members):
-                check_window_operators(ds, cand, tol)
-            key = _window_key(cand)
-            if key not in results:
-                results[key] = cand
+        base = np.array([functools.reduce(np.kron, combo) for combo in combos])
+        g, s = _gram_matrices(t, base)
+        slack = _rounding_slack(g, s, space.op_dim)
+        for rgs in _rgs_chunks(len(base), budget):
+            for row in rgs[_screen(g, s, rgs, tol, slack)]:
+                ops = [np.sum(base[row == v], axis=0) for v in range(row.max() + 1)]
+                cand = window(space, ops)
+                if not check_window(cand, t, tol).consistent:
+                    continue
+                if all(is_projector(x.op, tol) for x in cand.members):
+                    check_window_operators(ds, cand, tol)
+                key = _window_key(cand)
+                if key not in results:
+                    results[key] = cand
 
     ordered = sorted(results.items(), key=lambda kv: (-len(kv[1].members), kv[0]))
     return [w for _, w in ordered]

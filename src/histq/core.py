@@ -8,8 +8,9 @@ leftmost factor belongs to the earliest time.
 from __future__ import annotations
 
 import json
+import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from functools import reduce
 from typing import Sequence
 
@@ -44,7 +45,7 @@ class Tolerances:
 
     equality: float = 1e-10
     hermitian: float = 1e-12
-    unitary: float = 1e-12
+    unitary: float = 1e-10
     projector: float = 1e-10
     trace_one: float = 1e-12
     orthonormal: float = 1e-12
@@ -58,13 +59,30 @@ _DEFAULT = Tolerances()
 
 
 def active_tolerances() -> Tolerances:
-    """The default :class:`Tolerances`, with ``HISTQ_TOL`` overrides applied."""
+    """The default :class:`Tolerances`, with ``HISTQ_TOL`` overrides applied.
+
+    Raises ``ValueError`` naming ``HISTQ_TOL`` and the offending field when
+    the override is not a JSON object of known fields with finite positive
+    numbers.
+    """
     raw = os.environ.get("HISTQ_TOL")
     if not raw:
         return _DEFAULT
-    overrides = json.loads(raw)
+    try:
+        overrides = json.loads(raw)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"HISTQ_TOL is not valid JSON: {exc}") from None
     if not isinstance(overrides, dict):
         raise ValueError("HISTQ_TOL must be a JSON object of field overrides")
+    known = {f.name for f in fields(Tolerances)}
+    for name, value in overrides.items():
+        if name not in known:
+            raise ValueError(f"HISTQ_TOL: unknown field {name!r}; "
+                             f"known fields are {', '.join(sorted(known))}")
+        if (isinstance(value, bool) or not isinstance(value, (int, float))
+                or (isinstance(value, float) and not math.isfinite(value)) or value <= 0):
+            raise ValueError(f"HISTQ_TOL: field {name!r} must be a finite positive "
+                             f"number, got {value!r}")
     return replace(_DEFAULT, **overrides)
 
 
@@ -92,7 +110,7 @@ def is_unitary(u, tol: Tolerances | None = None) -> bool:
     tol = tol or active_tolerances()
     u = as_operator(u)
     eye = np.eye(u.shape[0])
-    return max_abs(u.conj().T @ u - eye) <= max(tol.unitary, 1e-10)
+    return max_abs(u.conj().T @ u - eye) <= tol.unitary
 
 
 def is_projector(p, tol: Tolerances | None = None) -> bool:

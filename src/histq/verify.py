@@ -22,7 +22,7 @@ from .consistency import (
     window,
 )
 from .core import SystemModel, TimeGrid, active_tolerances
-from .decoherence import DecoherenceState, d_basis_sum, d_form, d_trace, ils_reconstruct
+from .decoherence import SECTOR_CAP, DecoherenceState, d_basis_sum, d_form, d_trace, ils_reconstruct
 from .divergence import b1_direct_value, b1_series, b2_series, growth_fit
 from .entropy import refinement_gap, window_entropy, window_entropy_pnorm
 from .histories import embed, history
@@ -77,11 +77,11 @@ def _check_axioms(scn: Scenario, rng) -> CheckResult:
 def _check_representations(scn: Scenario, rng) -> CheckResult:
     worst = 0.0
     states = _side_states(rng)
-    if scn.dim ** (2 * min(2, len(scn.grid.times))) <= 81:
+    if scn.dim ** (2 * min(2, len(scn.grid.times))) <= SECTOR_CAP:
         states.append(DecoherenceState(model=scn.model, grid=scn.grid))
     for ds in states:
         for n in (1, 2):
-            if n > len(ds.grid.times) or ds.model.dim ** (2 * n) > 81:
+            if n > len(ds.grid.times) or ds.model.dim ** (2 * n) > SECTOR_CAP:
                 continue
             support = ds.grid.times[:n]
             ils = ils_reconstruct(ds, support)
@@ -104,7 +104,7 @@ def _check_wright(scn: Scenario, rng) -> CheckResult:
     states = _side_states(rng)
     for ds in states:
         for n in (1, 2):
-            if ds.model.dim ** (2 * n) > 81:
+            if ds.model.dim ** (2 * n) > SECTOR_CAP:
                 continue
             support = ds.grid.times[:n]
             t = wright_operator(ds, support)
@@ -128,7 +128,7 @@ def _scenario_windows(scn: Scenario, ds: DecoherenceState):
     if not scn.pvms:
         return None, []
     support = scn.grid.times[:len(scn.pvms)]
-    if scn.dim ** (2 * len(support)) > 81:
+    if scn.dim ** (2 * len(support)) > SECTOR_CAP:
         return None, []
     t = wright_operator(ds, support)
     return t, search_windows(ds, t, scn.pvms)

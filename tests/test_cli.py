@@ -53,6 +53,18 @@ class TestValidationExit:
         assert code == 2
         assert "unreadable" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("override, field", [('{"bogus": 1}', "bogus"),
+                                                 ('{"agreement": "x"}', "agreement")])
+    def test_bad_tolerance_override_exits_2_and_names_field(self, tmp_path, capsys,
+                                                            monkeypatch, override, field):
+        monkeypatch.setenv("HISTQ_TOL", override)
+        code = run(["decohere", "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: HISTQ_TOL") and repr(field) in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
 
 class TestDecohere:
     def test_worked_numbers_in_report(self, tmp_path):

@@ -1,9 +1,16 @@
+import functools
 import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from histq.consistency import (
+    _gram_matrices,
+    _rounding_slack,
+    _screen,
+    _window_key,
     check_window,
     check_window_operators,
     is_maximally_refined,
@@ -13,11 +20,12 @@ from histq.consistency import (
     set_partitions,
     window,
 )
+from histq.core import SystemModel, active_tolerances, heisenberg, is_projector, projector_onto
 from histq.propositions import wright_operator
-from histq.sampling import random_model, random_pvm
+from histq.sampling import random_density, random_hermitian, random_model, random_pvm, random_unitary
 from helpers import MINUS, P0, P1, PLUS, qubit_state, state_for
 
-BELL = {0: 1, 1: 1, 2: 2, 3: 5, 4: 15, 5: 52, 6: 203}
+BELL = {0: 1, 1: 1, 2: 2, 3: 5, 4: 15, 5: 52, 6: 203, 7: 877, 8: 4140}
 
 
 def mixed_qubit(rho=None):
@@ -253,3 +261,159 @@ class TestPictureBridge:
                 oprep = check_window_operators(ds, w)
                 assert krep.consistent == oprep.consistent
         assert checked > 50
+
+
+def base_families(ds, t, pvms):
+    """Product-history base families in the order the search visits them."""
+    transported = [[[heisenberg(ds.model, p, time, ds.grid.t0) for p in pvm] for pvm in klists]
+                   for time, klists in zip(t.space.support, pvms)]
+    for choice in itertools.product(*transported):
+        yield [functools.reduce(np.kron, combo) for combo in itertools.product(*choice)]
+
+
+def oracle_search(ds, t, pvms, budget=None, on_partition=None):
+    """The exhaustive reference: every set partition -> check_window ->
+    check_window_operators -> _window_key dedup -> sort.
+
+    ``on_partition(family, rgs, window, report)`` sees every checked partition.
+    """
+    results = {}
+    for family, base in enumerate(base_families(ds, t, pvms)):
+        pairs = zip(restricted_growth_strings(len(base)), set_partitions(base))
+        for rgs, blocks in itertools.islice(pairs, budget):
+            cand = window(t.space, [np.sum(block, axis=0) for block in blocks])
+            report = check_window(cand, t)
+            if on_partition is not None:
+                on_partition(family, rgs, cand, report)
+            if not report.consistent:
+                continue
+            if all(is_projector(x.op) for x in cand.members):
+                check_window_operators(ds, cand)
+            results.setdefault(_window_key(cand), cand)
+    ordered = sorted(results.items(), key=lambda kv: (-len(kv[1].members), kv[0]))
+    return [w for _, w in ordered]
+
+
+def assert_same_windows(found, expected):
+    assert len(found) == len(expected)
+    for got, want in zip(found, expected):
+        assert _window_key(got) == _window_key(want)
+        assert np.allclose(got.probabilities, want.probabilities, rtol=0.0, atol=1e-12)
+        for rep, ref in ((got.kreport, want.kreport), (got.opreport, want.opreport)):
+            assert (rep is None) == (ref is None)
+            if ref is not None:
+                assert (rep.verdict, rep.violated) == (ref.verdict, ref.violated)
+                assert rep.max_residual == pytest.approx(ref.max_residual, rel=0.0, abs=1e-12)
+
+
+@st.composite
+def search_cases(draw):
+    """A state and per-time decompositions with base families of at most 8."""
+    dim, n_times = draw(st.sampled_from([(2, 1), (2, 2), (2, 3), (3, 1)]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 31 - 1)))
+    hamiltonian = (np.zeros((dim, dim)) if draw(st.booleans())
+                   else random_hermitian(rng, dim))
+    if draw(st.booleans()):
+        rho = projector_onto(random_unitary(rng, dim)[:, [0]])  # pure
+    else:
+        rho = random_density(rng, dim)
+    ds = state_for(SystemModel.from_matrices(hamiltonian, rho),
+                   times=(0.0, 0.7, 1.5)[:max(n_times, 2)])
+    t = wright_operator(ds, ds.grid.times[:n_times])
+
+    def decomposition():
+        if dim == 3 and draw(st.booleans()):  # a rank-2 projector and its complement
+            u = random_unitary(rng, dim)
+            return [projector_onto(u[:, :2]), projector_onto(u[:, 2:])]
+        return random_pvm(rng, dim)
+
+    repeated = decomposition()
+    same_at_every_time = draw(st.booleans())
+    alternatives = 1 if n_times == 3 else draw(st.integers(1, 2))
+    pvms = [[repeated if same_at_every_time else decomposition()
+             for _ in range(alternatives)] for _ in range(n_times)]
+    return ds, t, pvms
+
+
+class TestGramScreen:
+    @given(search_cases())
+    @settings(max_examples=30, deadline=None)
+    def test_matches_exhaustive_oracle(self, case):
+        ds, t, pvms = case
+        tol = active_tolerances()
+        families = [np.array(base) for base in base_families(ds, t, pvms)]
+        screens = []
+        for base in families:
+            g, s = _gram_matrices(t, base)
+            rgs = np.array(list(restricted_growth_strings(len(base))))
+            slack = _rounding_slack(g, s, t.space.op_dim)
+            screens.append((g, slack, {tuple(r): keep for r, keep in
+                                       zip(rgs, _screen(g, s, rgs, tol, slack))}))
+
+        def superset(family, rgs, cand, report):
+            g, slack, kept = screens[family]
+            blocks = [np.flatnonzero(np.array(rgs) == v) for v in range(max(rgs) + 1)]
+            screened = [g[np.ix_(b, b)].sum().real for b in blocks]
+            assert np.max(np.abs(np.subtract(screened, cand.probabilities))) <= slack
+            if report.consistent:
+                assert kept[rgs]
+
+        expected = oracle_search(ds, t, pvms, on_partition=superset)
+        assert_same_windows(search_windows(ds, t, pvms), expected)
+
+    @pytest.mark.parametrize("basis", [[P0, P1], [PLUS, MINUS]])
+    @pytest.mark.parametrize("weight", [0.0, 2e-12])
+    def test_strict_positivity_edge_over_many_chunks(self, basis, weight):
+        # H = 0 and one basis at every time: mixed-outcome histories have
+        # probability 0 (pure rho) or just above strict_positive; N = 8
+        # spans seventeen 256-string chunks
+        ds = qubit_state(np.diag([1.0 - weight, weight]), times=(0.0, 1.0, 2.0))
+        t = wright_operator(ds, ds.grid.times)
+        pvms = [[basis]] * 3
+        assert_same_windows(search_windows(ds, t, pvms), oracle_search(ds, t, pvms))
+
+    def test_rank_two_projectors_at_dim_three(self):
+        rng = np.random.default_rng(37)
+        ds = state_for(random_model(rng, 3))
+        t = wright_operator(ds, (0.0,))
+        u = random_unitary(rng, 3)
+        pvms = [[[projector_onto(u[:, :2]), projector_onto(u[:, 2:])], random_pvm(rng, 3)]]
+        assert_same_windows(search_windows(ds, t, pvms), oracle_search(ds, t, pvms))
+
+
+class TestSearchBudget:
+    @staticmethod
+    def qubit3():
+        rng = np.random.default_rng(38)
+        ds = state_for(random_model(rng, 2), times=(0.0, 0.5, 1.0))
+        t = wright_operator(ds, ds.grid.times)
+        return ds, t, [[random_pvm(rng, 2)] for _ in range(3)]
+
+    def test_budget_one_is_the_unit_window(self):
+        ds, t, pvms = self.qubit3()
+        found = search_windows(ds, t, pvms, budget=1)
+        assert len(found) == 1 and len(found[0].members) == 1
+        assert np.allclose(found[0].members[0].op, np.eye(8))
+
+    def test_full_budget_equals_unbudgeted(self):
+        ds, t, pvms = self.qubit3()
+        assert_same_windows(search_windows(ds, t, pvms, budget=BELL[8]),
+                            search_windows(ds, t, pvms))
+
+    def test_budget_ending_inside_a_chunk(self):
+        ds, t, pvms = self.qubit3()
+        found = search_windows(ds, t, pvms, budget=300)
+        assert_same_windows(found, oracle_search(ds, t, pvms, budget=300))
+        assert len(found) < len(search_windows(ds, t, pvms))
+
+    def test_budget_is_exact_at_an_accepted_partition(self):
+        ds, t, pvms = self.qubit3()
+        verdicts = []
+        oracle_search(ds, t, pvms,
+                      on_partition=lambda family, rgs, cand, rep: verdicts.append(rep.consistent))
+        last = max(i for i, ok in enumerate(verdicts) if ok)
+        assert last >= 256  # past the first chunk
+        runs = [search_windows(ds, t, pvms, budget=budget) for budget in (last, last + 1)]
+        for budget, found in zip((last, last + 1), runs):
+            assert_same_windows(found, oracle_search(ds, t, pvms, budget=budget))
+        assert len(runs[1]) == len(runs[0]) + 1

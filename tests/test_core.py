@@ -166,6 +166,32 @@ class TestTolerances:
         monkeypatch.delenv("HISTQ_TOL", raising=False)
         assert active_tolerances().agreement == 1e-9
 
+    @pytest.mark.parametrize("override, message", [
+        ({"bogus": 1}, "unknown field 'bogus'"),
+        ({"agreement": "x"}, "'agreement' must be a finite positive number"),
+        ({"consistency": -1e-9}, "'consistency' must be a finite positive number"),
+        ({"unitary": True}, "'unitary' must be a finite positive number"),
+        ([1e-9], "must be a JSON object"),
+    ])
+    def test_invalid_override_names_the_field(self, monkeypatch, override, message):
+        monkeypatch.setenv("HISTQ_TOL", json.dumps(override))
+        with pytest.raises(ValueError, match=f"HISTQ_TOL.*{message}"):
+            active_tolerances()
+
+    def test_non_finite_and_malformed_overrides_rejected(self, monkeypatch):
+        for raw in ('{"agreement": NaN}', '{"agreement": Infinity}', "{bad"):
+            monkeypatch.setenv("HISTQ_TOL", raw)
+            with pytest.raises(ValueError, match="HISTQ_TOL"):
+                active_tolerances()
+
+    def test_unitary_override_below_default_is_honoured(self, monkeypatch):
+        u = np.diag([1.0 + 1e-11, 1.0])  # unitarity residual about 2e-11
+        monkeypatch.delenv("HISTQ_TOL", raising=False)
+        assert active_tolerances().unitary == 1e-10
+        assert is_unitary(u)
+        monkeypatch.setenv("HISTQ_TOL", json.dumps({"unitary": 1e-12}))
+        assert not is_unitary(u)
+
 
 def test_named_basis_hadamard_qubit():
     basis = named_basis("hadamard", 2)
