@@ -11,7 +11,7 @@ import json
 import math
 import os
 from dataclasses import dataclass, fields, replace
-from functools import reduce
+from functools import lru_cache, reduce
 from typing import Sequence
 
 import numpy as np
@@ -63,11 +63,14 @@ def active_tolerances() -> Tolerances:
 
     Raises ``ValueError`` naming ``HISTQ_TOL`` and the offending field when
     the override is not a JSON object of known fields with finite positive
-    numbers.
+    numbers.  Each valid value is parsed once; an invalid one raises on every call.
     """
     raw = os.environ.get("HISTQ_TOL")
-    if not raw:
-        return _DEFAULT
+    return _parse_tolerances(raw) if raw else _DEFAULT
+
+
+@lru_cache(maxsize=8)
+def _parse_tolerances(raw: str) -> Tolerances:
     try:
         overrides = json.loads(raw)
     except json.JSONDecodeError as exc:

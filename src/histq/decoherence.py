@@ -24,7 +24,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .core import SystemModel, TimeGrid, as_operator, tensor_product
+from .core import SystemModel, TimeGrid, is_unitary, tensor_product
 from .histories import (
     HistoryOperator,
     HomogeneousHistory,
@@ -70,11 +70,7 @@ class DecoherenceState:
         if len(supports) != 1:
             raise ValueError("mixed temporal support")
         support = terms[0][1].times
-        if len(support) == 0:
-            raise ValueError("cannot embed on an empty support")
-        op = np.zeros((self.model.dim ** len(support),) * 2, dtype=complex)
-        for c, h in terms:
-            op = op + complex(c) * embed(self.model, h, support, self.grid.t0).op
+        op = sum(complex(c) * embed(self.model, h, support, self.grid.t0).op for c, h in terms)
         return HistoryOperator(support=support, dim=self.model.dim, op=op)
 
 
@@ -107,22 +103,22 @@ def d_form(ds: DecoherenceState, b1: Extended, b2: Extended) -> complex:
     return complex(np.trace(cx.conj().T @ ds.model.rho @ cy))
 
 
-def _flat(index: tuple[int, ...], dim: int) -> int:
-    out = 0
-    for i in index:
-        out = out * dim + i
-    return out
-
-
 def d_basis_sum(ds: DecoherenceState, p: Extended, q: Extended,
                 bases: Sequence[np.ndarray] | None = None) -> complex:
     """Basis-expansion form of the functional on an n-time support.
 
-    Sums over 2n basis indices: one running over the spectral resolution of
-    rho and 2n-1 auxiliary orthonormal bases.  By default every auxiliary
-    basis is the rho eigenbasis; any list of 2n-1 unitaries (columns = basis
-    vectors) may be supplied instead, and the value must not depend on the
-    choice.
+    Sums over 2n basis indices j_1..j_2n: j_1 runs over the spectral
+    resolution of rho (weights w) and j_2..j_2n over auxiliary orthonormal
+    bases.  By default every auxiliary basis is the rho eigenbasis; any list
+    of 2n-1 dim x dim unitaries (columns = basis vectors) may be supplied
+    instead, and the value must not depend on the choice.  With P = p^dag
+    and Q = q written in the slot-basis tensor products, one axis per time,
+    the sum is the single contraction
+
+        sum_j w[j_1] P[j_2n..j_(n+1); j_1, j_2n..j_(n+2)] Q[j_1..j_n; j_2..j_(n+1)],
+
+    conjugate linear in the first slot like :func:`d_form`.  Memory is
+    O(dim^(2n)), the size of P and Q.
     """
     x = ds.sector_operator(p)
     y = ds.sector_operator(q)
@@ -132,34 +128,31 @@ def d_basis_sum(ds: DecoherenceState, p: Extended, q: Extended,
     n = x.n_times
     psi = ds.model.vectors
     if bases is None:
-        aux = {kk: psi for kk in range(2, 2 * n + 1)}
+        bases = [psi] * (2 * n - 1)
+    elif len(bases) != 2 * n - 1:
+        raise ValueError(f"expected {2 * n - 1} auxiliary bases")
     else:
-        if len(bases) != 2 * n - 1:
-            raise ValueError(f"expected {2 * n - 1} auxiliary bases")
-        aux = {kk: as_operator(b) for kk, b in zip(range(2, 2 * n + 1), bases)}
+        bases = [np.asarray(b, dtype=complex) for b in bases]
+        for i, b in enumerate(bases):
+            if b.shape != (dim, dim) or not is_unitary(b):
+                raise ValueError(f"bases[{i}] is not a {dim}x{dim} unitary")
+    slot = [psi] + bases  # slot[m] is the basis of index j_(m+1)
+    kron: dict[tuple[int, ...], np.ndarray] = {}  # built once per distinct slot list
 
-    # Slot bases of the four index groups appearing in the expansion.
-    left_p = [aux[kk] for kk in range(2 * n, n, -1)]
-    right_p = [psi] + [aux[kk] for kk in range(2 * n, n + 1, -1)]
-    left_q = [psi] + [aux[kk] for kk in range(2, n + 1)]
-    right_q = [aux[kk] for kk in range(2, n + 2)]
+    def product(ms: list[int]) -> np.ndarray:
+        key = tuple(id(slot[m]) for m in ms)
+        if key not in kron:
+            kron[key] = tensor_product([slot[m] for m in ms])
+        return kron[key]
 
-    pt = tensor_product(left_p).conj().T @ x.op @ tensor_product(right_p)
-    qt = tensor_product(left_q).conj().T @ y.op @ tensor_product(right_q)
-
-    weights = ds.model.weights
-    total = 0.0 + 0.0j
-    for j in np.ndindex(*([dim] * (2 * n))):
-        # j[k] carries basis index number k+1.
-        w = weights[j[0]]
-        if w == 0.0:
-            continue
-        row_p = _flat(tuple(j[m] for m in range(2 * n - 1, n - 1, -1)), dim)
-        col_p = _flat((j[0],) + tuple(j[m] for m in range(2 * n - 1, n, -1)), dim)
-        row_q = _flat(tuple(j[m] for m in range(0, n)), dim)
-        col_q = _flat(tuple(j[m] for m in range(1, n + 1)), dim)
-        total += w * pt[row_p, col_p] * qt[row_q, col_q]
-    return complex(total)
+    rows_p = list(range(2 * n - 1, n - 1, -1))
+    cols_p = [0] + rows_p[:-1]
+    rows_q, cols_q = list(range(n)), list(range(1, n + 1))
+    pt = product(rows_p).conj().T @ x.op.conj().T @ product(cols_p)
+    qt = product(rows_q).conj().T @ y.op @ product(cols_q)
+    axes = [dim] * (2 * n)
+    return complex(np.einsum(ds.model.weights, [0], pt.reshape(axes), rows_p + cols_p,
+                             qt.reshape(axes), rows_q + cols_q, []))
 
 
 def density(ds: DecoherenceState, p: Extended, q: Extended) -> complex:

@@ -93,7 +93,8 @@ def _check_representations(scn: Scenario, rng) -> CheckResult:
                 kb = embed(ds.model, k, support, ds.grid.t0)
                 worst = max(worst, abs(ref - d_basis_sum(ds, hb, kb)))
                 worst = max(worst, abs(ref - ils.pair_value(hb.op, kb.op)))
-    return CheckResult("representation-agreement", worst <= 1e-9, worst, 1e-9,
+    bound = active_tolerances().agreement
+    return CheckResult("representation-agreement", worst <= bound, worst, bound,
                        "chain form vs basis sum vs doubled-space reconstruction")
 
 

@@ -35,6 +35,18 @@ class TestVerify:
         assert a["verify"]["passed"] and b["verify"]["passed"]
         assert a["scenario"]["seed"] == 1 and b["scenario"]["seed"] == 2
 
+    def test_agreement_threshold_follows_tolerances(self, tmp_path, monkeypatch):
+        def threshold(out):
+            checks = json.loads((tmp_path / out / "verify.json").read_text())["verify"]["checks"]
+            return next(c["threshold"] for c in checks if c["name"] == "representation-agreement")
+
+        monkeypatch.delenv("HISTQ_TOL", raising=False)
+        run(["verify", "--out", str(tmp_path / "a")])
+        monkeypatch.setenv("HISTQ_TOL", json.dumps({"agreement": 1e-6}))
+        run(["verify", "--out", str(tmp_path / "b")])
+        assert threshold("a") == 1e-9
+        assert threshold("b") == 1e-6
+
 
 class TestValidationExit:
     def test_malformed_rho_exits_2_and_names_field(self, tmp_path, capsys):

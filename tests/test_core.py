@@ -184,6 +184,23 @@ class TestTolerances:
             with pytest.raises(ValueError, match="HISTQ_TOL"):
                 active_tolerances()
 
+    def test_change_between_calls_is_honoured(self, monkeypatch):
+        monkeypatch.setenv("HISTQ_TOL", json.dumps({"agreement": 1e-6}))
+        first = active_tolerances()
+        assert active_tolerances() is first  # parsed once per value
+        monkeypatch.setenv("HISTQ_TOL", json.dumps({"agreement": 1e-7}))
+        assert active_tolerances().agreement == 1e-7
+        monkeypatch.delenv("HISTQ_TOL")
+        assert active_tolerances().agreement == 1e-9
+        monkeypatch.setenv("HISTQ_TOL", json.dumps({"agreement": 1e-6}))
+        assert active_tolerances() == first
+
+    def test_invalid_override_raises_on_every_call(self, monkeypatch):
+        monkeypatch.setenv("HISTQ_TOL", json.dumps({"agreement": -1.0}))
+        for _ in range(3):
+            with pytest.raises(ValueError, match="HISTQ_TOL"):
+                active_tolerances()
+
     def test_unitary_override_below_default_is_honoured(self, monkeypatch):
         u = np.diag([1.0 + 1e-11, 1.0])  # unitarity residual about 2e-11
         monkeypatch.delenv("HISTQ_TOL", raising=False)

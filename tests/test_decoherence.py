@@ -2,8 +2,12 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from histq.core import SystemModel, TimeGrid, tensor_product
 from histq.decoherence import (
+    DecoherenceState,
     d_basis_sum,
     d_form,
     d_trace,
@@ -12,7 +16,13 @@ from histq.decoherence import (
     ils_reconstruct,
 )
 from histq.histories import HistoryOperator, embed, history
-from histq.sampling import random_model, random_operator, random_projector, random_unitary
+from histq.sampling import (
+    random_hermitian,
+    random_model,
+    random_operator,
+    random_projector,
+    random_unitary,
+)
 
 from helpers import MINUS, P0, P1, PLUS, qubit_state, state_for
 
@@ -22,6 +32,63 @@ UNIT = history({})
 def product_history(rng, ds, n):
     return history({t: random_projector(rng, ds.model.dim)
                     for t in ds.grid.times[:n]})
+
+
+def _flat(index, dim):
+    out = 0
+    for i in index:
+        out = out * dim + i
+    return out
+
+
+def _basis_sum_loop(ds, p, q, bases=None):
+    """The basis expansion as an explicit loop over all dim^(2n) index tuples."""
+    x = ds.sector_operator(p)
+    y = ds.sector_operator(q)
+    dim = ds.model.dim
+    n = x.n_times
+    psi = ds.model.vectors
+    if bases is None:
+        aux = {kk: psi for kk in range(2, 2 * n + 1)}
+    else:
+        aux = {kk: np.asarray(b, dtype=complex) for kk, b in zip(range(2, 2 * n + 1), bases)}
+    left_p = [aux[kk] for kk in range(2 * n, n, -1)]
+    right_p = [psi] + [aux[kk] for kk in range(2 * n, n + 1, -1)]
+    left_q = [psi] + [aux[kk] for kk in range(2, n + 1)]
+    right_q = [aux[kk] for kk in range(2, n + 2)]
+    pt = tensor_product(left_p).conj().T @ x.op.conj().T @ tensor_product(right_p)
+    qt = tensor_product(left_q).conj().T @ y.op @ tensor_product(right_q)
+    total = 0.0 + 0.0j
+    for j in np.ndindex(*([dim] * (2 * n))):
+        # j[k] carries basis index number k+1.
+        w = ds.model.weights[j[0]]
+        if w == 0.0:
+            continue
+        row_p = _flat(tuple(j[m] for m in range(2 * n - 1, n - 1, -1)), dim)
+        col_p = _flat((j[0],) + tuple(j[m] for m in range(2 * n - 1, n, -1)), dim)
+        row_q = _flat(tuple(j[m] for m in range(0, n)), dim)
+        col_q = _flat(tuple(j[m] for m in range(1, n + 1)), dim)
+        total += w * pt[row_p, col_p] * qt[row_q, col_q]
+    return complex(total)
+
+
+@st.composite
+def basis_sum_cases(draw):
+    """A state with some zero spectral weights, dense operators and optional bases."""
+    dim = draw(st.integers(2, 3))
+    n = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 31 - 1)))
+    rank = draw(st.integers(1, dim))
+    weights = np.zeros(dim)
+    weights[rng.permutation(dim)[:rank]] = rng.dirichlet(np.ones(rank))
+    model = SystemModel.from_spectral(random_hermitian(rng, dim), weights,
+                                      random_unitary(rng, dim))
+    ds = DecoherenceState(model=model, grid=TimeGrid(times=tuple(range(n))))
+    x = HistoryOperator(ds.grid.times, dim, random_operator(rng, dim ** n))
+    y = HistoryOperator(ds.grid.times, dim, random_operator(rng, dim ** n))
+    bases = ([random_unitary(rng, dim) for _ in range(2 * n - 1)]
+             if draw(st.booleans()) else None)
+    return ds, x, y, bases
 
 
 class TestTraceForm:
@@ -166,6 +233,51 @@ class TestBasisSumForm:
         for _ in range(3):
             bases = [random_unitary(rng, 2) for _ in range(3)]
             assert abs(d_basis_sum(ds, hb, kb, bases=bases) - default) <= 1e-10
+
+    @given(basis_sum_cases())
+    @settings(max_examples=40, deadline=None)
+    def test_matches_loop_oracle(self, case):
+        ds, x, y, bases = case
+        assert abs(d_basis_sum(ds, x, y, bases=bases)
+                   - _basis_sum_loop(ds, x, y, bases=bases)) <= 1e-12
+
+    def test_benchmark_shape_matches_trace_form(self):
+        rng = np.random.default_rng(18)
+        ds = state_for(random_model(rng, 2), times=tuple(range(7)))
+        for _ in range(2):
+            h = product_history(rng, ds, 7)
+            k = product_history(rng, ds, 7)
+            hb = embed(ds.model, h, ds.grid.times, ds.grid.t0)
+            kb = embed(ds.model, k, ds.grid.times, ds.grid.t0)
+            assert abs(d_basis_sum(ds, hb, kb) - d_trace(ds, h, k)) <= 1e-9
+
+    def test_conjugate_linear_in_first_slot(self):
+        rng = np.random.default_rng(19)
+        for dim, n in itertools.product((2, 3), (1, 2, 3)):
+            ds = state_for(random_model(rng, dim), times=tuple(range(n)))
+
+            def combination():
+                return [(complex(*rng.standard_normal(2)), product_history(rng, ds, n))
+                        for _ in range(2)]
+
+            for _ in range(3):
+                a, b = combination(), combination()
+                assert abs(d_basis_sum(ds, a, b) - d_form(ds, a, b)) <= 1e-10
+                x = HistoryOperator(ds.grid.times, dim, random_operator(rng, dim ** n))
+                y = HistoryOperator(ds.grid.times, dim, random_operator(rng, dim ** n))
+                assert abs(d_basis_sum(ds, x, y) - d_form(ds, x, y)) <= 1e-10
+
+    @pytest.mark.parametrize("bases, message", [
+        ([np.eye(2)] * 2, "expected 3 auxiliary bases"),
+        ([np.eye(2), np.eye(3), np.eye(2)], r"bases\[1\] is not a 2x2 unitary"),
+        ([np.ones(2), np.eye(2), np.eye(2)], r"bases\[0\] is not a 2x2 unitary"),
+        ([np.eye(2), np.eye(2), np.diag([1.0, 1.1])], r"bases\[2\] is not a 2x2 unitary"),
+    ])
+    def test_rejects_invalid_bases(self, bases, message):
+        ds = qubit_state(np.diag([0.6, 0.4]))
+        e = embed(ds.model, UNIT, support=(0.0, 1.0))
+        with pytest.raises(ValueError, match=message):
+            d_basis_sum(ds, e, e, bases=bases)
 
 
 class TestIlsReconstruction:
