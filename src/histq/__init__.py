@@ -22,6 +22,7 @@ from .histories import (
     support_reduce,
 )
 from .decoherence import (
+    CapacityError,
     DecoherenceState,
     IlsOperator,
     d_basis_sum,

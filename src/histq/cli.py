@@ -6,7 +6,8 @@ Usage:
           [--max-n INT] [--series b1|b2]
 
 Exit codes: 0 success, 2 scenario or ``HISTQ_TOL`` validation error,
-3 property failure.
+3 property failure, 4 support sector too large for the dense constructions
+(``CapacityError``).
 Without ``--scenario`` the bundled qubit scenario is used.
 """
 
@@ -22,7 +23,7 @@ import numpy as np
 
 from .consistency import is_maximally_refined, search_windows
 from .core import active_tolerances
-from .decoherence import DecoherenceState, d_basis_sum, d_trace, ils_reconstruct
+from .decoherence import CapacityError, DecoherenceState, d_basis_sum, d_trace, ils_reconstruct
 from .divergence import b1_series, b2_series, growth_fit
 from .entropy import min_entropy, sup_refinement_entropy, window_entropy, window_entropy_pnorm
 from .histories import embed
@@ -70,25 +71,19 @@ def _decohere_payload(scn: Scenario) -> dict:
     ils_note = None
     try:
         ils = ils_reconstruct(ds, support)
-    except ValueError as exc:
+    except CapacityError as exc:
         ils_note = str(exc)
     for label_h, h in scn.histories:
         for label_k, k in scn.histories:
+            hb, kb = embedded[label_h], embedded[label_k]
             chain = d_trace(ds, h, k)
-            rows.append({"h": label_h, "k": label_k,
-                         "representation": TAG_CHAIN,
-                         "value": complex_entry(chain)})
-            total = d_basis_sum(ds, embedded[label_h], embedded[label_k])
-            rows.append({"h": label_h, "k": label_k,
-                         "representation": TAG_BASIS_SUM,
-                         "value": complex_entry(total)})
-            residual_sum = max(residual_sum, abs(chain - total))
+            values = {TAG_CHAIN: chain, TAG_BASIS_SUM: d_basis_sum(ds, hb, kb)}
+            residual_sum = max(residual_sum, abs(chain - values[TAG_BASIS_SUM]))
             if ils is not None:
-                rec = ils.pair_value(embedded[label_h].op, embedded[label_k].op)
-                rows.append({"h": label_h, "k": label_k,
-                             "representation": TAG_ILS,
-                             "value": complex_entry(rec)})
-                residual_ils = max(residual_ils, abs(chain - rec))
+                values[TAG_ILS] = ils.pair_value(hb.op, kb.op)
+                residual_ils = max(residual_ils, abs(chain - values[TAG_ILS]))
+            rows += [{"h": label_h, "k": label_k, "representation": tag,
+                      "value": complex_entry(value)} for tag, value in values.items()]
     agreement = {
         "chain_vs_basis_sum": residual_sum,
         "chain_vs_ils": residual_ils if ils is not None else None,
@@ -171,42 +166,36 @@ def _entropy_payload(scn: Scenario, sections=None) -> dict:
     }
 
 
+def _series_section(series, out_dir: Path) -> dict:
+    """Report entry of one truncation series; also writes ``<label>.csv``."""
+    fit = growth_fit(series)
+    write_csv(out_dir / f"{series.label}.csv", ["N", "value"], list(series.points))
+    return {
+        "representation": TAG_BASIS_SUM,
+        "omega_rule": series.omega_rule,
+        "points": [[n, v] for n, v in series.points],
+        "fit": {"classification": fit.classification,
+                "slope": fit.slope, "residual": fit.residual},
+    }
+
+
 def _diverge_payload(scn: Scenario, out_dir: Path, series: str, max_n: int | None) -> dict:
     payload = {}
     if series in ("b1", "both"):
         top = max(max_n or 10000, 1000)  # the fit needs two decades of N
         ns = sorted(set(int(round(x)) for x in np.logspace(1, math.log10(top), 12)))
-        s1 = b1_series(ns)
-        fit = growth_fit(s1)
-        write_csv(out_dir / "b1.csv", ["N", "value"], list(s1.points))
-        payload["b1"] = {
-            "representation": TAG_BASIS_SUM,
-            "omega_rule": s1.omega_rule,
-            "points": [[n, v] for n, v in s1.points],
-            "fit": {"classification": fit.classification,
-                    "slope": fit.slope, "residual": fit.residual},
-        }
+        payload["b1"] = _series_section(b1_series(ns), out_dir)
     if series in ("b2", "both"):
         top = max_n or 2 ** 14
         # the growth fit wants two decades of N, so never stop below 2^11
         kmax = max(11, int(math.floor(math.log2(top))))
-        ns = [2 ** k for k in range(4, kmax + 1)]
-        s2 = b2_series(ns)
-        fit = growth_fit(s2)
+        s2 = b2_series([2 ** k for k in range(4, kmax + 1)])
         values = dict(s2.points)
         doubling = [{"from": 2 ** k, "to": 2 ** (k + 1),
                      "difference": values[2 ** (k + 1)] - values[2 ** k]}
                     for k in range(4, kmax)]
-        write_csv(out_dir / "b2.csv", ["N", "value"], list(s2.points))
-        payload["b2"] = {
-            "representation": TAG_BASIS_SUM,
-            "omega_rule": s2.omega_rule,
-            "points": [[n, v] for n, v in s2.points],
-            "fit": {"classification": fit.classification,
-                    "slope": fit.slope, "residual": fit.residual},
-            "doubling_differences": doubling,
-            "ln2": math.log(2),
-        }
+        payload["b2"] = {**_series_section(s2, out_dir),
+                         "doubling_differences": doubling, "ln2": math.log(2)}
     return payload
 
 
@@ -275,9 +264,9 @@ def main(argv=None) -> int:
                       f"(residual {check['residual']:.3e})")
             if not ok:
                 exit_code = 3
-    except ScenarioError as exc:
+    except (ScenarioError, CapacityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 4 if isinstance(exc, CapacityError) else 2
 
     write_json(out_dir / f"{args.subcommand}.json", payload)
     print(f"wrote {out_dir / (args.subcommand + '.json')}")

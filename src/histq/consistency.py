@@ -96,6 +96,30 @@ def window(space: PropositionSpace, ops: Sequence[np.ndarray], label: str = "") 
     return Window(space=space, members=members, label=label)
 
 
+def _bound(name: str, residual: float, tol: Tolerances,
+           violated: list[str], residuals: list[float]) -> None:
+    residuals.append(residual)
+    if residual > tol.consistency:
+        violated.append(name)
+
+
+def _pair_max(measure, items: Sequence, floor: float = 0.0) -> float:
+    """Largest ``measure(a, b)`` over the pairs a before b of ``items``, at least ``floor``."""
+    pairs = itertools.combinations(items, 2)
+    return max(itertools.chain([floor], itertools.starmap(measure, pairs)))
+
+
+def _structure(w: Window, overlap, tol: Tolerances) -> tuple[list[str], list[float]]:
+    """The conditions both pictures share: pairwise orthogonality under
+    ``overlap`` and completeness (the members sum to e)."""
+    violated: list[str] = []
+    residuals: list[float] = []
+    _bound("orthogonality", _pair_max(overlap, w.members), tol, violated, residuals)
+    _bound("completeness", max_abs(sum(x.op for x in w.members) - np.eye(w.space.op_dim)),
+           tol, violated, residuals)
+    return violated, residuals
+
+
 def _verdict(violated: list[str], residuals: list[float]) -> ConsistencyReport:
     return ConsistencyReport(
         verdict="consistent" if not violated else "inconsistent",
@@ -117,21 +141,7 @@ def check_window(w: Window, t: WrightOperator, tol: Tolerances | None = None) ->
     tol = tol or active_tolerances()
     if w.space != t.space:
         raise ValueError("sector mismatch")
-    violated: list[str] = []
-    residuals: list[float] = []
-
-    orth = 0.0
-    for i, j in itertools.combinations(range(len(w.members)), 2):
-        orth = max(orth, abs(hs_inner(w.members[i], w.members[j])))
-    residuals.append(orth)
-    if orth > tol.consistency:
-        violated.append("orthogonality")
-
-    total = sum(x.op for x in w.members)
-    comp = max_abs(total - np.eye(w.space.op_dim))
-    residuals.append(comp)
-    if comp > tol.consistency:
-        violated.append("completeness")
+    violated, residuals = _structure(w, lambda x, y: abs(hs_inner(x, y)), tol)
 
     probs = tuple(probability(t, x) for x in w.members)
     w.probabilities = probs
@@ -139,17 +149,12 @@ def check_window(w: Window, t: WrightOperator, tol: Tolerances | None = None) ->
         violated.append("positivity")
     residuals.append(max([p - 1.0 for p in probs if p > 1.0], default=0.0))
 
-    images = [t.apply(x) for x in w.members]
-    add = abs(sum(probs) - 1.0)
-    for i, j in itertools.combinations(range(len(w.members)), 2):
-        add = max(add, abs(hs_inner(w.members[i], images[j]).real))
-    residuals.append(add)
-    if add > tol.consistency:
-        violated.append("additivity")
+    pairs = [(x, t.apply(x)) for x in w.members]  # (x_i, T x_i)
+    add = _pair_max(lambda a, b: abs(hs_inner(a[0], b[1]).real), pairs, abs(sum(probs) - 1.0))
+    _bound("additivity", add, tol, violated, residuals)
 
-    report = _verdict(violated, residuals)
-    w.kreport = report
-    return report
+    w.kreport = _verdict(violated, residuals)
+    return w.kreport
 
 
 def check_window_operators(ds: DecoherenceState, w: Window,
@@ -160,33 +165,14 @@ def check_window_operators(ds: DecoherenceState, w: Window,
     for x in w.members:
         if not is_projector(x.op, tol):
             raise ValueError("non-projector member")
-    violated: list[str] = []
-    residuals: list[float] = []
+    violated, residuals = _structure(w, lambda x, y: max_abs(x.op @ y.op), tol)
 
-    orth = 0.0
-    for i, j in itertools.combinations(range(len(w.members)), 2):
-        orth = max(orth, max_abs(w.members[i].op @ w.members[j].op))
-    residuals.append(orth)
-    if orth > tol.consistency:
-        violated.append("orthogonality")
-
-    total = sum(x.op for x in w.members)
-    comp = max_abs(total - np.eye(w.space.op_dim))
-    residuals.append(comp)
-    if comp > tol.consistency:
-        violated.append("completeness")
-
-    cross = 0.0
     hops = [x.as_history_operator() for x in w.members]
-    for i, j in itertools.combinations(range(len(hops)), 2):
-        cross = max(cross, abs(d_form(ds, hops[i], hops[j]).real))
-    residuals.append(cross)
-    if cross > tol.consistency:
-        violated.append("re-cross-term")
+    cross = _pair_max(lambda a, b: abs(d_form(ds, a, b).real), hops)
+    _bound("re-cross-term", cross, tol, violated, residuals)
 
-    report = _verdict(violated, residuals)
-    w.opreport = report
-    return report
+    w.opreport = _verdict(violated, residuals)
+    return w.opreport
 
 
 def is_refinement(fine: Window, coarse: Window, tol: Tolerances | None = None) -> bool:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from functools import lru_cache, reduce
 from typing import Sequence
 
@@ -158,7 +158,9 @@ class SystemModel:
 
     ``weights``/``vectors`` hold a spectral resolution of ``rho``: the columns
     of ``vectors`` are an orthonormal basis extending rho's eigenvectors, and
-    ``rho = sum_i weights[i] |v_i><v_i|``.
+    ``rho = sum_i weights[i] |v_i><v_i|``.  ``energies``/``energy_basis``
+    hold the Hermitian eigendecomposition of the Hamiltonian, computed once
+    at construction.
     """
 
     dim: int
@@ -166,6 +168,8 @@ class SystemModel:
     rho: np.ndarray
     weights: np.ndarray
     vectors: np.ndarray
+    energies: np.ndarray = field(init=False, repr=False, compare=False)
+    energy_basis: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         tol = active_tolerances()
@@ -176,6 +180,9 @@ class SystemModel:
             raise ValueError("hamiltonian dimension mismatch")
         if not is_hermitian(h, tol):
             raise ValueError("hamiltonian must be Hermitian")
+        energies, basis = np.linalg.eigh(self.hamiltonian)
+        object.__setattr__(self, "energies", energies)
+        object.__setattr__(self, "energy_basis", basis)
         r = as_operator(self.rho)
         if r.shape[0] != self.dim:
             raise ValueError("rho dimension mismatch")
@@ -237,13 +244,9 @@ class TimeGrid:
 
 
 def evolve(model: SystemModel, t: float, t0: float = 0.0) -> np.ndarray:
-    """Unitary U(t, t0) = exp(-i H (t - t0)) via Hermitian eigendecomposition."""
-    tol = active_tolerances()
-    if not is_hermitian(model.hamiltonian, tol):
-        raise ValueError("hamiltonian must be Hermitian")
-    energies, basis = np.linalg.eigh(model.hamiltonian)
-    phases = np.exp(-1j * energies * (t - t0))
-    return (basis * phases) @ basis.conj().T
+    """Unitary U(t, t0) = exp(-i H (t - t0)) from the model's eigendecomposition of H."""
+    phases = np.exp(-1j * model.energies * (t - t0))
+    return (model.energy_basis * phases) @ model.energy_basis.conj().T
 
 
 def heisenberg(model: SystemModel, p: np.ndarray, t: float, t0: float = 0.0) -> np.ndarray:

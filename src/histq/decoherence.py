@@ -30,6 +30,7 @@ from .histories import (
     HomogeneousHistory,
     chain_map,
     class_operator,
+    common_support,
     embed,
     support_reduce,
 )
@@ -37,6 +38,9 @@ from .histories import (
 __all__ = [
     "DecoherenceState",
     "SECTOR_CAP",
+    "CapacityError",
+    "sector_fits",
+    "require_sector",
     "d_trace",
     "d_form",
     "d_basis_sum",
@@ -48,6 +52,27 @@ __all__ = [
 
 # Largest admitted operator-space dimension dim^(2n) for the X / T solvers.
 SECTOR_CAP = 81
+
+
+class CapacityError(ValueError):
+    """A support sector whose operator space exceeds ``SECTOR_CAP``."""
+
+
+def sector_fits(dim: int, n_times: int) -> bool:
+    """True when the sector's operator space dim^(2n) is within ``SECTOR_CAP``."""
+    return dim ** (2 * n_times) <= SECTOR_CAP
+
+
+def require_sector(ds: DecoherenceState, support: Sequence[float],
+                   construction: str) -> tuple[float, ...]:
+    """The support as grid times; :class:`CapacityError` when over the cap."""
+    support = tuple(float(t) for t in support)
+    for t in support:
+        ds.grid.require(t)
+    if not sector_fits(ds.model.dim, len(support)):
+        raise CapacityError(f"support too large for {construction}")
+    return support
+
 
 Extended = Union[HistoryOperator, Sequence[tuple[complex, HomogeneousHistory]]]
 
@@ -64,12 +89,7 @@ class DecoherenceState:
         if isinstance(b, HistoryOperator):
             return b
         terms = list(b)
-        if not terms:
-            raise ValueError("empty linear combination")
-        supports = {h.times for _, h in terms}
-        if len(supports) != 1:
-            raise ValueError("mixed temporal support")
-        support = terms[0][1].times
+        support = common_support(terms)
         op = sum(complex(c) * embed(self.model, h, support, self.grid.t0).op for c, h in terms)
         return HistoryOperator(support=support, dim=self.model.dim, op=op)
 
@@ -204,13 +224,9 @@ def ils_reconstruct(ds: DecoherenceState, support: Sequence[float]) -> IlsOperat
     X = sum_ab d(G_a, G_b) G_a (x) G_b, which is the unique operator matching
     the functional on all Hermitian pairs.  Its trace is d(1, 1) = 1.
     """
-    support = tuple(float(t) for t in support)
-    for t in support:
-        ds.grid.require(t)
+    support = require_sector(ds, support, "ILS reconstruction")
     dim = ds.model.dim
     n = len(support)
-    if dim ** (2 * n) > SECTOR_CAP:
-        raise ValueError("support too large for ILS reconstruction")
     k = dim ** n
     basis = hermitian_basis(k)
     chains = np.stack([chain_map(g, dim, n) for g in basis])

@@ -62,16 +62,22 @@ def _report(label: str, p: float, pairs: Sequence[tuple[float, float]],
     return EntropyReport(window_label=label, p=p, value=value, terms=tuple(terms))
 
 
-def window_entropy(t: WrightOperator, w: Window,
-                   tol: Tolerances | None = None) -> EntropyReport:
-    """Entropy of a sector-consistent window for the state ``t``."""
-    tol = tol or active_tolerances()
-    report = check_window(w, t, tol)
-    if not report.consistent:
-        raise ValueError("entropy undefined for inconsistent window")
+def _sector_entropy(t: WrightOperator, w: Window, tol: Tolerances) -> EntropyReport | None:
+    """Entropy of ``w`` after one sector-picture check; None when inconsistent."""
+    if not check_window(w, t, tol).consistent:
+        return None
     pairs = [(p, hs_inner(x, x).real)
              for p, x in zip(w.probabilities, w.members)]
     return _report(w.label, 2.0, pairs, tol)
+
+
+def window_entropy(t: WrightOperator, w: Window,
+                   tol: Tolerances | None = None) -> EntropyReport:
+    """Entropy of a sector-consistent window for the state ``t``."""
+    report = _sector_entropy(t, w, tol or active_tolerances())
+    if report is None:
+        raise ValueError("entropy undefined for inconsistent window")
+    return report
 
 
 def window_entropy_pnorm(ds: DecoherenceState, w: Window, p: float,
@@ -123,11 +129,9 @@ def min_entropy(t: WrightOperator, family: Sequence[Window],
     tol = tol or active_tolerances()
     best: tuple[float, int, Window] | None = None
     for idx, w in enumerate(family):
-        if not check_window(w, t, tol).consistent:
-            continue
-        value = window_entropy(t, w, tol).value
-        if best is None or (value, idx) < (best[0], best[1]):
-            best = (value, idx, w)
+        report = _sector_entropy(t, w, tol)
+        if report is not None and (best is None or (report.value, idx) < best[:2]):
+            best = (report.value, idx, w)
     if best is None:
         raise ValueError("no consistent window in family")
     return best[0], best[2]
@@ -143,10 +147,8 @@ def sup_refinement_entropy(t: WrightOperator, w: Window, family: Sequence[Window
     tol = tol or active_tolerances()
     values = [window_entropy(t, w, tol).value]
     for cand in family:
-        if cand is w:
-            continue
-        if not check_window(cand, t, tol).consistent:
-            continue
-        if is_refinement(cand, w, tol):
-            values.append(window_entropy(t, cand, tol).value)
+        if cand is not w and is_refinement(cand, w, tol):
+            report = _sector_entropy(t, cand, tol)
+            if report is not None:
+                values.append(report.value)
     return max(values)

@@ -41,6 +41,7 @@ __all__ = [
     "embed",
     "class_operator",
     "class_operator_sum",
+    "common_support",
     "chain_map",
 ]
 
@@ -156,15 +157,21 @@ def class_operator(model: SystemModel, h: HomogeneousHistory, t0: float = 0.0) -
     return out
 
 
-def class_operator_sum(model: SystemModel,
-                       terms: Sequence[tuple[complex, HomogeneousHistory]],
-                       t0: float = 0.0) -> np.ndarray:
-    """Linear extension over weighted histories sharing one temporal support."""
+def common_support(terms: Sequence[tuple[complex, HomogeneousHistory]]) -> tuple[float, ...]:
+    """The one temporal support of a nonempty weighted-history combination."""
     if len(terms) == 0:
         raise ValueError("empty linear combination")
     supports = {h.times for _, h in terms}
     if len(supports) != 1:
         raise ValueError("mixed temporal support")
+    return supports.pop()
+
+
+def class_operator_sum(model: SystemModel,
+                       terms: Sequence[tuple[complex, HomogeneousHistory]],
+                       t0: float = 0.0) -> np.ndarray:
+    """Linear extension over weighted histories sharing one temporal support."""
+    common_support(terms)
     out = np.zeros((model.dim, model.dim), dtype=complex)
     for c, h in terms:
         out = out + complex(c) * class_operator(model, h, t0)

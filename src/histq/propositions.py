@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import active_tolerances, as_operator
-from .decoherence import SECTOR_CAP, DecoherenceState
+from .decoherence import DecoherenceState, require_sector
 from .histories import HistoryOperator, chain_map
 
 __all__ = [
@@ -93,7 +93,7 @@ def unit_proposition(space: PropositionSpace) -> Proposition:
     return Proposition(space=space, op=np.eye(space.op_dim, dtype=complex))
 
 
-def _same_sector(x: Proposition, y: Proposition) -> PropositionSpace:
+def _same_sector(x: Proposition, y: Proposition | WrightOperator) -> PropositionSpace:
     if x.space != y.space:
         raise ValueError("sector mismatch")
     return x.space
@@ -133,8 +133,7 @@ class WrightOperator:
     matrix: np.ndarray
 
     def apply(self, x: Proposition) -> Proposition:
-        if x.space != self.space:
-            raise ValueError("sector mismatch")
+        _same_sector(x, self)
         k = self.space.op_dim
         vec = self.matrix @ x.op.flatten(order="F")
         return Proposition(space=self.space, op=vec.reshape((k, k), order="F"))
@@ -146,13 +145,9 @@ def wright_operator(ds: DecoherenceState, support: Sequence[float]) -> WrightOpe
     T = tr(1) * P^dag (I (x) rho) P with P the chain-map matrix, so that
     <b1, T b2> = tr(pi(b1)^dag rho pi(b2)) for all same-sector b1, b2.
     """
-    support = tuple(float(t) for t in support)
-    for t in support:
-        ds.grid.require(t)
+    support = require_sector(ds, support, "Wright construction")
     dim = ds.model.dim
     n = len(support)
-    if dim ** (2 * n) > SECTOR_CAP:
-        raise ValueError("support too large for Wright construction")
     space = PropositionSpace(support=support, dim_single=dim)
     pmat = chain_matrix(dim, n)
     left_mult_rho = np.kron(np.eye(dim, dtype=complex), ds.model.rho)
@@ -162,8 +157,7 @@ def wright_operator(ds: DecoherenceState, support: Sequence[float]) -> WrightOpe
 
 def probability(t: WrightOperator, x: Proposition) -> float:
     """Quadratic form <x, T x>; may leave [0, 1] for inconsistent propositions."""
-    if x.space != t.space:
-        raise ValueError("sector mismatch")
+    _same_sector(x, t)
     tol = active_tolerances()
     vec = x.op.flatten(order="F")
     value = complex(vec.conj() @ t.matrix @ vec) / t.space.op_dim

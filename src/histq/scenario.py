@@ -64,7 +64,7 @@ def _require(data: dict, key: str, path: str):
     return data[key]
 
 
-def _matrix(node, dim: int, path: str) -> np.ndarray:
+def _complex_array(node, shape: tuple[int, ...], path: str) -> np.ndarray:
     if not isinstance(node, dict) or "real" not in node:
         raise ScenarioError(path, "expected an object with 'real' (and optional 'imag') arrays")
     try:
@@ -75,27 +75,16 @@ def _matrix(node, dim: int, path: str) -> np.ndarray:
     if real.shape != imag.shape:
         raise ScenarioError(path, "'real' and 'imag' shapes differ")
     m = real + 1j * imag
-    if m.shape != (dim, dim):
-        raise ScenarioError(path, f"expected shape {(dim, dim)}, got {m.shape}")
+    if m.shape != shape:
+        raise ScenarioError(path, f"expected shape {shape}, got {m.shape}")
     return m
-
-
-def _vector(node, dim: int, path: str) -> np.ndarray:
-    if not isinstance(node, dict) or "real" not in node:
-        raise ScenarioError(path, "expected an object with 'real' (and optional 'imag') arrays")
-    real = np.asarray(node["real"], dtype=float)
-    imag = np.asarray(node.get("imag", np.zeros_like(real)), dtype=float)
-    v = real + 1j * imag
-    if v.shape != (dim,):
-        raise ScenarioError(path, f"expected a length-{dim} vector, got shape {v.shape}")
-    return v
 
 
 def _rho(node, dim: int, path: str) -> SystemModel | tuple:
     if not isinstance(node, dict):
         raise ScenarioError(path, "expected an object with 'matrix' or 'spectral'")
     if "matrix" in node:
-        return ("matrix", _matrix(node["matrix"], dim, f"{path}.matrix"))
+        return ("matrix", _complex_array(node["matrix"], (dim, dim), f"{path}.matrix"))
     if "spectral" in node:
         entries = node["spectral"]
         if not isinstance(entries, list) or not entries:
@@ -106,7 +95,8 @@ def _rho(node, dim: int, path: str) -> SystemModel | tuple:
             if not isinstance(entry, dict):
                 raise ScenarioError(epath, "expected an object")
             weights.append(float(_require(entry, "weight", f"{epath}.")))
-            vectors.append(_vector(_require(entry, "vector", f"{epath}."), dim, f"{epath}.vector"))
+            vectors.append(_complex_array(_require(entry, "vector", f"{epath}."), (dim,),
+                                          f"{epath}.vector"))
         if len(entries) != dim:
             raise ScenarioError(f"{path}.spectral",
                                 f"need exactly dim={dim} entries (pad with zero weights)")
@@ -121,7 +111,7 @@ def _projector(node, dim: int, path: str) -> np.ndarray:
     if node.get("identity"):
         return np.eye(dim, dtype=complex)
     if "matrix" in node:
-        p = _matrix(node["matrix"], dim, f"{path}.matrix")
+        p = _complex_array(node["matrix"], (dim, dim), f"{path}.matrix")
         if not is_projector(p, tol):
             raise ScenarioError(f"{path}.matrix", "not a projector")
         return p
@@ -173,7 +163,7 @@ def parse_scenario(data: dict) -> Scenario:
     if not isinstance(dim, int) or dim < 1:
         raise ScenarioError("dim", "must be a positive integer")
 
-    hmat = _matrix(_require(data, "hamiltonian", ""), dim, "hamiltonian")
+    hmat = _complex_array(_require(data, "hamiltonian", ""), (dim, dim), "hamiltonian")
     rho_spec = _rho(_require(data, "rho", ""), dim, "rho")
 
     try:

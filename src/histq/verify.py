@@ -22,7 +22,8 @@ from .consistency import (
     window,
 )
 from .core import SystemModel, TimeGrid, active_tolerances
-from .decoherence import SECTOR_CAP, DecoherenceState, d_basis_sum, d_form, d_trace, ils_reconstruct
+from .decoherence import (DecoherenceState, d_basis_sum, d_form, d_trace, ils_reconstruct,
+                          sector_fits)
 from .divergence import b1_direct_value, b1_series, b2_series, growth_fit
 from .entropy import refinement_gap, window_entropy, window_entropy_pnorm
 from .histories import embed, history
@@ -76,12 +77,15 @@ def _check_axioms(scn: Scenario, rng) -> CheckResult:
 
 def _check_representations(scn: Scenario, rng) -> CheckResult:
     worst = 0.0
-    states = _side_states(rng)
-    if scn.dim ** (2 * min(2, len(scn.grid.times))) <= SECTOR_CAP:
-        states.append(DecoherenceState(model=scn.model, grid=scn.grid))
-    for ds in states:
+    skipped = []
+    scn_state = DecoherenceState(model=scn.model, grid=scn.grid)
+    for ds in _side_states(rng) + [scn_state]:
         for n in (1, 2):
-            if n > len(ds.grid.times) or ds.model.dim ** (2 * n) > SECTOR_CAP:
+            if n > len(ds.grid.times):
+                continue
+            if not sector_fits(ds.model.dim, n):
+                if ds is scn_state:
+                    skipped.append(f"n = {n}")
                 continue
             support = ds.grid.times[:n]
             ils = ils_reconstruct(ds, support)
@@ -94,8 +98,11 @@ def _check_representations(scn: Scenario, rng) -> CheckResult:
                 worst = max(worst, abs(ref - d_basis_sum(ds, hb, kb)))
                 worst = max(worst, abs(ref - ils.pair_value(hb.op, kb.op)))
     bound = active_tolerances().agreement
-    return CheckResult("representation-agreement", worst <= bound, worst, bound,
-                       "chain form vs basis sum vs doubled-space reconstruction")
+    detail = "chain form vs basis sum vs doubled-space reconstruction"
+    if skipped:
+        detail += (f"; scenario skipped at {', '.join(skipped)}: "
+                   "support too large for ILS reconstruction")
+    return CheckResult("representation-agreement", worst <= bound, worst, bound, detail)
 
 
 def _check_wright(scn: Scenario, rng) -> CheckResult:
@@ -105,7 +112,7 @@ def _check_wright(scn: Scenario, rng) -> CheckResult:
     states = _side_states(rng)
     for ds in states:
         for n in (1, 2):
-            if ds.model.dim ** (2 * n) > SECTOR_CAP:
+            if not sector_fits(ds.model.dim, n):
                 continue
             support = ds.grid.times[:n]
             t = wright_operator(ds, support)
@@ -126,13 +133,14 @@ def _check_wright(scn: Scenario, rng) -> CheckResult:
 
 
 def _scenario_windows(scn: Scenario, ds: DecoherenceState):
+    """The scenario's Wright operator and windows, or a note why there are none."""
     if not scn.pvms:
-        return None, []
+        return None, [], ""
     support = scn.grid.times[:len(scn.pvms)]
-    if scn.dim ** (2 * len(support)) > SECTOR_CAP:
-        return None, []
+    if not sector_fits(scn.dim, len(support)):
+        return None, [], "; scenario windows skipped: support too large for Wright construction"
     t = wright_operator(ds, support)
-    return t, search_windows(ds, t, scn.pvms)
+    return t, search_windows(ds, t, scn.pvms), ""
 
 
 def _bridge_candidates(ds: DecoherenceState, t, rng, two_time: bool):
@@ -166,14 +174,14 @@ def _check_bridge(scn: Scenario, rng) -> CheckResult:
                 if krep.consistent != oprep.consistent:
                     mismatches += 1
     ds_scn = DecoherenceState(model=scn.model, grid=scn.grid)
-    t, found = _scenario_windows(scn, ds_scn)
+    t, found, skipped = _scenario_windows(scn, ds_scn)
     for w in found:
         if w.probabilities and all(p > tol.strict_positive for p in w.probabilities):
             checked += 1
             if check_window(w, t).consistent != check_window_operators(ds_scn, w).consistent:
                 mismatches += 1
     return CheckResult("picture-bridge", mismatches == 0, float(mismatches), 0.0,
-                       f"verdict agreement on {checked} strictly positive windows")
+                       f"verdict agreement on {checked} strictly positive windows{skipped}")
 
 
 def _check_gap_grid(scn: Scenario, rng) -> CheckResult:
@@ -226,6 +234,8 @@ def _check_entropy(scn: Scenario, rng) -> CheckResult:
     for ds in states:
         t = wright_operator(ds, (0.0,))
         found = search_windows(ds, t, [[random_pvm(rng, ds.model.dim)]])
+        pnorm = {(w, p): window_entropy_pnorm(ds, w, p).value
+                 for w in found for p in (1.0, 1.5, 2.0)}
         for w in found:
             rep = window_entropy(t, w)
             shannon = -sum(p * math.log(p) for p in w.probabilities)
@@ -233,17 +243,14 @@ def _check_entropy(scn: Scenario, rng) -> CheckResult:
                 p * math.log(hs_inner(x, x).real)
                 for p, x in zip(w.probabilities, w.members))
             worst_identity = max(worst_identity, abs(rep.value - regroup))
-            worst_p2 = max(worst_p2,
-                           abs(rep.value - window_entropy_pnorm(ds, w, 2.0).value))
+            worst_p2 = max(worst_p2, abs(rep.value - pnorm[w, 2.0]))
         for coarse in found:
             for fine in found:
                 if fine is coarse or not is_refinement(fine, coarse):
                     continue
                 pairs += 1
                 for p in (1.0, 1.5, 2.0):
-                    drop = (window_entropy_pnorm(ds, coarse, p).value
-                            - window_entropy_pnorm(ds, fine, p).value)
-                    if drop < -1e-10:
+                    if pnorm[coarse, p] - pnorm[fine, p] < -1e-10:
                         monotone_ok = False
 
     # p = 3 must fail monotonicity on the maximally mixed qubit split.

@@ -11,6 +11,31 @@ def run(args):
     return main(args)
 
 
+def write_scenario(tmp_path, kind):
+    """The bundled scenario, or a variant: over-cap sectors or malformed."""
+    scenario = json.loads(bundled_scenario_path().read_text())
+    if kind in ("dim4", "dim3-three-times"):
+        dim, times = (4, [0.0, 1.0]) if kind == "dim4" else (3, [0.0, 1.0, 2.0])
+        scenario.update(
+            dim=dim, times=times,
+            hamiltonian={"real": np.zeros((dim, dim)).tolist()},
+            rho={"matrix": {"real": (np.eye(dim) / dim).tolist()}},
+            histories=[{"label": "unit", "projectors": [{"identity": True}] * len(times)}],
+            pvms=[[{"basis": "computational"}, {"basis": "hadamard"}]] * len(times))
+    elif kind == "malformed":
+        scenario["rho"] = {"matrix": {"real": [[0.9, 0.0], [0.0, 0.25]]}}
+    path = tmp_path / f"{kind}.json"
+    path.write_text(json.dumps(scenario), encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize("subcommand", ["decohere", "windows", "entropy", "diverge", "verify"])
+@pytest.mark.parametrize("kind", ["bundled", "dim4", "dim3-three-times", "malformed"])
+def test_every_subcommand_exits_with_a_documented_code(tmp_path, capsys, subcommand, kind):
+    assert run([subcommand, "--scenario", str(write_scenario(tmp_path, kind)),
+                "--out", str(tmp_path / "o")]) in (0, 2, 3, 4)
+
+
 class TestVerify:
     def test_bundled_scenario_passes(self, tmp_path, capsys):
         code = run(["verify", "--out", str(tmp_path / "a")])
@@ -76,6 +101,37 @@ class TestValidationExit:
         assert err.startswith("error: HISTQ_TOL") and repr(field) in err
         assert "Traceback" not in err
         assert not (tmp_path / "o").exists()
+
+
+class TestCapacity:
+    @pytest.mark.parametrize("subcommand", ["windows", "entropy"])
+    @pytest.mark.parametrize("kind", ["dim4", "dim3-three-times"])
+    def test_over_cap_sector_exits_4(self, tmp_path, capsys, subcommand, kind):
+        code = run([subcommand, "--scenario", str(write_scenario(tmp_path, kind)),
+                    "--out", str(tmp_path / "o")])
+        assert code == 4
+        assert capsys.readouterr().err == "error: support too large for Wright construction\n"
+
+    def test_decohere_reports_skipped_ils(self, tmp_path):
+        code = run(["decohere", "--scenario", str(write_scenario(tmp_path, "dim4")),
+                    "--out", str(tmp_path / "o")])
+        agreement = json.loads((tmp_path / "o" / "decohere.json").read_text())[
+            "decoherence"]["agreement"]
+        assert code == 0
+        assert agreement["chain_vs_ils"] is None
+        assert agreement["ils_skipped"] == "support too large for ILS reconstruction"
+
+    def test_verify_names_skipped_scenario_checks(self, tmp_path, capsys):
+        code = run(["verify", "--scenario", str(write_scenario(tmp_path, "dim4")),
+                    "--out", str(tmp_path / "o")])
+        checks = json.loads((tmp_path / "o" / "verify.json").read_text())["verify"]["checks"]
+        detail = {c["name"]: c["detail"] for c in checks}
+        assert code == 0
+        assert detail["representation-agreement"].endswith(
+            "; scenario skipped at n = 2: support too large for ILS reconstruction")
+        assert detail["picture-bridge"].endswith(
+            "; scenario windows skipped: support too large for Wright construction")
+        assert "skipped" in capsys.readouterr().out
 
 
 class TestDecohere:

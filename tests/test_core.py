@@ -83,6 +83,16 @@ class TestEvolve:
         with pytest.raises(ValueError, match="Hermitian"):
             SystemModel.from_matrices(np.array([[0, 1], [0, 0]]), np.eye(2) / 2)
 
+    def test_uses_the_models_eigendecomposition(self, monkeypatch):
+        model = SystemModel.from_matrices((np.pi / 2) * SIGMA_X, np.eye(2) / 2)
+        assert np.allclose(model.energies, [-np.pi / 2, np.pi / 2], atol=1e-12)
+
+        def no_eigh(*args, **kwargs):
+            raise AssertionError("evolve must not diagonalise H again")
+
+        monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+        assert np.max(np.abs(evolve(model, 1.0) - (-1j) * SIGMA_X)) <= 1e-10
+
 
 class TestHeisenberg:
     def test_zero_hamiltonian_fixes_projector(self):

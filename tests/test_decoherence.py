@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from histq.core import SystemModel, TimeGrid, tensor_product
 from histq.decoherence import (
+    CapacityError,
     DecoherenceState,
     d_basis_sum,
     d_form,
@@ -14,8 +15,10 @@ from histq.decoherence import (
     density,
     hermitian_basis,
     ils_reconstruct,
+    sector_fits,
 )
 from histq.histories import HistoryOperator, embed, history
+from histq.propositions import wright_operator
 from histq.sampling import (
     random_hermitian,
     random_model,
@@ -323,6 +326,29 @@ class TestIlsReconstruction:
         ds = state_for(random_model(rng, 4), times=(0.0, 1.0, 2.0))
         with pytest.raises(ValueError, match="support too large"):
             ils_reconstruct(ds, (0.0, 1.0))
+
+
+class TestSectorGuard:
+    def test_cap_boundary(self):
+        assert sector_fits(3, 2) and sector_fits(9, 1) and sector_fits(2, 3)
+        assert not sector_fits(4, 2) and not sector_fits(3, 3) and not sector_fits(10, 1)
+
+    def test_both_constructions_raise_capacity_error_with_their_message(self):
+        ds = state_for(random_model(np.random.default_rng(17), 3), times=(0.0, 1.0, 2.0))
+        with pytest.raises(CapacityError) as ils:
+            ils_reconstruct(ds, ds.grid.times)
+        with pytest.raises(CapacityError) as wright:
+            wright_operator(ds, ds.grid.times)
+        assert str(ils.value) == "support too large for ILS reconstruction"
+        assert str(wright.value) == "support too large for Wright construction"
+        assert isinstance(ils.value, ValueError)
+        ils_reconstruct(ds, (0.0, 1.0))  # 3^4 = 81 is within the cap
+
+    def test_off_grid_time_is_not_a_capacity_error(self):
+        ds = state_for(random_model(np.random.default_rng(18), 4), times=(0.0, 1.0))
+        with pytest.raises(ValueError, match="not on the grid") as exc:
+            ils_reconstruct(ds, (0.5, 1.0))
+        assert not isinstance(exc.value, CapacityError)
 
 
 class TestHermitianBasis:

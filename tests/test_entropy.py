@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import histq.entropy
 from histq.consistency import check_window, search_windows, set_partitions, window
 from histq.entropy import (
     min_entropy,
@@ -237,6 +238,23 @@ class TestAggregates:
                     if tuple(round(p, 4) for p in w.probabilities) == (0.75, 0.25))
         assert sup_refinement_entropy(t, comp, family) == pytest.approx(
             window_entropy(t, comp).value, abs=1e-12)
+
+    def test_each_window_checked_once_per_call(self, monkeypatch):
+        calls = []
+
+        def counting(w, t, tol=None):
+            calls.append(w)
+            return check_window(w, t, tol)
+
+        monkeypatch.setattr(histq.entropy, "check_window", counting)
+        ds, t = mixed_qubit()
+        family = family_for(ds, t)
+        min_entropy(t, family)
+        assert sorted(map(id, calls)) == sorted(map(id, family))
+        unit = next(w for w in family if len(w.members) == 1)
+        calls.clear()
+        sup_refinement_entropy(t, unit, family)
+        assert sorted(map(id, calls)) == sorted(map(id, family))
 
     def test_sup_dominates_own_entropy(self):
         ds, t = mixed_qubit()

@@ -69,6 +69,17 @@ class TestValidationErrors:
             parse_scenario(data)
         assert "rho" in str(err.value)
 
+    @pytest.mark.parametrize("vector", [{"real": ["a", 0.0]},
+                                        {"real": [1.0, 0.0], "imag": [0.0]},
+                                        {"real": [1.0, 0.0, 0.0]}])
+    def test_malformed_spectral_vector_names_its_path(self, vector):
+        data = base_scenario()
+        data["rho"] = {"spectral": [{"weight": 0.75, "vector": vector},
+                                    {"weight": 0.25, "vector": {"real": [0.0, 1.0]}}]}
+        with pytest.raises(ScenarioError) as err:
+            parse_scenario(data)
+        assert err.value.path == "rho.spectral[0].vector"
+
     def test_non_hermitian_hamiltonian(self):
         data = base_scenario()
         data["hamiltonian"] = {"real": [[0.0, 1.0], [0.0, 0.0]]}
