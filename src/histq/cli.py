@@ -19,12 +19,10 @@ import sys
 from importlib import resources
 from pathlib import Path
 
-import numpy as np
-
 from .consistency import is_maximally_refined, search_windows
 from .core import active_tolerances
 from .decoherence import CapacityError, DecoherenceState, d_basis_sum, d_trace, ils_reconstruct
-from .divergence import b1_series, b2_series, growth_fit
+from .divergence import b1_grid, b1_series, b2_grid, b2_series, growth_fit
 from .entropy import min_entropy, sup_refinement_entropy, window_entropy, window_entropy_pnorm
 from .histories import embed
 from .propositions import hs_inner, wright_operator
@@ -180,20 +178,17 @@ def _series_section(series, out_dir: Path) -> dict:
 
 
 def _diverge_payload(scn: Scenario, out_dir: Path, series: str, max_n: int | None) -> dict:
+    # the growth fit needs two decades of N, so never stop below 10^3 or 2^11
     payload = {}
     if series in ("b1", "both"):
-        top = max(max_n or 10000, 1000)  # the fit needs two decades of N
-        ns = sorted(set(int(round(x)) for x in np.logspace(1, math.log10(top), 12)))
+        ns = b1_grid(max(max_n, 1000)) if max_n else b1_grid()
         payload["b1"] = _series_section(b1_series(ns), out_dir)
     if series in ("b2", "both"):
-        top = max_n or 2 ** 14
-        # the growth fit wants two decades of N, so never stop below 2^11
-        kmax = max(11, int(math.floor(math.log2(top))))
-        s2 = b2_series([2 ** k for k in range(4, kmax + 1)])
+        ns = b2_grid(max(max_n, 2 ** 11)) if max_n else b2_grid()
+        s2 = b2_series(ns)
         values = dict(s2.points)
-        doubling = [{"from": 2 ** k, "to": 2 ** (k + 1),
-                     "difference": values[2 ** (k + 1)] - values[2 ** k]}
-                    for k in range(4, kmax)]
+        doubling = [{"from": a, "to": b, "difference": values[b] - values[a]}
+                    for a, b in zip(ns, ns[1:])]
         payload["b2"] = {**_series_section(s2, out_dir),
                          "doubling_differences": doubling, "ln2": math.log(2)}
     return payload

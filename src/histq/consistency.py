@@ -128,7 +128,7 @@ def _verdict(violated: list[str], residuals: list[float]) -> ConsistencyReport:
     )
 
 
-def check_window(w: Window, t: WrightOperator, tol: Tolerances | None = None) -> ConsistencyReport:
+def check_window(w: Window, t: WrightOperator) -> ConsistencyReport:
     """Sector-picture consistency of ``w`` for the state ``t``.
 
     Conditions: pairwise orthogonality, completeness (sum = e), strict
@@ -138,7 +138,7 @@ def check_window(w: Window, t: WrightOperator, tol: Tolerances | None = None) ->
     complete product family it equals 1 identically even with interference
     between the members.)  Fills ``w.probabilities`` as a side effect.
     """
-    tol = tol or active_tolerances()
+    tol = active_tolerances()
     if w.space != t.space:
         raise ValueError("sector mismatch")
     violated, residuals = _structure(w, lambda x, y: abs(hs_inner(x, y)), tol)
@@ -157,13 +157,12 @@ def check_window(w: Window, t: WrightOperator, tol: Tolerances | None = None) ->
     return w.kreport
 
 
-def check_window_operators(ds: DecoherenceState, w: Window,
-                           tol: Tolerances | None = None) -> ConsistencyReport:
+def check_window_operators(ds: DecoherenceState, w: Window) -> ConsistencyReport:
     """Operator-picture consistency: orthogonal complete projections with
     vanishing real off-diagonal decoherence values."""
-    tol = tol or active_tolerances()
+    tol = active_tolerances()
     for x in w.members:
-        if not is_projector(x.op, tol):
+        if not is_projector(x.op):
             raise ValueError("non-projector member")
     violated, residuals = _structure(w, lambda x, y: max_abs(x.op @ y.op), tol)
 
@@ -175,7 +174,7 @@ def check_window_operators(ds: DecoherenceState, w: Window,
     return w.opreport
 
 
-def is_refinement(fine: Window, coarse: Window, tol: Tolerances | None = None) -> bool:
+def is_refinement(fine: Window, coarse: Window) -> bool:
     """True when every coarse member is the sum of a block of fine members,
     the blocks partitioning ``fine``.
 
@@ -183,7 +182,7 @@ def is_refinement(fine: Window, coarse: Window, tol: Tolerances | None = None) -
     block for orthogonal families; the explicit sum check makes the answer
     sound either way.
     """
-    tol = tol or active_tolerances()
+    tol = active_tolerances()
     if fine.space != coarse.space:
         raise ValueError("sector mismatch")
     blocks: dict[int, list[Proposition]] = {i: [] for i in range(len(coarse.members))}
@@ -311,8 +310,7 @@ def _rgs_chunks(n: int, budget: int | None) -> Iterator[np.ndarray]:
 
 def search_windows(ds: DecoherenceState, t: WrightOperator,
                    pvms: Sequence[Sequence[Sequence[np.ndarray]]],
-                   budget: int | None = None,
-                   tol: Tolerances | None = None) -> list[Window]:
+                   budget: int | None = None) -> list[Window]:
     """Enumerate consistent coarse grainings of product-history families.
 
     ``pvms[k]`` lists the alternative projective decompositions offered at
@@ -321,7 +319,8 @@ def search_windows(ds: DecoherenceState, t: WrightOperator,
     Heisenberg picture and tensored in time order) forms a base family of at
     most ``MAX_BASE_FAMILY`` orthogonal projectors.  The set partitions of
     the base family are its restricted-growth strings, up to the first
-    ``budget`` strings per family.
+    ``budget`` strings per family.  Every decomposition must consist of
+    projectors summing to the identity, else ``ValueError`` naming it.
 
     The strings are streamed in chunks of ``_SCREEN_CHUNK``, so memory does
     not grow with the Bell number.  Each chunk is scored at once from two
@@ -336,14 +335,14 @@ def search_windows(ds: DecoherenceState, t: WrightOperator,
     broken by a canonical byte key, so the output does not depend on the
     ordering of the supplied decomposition elements.
     """
-    tol = tol or active_tolerances()
+    tol = active_tolerances()
     space = t.space
     results: dict[tuple[bytes, ...], Window] = {}
 
     if len(pvms) == 0:
         w = Window(space=space, members=(unit_proposition(space),))
-        check_window(w, t, tol)
-        check_window_operators(ds, w, tol)
+        check_window(w, t)
+        check_window_operators(ds, w)
         return [w]
 
     if len(pvms) != space.n_times:
@@ -354,12 +353,15 @@ def search_windows(ds: DecoherenceState, t: WrightOperator,
 
     eye = np.eye(ds.model.dim)
     transported: list[list[list[np.ndarray]]] = []
-    for time, klists in zip(space.support, pvms):
+    for k, (time, klists) in enumerate(zip(space.support, pvms)):
         per_time = []
-        for pvm in klists:
+        for j, pvm in enumerate(klists):
             elements = [as_operator(p) for p in pvm]
+            if not all(is_projector(p) for p in elements):
+                raise ValueError(f"decomposition pvms[{k}][{j}]: elements must be projectors")
             if max_abs(sum(elements) - eye) > tol.consistency:
-                raise ValueError("decomposition elements must sum to the identity")
+                raise ValueError(f"decomposition pvms[{k}][{j}]: "
+                                 "elements must sum to the identity")
             per_time.append([heisenberg(ds.model, p, time, ds.grid.t0) for p in elements])
         transported.append(per_time)
 
@@ -375,10 +377,11 @@ def search_windows(ds: DecoherenceState, t: WrightOperator,
             for row in rgs[_screen(g, s, rgs, tol, slack)]:
                 ops = [np.sum(base[row == v], axis=0) for v in range(row.max() + 1)]
                 cand = window(space, ops)
-                if not check_window(cand, t, tol).consistent:
+                if not check_window(cand, t).consistent:
                     continue
-                if all(is_projector(x.op, tol) for x in cand.members):
-                    check_window_operators(ds, cand, tol)
+                # sums of Kronecker products may drift past the projector bound
+                if all(is_projector(x.op) for x in cand.members):
+                    check_window_operators(ds, cand)
                 key = _window_key(cand)
                 if key not in results:
                     results[key] = cand
@@ -387,11 +390,9 @@ def search_windows(ds: DecoherenceState, t: WrightOperator,
     return [w for _, w in ordered]
 
 
-def is_maximally_refined(w: Window, candidates: Sequence[Window],
-                         tol: Tolerances | None = None) -> bool:
+def is_maximally_refined(w: Window, candidates: Sequence[Window]) -> bool:
     """True when no candidate is a strictly finer consistent refinement."""
-    tol = tol or active_tolerances()
     for cand in candidates:
-        if len(cand.members) > len(w.members) and is_refinement(cand, w, tol):
+        if len(cand.members) > len(w.members) and is_refinement(cand, w):
             return False
     return True

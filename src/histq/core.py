@@ -102,24 +102,21 @@ def max_abs(a) -> float:
     return float(np.max(np.abs(a))) if a.size else 0.0
 
 
-def is_hermitian(a, tol: Tolerances | None = None) -> bool:
-    tol = tol or active_tolerances()
+def is_hermitian(a) -> bool:
     a = as_operator(a)
     scale = max(max_abs(a), 1.0)
-    return max_abs(a - a.conj().T) <= tol.hermitian * scale
+    return max_abs(a - a.conj().T) <= active_tolerances().hermitian * scale
 
 
-def is_unitary(u, tol: Tolerances | None = None) -> bool:
-    tol = tol or active_tolerances()
+def is_unitary(u) -> bool:
     u = as_operator(u)
     eye = np.eye(u.shape[0])
-    return max_abs(u.conj().T @ u - eye) <= tol.unitary
+    return max_abs(u.conj().T @ u - eye) <= active_tolerances().unitary
 
 
-def is_projector(p, tol: Tolerances | None = None) -> bool:
-    tol = tol or active_tolerances()
+def is_projector(p) -> bool:
     p = as_operator(p)
-    return is_hermitian(p, tol) and max_abs(p @ p - p) <= tol.projector
+    return is_hermitian(p) and max_abs(p @ p - p) <= active_tolerances().projector
 
 
 def projector_onto(vectors) -> np.ndarray:
@@ -178,7 +175,7 @@ class SystemModel:
         h = as_operator(self.hamiltonian)
         if h.shape[0] != self.dim:
             raise ValueError("hamiltonian dimension mismatch")
-        if not is_hermitian(h, tol):
+        if not is_hermitian(h):
             raise ValueError("hamiltonian must be Hermitian")
         energies, basis = np.linalg.eigh(self.hamiltonian)
         object.__setattr__(self, "energies", energies)
@@ -186,7 +183,7 @@ class SystemModel:
         r = as_operator(self.rho)
         if r.shape[0] != self.dim:
             raise ValueError("rho dimension mismatch")
-        if not is_hermitian(r, tol):
+        if not is_hermitian(r):
             raise ValueError("rho must be Hermitian")
         if abs(np.trace(r).real - 1.0) > tol.trace_one or abs(np.trace(r).imag) > tol.trace_one:
             raise ValueError(f"rho must have unit trace, got {np.trace(r).real!r}")
@@ -249,11 +246,10 @@ def evolve(model: SystemModel, t: float, t0: float = 0.0) -> np.ndarray:
     return (model.energy_basis * phases) @ model.energy_basis.conj().T
 
 
-def heisenberg(model: SystemModel, p: np.ndarray, t: float, t0: float = 0.0) -> np.ndarray:
-    """Heisenberg-picture transport U(t,t0)^dag P U(t,t0) of a projector."""
-    tol = active_tolerances()
-    p = as_operator(p)
-    if not is_projector(p, tol):
-        raise ValueError("operator is not a projector")
+def heisenberg(model: SystemModel, a: np.ndarray, t: float, t0: float = 0.0) -> np.ndarray:
+    """Heisenberg-picture transport U(t,t0)^dag A U(t,t0) of any operator A.
+
+    Checks nothing: projectors are validated where they enter the program.
+    """
     u = evolve(model, t, t0)
-    return u.conj().T @ p @ u
+    return u.conj().T @ as_operator(a) @ u

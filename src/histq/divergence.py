@@ -29,6 +29,8 @@ __all__ = [
     "TruncationSeries",
     "GrowthVerdict",
     "geometric_weights",
+    "b1_grid",
+    "b2_grid",
     "b1_series",
     "b1_direct_value",
     "b2_series",
@@ -63,6 +65,16 @@ class GrowthVerdict:
 def geometric_weights(n: int) -> np.ndarray:
     """Default spectral weights w_k = 2^-k for k = 1..n (summable, tail 2^-n)."""
     return 0.5 ** np.arange(1, n + 1)
+
+
+def b1_grid(top: int = 10_000) -> list[int]:
+    """Default b1 truncations: 12 log-spaced N from 10 to ``top``, rounded."""
+    return sorted(set(int(round(x)) for x in np.logspace(1, math.log10(top), 12)))
+
+
+def b2_grid(top: int = 2 ** 14) -> list[int]:
+    """Default b2 truncations: the powers of two from 2^4 up to ``top``."""
+    return [2 ** k for k in range(4, int(math.floor(math.log2(top))) + 1)]
 
 
 def _resolve_weights(omega, n: int) -> tuple[np.ndarray, str]:

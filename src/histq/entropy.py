@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .core import Tolerances, active_tolerances
+from .core import active_tolerances
 from .consistency import Window, check_window, check_window_operators, is_refinement
 from .decoherence import DecoherenceState, d_form
 from .propositions import WrightOperator, hs_inner, p_norm
@@ -49,8 +49,8 @@ class EntropyReport:
     terms: tuple[EntropyTerm, ...]
 
 
-def _report(label: str, p: float, pairs: Sequence[tuple[float, float]],
-            tol: Tolerances) -> EntropyReport:
+def _report(label: str, p: float, pairs: Sequence[tuple[float, float]]) -> EntropyReport:
+    tol = active_tolerances()
     terms = []
     for prob, normsq in pairs:
         if prob <= tol.strict_positive:
@@ -62,26 +62,24 @@ def _report(label: str, p: float, pairs: Sequence[tuple[float, float]],
     return EntropyReport(window_label=label, p=p, value=value, terms=tuple(terms))
 
 
-def _sector_entropy(t: WrightOperator, w: Window, tol: Tolerances) -> EntropyReport | None:
+def _sector_entropy(t: WrightOperator, w: Window) -> EntropyReport | None:
     """Entropy of ``w`` after one sector-picture check; None when inconsistent."""
-    if not check_window(w, t, tol).consistent:
+    if not check_window(w, t).consistent:
         return None
     pairs = [(p, hs_inner(x, x).real)
              for p, x in zip(w.probabilities, w.members)]
-    return _report(w.label, 2.0, pairs, tol)
+    return _report(w.label, 2.0, pairs)
 
 
-def window_entropy(t: WrightOperator, w: Window,
-                   tol: Tolerances | None = None) -> EntropyReport:
+def window_entropy(t: WrightOperator, w: Window) -> EntropyReport:
     """Entropy of a sector-consistent window for the state ``t``."""
-    report = _sector_entropy(t, w, tol or active_tolerances())
+    report = _sector_entropy(t, w)
     if report is None:
         raise ValueError("entropy undefined for inconsistent window")
     return report
 
 
-def window_entropy_pnorm(ds: DecoherenceState, w: Window, p: float,
-                         tol: Tolerances | None = None) -> EntropyReport:
+def window_entropy_pnorm(ds: DecoherenceState, w: Window, p: float) -> EntropyReport:
     """p-norm entropy of an operator-consistent projector window.
 
     p = 2 coincides with :func:`window_entropy`; p = 1 weighs each member by
@@ -89,16 +87,14 @@ def window_entropy_pnorm(ds: DecoherenceState, w: Window, p: float,
     """
     if p < 1:
         raise ValueError("p must be >= 1")
-    tol = tol or active_tolerances()
-    report = check_window_operators(ds, w, tol)
-    if not report.consistent:
+    if not check_window_operators(ds, w).consistent:
         raise ValueError("entropy undefined for inconsistent window")
     pairs = []
     for x in w.members:
         b = x.as_history_operator()
         diag = d_form(ds, b, b).real
         pairs.append((diag, p_norm(x, p) ** 2))
-    return _report(w.label, float(p), pairs, tol)
+    return _report(w.label, float(p), pairs)
 
 
 def refinement_gap(a: float, b: float, q: float) -> float:
@@ -119,17 +115,15 @@ def refinement_gap(a: float, b: float, q: float) -> float:
     return first - second
 
 
-def min_entropy(t: WrightOperator, family: Sequence[Window],
-                tol: Tolerances | None = None) -> tuple[float, Window]:
+def min_entropy(t: WrightOperator, family: Sequence[Window]) -> tuple[float, Window]:
     """Minimum window entropy over the consistent members of a family.
 
     An upper bound on the theory's entropy, since no finite family exhausts
     all consistent sets.  Ties break toward the lowest family index.
     """
-    tol = tol or active_tolerances()
     best: tuple[float, int, Window] | None = None
     for idx, w in enumerate(family):
-        report = _sector_entropy(t, w, tol)
+        report = _sector_entropy(t, w)
         if report is not None and (best is None or (report.value, idx) < best[:2]):
             best = (report.value, idx, w)
     if best is None:
@@ -137,18 +131,16 @@ def min_entropy(t: WrightOperator, family: Sequence[Window],
     return best[0], best[2]
 
 
-def sup_refinement_entropy(t: WrightOperator, w: Window, family: Sequence[Window],
-                           tol: Tolerances | None = None) -> float:
+def sup_refinement_entropy(t: WrightOperator, w: Window, family: Sequence[Window]) -> float:
     """Supremum of the entropy over consistent refinements of ``w`` in the family.
 
     ``w`` itself counts as a refinement; in finite dimension every value is
     finite, so the supremum is a maximum.
     """
-    tol = tol or active_tolerances()
-    values = [window_entropy(t, w, tol).value]
+    values = [window_entropy(t, w).value]
     for cand in family:
-        if cand is not w and is_refinement(cand, w, tol):
-            report = _sector_entropy(t, cand, tol)
+        if cand is not w and is_refinement(cand, w):
+            report = _sector_entropy(t, cand)
             if report is not None:
                 values.append(report.value)
     return max(values)

@@ -24,7 +24,6 @@ import numpy as np
 
 from .core import (
     SystemModel,
-    Tolerances,
     active_tolerances,
     as_operator,
     heisenberg,
@@ -53,13 +52,12 @@ class HomogeneousHistory:
     items: tuple[tuple[float, np.ndarray], ...]
 
     def __post_init__(self):
-        tol = active_tolerances()
         seen = set()
         for t, p in self.items:
             if t in seen:
                 raise ValueError(f"duplicate time {t!r} in history")
             seen.add(t)
-            if not is_projector(p, tol):
+            if not is_projector(p):
                 raise ValueError(f"history entry at time {t!r} is not a projector")
         if any(b <= a for (a, _), (b, _) in zip(self.items, self.items[1:])):
             raise ValueError("history times must be strictly increasing")
@@ -82,15 +80,18 @@ def history(entries: Mapping[float, np.ndarray]) -> HomogeneousHistory:
     return HomogeneousHistory(items)
 
 
-def support_reduce(h: HomogeneousHistory, tol: Tolerances | None = None) -> HomogeneousHistory:
-    """Canonical representative: drop every time whose entry is the identity."""
-    tol = tol or active_tolerances()
+def support_reduce(h: HomogeneousHistory) -> HomogeneousHistory:
+    """Canonical representative: drop every time whose entry is the identity.
+
+    Returns ``h`` itself when no entry is dropped.
+    """
+    tol = active_tolerances()
     kept = []
     for t, p in h.items:
         eye = np.eye(p.shape[0])
         if max_abs(p - eye) > tol.equality * max(max_abs(p), 1.0):
             kept.append((t, p))
-    return HomogeneousHistory(tuple(kept))
+    return h if len(kept) == len(h.items) else HomogeneousHistory(tuple(kept))
 
 
 @dataclass(frozen=True)
@@ -114,8 +115,8 @@ class HistoryOperator:
     def n_times(self) -> int:
         return len(self.support)
 
-    def is_projection(self, tol: Tolerances | None = None) -> bool:
-        return is_projector(self.op, tol)
+    def is_projection(self) -> bool:
+        return is_projector(self.op)
 
 
 def embed(model: SystemModel, h: HomogeneousHistory,

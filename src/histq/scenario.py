@@ -64,13 +64,25 @@ def _require(data: dict, key: str, path: str):
     return data[key]
 
 
+def _is_int(value) -> bool:
+    """True for JSON integers; ``bool`` is an ``int`` subclass but not one."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _real(value, path: str) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ScenarioError(path, f"expected a real number, got {value!r}") from None
+
+
 def _complex_array(node, shape: tuple[int, ...], path: str) -> np.ndarray:
     if not isinstance(node, dict) or "real" not in node:
         raise ScenarioError(path, "expected an object with 'real' (and optional 'imag') arrays")
     try:
         real = np.asarray(node["real"], dtype=float)
         imag = np.asarray(node.get("imag", np.zeros_like(real)), dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ScenarioError(path, f"not numeric arrays: {exc}") from None
     if real.shape != imag.shape:
         raise ScenarioError(path, "'real' and 'imag' shapes differ")
@@ -94,7 +106,7 @@ def _rho(node, dim: int, path: str) -> SystemModel | tuple:
             epath = f"{path}.spectral[{i}]"
             if not isinstance(entry, dict):
                 raise ScenarioError(epath, "expected an object")
-            weights.append(float(_require(entry, "weight", f"{epath}.")))
+            weights.append(_real(_require(entry, "weight", f"{epath}."), f"{epath}.weight"))
             vectors.append(_complex_array(_require(entry, "vector", f"{epath}."), (dim,),
                                           f"{epath}.vector"))
         if len(entries) != dim:
@@ -105,14 +117,13 @@ def _rho(node, dim: int, path: str) -> SystemModel | tuple:
 
 
 def _projector(node, dim: int, path: str) -> np.ndarray:
-    tol = active_tolerances()
     if not isinstance(node, dict):
         raise ScenarioError(path, "expected an object")
     if node.get("identity"):
         return np.eye(dim, dtype=complex)
     if "matrix" in node:
         p = _complex_array(node["matrix"], (dim, dim), f"{path}.matrix")
-        if not is_projector(p, tol):
+        if not is_projector(p):
             raise ScenarioError(f"{path}.matrix", "not a projector")
         return p
     if "basis" in node:
@@ -120,15 +131,16 @@ def _projector(node, dim: int, path: str) -> np.ndarray:
             basis = named_basis(node["basis"], dim)
         except ValueError as exc:
             raise ScenarioError(f"{path}.basis", str(exc)) from None
-        if "index" in node:
-            indices = [node["index"]]
-        elif "indices" in node:
-            indices = list(node["indices"])
-        else:
+        key = "index" if "index" in node else "indices"
+        if key not in node:
             raise ScenarioError(path, "basis projector needs 'index' or 'indices'")
+        indices = [node["index"]] if key == "index" else node["indices"]
+        if not isinstance(indices, list):
+            raise ScenarioError(f"{path}.{key}", "expected a list of integers")
         for i in indices:
-            if not isinstance(i, int) or not 0 <= i < dim:
-                raise ScenarioError(path, f"basis index {i!r} out of range for dim {dim}")
+            if not _is_int(i) or not 0 <= i < dim:
+                raise ScenarioError(f"{path}.{key}",
+                                    f"basis index {i!r} is not an integer in [0, {dim})")
         return projector_onto(basis[:, indices])
     raise ScenarioError(path, "unknown projector spec (need identity/matrix/basis)")
 
@@ -144,6 +156,8 @@ def _pvm(node, dim: int, path: str) -> list[np.ndarray]:
             raise ScenarioError(f"{path}.basis", str(exc)) from None
         return [projector_onto(basis[:, [i]]) for i in range(dim)]
     if "projectors" in node:
+        if not isinstance(node["projectors"], list):
+            raise ScenarioError(f"{path}.projectors", "expected a list of projector specs")
         elements = [
             _projector(sub, dim, f"{path}.projectors[{i}]")
             for i, sub in enumerate(node["projectors"])
@@ -160,7 +174,7 @@ def parse_scenario(data: dict) -> Scenario:
         raise ScenarioError("$", "scenario must be a JSON object")
 
     dim = _require(data, "dim", "")
-    if not isinstance(dim, int) or dim < 1:
+    if not _is_int(dim) or dim < 1:
         raise ScenarioError("dim", "must be a positive integer")
 
     hmat = _complex_array(_require(data, "hamiltonian", ""), (dim, dim), "hamiltonian")
@@ -179,13 +193,17 @@ def parse_scenario(data: dict) -> Scenario:
     times = _require(data, "times", "")
     if not isinstance(times, list) or not times:
         raise ScenarioError("times", "expected a nonempty list of reals")
+    t0 = _real(data.get("t0", 0.0), "t0")
     try:
-        grid = TimeGrid(times=tuple(float(t) for t in times), t0=float(data.get("t0", 0.0)))
-    except (TypeError, ValueError) as exc:
+        grid = TimeGrid(times=tuple(float(t) for t in times), t0=t0)
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ScenarioError("times", str(exc)) from None
 
     histories: list[tuple[str, HomogeneousHistory]] = []
-    for i, node in enumerate(data.get("histories", [])):
+    history_nodes = data.get("histories", [])
+    if not isinstance(history_nodes, list):
+        raise ScenarioError("histories", "expected a list of histories")
+    for i, node in enumerate(history_nodes):
         hpath = f"histories[{i}]"
         if not isinstance(node, dict):
             raise ScenarioError(hpath, "expected an object")
@@ -218,13 +236,13 @@ def parse_scenario(data: dict) -> Scenario:
         raise ScenarioError("entropy_p", "expected a nonempty list of reals >= 1")
     try:
         entropy_p = [float(p) for p in entropy_p]
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ScenarioError("entropy_p", "expected a nonempty list of reals >= 1") from None
     if any(p < 1 for p in entropy_p):
         raise ScenarioError("entropy_p", "norm parameters must be >= 1")
 
     seed = data.get("seed", 0)
-    if not isinstance(seed, int):
+    if not _is_int(seed):
         raise ScenarioError("seed", "must be an integer")
 
     return Scenario(dim=dim, model=model, grid=grid, histories=histories,

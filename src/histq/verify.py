@@ -24,7 +24,7 @@ from .consistency import (
 from .core import SystemModel, TimeGrid, active_tolerances
 from .decoherence import (DecoherenceState, d_basis_sum, d_form, d_trace, ils_reconstruct,
                           sector_fits)
-from .divergence import b1_direct_value, b1_series, b2_series, growth_fit
+from .divergence import b1_direct_value, b1_grid, b1_series, b2_grid, b2_series, growth_fit
 from .entropy import refinement_gap, window_entropy, window_entropy_pnorm
 from .histories import embed, history
 from .propositions import hs_inner, probability, proposition, unit_proposition, wright_operator
@@ -127,8 +127,9 @@ def _check_wright(scn: Scenario, rng) -> CheckResult:
                 worst_agree = max(worst_agree,
                                   abs(probability(t, b) - d_form(ds, hb, hb).real))
     worst = max(worst_state, worst_agree, worst_selfadj)
-    passed = worst_state <= 1e-12 and worst_agree <= 1e-9 and worst_selfadj <= 1e-10
-    return CheckResult("wright-state", passed, worst, 1e-9,
+    bound = active_tolerances().agreement
+    passed = worst_state <= 1e-12 and worst_agree <= bound and worst_selfadj <= 1e-10
+    return CheckResult("wright-state", passed, worst, bound,
                        "unit expectation, quadratic-form agreement, self-adjointness")
 
 
@@ -200,15 +201,14 @@ def _check_gap_grid(scn: Scenario, rng) -> CheckResult:
 
 
 def _check_divergence(scn: Scenario, rng) -> CheckResult:
-    ns1 = sorted(set(int(round(x)) for x in np.logspace(1, 4, 12)))
-    fit1 = growth_fit(b1_series(ns1))
+    fit1 = growth_fit(b1_series(b1_grid()))
     s1_ok = fit1.classification == "linear" and abs(fit1.slope - 0.25) <= 0.0025
 
-    ns2 = [2 ** k for k in range(4, 15)]
+    ns2 = b2_grid()
     s2 = b2_series(ns2)
     fit2 = growth_fit(s2)
     values = dict(s2.points)
-    doubling = [values[2 ** (k + 1)] - values[2 ** k] for k in range(10, 14)]
+    doubling = [values[b] - values[a] for a, b in zip(ns2[-5:], ns2[-4:])]  # the last four
     s2_ok = (fit2.classification == "logarithmic"
              and abs(fit2.slope - 1.0) <= 0.05
              and all(abs(d - math.log(2)) <= 0.05 for d in doubling))

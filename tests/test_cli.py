@@ -61,9 +61,9 @@ class TestVerify:
         assert a["scenario"]["seed"] == 1 and b["scenario"]["seed"] == 2
 
     def test_agreement_threshold_follows_tolerances(self, tmp_path, monkeypatch):
-        def threshold(out):
+        def threshold(out, name="representation-agreement"):
             checks = json.loads((tmp_path / out / "verify.json").read_text())["verify"]["checks"]
-            return next(c["threshold"] for c in checks if c["name"] == "representation-agreement")
+            return next(c["threshold"] for c in checks if c["name"] == name)
 
         monkeypatch.delenv("HISTQ_TOL", raising=False)
         run(["verify", "--out", str(tmp_path / "a")])
@@ -71,6 +71,8 @@ class TestVerify:
         run(["verify", "--out", str(tmp_path / "b")])
         assert threshold("a") == 1e-9
         assert threshold("b") == 1e-6
+        assert threshold("a", "wright-state") == 1e-9
+        assert threshold("b", "wright-state") == 1e-6
 
 
 class TestValidationExit:

@@ -16,9 +16,11 @@ from histq.core import (
     named_basis,
     tensor_product,
 )
+from histq.consistency import search_windows
+from histq.propositions import wright_operator
 from histq.sampling import random_hermitian, random_projector
 
-from helpers import H_ZERO, P0, P1, SIGMA_X
+from helpers import H_ZERO, P0, P1, SIGMA_X, state_for
 
 
 class TestTensorProduct:
@@ -117,9 +119,19 @@ class TestHeisenberg:
                            np.sort(np.linalg.eigvalsh(p)), atol=1e-10)
 
     def test_non_projector_rejected(self):
-        model = SystemModel.from_matrices(H_ZERO, np.eye(2) / 2)
-        with pytest.raises(ValueError, match="projector"):
-            heisenberg(model, SIGMA_X + np.eye(2), 1.0)
+        # transport checks nothing; a decomposition that sums to the identity
+        # without being projective is rejected where it enters the search
+        ds = state_for(SystemModel.from_matrices(H_ZERO, np.eye(2) / 2), times=(0.0,))
+        t = wright_operator(ds, (0.0,))
+        half = np.eye(2) / 2
+        with pytest.raises(ValueError, match=r"pvms\[0\]\[0\]: elements must be projectors"):
+            search_windows(ds, t, [[[half, half]]])
+
+    def test_transports_any_operator(self):
+        # U(1) = exp(-i pi/2 sigma_x) = -i sigma_x, so U^dag A U = sigma_x A sigma_x
+        model = SystemModel.from_matrices((np.pi / 2) * SIGMA_X, np.eye(2) / 2)
+        a = np.array([[1.0, 2.0j], [3.0, 4.0 - 1.0j]])
+        assert np.max(np.abs(heisenberg(model, a, 1.0) - SIGMA_X @ a @ SIGMA_X)) <= 1e-12
 
 
 class TestSystemModel:

@@ -242,9 +242,9 @@ class TestAggregates:
     def test_each_window_checked_once_per_call(self, monkeypatch):
         calls = []
 
-        def counting(w, t, tol=None):
+        def counting(w, t):
             calls.append(w)
-            return check_window(w, t, tol)
+            return check_window(w, t)
 
         monkeypatch.setattr(histq.entropy, "check_window", counting)
         ds, t = mixed_qubit()

@@ -1,9 +1,12 @@
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from histq.core import SystemModel, is_projector, tensor_product
+from histq.core import SystemModel, TimeGrid, is_projector, tensor_product
+from histq.decoherence import DecoherenceState, d_trace
 from histq.histories import (
     chain_map,
     class_operator,
@@ -176,3 +179,26 @@ class TestClassOperatorSum:
         got = class_operator_sum(model, [(alpha, h1), (2.0, h2)])
         want = alpha * class_operator(model, h1) + 2.0 * class_operator(model, h2)
         assert np.max(np.abs(got - want)) <= 1e-12
+
+
+class TestValidatedOnce:
+    def test_built_histories_are_not_rechecked(self, monkeypatch):
+        model = qubit_model((np.pi / 3) * SIGMA_X)
+        ds = DecoherenceState(model=model, grid=TimeGrid(times=(0.0, 1.0)))
+        h = history({0.0: P0, 1.0: PLUS})
+        k = history({0.0: PLUS, 1.0: P1})
+        calls = []
+
+        def counting(p):
+            calls.append(p)
+            return is_projector(p)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("histq") and hasattr(module, "is_projector"):
+                monkeypatch.setattr(module, "is_projector", counting)
+        d_trace(ds, h, k)
+        embed(model, h)
+        class_operator(model, k)
+        assert calls == []
+        history({0.0: P1})  # the constructor still checks, through the patched name
+        assert len(calls) == 1

@@ -1,8 +1,15 @@
+import copy
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from histq.cli import bundled_scenario_path
-from histq.scenario import ScenarioError, load_scenario, parse_scenario
+from histq.scenario import Scenario, ScenarioError, load_scenario, parse_scenario
+
+BUNDLED = json.loads(bundled_scenario_path().read_text(encoding="utf-8"))
 
 
 def base_scenario():
@@ -21,6 +28,46 @@ def base_scenario():
         "entropy_p": [1.0, 2.0],
         "seed": 7,
     }
+
+
+def replaced(data, path, value):
+    """A copy of ``data`` with the node at ``path`` (keys and indices) set to ``value``."""
+    if not path:
+        return value
+    data = copy.deepcopy(data)
+    parent = data
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return data
+
+
+def node_paths(node, prefix=()):
+    """Every node of a JSON document, the root included, as a key/index path."""
+    yield prefix
+    children = node.items() if isinstance(node, dict) else (
+        enumerate(node) if isinstance(node, list) else ())
+    for key, child in children:
+        yield from node_paths(child, prefix + (key,))
+
+
+def spec_keys(node):
+    if isinstance(node, dict):
+        yield from node
+    for child in node.values() if isinstance(node, dict) else (
+            node if isinstance(node, list) else ()):
+        yield from spec_keys(child)
+
+
+# Any JSON value; object keys favour the scenario's own field names so that
+# generated objects also reach the nested spec parsers.
+SPEC_KEYS = sorted(set(spec_keys(BUNDLED)) | {"matrix", "indices", "weight"})
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text() | st.sampled_from(["computational", "hadamard"]),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.sampled_from(SPEC_KEYS) | st.text(), children, max_size=4),
+    max_leaves=12)
 
 
 class TestParsing:
@@ -142,3 +189,32 @@ class TestValidationErrors:
         path.write_text("{not json", encoding="utf-8")
         with pytest.raises(ScenarioError, match="invalid JSON"):
             load_scenario(path)
+
+
+@pytest.mark.parametrize("path, value, field", [
+    (("pvms",), [[{"projectors": 5}]], "pvms[0][0].projectors"),
+    (("histories",), 5, "histories"),
+    (("histories", 1, "projectors", 0), {"basis": "hadamard", "indices": 3},
+     "histories[1].projectors[0].indices"),
+    (("rho", "spectral", 0, "weight"), "x", "rho.spectral[0].weight"),
+    (("histories", 1, "projectors", 0), {"basis": "computational", "index": True},
+     "histories[1].projectors[0].index"),
+    (("dim",), True, "dim"),
+    (("seed",), True, "seed"),
+    (("t0",), "a", "t0"),
+], ids=["pvm-projectors", "histories", "indices", "weight", "bool-index", "bool-dim",
+        "bool-seed", "t0"])
+def test_malformed_value_names_its_field(path, value, field):
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario(replaced(BUNDLED, path, value))
+    assert err.value.path == field
+
+
+@given(st.sampled_from(list(node_paths(BUNDLED))), JSON_VALUES)
+@settings(max_examples=500, deadline=None)
+def test_any_json_value_parses_or_raises_scenario_error(path, value):
+    try:
+        scn = parse_scenario(replaced(BUNDLED, path, value))
+    except ScenarioError:
+        return
+    assert isinstance(scn, Scenario)
