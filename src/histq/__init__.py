@@ -16,7 +16,6 @@ from .histories import (
     HomogeneousHistory,
     chain_map,
     class_operator,
-    class_operator_sum,
     embed,
     history,
     support_reduce,

@@ -19,13 +19,13 @@ import sys
 from importlib import resources
 from pathlib import Path
 
-from .consistency import is_maximally_refined, search_windows
+from .consistency import is_maximally_refined
 from .core import active_tolerances
 from .decoherence import CapacityError, DecoherenceState, d_basis_sum, d_trace, ils_reconstruct
 from .divergence import b1_grid, b1_series, b2_grid, b2_series, growth_fit
 from .entropy import min_entropy, sup_refinement_entropy, window_entropy, window_entropy_pnorm
 from .histories import embed
-from .propositions import hs_inner, wright_operator
+from .propositions import hs_inner
 from .report import (
     TAG_BASIS_SUM,
     TAG_CHAIN,
@@ -37,7 +37,7 @@ from .report import (
     write_json,
 )
 from .scenario import Scenario, ScenarioError, load_scenario
-from .verify import run_suite
+from .verify import run_suite, scenario_windows
 
 __all__ = ["main", "bundled_scenario_path"]
 
@@ -91,18 +91,6 @@ def _decohere_payload(scn: Scenario) -> dict:
     return {"histories": labels, "rows": rows, "agreement": agreement}
 
 
-def _window_sections(scn: Scenario):
-    ds = DecoherenceState(model=scn.model, grid=scn.grid)
-    if not scn.pvms:
-        raise ScenarioError("pvms", "scenario defines no decompositions to search")
-    support = scn.grid.times[:len(scn.pvms)]
-    t = wright_operator(ds, support)
-    found = search_windows(ds, t, scn.pvms)
-    for idx, w in enumerate(found):
-        w.label = f"w{idx:02d}"
-    return ds, t, found
-
-
 def _report_entry(report) -> dict:
     return {
         "verdict": report.verdict,
@@ -111,13 +99,11 @@ def _report_entry(report) -> dict:
     }
 
 
-def _windows_payload(scn: Scenario, found=None) -> dict:
-    if found is None:
-        _, _, found = _window_sections(scn)
+def _windows_payload(scn: Scenario, found, labels) -> dict:
     entries = []
-    for w in found:
+    for label, w in zip(labels, found):
         entries.append({
-            "label": w.label,
+            "label": label,
             "members": len(w.members),
             "representation": TAG_QUADRATIC,
             "probabilities": [float(p) for p in w.probabilities],
@@ -129,10 +115,9 @@ def _windows_payload(scn: Scenario, found=None) -> dict:
     return {"support": list(scn.grid.times[:len(scn.pvms)]), "windows": entries}
 
 
-def _entropy_payload(scn: Scenario, sections=None) -> dict:
-    ds, t, found = sections if sections is not None else _window_sections(scn)
+def _entropy_payload(scn: Scenario, ds, t, found, labels) -> dict:
     table = []
-    for w in found:
+    for label, w in zip(labels, found):
         for p in scn.entropy_p:
             if p == 2.0:
                 rep = window_entropy(t, w)
@@ -142,7 +127,7 @@ def _entropy_payload(scn: Scenario, sections=None) -> dict:
                 except ValueError:
                     continue
             table.append({
-                "window": w.label,
+                "window": label,
                 "p": float(p),
                 "representation": TAG_ENTROPY,
                 "value": rep.value,
@@ -152,13 +137,13 @@ def _entropy_payload(scn: Scenario, sections=None) -> dict:
                           for term in rep.terms],
             })
     best_value, best_window = min_entropy(t, found)
-    sups = [{"window": w.label,
+    sups = [{"window": label,
              "representation": TAG_ENTROPY,
              "sup_over_refinements": sup_refinement_entropy(t, w, found)}
-            for w in found]
+            for label, w in zip(labels, found)]
     return {
         "table": table,
-        "minimum": {"value": best_value, "window": best_window.label,
+        "minimum": {"value": best_value, "window": labels[found.index(best_window)],
                     "note": "upper bound: family is not exhaustive"},
         "suprema": sups,
     }
@@ -194,8 +179,8 @@ def _diverge_payload(scn: Scenario, out_dir: Path, series: str, max_n: int | Non
     return payload
 
 
-def _verify_payload(scn: Scenario, seed: int | None) -> tuple[dict, bool]:
-    results = run_suite(scn, seed)
+def _verify_payload(scn: Scenario) -> tuple[dict, bool]:
+    results = run_suite(scn)
     checks = [{
         "name": r.name,
         "passed": r.passed,
@@ -226,6 +211,8 @@ def main(argv=None) -> int:
 
     try:
         active_tolerances()
+        if args.seed is not None and args.seed < 0:
+            raise ValueError(f"--seed must be a non-negative integer, got {args.seed}")
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -243,16 +230,16 @@ def main(argv=None) -> int:
         exit_code = 0
         if args.subcommand == "decohere":
             payload["decoherence"] = _decohere_payload(scn)
-        elif args.subcommand == "windows":
-            payload["windows"] = _windows_payload(scn)
-        elif args.subcommand == "entropy":
-            sections = _window_sections(scn)
-            payload["windows"] = _windows_payload(scn, sections[2])
-            payload["entropy"] = _entropy_payload(scn, sections)
+        elif args.subcommand in ("windows", "entropy"):
+            ds, t, found = scenario_windows(scn)
+            labels = [f"w{idx:02d}" for idx in range(len(found))]  # by search position
+            payload["windows"] = _windows_payload(scn, found, labels)
+            if args.subcommand == "entropy":
+                payload["entropy"] = _entropy_payload(scn, ds, t, found, labels)
         elif args.subcommand == "diverge":
             payload["divergence"] = _diverge_payload(scn, out_dir, args.series, args.max_n)
         elif args.subcommand == "verify":
-            payload["verify"], ok = _verify_payload(scn, args.seed)
+            payload["verify"], ok = _verify_payload(scn)
             for check in payload["verify"]["checks"]:
                 status = "PASS" if check["passed"] else "FAIL"
                 print(f"{status} {check['name']}: {check['detail']} "

@@ -81,7 +81,6 @@ class Window:
     probabilities: tuple[float, ...] | None = None
     kreport: ConsistencyReport | None = None
     opreport: ConsistencyReport | None = None
-    label: str = ""
 
     def __post_init__(self):
         if len(self.members) == 0:
@@ -91,9 +90,9 @@ class Window:
                 raise ValueError("sector mismatch")
 
 
-def window(space: PropositionSpace, ops: Sequence[np.ndarray], label: str = "") -> Window:
+def window(space: PropositionSpace, ops: Sequence[np.ndarray]) -> Window:
     members = tuple(proposition(space, op) for op in ops)
-    return Window(space=space, members=members, label=label)
+    return Window(space=space, members=members)
 
 
 def _bound(name: str, residual: float, tol: Tolerances,
@@ -298,19 +297,16 @@ def _screen(g: np.ndarray, s: np.ndarray, rgs: np.ndarray, tol: Tolerances,
     return positive & (orth <= bound) & (np.maximum(cross, np.abs(total - 1.0)) <= bound)
 
 
-def _rgs_chunks(n: int, budget: int | None) -> Iterator[np.ndarray]:
-    """The first ``budget`` (all, when None) restricted-growth strings of
-    length n, as integer arrays of at most ``_SCREEN_CHUNK`` rows."""
+def _rgs_chunks(n: int) -> Iterator[np.ndarray]:
+    """The restricted-growth strings of length n, as integer arrays of at
+    most ``_SCREEN_CHUNK`` rows."""
     strings = restricted_growth_strings(n)
-    if budget is not None:
-        strings = itertools.islice(strings, max(budget, 0))
     while chunk := list(itertools.islice(strings, _SCREEN_CHUNK)):
         yield np.array(chunk, dtype=np.intp)
 
 
 def search_windows(ds: DecoherenceState, t: WrightOperator,
-                   pvms: Sequence[Sequence[Sequence[np.ndarray]]],
-                   budget: int | None = None) -> list[Window]:
+                   pvms: Sequence[Sequence[Sequence[np.ndarray]]]) -> list[Window]:
     """Enumerate consistent coarse grainings of product-history families.
 
     ``pvms[k]`` lists the alternative projective decompositions offered at
@@ -318,9 +314,9 @@ def search_windows(ds: DecoherenceState, t: WrightOperator,
     per time, the Cartesian product of their elements (transported to the
     Heisenberg picture and tensored in time order) forms a base family of at
     most ``MAX_BASE_FAMILY`` orthogonal projectors.  The set partitions of
-    the base family are its restricted-growth strings, up to the first
-    ``budget`` strings per family.  Every decomposition must consist of
-    projectors summing to the identity, else ``ValueError`` naming it.
+    the base family are its restricted-growth strings.  Every decomposition
+    must consist of projectors summing to the identity, else ``ValueError``
+    naming it.
 
     The strings are streamed in chunks of ``_SCREEN_CHUNK``, so memory does
     not grow with the Bell number.  Each chunk is scored at once from two
@@ -373,7 +369,7 @@ def search_windows(ds: DecoherenceState, t: WrightOperator,
         base = np.array([functools.reduce(np.kron, combo) for combo in combos])
         g, s = _gram_matrices(t, base)
         slack = _rounding_slack(g, s, space.op_dim)
-        for rgs in _rgs_chunks(len(base), budget):
+        for rgs in _rgs_chunks(len(base)):
             for row in rgs[_screen(g, s, rgs, tol, slack)]:
                 ops = [np.sum(base[row == v], axis=0) for v in range(row.max() + 1)]
                 cand = window(space, ops)

@@ -235,6 +235,8 @@ class TimeGrid:
             raise ValueError("times must be strictly increasing")
 
     def require(self, t: float) -> float:
+        """``t`` when it is one of the grid times by exact float equality, else
+        ``ValueError`` naming the grid; no tolerance is applied."""
         if t not in self.times:
             raise ValueError(f"time {t!r} is not on the grid {self.times!r}")
         return t

@@ -30,7 +30,6 @@ from .histories import (
     HomogeneousHistory,
     chain_map,
     class_operator,
-    common_support,
     embed,
     support_reduce,
 )
@@ -89,7 +88,10 @@ class DecoherenceState:
         if isinstance(b, HistoryOperator):
             return b
         terms = list(b)
-        support = common_support(terms)
+        supports = {h.times for _, h in terms}
+        if len(supports) != 1:
+            raise ValueError("mixed temporal support" if supports else "empty linear combination")
+        support = supports.pop()
         op = sum(complex(c) * embed(self.model, h, support, self.grid.t0).op for c, h in terms)
         return HistoryOperator(support=support, dim=self.model.dim, op=op)
 

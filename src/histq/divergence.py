@@ -34,7 +34,6 @@ __all__ = [
     "b1_series",
     "b1_direct_value",
     "b2_series",
-    "shell_operator",
     "growth_fit",
 ]
 
@@ -170,24 +169,6 @@ def b2_series(n_values: Sequence[int], omega="geometric") -> TruncationSeries:
         value = float(np.sum(weights[:n] * (harmonic[n + k] - harmonic[k])))
         points.append((n, value))
     return TruncationSeries(label="b2", points=tuple(points), omega_rule=rule)
-
-
-def shell_operator(shell_max: int, dim: int) -> np.ndarray:
-    """Partial sum over index shells k1 + k4 <= shell_max of the b2 operator.
-
-    Lives on the dim^2-dimensional two-slot truncation; successive partial
-    sums are Cauchy in operator norm with ||h_n - h_m|| <= max(1/n, 1/m).
-    """
-    if dim < shell_max - 1:
-        raise ValueError("truncated dimension too small for the requested shells")
-    h = np.zeros((dim * dim, dim * dim), dtype=complex)
-    for total in range(2, shell_max + 1):
-        for k1 in range(1, total):
-            k4 = total - k1
-            row = (k4 - 1) * dim + (k1 - 1)
-            col = (k1 - 1) * dim + (k4 - 1)
-            h[row, col] += 1.0 / total
-    return h
 
 
 def growth_fit(series: TruncationSeries) -> GrowthVerdict:

@@ -18,6 +18,9 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+from numpy.typing import ArrayLike
+
 from .core import active_tolerances
 from .consistency import Window, check_window, check_window_operators, is_refinement
 from .decoherence import DecoherenceState, d_form
@@ -43,13 +46,12 @@ class EntropyTerm:
 
 @dataclass(frozen=True)
 class EntropyReport:
-    window_label: str
     p: float
     value: float
     terms: tuple[EntropyTerm, ...]
 
 
-def _report(label: str, p: float, pairs: Sequence[tuple[float, float]]) -> EntropyReport:
+def _report(p: float, pairs: Sequence[tuple[float, float]]) -> EntropyReport:
     tol = active_tolerances()
     terms = []
     for prob, normsq in pairs:
@@ -59,7 +61,7 @@ def _report(label: str, p: float, pairs: Sequence[tuple[float, float]]) -> Entro
             contribution = -prob * math.log(prob / normsq)
         terms.append(EntropyTerm(prob, normsq, contribution))
     value = float(sum(t.contribution for t in terms))
-    return EntropyReport(window_label=label, p=p, value=value, terms=tuple(terms))
+    return EntropyReport(p=p, value=value, terms=tuple(terms))
 
 
 def _sector_entropy(t: WrightOperator, w: Window) -> EntropyReport | None:
@@ -68,7 +70,7 @@ def _sector_entropy(t: WrightOperator, w: Window) -> EntropyReport | None:
         return None
     pairs = [(p, hs_inner(x, x).real)
              for p, x in zip(w.probabilities, w.members)]
-    return _report(w.label, 2.0, pairs)
+    return _report(2.0, pairs)
 
 
 def window_entropy(t: WrightOperator, w: Window) -> EntropyReport:
@@ -94,24 +96,27 @@ def window_entropy_pnorm(ds: DecoherenceState, w: Window, p: float) -> EntropyRe
         b = x.as_history_operator()
         diag = d_form(ds, b, b).real
         pairs.append((diag, p_norm(x, p) ** 2))
-    return _report(w.label, float(p), pairs)
+    return _report(float(p), pairs)
 
 
-def refinement_gap(a: float, b: float, q: float) -> float:
+def refinement_gap(a: ArrayLike, b: ArrayLike, q: ArrayLike) -> np.ndarray | float:
     """a ln(a/b^q) - (1+a) ln((1+a)/(1+b)^q); nonnegative for q >= 1.
 
     This is the entropy drop caused by splitting one window member whose
     probability and squared-norm ratios between the parts are a and b.  The
-    a = 0 limit uses x ln x -> 0.
+    a = 0 limit uses x ln x -> 0.  The arguments broadcast against each
+    other; ``ValueError`` when any element is out of its domain.
     """
-    if b <= 0:
+    a, b, q = (np.asarray(x, dtype=float) for x in (a, b, q))
+    if np.any(b <= 0):
         raise ValueError("b must be positive")
-    if a < 0:
+    if np.any(a < 0):
         raise ValueError("a must be nonnegative")
-    if q < 1:
+    if np.any(q < 1):
         raise ValueError("q must be >= 1")
-    first = 0.0 if a == 0 else a * (math.log(a) - q * math.log(b))
-    second = (1.0 + a) * (math.log(1.0 + a) - q * math.log(1.0 + b))
+    with np.errstate(divide="ignore", invalid="ignore"):  # log(0) where a == 0
+        first = np.where(a == 0, 0.0, a * (np.log(a) - q * np.log(b)))
+    second = (1.0 + a) * (np.log(1.0 + a) - q * np.log(1.0 + b))
     return first - second
 
 

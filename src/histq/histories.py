@@ -39,8 +39,6 @@ __all__ = [
     "support_reduce",
     "embed",
     "class_operator",
-    "class_operator_sum",
-    "common_support",
     "chain_map",
 ]
 
@@ -115,9 +113,6 @@ class HistoryOperator:
     def n_times(self) -> int:
         return len(self.support)
 
-    def is_projection(self) -> bool:
-        return is_projector(self.op)
-
 
 def embed(model: SystemModel, h: HomogeneousHistory,
           support: Sequence[float] | None = None, t0: float = 0.0) -> HistoryOperator:
@@ -155,27 +150,6 @@ def class_operator(model: SystemModel, h: HomogeneousHistory, t0: float = 0.0) -
     out = np.eye(model.dim, dtype=complex)
     for t, p in h.items:
         out = out @ heisenberg(model, p, t, t0)
-    return out
-
-
-def common_support(terms: Sequence[tuple[complex, HomogeneousHistory]]) -> tuple[float, ...]:
-    """The one temporal support of a nonempty weighted-history combination."""
-    if len(terms) == 0:
-        raise ValueError("empty linear combination")
-    supports = {h.times for _, h in terms}
-    if len(supports) != 1:
-        raise ValueError("mixed temporal support")
-    return supports.pop()
-
-
-def class_operator_sum(model: SystemModel,
-                       terms: Sequence[tuple[complex, HomogeneousHistory]],
-                       t0: float = 0.0) -> np.ndarray:
-    """Linear extension over weighted histories sharing one temporal support."""
-    common_support(terms)
-    out = np.zeros((model.dim, model.dim), dtype=complex)
-    for c, h in terms:
-        out = out + complex(c) * class_operator(model, h, t0)
     return out
 
 

@@ -3,8 +3,7 @@
 Reports never contain timestamps or environment data; for a fixed scenario
 and seed two runs emit byte-identical files.  Keys appear in the order they
 are documented in the README.  Complex values are written as ``{"re": ...,
-"im": ...}`` pairs and matrices as parallel real/imag arrays, so no format
-relies on complex literals.
+"im": ...}`` pairs, so no format relies on complex literals.
 
 Every value row carries a ``representation`` tag naming the producing form:
 ``decf1`` (chain trace), ``decf`` (basis sum), ``ILS2`` (doubled-space
@@ -17,8 +16,6 @@ import json
 from pathlib import Path
 from typing import Sequence
 
-import numpy as np
-
 __all__ = [
     "TAG_CHAIN",
     "TAG_BASIS_SUM",
@@ -26,7 +23,6 @@ __all__ = [
     "TAG_QUADRATIC",
     "TAG_ENTROPY",
     "complex_entry",
-    "matrix_entry",
     "write_json",
     "write_csv",
 ]
@@ -48,16 +44,9 @@ def complex_entry(z: complex) -> dict:
     return {"re": _clean(z.real), "im": _clean(z.imag)}
 
 
-def matrix_entry(m: np.ndarray) -> dict:
-    m = np.asarray(m, dtype=complex)
-    return {
-        "real": [[_clean(v) for v in row] for row in m.real],
-        "imag": [[_clean(v) for v in row] for row in m.imag],
-    }
-
-
 def write_json(path, payload: dict) -> None:
-    text = json.dumps(payload, indent=2, ensure_ascii=True)
+    # NaN and Infinity are not JSON; refuse them rather than write them
+    text = json.dumps(payload, indent=2, ensure_ascii=True, allow_nan=False)
     Path(path).write_text(text + "\n", encoding="utf-8")
 
 

@@ -12,8 +12,8 @@ A scenario file is a JSON object with the fields
   one projector spec per time;
 * ``pvms``: per-time lists of alternative projective decompositions, aligned
   with the first ``len(pvms)`` times;
-* ``entropy_p``: list of norm parameters >= 1;
-* ``seed``: integer driving all randomized verification.
+* ``entropy_p``: list of finite norm parameters >= 1;
+* ``seed``: non-negative integer driving all randomized verification.
 
 A projector spec is one of ``{"identity": true}``, ``{"matrix": {"real":
 [[...]], "imag": [[...]]}}``, or ``{"basis": "computational"|"hadamard",
@@ -238,12 +238,12 @@ def parse_scenario(data: dict) -> Scenario:
         entropy_p = [float(p) for p in entropy_p]
     except (TypeError, ValueError, OverflowError):
         raise ScenarioError("entropy_p", "expected a nonempty list of reals >= 1") from None
-    if any(p < 1 for p in entropy_p):
-        raise ScenarioError("entropy_p", "norm parameters must be >= 1")
+    if not all(np.isfinite(p) and p >= 1 for p in entropy_p):
+        raise ScenarioError("entropy_p", "norm parameters must be finite and >= 1")
 
     seed = data.get("seed", 0)
-    if not _is_int(seed):
-        raise ScenarioError("seed", "must be an integer")
+    if not _is_int(seed) or seed < 0:
+        raise ScenarioError("seed", "must be a non-negative integer")
 
     return Scenario(dim=dim, model=model, grid=grid, histories=histories,
                     pvms=pvms, entropy_p=entropy_p, seed=seed)

@@ -11,6 +11,11 @@ def run(args):
     return main(args)
 
 
+# variants that parse_scenario refuses, each with the field it names
+REFUSED = {"malformed": "rho", "nan-p": "entropy_p", "inf-p": "entropy_p",
+           "negative-seed": "seed"}
+
+
 def write_scenario(tmp_path, kind):
     """The bundled scenario, or a variant: over-cap sectors or malformed."""
     scenario = json.loads(bundled_scenario_path().read_text())
@@ -24,16 +29,33 @@ def write_scenario(tmp_path, kind):
             pvms=[[{"basis": "computational"}, {"basis": "hadamard"}]] * len(times))
     elif kind == "malformed":
         scenario["rho"] = {"matrix": {"real": [[0.9, 0.0], [0.0, 0.25]]}}
+    elif kind in ("nan-p", "inf-p"):
+        scenario["entropy_p"] = [math.nan if kind == "nan-p" else math.inf, 2.0]
+    elif kind == "negative-seed":
+        scenario["seed"] = -1
     path = tmp_path / f"{kind}.json"
     path.write_text(json.dumps(scenario), encoding="utf-8")
     return path
 
 
+def strict_json(path):
+    """The parsed report; ``ValueError`` on NaN or Infinity, which are not JSON."""
+    def reject(token):
+        raise ValueError(f"{path.name} holds the non-JSON constant {token}")
+    return json.loads(path.read_text(), parse_constant=reject)
+
+
 @pytest.mark.parametrize("subcommand", ["decohere", "windows", "entropy", "diverge", "verify"])
-@pytest.mark.parametrize("kind", ["bundled", "dim4", "dim3-three-times", "malformed"])
+@pytest.mark.parametrize("kind", ["bundled", "dim4", "dim3-three-times", *REFUSED])
 def test_every_subcommand_exits_with_a_documented_code(tmp_path, capsys, subcommand, kind):
-    assert run([subcommand, "--scenario", str(write_scenario(tmp_path, kind)),
-                "--out", str(tmp_path / "o")]) in (0, 2, 3, 4)
+    code = run([subcommand, "--scenario", str(write_scenario(tmp_path, kind)),
+                "--out", str(tmp_path / "o")])
+    assert code in (0, 2, 3, 4)
+    if kind in REFUSED:
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: {REFUSED[kind]}: ")
+    for report in (tmp_path / "o").glob("*.json"):
+        strict_json(report)
 
 
 class TestVerify:
@@ -59,6 +81,12 @@ class TestVerify:
         b = json.loads((tmp_path / "b" / "verify.json").read_text())
         assert a["verify"]["passed"] and b["verify"]["passed"]
         assert a["scenario"]["seed"] == 1 and b["scenario"]["seed"] == 2
+
+    def test_negative_seed_exits_2(self, tmp_path, capsys):
+        code = run(["verify", "--out", str(tmp_path / "o"), "--seed", "-1"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: --seed ")
+        assert not (tmp_path / "o").exists()
 
     def test_agreement_threshold_follows_tolerances(self, tmp_path, monkeypatch):
         def threshold(out, name="representation-agreement"):

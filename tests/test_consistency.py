@@ -182,14 +182,6 @@ class TestSearchWindows:
         assert len(found) == 1
         assert np.allclose(found[0].members[0].op, np.eye(2))
 
-    def test_partition_budget_counts(self):
-        ds, t = mixed_qubit(np.eye(2) / 2)
-        t2 = wright_operator(ds, (0.0, 1.0))
-        # base family of 4: at most B_4 = 15 partitions examined
-        found_all = search_windows(ds, t2, [[[P0, P1]], [[P0, P1]]])
-        found_capped = search_windows(ds, t2, [[[P0, P1]], [[P0, P1]]], budget=1)
-        assert len(found_capped) <= len(found_all) <= 15
-
     def test_family_cap_enforced(self, monkeypatch):
         # rank-1 decompositions under the sector cap give at most 9 base
         # histories, so exercise the guard with a lowered cap
@@ -271,7 +263,7 @@ def base_families(ds, t, pvms):
         yield [functools.reduce(np.kron, combo) for combo in itertools.product(*choice)]
 
 
-def oracle_search(ds, t, pvms, budget=None, on_partition=None):
+def oracle_search(ds, t, pvms, on_partition=None):
     """The exhaustive reference: every set partition -> check_window ->
     check_window_operators -> _window_key dedup -> sort.
 
@@ -280,7 +272,7 @@ def oracle_search(ds, t, pvms, budget=None, on_partition=None):
     results = {}
     for family, base in enumerate(base_families(ds, t, pvms)):
         pairs = zip(restricted_growth_strings(len(base)), set_partitions(base))
-        for rgs, blocks in itertools.islice(pairs, budget):
+        for rgs, blocks in pairs:
             cand = window(t.space, [np.sum(block, axis=0) for block in blocks])
             report = check_window(cand, t)
             if on_partition is not None:
@@ -379,41 +371,3 @@ class TestGramScreen:
         u = random_unitary(rng, 3)
         pvms = [[[projector_onto(u[:, :2]), projector_onto(u[:, 2:])], random_pvm(rng, 3)]]
         assert_same_windows(search_windows(ds, t, pvms), oracle_search(ds, t, pvms))
-
-
-class TestSearchBudget:
-    @staticmethod
-    def qubit3():
-        rng = np.random.default_rng(38)
-        ds = state_for(random_model(rng, 2), times=(0.0, 0.5, 1.0))
-        t = wright_operator(ds, ds.grid.times)
-        return ds, t, [[random_pvm(rng, 2)] for _ in range(3)]
-
-    def test_budget_one_is_the_unit_window(self):
-        ds, t, pvms = self.qubit3()
-        found = search_windows(ds, t, pvms, budget=1)
-        assert len(found) == 1 and len(found[0].members) == 1
-        assert np.allclose(found[0].members[0].op, np.eye(8))
-
-    def test_full_budget_equals_unbudgeted(self):
-        ds, t, pvms = self.qubit3()
-        assert_same_windows(search_windows(ds, t, pvms, budget=BELL[8]),
-                            search_windows(ds, t, pvms))
-
-    def test_budget_ending_inside_a_chunk(self):
-        ds, t, pvms = self.qubit3()
-        found = search_windows(ds, t, pvms, budget=300)
-        assert_same_windows(found, oracle_search(ds, t, pvms, budget=300))
-        assert len(found) < len(search_windows(ds, t, pvms))
-
-    def test_budget_is_exact_at_an_accepted_partition(self):
-        ds, t, pvms = self.qubit3()
-        verdicts = []
-        oracle_search(ds, t, pvms,
-                      on_partition=lambda family, rgs, cand, rep: verdicts.append(rep.consistent))
-        last = max(i for i, ok in enumerate(verdicts) if ok)
-        assert last >= 256  # past the first chunk
-        runs = [search_windows(ds, t, pvms, budget=budget) for budget in (last, last + 1)]
-        for budget, found in zip((last, last + 1), runs):
-            assert_same_windows(found, oracle_search(ds, t, pvms, budget=budget))
-        assert len(runs[1]) == len(runs[0]) + 1

@@ -175,6 +175,9 @@ class TestTimeGrid:
         assert grid.require(1.5) == 1.5
         with pytest.raises(ValueError, match="not on the grid"):
             grid.require(0.7)
+        # membership is exact float equality, and 0.1 + 0.2 != 0.3
+        with pytest.raises(ValueError, match=r"0\.30000000000000004 is not on the grid \(0\.0, 0\.3\)"):
+            TimeGrid(times=(0.0, 0.3)).require(0.1 + 0.2)
 
 
 class TestTolerances:

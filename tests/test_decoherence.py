@@ -184,6 +184,11 @@ class TestSesquilinearForm:
         b2 = HistoryOperator((0.0, 1.0), 2, np.kron(P0, P0))
         with pytest.raises(ValueError, match="mixed temporal support"):
             d_form(ds, b1, b2)
+        combo = [(1.0, history({0.0: P0})), (1.0, history({1.0: P0}))]
+        with pytest.raises(ValueError, match="mixed temporal support"):
+            d_form(ds, combo, combo)
+        with pytest.raises(ValueError, match="empty linear combination"):
+            d_form(ds, [], b1)
 
     def test_cauchy_schwarz_and_hs_bound(self):
         rng = np.random.default_rng(10)

@@ -11,7 +11,6 @@ from histq.divergence import (
     b2_series,
     geometric_weights,
     growth_fit,
-    shell_operator,
 )
 
 
@@ -92,20 +91,6 @@ class TestB2Series:
     def test_strictly_increasing(self):
         values = [v for _, v in b2_series(range(1, 60)).points]
         assert all(b > a for a, b in zip(values, values[1:]))
-
-
-class TestShellOperator:
-    def test_cauchy_in_operator_norm(self):
-        dim = 12
-        hs = {n: shell_operator(n, dim) for n in (4, 6, 8, 10)}
-        for n in (6, 8, 10):
-            for m in (4, 6):
-                if m >= n:
-                    continue
-                gap = np.linalg.norm(hs[n] - hs[m], 2)
-                assert gap <= max(1.0 / n, 1.0 / m) + 1e-12
-                # the worst singular value is exactly the largest dropped shell
-                assert gap == pytest.approx(1.0 / (m + 1), abs=1e-12)
 
 
 class TestGrowthFit:

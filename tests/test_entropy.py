@@ -117,6 +117,13 @@ class TestPnormEntropy:
         assert report.value == pytest.approx(-math.log(4.0), abs=1e-12)
 
 
+def scalar_gap(a, b, q):
+    """One point of the gap formula with math.log: the oracle of the array form."""
+    first = 0.0 if a == 0 else a * (math.log(a) - q * math.log(b))
+    second = (1.0 + a) * (math.log(1.0 + a) - q * math.log(1.0 + b))
+    return first - second
+
+
 class TestRefinementGap:
     def test_diagonal_zero_at_q1(self):
         for a in (0.1, 1.0, 3.7, 10.0):
@@ -137,6 +144,15 @@ class TestRefinementGap:
         with pytest.raises(ValueError, match="positive"):
             refinement_gap(1.0, 0.0, 1)
 
+    @pytest.mark.parametrize("a, b, q, match", [
+        ([1.0, -1e-300], 1.0, 1.0, "nonnegative"),
+        (1.0, [[2.0], [0.0]], 1.0, "positive"),
+        (1.0, 1.0, [1.0, 0.5], ">= 1"),
+    ])
+    def test_any_out_of_domain_element_rejected(self, a, b, q, match):
+        with pytest.raises(ValueError, match=match):
+            refinement_gap(a, b, q)
+
     @given(st.floats(0.0, 10.0), st.floats(0.01, 10.0), st.floats(1.0, 3.0))
     @settings(max_examples=200, deadline=None)
     def test_nonnegative_on_domain(self, a, b, q):
@@ -149,6 +165,23 @@ class TestRefinementGap:
                 values = [refinement_gap(a, b, q) for b in grid]
                 assert min(values) >= -1e-12
                 assert abs(int(np.argmin(values)) - ia) <= 1
+
+    def test_array_form_matches_scalar_oracle_on_grid(self):
+        # equal bit for bit where numpy's log and math.log agree
+        grid = np.logspace(math.log10(0.1), math.log10(10.0), 60)
+        for q in (1.0, 1.5, 2.0, 3.0):
+            values = refinement_gap(grid[:, None], grid[None, :], q)
+            oracle = np.array([[scalar_gap(a, b, q) for b in grid] for a in grid])
+            np.testing.assert_allclose(values, oracle, rtol=1e-15, atol=1e-15)
+            assert np.array_equal(np.argmin(values, axis=1), np.argmin(oracle, axis=1))
+
+    @given(st.lists(st.one_of(st.just(0.0), st.floats(0.0, 10.0)), min_size=1, max_size=6),
+           st.lists(st.floats(0.01, 10.0), min_size=1, max_size=6), st.floats(1.0, 3.0))
+    @settings(max_examples=200, deadline=None)
+    def test_array_form_matches_scalar_oracle_with_zero_a(self, a, b, q):
+        values = refinement_gap(np.array(a)[:, None], np.array(b)[None, :], q)
+        oracle = [[scalar_gap(x, y, q) for y in b] for x in a]
+        np.testing.assert_allclose(values, oracle, rtol=1e-15, atol=1e-15)
 
     def test_single_split_identity(self):
         # I(W1) - I(W2) = p(y) * gap(a, b, 1) for one split x = y + z

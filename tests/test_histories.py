@@ -10,7 +10,6 @@ from histq.decoherence import DecoherenceState, d_trace
 from histq.histories import (
     chain_map,
     class_operator,
-    class_operator_sum,
     embed,
     history,
     support_reduce,
@@ -66,7 +65,6 @@ class TestEmbed:
         assert b.op.shape == (4, 4)
         assert np.allclose(b.op, np.kron(P0, PLUS))
         assert np.linalg.matrix_rank(b.op) == 1
-        assert b.is_projection()
 
     def test_heisenberg_transport_applied(self):
         model = qubit_model((np.pi / 2) * SIGMA_X)
@@ -144,41 +142,6 @@ class TestChainMap:
                 for _ in range(3)]
         got = chain_map(tensor_product(mats), 2)
         assert np.max(np.abs(got - mats[0] @ mats[1] @ mats[2])) <= 1e-12
-
-
-class TestClassOperatorSum:
-    def test_single_term(self):
-        model = qubit_model()
-        h = history({0.0: PLUS})
-        got = class_operator_sum(model, [(1.0, h)])
-        assert np.allclose(got, PLUS)
-
-    def test_symmetrized_product(self):
-        # pi(P (x) Q + Q (x) P) = PQ + QP
-        model = qubit_model()
-        got = class_operator_sum(model, [
-            (1.0, history({0.0: P0, 1.0: PLUS})),
-            (1.0, history({0.0: PLUS, 1.0: P0})),
-        ])
-        assert np.allclose(got, P0 @ PLUS + PLUS @ P0)
-
-    def test_mixed_support_rejected(self):
-        model = qubit_model()
-        with pytest.raises(ValueError, match="mixed temporal support"):
-            class_operator_sum(model, [
-                (1.0, history({0.0: P0})),
-                (1.0, history({1.0: P0})),
-            ])
-
-    def test_linear_in_coefficients(self):
-        rng = np.random.default_rng(23)
-        model = qubit_model()
-        h1 = history({0.0: random_projector(rng, 2), 1.0: random_projector(rng, 2)})
-        h2 = history({0.0: random_projector(rng, 2), 1.0: random_projector(rng, 2)})
-        alpha = complex(rng.standard_normal(), rng.standard_normal())
-        got = class_operator_sum(model, [(alpha, h1), (2.0, h2)])
-        want = alpha * class_operator(model, h1) + 2.0 * class_operator(model, h2)
-        assert np.max(np.abs(got - want)) <= 1e-12
 
 
 class TestValidatedOnce:
