@@ -106,7 +106,7 @@ def _windows_payload(scn: Scenario, found, labels) -> dict:
             "label": label,
             "members": len(w.members),
             "representation": TAG_QUADRATIC,
-            "probabilities": [float(p) for p in w.probabilities],
+            "probabilities": [float(p) for p in w.kreport.probabilities],
             "squared_norms": [hs_inner(x, x).real for x in w.members],
             "sector_check": _report_entry(w.kreport),
             "operator_check": _report_entry(w.opreport) if w.opreport else None,
@@ -115,17 +115,20 @@ def _windows_payload(scn: Scenario, found, labels) -> dict:
     return {"support": list(scn.grid.times[:len(scn.pvms)]), "windows": entries}
 
 
-def _entropy_payload(scn: Scenario, ds, t, found, labels) -> dict:
+def _entropy_payload(scn: Scenario, found, labels) -> dict:
     table = []
+    skipped = []
     for label, w in zip(labels, found):
         for p in scn.entropy_p:
             if p == 2.0:
-                rep = window_entropy(t, w)
+                rep = window_entropy(w)
+            elif w.opreport is None or not w.opreport.consistent:
+                reason = ("members are not projectors" if w.opreport is None else
+                          f"operator picture inconsistent: {', '.join(w.opreport.violated)}")
+                skipped.append({"window": label, "p": float(p), "reason": reason})
+                continue
             else:
-                try:
-                    rep = window_entropy_pnorm(ds, w, p)
-                except ValueError:
-                    continue
+                rep = window_entropy_pnorm(w, p)
             table.append({
                 "window": label,
                 "p": float(p),
@@ -136,13 +139,14 @@ def _entropy_payload(scn: Scenario, ds, t, found, labels) -> dict:
                            "contribution": term.contribution}
                           for term in rep.terms],
             })
-    best_value, best_window = min_entropy(t, found)
+    best_value, best_window = min_entropy(found)
     sups = [{"window": label,
              "representation": TAG_ENTROPY,
-             "sup_over_refinements": sup_refinement_entropy(t, w, found)}
+             "sup_over_refinements": sup_refinement_entropy(w, found)}
             for label, w in zip(labels, found)]
     return {
         "table": table,
+        **({"skipped": skipped} if skipped else {}),
         "minimum": {"value": best_value, "window": labels[found.index(best_window)],
                     "note": "upper bound: family is not exhaustive"},
         "suprema": sups,
@@ -231,11 +235,11 @@ def main(argv=None) -> int:
         if args.subcommand == "decohere":
             payload["decoherence"] = _decohere_payload(scn)
         elif args.subcommand in ("windows", "entropy"):
-            ds, t, found = scenario_windows(scn)
+            found = scenario_windows(scn)
             labels = [f"w{idx:02d}" for idx in range(len(found))]  # by search position
             payload["windows"] = _windows_payload(scn, found, labels)
             if args.subcommand == "entropy":
-                payload["entropy"] = _entropy_payload(scn, ds, t, found, labels)
+                payload["entropy"] = _entropy_payload(scn, found, labels)
         elif args.subcommand == "diverge":
             payload["divergence"] = _diverge_payload(scn, out_dir, args.series, args.max_n)
         elif args.subcommand == "verify":

@@ -14,14 +14,17 @@ restricted-growth strings, so the ordering is deterministic.  Every quantity
 matrices of the base family (the Gram matrix of the state and the
 Hilbert-Schmidt Gram matrix), so the strings are scored in fixed-size
 vectorised chunks first; only the partitions that pass this screen become
-windows, and ``check_window`` alone decides whether they are consistent.
+windows, and ``Window.decide`` alone decides them, once.  Both checks write
+nothing and return a report holding the verdict and the member probabilities
+their picture certifies; ``Window`` is frozen and carries the two reports, so
+consumers read the verdicts instead of checking again.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -45,6 +48,7 @@ __all__ = [
     "check_window",
     "check_window_operators",
     "is_refinement",
+    "strict_refinements",
     "search_windows",
     "is_maximally_refined",
     "restricted_growth_strings",
@@ -61,26 +65,26 @@ _SCREEN_CHUNK = 256
 _ROUNDING_ULPS = 16
 
 
-@dataclass
+@dataclass(frozen=True)
 class ConsistencyReport:
     verdict: str  # "consistent" | "inconsistent"
     violated: tuple[str, ...]
     max_residual: float
+    probabilities: tuple[float, ...]  # per member, as this picture certifies them
 
     @property
     def consistent(self) -> bool:
         return self.verdict == "consistent"
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class Window:
-    """Finite family of propositions; probabilities are filled by the checks."""
+    """Finite family of propositions; a decided window carries its verdicts."""
 
     space: PropositionSpace
     members: tuple[Proposition, ...]
-    probabilities: tuple[float, ...] | None = None
-    kreport: ConsistencyReport | None = None
-    opreport: ConsistencyReport | None = None
+    kreport: ConsistencyReport | None = None  # sector picture
+    opreport: ConsistencyReport | None = None  # operator picture
 
     def __post_init__(self):
         if len(self.members) == 0:
@@ -88,6 +92,15 @@ class Window:
         for x in self.members:
             if x.space != self.space:
                 raise ValueError("sector mismatch")
+
+    def decide(self, ds: DecoherenceState, t: WrightOperator) -> Window:
+        """A copy with the verdicts of ``check_window`` for ``t`` and, when every
+        member is a projector, ``check_window_operators`` for ``ds``."""
+        kreport = check_window(self, t)
+        opreport = None
+        if all(is_projector(x.op) for x in self.members):
+            opreport = check_window_operators(ds, self)
+        return replace(self, kreport=kreport, opreport=opreport)
 
 
 def window(space: PropositionSpace, ops: Sequence[np.ndarray]) -> Window:
@@ -119,11 +132,12 @@ def _structure(w: Window, overlap, tol: Tolerances) -> tuple[list[str], list[flo
     return violated, residuals
 
 
-def _verdict(violated: list[str], residuals: list[float]) -> ConsistencyReport:
+def _verdict(violated: list[str], residuals: list[float], probs: tuple) -> ConsistencyReport:
     return ConsistencyReport(
         verdict="consistent" if not violated else "inconsistent",
         violated=tuple(violated),
         max_residual=max(residuals) if residuals else 0.0,
+        probabilities=probs,
     )
 
 
@@ -135,7 +149,7 @@ def check_window(w: Window, t: WrightOperator) -> ConsistencyReport:
     on the Boolean algebra the members generate, i.e. Re <x_i, T x_j> = 0 for
     i != j together with sum p = 1.  (The total sum alone is too weak: for a
     complete product family it equals 1 identically even with interference
-    between the members.)  Fills ``w.probabilities`` as a side effect.
+    between the members.)  The report's probabilities are <x_i, T x_i>.
     """
     tol = active_tolerances()
     if w.space != t.space:
@@ -143,7 +157,6 @@ def check_window(w: Window, t: WrightOperator) -> ConsistencyReport:
     violated, residuals = _structure(w, lambda x, y: abs(hs_inner(x, y)), tol)
 
     probs = tuple(probability(t, x) for x in w.members)
-    w.probabilities = probs
     if any(p <= tol.strict_positive or p > 1.0 + tol.consistency for p in probs):
         violated.append("positivity")
     residuals.append(max([p - 1.0 for p in probs if p > 1.0], default=0.0))
@@ -152,13 +165,13 @@ def check_window(w: Window, t: WrightOperator) -> ConsistencyReport:
     add = _pair_max(lambda a, b: abs(hs_inner(a[0], b[1]).real), pairs, abs(sum(probs) - 1.0))
     _bound("additivity", add, tol, violated, residuals)
 
-    w.kreport = _verdict(violated, residuals)
-    return w.kreport
+    return _verdict(violated, residuals, probs)
 
 
 def check_window_operators(ds: DecoherenceState, w: Window) -> ConsistencyReport:
     """Operator-picture consistency: orthogonal complete projections with
-    vanishing real off-diagonal decoherence values."""
+    vanishing real off-diagonal decoherence values.  The report's
+    probabilities are the diagonal values Re d(x_i, x_i)."""
     tol = active_tolerances()
     for x in w.members:
         if not is_projector(x.op):
@@ -168,9 +181,8 @@ def check_window_operators(ds: DecoherenceState, w: Window) -> ConsistencyReport
     hops = [x.as_history_operator() for x in w.members]
     cross = _pair_max(lambda a, b: abs(d_form(ds, a, b).real), hops)
     _bound("re-cross-term", cross, tol, violated, residuals)
-
-    w.opreport = _verdict(violated, residuals)
-    return w.opreport
+    probs = tuple(d_form(ds, b, b).real for b in hops)
+    return _verdict(violated, residuals, probs)
 
 
 def is_refinement(fine: Window, coarse: Window) -> bool:
@@ -324,8 +336,7 @@ def search_windows(ds: DecoherenceState, t: WrightOperator,
     and ``S[a, b] = <base_a, base_b>``: every block probability, cross term
     and overlap of a coarse graining is a block sum of them.  The screen
     keeps every partition that ``check_window`` could accept; only those
-    become windows, and ``check_window`` (then ``check_window_operators``
-    for projector windows) alone decides and fills the reports.
+    become windows, and ``Window.decide`` alone attaches their verdicts.
 
     Returns the consistent windows, deduplicated, largest first, with ties
     broken by a canonical byte key, so the output does not depend on the
@@ -336,10 +347,7 @@ def search_windows(ds: DecoherenceState, t: WrightOperator,
     results: dict[tuple[bytes, ...], Window] = {}
 
     if len(pvms) == 0:
-        w = Window(space=space, members=(unit_proposition(space),))
-        check_window(w, t)
-        check_window_operators(ds, w)
-        return [w]
+        return [Window(space=space, members=(unit_proposition(space),)).decide(ds, t)]
 
     if len(pvms) != space.n_times:
         raise ValueError("need one decomposition list per support time")
@@ -372,12 +380,10 @@ def search_windows(ds: DecoherenceState, t: WrightOperator,
         for rgs in _rgs_chunks(len(base)):
             for row in rgs[_screen(g, s, rgs, tol, slack)]:
                 ops = [np.sum(base[row == v], axis=0) for v in range(row.max() + 1)]
-                cand = window(space, ops)
-                if not check_window(cand, t).consistent:
+                # a sum drifting past the projector bound gets no operator verdict
+                cand = window(space, ops).decide(ds, t)
+                if not cand.kreport.consistent:
                     continue
-                # sums of Kronecker products may drift past the projector bound
-                if all(is_projector(x.op) for x in cand.members):
-                    check_window_operators(ds, cand)
                 key = _window_key(cand)
                 if key not in results:
                     results[key] = cand
@@ -386,9 +392,13 @@ def search_windows(ds: DecoherenceState, t: WrightOperator,
     return [w for _, w in ordered]
 
 
+def strict_refinements(w: Window, candidates: Sequence[Window]) -> Iterator[Window]:
+    """The candidates with more members than ``w`` that refine it, in order.  A
+    refinement with no more members matches a consistent ``w`` member for member."""
+    return (cand for cand in candidates
+            if len(cand.members) > len(w.members) and is_refinement(cand, w))
+
+
 def is_maximally_refined(w: Window, candidates: Sequence[Window]) -> bool:
     """True when no candidate is a strictly finer consistent refinement."""
-    for cand in candidates:
-        if len(cand.members) > len(w.members) and is_refinement(cand, w):
-            return False
-    return True
+    return next(strict_refinements(w, candidates), None) is None

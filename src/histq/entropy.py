@@ -10,6 +10,11 @@ may be negative.  The p-norm family replaces <x, x> with ||x||_p^2; p = 2
 recovers I(T, W) and p = 1 the original projector-dimension weighting.  The
 family is monotone non-increasing under consistent refinement exactly for
 1 <= p <= 2, which :func:`refinement_gap` quantifies for a single split.
+
+Windows are scored from their verdicts (``Window.decide``), never checked
+again: p_i comes from the sector verdict, and the p-norm family reads Re d(x, x)
+from the operator-picture verdict; ``ValueError`` when that verdict is missing
+or inconsistent.
 """
 
 from __future__ import annotations
@@ -22,9 +27,8 @@ import numpy as np
 from numpy.typing import ArrayLike
 
 from .core import active_tolerances
-from .consistency import Window, check_window, check_window_operators, is_refinement
-from .decoherence import DecoherenceState, d_form
-from .propositions import WrightOperator, hs_inner, p_norm
+from .consistency import ConsistencyReport, Window, strict_refinements
+from .propositions import hs_inner, p_norm
 
 __all__ = [
     "EntropyTerm",
@@ -64,38 +68,32 @@ def _report(p: float, pairs: Sequence[tuple[float, float]]) -> EntropyReport:
     return EntropyReport(p=p, value=value, terms=tuple(terms))
 
 
-def _sector_entropy(t: WrightOperator, w: Window) -> EntropyReport | None:
-    """Entropy of ``w`` after one sector-picture check; None when inconsistent."""
-    if not check_window(w, t).consistent:
-        return None
-    pairs = [(p, hs_inner(x, x).real)
-             for p, x in zip(w.probabilities, w.members)]
+def _consistent(report: ConsistencyReport | None, picture: str) -> bool:
+    """The verdict of a decided window's report; ``ValueError`` without one."""
+    if report is None:
+        raise ValueError(f"window carries no {picture} verdict")
+    return report.consistent
+
+
+def window_entropy(w: Window) -> EntropyReport:
+    """Entropy of a decided sector-consistent window for its state."""
+    if not _consistent(w.kreport, "sector"):
+        raise ValueError("entropy undefined for inconsistent window")
+    pairs = [(p, hs_inner(x, x).real) for p, x in zip(w.kreport.probabilities, w.members)]
     return _report(2.0, pairs)
 
 
-def window_entropy(t: WrightOperator, w: Window) -> EntropyReport:
-    """Entropy of a sector-consistent window for the state ``t``."""
-    report = _sector_entropy(t, w)
-    if report is None:
-        raise ValueError("entropy undefined for inconsistent window")
-    return report
-
-
-def window_entropy_pnorm(ds: DecoherenceState, w: Window, p: float) -> EntropyReport:
-    """p-norm entropy of an operator-consistent projector window.
+def window_entropy_pnorm(w: Window, p: float) -> EntropyReport:
+    """p-norm entropy of a decided operator-consistent projector window.
 
     p = 2 coincides with :func:`window_entropy`; p = 1 weighs each member by
     its squared normalized trace norm (rank over dimension for projectors).
     """
     if p < 1:
         raise ValueError("p must be >= 1")
-    if not check_window_operators(ds, w).consistent:
+    if not _consistent(w.opreport, "operator-picture"):
         raise ValueError("entropy undefined for inconsistent window")
-    pairs = []
-    for x in w.members:
-        b = x.as_history_operator()
-        diag = d_form(ds, b, b).real
-        pairs.append((diag, p_norm(x, p) ** 2))
+    pairs = [(diag, p_norm(x, p) ** 2) for diag, x in zip(w.opreport.probabilities, w.members)]
     return _report(float(p), pairs)
 
 
@@ -120,32 +118,30 @@ def refinement_gap(a: ArrayLike, b: ArrayLike, q: ArrayLike) -> np.ndarray | flo
     return first - second
 
 
-def min_entropy(t: WrightOperator, family: Sequence[Window]) -> tuple[float, Window]:
-    """Minimum window entropy over the consistent members of a family.
+def min_entropy(family: Sequence[Window]) -> tuple[float, Window]:
+    """Minimum window entropy over the consistent members of a decided family.
 
     An upper bound on the theory's entropy, since no finite family exhausts
     all consistent sets.  Ties break toward the lowest family index.
     """
     best: tuple[float, int, Window] | None = None
     for idx, w in enumerate(family):
-        report = _sector_entropy(t, w)
-        if report is not None and (best is None or (report.value, idx) < best[:2]):
-            best = (report.value, idx, w)
+        if _consistent(w.kreport, "sector"):
+            value = window_entropy(w).value
+            if best is None or (value, idx) < best[:2]:
+                best = (value, idx, w)
     if best is None:
         raise ValueError("no consistent window in family")
     return best[0], best[2]
 
 
-def sup_refinement_entropy(t: WrightOperator, w: Window, family: Sequence[Window]) -> float:
+def sup_refinement_entropy(w: Window, family: Sequence[Window]) -> float:
     """Supremum of the entropy over consistent refinements of ``w`` in the family.
 
     ``w`` itself counts as a refinement; in finite dimension every value is
     finite, so the supremum is a maximum.
     """
-    values = [window_entropy(t, w).value]
-    for cand in family:
-        if cand is not w and is_refinement(cand, w):
-            report = _sector_entropy(t, cand)
-            if report is not None:
-                values.append(report.value)
+    values = [window_entropy(w).value]
+    values += [window_entropy(cand).value for cand in strict_refinements(w, family)
+               if _consistent(cand.kreport, "sector")]
     return max(values)

@@ -15,11 +15,9 @@ import numpy as np
 
 from .consistency import (
     Window,
-    check_window,
-    check_window_operators,
-    is_refinement,
     search_windows,
     set_partitions,
+    strict_refinements,
     window,
 )
 from .core import SystemModel, TimeGrid, active_tolerances
@@ -28,8 +26,8 @@ from .decoherence import (CapacityError, DecoherenceState, d_basis_sum, d_form, 
 from .divergence import b1_direct_value, b1_grid, b1_series, b2_grid, b2_series, growth_fit
 from .entropy import refinement_gap, window_entropy, window_entropy_pnorm
 from .histories import embed, history
-from .propositions import (WrightOperator, hs_inner, probability, proposition,
-                           unit_proposition, wright_operator)
+from .propositions import (hs_inner, probability, proposition, unit_proposition,
+                           wright_operator)
 from .sampling import random_model, random_operator, random_projector, random_pvm
 from .scenario import Scenario, ScenarioError
 
@@ -154,61 +152,51 @@ def _check_wright(scn: Scenario, rng) -> CheckResult:
                        "unit expectation, quadratic-form agreement, self-adjointness")
 
 
-def scenario_windows(scn: Scenario) -> tuple[DecoherenceState, WrightOperator, list[Window]]:
-    """State, Wright operator and windows of the scenario's decompositions; the
-    one path of ``verify``, ``windows`` and ``entropy``.  ``ScenarioError`` without
+def scenario_windows(scn: Scenario) -> list[Window]:
+    """Decided windows of the scenario's decompositions; the one path of
+    ``verify``, ``windows`` and ``entropy``.  ``ScenarioError`` without
     decompositions, ``CapacityError`` over the sector cap."""
     if not scn.pvms:
         raise ScenarioError("pvms", "scenario defines no decompositions to search")
     ds = DecoherenceState(model=scn.model, grid=scn.grid)
     t = wright_operator(ds, scn.grid.times[:len(scn.pvms)])
-    return ds, t, search_windows(ds, t, scn.pvms)
+    return search_windows(ds, t, scn.pvms)
 
 
-def _bridge_candidates(ds: DecoherenceState, t, rng, two_time: bool):
-    """All coarse grainings of one random product family, unfiltered."""
-    dim = ds.model.dim
-    base = random_pvm(rng, dim)
-    if two_time:
-        second = random_pvm(rng, dim)
-        base = [np.kron(a, b) for a in base for b in second]
-    for blocks in set_partitions(base):
-        yield window(t.space, [np.sum(block, axis=0) for block in blocks])
+def _unchecked_note(count: int) -> str:
+    """Detail suffix for windows without an operator-picture verdict."""
+    return f"; {count} window(s) without operator check: members not projectors" if count else ""
 
 
 def _check_bridge(scn: Scenario, rng) -> CheckResult:
     tol = active_tolerances()
-    mismatches = 0
-    checked = 0
-    states = _side_states(rng, dims=(2, 2, 3))
-    for ds in states:
+    decided: list[Window] = []
+    for ds in _side_states(rng, dims=(2, 2, 3)):
         for two_time in (False, True):
             if two_time and ds.model.dim > 2:
                 continue  # keeps the partition count desk scale
-            n = 2 if two_time else 1
-            t = wright_operator(ds, ds.grid.times[:n])
-            for w in _bridge_candidates(ds, t, rng, two_time):
-                krep = check_window(w, t)
-                if any(p <= tol.strict_positive for p in w.probabilities):
-                    continue
-                checked += 1
-                oprep = check_window_operators(ds, w)
-                if krep.consistent != oprep.consistent:
-                    mismatches += 1
-    found, skipped = [], ""
+            t = wright_operator(ds, ds.grid.times[:2 if two_time else 1])
+            base = random_pvm(rng, ds.model.dim)  # all its coarse grainings, unfiltered
+            if two_time:
+                second = random_pvm(rng, ds.model.dim)
+                base = [np.kron(a, b) for a in base for b in second]
+            decided += [window(t.space, [np.sum(block, axis=0) for block in blocks]).decide(ds, t)
+                        for blocks in set_partitions(base)]
+    skipped = ""
     if scn.pvms:
         try:
-            ds_scn, t, found = scenario_windows(scn)
+            decided += scenario_windows(scn)
         except CapacityError as exc:
             skipped = f"; scenario windows skipped: {exc}"
-    for w in found:
-        if w.probabilities and all(p > tol.strict_positive for p in w.probabilities):
-            checked += 1
-            if check_window(w, t).consistent != check_window_operators(ds_scn, w).consistent:
-                mismatches += 1
+    positive = [w for w in decided
+                if all(p > tol.strict_positive for p in w.kreport.probabilities)]
+    compared = [w for w in positive if w.opreport is not None]
+    skipped += _unchecked_note(len(positive) - len(compared))
+    mismatches = sum(w.kreport.consistent != w.opreport.consistent for w in compared)
     bound = _THRESHOLDS["mismatches"]
     return CheckResult("picture-bridge", mismatches <= bound, float(mismatches), bound,
-                       f"verdict agreement on {checked} strictly positive windows{skipped}")
+                       f"verdict agreement on {len(compared)} strictly positive "
+                       f"windows{skipped}")
 
 
 def _check_gap_grid(scn: Scenario, rng) -> CheckResult:
@@ -255,24 +243,26 @@ def _check_entropy(scn: Scenario, rng) -> CheckResult:
     worst_p2 = 0.0
     monotone_ok = True
     pairs = 0
+    unscored = 0
     states = _side_states(rng, dims=(2, 3, 4), times=(0.0,))
     for ds in states:
         t = wright_operator(ds, (0.0,))
         found = search_windows(ds, t, [[random_pvm(rng, ds.model.dim)]])
-        pnorm = {(w, p): window_entropy_pnorm(ds, w, p).value
-                 for w in found for p in (1.0, 1.5, 2.0)}
+        scored = [w for w in found if w.opreport is not None]  # p-norm needs it
+        unscored += len(found) - len(scored)
+        pnorm = {(w, p): window_entropy_pnorm(w, p).value
+                 for w in scored for p in (1.0, 1.5, 2.0)}
         for w in found:
-            rep = window_entropy(t, w)
-            shannon = -sum(p * math.log(p) for p in w.probabilities)
+            rep = window_entropy(w)
+            probs = w.kreport.probabilities
+            shannon = -sum(p * math.log(p) for p in probs)
             regroup = shannon + sum(
-                p * math.log(hs_inner(x, x).real)
-                for p, x in zip(w.probabilities, w.members))
+                p * math.log(hs_inner(x, x).real) for p, x in zip(probs, w.members))
             worst_identity = max(worst_identity, abs(rep.value - regroup))
-            worst_p2 = max(worst_p2, abs(rep.value - pnorm[w, 2.0]))
-        for coarse in found:
-            for fine in found:
-                if fine is coarse or not is_refinement(fine, coarse):
-                    continue
+            if w.opreport is not None:
+                worst_p2 = max(worst_p2, abs(rep.value - pnorm[w, 2.0]))
+        for coarse in scored:
+            for fine in strict_refinements(coarse, scored):
                 pairs += 1
                 for p in (1.0, 1.5, 2.0):
                     if pnorm[coarse, p] - pnorm[fine, p] < -_THRESHOLDS["p-norm"]:
@@ -283,11 +273,11 @@ def _check_entropy(scn: Scenario, rng) -> CheckResult:
         model=SystemModel.from_matrices(np.zeros((2, 2)), np.eye(2) / 2),
         grid=TimeGrid(times=(0.0,)))
     t = wright_operator(mm, (0.0,))
-    coarse_w = window(t.space, [np.eye(2, dtype=complex)])
+    coarse_w = window(t.space, [np.eye(2, dtype=complex)]).decide(mm, t)
     fine_w = window(t.space, [np.diag([1.0, 0.0]).astype(complex),
-                              np.diag([0.0, 1.0]).astype(complex)])
-    rise = (window_entropy_pnorm(mm, fine_w, 3.0).value
-            - window_entropy_pnorm(mm, coarse_w, 3.0).value)
+                              np.diag([0.0, 1.0]).astype(complex)]).decide(mm, t)
+    rise = (window_entropy_pnorm(fine_w, 3.0).value
+            - window_entropy_pnorm(coarse_w, 3.0).value)
     counterexample_ok = abs(rise - math.log(2) / 3.0) <= _THRESHOLDS["counterexample"]
 
     worst = max(worst_identity, worst_p2)
@@ -296,7 +286,7 @@ def _check_entropy(scn: Scenario, rng) -> CheckResult:
     return CheckResult(
         "entropy-identities", passed, worst, _THRESHOLDS["p-norm"],
         f"regrouping and p=2 agreement, monotone on {pairs} refinement pairs, "
-        f"p=3 counterexample rise {rise:.6f}")
+        f"p=3 counterexample rise {rise:.6f}{_unchecked_note(unscored)}")
 
 
 def run_suite(scn: Scenario) -> list[CheckResult]:

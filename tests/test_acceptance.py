@@ -131,9 +131,9 @@ def test_criterion_4_worked_qubit_numbers():
 
     ds_mixed = qubit_state(np.diag([0.75, 0.25]))
     t = wright_operator(ds_mixed, (0.0,))
-    w = window(t.space, [P0, P1])
-    i2 = window_entropy(t, w).value
-    i1 = window_entropy_pnorm(ds_mixed, w, 1).value
+    w = window(t.space, [P0, P1]).decide(ds_mixed, t)
+    i2 = window_entropy(w).value
+    i1 = window_entropy_pnorm(w, 1).value
     i2_ok = abs(i2 - (-0.13081)) <= 1e-4
     i1_ok = abs(i1 - (-0.82396)) <= 1e-4
     ok = d_ok and i2_ok and i1_ok
@@ -163,10 +163,10 @@ def test_criterion_5_refinement_monotonicity():
         for blocks in set_partitions(indexed):
             idx_blocks = [[i for i, _ in block] for block in blocks]
             ops = [np.sum([op for _, op in block], axis=0) for block in blocks]
-            w = window(t.space, ops)
-            if not check_window(w, t).consistent:
+            w = window(t.space, ops).decide(ds, t)
+            if not w.kreport.consistent:
                 continue
-            values = {p: window_entropy_pnorm(ds, w, p).value for p in (1.0, 1.5, 2.0)}
+            values = {p: window_entropy_pnorm(w, p).value for p in (1.0, 1.5, 2.0)}
             entries.append((idx_blocks, w, values))
         for (fine_idx, fine_w, fine_vals), (coarse_idx, coarse_w, coarse_vals) \
                 in itertools.permutations(entries, 2):
@@ -182,8 +182,9 @@ def test_criterion_5_refinement_monotonicity():
 
     ds_mm = qubit_state(np.eye(2) / 2)
     t = wright_operator(ds_mm, (0.0,))
-    rise = (window_entropy_pnorm(ds_mm, window(t.space, [P0, P1]), 3).value
-            - window_entropy_pnorm(ds_mm, window(t.space, [np.eye(2, dtype=complex)]), 3).value)
+    split = window(t.space, [P0, P1]).decide(ds_mm, t)
+    unit = window(t.space, [np.eye(2, dtype=complex)]).decide(ds_mm, t)
+    rise = window_entropy_pnorm(split, 3).value - window_entropy_pnorm(unit, 3).value
     counterexample_ok = abs(rise - math.log(2) / 3) <= 1e-6 and rise > 0
 
     ok = pairs >= 500 and worst_increase <= 1e-10 and counterexample_ok
@@ -246,7 +247,7 @@ def test_criterion_8_picture_bridge():
         for blocks in set_partitions(base):
             w = window(t.space, [np.sum(b, axis=0) for b in blocks])
             krep = check_window(w, t)
-            if any(p <= 1e-12 for p in w.probabilities):
+            if any(p <= 1e-12 for p in krep.probabilities):
                 continue
             windows_checked += 1
             if krep.consistent != check_window_operators(ds, w).consistent:

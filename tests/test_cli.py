@@ -1,10 +1,14 @@
+import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
 
-from histq.cli import bundled_scenario_path, main
+from histq.cli import _entropy_payload, bundled_scenario_path, main
+from histq.consistency import ConsistencyReport
+from histq.scenario import load_scenario
+from histq.verify import scenario_windows
 
 
 def run(args):
@@ -33,6 +37,12 @@ def write_scenario(tmp_path, kind):
         scenario["entropy_p"] = [math.nan if kind == "nan-p" else math.inf, 2.0]
     elif kind == "negative-seed":
         scenario["seed"] = -1
+    elif kind == "rotating":
+        # under H = sigma_x the transported Hadamard projectors carry rounding,
+        # so a tight projector tolerance refuses some of their sums
+        scenario.update(hamiltonian={"real": [[0.0, 1.0], [1.0, 0.0]]}, times=[0.3, 1.1],
+                        histories=[], pvms=[[{"basis": "hadamard"}]] * 2,
+                        entropy_p=[1.0, 2.0])
     path = tmp_path / f"{kind}.json"
     path.write_text(json.dumps(scenario), encoding="utf-8")
     return path
@@ -101,6 +111,16 @@ class TestVerify:
         assert threshold("b") == 1e-6
         assert threshold("a", "wright-state") == 1e-9
         assert threshold("b", "wright-state") == 1e-6
+
+
+    def test_windows_without_operator_check_are_named(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("HISTQ_TOL", json.dumps({"projector": 1e-15}))
+        code = run(["verify", "--scenario", str(write_scenario(tmp_path, "rotating")),
+                    "--out", str(tmp_path / "o")])
+        assert code in (0, 3)
+        checks = strict_json(tmp_path / "o" / "verify.json")["verify"]["checks"]
+        bridge = next(c for c in checks if c["name"] == "picture-bridge")
+        assert "window(s) without operator check: members not projectors" in bridge["detail"]
 
 
 class TestValidationExit:
@@ -217,6 +237,41 @@ class TestEntropy:
         by_key = {(row["window"], row["p"]): row["value"] for row in table}
         assert by_key[(best["window"], 1.0)] == pytest.approx(-0.82396, abs=1e-4)
         assert by_key[(best["window"], 2.0)] == pytest.approx(-0.13081, abs=1e-4)
+
+
+    def test_bundled_report_names_no_skipped_rows(self, tmp_path):
+        assert run(["entropy", "--out", str(tmp_path)]) == 0
+        assert "skipped" not in json.loads((tmp_path / "entropy.json").read_text())["entropy"]
+
+    def test_non_projector_windows_are_skipped_by_name(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("HISTQ_TOL", json.dumps({"projector": 1e-15}))
+        assert run(["entropy", "--scenario", str(write_scenario(tmp_path, "rotating")),
+                    "--out", str(tmp_path)]) == 0
+        payload = strict_json(tmp_path / "entropy.json")
+        unchecked = [e["label"] for e in payload["windows"]["windows"]
+                     if e["operator_check"] is None]
+        assert unchecked  # the tolerance refuses at least one found window
+        assert payload["entropy"]["skipped"] == [
+            {"window": label, "p": 1.0, "reason": "members are not projectors"}
+            for label in unchecked]
+        rows = {(row["window"], row["p"]) for row in payload["entropy"]["table"]}
+        assert all((label, 1.0) not in rows and (label, 2.0) in rows for label in unchecked)
+
+    @pytest.mark.parametrize("opreport, reason", [
+        (None, "members are not projectors"),
+        (ConsistencyReport("inconsistent", ("orthogonality", "re-cross-term"), 0.1, (0.5, 0.5)),
+         "operator picture inconsistent: orthogonality, re-cross-term"),
+    ])
+    def test_skip_reason_names_the_cause(self, opreport, reason):
+        scn = load_scenario(bundled_scenario_path())
+        found = scenario_windows(scn)
+        found[0] = dataclasses.replace(found[0], opreport=opreport)
+        labels = [f"w{idx:02d}" for idx in range(len(found))]
+        payload = _entropy_payload(scn, found, labels)
+        assert payload["skipped"] == [{"window": "w00", "p": p, "reason": reason}
+                                      for p in (1.0, 1.5, 3.0)]
+        assert {row["window"] for row in payload["table"] if row["p"] != 2.0} == {"w01", "w02"}
+        assert list(payload) == ["table", "skipped", "minimum", "suprema"]
 
 
 class TestDiverge:

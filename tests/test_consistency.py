@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import itertools
 
@@ -18,6 +19,7 @@ from histq.consistency import (
     restricted_growth_strings,
     search_windows,
     set_partitions,
+    strict_refinements,
     window,
 )
 from histq.core import SystemModel, active_tolerances, heisenberg, is_projector, projector_onto
@@ -39,14 +41,14 @@ class TestCheckWindow:
         ds, t = mixed_qubit()
         w = window(t.space, [np.eye(2, dtype=complex)])
         report = check_window(w, t)
-        assert report.consistent and w.probabilities == (1.0,)
+        assert report.consistent and report.probabilities == (1.0,)
 
     def test_computational_window(self):
         ds, t = mixed_qubit()
         w = window(t.space, [P0, P1])
         report = check_window(w, t)
         assert report.consistent
-        assert w.probabilities == pytest.approx((0.75, 0.25), abs=1e-12)
+        assert report.probabilities == pytest.approx((0.75, 0.25), abs=1e-12)
 
     def test_eigenstate_breaks_strict_positivity(self):
         ds, t = mixed_qubit(np.diag([1.0, 0.0]))
@@ -75,7 +77,7 @@ class TestCheckWindow:
         ops = [np.kron(a, b) for a in first for b in second]
         w = window(t.space, ops)
         report = check_window(w, t)
-        assert abs(sum(w.probabilities) - 1.0) <= 1e-12
+        assert abs(sum(report.probabilities) - 1.0) <= 1e-12
         assert "additivity" in report.violated
 
 
@@ -106,6 +108,50 @@ class TestCheckWindowOperators:
         w = window(t.space, [0.5 * P0, np.eye(2) - 0.5 * P0])
         with pytest.raises(ValueError, match="non-projector member"):
             check_window_operators(ds, w)
+
+    def test_probabilities_are_diagonal_decoherence_values(self):
+        ds, t = mixed_qubit(np.diag([1.0, 0.0]))
+        report = check_window_operators(ds, window(t.space, [P0, P1]))
+        assert report.probabilities == pytest.approx((1.0, 0.0), abs=1e-12)
+        assert all(isinstance(p, float) for p in report.probabilities)
+
+
+class TestDecide:
+    def test_checks_write_nothing(self):
+        ds, t = mixed_qubit()
+        w = window(t.space, [P0, P1])
+        check_window(w, t)
+        check_window_operators(ds, w)
+        assert w.kreport is None and w.opreport is None
+
+    def test_window_fields_cannot_be_assigned(self):
+        ds, t = mixed_qubit()
+        w = window(t.space, [P0, P1]).decide(ds, t)
+        for field, value in (("kreport", None), ("opreport", None), ("members", ())):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(w, field, value)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            w.kreport.verdict = "inconsistent"
+
+    def test_attaches_both_reports_to_a_copy(self):
+        ds, t = mixed_qubit()
+        w = window(t.space, [P0, P1])
+        decided = w.decide(ds, t)
+        assert w.kreport is None and w.opreport is None
+        assert decided.members is w.members
+        assert decided.kreport == check_window(w, t)
+        assert decided.opreport == check_window_operators(ds, w)
+
+    def test_operator_verdict_does_not_wait_for_the_sector_one(self):
+        ds, t = mixed_qubit(np.diag([1.0, 0.0]))
+        decided = window(t.space, [P0, P1]).decide(ds, t)
+        assert not decided.kreport.consistent
+        assert decided.opreport.consistent
+
+    def test_non_projector_window_gets_no_operator_verdict(self):
+        ds, t = mixed_qubit()
+        decided = window(t.space, [0.5 * P0, np.eye(2) - 0.5 * P0]).decide(ds, t)
+        assert decided.kreport is not None and decided.opreport is None
 
 
 class TestRefinement:
@@ -171,7 +217,7 @@ class TestSearchWindows:
         found = search_windows(ds, t, [[[P0, P1], [PLUS, MINUS]]])
         assert len(found) == 3
         assert [len(w.members) for w in found] == [2, 2, 1]
-        probs = {tuple(round(p, 6) for p in w.probabilities) for w in found}
+        probs = {tuple(round(p, 6) for p in w.kreport.probabilities) for w in found}
         assert (0.75, 0.25) in probs
         assert (0.5, 0.5) in probs
         assert (1.0,) in probs
@@ -206,7 +252,7 @@ class TestSearchWindows:
         ds = state_for(random_model(rng, 3))
         t = wright_operator(ds, (0.0,))
         for w in search_windows(ds, t, [[random_pvm(rng, 3)]]):
-            assert sum(w.probabilities) == pytest.approx(1.0, abs=1e-9)
+            assert sum(w.kreport.probabilities) == pytest.approx(1.0, abs=1e-9)
 
 
 class TestMaximallyRefined:
@@ -214,7 +260,7 @@ class TestMaximallyRefined:
         ds, t = mixed_qubit()
         found = search_windows(ds, t, [[[P0, P1], [PLUS, MINUS]]])
         comp = next(w for w in found
-                    if tuple(round(p, 6) for p in w.probabilities) == (0.75, 0.25))
+                    if tuple(round(p, 6) for p in w.kreport.probabilities) == (0.75, 0.25))
         assert is_maximally_refined(comp, found)
 
     def test_unit_window_is_not_maximal_here(self):
@@ -225,8 +271,7 @@ class TestMaximallyRefined:
 
     def test_singleton_family(self):
         ds, t = mixed_qubit()
-        w = window(t.space, [np.eye(2, dtype=complex)])
-        check_window(w, t)
+        w = window(t.space, [np.eye(2, dtype=complex)]).decide(ds, t)
         assert is_maximally_refined(w, [w])
 
 
@@ -247,7 +292,7 @@ class TestPictureBridge:
             for blocks in set_partitions(base):
                 w = window(t.space, [np.sum(b, axis=0) for b in blocks])
                 krep = check_window(w, t)
-                if any(p <= 1e-12 for p in w.probabilities):
+                if any(p <= 1e-12 for p in krep.probabilities):
                     continue
                 checked += 1
                 oprep = check_window_operators(ds, w)
@@ -265,7 +310,7 @@ def base_families(ds, t, pvms):
 
 def oracle_search(ds, t, pvms, on_partition=None):
     """The exhaustive reference: every set partition -> check_window ->
-    check_window_operators -> _window_key dedup -> sort.
+    check_window_operators on projector members -> _window_key dedup -> sort.
 
     ``on_partition(family, rgs, window, report)`` sees every checked partition.
     """
@@ -279,8 +324,10 @@ def oracle_search(ds, t, pvms, on_partition=None):
                 on_partition(family, rgs, cand, report)
             if not report.consistent:
                 continue
+            opreport = None
             if all(is_projector(x.op) for x in cand.members):
-                check_window_operators(ds, cand)
+                opreport = check_window_operators(ds, cand)
+            cand = dataclasses.replace(cand, kreport=report, opreport=opreport)
             results.setdefault(_window_key(cand), cand)
     ordered = sorted(results.items(), key=lambda kv: (-len(kv[1].members), kv[0]))
     return [w for _, w in ordered]
@@ -290,12 +337,12 @@ def assert_same_windows(found, expected):
     assert len(found) == len(expected)
     for got, want in zip(found, expected):
         assert _window_key(got) == _window_key(want)
-        assert np.allclose(got.probabilities, want.probabilities, rtol=0.0, atol=1e-12)
         for rep, ref in ((got.kreport, want.kreport), (got.opreport, want.opreport)):
             assert (rep is None) == (ref is None)
             if ref is not None:
                 assert (rep.verdict, rep.violated) == (ref.verdict, ref.violated)
                 assert rep.max_residual == pytest.approx(ref.max_residual, rel=0.0, abs=1e-12)
+                assert np.allclose(rep.probabilities, ref.probabilities, rtol=0.0, atol=1e-12)
 
 
 @st.composite
@@ -346,7 +393,7 @@ class TestGramScreen:
             g, slack, kept = screens[family]
             blocks = [np.flatnonzero(np.array(rgs) == v) for v in range(max(rgs) + 1)]
             screened = [g[np.ix_(b, b)].sum().real for b in blocks]
-            assert np.max(np.abs(np.subtract(screened, cand.probabilities))) <= slack
+            assert np.max(np.abs(np.subtract(screened, report.probabilities))) <= slack
             if report.consistent:
                 assert kept[rgs]
 
@@ -371,3 +418,16 @@ class TestGramScreen:
         u = random_unitary(rng, 3)
         pvms = [[[projector_onto(u[:, :2]), projector_onto(u[:, 2:])], random_pvm(rng, 3)]]
         assert_same_windows(search_windows(ds, t, pvms), oracle_search(ds, t, pvms))
+
+
+class TestStrictRefinements:
+    @given(search_cases())
+    @settings(max_examples=30, deadline=None)
+    def test_member_count_filter_loses_no_refinement(self, case):
+        # on search output, refinements with no more members than the window
+        # are the window itself, so the filtered scan equals the full one
+        ds, t, pvms = case
+        found = search_windows(ds, t, pvms)
+        for w in found:
+            full = [c for c in found if c is not w and is_refinement(c, w)]
+            assert list(map(id, strict_refinements(w, found))) == list(map(id, full))

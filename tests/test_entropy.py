@@ -1,12 +1,17 @@
+import functools
+import importlib
 import math
+import pkgutil
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import histq.entropy
-from histq.consistency import check_window, search_windows, set_partitions, window
+import histq
+from histq.cli import main as cli_main
+from histq.consistency import is_refinement, search_windows, set_partitions, window
 from histq.entropy import (
     min_entropy,
     refinement_gap,
@@ -28,35 +33,51 @@ def family_for(ds, t):
     return search_windows(ds, t, [[[P0, P1], [PLUS, MINUS]]])
 
 
+def decided(ds, t, ops):
+    return window(t.space, ops).decide(ds, t)
+
+
 class TestWindowEntropy:
     def test_maximally_mixed_is_zero(self):
         ds, t = mixed_qubit(np.eye(2) / 2)
-        w = window(t.space, [P0, P1])
-        assert window_entropy(t, w).value == pytest.approx(0.0, abs=1e-14)
+        w = decided(ds, t, [P0, P1])
+        assert window_entropy(w).value == pytest.approx(0.0, abs=1e-14)
 
     def test_worked_mixed_qubit_number(self):
         # oracle: I = H(p) - ln 2 for the computational window
         ds, t = mixed_qubit()
-        w = window(t.space, [P0, P1])
-        report = window_entropy(t, w)
+        w = decided(ds, t, [P0, P1])
+        report = window_entropy(w)
         oracle = (-(0.75 * math.log(0.75) + 0.25 * math.log(0.25))) - math.log(2)
         assert report.value == pytest.approx(oracle, abs=1e-12)
         assert report.value == pytest.approx(-0.13081, abs=1e-4)
 
     def test_unit_window_is_zero(self):
         ds, t = mixed_qubit()
-        w = window(t.space, [np.eye(2, dtype=complex)])
-        assert window_entropy(t, w).value == 0.0
+        w = decided(ds, t, [np.eye(2, dtype=complex)])
+        assert window_entropy(w).value == 0.0
 
     def test_inconsistent_window_rejected(self):
         ds, t = mixed_qubit(np.diag([1.0, 0.0]))
-        w = window(t.space, [P0, P1])
+        w = decided(ds, t, [P0, P1])
         with pytest.raises(ValueError, match="entropy undefined"):
-            window_entropy(t, w)
+            window_entropy(w)
+
+    def test_undecided_window_rejected(self):
+        ds, t = mixed_qubit()
+        w = window(t.space, [P0, P1])
+        with pytest.raises(ValueError, match="no sector verdict"):
+            window_entropy(w)
+        with pytest.raises(ValueError, match="no operator-picture verdict"):
+            window_entropy_pnorm(w, 1)
+        with pytest.raises(ValueError, match="no sector verdict"):
+            min_entropy([w])
+        with pytest.raises(ValueError, match="no sector verdict"):
+            sup_refinement_entropy(w, [w])
 
     def test_terms_recompose_value(self):
         ds, t = mixed_qubit()
-        report = window_entropy(t, window(t.space, [P0, P1]))
+        report = window_entropy(decided(ds, t, [P0, P1]))
         recomputed = -sum(term.probability *
                           math.log(term.probability / term.squared_norm)
                           for term in report.terms)
@@ -68,51 +89,51 @@ class TestWindowEntropy:
             ds = state_for(random_model(rng, dim))
             t = wright_operator(ds, (0.0,))
             for w in search_windows(ds, t, [[random_pvm(rng, dim)]]):
-                value = window_entropy(t, w).value
-                shannon = -sum(p * math.log(p) for p in w.probabilities)
+                value = window_entropy(w).value
+                shannon = -sum(p * math.log(p) for p in w.kreport.probabilities)
                 shifted = shannon + sum(
                     p * math.log(hs_inner(x, x).real)
-                    for p, x in zip(w.probabilities, w.members))
+                    for p, x in zip(w.kreport.probabilities, w.members))
                 assert value == pytest.approx(shifted, abs=1e-12)
 
 
 class TestPnormEntropy:
     def test_worked_p1_number(self):
         ds, t = mixed_qubit()
-        w = window(t.space, [P0, P1])
-        report = window_entropy_pnorm(ds, w, 1)
+        w = decided(ds, t, [P0, P1])
+        report = window_entropy_pnorm(w, 1)
         assert report.value == pytest.approx(-(0.75) * math.log(3.0), abs=1e-12)
         assert report.value == pytest.approx(-0.82396, abs=1e-4)
 
     def test_p2_matches_sector_entropy(self):
         ds, t = mixed_qubit()
-        w = window(t.space, [P0, P1])
-        assert window_entropy_pnorm(ds, w, 2).value == pytest.approx(
-            window_entropy(t, w).value, abs=1e-10)
+        w = decided(ds, t, [P0, P1])
+        assert window_entropy_pnorm(w, 2).value == pytest.approx(
+            window_entropy(w).value, abs=1e-10)
 
     def test_p3_counterexample_rises_under_refinement(self):
         ds, t = mixed_qubit(np.eye(2) / 2)
-        unit = window(t.space, [np.eye(2, dtype=complex)])
-        split = window(t.space, [P0, P1])
-        rise = (window_entropy_pnorm(ds, split, 3).value
-                - window_entropy_pnorm(ds, unit, 3).value)
+        unit = decided(ds, t, [np.eye(2, dtype=complex)])
+        split = decided(ds, t, [P0, P1])
+        rise = (window_entropy_pnorm(split, 3).value
+                - window_entropy_pnorm(unit, 3).value)
         assert rise == pytest.approx(math.log(2) / 3, abs=1e-6)
 
     def test_p_below_one_rejected(self):
         ds, t = mixed_qubit()
         with pytest.raises(ValueError, match=">= 1"):
-            window_entropy_pnorm(ds, window(t.space, [P0, P1]), 0.99)
+            window_entropy_pnorm(decided(ds, t, [P0, P1]), 0.99)
 
     def test_operator_inconsistent_window_rejected(self):
         ds, t = mixed_qubit()
-        w = window(t.space, [P0, PLUS])  # overlapping members
+        w = decided(ds, t, [P0, PLUS])  # overlapping members
         with pytest.raises(ValueError, match="entropy undefined"):
-            window_entropy_pnorm(ds, w, 1)
+            window_entropy_pnorm(w, 1)
 
     def test_zero_diagonal_member_contributes_nothing(self):
         ds, t = mixed_qubit(np.diag([1.0, 0.0]))
-        w = window(t.space, [P0, P1])  # operator-consistent, diagonal value 0 on P1
-        report = window_entropy_pnorm(ds, w, 1)
+        w = decided(ds, t, [P0, P1])  # operator-consistent, diagonal value 0 on P1
+        report = window_entropy_pnorm(w, 1)
         assert report.terms[1].contribution == 0.0
         assert report.value == pytest.approx(-math.log(4.0), abs=1e-12)
 
@@ -193,12 +214,12 @@ class TestRefinementGap:
             base = random_pvm(rng, dim)
             y_op, z_op = base[0], base[1]
             rest = base[2:]
-            fine = window(t.space, [y_op, z_op] + rest)
-            coarse = window(t.space, [y_op + z_op] + rest)
-            i_fine = window_entropy(t, fine)
-            i_coarse = window_entropy(t, coarse)
-            p_y = fine.probabilities[0]
-            p_z = fine.probabilities[1]
+            fine = decided(ds, t, [y_op, z_op] + rest)
+            coarse = decided(ds, t, [y_op + z_op] + rest)
+            i_fine = window_entropy(fine)
+            i_coarse = window_entropy(coarse)
+            p_y = fine.kreport.probabilities[0]
+            p_z = fine.kreport.probabilities[1]
             a = p_z / p_y
             b = (hs_inner(fine.members[1], fine.members[1]).real
                  / hs_inner(fine.members[0], fine.members[0]).real)
@@ -217,18 +238,17 @@ class TestMonotonicity:
             base = random_pvm(rng, dim)
             windows = []
             for blocks in set_partitions(base):
-                w = window(t.space, [np.sum(b, axis=0) for b in blocks])
-                if check_window(w, t).consistent:
+                w = decided(ds, t, [np.sum(b, axis=0) for b in blocks])
+                if w.kreport.consistent:
                     windows.append(w)
-            from histq.consistency import is_refinement
             for coarse in windows:
                 for fine in windows:
                     if fine is coarse or not is_refinement(fine, coarse):
                         continue
                     pairs += 1
                     for p in (1.0, 1.5, 2.0):
-                        drop = (window_entropy_pnorm(ds, coarse, p).value
-                                - window_entropy_pnorm(ds, fine, p).value)
+                        drop = (window_entropy_pnorm(coarse, p).value
+                                - window_entropy_pnorm(fine, p).value)
                         assert drop >= -1e-10
         assert pairs >= 40
 
@@ -236,62 +256,74 @@ class TestMonotonicity:
 class TestAggregates:
     def test_min_entropy_selects_computational_window(self):
         ds, t = mixed_qubit()
-        value, best = min_entropy(t, family_for(ds, t))
+        value, best = min_entropy(family_for(ds, t))
         assert value == pytest.approx(-0.13081, abs=1e-4)
-        assert best.probabilities == pytest.approx((0.75, 0.25), abs=1e-9)
+        assert best.kreport.probabilities == pytest.approx((0.75, 0.25), abs=1e-9)
 
     def test_min_entropy_tie_breaks_to_lowest_index(self):
         ds, t = mixed_qubit(np.eye(2) / 2)
         family = family_for(ds, t)
-        value, best = min_entropy(t, family)
+        value, best = min_entropy(family)
         assert value == pytest.approx(0.0, abs=1e-12)
         assert best is family[0]
 
     def test_min_entropy_singleton(self):
         ds, t = mixed_qubit()
-        w = window(t.space, [np.eye(2, dtype=complex)])
-        value, best = min_entropy(t, [w])
+        w = decided(ds, t, [np.eye(2, dtype=complex)])
+        value, best = min_entropy([w])
         assert value == 0.0 and best is w
 
     def test_min_entropy_requires_consistency(self):
         ds, t = mixed_qubit(np.diag([1.0, 0.0]))
         with pytest.raises(ValueError, match="no consistent window"):
-            min_entropy(t, [window(t.space, [P0, P1])])
+            min_entropy([decided(ds, t, [P0, P1])])
 
     def test_sup_over_refinements_of_unit(self):
         ds, t = mixed_qubit()
         family = family_for(ds, t)
         unit = next(w for w in family if len(w.members) == 1)
-        assert sup_refinement_entropy(t, unit, family) == pytest.approx(0.0, abs=1e-12)
+        assert sup_refinement_entropy(unit, family) == pytest.approx(0.0, abs=1e-12)
 
     def test_sup_of_maximally_refined_is_own_entropy(self):
         ds, t = mixed_qubit()
         family = family_for(ds, t)
         comp = next(w for w in family
-                    if tuple(round(p, 4) for p in w.probabilities) == (0.75, 0.25))
-        assert sup_refinement_entropy(t, comp, family) == pytest.approx(
-            window_entropy(t, comp).value, abs=1e-12)
+                    if tuple(round(p, 4) for p in w.kreport.probabilities) == (0.75, 0.25))
+        assert sup_refinement_entropy(comp, family) == pytest.approx(
+            window_entropy(comp).value, abs=1e-12)
 
-    def test_each_window_checked_once_per_call(self, monkeypatch):
-        calls = []
+    def test_sup_of_inconsistent_window_rejected(self):
+        ds, t = mixed_qubit(np.diag([1.0, 0.0]))
+        w = decided(ds, t, [P0, P1])
+        with pytest.raises(ValueError, match="entropy undefined"):
+            sup_refinement_entropy(w, [w])
 
-        def counting(w, t):
-            calls.append(w)
-            return check_window(w, t)
+    def test_checks_run_only_in_the_search_decide_step(self, monkeypatch, tmp_path):
+        # every histq module that binds a check gets a wrapper recording the
+        # caller and the caller's caller of each call
+        callers = []
 
-        monkeypatch.setattr(histq.entropy, "check_window", counting)
-        ds, t = mixed_qubit()
-        family = family_for(ds, t)
-        min_entropy(t, family)
-        assert sorted(map(id, calls)) == sorted(map(id, family))
-        unit = next(w for w in family if len(w.members) == 1)
-        calls.clear()
-        sup_refinement_entropy(t, unit, family)
-        assert sorted(map(id, calls)) == sorted(map(id, family))
+        def spy(check):
+            @functools.wraps(check)
+            def wrapper(*args, **kwargs):
+                frame = sys._getframe(1)
+                callers.append((frame.f_code.co_name, frame.f_back.f_code.co_name))
+                return check(*args, **kwargs)
+            return wrapper
+
+        modules = [histq] + [importlib.import_module(f"histq.{info.name}")
+                             for info in pkgutil.iter_modules(histq.__path__)]
+        for module in modules:
+            for name in ("check_window", "check_window_operators"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, spy(getattr(module, name)))
+        assert cli_main(["entropy", "--out", str(tmp_path)]) == 0
+        assert len(callers) == 8  # two base families, Bell(2) = 2 partitions each
+        assert set(callers) == {("decide", "search_windows")}
 
     def test_sup_dominates_own_entropy(self):
         ds, t = mixed_qubit()
         family = family_for(ds, t)
         for w in family:
-            assert (sup_refinement_entropy(t, w, family)
-                    >= window_entropy(t, w).value - 1e-12)
+            assert (sup_refinement_entropy(w, family)
+                    >= window_entropy(w).value - 1e-12)
