@@ -8,16 +8,16 @@ consistent when the projections are mutually orthogonal, complete, and all
 off-diagonal decoherence values have vanishing real part.
 
 The search enumerates coarse grainings of product-history families built from
-per-time projective decompositions.  Set partitions are generated as
-restricted-growth strings, so the ordering is deterministic.  Every quantity
-``check_window`` tests on a coarse graining is a block sum of two N x N
-matrices of the base family (the Gram matrix of the state and the
-Hilbert-Schmidt Gram matrix), so the strings are scored in fixed-size
-vectorised chunks first; only the partitions that pass this screen become
-windows, and ``Window.decide`` alone decides them, once.  Both checks write
-nothing and return a report holding the verdict and the member probabilities
-their picture certifies; ``Window`` is frozen and carries the two reports, so
-consumers read the verdicts instead of checking again.
+per-time projective decompositions.  Set partitions are generated in numpy as
+restricted-growth strings, so the ordering is deterministic.  The
+probabilities and cross terms ``check_window`` tests on a coarse graining are
+block sums of one N x N matrix, the Gram matrix of the state on the base
+family, so the strings are scored in vectorised chunks first, leaving
+orthogonality and completeness to ``check_window``.  Only the partitions that
+pass this screen become windows, and ``Window.decide`` alone decides them.
+Both checks write nothing and return a report holding the verdict and the
+member probabilities their picture certifies; ``Window`` is frozen and carries
+the two reports, so consumers read the verdicts instead of checking again.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass, replace
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -51,7 +51,6 @@ __all__ = [
     "strict_refinements",
     "search_windows",
     "is_maximally_refined",
-    "restricted_growth_strings",
     "set_partitions",
     "MAX_BASE_FAMILY",
 ]
@@ -213,37 +212,35 @@ def is_refinement(fine: Window, coarse: Window) -> bool:
     return True
 
 
-def restricted_growth_strings(n: int) -> Iterator[tuple[int, ...]]:
-    """All restricted-growth strings of length n in lexicographic order.
+def _rgs_chunks(n: int) -> Iterator[np.ndarray]:
+    """The restricted-growth strings of length n in lexicographic order, as
+    integer arrays of at most ``_SCREEN_CHUNK`` rows.
 
-    String a encodes the set partition with blocks {i : a[i] = v}.
+    String a encodes the set partition with blocks {i : a[i] = v}, and
+    a[i] <= 1 + max(a[:i]).  Depth first from the empty prefix, each piece of
+    at most ``_SCREEN_CHUNK`` prefixes repeats every row once per allowed next
+    value and appends the values, so memory does not grow with the Bell number.
     """
-    if n == 0:
-        yield ()
-        return
-    a = [0] * n
-    b = [0] + [1] * (n - 1)  # b[j] = 1 + max(a[:j]); position 0 never increments
-    while True:
-        yield tuple(a)
-        j = n - 1
-        while j >= 0 and a[j] == b[j]:
-            j -= 1
-        if j < 1:
-            return
-        a[j] += 1
-        for i in range(j + 1, n):
-            a[i] = 0
-            b[i] = max(b[j], a[j] + 1)
+    stack = [np.zeros((1, 0), dtype=np.intp)]  # the lexicographically first piece on top
+    while stack:
+        piece = stack.pop()
+        if piece.shape[1] == n:
+            yield piece
+            continue
+        allowed = piece.max(axis=1, initial=-1) + 2  # next values 0 .. block count
+        values = np.arange(allowed.sum()) - np.repeat(np.cumsum(allowed) - allowed, allowed)
+        children = np.column_stack((np.repeat(piece, allowed, axis=0), values))
+        stack += [children[i:i + _SCREEN_CHUNK]
+                  for i in reversed(range(0, len(children), _SCREEN_CHUNK))]
 
 
 def set_partitions(items: Sequence) -> Iterator[list[list]]:
     """Set partitions of ``items`` in restricted-growth-string order."""
     items = list(items)
-    for rgs in restricted_growth_strings(len(items)):
-        nblocks = max(rgs) + 1 if rgs else 0
-        blocks: list[list] = [[] for _ in range(nblocks)]
-        for idx, value in enumerate(rgs):
-            blocks[value].append(items[idx])
+    for rgs in itertools.chain.from_iterable(chunk.tolist() for chunk in _rgs_chunks(len(items))):
+        blocks: list[list] = [[] for _ in range(max(rgs, default=-1) + 1)]
+        for item, value in zip(items, rgs):
+            blocks[value].append(item)
         yield blocks
 
 
@@ -256,65 +253,56 @@ def _window_key(w: Window) -> tuple[bytes, ...]:
     return tuple(sorted(_member_key(x.op) for x in w.members))
 
 
-def _gram_matrices(t: WrightOperator, base: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``G[a, b] = <base_a, T base_b>`` and ``S[a, b] = <base_a, base_b>``.
+def _gram_matrix(t: WrightOperator, base: np.ndarray) -> np.ndarray:
+    """``G[a, b] = <base_a, T base_b>``.
 
     ``base`` stacks the N family operators along axis 0.  Row a of ``vecs``
     is the column-major vectorisation of ``base[a]``, as in ``probability``.
     """
     n, k, _ = base.shape
     vecs = base.transpose(0, 2, 1).reshape(n, k * k)
-    conj = vecs.conj()
-    return conj @ t.matrix @ vecs.T / k, conj @ vecs.T / k
+    return vecs.conj() @ t.matrix @ vecs.T / k
 
 
-def _rounding_slack(g: np.ndarray, s: np.ndarray, op_dim: int) -> float:
+def _rounding_slack(g: np.ndarray, op_dim: int) -> float:
     """How far a screened block sum may differ from ``check_window``'s value.
 
     Both compute the same exact numbers in different summation orders: the
-    screen adds up to N^2 entries of G or S, and each entry and each value of
+    screen adds up to N^2 entries of G, and each entry and each value of
     ``check_window`` is itself a sum over the op_dim^2 vector entries.
     """
     n = g.shape[0]
-    scale = max(1.0, max_abs(g), max_abs(s))
+    scale = max(1.0, max_abs(g))
     return _ROUNDING_ULPS * (n * n + op_dim * op_dim) * np.finfo(float).eps * scale
 
 
-def _screen(g: np.ndarray, s: np.ndarray, rgs: np.ndarray, tol: Tolerances,
-            slack: float) -> np.ndarray:
-    """Mask of the partitions (rows of ``rgs``) that ``check_window`` may accept.
+def _screen(g: np.ndarray, chunks: Iterable[np.ndarray], tol: Tolerances,
+            slack: float) -> Iterator[np.ndarray]:
+    """The rows of each chunk of strings whose partition ``check_window`` may accept.
 
     With the one-hot block matrix O[a, i] = [rgs[a] == i] of a partition,
-    O^T G O holds <x_i, T x_j> and O^T S O holds <x_i, x_j> for its coarse
-    members x_i.  Orthogonality, positivity and additivity are tested on
-    these block sums with every threshold widened by ``slack``, so no
-    partition that ``check_window`` accepts is dropped.  Completeness is the
-    same for every partition of a family and is left to ``check_window``.
+    O^T G O holds <x_i, T x_j> for its coarse members x_i.  Positivity and
+    additivity (cross terms, sum to one) are tested on these block sums with
+    every threshold widened by ``slack``, so no partition that
+    ``check_window`` accepts is dropped.  Orthogonality and completeness are
+    left to ``check_window``: an omitted test only keeps more partitions.
     """
     n = g.shape[0]
-    onehot = (rgs[:, :, None] == np.arange(n)).astype(float)
-    onehot_t = onehot.transpose(0, 2, 1)
-    # O is real, so Re(O^T G O) = O^T Re(G) O; real matmuls are cheaper
-    greal = onehot_t @ g.real @ onehot
-    overlap = np.hypot(onehot_t @ s.real @ onehot, onehot_t @ s.imag @ onehot)
-    used = np.arange(n) < rgs.max(axis=1, keepdims=True) + 1
-    probs = np.diagonal(greal, axis1=1, axis2=2)
+    onehot_rows = np.eye(n)  # row v is the one-hot code of block v
+    blocks = np.arange(n)
     upper = np.triu(np.ones((n, n), dtype=bool), 1)
+    greal = g.real  # O is real, so Re(O^T G O) = O^T Re(G) O; real matmuls are cheaper
     bound = tol.consistency + slack
-    orth = np.max(overlap[:, upper], axis=1, initial=0.0)
-    cross = np.max(np.abs(greal[:, upper]), axis=1, initial=0.0)
-    total = probs.sum(axis=1)  # empty blocks add exact zeros
-    positive = np.all(~used | ((probs > tol.strict_positive - slack) & (probs <= 1.0 + bound)),
-                      axis=1)
-    return positive & (orth <= bound) & (np.maximum(cross, np.abs(total - 1.0)) <= bound)
-
-
-def _rgs_chunks(n: int) -> Iterator[np.ndarray]:
-    """The restricted-growth strings of length n, as integer arrays of at
-    most ``_SCREEN_CHUNK`` rows."""
-    strings = restricted_growth_strings(n)
-    while chunk := list(itertools.islice(strings, _SCREEN_CHUNK)):
-        yield np.array(chunk, dtype=np.intp)
+    for rgs in chunks:
+        onehot = np.take(onehot_rows, rgs, axis=0)
+        sums = onehot.transpose(0, 2, 1) @ greal @ onehot
+        probs = np.diagonal(sums, axis1=1, axis2=2)
+        used = blocks <= rgs.max(axis=1, keepdims=True)
+        positive = np.all(~used | ((probs > tol.strict_positive - slack) & (probs <= 1.0 + bound)),
+                          axis=1)
+        cross = np.max(np.abs(sums[:, upper]), axis=1, initial=0.0)
+        total = probs.sum(axis=1)  # empty blocks add exact zeros
+        yield rgs[positive & (np.maximum(cross, np.abs(total - 1.0)) <= bound)]
 
 
 def search_windows(ds: DecoherenceState, t: WrightOperator,
@@ -330,13 +318,13 @@ def search_windows(ds: DecoherenceState, t: WrightOperator,
     must consist of projectors summing to the identity, else ``ValueError``
     naming it.
 
-    The strings are streamed in chunks of ``_SCREEN_CHUNK``, so memory does
-    not grow with the Bell number.  Each chunk is scored at once from two
-    N x N matrices built once per family, ``G[a, b] = <base_a, T base_b>``
-    and ``S[a, b] = <base_a, base_b>``: every block probability, cross term
-    and overlap of a coarse graining is a block sum of them.  The screen
-    keeps every partition that ``check_window`` could accept; only those
-    become windows, and ``Window.decide`` alone attaches their verdicts.
+    The strings are generated in numpy in chunks of at most
+    ``_SCREEN_CHUNK``, so memory does not grow with the Bell number.  Each
+    chunk is scored at once from ``G[a, b] = <base_a, T base_b>``, built once
+    per family: every block probability and cross term of a coarse graining
+    is a block sum of it.  The screen keeps every partition that
+    ``check_window`` could accept; only those become windows, and
+    ``Window.decide`` alone attaches their verdicts.
 
     Returns the consistent windows, deduplicated, largest first, with ties
     broken by a canonical byte key, so the output does not depend on the
@@ -375,10 +363,9 @@ def search_windows(ds: DecoherenceState, t: WrightOperator,
             raise ValueError(
                 f"base family too large: {len(combos)} > {MAX_BASE_FAMILY}")
         base = np.array([functools.reduce(np.kron, combo) for combo in combos])
-        g, s = _gram_matrices(t, base)
-        slack = _rounding_slack(g, s, space.op_dim)
-        for rgs in _rgs_chunks(len(base)):
-            for row in rgs[_screen(g, s, rgs, tol, slack)]:
+        g = _gram_matrix(t, base)
+        for kept in _screen(g, _rgs_chunks(len(base)), tol, _rounding_slack(g, space.op_dim)):
+            for row in kept:
                 ops = [np.sum(base[row == v], axis=0) for v in range(row.max() + 1)]
                 # a sum drifting past the projector bound gets no operator verdict
                 cand = window(space, ops).decide(ds, t)

@@ -86,6 +86,8 @@ def _complex_array(node, shape: tuple[int, ...], path: str) -> np.ndarray:
         raise ScenarioError(path, f"not numeric arrays: {exc}") from None
     if real.shape != imag.shape:
         raise ScenarioError(path, "'real' and 'imag' shapes differ")
+    if not (np.isfinite(real).all() and np.isfinite(imag).all()):  # null reads as NaN
+        raise ScenarioError(path, "entries must be finite numbers")
     m = real + 1j * imag
     if m.shape != shape:
         raise ScenarioError(path, f"expected shape {shape}, got {m.shape}")
@@ -122,11 +124,8 @@ def _projector(node, dim: int, path: str) -> np.ndarray:
     if node.get("identity"):
         return np.eye(dim, dtype=complex)
     if "matrix" in node:
-        p = _complex_array(node["matrix"], (dim, dim), f"{path}.matrix")
-        if not is_projector(p):
-            raise ScenarioError(f"{path}.matrix", "not a projector")
-        return p
-    if "basis" in node:
+        p, field = _complex_array(node["matrix"], (dim, dim), f"{path}.matrix"), "matrix"
+    elif "basis" in node:
         try:
             basis = named_basis(node["basis"], dim)
         except ValueError as exc:
@@ -141,8 +140,13 @@ def _projector(node, dim: int, path: str) -> np.ndarray:
             if not _is_int(i) or not 0 <= i < dim:
                 raise ScenarioError(f"{path}.{key}",
                                     f"basis index {i!r} is not an integer in [0, {dim})")
-        return projector_onto(basis[:, indices])
-    raise ScenarioError(path, "unknown projector spec (need identity/matrix/basis)")
+        p, field = projector_onto(basis[:, indices]), "basis"  # rounding can fail a tight bound
+    else:
+        raise ScenarioError(path, "unknown projector spec (need identity/matrix/basis)")
+    if not is_projector(p):
+        raise ScenarioError(f"{path}.{field}", "not a projector within the projector bound "
+                                               f"{active_tolerances().projector:g}")
+    return p
 
 
 def _pvm(node, dim: int, path: str) -> list[np.ndarray]:
@@ -150,11 +154,7 @@ def _pvm(node, dim: int, path: str) -> list[np.ndarray]:
     if not isinstance(node, dict):
         raise ScenarioError(path, "expected an object")
     if "basis" in node and "projectors" not in node:
-        try:
-            basis = named_basis(node["basis"], dim)
-        except ValueError as exc:
-            raise ScenarioError(f"{path}.basis", str(exc)) from None
-        return [projector_onto(basis[:, [i]]) for i in range(dim)]
+        return [_projector({"basis": node["basis"], "index": i}, dim, path) for i in range(dim)]
     if "projectors" in node:
         if not isinstance(node["projectors"], list):
             raise ScenarioError(f"{path}.projectors", "expected a list of projector specs")
@@ -180,12 +180,13 @@ def parse_scenario(data: dict) -> Scenario:
     hmat = _complex_array(_require(data, "hamiltonian", ""), (dim, dim), "hamiltonian")
     rho_spec = _rho(_require(data, "rho", ""), dim, "rho")
 
-    try:
-        if rho_spec[0] == "matrix":
-            model = SystemModel.from_matrices(hmat, rho_spec[1])
-        else:
-            model = SystemModel.from_spectral(hmat, rho_spec[1], rho_spec[2])
-    except ValueError as exc:
+    try:  # finite entries may still overflow: refused, not carried as inf or NaN
+        with np.errstate(over="raise", invalid="raise"):
+            if rho_spec[0] == "matrix":
+                model = SystemModel.from_matrices(hmat, rho_spec[1])
+            else:
+                model = SystemModel.from_spectral(hmat, rho_spec[1], rho_spec[2])
+    except (ValueError, FloatingPointError) as exc:
         text = str(exc)
         field = "hamiltonian" if "hamiltonian" in text else "rho"
         raise ScenarioError(field, text) from None

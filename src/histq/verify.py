@@ -20,7 +20,7 @@ from .consistency import (
     strict_refinements,
     window,
 )
-from .core import SystemModel, TimeGrid, active_tolerances
+from .core import SystemModel, TimeGrid, active_tolerances, is_projector
 from .decoherence import (CapacityError, DecoherenceState, d_basis_sum, d_form, d_trace,
                           ils_reconstruct, sector_fits)
 from .divergence import b1_direct_value, b1_grid, b1_series, b2_grid, b2_series, growth_fit
@@ -68,11 +68,18 @@ def _side_states(rng, dims=(2, 3), times=(0.0, 1.0)) -> list[DecoherenceState]:
     return out
 
 
+def _bound_refused() -> ScenarioError:
+    """The error for a ``HISTQ_TOL`` projector bound that sampled projectors fail."""
+    return ScenarioError("HISTQ_TOL", f"projector bound {active_tolerances().projector:g} "
+                                      "refuses the suite's sampled side projectors")
+
+
 def _product_history(rng, ds: DecoherenceState, n_times: int):
-    entries = {}
-    for t in ds.grid.times[:n_times]:
-        entries[t] = random_projector(rng, ds.model.dim)
-    return history(entries)
+    entries = {t: random_projector(rng, ds.model.dim) for t in ds.grid.times[:n_times]}
+    try:
+        return history(entries)
+    except ValueError:  # times are distinct and increasing: only the projector bound fails
+        raise _bound_refused() from None
 
 
 def _check_axioms(scn: Scenario, rng) -> CheckResult:
@@ -247,7 +254,10 @@ def _check_entropy(scn: Scenario, rng) -> CheckResult:
     states = _side_states(rng, dims=(2, 3, 4), times=(0.0,))
     for ds in states:
         t = wright_operator(ds, (0.0,))
-        found = search_windows(ds, t, [[random_pvm(rng, ds.model.dim)]])
+        pvm = random_pvm(rng, ds.model.dim)
+        if not all(map(is_projector, pvm)):  # search_windows would raise a bare ValueError
+            raise _bound_refused()
+        found = search_windows(ds, t, [[pvm]])
         scored = [w for w in found if w.opreport is not None]  # p-norm needs it
         unscored += len(found) - len(scored)
         pnorm = {(w, p): window_entropy_pnorm(w, p).value

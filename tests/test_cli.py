@@ -43,6 +43,11 @@ def write_scenario(tmp_path, kind):
         scenario.update(hamiltonian={"real": [[0.0, 1.0], [1.0, 0.0]]}, times=[0.3, 1.1],
                         histories=[], pvms=[[{"basis": "hadamard"}]] * 2,
                         entropy_p=[1.0, 2.0])
+    elif kind in ("no-histories", "computational-only"):
+        # no history needs a Hadamard projector, which a tight bound refuses
+        scenario["histories"] = []
+        if kind == "computational-only":  # exact projectors: the scenario parses
+            scenario["pvms"] = [[{"basis": "computational"}]]
     path = tmp_path / f"{kind}.json"
     path.write_text(json.dumps(scenario), encoding="utf-8")
     return path
@@ -151,6 +156,37 @@ class TestValidationExit:
         assert err.startswith("error: HISTQ_TOL") and repr(field) in err
         assert "Traceback" not in err
         assert not (tmp_path / "o").exists()
+
+
+class TestTightProjectorBound:
+    """A projector bound below double rounding refuses Hadamard and sampled
+    projectors: exit 2 naming the bound, never a traceback."""
+
+    @pytest.fixture(autouse=True)
+    def tight_bound(self, monkeypatch):
+        monkeypatch.setenv("HISTQ_TOL", json.dumps({"projector": 1e-17}))
+
+    @pytest.mark.parametrize("subcommand", ["windows", "entropy", "verify"])
+    def test_named_basis_decomposition_exits_2(self, tmp_path, capsys, subcommand):
+        code = run([subcommand, "--scenario", str(write_scenario(tmp_path, "no-histories")),
+                    "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: pvms[0][1].basis: not a projector within the projector bound 1e-17\n")
+        assert not list((tmp_path / "o").glob("*.json"))
+
+    def test_verify_side_histories_exit_2(self, tmp_path, capsys):
+        code = run(["verify", "--scenario", str(write_scenario(tmp_path, "computational-only")),
+                    "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: HISTQ_TOL: projector bound 1e-17 refuses the suite's sampled side projectors\n")
+        assert not list((tmp_path / "o").glob("*.json"))
+
+    @pytest.mark.parametrize("subcommand", ["windows", "entropy"])
+    def test_exact_decomposition_still_searches(self, tmp_path, subcommand):
+        assert run([subcommand, "--scenario", str(write_scenario(tmp_path, "computational-only")),
+                    "--out", str(tmp_path / "o")]) == 0
 
 
 class TestCapacity:

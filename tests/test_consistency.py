@@ -8,7 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from histq.consistency import (
-    _gram_matrices,
+    _SCREEN_CHUNK,
+    _gram_matrix,
+    _rgs_chunks,
     _rounding_slack,
     _screen,
     _window_key,
@@ -16,18 +18,43 @@ from histq.consistency import (
     check_window_operators,
     is_maximally_refined,
     is_refinement,
-    restricted_growth_strings,
     search_windows,
     set_partitions,
     strict_refinements,
     window,
 )
-from histq.core import SystemModel, active_tolerances, heisenberg, is_projector, projector_onto
+from histq.core import (SystemModel, active_tolerances, heisenberg, is_projector, max_abs,
+                        named_basis, projector_onto)
 from histq.propositions import wright_operator
 from histq.sampling import random_density, random_hermitian, random_model, random_pvm, random_unitary
 from helpers import MINUS, P0, P1, PLUS, qubit_state, state_for
 
-BELL = {0: 1, 1: 1, 2: 2, 3: 5, 4: 15, 5: 52, 6: 203, 7: 877, 8: 4140}
+BELL = {0: 1, 1: 1, 2: 2, 3: 5, 4: 15, 5: 52, 6: 203, 7: 877, 8: 4140, 9: 21147, 10: 115975}
+
+
+def restricted_growth_strings(n):
+    """All restricted-growth strings of length n in lexicographic order, one
+    tuple at a time: the loop ``_rgs_chunks`` replaced, kept as its oracle."""
+    if n == 0:
+        yield ()
+        return
+    a = [0] * n
+    b = [0] + [1] * (n - 1)  # b[j] = 1 + max(a[:j]); position 0 never increments
+    while True:
+        yield tuple(a)
+        j = n - 1
+        while j >= 0 and a[j] == b[j]:
+            j -= 1
+        if j < 1:
+            return
+        a[j] += 1
+        for i in range(j + 1, n):
+            a[i] = 0
+            b[i] = max(b[j], a[j] + 1)
+
+
+def generated_strings(n):
+    return [tuple(map(int, row)) for chunk in _rgs_chunks(n) for row in chunk]
 
 
 def mixed_qubit(rho=None):
@@ -185,10 +212,10 @@ class TestRefinement:
 class TestPartitionEnumeration:
     @pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5, 6])
     def test_counts_match_bell_numbers(self, n):
-        assert sum(1 for _ in restricted_growth_strings(n)) == BELL[n]
+        assert len(generated_strings(n)) == BELL[n]
 
     def test_strings_are_restricted_growth(self):
-        for rgs in restricted_growth_strings(5):
+        for rgs in generated_strings(5):
             assert rgs[0] == 0
             for i in range(1, 5):
                 assert rgs[i] <= max(rgs[:i]) + 1
@@ -207,8 +234,27 @@ class TestPartitionEnumeration:
         assert seen == brute
 
     def test_lexicographic_order(self):
-        strings = list(restricted_growth_strings(4))
+        strings = generated_strings(4)
         assert strings == sorted(strings)
+
+    @pytest.mark.parametrize("n", range(11))
+    def test_numpy_chunks_match_the_loop_oracle(self, n):
+        chunks = list(_rgs_chunks(n))
+        assert all(chunk.shape[1] == n and 0 < len(chunk) <= _SCREEN_CHUNK for chunk in chunks)
+        assert sum(len(chunk) for chunk in chunks) == BELL[n]
+        assert generated_strings(n) == list(restricted_growth_strings(n))
+
+    def test_empty_string_is_generated_once(self):
+        # a walk that expanded a prefix before testing its length would miss n = 0
+        assert [chunk.shape for chunk in _rgs_chunks(0)] == [(1, 0)]
+        assert list(set_partitions([])) == [[]]
+
+    def test_partitions_follow_string_order(self):
+        items = ["a", "b", "c", "d"]
+        expected = [[[items[i] for i, v in enumerate(rgs) if v == block]
+                     for block in range(max(rgs) + 1)]
+                    for rgs in restricted_growth_strings(4)]
+        assert list(set_partitions(items)) == expected
 
 
 class TestSearchWindows:
@@ -374,20 +420,73 @@ def search_cases(draw):
     return ds, t, pvms
 
 
+def kept_strings(g, n, slack):
+    """The strings of length n that ``_screen`` keeps, over all chunks."""
+    kept = _screen(g, _rgs_chunks(n), active_tolerances(), slack)
+    return {tuple(map(int, row)) for chunk in kept for row in chunk}
+
+
+def two_matrix_screen(t, base):
+    """The screen as it was with the Hilbert-Schmidt Gram matrix
+    S[a, b] = <base_a, base_b> beside G, orthogonality tested on S's block
+    sums: the strings it keeps, over all strings at once."""
+    tol = active_tolerances()
+    n, k, _ = base.shape
+    vecs = base.transpose(0, 2, 1).reshape(n, k * k)
+    g, s = vecs.conj() @ t.matrix @ vecs.T / k, vecs.conj() @ vecs.T / k
+    slack = 16 * (n * n + k * k) * np.finfo(float).eps * max(1.0, np.abs(g).max(), np.abs(s).max())
+    rgs = np.array(list(restricted_growth_strings(n)))
+    onehot = (rgs[:, :, None] == np.arange(n)).astype(float)
+    onehot_t = onehot.transpose(0, 2, 1)
+    greal = onehot_t @ g.real @ onehot
+    overlap = np.hypot(onehot_t @ s.real @ onehot, onehot_t @ s.imag @ onehot)
+    used = np.arange(n) < rgs.max(axis=1, keepdims=True) + 1
+    probs = np.diagonal(greal, axis1=1, axis2=2)
+    upper = np.triu(np.ones((n, n), dtype=bool), 1)
+    bound = tol.consistency + slack
+    orth = np.max(overlap[:, upper], axis=1, initial=0.0)
+    cross = np.max(np.abs(greal[:, upper]), axis=1, initial=0.0)
+    total = probs.sum(axis=1)
+    positive = np.all(~used | ((probs > tol.strict_positive - slack) & (probs <= 1.0 + bound)),
+                      axis=1)
+    keep = positive & (orth <= bound) & (np.maximum(cross, np.abs(total - 1.0)) <= bound)
+    return {tuple(map(int, row)) for row in rgs[keep]}
+
+
+@st.composite
+def frame_families(draw):
+    """A one-time state and rank-1 positive operators summing to e: each
+    projector of a random decomposition is split into the m >= rank vectors
+    of a tight frame on its range, with m > rank at least once, so S is not
+    diagonal while groupings of whole frames are orthogonal projectors."""
+    dim = draw(st.sampled_from([2, 3, 4]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 31 - 1)))
+    ds = state_for(random_model(rng, dim))
+    cuts = sorted(draw(st.sets(st.integers(1, dim - 1))))
+    ranks = np.diff([0, *cuts, dim])
+    u = random_unitary(rng, dim)
+    members, budget, start = [], 6 - dim, 0
+    for i, rank in enumerate(ranks):
+        extra = draw(st.integers(1 if i == 0 else 0, budget))  # at least one overlapping frame
+        budget -= extra
+        frame = named_basis("hadamard", rank + extra)[:, :rank]  # orthonormal columns
+        vectors = u[:, start:start + rank] @ frame.conj().T
+        members += [np.outer(f, f.conj()) for f in vectors.T]
+        start += rank
+    order = rng.permutation(len(members))
+    return ds, wright_operator(ds, (0.0,)), np.array(members)[order]
+
+
 class TestGramScreen:
     @given(search_cases())
     @settings(max_examples=30, deadline=None)
     def test_matches_exhaustive_oracle(self, case):
         ds, t, pvms = case
-        tol = active_tolerances()
-        families = [np.array(base) for base in base_families(ds, t, pvms)]
         screens = []
-        for base in families:
-            g, s = _gram_matrices(t, base)
-            rgs = np.array(list(restricted_growth_strings(len(base))))
-            slack = _rounding_slack(g, s, t.space.op_dim)
-            screens.append((g, slack, {tuple(r): keep for r, keep in
-                                       zip(rgs, _screen(g, s, rgs, tol, slack))}))
+        for base in base_families(ds, t, pvms):
+            g = _gram_matrix(t, np.array(base))
+            slack = _rounding_slack(g, t.space.op_dim)
+            screens.append((g, slack, kept_strings(g, len(base), slack)))
 
         def superset(family, rgs, cand, report):
             g, slack, kept = screens[family]
@@ -395,17 +494,45 @@ class TestGramScreen:
             screened = [g[np.ix_(b, b)].sum().real for b in blocks]
             assert np.max(np.abs(np.subtract(screened, report.probabilities))) <= slack
             if report.consistent:
-                assert kept[rgs]
+                assert rgs in kept
 
         expected = oracle_search(ds, t, pvms, on_partition=superset)
         assert_same_windows(search_windows(ds, t, pvms), expected)
+
+    @given(search_cases())
+    @settings(max_examples=30, deadline=None)
+    def test_keeps_what_the_two_matrix_screen_kept(self, case):
+        # on projector families S is diagonal up to rounding, so dropping it
+        # changes no survivor
+        ds, t, pvms = case
+        for base in map(np.array, base_families(ds, t, pvms)):
+            g = _gram_matrix(t, base)
+            assert kept_strings(g, len(base), _rounding_slack(g, t.space.op_dim)) \
+                == two_matrix_screen(t, base)
+
+    @given(frame_families())
+    @settings(max_examples=30, deadline=None)
+    def test_overlapping_family_keeps_every_accepted_partition(self, case):
+        ds, t, base = case
+        n, k, _ = base.shape
+        vecs = base.transpose(0, 2, 1).reshape(n, k * k)
+        s = vecs.conj() @ vecs.T / k
+        assert max_abs(s - np.diag(np.diag(s))) > 1e-3  # S is not diagonal
+        g = _gram_matrix(t, base)
+        kept = kept_strings(g, n, _rounding_slack(g, k))
+        accepted = 0
+        for rgs, blocks in zip(restricted_growth_strings(n), set_partitions(base)):
+            if check_window(window(t.space, [np.sum(b, axis=0) for b in blocks]), t).consistent:
+                accepted += 1
+                assert rgs in kept
+        assert accepted >= 1  # the one-block window is e
 
     @pytest.mark.parametrize("basis", [[P0, P1], [PLUS, MINUS]])
     @pytest.mark.parametrize("weight", [0.0, 2e-12])
     def test_strict_positivity_edge_over_many_chunks(self, basis, weight):
         # H = 0 and one basis at every time: mixed-outcome histories have
         # probability 0 (pure rho) or just above strict_positive; N = 8
-        # spans seventeen 256-string chunks
+        # spans eighteen chunks of at most 256 strings
         ds = qubit_state(np.diag([1.0 - weight, weight]), times=(0.0, 1.0, 2.0))
         t = wright_operator(ds, ds.grid.times)
         pvms = [[basis]] * 3

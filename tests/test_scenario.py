@@ -1,5 +1,6 @@
 import copy
 import json
+import math
 
 import numpy as np
 import pytest
@@ -142,6 +143,25 @@ class TestValidationErrors:
             parse_scenario(data)
         assert "histories[0].projectors[0]" in str(err.value)
 
+    @pytest.mark.parametrize("where, spec, path", [
+        ("histories", {"basis": "hadamard", "index": 0}, "histories[0].projectors[0].basis"),
+        ("pvms", {"basis": "hadamard"}, "pvms[0][0].basis"),
+    ])
+    def test_named_basis_projector_checked_under_tight_bound(self, monkeypatch, where, spec,
+                                                             path):
+        # the Hadamard projectors carry rounding that a 1e-17 bound refuses
+        data = base_scenario()
+        if where == "histories":
+            data["histories"][0]["projectors"][0] = spec
+        else:
+            data["pvms"] = [[spec]]
+        parse_scenario(data)
+        monkeypatch.setenv("HISTQ_TOL", json.dumps({"projector": 1e-17}))
+        with pytest.raises(ScenarioError) as err:
+            parse_scenario(data)
+        assert err.value.path == path
+        assert err.value.message == "not a projector within the projector bound 1e-17"
+
     def test_times_must_increase(self):
         data = base_scenario()
         data["times"] = [1.0, 0.0]
@@ -202,8 +222,11 @@ class TestValidationErrors:
     (("dim",), True, "dim"),
     (("seed",), True, "seed"),
     (("t0",), "a", "t0"),
+    (("rho", "spectral", 1, "vector", "imag"), [None, 2.7e154], "rho.spectral[1].vector"),
+    (("rho", "spectral", 1, "vector", "imag"), [math.inf, 0.0], "rho.spectral[1].vector"),
+    (("rho", "spectral", 1, "vector", "imag"), [0.0, 2.7e154], "rho"),
 ], ids=["pvm-projectors", "histories", "indices", "weight", "bool-index", "bool-dim",
-        "bool-seed", "t0"])
+        "bool-seed", "t0", "null-entry", "infinite-entry", "overflowing-entry"])
 def test_malformed_value_names_its_field(path, value, field):
     with pytest.raises(ScenarioError) as err:
         parse_scenario(replaced(BUNDLED, path, value))
