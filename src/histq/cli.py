@@ -5,9 +5,9 @@ Usage:
           [--scenario PATH] [--out DIR] [--seed INT]
           [--max-n INT] [--series b1|b2]
 
-Exit codes: 0 success, 2 scenario or ``HISTQ_TOL`` validation error,
-3 property failure, 4 support sector too large for the dense constructions
-(``CapacityError``).
+Exit codes: 0 success, 2 scenario, ``HISTQ_TOL``, ``--seed`` or ``--max-n``
+validation error or an ``--out`` that cannot be written, 3 property failure,
+4 support sector too large for the dense constructions (``CapacityError``).
 Without ``--scenario`` the bundled qubit scenario is used.
 """
 
@@ -41,6 +41,9 @@ from .verify import run_suite, scenario_windows
 
 __all__ = ["main", "bundled_scenario_path"]
 
+# Largest --max-n: b2_series holds about 48 bytes per unit of its top truncation.
+MAX_N_LIMIT = 2 ** 22
+
 
 def bundled_scenario_path() -> Path:
     return Path(resources.files("histq") / "scenarios" / "qubit.json")
@@ -63,17 +66,15 @@ def _decohere_payload(scn: Scenario) -> dict:
     residual_sum = 0.0
     residual_ils = 0.0
     labels = [label for label, _ in scn.histories]
-    embedded = {label: embed(scn.model, h, support, scn.grid.t0)
-                for label, h in scn.histories}
+    embedded = [embed(scn.model, h, support, scn.grid.t0) for _, h in scn.histories]
     ils = None
     ils_note = None
     try:
         ils = ils_reconstruct(ds, support)
     except CapacityError as exc:
         ils_note = str(exc)
-    for label_h, h in scn.histories:
-        for label_k, k in scn.histories:
-            hb, kb = embedded[label_h], embedded[label_k]
+    for (label_h, h), hb in zip(scn.histories, embedded):
+        for (label_k, k), kb in zip(scn.histories, embedded):
             chain = d_trace(ds, h, k)
             values = {TAG_CHAIN: chain, TAG_BASIS_SUM: d_basis_sum(ds, hb, kb)}
             residual_sum = max(residual_sum, abs(chain - values[TAG_BASIS_SUM]))
@@ -217,6 +218,9 @@ def main(argv=None) -> int:
         active_tolerances()
         if args.seed is not None and args.seed < 0:
             raise ValueError(f"--seed must be a non-negative integer, got {args.seed}")
+        if args.max_n is not None and not 1 <= args.max_n <= MAX_N_LIMIT:
+            raise ValueError(f"--max-n must be an integer in [1, {MAX_N_LIMIT}], "
+                             f"got {args.max_n}")
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -250,11 +254,13 @@ def main(argv=None) -> int:
                       f"(residual {check['residual']:.3e})")
             if not ok:
                 exit_code = 3
+        write_json(out_dir / f"{args.subcommand}.json", payload)
     except (ScenarioError, CapacityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4 if isinstance(exc, CapacityError) else 2
-
-    write_json(out_dir / f"{args.subcommand}.json", payload)
+    except OSError as exc:  # load_scenario turns its own OSError into ScenarioError
+        print(f"error: --out {args.out}: {exc}", file=sys.stderr)
+        return 2
     print(f"wrote {out_dir / (args.subcommand + '.json')}")
     return exit_code
 

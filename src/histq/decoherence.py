@@ -10,7 +10,9 @@ form, :func:`d_basis_sum` the expansion over products of orthonormal bases,
 and :class:`IlsOperator` the reconstruction d(p, q) = tr((p (x) q) X) from a
 single operator X on the doubled tensor space.  :func:`d_form` is the
 sesquilinear extension to arbitrary operators on one support sector via the
-chain map.
+chain map.  :func:`d_form`, :func:`d_basis_sum` and :func:`density` take two
+:class:`HistoryOperator` arguments on the same support; ``embed`` turns a
+history into one.
 
 The reconstruction is performed on a Hermitian operator basis, where the
 bilinear and sesquilinear extensions agree; values of ``pair_value`` are
@@ -20,7 +22,7 @@ therefore only claimed for self-adjoint arguments.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Sequence
 
 import numpy as np
 
@@ -30,7 +32,6 @@ from .histories import (
     HomogeneousHistory,
     chain_map,
     class_operator,
-    embed,
     support_reduce,
 )
 
@@ -73,27 +74,12 @@ def require_sector(ds: DecoherenceState, support: Sequence[float],
     return support
 
 
-Extended = Union[HistoryOperator, Sequence[tuple[complex, HomogeneousHistory]]]
-
-
 @dataclass(frozen=True)
 class DecoherenceState:
     """An initial state rho together with the admissible time grid."""
 
     model: SystemModel
     grid: TimeGrid
-
-    def sector_operator(self, b: Extended) -> HistoryOperator:
-        """Coerce a history operator or weighted-history combination."""
-        if isinstance(b, HistoryOperator):
-            return b
-        terms = list(b)
-        supports = {h.times for _, h in terms}
-        if len(supports) != 1:
-            raise ValueError("mixed temporal support" if supports else "empty linear combination")
-        support = supports.pop()
-        op = sum(complex(c) * embed(self.model, h, support, self.grid.t0).op for c, h in terms)
-        return HistoryOperator(support=support, dim=self.model.dim, op=op)
 
 
 def _chain(ds: DecoherenceState, h: HomogeneousHistory) -> np.ndarray:
@@ -114,18 +100,16 @@ def d_trace(ds: DecoherenceState, h: HomogeneousHistory, k: HomogeneousHistory) 
     return complex(np.trace(ch.conj().T @ ds.model.rho @ ck))
 
 
-def d_form(ds: DecoherenceState, b1: Extended, b2: Extended) -> complex:
+def d_form(ds: DecoherenceState, b1: HistoryOperator, b2: HistoryOperator) -> complex:
     """Sesquilinear extension tr(pi(b1)^dag rho pi(b2)) on a common support."""
-    x = ds.sector_operator(b1)
-    y = ds.sector_operator(b2)
-    if x.support != y.support:
+    if b1.support != b2.support:
         raise ValueError("mixed temporal support")
-    cx = chain_map(x.op, x.dim, x.n_times)
-    cy = chain_map(y.op, y.dim, y.n_times)
+    cx = chain_map(b1.op, b1.dim, b1.n_times)
+    cy = chain_map(b2.op, b2.dim, b2.n_times)
     return complex(np.trace(cx.conj().T @ ds.model.rho @ cy))
 
 
-def d_basis_sum(ds: DecoherenceState, p: Extended, q: Extended,
+def d_basis_sum(ds: DecoherenceState, p: HistoryOperator, q: HistoryOperator,
                 bases: Sequence[np.ndarray] | None = None) -> complex:
     """Basis-expansion form of the functional on an n-time support.
 
@@ -142,12 +126,10 @@ def d_basis_sum(ds: DecoherenceState, p: Extended, q: Extended,
     conjugate linear in the first slot like :func:`d_form`.  Memory is
     O(dim^(2n)), the size of P and Q.
     """
-    x = ds.sector_operator(p)
-    y = ds.sector_operator(q)
-    if x.support != y.support:
+    if p.support != q.support:
         raise ValueError("mixed temporal support")
     dim = ds.model.dim
-    n = x.n_times
+    n = p.n_times
     psi = ds.model.vectors
     if bases is None:
         bases = [psi] * (2 * n - 1)
@@ -170,17 +152,16 @@ def d_basis_sum(ds: DecoherenceState, p: Extended, q: Extended,
     rows_p = list(range(2 * n - 1, n - 1, -1))
     cols_p = [0] + rows_p[:-1]
     rows_q, cols_q = list(range(n)), list(range(1, n + 1))
-    pt = product(rows_p).conj().T @ x.op.conj().T @ product(cols_p)
-    qt = product(rows_q).conj().T @ y.op @ product(cols_q)
+    pt = product(rows_p).conj().T @ p.op.conj().T @ product(cols_p)
+    qt = product(rows_q).conj().T @ q.op @ product(cols_q)
     axes = [dim] * (2 * n)
     return complex(np.einsum(ds.model.weights, [0], pt.reshape(axes), rows_p + cols_p,
                              qt.reshape(axes), rows_q + cols_q, []))
 
 
-def density(ds: DecoherenceState, p: Extended, q: Extended) -> complex:
+def density(ds: DecoherenceState, p: HistoryOperator, q: HistoryOperator) -> complex:
     """Decoherence value per quantum degree of freedom on the support sector."""
-    x = ds.sector_operator(p)
-    return d_form(ds, x, q) / (ds.model.dim ** x.n_times)
+    return d_form(ds, p, q) / (ds.model.dim ** p.n_times)
 
 
 def hermitian_basis(k: int) -> np.ndarray:

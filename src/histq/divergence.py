@@ -5,10 +5,12 @@ finite value in the untruncated infinite-dimensional theory; at truncation N
 all basis sums are restricted to indices <= N (weights are not renormalized,
 the defect 2^-N is far below fitting tolerance).
 
+Both use the geometric spectral weights w_k = 2^-k.
+
 * Series ``b1``: the projector P_N = sum_{i=2..N} |phi_i><phi_i| with
-  phi_i = (|psi_i psi_1> + |psi_1 psi_i>)/sqrt(2), evaluated against a fixed
-  second argument q.  For q = identity the value is
-  ((N-1) w_1 + sum_{i=2..N} w_i)/2, growing linearly with slope w_1/2.
+  phi_i = (|psi_i psi_1> + |psi_1 psi_i>)/sqrt(2), evaluated against the
+  identity.  The value is ((N-1) w_1 + sum_{i=2..N} w_i)/2, growing linearly
+  with slope w_1/2.
 * Series ``b2``: the two-time basis sum for the compact operator
   h = sum_{k1,k4} (k1+k4)^{-1} |e_k4 psi_k1><psi_k1 e_k4| against the unit,
   equal to sum_{k1,k4<=N} w_k1/(k1+k4), growing like ln N.
@@ -21,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import ClassVar, Sequence
 
 import numpy as np
 
@@ -44,7 +46,7 @@ FIT_RESIDUAL_THRESHOLD = 0.05
 class TruncationSeries:
     label: str  # "b1" | "b2"
     points: tuple[tuple[int, float], ...]
-    omega_rule: str
+    omega_rule: ClassVar[str] = "geometric"  # the spectral weights of every series
 
     def __post_init__(self):
         ns = [n for n, _ in self.points]
@@ -62,7 +64,7 @@ class GrowthVerdict:
 
 
 def geometric_weights(n: int) -> np.ndarray:
-    """Default spectral weights w_k = 2^-k for k = 1..n (summable, tail 2^-n)."""
+    """Spectral weights w_k = 2^-k for k = 1..n (summable, tail 2^-n)."""
     return 0.5 ** np.arange(1, n + 1)
 
 
@@ -76,65 +78,30 @@ def b2_grid(top: int = 2 ** 14) -> list[int]:
     return [2 ** k for k in range(4, int(math.floor(math.log2(top))) + 1)]
 
 
-def _resolve_weights(omega, n: int) -> tuple[np.ndarray, str]:
-    if omega is None or omega == "geometric":
-        return geometric_weights(n), "geometric"
-    w = np.asarray(omega, dtype=float)
-    if w.size < n:
-        raise ValueError(f"need at least {n} weights, got {w.size}")
-    return w[:n], "explicit"
-
-
-def b1_series(n_values: Sequence[int], q: np.ndarray | None = None,
-              omega="geometric") -> TruncationSeries:
-    """Values of the symmetrized-pair projector sum against q at each truncation.
-
-    ``q = None`` means the identity, the only case with a certified growth
-    law; explicit q matrices (on the truncated two-slot space) are accepted
-    for exploration.
-    """
+def b1_series(n_values: Sequence[int]) -> TruncationSeries:
+    """Closed-form values of the symmetrized-pair projector sum at each truncation."""
     n_values = sorted(int(n) for n in n_values)
     if n_values and n_values[0] < 2:
         raise ValueError("b1 truncations start at N = 2")
-    n_max = n_values[-1] if n_values else 2
-    weights, rule = _resolve_weights(omega, n_max)
+    weights = geometric_weights(n_values[-1] if n_values else 2)
     points = []
     for n in n_values:
         w = weights[:n]
-        if q is None:
-            value = 0.5 * ((n - 1) * w[0] + float(np.sum(w[1:])))
-        else:
-            value = _b1_reduced(w, np.asarray(q, dtype=complex), n)
+        value = 0.5 * ((n - 1) * w[0] + float(np.sum(w[1:])))
         points.append((n, float(value)))
-    return TruncationSeries(label="b1", points=tuple(points), omega_rule=rule)
+    return TruncationSeries(label="b1", points=tuple(points))
 
 
-def _b1_reduced(weights: np.ndarray, q: np.ndarray, n: int) -> float:
-    """Reduced formula sum_{i=2..N} (w_1 f(1,j2,1) + w_i f(i,j2,i))/2 over j2."""
-    if q.shape != (n * n, n * n):
-        raise ValueError(f"q must act on the truncated two-slot space, shape {(n * n,) * 2}")
-
-    def f(a: int, b: int, c: int) -> complex:
-        # <psi_a psi_b | q | psi_b psi_c> with 1-based indices
-        return q[(a - 1) * n + (b - 1), (b - 1) * n + (c - 1)]
-
-    total = 0.0 + 0.0j
-    for i in range(2, n + 1):
-        for j2 in range(1, n + 1):
-            total += 0.5 * (weights[0] * f(1, j2, 1) + weights[i - 1] * f(i, j2, i))
-    return float(total.real)
-
-
-def b1_direct_value(n: int, omega="geometric") -> float:
+def b1_direct_value(n: int) -> float:
     """Four-index basis-sum evaluation of the b1 value on the truncated space.
 
     Builds P_N explicitly from the symmetrized pair vectors and sums the
     two-time expansion term by term; small n only, used to corroborate the
-    reduced formula.
+    closed form of :func:`b1_series`.
     """
     if n < 2:
         raise ValueError("b1 truncations start at N = 2")
-    weights, _ = _resolve_weights(omega, n)
+    weights = geometric_weights(n)
     p = np.zeros((n * n, n * n), dtype=complex)
     for i in range(2, n + 1):
         phi = np.zeros(n * n, dtype=complex)
@@ -155,20 +122,20 @@ def b1_direct_value(n: int, omega="geometric") -> float:
     return float(total.real)
 
 
-def b2_series(n_values: Sequence[int], omega="geometric") -> TruncationSeries:
+def b2_series(n_values: Sequence[int]) -> TruncationSeries:
     """S(N) = sum_{k1,k4 <= N} w_k1 / (k1 + k4) via harmonic partial sums."""
     n_values = sorted(int(n) for n in n_values)
     if n_values and n_values[0] < 1:
         raise ValueError("b2 truncations start at N = 1")
     n_max = n_values[-1] if n_values else 1
-    weights, rule = _resolve_weights(omega, n_max)
+    weights = geometric_weights(n_max)
     harmonic = np.concatenate([[0.0], np.cumsum(1.0 / np.arange(1, 2 * n_max + 1))])
     points = []
     for n in n_values:
         k = np.arange(1, n + 1)
         value = float(np.sum(weights[:n] * (harmonic[n + k] - harmonic[k])))
         points.append((n, value))
-    return TruncationSeries(label="b2", points=tuple(points), omega_rule=rule)
+    return TruncationSeries(label="b2", points=tuple(points))
 
 
 def growth_fit(series: TruncationSeries) -> GrowthVerdict:

@@ -31,11 +31,10 @@ def random_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
-def random_density(rng: np.random.Generator, dim: int, full_rank: bool = True) -> np.ndarray:
+def random_density(rng: np.random.Generator, dim: int) -> np.ndarray:
+    """Full-rank density matrix: a Wishart draw shifted away from singular."""
     a = random_operator(rng, dim)
-    rho = a @ a.conj().T
-    if full_rank:
-        rho = rho + 0.1 * np.eye(dim)
+    rho = a @ a.conj().T + 0.1 * np.eye(dim)
     return rho / np.trace(rho).real
 
 
@@ -52,6 +51,5 @@ def random_pvm(rng: np.random.Generator, dim: int) -> list[np.ndarray]:
     return [projector_onto(u[:, [i]]) for i in range(dim)]
 
 
-def random_model(rng: np.random.Generator, dim: int, full_rank: bool = True) -> SystemModel:
-    return SystemModel.from_matrices(random_hermitian(rng, dim),
-                                     random_density(rng, dim, full_rank))
+def random_model(rng: np.random.Generator, dim: int) -> SystemModel:
+    return SystemModel.from_matrices(random_hermitian(rng, dim), random_density(rng, dim))

@@ -9,7 +9,7 @@ A scenario file is a JSON object with the fields
 * ``t0``: evolution origin (optional, default 0);
 * ``times``: strictly increasing list of reals;
 * ``histories``: list of ``{"label": str, "projectors": [spec, ...]}`` with
-  one projector spec per time;
+  one projector spec per time; labels (default ``h<i>``) must be distinct;
 * ``pvms``: per-time lists of alternative projective decompositions, aligned
   with the first ``len(pvms)`` times;
 * ``entropy_p``: list of finite norm parameters >= 1;
@@ -208,7 +208,9 @@ def parse_scenario(data: dict) -> Scenario:
         hpath = f"histories[{i}]"
         if not isinstance(node, dict):
             raise ScenarioError(hpath, "expected an object")
-        label = node.get("label", f"h{i}")
+        label = str(node.get("label", f"h{i}"))
+        if label in (seen for seen, _ in histories):  # labels name the report rows
+            raise ScenarioError(f"{hpath}.label", f"repeats the label {label!r}")
         specs = _require(node, "projectors", f"{hpath}.")
         if not isinstance(specs, list) or len(specs) != len(grid.times):
             raise ScenarioError(f"{hpath}.projectors",
@@ -217,7 +219,7 @@ def parse_scenario(data: dict) -> Scenario:
         for k, spec in enumerate(specs):
             entries[grid.times[k]] = _projector(spec, dim, f"{hpath}.projectors[{k}]")
         try:
-            histories.append((str(label), history(entries)))
+            histories.append((label, history(entries)))
         except ValueError as exc:
             raise ScenarioError(f"{hpath}.projectors", str(exc)) from None
 

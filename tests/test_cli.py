@@ -5,7 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from histq.cli import _entropy_payload, bundled_scenario_path, main
+from histq.cli import (
+    MAX_N_LIMIT,
+    _decohere_payload,
+    _entropy_payload,
+    bundled_scenario_path,
+    main,
+)
 from histq.consistency import ConsistencyReport
 from histq.scenario import load_scenario
 from histq.verify import scenario_windows
@@ -145,6 +151,20 @@ class TestValidationExit:
         assert code == 2
         assert "unreadable" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("max_n", [0, -5, MAX_N_LIMIT + 1])
+    def test_max_n_out_of_range_exits_2(self, tmp_path, capsys, max_n):
+        code = run(["diverge", "--out", str(tmp_path / "o"), "--max-n", str(max_n)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: --max-n ")
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("out", ["taken", "taken/sub"])
+    def test_unusable_out_exits_2(self, tmp_path, capsys, out):
+        (tmp_path / "taken").write_text("a file, not a directory\n", encoding="utf-8")
+        code = run(["decohere", "--out", str(tmp_path / out)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: --out {tmp_path / out}: ")
+
     @pytest.mark.parametrize("override, field", [('{"bogus": 1}', "bogus"),
                                                  ('{"agreement": "x"}', "agreement")])
     def test_bad_tolerance_override_exits_2_and_names_field(self, tmp_path, capsys,
@@ -221,6 +241,23 @@ class TestCapacity:
 
 
 class TestDecohere:
+    def test_repeated_label_exits_2(self, tmp_path, capsys):
+        scenario = json.loads(bundled_scenario_path().read_text())
+        scenario["histories"][2]["label"] = scenario["histories"][1]["label"]
+        path = tmp_path / "repeated.json"
+        path.write_text(json.dumps(scenario), encoding="utf-8")
+        code = run(["decohere", "--scenario", str(path), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: histories[2].label: ")
+
+    def test_rows_pair_histories_by_position(self):
+        # even under one label, each history's rows use its own operator
+        scn = load_scenario(bundled_scenario_path())
+        scn.histories[2] = (scn.histories[1][0], scn.histories[2][1])
+        agreement = _decohere_payload(scn)["agreement"]
+        assert agreement["chain_vs_basis_sum"] <= 1e-9
+        assert agreement["chain_vs_ils"] <= 1e-9
+
     def test_worked_numbers_in_report(self, tmp_path):
         assert run(["decohere", "--out", str(tmp_path)]) == 0
         payload = json.loads((tmp_path / "decohere.json").read_text())

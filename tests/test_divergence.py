@@ -51,12 +51,6 @@ class TestB1Series:
             reduced = dict(b1_series([n]).points)[n]
             assert abs(reduced - b1_direct_value(n)) <= 1e-10
 
-    def test_explicit_q_identity_matches_closed_form(self):
-        for n in (2, 4):
-            q = np.eye(n * n, dtype=complex)
-            explicit = dict(b1_series([n], q=q).points)[n]
-            assert explicit == pytest.approx(dict(b1_series([n]).points)[n], abs=1e-12)
-
     def test_nonnegative_and_nondecreasing(self):
         values = [v for _, v in b1_series(range(2, 50)).points]
         assert all(v >= 0 for v in values)
@@ -96,7 +90,7 @@ class TestB2Series:
 class TestGrowthFit:
     def test_constant_series_is_bounded(self):
         pts = tuple((n, 5.0) for n in (10, 30, 100, 300, 1000, 3000))
-        verdict = growth_fit(TruncationSeries("b2", pts, "explicit"))
+        verdict = growth_fit(TruncationSeries("b2", pts))
         assert verdict.classification == "bounded"
         assert verdict.slope == 0.0
 
@@ -122,12 +116,3 @@ class TestWeights:
     def test_geometric_rule(self):
         w = geometric_weights(5)
         assert np.allclose(w, [0.5, 0.25, 0.125, 0.0625, 0.03125])
-
-    def test_explicit_weights_accepted(self):
-        series = b2_series([1, 2], omega=[0.5, 0.5])
-        assert series.omega_rule == "explicit"
-        assert dict(series.points)[1] == pytest.approx(0.25)
-
-    def test_short_weight_list_rejected(self):
-        with pytest.raises(ValueError, match="weights"):
-            b2_series([5], omega=[0.5, 0.5])

@@ -200,6 +200,20 @@ class TestValidationErrors:
         with pytest.raises(ScenarioError, match="dim"):
             parse_scenario(data)
 
+    @pytest.mark.parametrize("first, second", [("z", "z"), (1, "1"), (None, "h0")])
+    def test_repeated_label_names_its_path(self, first, second):
+        # labels compare as report strings, after the default h<i> is filled in
+        data = base_scenario()
+        data["histories"].append(copy.deepcopy(data["histories"][0]))
+        data["histories"][1]["label"] = second
+        if first is None:
+            del data["histories"][0]["label"]
+        else:
+            data["histories"][0]["label"] = first
+        with pytest.raises(ScenarioError) as err:
+            parse_scenario(data)
+        assert err.value.path == "histories[1].label"
+
     def test_unreadable_file(self, tmp_path):
         with pytest.raises(ScenarioError, match="unreadable"):
             load_scenario(tmp_path / "missing.json")
