@@ -1,10 +1,10 @@
 """Finite-dimensional numerics for temporal (history) quantum theories."""
 
 from .core import (
+    TOLERANCES,
     SystemModel,
     TimeGrid,
     Tolerances,
-    active_tolerances,
     evolve,
     heisenberg,
     named_basis,
@@ -27,7 +27,6 @@ from .decoherence import (
     d_basis_sum,
     d_form,
     d_trace,
-    density,
     hermitian_basis,
     ils_reconstruct,
 )

@@ -5,22 +5,24 @@ Usage:
           [--scenario PATH] [--out DIR] [--seed INT]
           [--max-n INT] [--series b1|b2]
 
-Exit codes: 0 success, 2 scenario, ``HISTQ_TOL``, ``--seed`` or ``--max-n``
-validation error or an ``--out`` that cannot be written, 3 property failure,
-4 support sector too large for the dense constructions (``CapacityError``).
-Without ``--scenario`` the bundled qubit scenario is used.
+Exit codes: 0 success, 2 scenario, ``--seed`` or ``--max-n`` validation error,
+a tolerance override (refused: the tolerances are fixed) or an ``--out`` that
+cannot be written, 3 property failure, 4 support sector too large for the
+dense constructions (``CapacityError``).  Without ``--scenario`` the bundled
+qubit scenario is used.  Reports are computed before ``--out`` is created,
+so a failed run leaves none.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from importlib import resources
 from pathlib import Path
 
 from .consistency import is_maximally_refined
-from .core import active_tolerances
 from .decoherence import CapacityError, DecoherenceState, d_basis_sum, d_trace, ils_reconstruct
 from .divergence import b1_grid, b1_series, b2_grid, b2_series, growth_fit
 from .entropy import min_entropy, sup_refinement_entropy, window_entropy, window_entropy_pnorm
@@ -119,10 +121,11 @@ def _windows_payload(scn: Scenario, found, labels) -> dict:
 def _entropy_payload(scn: Scenario, found, labels) -> dict:
     table = []
     skipped = []
+    scored = {w: window_entropy(w) for w in found}  # the search keeps consistent windows only
     for label, w in zip(labels, found):
         for p in scn.entropy_p:
             if p == 2.0:
-                rep = window_entropy(w)
+                rep = scored[w]
             elif w.opreport is None or not w.opreport.consistent:
                 reason = ("members are not projectors" if w.opreport is None else
                           f"operator picture inconsistent: {', '.join(w.opreport.violated)}")
@@ -140,10 +143,10 @@ def _entropy_payload(scn: Scenario, found, labels) -> dict:
                            "contribution": term.contribution}
                           for term in rep.terms],
             })
-    best_value, best_window = min_entropy(found)
+    best_value, best_window = min_entropy(found, scored)
     sups = [{"window": label,
              "representation": TAG_ENTROPY,
-             "sup_over_refinements": sup_refinement_entropy(w, found)}
+             "sup_over_refinements": sup_refinement_entropy(w, found, scored)}
             for label, w in zip(labels, found)]
     return {
         "table": table,
@@ -154,34 +157,33 @@ def _entropy_payload(scn: Scenario, found, labels) -> dict:
     }
 
 
-def _series_section(series, out_dir: Path) -> dict:
-    """Report entry of one truncation series; also writes ``<label>.csv``."""
+def _series_section(series) -> dict:
+    """Report entry of one truncation series; b2 adds its doubling differences."""
     fit = growth_fit(series)
-    write_csv(out_dir / f"{series.label}.csv", ["N", "value"], list(series.points))
-    return {
+    section = {
         "representation": TAG_BASIS_SUM,
         "omega_rule": series.omega_rule,
         "points": [[n, v] for n, v in series.points],
         "fit": {"classification": fit.classification,
                 "slope": fit.slope, "residual": fit.residual},
     }
+    if series.label == "b2":
+        steps = zip(series.points, series.points[1:])
+        section["doubling_differences"] = [{"from": a, "to": b, "difference": vb - va}
+                                           for (a, va), (b, vb) in steps]
+        section["ln2"] = math.log(2)
+    return section
 
 
-def _diverge_payload(scn: Scenario, out_dir: Path, series: str, max_n: int | None) -> dict:
+def _diverge_series(which: str, max_n: int | None) -> list:
+    """The truncation series ``--series`` names; each is also a ``<label>.csv``."""
     # the growth fit needs two decades of N, so never stop below 10^3 or 2^11
-    payload = {}
-    if series in ("b1", "both"):
-        ns = b1_grid(max(max_n, 1000)) if max_n else b1_grid()
-        payload["b1"] = _series_section(b1_series(ns), out_dir)
-    if series in ("b2", "both"):
-        ns = b2_grid(max(max_n, 2 ** 11)) if max_n else b2_grid()
-        s2 = b2_series(ns)
-        values = dict(s2.points)
-        doubling = [{"from": a, "to": b, "difference": values[b] - values[a]}
-                    for a, b in zip(ns, ns[1:])]
-        payload["b2"] = {**_series_section(s2, out_dir),
-                         "doubling_differences": doubling, "ln2": math.log(2)}
-    return payload
+    series = []
+    if which in ("b1", "both"):
+        series.append(b1_series(b1_grid(max(max_n, 1000)) if max_n else b1_grid()))
+    if which in ("b2", "both"):
+        series.append(b2_series(b2_grid(max(max_n, 2 ** 11)) if max_n else b2_grid()))
+    return series
 
 
 def _verify_payload(scn: Scenario) -> tuple[dict, bool]:
@@ -215,7 +217,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        active_tolerances()
+        if "HISTQ_TOL" in os.environ:  # refused, not ignored: its setter expects other bounds
+            raise ValueError("HISTQ_TOL is no longer read: the tolerances are fixed "
+                             "(see README, Tolerances)")
         if args.seed is not None and args.seed < 0:
             raise ValueError(f"--seed must be a non-negative integer, got {args.seed}")
         if args.max_n is not None and not 1 <= args.max_n <= MAX_N_LIMIT:
@@ -231,10 +235,8 @@ def main(argv=None) -> int:
         if args.seed is not None:
             scn.seed = args.seed
 
-        out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-
         payload = {"scenario": _scenario_section(scn, source)}
+        series = []
         exit_code = 0
         if args.subcommand == "decohere":
             payload["decoherence"] = _decohere_payload(scn)
@@ -245,7 +247,8 @@ def main(argv=None) -> int:
             if args.subcommand == "entropy":
                 payload["entropy"] = _entropy_payload(scn, found, labels)
         elif args.subcommand == "diverge":
-            payload["divergence"] = _diverge_payload(scn, out_dir, args.series, args.max_n)
+            series = _diverge_series(args.series, args.max_n)
+            payload["divergence"] = {s.label: _series_section(s) for s in series}
         elif args.subcommand == "verify":
             payload["verify"], ok = _verify_payload(scn)
             for check in payload["verify"]["checks"]:
@@ -254,6 +257,10 @@ def main(argv=None) -> int:
                       f"(residual {check['residual']:.3e})")
             if not ok:
                 exit_code = 3
+        out_dir = Path(args.out)  # created only now that every report is computed
+        out_dir.mkdir(parents=True, exist_ok=True)
+        for s in series:
+            write_csv(out_dir / f"{s.label}.csv", ["N", "value"], list(s.points))
         write_json(out_dir / f"{args.subcommand}.json", payload)
     except (ScenarioError, CapacityError) as exc:
         print(f"error: {exc}", file=sys.stderr)

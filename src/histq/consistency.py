@@ -29,7 +29,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .core import Tolerances, active_tolerances, as_operator, heisenberg, is_projector, max_abs
+from .core import TOLERANCES, as_operator, heisenberg, is_projector, max_abs
 from .decoherence import DecoherenceState, d_form
 from .propositions import (
     Proposition,
@@ -92,13 +92,16 @@ class Window:
             if x.space != self.space:
                 raise ValueError("sector mismatch")
 
+    @functools.cached_property
+    def projective(self) -> bool:
+        """True when every member is a projector; tested once per window."""
+        return all(is_projector(x.op) for x in self.members)
+
     def decide(self, ds: DecoherenceState, t: WrightOperator) -> Window:
         """A copy with the verdicts of ``check_window`` for ``t`` and, when every
         member is a projector, ``check_window_operators`` for ``ds``."""
         kreport = check_window(self, t)
-        opreport = None
-        if all(is_projector(x.op) for x in self.members):
-            opreport = check_window_operators(ds, self)
+        opreport = check_window_operators(ds, self) if self.projective else None
         return replace(self, kreport=kreport, opreport=opreport)
 
 
@@ -107,10 +110,9 @@ def window(space: PropositionSpace, ops: Sequence[np.ndarray]) -> Window:
     return Window(space=space, members=members)
 
 
-def _bound(name: str, residual: float, tol: Tolerances,
-           violated: list[str], residuals: list[float]) -> None:
+def _bound(name: str, residual: float, violated: list[str], residuals: list[float]) -> None:
     residuals.append(residual)
-    if residual > tol.consistency:
+    if residual > TOLERANCES.consistency:
         violated.append(name)
 
 
@@ -120,14 +122,14 @@ def _pair_max(measure, items: Sequence, floor: float = 0.0) -> float:
     return max(itertools.chain([floor], itertools.starmap(measure, pairs)))
 
 
-def _structure(w: Window, overlap, tol: Tolerances) -> tuple[list[str], list[float]]:
+def _structure(w: Window, overlap) -> tuple[list[str], list[float]]:
     """The conditions both pictures share: pairwise orthogonality under
     ``overlap`` and completeness (the members sum to e)."""
     violated: list[str] = []
     residuals: list[float] = []
-    _bound("orthogonality", _pair_max(overlap, w.members), tol, violated, residuals)
+    _bound("orthogonality", _pair_max(overlap, w.members), violated, residuals)
     _bound("completeness", max_abs(sum(x.op for x in w.members) - np.eye(w.space.op_dim)),
-           tol, violated, residuals)
+           violated, residuals)
     return violated, residuals
 
 
@@ -150,19 +152,18 @@ def check_window(w: Window, t: WrightOperator) -> ConsistencyReport:
     complete product family it equals 1 identically even with interference
     between the members.)  The report's probabilities are <x_i, T x_i>.
     """
-    tol = active_tolerances()
     if w.space != t.space:
         raise ValueError("sector mismatch")
-    violated, residuals = _structure(w, lambda x, y: abs(hs_inner(x, y)), tol)
+    violated, residuals = _structure(w, lambda x, y: abs(hs_inner(x, y)))
 
     probs = tuple(probability(t, x) for x in w.members)
-    if any(p <= tol.strict_positive or p > 1.0 + tol.consistency for p in probs):
+    if any(p <= TOLERANCES.strict_positive or p > 1.0 + TOLERANCES.consistency for p in probs):
         violated.append("positivity")
     residuals.append(max([p - 1.0 for p in probs if p > 1.0], default=0.0))
 
     pairs = [(x, t.apply(x)) for x in w.members]  # (x_i, T x_i)
     add = _pair_max(lambda a, b: abs(hs_inner(a[0], b[1]).real), pairs, abs(sum(probs) - 1.0))
-    _bound("additivity", add, tol, violated, residuals)
+    _bound("additivity", add, violated, residuals)
 
     return _verdict(violated, residuals, probs)
 
@@ -171,15 +172,13 @@ def check_window_operators(ds: DecoherenceState, w: Window) -> ConsistencyReport
     """Operator-picture consistency: orthogonal complete projections with
     vanishing real off-diagonal decoherence values.  The report's
     probabilities are the diagonal values Re d(x_i, x_i)."""
-    tol = active_tolerances()
-    for x in w.members:
-        if not is_projector(x.op):
-            raise ValueError("non-projector member")
-    violated, residuals = _structure(w, lambda x, y: max_abs(x.op @ y.op), tol)
+    if not w.projective:
+        raise ValueError("non-projector member")
+    violated, residuals = _structure(w, lambda x, y: max_abs(x.op @ y.op))
 
     hops = [x.as_history_operator() for x in w.members]
     cross = _pair_max(lambda a, b: abs(d_form(ds, a, b).real), hops)
-    _bound("re-cross-term", cross, tol, violated, residuals)
+    _bound("re-cross-term", cross, violated, residuals)
     probs = tuple(d_form(ds, b, b).real for b in hops)
     return _verdict(violated, residuals, probs)
 
@@ -192,13 +191,12 @@ def is_refinement(fine: Window, coarse: Window) -> bool:
     block for orthogonal families; the explicit sum check makes the answer
     sound either way.
     """
-    tol = active_tolerances()
     if fine.space != coarse.space:
         raise ValueError("sector mismatch")
     blocks: dict[int, list[Proposition]] = {i: [] for i in range(len(coarse.members))}
     for y in fine.members:
         normsq = hs_inner(y, y).real
-        if normsq <= tol.strict_positive:
+        if normsq <= TOLERANCES.strict_positive:
             return False
         scores = [hs_inner(y, x).real / normsq for x in coarse.members]
         owner = int(np.argmax(scores))
@@ -207,7 +205,7 @@ def is_refinement(fine: Window, coarse: Window) -> bool:
         blocks[owner].append(y)
     for i, x in enumerate(coarse.members):
         total = sum((y.op for y in blocks[i]), np.zeros_like(x.op))
-        if max_abs(total - x.op) > tol.consistency:
+        if max_abs(total - x.op) > TOLERANCES.consistency:
             return False
     return True
 
@@ -276,8 +274,7 @@ def _rounding_slack(g: np.ndarray, op_dim: int) -> float:
     return _ROUNDING_ULPS * (n * n + op_dim * op_dim) * np.finfo(float).eps * scale
 
 
-def _screen(g: np.ndarray, chunks: Iterable[np.ndarray], tol: Tolerances,
-            slack: float) -> Iterator[np.ndarray]:
+def _screen(g: np.ndarray, chunks: Iterable[np.ndarray], slack: float) -> Iterator[np.ndarray]:
     """The rows of each chunk of strings whose partition ``check_window`` may accept.
 
     With the one-hot block matrix O[a, i] = [rgs[a] == i] of a partition,
@@ -292,14 +289,14 @@ def _screen(g: np.ndarray, chunks: Iterable[np.ndarray], tol: Tolerances,
     blocks = np.arange(n)
     upper = np.triu(np.ones((n, n), dtype=bool), 1)
     greal = g.real  # O is real, so Re(O^T G O) = O^T Re(G) O; real matmuls are cheaper
-    bound = tol.consistency + slack
+    bound = TOLERANCES.consistency + slack
+    floor = TOLERANCES.strict_positive - slack
     for rgs in chunks:
         onehot = np.take(onehot_rows, rgs, axis=0)
         sums = onehot.transpose(0, 2, 1) @ greal @ onehot
         probs = np.diagonal(sums, axis1=1, axis2=2)
         used = blocks <= rgs.max(axis=1, keepdims=True)
-        positive = np.all(~used | ((probs > tol.strict_positive - slack) & (probs <= 1.0 + bound)),
-                          axis=1)
+        positive = np.all(~used | ((probs > floor) & (probs <= 1.0 + bound)), axis=1)
         cross = np.max(np.abs(sums[:, upper]), axis=1, initial=0.0)
         total = probs.sum(axis=1)  # empty blocks add exact zeros
         yield rgs[positive & (np.maximum(cross, np.abs(total - 1.0)) <= bound)]
@@ -330,7 +327,6 @@ def search_windows(ds: DecoherenceState, t: WrightOperator,
     broken by a canonical byte key, so the output does not depend on the
     ordering of the supplied decomposition elements.
     """
-    tol = active_tolerances()
     space = t.space
     results: dict[tuple[bytes, ...], Window] = {}
 
@@ -351,7 +347,7 @@ def search_windows(ds: DecoherenceState, t: WrightOperator,
             elements = [as_operator(p) for p in pvm]
             if not all(is_projector(p) for p in elements):
                 raise ValueError(f"decomposition pvms[{k}][{j}]: elements must be projectors")
-            if max_abs(sum(elements) - eye) > tol.consistency:
+            if max_abs(sum(elements) - eye) > TOLERANCES.consistency:
                 raise ValueError(f"decomposition pvms[{k}][{j}]: "
                                  "elements must sum to the identity")
             per_time.append([heisenberg(ds.model, p, time, ds.grid.t0) for p in elements])
@@ -364,7 +360,7 @@ def search_windows(ds: DecoherenceState, t: WrightOperator,
                 f"base family too large: {len(combos)} > {MAX_BASE_FAMILY}")
         base = np.array([functools.reduce(np.kron, combo) for combo in combos])
         g = _gram_matrix(t, base)
-        for kept in _screen(g, _rgs_chunks(len(base)), tol, _rounding_slack(g, space.op_dim)):
+        for kept in _screen(g, _rgs_chunks(len(base)), _rounding_slack(g, space.op_dim)):
             for row in kept:
                 ops = [np.sum(base[row == v], axis=0) for v in range(row.max() + 1)]
                 # a sum drifting past the projector bound gets no operator verdict

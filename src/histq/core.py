@@ -2,23 +2,21 @@
 
 Conventions used throughout the package: hbar = 1, all operators are dense
 ``numpy`` arrays with ``complex`` dtype, and in every tensor product the
-leftmost factor belongs to the earliest time.
+leftmost factor belongs to the earliest time.  Every residual threshold is a
+field of the one fixed record ``TOLERANCES``; nothing at run time changes it.
 """
 
 from __future__ import annotations
 
-import json
-import math
-import os
-from dataclasses import dataclass, field, fields, replace
-from functools import lru_cache, reduce
+from dataclasses import dataclass, field
+from functools import reduce
 from typing import Sequence
 
 import numpy as np
 
 __all__ = [
     "Tolerances",
-    "active_tolerances",
+    "TOLERANCES",
     "as_operator",
     "max_abs",
     "is_hermitian",
@@ -39,8 +37,8 @@ class Tolerances:
     """Central numeric policy; every residual threshold lives here.
 
     ``hermitian`` and ``equality`` are relative to the largest matrix entry,
-    the rest are absolute.  The environment variable ``HISTQ_TOL`` may hold a
-    JSON object overriding individual fields (off by default).
+    the rest are absolute.  The values are fixed: the program reads them
+    from the one record ``TOLERANCES``.
     """
 
     equality: float = 1e-10
@@ -55,38 +53,7 @@ class Tolerances:
     strict_positive: float = 1e-12
 
 
-_DEFAULT = Tolerances()
-
-
-def active_tolerances() -> Tolerances:
-    """The default :class:`Tolerances`, with ``HISTQ_TOL`` overrides applied.
-
-    Raises ``ValueError`` naming ``HISTQ_TOL`` and the offending field when
-    the override is not a JSON object of known fields with finite positive
-    numbers.  Each valid value is parsed once; an invalid one raises on every call.
-    """
-    raw = os.environ.get("HISTQ_TOL")
-    return _parse_tolerances(raw) if raw else _DEFAULT
-
-
-@lru_cache(maxsize=8)
-def _parse_tolerances(raw: str) -> Tolerances:
-    try:
-        overrides = json.loads(raw)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"HISTQ_TOL is not valid JSON: {exc}") from None
-    if not isinstance(overrides, dict):
-        raise ValueError("HISTQ_TOL must be a JSON object of field overrides")
-    known = {f.name for f in fields(Tolerances)}
-    for name, value in overrides.items():
-        if name not in known:
-            raise ValueError(f"HISTQ_TOL: unknown field {name!r}; "
-                             f"known fields are {', '.join(sorted(known))}")
-        if (isinstance(value, bool) or not isinstance(value, (int, float))
-                or (isinstance(value, float) and not math.isfinite(value)) or value <= 0):
-            raise ValueError(f"HISTQ_TOL: field {name!r} must be a finite positive "
-                             f"number, got {value!r}")
-    return replace(_DEFAULT, **overrides)
+TOLERANCES = Tolerances()
 
 
 def as_operator(a) -> np.ndarray:
@@ -105,18 +72,18 @@ def max_abs(a) -> float:
 def is_hermitian(a) -> bool:
     a = as_operator(a)
     scale = max(max_abs(a), 1.0)
-    return max_abs(a - a.conj().T) <= active_tolerances().hermitian * scale
+    return max_abs(a - a.conj().T) <= TOLERANCES.hermitian * scale
 
 
 def is_unitary(u) -> bool:
     u = as_operator(u)
     eye = np.eye(u.shape[0])
-    return max_abs(u.conj().T @ u - eye) <= active_tolerances().unitary
+    return max_abs(u.conj().T @ u - eye) <= TOLERANCES.unitary
 
 
 def is_projector(p) -> bool:
     p = as_operator(p)
-    return is_hermitian(p) and max_abs(p @ p - p) <= active_tolerances().projector
+    return is_hermitian(p) and max_abs(p @ p - p) <= TOLERANCES.projector
 
 
 def projector_onto(vectors) -> np.ndarray:
@@ -169,7 +136,6 @@ class SystemModel:
     energy_basis: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        tol = active_tolerances()
         if self.dim < 1:
             raise ValueError("dim must be a positive integer")
         h = as_operator(self.hamiltonian)
@@ -185,19 +151,21 @@ class SystemModel:
             raise ValueError("rho dimension mismatch")
         if not is_hermitian(r):
             raise ValueError("rho must be Hermitian")
-        if abs(np.trace(r).real - 1.0) > tol.trace_one or abs(np.trace(r).imag) > tol.trace_one:
-            raise ValueError(f"rho must have unit trace, got {np.trace(r).real!r}")
+        trace = np.trace(r)
+        if (abs(trace.real - 1.0) > TOLERANCES.trace_one
+                or abs(trace.imag) > TOLERANCES.trace_one):
+            raise ValueError(f"rho must have unit trace, got {trace.real!r}")
         w = np.asarray(self.weights, dtype=float)
         v = np.asarray(self.vectors, dtype=complex)
         if w.shape != (self.dim,) or v.shape != (self.dim, self.dim):
             raise ValueError("spectral resolution must cover the full basis")
-        if np.any(w < -tol.orthonormal):
+        if np.any(w < -TOLERANCES.orthonormal):
             raise ValueError("spectral weights must be nonnegative")
-        if abs(w.sum() - 1.0) > tol.trace_one:
+        if abs(w.sum() - 1.0) > TOLERANCES.trace_one:
             raise ValueError(f"spectral weights must sum to 1, got {w.sum()!r}")
-        if max_abs(v.conj().T @ v - np.eye(self.dim)) > 10 * tol.orthonormal:
+        if max_abs(v.conj().T @ v - np.eye(self.dim)) > 10 * TOLERANCES.orthonormal:
             raise ValueError("spectral vectors must be orthonormal")
-        if max_abs((v * w) @ v.conj().T - r) > tol.reconstruction:
+        if max_abs((v * w) @ v.conj().T - r) > TOLERANCES.reconstruction:
             raise ValueError("spectral resolution does not reconstruct rho")
 
     @classmethod

@@ -10,7 +10,7 @@ form, :func:`d_basis_sum` the expansion over products of orthonormal bases,
 and :class:`IlsOperator` the reconstruction d(p, q) = tr((p (x) q) X) from a
 single operator X on the doubled tensor space.  :func:`d_form` is the
 sesquilinear extension to arbitrary operators on one support sector via the
-chain map.  :func:`d_form`, :func:`d_basis_sum` and :func:`density` take two
+chain map.  :func:`d_form` and :func:`d_basis_sum` take two
 :class:`HistoryOperator` arguments on the same support; ``embed`` turns a
 history into one.
 
@@ -44,7 +44,6 @@ __all__ = [
     "d_trace",
     "d_form",
     "d_basis_sum",
-    "density",
     "hermitian_basis",
     "IlsOperator",
     "ils_reconstruct",
@@ -157,11 +156,6 @@ def d_basis_sum(ds: DecoherenceState, p: HistoryOperator, q: HistoryOperator,
     axes = [dim] * (2 * n)
     return complex(np.einsum(ds.model.weights, [0], pt.reshape(axes), rows_p + cols_p,
                              qt.reshape(axes), rows_q + cols_q, []))
-
-
-def density(ds: DecoherenceState, p: HistoryOperator, q: HistoryOperator) -> complex:
-    """Decoherence value per quantum degree of freedom on the support sector."""
-    return d_form(ds, p, q) / (ds.model.dim ** p.n_times)
 
 
 def hermitian_basis(k: int) -> np.ndarray:

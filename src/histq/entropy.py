@@ -21,12 +21,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 from numpy.typing import ArrayLike
 
-from .core import active_tolerances
+from .core import TOLERANCES
 from .consistency import ConsistencyReport, Window, strict_refinements
 from .propositions import hs_inner, p_norm
 
@@ -56,10 +56,9 @@ class EntropyReport:
 
 
 def _report(p: float, pairs: Sequence[tuple[float, float]]) -> EntropyReport:
-    tol = active_tolerances()
     terms = []
     for prob, normsq in pairs:
-        if prob <= tol.strict_positive:
+        if prob <= TOLERANCES.strict_positive:
             contribution = 0.0  # x ln x -> 0 limit
         else:
             contribution = -prob * math.log(prob / normsq)
@@ -118,16 +117,23 @@ def refinement_gap(a: ArrayLike, b: ArrayLike, q: ArrayLike) -> np.ndarray | flo
     return first - second
 
 
-def min_entropy(family: Sequence[Window]) -> tuple[float, Window]:
+def _value(w: Window, scored: Mapping[Window, EntropyReport] | None) -> float:
+    return (window_entropy(w) if scored is None else scored[w]).value
+
+
+def min_entropy(family: Sequence[Window],
+                scored: Mapping[Window, EntropyReport] | None = None) -> tuple[float, Window]:
     """Minimum window entropy over the consistent members of a decided family.
 
     An upper bound on the theory's entropy, since no finite family exhausts
     all consistent sets.  Ties break toward the lowest family index.
+    ``scored``, when given, holds the :func:`window_entropy` report of every
+    consistent window of the family, so none is computed again.
     """
     best: tuple[float, int, Window] | None = None
     for idx, w in enumerate(family):
         if _consistent(w.kreport, "sector"):
-            value = window_entropy(w).value
+            value = _value(w, scored)
             if best is None or (value, idx) < best[:2]:
                 best = (value, idx, w)
     if best is None:
@@ -135,13 +141,15 @@ def min_entropy(family: Sequence[Window]) -> tuple[float, Window]:
     return best[0], best[2]
 
 
-def sup_refinement_entropy(w: Window, family: Sequence[Window]) -> float:
+def sup_refinement_entropy(w: Window, family: Sequence[Window],
+                           scored: Mapping[Window, EntropyReport] | None = None) -> float:
     """Supremum of the entropy over consistent refinements of ``w`` in the family.
 
     ``w`` itself counts as a refinement; in finite dimension every value is
-    finite, so the supremum is a maximum.
+    finite, so the supremum is a maximum.  ``scored`` is as in
+    :func:`min_entropy`.
     """
-    values = [window_entropy(w).value]
-    values += [window_entropy(cand).value for cand in strict_refinements(w, family)
+    values = [_value(w, scored)]
+    values += [_value(cand, scored) for cand in strict_refinements(w, family)
                if _consistent(cand.kreport, "sector")]
     return max(values)

@@ -23,8 +23,8 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .core import (
+    TOLERANCES,
     SystemModel,
-    active_tolerances,
     as_operator,
     heisenberg,
     is_projector,
@@ -45,18 +45,14 @@ __all__ = [
 
 @dataclass(frozen=True)
 class HomogeneousHistory:
-    """Ordered (time, projector) pairs; empty items mean the unit proposition."""
+    """Ordered (time, projector) pairs; empty items mean the unit proposition.
+
+    The projectors come checked, by :func:`history` or by the scenario parser.
+    """
 
     items: tuple[tuple[float, np.ndarray], ...]
 
     def __post_init__(self):
-        seen = set()
-        for t, p in self.items:
-            if t in seen:
-                raise ValueError(f"duplicate time {t!r} in history")
-            seen.add(t)
-            if not is_projector(p):
-                raise ValueError(f"history entry at time {t!r} is not a projector")
         if any(b <= a for (a, _), (b, _) in zip(self.items, self.items[1:])):
             raise ValueError("history times must be strictly increasing")
 
@@ -72,9 +68,12 @@ class HomogeneousHistory:
 
 
 def history(entries: Mapping[float, np.ndarray]) -> HomogeneousHistory:
-    """Build a history from a time -> projector mapping."""
+    """Build a history from a time -> projector mapping; ``ValueError`` on a non-projector."""
     items = tuple(sorted(((float(t), as_operator(p)) for t, p in entries.items()),
                          key=lambda tp: tp[0]))
+    for t, p in items:
+        if not is_projector(p):
+            raise ValueError(f"history entry at time {t!r} is not a projector")
     return HomogeneousHistory(items)
 
 
@@ -83,11 +82,10 @@ def support_reduce(h: HomogeneousHistory) -> HomogeneousHistory:
 
     Returns ``h`` itself when no entry is dropped.
     """
-    tol = active_tolerances()
     kept = []
     for t, p in h.items:
         eye = np.eye(p.shape[0])
-        if max_abs(p - eye) > tol.equality * max(max_abs(p), 1.0):
+        if max_abs(p - eye) > TOLERANCES.equality * max(max_abs(p), 1.0):
             kept.append((t, p))
     return h if len(kept) == len(h.items) else HomogeneousHistory(tuple(kept))
 

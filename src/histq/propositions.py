@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import active_tolerances, as_operator
+from .core import TOLERANCES, as_operator
 from .decoherence import DecoherenceState, require_sector
 from .histories import HistoryOperator, chain_map
 
@@ -158,9 +158,8 @@ def wright_operator(ds: DecoherenceState, support: Sequence[float]) -> WrightOpe
 def probability(t: WrightOperator, x: Proposition) -> float:
     """Quadratic form <x, T x>; may leave [0, 1] for inconsistent propositions."""
     _same_sector(x, t)
-    tol = active_tolerances()
     vec = x.op.flatten(order="F")
     value = complex(vec.conj() @ t.matrix @ vec) / t.space.op_dim
-    if abs(value.imag) > tol.agreement:
+    if abs(value.imag) > TOLERANCES.agreement:
         raise ValueError("non-real quadratic form")
     return float(value.real)

@@ -1,6 +1,6 @@
 """Deterministic JSON/CSV report serialization.
 
-Reports never contain timestamps or environment data; for a fixed scenario
+Reports never contain timestamps or data about the host; for a fixed scenario
 and seed two runs emit byte-identical files.  Keys appear in the order they
 are documented in the README.  Complex values are written as ``{"re": ...,
 "im": ...}`` pairs, so no format relies on complex literals.

@@ -34,8 +34,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import SystemModel, TimeGrid, active_tolerances, is_projector, named_basis, projector_onto
-from .histories import HomogeneousHistory, history
+from .core import TOLERANCES, SystemModel, TimeGrid, is_projector, named_basis, projector_onto
+from .histories import HomogeneousHistory
 
 __all__ = ["Scenario", "ScenarioError", "load_scenario", "parse_scenario"]
 
@@ -145,12 +145,11 @@ def _projector(node, dim: int, path: str) -> np.ndarray:
         raise ScenarioError(path, "unknown projector spec (need identity/matrix/basis)")
     if not is_projector(p):
         raise ScenarioError(f"{path}.{field}", "not a projector within the projector bound "
-                                               f"{active_tolerances().projector:g}")
+                                               f"{TOLERANCES.projector:g}")
     return p
 
 
 def _pvm(node, dim: int, path: str) -> list[np.ndarray]:
-    tol = active_tolerances()
     if not isinstance(node, dict):
         raise ScenarioError(path, "expected an object")
     if "basis" in node and "projectors" not in node:
@@ -163,7 +162,7 @@ def _pvm(node, dim: int, path: str) -> list[np.ndarray]:
             for i, sub in enumerate(node["projectors"])
         ]
         total = sum(elements)
-        if np.max(np.abs(total - np.eye(dim))) > tol.consistency:
+        if np.max(np.abs(total - np.eye(dim))) > TOLERANCES.consistency:
             raise ScenarioError(f"{path}.projectors", "elements must sum to the identity")
         return elements
     raise ScenarioError(path, "unknown decomposition spec (need basis/projectors)")
@@ -215,13 +214,9 @@ def parse_scenario(data: dict) -> Scenario:
         if not isinstance(specs, list) or len(specs) != len(grid.times):
             raise ScenarioError(f"{hpath}.projectors",
                                 f"need one projector spec per time ({len(grid.times)})")
-        entries = {}
-        for k, spec in enumerate(specs):
-            entries[grid.times[k]] = _projector(spec, dim, f"{hpath}.projectors[{k}]")
-        try:
-            histories.append((label, history(entries)))
-        except ValueError as exc:
-            raise ScenarioError(f"{hpath}.projectors", str(exc)) from None
+        items = tuple((t, _projector(spec, dim, f"{hpath}.projectors[{k}]"))
+                      for k, (t, spec) in enumerate(zip(grid.times, specs)))
+        histories.append((label, HomogeneousHistory(items)))
 
     pvms: list[list[list[np.ndarray]]] = []
     pvm_nodes = data.get("pvms", [])

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import functools
+import sys
+
 import numpy as np
 
 from histq.core import SystemModel, TimeGrid
@@ -23,3 +26,20 @@ def qubit_state(rho, hamiltonian=None, times=(0.0, 1.0), t0=0.0) -> DecoherenceS
 
 def state_for(model: SystemModel, times=(0.0, 1.0), t0=0.0) -> DecoherenceState:
     return DecoherenceState(model=model, grid=TimeGrid(times=times, t0=t0))
+
+
+def count_calls(monkeypatch, name: str) -> list:
+    """Wrap ``name`` in every loaded ``histq`` module that binds it; the
+    returned list gains the positional arguments of each call."""
+    calls = []
+    for module_name, module in list(sys.modules.items()):
+        if module_name.startswith("histq") and hasattr(module, name):
+            original = getattr(module, name)
+
+            @functools.wraps(original)
+            def counting(*args, _original=original, **kwargs):
+                calls.append(args)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counting)
+    return calls

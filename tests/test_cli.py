@@ -1,9 +1,13 @@
 import dataclasses
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from histq.cli import (
     MAX_N_LIMIT,
@@ -13,6 +17,8 @@ from histq.cli import (
     main,
 )
 from histq.consistency import ConsistencyReport
+from histq.sampling import (random_density, random_hermitian, random_projector, random_pvm,
+                            random_unitary)
 from histq.scenario import load_scenario
 from histq.verify import scenario_windows
 
@@ -20,6 +26,8 @@ from histq.verify import scenario_windows
 def run(args):
     return main(args)
 
+
+SUBCOMMANDS = ["decohere", "windows", "entropy", "diverge", "verify"]
 
 # variants that parse_scenario refuses, each with the field it names
 REFUSED = {"malformed": "rho", "nan-p": "entropy_p", "inf-p": "entropy_p",
@@ -43,17 +51,22 @@ def write_scenario(tmp_path, kind):
         scenario["entropy_p"] = [math.nan if kind == "nan-p" else math.inf, 2.0]
     elif kind == "negative-seed":
         scenario["seed"] = -1
-    elif kind == "rotating":
-        # under H = sigma_x the transported Hadamard projectors carry rounding,
-        # so a tight projector tolerance refuses some of their sums
-        scenario.update(hamiltonian={"real": [[0.0, 1.0], [1.0, 0.0]]}, times=[0.3, 1.1],
-                        histories=[], pvms=[[{"basis": "hadamard"}]] * 2,
-                        entropy_p=[1.0, 2.0])
+    elif kind == "near-bound":
+        # P = [[1, d], [d, 0]] has P^2 - P = d^2 1 = 8.8e-11, within the 1e-10
+        # projector bound, so {P, 1 - P} parses; a sum of two products P (x) Q
+        # at two times has residual 2 d^2 and fails it, so the windows made of
+        # such sums get no operator-picture verdict
+        d = 9.4e-6
+        pair = {"projectors": [{"matrix": {"real": [[1.0, d], [d, 0.0]]}},
+                               {"matrix": {"real": [[0.0, -d], [-d, 1.0]]}}]}
+        scenario.update(histories=[], pvms=[[pair]] * 2, entropy_p=[1.0, 2.0])
     elif kind in ("no-histories", "computational-only"):
-        # no history needs a Hadamard projector, which a tight bound refuses
+        # no history needs a Hadamard projector, which an exact check refuses
         scenario["histories"] = []
         if kind == "computational-only":  # exact projectors: the scenario parses
             scenario["pvms"] = [[{"basis": "computational"}]]
+    elif kind == "no-pvms":
+        scenario["pvms"] = []
     path = tmp_path / f"{kind}.json"
     path.write_text(json.dumps(scenario), encoding="utf-8")
     return path
@@ -66,7 +79,7 @@ def strict_json(path):
     return json.loads(path.read_text(), parse_constant=reject)
 
 
-@pytest.mark.parametrize("subcommand", ["decohere", "windows", "entropy", "diverge", "verify"])
+@pytest.mark.parametrize("subcommand", SUBCOMMANDS)
 @pytest.mark.parametrize("kind", ["bundled", "dim4", "dim3-three-times", *REFUSED])
 def test_every_subcommand_exits_with_a_documented_code(tmp_path, capsys, subcommand, kind):
     code = run([subcommand, "--scenario", str(write_scenario(tmp_path, kind)),
@@ -109,24 +122,14 @@ class TestVerify:
         assert capsys.readouterr().err.startswith("error: --seed ")
         assert not (tmp_path / "o").exists()
 
-    def test_agreement_threshold_follows_tolerances(self, tmp_path, monkeypatch):
-        def threshold(out, name="representation-agreement"):
-            checks = json.loads((tmp_path / out / "verify.json").read_text())["verify"]["checks"]
-            return next(c["threshold"] for c in checks if c["name"] == name)
+    def test_agreement_threshold_follows_tolerances(self, tmp_path):
+        run(["verify", "--out", str(tmp_path)])
+        checks = json.loads((tmp_path / "verify.json").read_text())["verify"]["checks"]
+        threshold = {c["name"]: c["threshold"] for c in checks}
+        assert threshold["representation-agreement"] == threshold["wright-state"] == 1e-9
 
-        monkeypatch.delenv("HISTQ_TOL", raising=False)
-        run(["verify", "--out", str(tmp_path / "a")])
-        monkeypatch.setenv("HISTQ_TOL", json.dumps({"agreement": 1e-6}))
-        run(["verify", "--out", str(tmp_path / "b")])
-        assert threshold("a") == 1e-9
-        assert threshold("b") == 1e-6
-        assert threshold("a", "wright-state") == 1e-9
-        assert threshold("b", "wright-state") == 1e-6
-
-
-    def test_windows_without_operator_check_are_named(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("HISTQ_TOL", json.dumps({"projector": 1e-15}))
-        code = run(["verify", "--scenario", str(write_scenario(tmp_path, "rotating")),
+    def test_windows_without_operator_check_are_named(self, tmp_path):
+        code = run(["verify", "--scenario", str(write_scenario(tmp_path, "near-bound")),
                     "--out", str(tmp_path / "o")])
         assert code in (0, 3)
         checks = strict_json(tmp_path / "o" / "verify.json")["verify"]["checks"]
@@ -165,26 +168,32 @@ class TestValidationExit:
         assert code == 2
         assert capsys.readouterr().err.startswith(f"error: --out {tmp_path / out}: ")
 
-    @pytest.mark.parametrize("override, field", [('{"bogus": 1}', "bogus"),
-                                                 ('{"agreement": "x"}', "agreement")])
-    def test_bad_tolerance_override_exits_2_and_names_field(self, tmp_path, capsys,
-                                                            monkeypatch, override, field):
-        monkeypatch.setenv("HISTQ_TOL", override)
-        code = run(["decohere", "--out", str(tmp_path / "o")])
-        err = capsys.readouterr().err
+    @pytest.mark.parametrize("subcommand", SUBCOMMANDS)
+    @pytest.mark.parametrize("value", ["{}", '{"agreement": 1e-6}', '{"bogus": 1}',
+                                       '{"agreement": "x"}', ""])
+    def test_tolerance_variable_is_refused(self, tmp_path, capsys, monkeypatch, subcommand,
+                                           value):
+        monkeypatch.setenv("HISTQ_TOL", value)
+        code = run([subcommand, "--out", str(tmp_path / "o")])
         assert code == 2
-        assert err.startswith("error: HISTQ_TOL") and repr(field) in err
-        assert "Traceback" not in err
+        assert capsys.readouterr().err == ("error: HISTQ_TOL is no longer read: the tolerances "
+                                           "are fixed (see README, Tolerances)\n")
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("kind, code", [("no-pvms", 2), ("dim4", 4)])
+    def test_failed_windows_run_leaves_no_out(self, tmp_path, kind, code):
+        assert run(["windows", "--scenario", str(write_scenario(tmp_path, kind)),
+                    "--out", str(tmp_path / "o")]) == code
         assert not (tmp_path / "o").exists()
 
 
 class TestTightProjectorBound:
-    """A projector bound below double rounding refuses Hadamard and sampled
-    projectors: exit 2 naming the bound, never a traceback."""
+    """A projector check that refuses the rounding of Hadamard projectors
+    fails the scenario with exit 2 naming the field, never a traceback."""
 
     @pytest.fixture(autouse=True)
-    def tight_bound(self, monkeypatch):
-        monkeypatch.setenv("HISTQ_TOL", json.dumps({"projector": 1e-17}))
+    def exact_projectors_only(self, monkeypatch):
+        monkeypatch.setattr("histq.scenario.is_projector", lambda p: not np.any(p @ p - p))
 
     @pytest.mark.parametrize("subcommand", ["windows", "entropy", "verify"])
     def test_named_basis_decomposition_exits_2(self, tmp_path, capsys, subcommand):
@@ -192,16 +201,8 @@ class TestTightProjectorBound:
                     "--out", str(tmp_path / "o")])
         assert code == 2
         assert capsys.readouterr().err == (
-            "error: pvms[0][1].basis: not a projector within the projector bound 1e-17\n")
-        assert not list((tmp_path / "o").glob("*.json"))
-
-    def test_verify_side_histories_exit_2(self, tmp_path, capsys):
-        code = run(["verify", "--scenario", str(write_scenario(tmp_path, "computational-only")),
-                    "--out", str(tmp_path / "o")])
-        assert code == 2
-        assert capsys.readouterr().err == (
-            "error: HISTQ_TOL: projector bound 1e-17 refuses the suite's sampled side projectors\n")
-        assert not list((tmp_path / "o").glob("*.json"))
+            "error: pvms[0][1].basis: not a projector within the projector bound 1e-10\n")
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("subcommand", ["windows", "entropy"])
     def test_exact_decomposition_still_searches(self, tmp_path, subcommand):
@@ -316,14 +317,13 @@ class TestEntropy:
         assert run(["entropy", "--out", str(tmp_path)]) == 0
         assert "skipped" not in json.loads((tmp_path / "entropy.json").read_text())["entropy"]
 
-    def test_non_projector_windows_are_skipped_by_name(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("HISTQ_TOL", json.dumps({"projector": 1e-15}))
-        assert run(["entropy", "--scenario", str(write_scenario(tmp_path, "rotating")),
+    def test_non_projector_windows_are_skipped_by_name(self, tmp_path):
+        assert run(["entropy", "--scenario", str(write_scenario(tmp_path, "near-bound")),
                     "--out", str(tmp_path)]) == 0
         payload = strict_json(tmp_path / "entropy.json")
         unchecked = [e["label"] for e in payload["windows"]["windows"]
                      if e["operator_check"] is None]
-        assert unchecked  # the tolerance refuses at least one found window
+        assert unchecked == ["w00", "w03"]  # sums of two near-bound products
         assert payload["entropy"]["skipped"] == [
             {"window": label, "p": 1.0, "reason": "members are not projectors"}
             for label in unchecked]
@@ -372,3 +372,103 @@ class TestDiverge:
         for name in ("diverge.json", "b1.csv", "b2.csv"):
             assert ((tmp_path / "a" / name).read_bytes()
                     == (tmp_path / "b" / name).read_bytes())
+
+
+def _matrix(m):
+    m = np.asarray(m, dtype=complex)
+    return {"real": m.real.tolist(), "imag": m.imag.tolist()}
+
+
+@st.composite
+def fuzzed_scenarios(draw):
+    """A valid scenario (dim <= 3, at most two times) and at most one mutation
+    of it; returns the scenario and the mutation's name, or None."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    dim = draw(st.integers(1, 3))
+    times = draw(st.sampled_from([[0.0], [0.0, 0.7], [0.3, 1.1]]))
+    names = ["computational", "hadamard"]
+
+    def projector_spec():
+        kind = draw(st.sampled_from(["identity", "index", "indices", "matrix"]))
+        if kind == "identity":
+            return {"identity": True}
+        if kind == "index":
+            return {"basis": draw(st.sampled_from(names)), "index": draw(st.integers(0, dim - 1))}
+        if kind == "indices":
+            indices = draw(st.lists(st.integers(0, dim - 1), min_size=1, max_size=dim,
+                                    unique=True))
+            return {"basis": draw(st.sampled_from(names)), "indices": indices}
+        return {"matrix": _matrix(random_projector(rng, dim))}
+
+    def decomposition():
+        if draw(st.booleans()):
+            return {"basis": draw(st.sampled_from(names))}
+        return {"projectors": [{"matrix": _matrix(p)} for p in random_pvm(rng, dim)]}
+
+    if draw(st.booleans()):
+        rho = {"matrix": _matrix(random_density(rng, dim))}
+    else:
+        weights = rng.dirichlet(np.ones(dim))
+        vectors = random_unitary(rng, dim)
+        rho = {"spectral": [{"weight": float(w), "vector": {"real": v.real.tolist(),
+                                                             "imag": v.imag.tolist()}}
+                            for w, v in zip(weights, vectors.T)]}
+    scenario = {
+        "dim": dim,
+        "hamiltonian": _matrix(random_hermitian(rng, dim)),
+        "rho": rho,
+        "times": times,
+        "histories": [{"label": f"h{i}", "projectors": [projector_spec() for _ in times]}
+                      for i in range(draw(st.integers(0, 2)))],
+        "pvms": [[decomposition() for _ in range(draw(st.integers(1, 2)))]
+                 for _ in range(draw(st.integers(1, len(times))))],
+        "entropy_p": draw(st.lists(st.sampled_from([1.0, 1.5, 2.0, 3.0]), min_size=1,
+                                   max_size=3)),
+        "seed": draw(st.integers(0, 1000)),
+    }
+
+    mutation = draw(st.sampled_from([None, "dropped", "wrong-type", "non-finite",
+                                     "repeated-label", "over-cap"]))
+    if mutation == "dropped":
+        del scenario[draw(st.sampled_from(["dim", "hamiltonian", "rho", "times"]))]
+    elif mutation == "wrong-type":
+        scenario[draw(st.sampled_from(sorted(scenario)))] = draw(
+            st.sampled_from(["x", 5, None, [], {}, True, [[1]]]))
+    elif mutation == "non-finite":
+        bad = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+        where = draw(st.sampled_from(["hamiltonian", "entropy_p", "times"]))
+        if where == "hamiltonian":
+            scenario["hamiltonian"]["real"][0][0] = bad
+        else:
+            scenario[where][0] = bad
+    elif mutation == "repeated-label":
+        h = {"projectors": [{"identity": True} for _ in times]}
+        scenario["histories"] += [dict(h, label="twice"), dict(h, label="twice")]
+    elif mutation == "over-cap":  # dim^(2n) above the 81 of the dense constructions
+        dim, times = draw(st.sampled_from([(4, [0.0, 1.0]), (3, [0.0, 0.5, 1.0])]))
+        scenario.update(dim=dim, times=times, hamiltonian=_matrix(random_hermitian(rng, dim)),
+                        rho={"matrix": _matrix(random_density(rng, dim))},
+                        histories=[{"label": "unit",
+                                    "projectors": [{"identity": True} for _ in times]}],
+                        pvms=[[{"basis": "computational"}] for _ in times])
+    return scenario, mutation
+
+
+@given(fuzzed_scenarios())
+@settings(max_examples=50, deadline=None)
+def test_exit_code_contract_holds_on_fuzzed_scenarios(case):
+    scenario, mutation = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "scenario.json"
+        path.write_text(json.dumps(scenario), encoding="utf-8")  # NaN and Infinity included
+        for subcommand in SUBCOMMANDS:
+            out = Path(tmp) / subcommand
+            extra = ["--max-n", "1000"] if subcommand == "diverge" else []
+            code = main([subcommand, "--scenario", str(path), "--out", str(out), *extra])
+            assert code in (0, 2, 3, 4)
+            if mutation in ("dropped", "non-finite", "repeated-label"):
+                assert code == 2
+            if code in (2, 4):
+                assert not out.exists()
+            for report in out.glob("*.json"):
+                strict_json(report)

@@ -23,11 +23,11 @@ from histq.consistency import (
     strict_refinements,
     window,
 )
-from histq.core import (SystemModel, active_tolerances, heisenberg, is_projector, max_abs,
+from histq.core import (TOLERANCES, SystemModel, heisenberg, is_projector, max_abs,
                         named_basis, projector_onto)
 from histq.propositions import wright_operator
 from histq.sampling import random_density, random_hermitian, random_model, random_pvm, random_unitary
-from helpers import MINUS, P0, P1, PLUS, qubit_state, state_for
+from helpers import MINUS, P0, P1, PLUS, count_calls, qubit_state, state_for
 
 BELL = {0: 1, 1: 1, 2: 2, 3: 5, 4: 15, 5: 52, 6: 203, 7: 877, 8: 4140, 9: 21147, 10: 115975}
 
@@ -179,6 +179,13 @@ class TestDecide:
         ds, t = mixed_qubit()
         decided = window(t.space, [0.5 * P0, np.eye(2) - 0.5 * P0]).decide(ds, t)
         assert decided.kreport is not None and decided.opreport is None
+
+    def test_each_member_is_checked_once(self, monkeypatch):
+        ds, t = mixed_qubit()
+        calls = count_calls(monkeypatch, "is_projector")
+        decided = window(t.space, [P0, P1]).decide(ds, t)
+        assert decided.opreport.consistent
+        assert [id(op) for (op,) in calls] == [id(x.op) for x in decided.members]
 
 
 class TestRefinement:
@@ -422,7 +429,7 @@ def search_cases(draw):
 
 def kept_strings(g, n, slack):
     """The strings of length n that ``_screen`` keeps, over all chunks."""
-    kept = _screen(g, _rgs_chunks(n), active_tolerances(), slack)
+    kept = _screen(g, _rgs_chunks(n), slack)
     return {tuple(map(int, row)) for chunk in kept for row in chunk}
 
 
@@ -430,7 +437,7 @@ def two_matrix_screen(t, base):
     """The screen as it was with the Hilbert-Schmidt Gram matrix
     S[a, b] = <base_a, base_b> beside G, orthogonality tested on S's block
     sums: the strings it keeps, over all strings at once."""
-    tol = active_tolerances()
+    tol = TOLERANCES
     n, k, _ = base.shape
     vecs = base.transpose(0, 2, 1).reshape(n, k * k)
     g, s = vecs.conj() @ t.matrix @ vecs.T / k, vecs.conj() @ vecs.T / k

@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,8 +5,9 @@ from hypothesis import strategies as st
 
 from histq.core import (
     SystemModel,
+    TOLERANCES,
     TimeGrid,
-    active_tolerances,
+    Tolerances,
     evolve,
     heisenberg,
     is_projector,
@@ -181,58 +180,15 @@ class TestTimeGrid:
 
 
 class TestTolerances:
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("HISTQ_TOL", json.dumps({"agreement": 1e-6}))
-        tol = active_tolerances()
-        assert tol.agreement == 1e-6
-        assert tol.hermitian == 1e-12
+    def test_default_when_unset(self):
+        assert TOLERANCES == Tolerances()
+        assert TOLERANCES.agreement == 1e-9
 
-    def test_default_when_unset(self, monkeypatch):
-        monkeypatch.delenv("HISTQ_TOL", raising=False)
-        assert active_tolerances().agreement == 1e-9
-
-    @pytest.mark.parametrize("override, message", [
-        ({"bogus": 1}, "unknown field 'bogus'"),
-        ({"agreement": "x"}, "'agreement' must be a finite positive number"),
-        ({"consistency": -1e-9}, "'consistency' must be a finite positive number"),
-        ({"unitary": True}, "'unitary' must be a finite positive number"),
-        ([1e-9], "must be a JSON object"),
-    ])
-    def test_invalid_override_names_the_field(self, monkeypatch, override, message):
-        monkeypatch.setenv("HISTQ_TOL", json.dumps(override))
-        with pytest.raises(ValueError, match=f"HISTQ_TOL.*{message}"):
-            active_tolerances()
-
-    def test_non_finite_and_malformed_overrides_rejected(self, monkeypatch):
-        for raw in ('{"agreement": NaN}', '{"agreement": Infinity}', "{bad"):
-            monkeypatch.setenv("HISTQ_TOL", raw)
-            with pytest.raises(ValueError, match="HISTQ_TOL"):
-                active_tolerances()
-
-    def test_change_between_calls_is_honoured(self, monkeypatch):
-        monkeypatch.setenv("HISTQ_TOL", json.dumps({"agreement": 1e-6}))
-        first = active_tolerances()
-        assert active_tolerances() is first  # parsed once per value
-        monkeypatch.setenv("HISTQ_TOL", json.dumps({"agreement": 1e-7}))
-        assert active_tolerances().agreement == 1e-7
-        monkeypatch.delenv("HISTQ_TOL")
-        assert active_tolerances().agreement == 1e-9
-        monkeypatch.setenv("HISTQ_TOL", json.dumps({"agreement": 1e-6}))
-        assert active_tolerances() == first
-
-    def test_invalid_override_raises_on_every_call(self, monkeypatch):
-        monkeypatch.setenv("HISTQ_TOL", json.dumps({"agreement": -1.0}))
-        for _ in range(3):
-            with pytest.raises(ValueError, match="HISTQ_TOL"):
-                active_tolerances()
-
-    def test_unitary_override_below_default_is_honoured(self, monkeypatch):
+    def test_unitary_bound_is_the_fixed_value(self):
         u = np.diag([1.0 + 1e-11, 1.0])  # unitarity residual about 2e-11
-        monkeypatch.delenv("HISTQ_TOL", raising=False)
-        assert active_tolerances().unitary == 1e-10
+        assert TOLERANCES.unitary == 1e-10
         assert is_unitary(u)
-        monkeypatch.setenv("HISTQ_TOL", json.dumps({"unitary": 1e-12}))
-        assert not is_unitary(u)
+        assert not is_unitary(np.diag([1.0 + 1e-9, 1.0]))
 
 
 def test_named_basis_hadamard_qubit():

@@ -12,7 +12,6 @@ from histq.decoherence import (
     d_basis_sum,
     d_form,
     d_trace,
-    density,
     hermitian_basis,
     ils_reconstruct,
     sector_fits,
@@ -353,21 +352,3 @@ class TestHermitianBasis:
         for g in basis:
             assert np.max(np.abs(g - g.conj().T)) <= 1e-12
 
-
-class TestDensity:
-    def test_unit_density_single_time(self):
-        ds = qubit_state(np.diag([0.6, 0.4]))
-        e = embed(ds.model, UNIT, support=(0.0,))
-        assert density(ds, e, e) == pytest.approx(0.5, abs=1e-12)
-
-    def test_unit_density_two_time(self):
-        ds = qubit_state(np.diag([0.6, 0.4]))
-        e = embed(ds.model, UNIT, support=(0.0, 1.0))
-        assert density(ds, e, e) == pytest.approx(0.25, abs=1e-12)
-
-    def test_scales_the_form(self):
-        rng = np.random.default_rng(17)
-        ds = state_for(random_model(rng, 3))
-        b = HistoryOperator((0.0, 1.0), 3, random_operator(rng, 9))
-        trace_unit = 3 ** 2
-        assert density(ds, b, b) == pytest.approx(d_form(ds, b, b) / trace_unit, abs=1e-12)

@@ -1,8 +1,11 @@
 import functools
 import importlib
+import importlib.util
+import json
 import math
 import pkgutil
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,7 +24,7 @@ from histq.entropy import (
 )
 from histq.propositions import hs_inner, wright_operator
 from histq.sampling import random_model, random_pvm
-from helpers import MINUS, P0, P1, PLUS, qubit_state, state_for
+from helpers import MINUS, P0, P1, PLUS, count_calls, qubit_state, state_for
 
 
 def mixed_qubit(rho=None):
@@ -336,6 +339,21 @@ class TestAggregates:
         assert cli_main(["entropy", "--out", str(tmp_path)]) == 0
         assert len(callers) == 8  # two base families, Bell(2) = 2 partitions each
         assert set(callers) == {("decide", "search_windows")}
+
+    def test_each_window_is_scored_once(self, monkeypatch, tmp_path):
+        # the search-qubit3 benchmark scenario at seed 1: eight windows, of
+        # which several refine several others
+        spec = importlib.util.spec_from_file_location(
+            "bench_scenarios", Path(__file__).parents[1] / "bench" / "scenarios.py")
+        scenarios = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, scenarios)  # its dataclass looks it up
+        spec.loader.exec_module(scenarios)
+        path = scenarios.write_scenario(tmp_path / "search.json", "search-qubit3", 1)
+        calls = count_calls(monkeypatch, "window_entropy")
+        assert cli_main(["entropy", "--scenario", str(path), "--out", str(tmp_path)]) == 0
+        found = json.loads((tmp_path / "entropy.json").read_text())["windows"]["windows"]
+        assert len(calls) == len(found) == 8
+        assert len({id(w) for (w,) in calls}) == 8
 
     def test_sup_dominates_own_entropy(self):
         ds, t = mixed_qubit()

@@ -1,5 +1,3 @@
-import sys
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,7 +14,7 @@ from histq.histories import (
 )
 from histq.sampling import random_hermitian, random_projector
 
-from helpers import H_ZERO, P0, P1, PLUS, SIGMA_X
+from helpers import H_ZERO, P0, P1, PLUS, SIGMA_X, count_calls
 
 EYE = np.eye(2, dtype=complex)
 
@@ -150,15 +148,7 @@ class TestValidatedOnce:
         ds = DecoherenceState(model=model, grid=TimeGrid(times=(0.0, 1.0)))
         h = history({0.0: P0, 1.0: PLUS})
         k = history({0.0: PLUS, 1.0: P1})
-        calls = []
-
-        def counting(p):
-            calls.append(p)
-            return is_projector(p)
-
-        for name, module in list(sys.modules.items()):
-            if name.startswith("histq") and hasattr(module, "is_projector"):
-                monkeypatch.setattr(module, "is_projector", counting)
+        calls = count_calls(monkeypatch, "is_projector")
         d_trace(ds, h, k)
         embed(model, h)
         class_operator(model, k)

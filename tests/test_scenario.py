@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from histq.cli import bundled_scenario_path
 from histq.scenario import Scenario, ScenarioError, load_scenario, parse_scenario
+from helpers import count_calls
 
 BUNDLED = json.loads(bundled_scenario_path().read_text(encoding="utf-8"))
 
@@ -108,6 +109,14 @@ class TestParsing:
         scn = parse_scenario(data)
         assert np.allclose(scn.model.rho, np.diag([0.75, 0.25]))
 
+    def test_each_projector_is_checked_once(self, monkeypatch):
+        calls = count_calls(monkeypatch, "is_projector")
+        scn = parse_scenario(copy.deepcopy(BUNDLED))
+        checked = [p for _, h in scn.histories[1:] for _, p in h.items]  # not the unit's
+        checked += [p for per_time in scn.pvms for pvm in per_time for p in pvm]
+        assert len(checked) == 8  # identity specs are exact and need no check
+        assert [id(p) for (p,) in calls] == [id(p) for p in checked]
+
 
 class TestValidationErrors:
     def test_bad_trace_names_rho(self):
@@ -149,18 +158,18 @@ class TestValidationErrors:
     ])
     def test_named_basis_projector_checked_under_tight_bound(self, monkeypatch, where, spec,
                                                              path):
-        # the Hadamard projectors carry rounding that a 1e-17 bound refuses
+        # the Hadamard projectors carry rounding that an exact check refuses
         data = base_scenario()
         if where == "histories":
             data["histories"][0]["projectors"][0] = spec
         else:
             data["pvms"] = [[spec]]
         parse_scenario(data)
-        monkeypatch.setenv("HISTQ_TOL", json.dumps({"projector": 1e-17}))
+        monkeypatch.setattr("histq.scenario.is_projector", lambda p: not np.any(p @ p - p))
         with pytest.raises(ScenarioError) as err:
             parse_scenario(data)
         assert err.value.path == path
-        assert err.value.message == "not a projector within the projector bound 1e-17"
+        assert err.value.message == "not a projector within the projector bound 1e-10"
 
     def test_times_must_increase(self):
         data = base_scenario()
