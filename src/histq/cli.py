@@ -143,10 +143,10 @@ def _entropy_payload(scn: Scenario, found, labels) -> dict:
                            "contribution": term.contribution}
                           for term in rep.terms],
             })
-    best_value, best_window = min_entropy(found, scored)
+    best_value, best_window = min_entropy(scored)
     sups = [{"window": label,
              "representation": TAG_ENTROPY,
-             "sup_over_refinements": sup_refinement_entropy(w, found, scored)}
+             "sup_over_refinements": sup_refinement_entropy(w, scored)}
             for label, w in zip(labels, found)]
     return {
         "table": table,
@@ -158,32 +158,34 @@ def _entropy_payload(scn: Scenario, found, labels) -> dict:
 
 
 def _series_section(series) -> dict:
-    """Report entry of one truncation series; b2 adds its doubling differences."""
+    """Report entry of one truncation series."""
     fit = growth_fit(series)
-    section = {
+    return {
         "representation": TAG_BASIS_SUM,
         "omega_rule": series.omega_rule,
         "points": [[n, v] for n, v in series.points],
         "fit": {"classification": fit.classification,
                 "slope": fit.slope, "residual": fit.residual},
     }
-    if series.label == "b2":
-        steps = zip(series.points, series.points[1:])
-        section["doubling_differences"] = [{"from": a, "to": b, "difference": vb - va}
-                                           for (a, va), (b, vb) in steps]
-        section["ln2"] = math.log(2)
-    return section
 
 
-def _diverge_series(which: str, max_n: int | None) -> list:
-    """The truncation series ``--series`` names; each is also a ``<label>.csv``."""
+def _diverge_payload(which: str, max_n: int | None) -> tuple[dict, list]:
+    """The report of the series ``--series`` names, and those series; each is
+    also written as ``<label>.csv``."""
     # the growth fit needs two decades of N, so never stop below 10^3 or 2^11
-    series = []
+    payload, series = {}, []
     if which in ("b1", "both"):
-        series.append(b1_series(b1_grid(max(max_n, 1000)) if max_n else b1_grid()))
+        s1 = b1_series(b1_grid(max(max_n, 1000)) if max_n else b1_grid())
+        payload["b1"] = _series_section(s1)
+        series.append(s1)
     if which in ("b2", "both"):
-        series.append(b2_series(b2_grid(max(max_n, 2 ** 11)) if max_n else b2_grid()))
-    return series
+        s2 = b2_series(b2_grid(max(max_n, 2 ** 11)) if max_n else b2_grid())
+        doubling = [{"from": a, "to": b, "difference": vb - va}
+                    for (a, va), (b, vb) in zip(s2.points, s2.points[1:])]
+        payload["b2"] = {**_series_section(s2),
+                         "doubling_differences": doubling, "ln2": math.log(2)}
+        series.append(s2)
+    return payload, series
 
 
 def _verify_payload(scn: Scenario) -> tuple[dict, bool]:
@@ -247,8 +249,7 @@ def main(argv=None) -> int:
             if args.subcommand == "entropy":
                 payload["entropy"] = _entropy_payload(scn, found, labels)
         elif args.subcommand == "diverge":
-            series = _diverge_series(args.series, args.max_n)
-            payload["divergence"] = {s.label: _series_section(s) for s in series}
+            payload["divergence"], series = _diverge_payload(args.series, args.max_n)
         elif args.subcommand == "verify":
             payload["verify"], ok = _verify_payload(scn)
             for check in payload["verify"]["checks"]:

@@ -117,39 +117,25 @@ def refinement_gap(a: ArrayLike, b: ArrayLike, q: ArrayLike) -> np.ndarray | flo
     return first - second
 
 
-def _value(w: Window, scored: Mapping[Window, EntropyReport] | None) -> float:
-    return (window_entropy(w) if scored is None else scored[w]).value
+def min_entropy(scored: Mapping[Window, EntropyReport]) -> tuple[float, Window]:
+    """Minimum window entropy over a scored family.
 
-
-def min_entropy(family: Sequence[Window],
-                scored: Mapping[Window, EntropyReport] | None = None) -> tuple[float, Window]:
-    """Minimum window entropy over the consistent members of a decided family.
-
-    An upper bound on the theory's entropy, since no finite family exhausts
-    all consistent sets.  Ties break toward the lowest family index.
-    ``scored``, when given, holds the :func:`window_entropy` report of every
-    consistent window of the family, so none is computed again.
+    ``scored`` maps each consistent window of a family, in family order, to
+    its :func:`window_entropy` report.  The minimum is an upper bound on the
+    theory's entropy, since no finite family exhausts all consistent sets.
+    Ties break toward the first window.
     """
-    best: tuple[float, int, Window] | None = None
-    for idx, w in enumerate(family):
-        if _consistent(w.kreport, "sector"):
-            value = _value(w, scored)
-            if best is None or (value, idx) < best[:2]:
-                best = (value, idx, w)
-    if best is None:
+    if not scored:
         raise ValueError("no consistent window in family")
-    return best[0], best[2]
+    best = min(scored, key=lambda w: scored[w].value)  # min keeps the first of equals
+    return scored[best].value, best
 
 
-def sup_refinement_entropy(w: Window, family: Sequence[Window],
-                           scored: Mapping[Window, EntropyReport] | None = None) -> float:
-    """Supremum of the entropy over consistent refinements of ``w`` in the family.
+def sup_refinement_entropy(w: Window, scored: Mapping[Window, EntropyReport]) -> float:
+    """Supremum of the entropy over the refinements of ``w`` in a scored family.
 
-    ``w`` itself counts as a refinement; in finite dimension every value is
-    finite, so the supremum is a maximum.  ``scored`` is as in
-    :func:`min_entropy`.
+    ``scored`` is as in :func:`min_entropy` and holds ``w``.  ``w`` itself
+    counts as a refinement; in finite dimension every value is finite, so the
+    supremum is a maximum.
     """
-    values = [_value(w, scored)]
-    values += [_value(cand, scored) for cand in strict_refinements(w, family)
-               if _consistent(cand.kreport, "sector")]
-    return max(values)
+    return max(scored[cand].value for cand in (w, *strict_refinements(w, scored)))

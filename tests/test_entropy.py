@@ -40,6 +40,10 @@ def decided(ds, t, ops):
     return window(t.space, ops).decide(ds, t)
 
 
+def scored(family):
+    return {w: window_entropy(w) for w in family}
+
+
 class TestWindowEntropy:
     def test_maximally_mixed_is_zero(self):
         ds, t = mixed_qubit(np.eye(2) / 2)
@@ -74,9 +78,7 @@ class TestWindowEntropy:
         with pytest.raises(ValueError, match="no operator-picture verdict"):
             window_entropy_pnorm(w, 1)
         with pytest.raises(ValueError, match="no sector verdict"):
-            min_entropy([w])
-        with pytest.raises(ValueError, match="no sector verdict"):
-            sup_refinement_entropy(w, [w])
+            scored([w])  # so neither aggregate can take it
 
     def test_terms_recompose_value(self):
         ds, t = mixed_qubit()
@@ -275,47 +277,49 @@ class TestMonotonicity:
 class TestAggregates:
     def test_min_entropy_selects_computational_window(self):
         ds, t = mixed_qubit()
-        value, best = min_entropy(family_for(ds, t))
+        value, best = min_entropy(scored(family_for(ds, t)))
         assert value == pytest.approx(-0.13081, abs=1e-4)
         assert best.kreport.probabilities == pytest.approx((0.75, 0.25), abs=1e-9)
 
     def test_min_entropy_tie_breaks_to_lowest_index(self):
         ds, t = mixed_qubit(np.eye(2) / 2)
         family = family_for(ds, t)
-        value, best = min_entropy(family)
+        value, best = min_entropy(scored(family))
         assert value == pytest.approx(0.0, abs=1e-12)
         assert best is family[0]
 
     def test_min_entropy_singleton(self):
         ds, t = mixed_qubit()
         w = decided(ds, t, [np.eye(2, dtype=complex)])
-        value, best = min_entropy([w])
+        value, best = min_entropy(scored([w]))
         assert value == 0.0 and best is w
 
     def test_min_entropy_requires_consistency(self):
         ds, t = mixed_qubit(np.diag([1.0, 0.0]))
+        with pytest.raises(ValueError, match="entropy undefined"):
+            scored([decided(ds, t, [P0, P1])])
         with pytest.raises(ValueError, match="no consistent window"):
-            min_entropy([decided(ds, t, [P0, P1])])
+            min_entropy({})
 
     def test_sup_over_refinements_of_unit(self):
         ds, t = mixed_qubit()
         family = family_for(ds, t)
         unit = next(w for w in family if len(w.members) == 1)
-        assert sup_refinement_entropy(unit, family) == pytest.approx(0.0, abs=1e-12)
+        assert sup_refinement_entropy(unit, scored(family)) == pytest.approx(0.0, abs=1e-12)
 
     def test_sup_of_maximally_refined_is_own_entropy(self):
         ds, t = mixed_qubit()
         family = family_for(ds, t)
         comp = next(w for w in family
                     if tuple(round(p, 4) for p in w.kreport.probabilities) == (0.75, 0.25))
-        assert sup_refinement_entropy(comp, family) == pytest.approx(
+        assert sup_refinement_entropy(comp, scored(family)) == pytest.approx(
             window_entropy(comp).value, abs=1e-12)
 
     def test_sup_of_inconsistent_window_rejected(self):
         ds, t = mixed_qubit(np.diag([1.0, 0.0]))
         w = decided(ds, t, [P0, P1])
         with pytest.raises(ValueError, match="entropy undefined"):
-            sup_refinement_entropy(w, [w])
+            sup_refinement_entropy(w, scored([w]))
 
     def test_checks_run_only_in_the_search_decide_step(self, monkeypatch, tmp_path):
         # every histq module that binds a check gets a wrapper recording the
@@ -359,5 +363,5 @@ class TestAggregates:
         ds, t = mixed_qubit()
         family = family_for(ds, t)
         for w in family:
-            assert (sup_refinement_entropy(w, family)
+            assert (sup_refinement_entropy(w, scored(family))
                     >= window_entropy(w).value - 1e-12)
