@@ -12,13 +12,16 @@ from .core import (
     tensor_product,
 )
 from .histories import (
-    HistoryOperator,
     HomogeneousHistory,
+    Proposition,
+    PropositionSpace,
     chain_map,
     class_operator,
     embed,
     history,
+    proposition,
     support_reduce,
+    unit_proposition,
 )
 from .decoherence import (
     CapacityError,
@@ -30,17 +33,7 @@ from .decoherence import (
     hermitian_basis,
     ils_reconstruct,
 )
-from .propositions import (
-    Proposition,
-    PropositionSpace,
-    WrightOperator,
-    hs_inner,
-    p_norm,
-    probability,
-    proposition,
-    unit_proposition,
-    wright_operator,
-)
+from .propositions import WrightOperator, hs_inner, p_norm, probability, wright_operator
 from .consistency import (
     ConsistencyReport,
     Window,

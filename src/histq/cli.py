@@ -81,7 +81,7 @@ def _decohere_payload(scn: Scenario) -> dict:
             values = {TAG_CHAIN: chain, TAG_BASIS_SUM: d_basis_sum(ds, hb, kb)}
             residual_sum = max(residual_sum, abs(chain - values[TAG_BASIS_SUM]))
             if ils is not None:
-                values[TAG_ILS] = ils.pair_value(hb.op, kb.op)
+                values[TAG_ILS] = ils.pair_value(hb, kb)
                 residual_ils = max(residual_ils, abs(chain - values[TAG_ILS]))
             rows += [{"h": label_h, "k": label_k, "representation": tag,
                       "value": complex_entry(value)} for tag, value in values.items()]

@@ -7,6 +7,9 @@ probabilities add up to 1.  In the operator picture a projector family is
 consistent when the projections are mutually orthogonal, complete, and all
 off-diagonal decoherence values have vanishing real part.
 
+A window is decided for a Wright operator, which carries the decoherence
+state of the operator picture, so both pictures judge it for one state.
+
 The search enumerates coarse grainings of product-history families built from
 per-time projective decompositions.  Set partitions are generated in numpy as
 restricted-growth strings, so the ordering is deterministic.  The
@@ -31,15 +34,8 @@ import numpy as np
 
 from .core import TOLERANCES, as_operator, heisenberg, is_projector, max_abs
 from .decoherence import DecoherenceState, d_form
-from .propositions import (
-    Proposition,
-    PropositionSpace,
-    WrightOperator,
-    hs_inner,
-    probability,
-    proposition,
-    unit_proposition,
-)
+from .histories import Proposition, PropositionSpace, proposition, unit_proposition
+from .propositions import WrightOperator, hs_inner, probability
 
 __all__ = [
     "ConsistencyReport",
@@ -88,20 +84,18 @@ class Window:
     def __post_init__(self):
         if len(self.members) == 0:
             raise ValueError("window must have at least one member")
-        for x in self.members:
-            if x.space != self.space:
-                raise ValueError("sector mismatch")
+        self.space.require(*self.members)
 
     @functools.cached_property
     def projective(self) -> bool:
         """True when every member is a projector; tested once per window."""
         return all(is_projector(x.op) for x in self.members)
 
-    def decide(self, ds: DecoherenceState, t: WrightOperator) -> Window:
+    def decide(self, t: WrightOperator) -> Window:
         """A copy with the verdicts of ``check_window`` for ``t`` and, when every
-        member is a projector, ``check_window_operators`` for ``ds``."""
+        member is a projector, ``check_window_operators`` for ``t.state``."""
         kreport = check_window(self, t)
-        opreport = check_window_operators(ds, self) if self.projective else None
+        opreport = check_window_operators(t.state, self) if self.projective else None
         return replace(self, kreport=kreport, opreport=opreport)
 
 
@@ -152,8 +146,7 @@ def check_window(w: Window, t: WrightOperator) -> ConsistencyReport:
     complete product family it equals 1 identically even with interference
     between the members.)  The report's probabilities are <x_i, T x_i>.
     """
-    if w.space != t.space:
-        raise ValueError("sector mismatch")
+    t.space.require(w)
     violated, residuals = _structure(w, lambda x, y: abs(hs_inner(x, y)))
 
     probs = tuple(probability(t, x) for x in w.members)
@@ -176,10 +169,9 @@ def check_window_operators(ds: DecoherenceState, w: Window) -> ConsistencyReport
         raise ValueError("non-projector member")
     violated, residuals = _structure(w, lambda x, y: max_abs(x.op @ y.op))
 
-    hops = [x.as_history_operator() for x in w.members]
-    cross = _pair_max(lambda a, b: abs(d_form(ds, a, b).real), hops)
+    cross = _pair_max(lambda a, b: abs(d_form(ds, a, b).real), w.members)
     _bound("re-cross-term", cross, violated, residuals)
-    probs = tuple(d_form(ds, b, b).real for b in hops)
+    probs = tuple(d_form(ds, x, x).real for x in w.members)
     return _verdict(violated, residuals, probs)
 
 
@@ -191,8 +183,7 @@ def is_refinement(fine: Window, coarse: Window) -> bool:
     block for orthogonal families; the explicit sum check makes the answer
     sound either way.
     """
-    if fine.space != coarse.space:
-        raise ValueError("sector mismatch")
+    coarse.space.require(fine)
     blocks: dict[int, list[Proposition]] = {i: [] for i in range(len(coarse.members))}
     for y in fine.members:
         normsq = hs_inner(y, y).real
@@ -251,17 +242,6 @@ def _window_key(w: Window) -> tuple[bytes, ...]:
     return tuple(sorted(_member_key(x.op) for x in w.members))
 
 
-def _gram_matrix(t: WrightOperator, base: np.ndarray) -> np.ndarray:
-    """``G[a, b] = <base_a, T base_b>``.
-
-    ``base`` stacks the N family operators along axis 0.  Row a of ``vecs``
-    is the column-major vectorisation of ``base[a]``, as in ``probability``.
-    """
-    n, k, _ = base.shape
-    vecs = base.transpose(0, 2, 1).reshape(n, k * k)
-    return vecs.conj() @ t.matrix @ vecs.T / k
-
-
 def _rounding_slack(g: np.ndarray, op_dim: int) -> float:
     """How far a screened block sum may differ from ``check_window``'s value.
 
@@ -302,7 +282,7 @@ def _screen(g: np.ndarray, chunks: Iterable[np.ndarray], slack: float) -> Iterat
         yield rgs[positive & (np.maximum(cross, np.abs(total - 1.0)) <= bound)]
 
 
-def search_windows(ds: DecoherenceState, t: WrightOperator,
+def search_windows(t: WrightOperator,
                    pvms: Sequence[Sequence[Sequence[np.ndarray]]]) -> list[Window]:
     """Enumerate consistent coarse grainings of product-history families.
 
@@ -327,11 +307,11 @@ def search_windows(ds: DecoherenceState, t: WrightOperator,
     broken by a canonical byte key, so the output does not depend on the
     ordering of the supplied decomposition elements.
     """
-    space = t.space
+    space, ds = t.space, t.state
     results: dict[tuple[bytes, ...], Window] = {}
 
     if len(pvms) == 0:
-        return [Window(space=space, members=(unit_proposition(space),)).decide(ds, t)]
+        return [Window(space=space, members=(unit_proposition(space),)).decide(t)]
 
     if len(pvms) != space.n_times:
         raise ValueError("need one decomposition list per support time")
@@ -359,12 +339,12 @@ def search_windows(ds: DecoherenceState, t: WrightOperator,
             raise ValueError(
                 f"base family too large: {len(combos)} > {MAX_BASE_FAMILY}")
         base = np.array([functools.reduce(np.kron, combo) for combo in combos])
-        g = _gram_matrix(t, base)
+        g = t.gram(base)
         for kept in _screen(g, _rgs_chunks(len(base)), _rounding_slack(g, space.op_dim)):
             for row in kept:
                 ops = [np.sum(base[row == v], axis=0) for v in range(row.max() + 1)]
                 # a sum drifting past the projector bound gets no operator verdict
-                cand = window(space, ops).decide(ds, t)
+                cand = window(space, ops).decide(t)
                 if not cand.kreport.consistent:
                     continue
                 key = _window_key(cand)

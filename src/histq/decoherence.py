@@ -10,9 +10,9 @@ form, :func:`d_basis_sum` the expansion over products of orthonormal bases,
 and :class:`IlsOperator` the reconstruction d(p, q) = tr((p (x) q) X) from a
 single operator X on the doubled tensor space.  :func:`d_form` is the
 sesquilinear extension to arbitrary operators on one support sector via the
-chain map.  :func:`d_form` and :func:`d_basis_sum` take two
-:class:`HistoryOperator` arguments on the same support; ``embed`` turns a
-history into one.
+chain map.  :func:`d_form`, :func:`d_basis_sum` and
+:meth:`IlsOperator.pair_value` take two :class:`~histq.histories.Proposition`
+arguments of one sector; ``embed`` turns a history into one.
 
 The reconstruction is performed on a Hermitian operator basis, where the
 bilinear and sesquilinear extensions agree; values of ``pair_value`` are
@@ -28,8 +28,9 @@ import numpy as np
 
 from .core import SystemModel, TimeGrid, is_unitary, tensor_product
 from .histories import (
-    HistoryOperator,
     HomogeneousHistory,
+    Proposition,
+    PropositionSpace,
     chain_map,
     class_operator,
     support_reduce,
@@ -63,14 +64,14 @@ def sector_fits(dim: int, n_times: int) -> bool:
 
 
 def require_sector(ds: DecoherenceState, support: Sequence[float],
-                   construction: str) -> tuple[float, ...]:
-    """The support as grid times; :class:`CapacityError` when over the cap."""
-    support = tuple(float(t) for t in support)
-    for t in support:
+                   construction: str) -> PropositionSpace:
+    """The sector of grid times ``support``; :class:`CapacityError` when over the cap."""
+    space = PropositionSpace(support=support, dim_single=ds.model.dim)
+    for t in space.support:
         ds.grid.require(t)
-    if not sector_fits(ds.model.dim, len(support)):
+    if not sector_fits(space.dim_single, space.n_times):
         raise CapacityError(f"support too large for {construction}")
-    return support
+    return space
 
 
 @dataclass(frozen=True)
@@ -99,16 +100,16 @@ def d_trace(ds: DecoherenceState, h: HomogeneousHistory, k: HomogeneousHistory) 
     return complex(np.trace(ch.conj().T @ ds.model.rho @ ck))
 
 
-def d_form(ds: DecoherenceState, b1: HistoryOperator, b2: HistoryOperator) -> complex:
+def d_form(ds: DecoherenceState, b1: Proposition, b2: Proposition) -> complex:
     """Sesquilinear extension tr(pi(b1)^dag rho pi(b2)) on a common support."""
-    if b1.support != b2.support:
+    if b1.space != b2.space:
         raise ValueError("mixed temporal support")
-    cx = chain_map(b1.op, b1.dim, b1.n_times)
-    cy = chain_map(b2.op, b2.dim, b2.n_times)
+    cx = chain_map(b1.op, b1.space.dim_single, b1.n_times)
+    cy = chain_map(b2.op, b2.space.dim_single, b2.n_times)
     return complex(np.trace(cx.conj().T @ ds.model.rho @ cy))
 
 
-def d_basis_sum(ds: DecoherenceState, p: HistoryOperator, q: HistoryOperator,
+def d_basis_sum(ds: DecoherenceState, p: Proposition, q: Proposition,
                 bases: Sequence[np.ndarray] | None = None) -> complex:
     """Basis-expansion form of the functional on an n-time support.
 
@@ -125,7 +126,7 @@ def d_basis_sum(ds: DecoherenceState, p: HistoryOperator, q: HistoryOperator,
     conjugate linear in the first slot like :func:`d_form`.  Memory is
     O(dim^(2n)), the size of P and Q.
     """
-    if p.support != q.support:
+    if p.space != q.space:
         raise ValueError("mixed temporal support")
     dim = ds.model.dim
     n = p.n_times
@@ -185,13 +186,13 @@ def hermitian_basis(k: int) -> np.ndarray:
 class IlsOperator:
     """Operator X on the doubled tensor space with tr((p (x) q) X) = d(p, q)."""
 
-    support: tuple[float, ...]
-    dim: int
+    space: PropositionSpace
     xd: np.ndarray
 
-    def pair_value(self, p: np.ndarray, q: np.ndarray) -> complex:
+    def pair_value(self, p: Proposition, q: Proposition) -> complex:
         """Reconstructed d(p, q); exact only for self-adjoint p, q."""
-        return complex(np.trace(tensor_product([p, q]) @ self.xd))
+        self.space.require(p, q)
+        return complex(np.trace(tensor_product([p.op, q.op]) @ self.xd))
 
 
 def ils_reconstruct(ds: DecoherenceState, support: Sequence[float]) -> IlsOperator:
@@ -201,10 +202,8 @@ def ils_reconstruct(ds: DecoherenceState, support: Sequence[float]) -> IlsOperat
     X = sum_ab d(G_a, G_b) G_a (x) G_b, which is the unique operator matching
     the functional on all Hermitian pairs.  Its trace is d(1, 1) = 1.
     """
-    support = require_sector(ds, support, "ILS reconstruction")
-    dim = ds.model.dim
-    n = len(support)
-    k = dim ** n
+    space = require_sector(ds, support, "ILS reconstruction")
+    dim, n, k = space.dim_single, space.n_times, space.op_dim
     basis = hermitian_basis(k)
     chains = np.stack([chain_map(g, dim, n) for g in basis])
     # values[a, b] = tr( chain(G_a)^dag rho chain(G_b) )
@@ -212,4 +211,4 @@ def ils_reconstruct(ds: DecoherenceState, support: Sequence[float]) -> IlsOperat
                        optimize=True)
     mixed = np.einsum("ab,aij,bkl->ikjl", values, basis, basis, optimize=True)
     xd = mixed.reshape(k * k, k * k)
-    return IlsOperator(support=support, dim=dim, xd=xd)
+    return IlsOperator(space=space, xd=xd)

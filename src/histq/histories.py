@@ -1,12 +1,17 @@
-"""Homogeneous histories, their canonical support, and the class-operator map.
+"""Homogeneous histories, support sectors, and the maps from histories to operators.
 
 A homogeneous history assigns one projector to each of finitely many times.
 Its canonical representative drops every identity entry (inserting or removing
 identities does not change the physics), and the remaining times form the
-history's support.  Two maps take histories to operators:
+history's support.  A :class:`PropositionSpace` is one support sector,
+validated once when it is built, and a :class:`Proposition` an operator on
+its tensor space: the one operator type that the decoherence forms, the
+sector state, the windows and the entropies take.  Two maps take histories to
+operators:
 
 * :func:`embed` produces the projector on the tensor-product space over the
-  support, with each factor transported to the Heisenberg picture;
+  support, with each factor transported to the Heisenberg picture, as a
+  :class:`Proposition`;
 * :func:`class_operator` produces the time-ordered product of the transported
   projectors on the single-time space (earliest factor leftmost).
 
@@ -34,7 +39,10 @@ from .core import (
 
 __all__ = [
     "HomogeneousHistory",
-    "HistoryOperator",
+    "PropositionSpace",
+    "Proposition",
+    "proposition",
+    "unit_proposition",
     "history",
     "support_reduce",
     "embed",
@@ -91,29 +99,67 @@ def support_reduce(h: HomogeneousHistory) -> HomogeneousHistory:
 
 
 @dataclass(frozen=True)
-class HistoryOperator:
-    """Operator on the tensor space over an explicit temporal support."""
+class PropositionSpace:
+    """One support sector: operators on (C^dim)^(x n) for fixed times."""
 
     support: tuple[float, ...]
-    dim: int
-    op: np.ndarray
+    dim_single: int
 
     def __post_init__(self):
-        n = len(self.support)
-        expected = self.dim ** n
-        m = as_operator(self.op)
-        if m.shape[0] != expected:
-            raise ValueError(
-                f"operator dimension {m.shape[0]} does not match "
-                f"(dim {self.dim})^{n} = {expected}")
+        object.__setattr__(self, "support", tuple(float(t) for t in self.support))
+        if self.dim_single < 1:
+            raise ValueError("dim_single must be positive")
+        if len(self.support) == 0:
+            raise ValueError("support must be nonempty")
+        if any(b <= a for a, b in zip(self.support, self.support[1:])):
+            raise ValueError("support times must be strictly increasing")
 
     @property
     def n_times(self) -> int:
         return len(self.support)
 
+    @property
+    def op_dim(self) -> int:
+        """Dimension of the tensor space the propositions act on."""
+        return self.dim_single ** self.n_times
+
+    def require(self, *operands) -> PropositionSpace:
+        """This sector; ``ValueError`` unless every operand lies in it."""
+        for x in operands:
+            if x.space != self:
+                raise ValueError("sector mismatch")
+        return self
+
+
+@dataclass(frozen=True, eq=False)
+class Proposition:
+    """An element of one sector; not necessarily a projection."""
+
+    space: PropositionSpace
+    op: np.ndarray
+
+    @property
+    def n_times(self) -> int:
+        return self.space.n_times
+
+
+def proposition(space: PropositionSpace, op) -> Proposition:
+    m = as_operator(op)
+    if m.shape[0] != space.op_dim:
+        raise ValueError(f"operator dimension {m.shape[0]} does not match "
+                         f"sector dimension {space.op_dim}")
+    if not np.all(np.isfinite(m.view(float))):
+        raise ValueError("proposition entries must be finite")
+    return Proposition(space=space, op=m)
+
+
+def unit_proposition(space: PropositionSpace) -> Proposition:
+    """The always-true proposition e (identity on the sector's tensor space)."""
+    return Proposition(space=space, op=np.eye(space.op_dim, dtype=complex))
+
 
 def embed(model: SystemModel, h: HomogeneousHistory,
-          support: Sequence[float] | None = None, t0: float = 0.0) -> HistoryOperator:
+          support: Sequence[float] | None = None, t0: float = 0.0) -> Proposition:
     """Tensor product of the Heisenberg-transported projectors in time order.
 
     If ``support`` is given it must contain the history's times; missing times
@@ -121,22 +167,17 @@ def embed(model: SystemModel, h: HomogeneousHistory,
     any support.
     """
     times = h.times
-    if support is None:
-        support = times
-    support = tuple(float(t) for t in support)
-    if any(b <= a for a, b in zip(support, support[1:])):
-        raise ValueError("support times must be strictly increasing")
-    if not set(times) <= set(support):
+    space = PropositionSpace(support=times if support is None else support,
+                             dim_single=model.dim)
+    if not set(times) <= set(space.support):
         raise ValueError("support does not contain the history's times")
-    if len(support) == 0:
-        raise ValueError("cannot embed on an empty support")
     factors = []
-    for t in support:
+    for t in space.support:
         if t in times:
             factors.append(heisenberg(model, h.operator_at(t), t, t0))
         else:
             factors.append(np.eye(model.dim, dtype=complex))
-    return HistoryOperator(support=support, dim=model.dim, op=tensor_product(factors))
+    return Proposition(space=space, op=tensor_product(factors))
 
 
 def class_operator(model: SystemModel, h: HomogeneousHistory, t0: float = 0.0) -> np.ndarray:

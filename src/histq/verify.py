@@ -25,9 +25,8 @@ from .decoherence import (CapacityError, DecoherenceState, d_basis_sum, d_form, 
                           ils_reconstruct, sector_fits)
 from .divergence import b1_direct_value, b1_grid, b1_series, b2_grid, b2_series, growth_fit
 from .entropy import refinement_gap, window_entropy, window_entropy_pnorm
-from .histories import embed, history
-from .propositions import (hs_inner, probability, proposition, unit_proposition,
-                           wright_operator)
+from .histories import embed, history, proposition, unit_proposition
+from .propositions import hs_inner, probability, wright_operator
 from .sampling import random_model, random_operator, random_projector, random_pvm
 from .scenario import Scenario, ScenarioError
 
@@ -111,7 +110,7 @@ def _check_representations(scn: Scenario, rng) -> CheckResult:
                 hb = embed(ds.model, h, support, ds.grid.t0)
                 kb = embed(ds.model, k, support, ds.grid.t0)
                 worst = max(worst, abs(ref - d_basis_sum(ds, hb, kb)))
-                worst = max(worst, abs(ref - ils.pair_value(hb.op, kb.op)))
+                worst = max(worst, abs(ref - ils.pair_value(hb, kb)))
     bound = TOLERANCES.agreement
     detail = "chain form vs basis sum vs doubled-space reconstruction"
     if skipped:
@@ -133,14 +132,11 @@ def _check_wright(scn: Scenario, rng) -> CheckResult:
             t = wright_operator(ds, support)
             e = unit_proposition(t.space)
             worst_state = max(worst_state, abs(probability(t, e) - 1.0))
-            worst_selfadj = max(worst_selfadj,
-                                float(np.max(np.abs(t.matrix - t.matrix.conj().T)))
-                                / t.space.op_dim)
+            worst_selfadj = max(worst_selfadj, t.self_adjoint_residual())
             for _ in range(10):
                 b = proposition(t.space, random_operator(rng, t.space.op_dim))
-                hb = b.as_history_operator()
                 worst_agree = max(worst_agree,
-                                  abs(probability(t, b) - d_form(ds, hb, hb).real))
+                                  abs(probability(t, b) - d_form(ds, b, b).real))
     worst = max(worst_state, worst_agree, worst_selfadj)
     bound = TOLERANCES.agreement
     passed = (worst_state <= _THRESHOLDS["wright-unit"] and worst_agree <= bound
@@ -157,7 +153,7 @@ def scenario_windows(scn: Scenario) -> list[Window]:
         raise ScenarioError("pvms", "scenario defines no decompositions to search")
     ds = DecoherenceState(model=scn.model, grid=scn.grid)
     t = wright_operator(ds, scn.grid.times[:len(scn.pvms)])
-    return search_windows(ds, t, scn.pvms)
+    return search_windows(t, scn.pvms)
 
 
 def _unchecked_note(count: int) -> str:
@@ -176,7 +172,7 @@ def _check_bridge(scn: Scenario, rng) -> CheckResult:
             if two_time:
                 second = random_pvm(rng, ds.model.dim)
                 base = [np.kron(a, b) for a in base for b in second]
-            decided += [window(t.space, [np.sum(block, axis=0) for block in blocks]).decide(ds, t)
+            decided += [window(t.space, [np.sum(block, axis=0) for block in blocks]).decide(t)
                         for blocks in set_partitions(base)]
     skipped = ""
     if scn.pvms:
@@ -243,7 +239,7 @@ def _check_entropy(scn: Scenario, rng) -> CheckResult:
     states = _side_states(rng, dims=(2, 3, 4), times=(0.0,))
     for ds in states:
         t = wright_operator(ds, (0.0,))
-        found = search_windows(ds, t, [[random_pvm(rng, ds.model.dim)]])
+        found = search_windows(t, [[random_pvm(rng, ds.model.dim)]])
         scored = [w for w in found if w.opreport is not None]  # p-norm needs it
         unscored += len(found) - len(scored)
         pnorm = {(w, p): window_entropy_pnorm(w, p).value
@@ -269,9 +265,9 @@ def _check_entropy(scn: Scenario, rng) -> CheckResult:
         model=SystemModel.from_matrices(np.zeros((2, 2)), np.eye(2) / 2),
         grid=TimeGrid(times=(0.0,)))
     t = wright_operator(mm, (0.0,))
-    coarse_w = window(t.space, [np.eye(2, dtype=complex)]).decide(mm, t)
+    coarse_w = window(t.space, [np.eye(2, dtype=complex)]).decide(t)
     fine_w = window(t.space, [np.diag([1.0, 0.0]).astype(complex),
-                              np.diag([0.0, 1.0]).astype(complex)]).decide(mm, t)
+                              np.diag([0.0, 1.0]).astype(complex)]).decide(t)
     rise = (window_entropy_pnorm(fine_w, 3.0).value
             - window_entropy_pnorm(coarse_w, 3.0).value)
     counterexample_ok = abs(rise - math.log(2) / 3.0) <= _THRESHOLDS["counterexample"]

@@ -22,8 +22,8 @@ from histq.core import TimeGrid
 from histq.decoherence import DecoherenceState, d_basis_sum, d_trace, ils_reconstruct
 from histq.divergence import b1_direct_value, b1_series, b2_series, growth_fit
 from histq.entropy import refinement_gap, window_entropy, window_entropy_pnorm
-from histq.histories import embed, history
-from histq.propositions import probability, proposition, unit_proposition, wright_operator
+from histq.histories import embed, history, proposition, unit_proposition
+from histq.propositions import probability, wright_operator
 from histq.sampling import (
     random_model,
     random_operator,
@@ -86,7 +86,7 @@ def test_criterion_2_triple_representation_agreement():
             hb = embed(ds.model, h, support, ds.grid.t0)
             kb = embed(ds.model, k, support, ds.grid.t0)
             total = d_basis_sum(ds, hb, kb)
-            rec = ils.pair_value(hb.op, kb.op)
+            rec = ils.pair_value(hb, kb)
             worst = max(worst, abs(chain - total), abs(chain - rec), abs(total - rec))
     elapsed = time.perf_counter() - started
     ok = worst <= 1e-9 and pairs == 100 and elapsed < 60.0
@@ -108,10 +108,9 @@ def test_criterion_3_wright_operator():
         for _ in range(25):
             draws += 1
             b = proposition(t.space, random_operator(rng, t.space.op_dim))
-            hb = b.as_history_operator()
             from histq.decoherence import d_form
             worst_agree = max(worst_agree,
-                              abs(probability(t, b) - d_form(ds, hb, hb).real))
+                              abs(probability(t, b) - d_form(ds, b, b).real))
             b2 = proposition(t.space, random_operator(rng, t.space.op_dim))
             from histq.propositions import hs_inner
             lhs = hs_inner(b, t.apply(b2))
@@ -131,7 +130,7 @@ def test_criterion_4_worked_qubit_numbers():
 
     ds_mixed = qubit_state(np.diag([0.75, 0.25]))
     t = wright_operator(ds_mixed, (0.0,))
-    w = window(t.space, [P0, P1]).decide(ds_mixed, t)
+    w = window(t.space, [P0, P1]).decide(t)
     i2 = window_entropy(w).value
     i1 = window_entropy_pnorm(w, 1).value
     i2_ok = abs(i2 - (-0.13081)) <= 1e-4
@@ -163,7 +162,7 @@ def test_criterion_5_refinement_monotonicity():
         for blocks in set_partitions(indexed):
             idx_blocks = [[i for i, _ in block] for block in blocks]
             ops = [np.sum([op for _, op in block], axis=0) for block in blocks]
-            w = window(t.space, ops).decide(ds, t)
+            w = window(t.space, ops).decide(t)
             if not w.kreport.consistent:
                 continue
             values = {p: window_entropy_pnorm(w, p).value for p in (1.0, 1.5, 2.0)}
@@ -182,8 +181,8 @@ def test_criterion_5_refinement_monotonicity():
 
     ds_mm = qubit_state(np.eye(2) / 2)
     t = wright_operator(ds_mm, (0.0,))
-    split = window(t.space, [P0, P1]).decide(ds_mm, t)
-    unit = window(t.space, [np.eye(2, dtype=complex)]).decide(ds_mm, t)
+    split = window(t.space, [P0, P1]).decide(t)
+    unit = window(t.space, [np.eye(2, dtype=complex)]).decide(t)
     rise = window_entropy_pnorm(split, 3).value - window_entropy_pnorm(unit, 3).value
     counterexample_ok = abs(rise - math.log(2) / 3) <= 1e-6 and rise > 0
 

@@ -1,4 +1,5 @@
 import dataclasses
+import errno
 import json
 import math
 import tempfile
@@ -185,6 +186,40 @@ class TestValidationExit:
         assert run(["windows", "--scenario", str(write_scenario(tmp_path, kind)),
                     "--out", str(tmp_path / "o")]) == code
         assert not (tmp_path / "o").exists()
+
+
+class TestReplacedReports:
+    @pytest.mark.parametrize("subcommand", ["entropy", "diverge"])
+    def test_rerun_into_same_out_writes_new_files(self, tmp_path, subcommand):
+        out = tmp_path / "o"
+
+        def files():
+            return {p.name: (p.read_bytes(), p.stat().st_ino) for p in out.iterdir()}
+
+        assert run([subcommand, "--out", str(out)]) == 0
+        first = files()
+        assert run([subcommand, "--out", str(out)]) == 0
+        second = files()
+        assert second.keys() == first.keys()  # no .tmp is left
+        for name, (data, inode) in second.items():
+            assert data == first[name][0]
+            assert inode != first[name][1]
+
+    def test_failed_write_keeps_the_earlier_report(self, tmp_path, capsys, monkeypatch):
+        out = tmp_path / "o"
+        assert run(["decohere", "--out", str(out)]) == 0
+        before = (out / "decohere.json").read_bytes()
+
+        def interrupted(path, text, encoding=None):
+            with open(path, "w", encoding=encoding) as f:
+                f.write(text[:10])
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(Path, "write_text", interrupted)
+        assert run(["decohere", "--out", str(out)]) == 2
+        assert "No space left on device" in capsys.readouterr().err
+        assert [p.name for p in out.iterdir()] == ["decohere.json"]
+        assert (out / "decohere.json").read_bytes() == before
 
 
 class TestTightProjectorBound:

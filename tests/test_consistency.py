@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from histq.consistency import (
     _SCREEN_CHUNK,
-    _gram_matrix,
     _rgs_chunks,
     _rounding_slack,
     _screen,
@@ -153,7 +152,7 @@ class TestDecide:
 
     def test_window_fields_cannot_be_assigned(self):
         ds, t = mixed_qubit()
-        w = window(t.space, [P0, P1]).decide(ds, t)
+        w = window(t.space, [P0, P1]).decide(t)
         for field, value in (("kreport", None), ("opreport", None), ("members", ())):
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(w, field, value)
@@ -163,7 +162,7 @@ class TestDecide:
     def test_attaches_both_reports_to_a_copy(self):
         ds, t = mixed_qubit()
         w = window(t.space, [P0, P1])
-        decided = w.decide(ds, t)
+        decided = w.decide(t)
         assert w.kreport is None and w.opreport is None
         assert decided.members is w.members
         assert decided.kreport == check_window(w, t)
@@ -171,19 +170,19 @@ class TestDecide:
 
     def test_operator_verdict_does_not_wait_for_the_sector_one(self):
         ds, t = mixed_qubit(np.diag([1.0, 0.0]))
-        decided = window(t.space, [P0, P1]).decide(ds, t)
+        decided = window(t.space, [P0, P1]).decide(t)
         assert not decided.kreport.consistent
         assert decided.opreport.consistent
 
     def test_non_projector_window_gets_no_operator_verdict(self):
         ds, t = mixed_qubit()
-        decided = window(t.space, [0.5 * P0, np.eye(2) - 0.5 * P0]).decide(ds, t)
+        decided = window(t.space, [0.5 * P0, np.eye(2) - 0.5 * P0]).decide(t)
         assert decided.kreport is not None and decided.opreport is None
 
     def test_each_member_is_checked_once(self, monkeypatch):
         ds, t = mixed_qubit()
         calls = count_calls(monkeypatch, "is_projector")
-        decided = window(t.space, [P0, P1]).decide(ds, t)
+        decided = window(t.space, [P0, P1]).decide(t)
         assert decided.opreport.consistent
         assert [id(op) for (op,) in calls] == [id(x.op) for x in decided.members]
 
@@ -267,7 +266,7 @@ class TestPartitionEnumeration:
 class TestSearchWindows:
     def test_qubit_two_basis_family(self):
         ds, t = mixed_qubit()
-        found = search_windows(ds, t, [[[P0, P1], [PLUS, MINUS]]])
+        found = search_windows(t, [[[P0, P1], [PLUS, MINUS]]])
         assert len(found) == 3
         assert [len(w.members) for w in found] == [2, 2, 1]
         probs = {tuple(round(p, 6) for p in w.kreport.probabilities) for w in found}
@@ -277,7 +276,7 @@ class TestSearchWindows:
 
     def test_empty_family_returns_unit_window(self):
         ds, t = mixed_qubit()
-        found = search_windows(ds, t, [])
+        found = search_windows(t, [])
         assert len(found) == 1
         assert np.allclose(found[0].members[0].op, np.eye(2))
 
@@ -288,12 +287,12 @@ class TestSearchWindows:
         ds, _ = mixed_qubit(np.eye(2) / 2)
         t2 = wright_operator(ds, (0.0, 1.0))
         with pytest.raises(ValueError, match="base family too large: 4 > 3"):
-            search_windows(ds, t2, [[[P0, P1]], [[P0, P1]]])
+            search_windows(t2, [[[P0, P1]], [[P0, P1]]])
 
     def test_invariant_under_element_permutation(self):
         ds, t = mixed_qubit()
-        a = search_windows(ds, t, [[[P0, P1], [PLUS, MINUS]]])
-        b = search_windows(ds, t, [[[P1, P0], [MINUS, PLUS]]])
+        a = search_windows(t, [[[P0, P1], [PLUS, MINUS]]])
+        b = search_windows(t, [[[P1, P0], [MINUS, PLUS]]])
         assert len(a) == len(b)
         for wa, wb in zip(a, b):
             keys_a = sorted(np.round(x.op, 9).tobytes() for x in wa.members)
@@ -304,27 +303,27 @@ class TestSearchWindows:
         rng = np.random.default_rng(35)
         ds = state_for(random_model(rng, 3))
         t = wright_operator(ds, (0.0,))
-        for w in search_windows(ds, t, [[random_pvm(rng, 3)]]):
+        for w in search_windows(t, [[random_pvm(rng, 3)]]):
             assert sum(w.kreport.probabilities) == pytest.approx(1.0, abs=1e-9)
 
 
 class TestMaximallyRefined:
     def test_finest_partition_is_maximal(self):
         ds, t = mixed_qubit()
-        found = search_windows(ds, t, [[[P0, P1], [PLUS, MINUS]]])
+        found = search_windows(t, [[[P0, P1], [PLUS, MINUS]]])
         comp = next(w for w in found
                     if tuple(round(p, 6) for p in w.kreport.probabilities) == (0.75, 0.25))
         assert is_maximally_refined(comp, found)
 
     def test_unit_window_is_not_maximal_here(self):
         ds, t = mixed_qubit()
-        found = search_windows(ds, t, [[[P0, P1], [PLUS, MINUS]]])
+        found = search_windows(t, [[[P0, P1], [PLUS, MINUS]]])
         unit = next(w for w in found if len(w.members) == 1)
         assert not is_maximally_refined(unit, found)
 
     def test_singleton_family(self):
         ds, t = mixed_qubit()
-        w = window(t.space, [np.eye(2, dtype=complex)]).decide(ds, t)
+        w = window(t.space, [np.eye(2, dtype=complex)]).decide(t)
         assert is_maximally_refined(w, [w])
 
 
@@ -491,7 +490,7 @@ class TestGramScreen:
         ds, t, pvms = case
         screens = []
         for base in base_families(ds, t, pvms):
-            g = _gram_matrix(t, np.array(base))
+            g = t.gram(np.array(base))
             slack = _rounding_slack(g, t.space.op_dim)
             screens.append((g, slack, kept_strings(g, len(base), slack)))
 
@@ -504,7 +503,7 @@ class TestGramScreen:
                 assert rgs in kept
 
         expected = oracle_search(ds, t, pvms, on_partition=superset)
-        assert_same_windows(search_windows(ds, t, pvms), expected)
+        assert_same_windows(search_windows(t, pvms), expected)
 
     @given(search_cases())
     @settings(max_examples=30, deadline=None)
@@ -513,7 +512,7 @@ class TestGramScreen:
         # changes no survivor
         ds, t, pvms = case
         for base in map(np.array, base_families(ds, t, pvms)):
-            g = _gram_matrix(t, base)
+            g = t.gram(base)
             assert kept_strings(g, len(base), _rounding_slack(g, t.space.op_dim)) \
                 == two_matrix_screen(t, base)
 
@@ -525,7 +524,7 @@ class TestGramScreen:
         vecs = base.transpose(0, 2, 1).reshape(n, k * k)
         s = vecs.conj() @ vecs.T / k
         assert max_abs(s - np.diag(np.diag(s))) > 1e-3  # S is not diagonal
-        g = _gram_matrix(t, base)
+        g = t.gram(base)
         kept = kept_strings(g, n, _rounding_slack(g, k))
         accepted = 0
         for rgs, blocks in zip(restricted_growth_strings(n), set_partitions(base)):
@@ -543,7 +542,7 @@ class TestGramScreen:
         ds = qubit_state(np.diag([1.0 - weight, weight]), times=(0.0, 1.0, 2.0))
         t = wright_operator(ds, ds.grid.times)
         pvms = [[basis]] * 3
-        assert_same_windows(search_windows(ds, t, pvms), oracle_search(ds, t, pvms))
+        assert_same_windows(search_windows(t, pvms), oracle_search(ds, t, pvms))
 
     def test_rank_two_projectors_at_dim_three(self):
         rng = np.random.default_rng(37)
@@ -551,7 +550,7 @@ class TestGramScreen:
         t = wright_operator(ds, (0.0,))
         u = random_unitary(rng, 3)
         pvms = [[[projector_onto(u[:, :2]), projector_onto(u[:, 2:])], random_pvm(rng, 3)]]
-        assert_same_windows(search_windows(ds, t, pvms), oracle_search(ds, t, pvms))
+        assert_same_windows(search_windows(t, pvms), oracle_search(ds, t, pvms))
 
 
 class TestStrictRefinements:
@@ -561,7 +560,7 @@ class TestStrictRefinements:
         # on search output, refinements with no more members than the window
         # are the window itself, so the filtered scan equals the full one
         ds, t, pvms = case
-        found = search_windows(ds, t, pvms)
+        found = search_windows(t, pvms)
         for w in found:
             full = [c for c in found if c is not w and is_refinement(c, w)]
             assert list(map(id, strict_refinements(w, found))) == list(map(id, full))

@@ -124,7 +124,7 @@ class TestHeisenberg:
         t = wright_operator(ds, (0.0,))
         half = np.eye(2) / 2
         with pytest.raises(ValueError, match=r"pvms\[0\]\[0\]: elements must be projectors"):
-            search_windows(ds, t, [[[half, half]]])
+            search_windows(t, [[[half, half]]])
 
     def test_transports_any_operator(self):
         # U(1) = exp(-i pi/2 sigma_x) = -i sigma_x, so U^dag A U = sigma_x A sigma_x

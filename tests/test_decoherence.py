@@ -16,7 +16,7 @@ from histq.decoherence import (
     ils_reconstruct,
     sector_fits,
 )
-from histq.histories import HistoryOperator, embed, history
+from histq.histories import PropositionSpace, embed, history, proposition
 from histq.propositions import wright_operator
 from histq.sampling import (
     random_hermitian,
@@ -29,6 +29,11 @@ from histq.sampling import (
 from helpers import MINUS, P0, PLUS, qubit_state, state_for
 
 UNIT = history({})
+
+
+def sector_op(support, dim, op):
+    """``op`` as a proposition of the dim-``dim`` sector over ``support``."""
+    return proposition(PropositionSpace(support=support, dim_single=dim), op)
 
 
 def product_history(rng, ds, n):
@@ -84,8 +89,8 @@ def basis_sum_cases(draw):
     model = SystemModel.from_spectral(random_hermitian(rng, dim), weights,
                                       random_unitary(rng, dim))
     ds = DecoherenceState(model=model, grid=TimeGrid(times=tuple(range(n))))
-    x = HistoryOperator(ds.grid.times, dim, random_operator(rng, dim ** n))
-    y = HistoryOperator(ds.grid.times, dim, random_operator(rng, dim ** n))
+    x = sector_op(ds.grid.times, dim, random_operator(rng, dim ** n))
+    y = sector_op(ds.grid.times, dim, random_operator(rng, dim ** n))
     bases = ([random_unitary(rng, dim) for _ in range(2 * n - 1)]
              if draw(st.booleans()) else None)
     return ds, x, y, bases
@@ -153,10 +158,10 @@ class TestSesquilinearForm:
         rng = np.random.default_rng(8)
         ds = state_for(random_model(rng, 2))
         space = (0.0, 1.0)
-        b1 = HistoryOperator(space, 2, random_operator(rng, 4))
-        b2 = HistoryOperator(space, 2, random_operator(rng, 4))
+        b1 = sector_op(space, 2, random_operator(rng, 4))
+        b2 = sector_op(space, 2, random_operator(rng, 4))
         alpha = complex(rng.standard_normal(), rng.standard_normal())
-        scaled = HistoryOperator(space, 2, alpha * b1.op)
+        scaled = sector_op(space, 2, alpha * b1.op)
         assert d_form(ds, scaled, b2) == pytest.approx(
             alpha.conjugate() * d_form(ds, b1, b2), abs=1e-10)
 
@@ -164,13 +169,13 @@ class TestSesquilinearForm:
         rng = np.random.default_rng(9)
         ds = state_for(random_model(rng, 3))
         for _ in range(10):
-            b = HistoryOperator((0.0, 1.0), 3, random_operator(rng, 9))
+            b = sector_op((0.0, 1.0), 3, random_operator(rng, 9))
             assert d_form(ds, b, b).real >= -1e-12
 
     def test_mixed_support_rejected(self):
         ds = qubit_state(np.diag([0.6, 0.4]))
-        b1 = HistoryOperator((0.0,), 2, P0)
-        b2 = HistoryOperator((0.0, 1.0), 2, np.kron(P0, P0))
+        b1 = sector_op((0.0,), 2, P0)
+        b2 = sector_op((0.0, 1.0), 2, np.kron(P0, P0))
         with pytest.raises(ValueError, match="mixed temporal support"):
             d_form(ds, b1, b2)
 
@@ -179,8 +184,8 @@ class TestSesquilinearForm:
         for dim in (2, 3):
             ds = state_for(random_model(rng, dim))
             for _ in range(20):
-                b1 = HistoryOperator((0.0, 1.0), dim, random_operator(rng, dim * dim))
-                b2 = HistoryOperator((0.0, 1.0), dim, random_operator(rng, dim * dim))
+                b1 = sector_op((0.0, 1.0), dim, random_operator(rng, dim * dim))
+                b2 = sector_op((0.0, 1.0), dim, random_operator(rng, dim * dim))
                 lhs = abs(d_form(ds, b1, b2)) ** 2
                 rhs = d_form(ds, b1, b1).real * d_form(ds, b2, b2).real
                 assert lhs <= rhs * (1 + 1e-9) + 1e-12
@@ -252,13 +257,13 @@ class TestBasisSumForm:
                 op = sum(complex(*rng.standard_normal(2))
                          * embed(ds.model, product_history(rng, ds, n), ds.grid.times).op
                          for _ in range(2))
-                return HistoryOperator(ds.grid.times, dim, op)
+                return sector_op(ds.grid.times, dim, op)
 
             for _ in range(3):
                 a, b = combination(), combination()
                 assert abs(d_basis_sum(ds, a, b) - d_form(ds, a, b)) <= 1e-10
-                x = HistoryOperator(ds.grid.times, dim, random_operator(rng, dim ** n))
-                y = HistoryOperator(ds.grid.times, dim, random_operator(rng, dim ** n))
+                x = sector_op(ds.grid.times, dim, random_operator(rng, dim ** n))
+                y = sector_op(ds.grid.times, dim, random_operator(rng, dim ** n))
                 assert abs(d_basis_sum(ds, x, y) - d_form(ds, x, y)) <= 1e-10
 
     @pytest.mark.parametrize("bases, message", [
@@ -284,7 +289,8 @@ class TestIlsReconstruction:
     def test_single_time_qubit_value(self):
         ds = qubit_state(np.diag([1.0, 0.0]))
         x = ils_reconstruct(ds, (0.0,))
-        assert x.pair_value(PLUS, PLUS) == pytest.approx(0.5, abs=1e-9)
+        plus = proposition(x.space, PLUS)
+        assert x.pair_value(plus, plus) == pytest.approx(0.5, abs=1e-9)
 
     def test_hundred_random_projector_pairs(self):
         rng = np.random.default_rng(14)
@@ -298,7 +304,7 @@ class TestIlsReconstruction:
                 k = product_history(rng, ds, n)
                 hb = embed(ds.model, h, support, ds.grid.t0)
                 kb = embed(ds.model, k, support, ds.grid.t0)
-                worst = max(worst, abs(x.pair_value(hb.op, kb.op) - d_trace(ds, h, k)))
+                worst = max(worst, abs(x.pair_value(hb, kb) - d_trace(ds, h, k)))
         assert worst <= 1e-9
 
     def test_nonproduct_hermitian_arguments(self):
@@ -308,9 +314,9 @@ class TestIlsReconstruction:
         for _ in range(10):
             p = random_projector(rng, 4)  # generally not a product projector
             q = random_projector(rng, 4)
-            hb = HistoryOperator((0.0, 1.0), 2, p)
-            kb = HistoryOperator((0.0, 1.0), 2, q)
-            assert abs(x.pair_value(p, q) - d_form(ds, hb, kb)) <= 1e-9
+            hb = sector_op((0.0, 1.0), 2, p)
+            kb = sector_op((0.0, 1.0), 2, q)
+            assert abs(x.pair_value(hb, kb) - d_form(ds, hb, kb)) <= 1e-9
 
     def test_cap_enforced(self):
         rng = np.random.default_rng(16)

@@ -28,16 +28,16 @@ from helpers import MINUS, P0, P1, PLUS, count_calls, qubit_state, state_for
 
 
 def mixed_qubit(rho=None):
-    ds = qubit_state(np.diag([0.75, 0.25]) if rho is None else rho)
-    return ds, wright_operator(ds, (0.0,))
+    """The single-time Wright operator of a qubit state; it carries the state."""
+    return wright_operator(qubit_state(np.diag([0.75, 0.25]) if rho is None else rho), (0.0,))
 
 
-def family_for(ds, t):
-    return search_windows(ds, t, [[[P0, P1], [PLUS, MINUS]]])
+def family_for(t):
+    return search_windows(t, [[[P0, P1], [PLUS, MINUS]]])
 
 
-def decided(ds, t, ops):
-    return window(t.space, ops).decide(ds, t)
+def decided(t, ops):
+    return window(t.space, ops).decide(t)
 
 
 def scored(family):
@@ -46,32 +46,32 @@ def scored(family):
 
 class TestWindowEntropy:
     def test_maximally_mixed_is_zero(self):
-        ds, t = mixed_qubit(np.eye(2) / 2)
-        w = decided(ds, t, [P0, P1])
+        t = mixed_qubit(np.eye(2) / 2)
+        w = decided(t, [P0, P1])
         assert window_entropy(w).value == pytest.approx(0.0, abs=1e-14)
 
     def test_worked_mixed_qubit_number(self):
         # oracle: I = H(p) - ln 2 for the computational window
-        ds, t = mixed_qubit()
-        w = decided(ds, t, [P0, P1])
+        t = mixed_qubit()
+        w = decided(t, [P0, P1])
         report = window_entropy(w)
         oracle = (-(0.75 * math.log(0.75) + 0.25 * math.log(0.25))) - math.log(2)
         assert report.value == pytest.approx(oracle, abs=1e-12)
         assert report.value == pytest.approx(-0.13081, abs=1e-4)
 
     def test_unit_window_is_zero(self):
-        ds, t = mixed_qubit()
-        w = decided(ds, t, [np.eye(2, dtype=complex)])
+        t = mixed_qubit()
+        w = decided(t, [np.eye(2, dtype=complex)])
         assert window_entropy(w).value == 0.0
 
     def test_inconsistent_window_rejected(self):
-        ds, t = mixed_qubit(np.diag([1.0, 0.0]))
-        w = decided(ds, t, [P0, P1])
+        t = mixed_qubit(np.diag([1.0, 0.0]))
+        w = decided(t, [P0, P1])
         with pytest.raises(ValueError, match="entropy undefined"):
             window_entropy(w)
 
     def test_undecided_window_rejected(self):
-        ds, t = mixed_qubit()
+        t = mixed_qubit()
         w = window(t.space, [P0, P1])
         with pytest.raises(ValueError, match="no sector verdict"):
             window_entropy(w)
@@ -81,8 +81,8 @@ class TestWindowEntropy:
             scored([w])  # so neither aggregate can take it
 
     def test_terms_recompose_value(self):
-        ds, t = mixed_qubit()
-        report = window_entropy(decided(ds, t, [P0, P1]))
+        t = mixed_qubit()
+        report = window_entropy(decided(t, [P0, P1]))
         recomputed = -sum(term.probability *
                           math.log(term.probability / term.squared_norm)
                           for term in report.terms)
@@ -93,7 +93,7 @@ class TestWindowEntropy:
         for dim in (2, 3, 4):
             ds = state_for(random_model(rng, dim))
             t = wright_operator(ds, (0.0,))
-            for w in search_windows(ds, t, [[random_pvm(rng, dim)]]):
+            for w in search_windows(t, [[random_pvm(rng, dim)]]):
                 value = window_entropy(w).value
                 shannon = -sum(p * math.log(p) for p in w.kreport.probabilities)
                 shifted = shannon + sum(
@@ -104,40 +104,40 @@ class TestWindowEntropy:
 
 class TestPnormEntropy:
     def test_worked_p1_number(self):
-        ds, t = mixed_qubit()
-        w = decided(ds, t, [P0, P1])
+        t = mixed_qubit()
+        w = decided(t, [P0, P1])
         report = window_entropy_pnorm(w, 1)
         assert report.value == pytest.approx(-(0.75) * math.log(3.0), abs=1e-12)
         assert report.value == pytest.approx(-0.82396, abs=1e-4)
 
     def test_p2_matches_sector_entropy(self):
-        ds, t = mixed_qubit()
-        w = decided(ds, t, [P0, P1])
+        t = mixed_qubit()
+        w = decided(t, [P0, P1])
         assert window_entropy_pnorm(w, 2).value == pytest.approx(
             window_entropy(w).value, abs=1e-10)
 
     def test_p3_counterexample_rises_under_refinement(self):
-        ds, t = mixed_qubit(np.eye(2) / 2)
-        unit = decided(ds, t, [np.eye(2, dtype=complex)])
-        split = decided(ds, t, [P0, P1])
+        t = mixed_qubit(np.eye(2) / 2)
+        unit = decided(t, [np.eye(2, dtype=complex)])
+        split = decided(t, [P0, P1])
         rise = (window_entropy_pnorm(split, 3).value
                 - window_entropy_pnorm(unit, 3).value)
         assert rise == pytest.approx(math.log(2) / 3, abs=1e-6)
 
     def test_p_below_one_rejected(self):
-        ds, t = mixed_qubit()
+        t = mixed_qubit()
         with pytest.raises(ValueError, match=">= 1"):
-            window_entropy_pnorm(decided(ds, t, [P0, P1]), 0.99)
+            window_entropy_pnorm(decided(t, [P0, P1]), 0.99)
 
     def test_operator_inconsistent_window_rejected(self):
-        ds, t = mixed_qubit()
-        w = decided(ds, t, [P0, PLUS])  # overlapping members
+        t = mixed_qubit()
+        w = decided(t, [P0, PLUS])  # overlapping members
         with pytest.raises(ValueError, match="entropy undefined"):
             window_entropy_pnorm(w, 1)
 
     def test_zero_diagonal_member_contributes_nothing(self):
-        ds, t = mixed_qubit(np.diag([1.0, 0.0]))
-        w = decided(ds, t, [P0, P1])  # operator-consistent, diagonal value 0 on P1
+        t = mixed_qubit(np.diag([1.0, 0.0]))
+        w = decided(t, [P0, P1])  # operator-consistent, diagonal value 0 on P1
         report = window_entropy_pnorm(w, 1)
         assert report.terms[1].contribution == 0.0
         assert report.value == pytest.approx(-math.log(4.0), abs=1e-12)
@@ -235,8 +235,8 @@ class TestRefinementGap:
             base = random_pvm(rng, dim)
             y_op, z_op = base[0], base[1]
             rest = base[2:]
-            fine = decided(ds, t, [y_op, z_op] + rest)
-            coarse = decided(ds, t, [y_op + z_op] + rest)
+            fine = decided(t, [y_op, z_op] + rest)
+            coarse = decided(t, [y_op + z_op] + rest)
             i_fine = window_entropy(fine)
             i_coarse = window_entropy(coarse)
             p_y = fine.kreport.probabilities[0]
@@ -259,7 +259,7 @@ class TestMonotonicity:
             base = random_pvm(rng, dim)
             windows = []
             for blocks in set_partitions(base):
-                w = decided(ds, t, [np.sum(b, axis=0) for b in blocks])
+                w = decided(t, [np.sum(b, axis=0) for b in blocks])
                 if w.kreport.consistent:
                     windows.append(w)
             for coarse in windows:
@@ -276,48 +276,48 @@ class TestMonotonicity:
 
 class TestAggregates:
     def test_min_entropy_selects_computational_window(self):
-        ds, t = mixed_qubit()
-        value, best = min_entropy(scored(family_for(ds, t)))
+        t = mixed_qubit()
+        value, best = min_entropy(scored(family_for(t)))
         assert value == pytest.approx(-0.13081, abs=1e-4)
         assert best.kreport.probabilities == pytest.approx((0.75, 0.25), abs=1e-9)
 
     def test_min_entropy_tie_breaks_to_lowest_index(self):
-        ds, t = mixed_qubit(np.eye(2) / 2)
-        family = family_for(ds, t)
+        t = mixed_qubit(np.eye(2) / 2)
+        family = family_for(t)
         value, best = min_entropy(scored(family))
         assert value == pytest.approx(0.0, abs=1e-12)
         assert best is family[0]
 
     def test_min_entropy_singleton(self):
-        ds, t = mixed_qubit()
-        w = decided(ds, t, [np.eye(2, dtype=complex)])
+        t = mixed_qubit()
+        w = decided(t, [np.eye(2, dtype=complex)])
         value, best = min_entropy(scored([w]))
         assert value == 0.0 and best is w
 
     def test_min_entropy_requires_consistency(self):
-        ds, t = mixed_qubit(np.diag([1.0, 0.0]))
+        t = mixed_qubit(np.diag([1.0, 0.0]))
         with pytest.raises(ValueError, match="entropy undefined"):
-            scored([decided(ds, t, [P0, P1])])
+            scored([decided(t, [P0, P1])])
         with pytest.raises(ValueError, match="no consistent window"):
             min_entropy({})
 
     def test_sup_over_refinements_of_unit(self):
-        ds, t = mixed_qubit()
-        family = family_for(ds, t)
+        t = mixed_qubit()
+        family = family_for(t)
         unit = next(w for w in family if len(w.members) == 1)
         assert sup_refinement_entropy(unit, scored(family)) == pytest.approx(0.0, abs=1e-12)
 
     def test_sup_of_maximally_refined_is_own_entropy(self):
-        ds, t = mixed_qubit()
-        family = family_for(ds, t)
+        t = mixed_qubit()
+        family = family_for(t)
         comp = next(w for w in family
                     if tuple(round(p, 4) for p in w.kreport.probabilities) == (0.75, 0.25))
         assert sup_refinement_entropy(comp, scored(family)) == pytest.approx(
             window_entropy(comp).value, abs=1e-12)
 
     def test_sup_of_inconsistent_window_rejected(self):
-        ds, t = mixed_qubit(np.diag([1.0, 0.0]))
-        w = decided(ds, t, [P0, P1])
+        t = mixed_qubit(np.diag([1.0, 0.0]))
+        w = decided(t, [P0, P1])
         with pytest.raises(ValueError, match="entropy undefined"):
             sup_refinement_entropy(w, scored([w]))
 
@@ -360,8 +360,8 @@ class TestAggregates:
         assert len({id(w) for (w,) in calls}) == 8
 
     def test_sup_dominates_own_entropy(self):
-        ds, t = mixed_qubit()
-        family = family_for(ds, t)
+        t = mixed_qubit()
+        family = family_for(t)
         for w in family:
             assert (sup_refinement_entropy(w, scored(family))
                     >= window_entropy(w).value - 1e-12)

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from histq.core import SystemModel, TimeGrid, is_projector, tensor_product
 from histq.decoherence import DecoherenceState, d_trace
 from histq.histories import (
+    PropositionSpace,
     chain_map,
     class_operator,
     embed,
@@ -75,6 +76,21 @@ class TestEmbed:
         assert np.allclose(b.op, np.kron(EYE, P0))
         e = embed(model, history({}), support=(0.0, 1.0))
         assert np.allclose(e.op, np.eye(4))
+
+    @pytest.mark.parametrize("history_entries, support, message", [
+        ({}, None, "support must be nonempty"),
+        ({}, (), "support must be nonempty"),
+        ({0.0: P0}, (1.0, 0.0), "support times must be strictly increasing"),
+        ({2.0: P0}, (0.0, 1.0), "support does not contain the history's times"),
+    ])
+    def test_support_validated(self, history_entries, support, message):
+        with pytest.raises(ValueError, match=message):
+            embed(qubit_model(), history(history_entries), support=support)
+
+    def test_returns_a_proposition_of_the_support_sector(self):
+        b = embed(qubit_model(), history({1.0: P0}), support=(0.0, 1.0))
+        assert b.space == PropositionSpace(support=(0.0, 1.0), dim_single=2)
+        assert b.n_times == 2
 
     def test_non_projector_entry_rejected(self):
         with pytest.raises(ValueError, match="not a projector"):

@@ -3,22 +3,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from histq.decoherence import d_form
+from histq.consistency import Window, check_window, is_refinement, window
+from histq.decoherence import d_basis_sum, d_form, ils_reconstruct
+from histq.histories import PropositionSpace, chain_map, proposition, unit_proposition
 from histq.propositions import (
-    PropositionSpace,
     WrightOperator,
     chain_matrix,
     hs_inner,
     p_norm,
     probability,
-    proposition,
-    unit_proposition,
     wright_operator,
 )
-from histq.histories import chain_map
 from histq.sampling import random_model, random_operator, random_projector
 
-from helpers import P0, PLUS, qubit_state, state_for
+from helpers import P0, P1, PLUS, qubit_state, state_for
 
 SINGLE = PropositionSpace(support=(0.0,), dim_single=2)
 DOUBLE = PropositionSpace(support=(0.0, 1.0), dim_single=2)
@@ -26,8 +24,18 @@ DOUBLE = PropositionSpace(support=(0.0, 1.0), dim_single=2)
 
 class TestSpace:
     def test_dimensions(self):
-        assert SINGLE.op_dim == 2 and SINGLE.sector_dim == 4
-        assert DOUBLE.op_dim == 4 and DOUBLE.sector_dim == 16
+        assert SINGLE.op_dim == 2
+        assert DOUBLE.op_dim == 4
+
+    @pytest.mark.parametrize("support, dim, message", [
+        ((), 2, "support must be nonempty"),
+        ((1.0, 0.0), 2, "support times must be strictly increasing"),
+        ((0.0, 0.0), 2, "support times must be strictly increasing"),
+        ((0.0,), 0, "dim_single must be positive"),
+    ])
+    def test_sector_validated_when_built(self, support, dim, message):
+        with pytest.raises(ValueError, match=message):
+            PropositionSpace(support=support, dim_single=dim)
 
     def test_shape_validated(self):
         with pytest.raises(ValueError, match="does not match"):
@@ -127,9 +135,24 @@ class TestWrightOperator:
             t = wright_operator(ds, ds.grid.times[:n])
             for _ in range(34):
                 b = proposition(t.space, random_operator(rng, t.space.op_dim))
-                hb = b.as_history_operator()
-                worst = max(worst, abs(probability(t, b) - d_form(ds, hb, hb).real))
+                worst = max(worst, abs(probability(t, b) - d_form(ds, b, b).real))
         assert worst <= 1e-9
+
+    def test_records_its_state(self):
+        ds = qubit_state(np.diag([0.75, 0.25]))
+        assert wright_operator(ds, (0.0,)).state is ds
+        assert wright_operator(ds, (0.0, 1.0)).state is ds
+
+    def test_gram_and_residual_match_the_matrix(self):
+        rng = np.random.default_rng(29)
+        ds = state_for(random_model(rng, 2))
+        t = wright_operator(ds, (0.0, 1.0))
+        base = np.array([random_operator(rng, 4) for _ in range(3)])
+        members = [proposition(t.space, b) for b in base]
+        expected = [[hs_inner(x, t.apply(y)) for y in members] for x in members]
+        assert np.max(np.abs(t.gram(base) - np.array(expected))) <= 1e-12
+        oracle = np.max(np.abs(t.matrix - t.matrix.conj().T)) / t.space.op_dim
+        assert t.self_adjoint_residual() == oracle <= 1e-10
 
     def test_sector_self_adjoint(self):
         rng = np.random.default_rng(25)
@@ -186,7 +209,8 @@ class TestProbability:
 
     def test_nonreal_form_rejected(self):
         skew = np.array([[0, 1j], [0, 0]], dtype=complex)
-        bad = WrightOperator(space=SINGLE, matrix=np.kron(np.eye(2), skew) + np.eye(4))
+        bad = WrightOperator(space=SINGLE, matrix=np.kron(np.eye(2), skew) + np.eye(4),
+                             state=qubit_state(np.diag([0.75, 0.25])))
         x = proposition(SINGLE, PLUS + 0.5 * np.array([[0, 1], [0, 0]]))
         with pytest.raises(ValueError, match="non-real quadratic form"):
             probability(bad, x)
@@ -196,3 +220,34 @@ class TestProbability:
         t = wright_operator(ds, (0.0,))
         with pytest.raises(ValueError, match="sector mismatch"):
             probability(t, unit_proposition(DOUBLE))
+
+
+# Sector A and sector B share dim_single = 2 but not their support.
+SECTOR_A = PropositionSpace(support=(0.0,), dim_single=2)
+SECTOR_B = PropositionSpace(support=(1.0,), dim_single=2)
+FOREIGN_OPERANDS = {
+    "hs_inner": (lambda c: hs_inner(c["x"], c["y"]), "sector mismatch"),
+    "probability": (lambda c: probability(c["t"], c["y"]), "sector mismatch"),
+    "d_form": (lambda c: d_form(c["ds"], c["x"], c["y"]), "mixed temporal support"),
+    "d_basis_sum": (lambda c: d_basis_sum(c["ds"], c["x"], c["y"]), "mixed temporal support"),
+    "pair_value-second": (lambda c: c["ils"].pair_value(c["x"], c["y"]), "sector mismatch"),
+    "pair_value-both": (lambda c: c["ils"].pair_value(c["y"], c["y"]), "sector mismatch"),
+    "check_window": (lambda c: check_window(window(SECTOR_B, [P0, P1]), c["t"]),
+                     "sector mismatch"),
+    "is_refinement": (lambda c: is_refinement(window(SECTOR_A, [P0, P1]),
+                                              window(SECTOR_B, [np.eye(2)])),
+                      "sector mismatch"),
+    "Window": (lambda c: Window(space=SECTOR_A, members=(c["x"], c["y"])), "sector mismatch"),
+}
+
+
+@pytest.mark.parametrize("name", FOREIGN_OPERANDS)
+def test_operand_from_another_sector_is_refused(name):
+    ds = qubit_state(np.diag([0.75, 0.25]))
+    case = {"ds": ds, "t": wright_operator(ds, SECTOR_A.support),
+            "ils": ils_reconstruct(ds, SECTOR_A.support),
+            "x": proposition(SECTOR_A, P0), "y": proposition(SECTOR_B, P0)}
+    assert case["t"].space == case["ils"].space == SECTOR_A
+    call, message = FOREIGN_OPERANDS[name]
+    with pytest.raises(ValueError, match=message):
+        call(case)
