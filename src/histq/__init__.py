@@ -35,8 +35,10 @@ from .decoherence import (
 )
 from .propositions import WrightOperator, hs_inner, p_norm, probability, wright_operator
 from .consistency import (
+    BaseFamily,
     ConsistencyReport,
     Window,
+    base_family,
     check_window,
     check_window_operators,
     is_maximally_refined,

@@ -112,7 +112,7 @@ def _windows_payload(scn: Scenario, found, labels) -> dict:
             "probabilities": [float(p) for p in w.kreport.probabilities],
             "squared_norms": [hs_inner(x, x).real for x in w.members],
             "sector_check": _report_entry(w.kreport),
-            "operator_check": _report_entry(w.opreport) if w.opreport else None,
+            "operator_check": _report_entry(w.opreport),
             "maximally_refined": is_maximally_refined(w, found),
         })
     return {"support": list(scn.grid.times[:len(scn.pvms)]), "windows": entries}
@@ -126,9 +126,8 @@ def _entropy_payload(scn: Scenario, found, labels) -> dict:
         for p in scn.entropy_p:
             if p == 2.0:
                 rep = scored[w]
-            elif w.opreport is None or not w.opreport.consistent:
-                reason = ("members are not projectors" if w.opreport is None else
-                          f"operator picture inconsistent: {', '.join(w.opreport.violated)}")
+            elif not w.opreport.consistent:
+                reason = f"operator picture inconsistent: {', '.join(w.opreport.violated)}"
                 skipped.append({"window": label, "p": float(p), "reason": reason})
                 continue
             else:

@@ -1,23 +1,24 @@
 """Consistent windows in both pictures, refinement, and window search.
 
-A window is a finite family of propositions on one sector.  In the sector
-picture it is consistent for a state T when the members are mutually
-orthogonal, sum to e, carry strictly positive probabilities <= 1, and the
-probabilities add up to 1.  In the operator picture a projector family is
-consistent when the projections are mutually orthogonal, complete, and all
-off-diagonal decoherence values have vanishing real part.
+Every window is a coarse graining of a base family: the Kronecker products
+of one projector decomposition per support time of a Wright operator T.
+Each decomposition is checked once, where its family is built (projectors
+summing to the identity), so the family's members are orthogonal projectors
+summing to e and so is every coarse graining of it.  A window is its family
+together with a label string that assigns each base element to a member,
+and its members are the block sums of the base.
 
-A window is decided for a Wright operator, which carries the decoherence
-state of the operator picture, so both pictures judge it for one state.
-
-The search enumerates coarse grainings of product-history families built from
-per-time projective decompositions.  Set partitions are generated in numpy as
-restricted-growth strings, so the ordering is deterministic.  The
-probabilities and cross terms ``check_window`` tests on a coarse graining are
-block sums of one N x N matrix, the Gram matrix of the state on the base
-family, so the strings are scored in vectorised chunks first, leaving
-orthogonality and completeness to ``check_window``.  Only the partitions that
-pass this screen become windows, and ``Window.decide`` alone decides them.
+A window is consistent in the sector picture when its probabilities
+<x_i, T x_i> are strictly positive, at most 1, and additive: Re <x_i, T x_j>
+vanishes for i != j and the probabilities sum to 1.  It is consistent in the
+operator picture when every Re d(x_i, x_j) with i != j vanishes.  Both
+values are sesquilinear in the members, so a family builds two Gram matrices
+once, G_T[a, b] = <base_a, T base_b> from T and G_d[a, b] = d(base_a, base_b)
+from the chain form, and each window reads its values as the block sums
+O^T G O of its one-hot block matrix O.  One kernel computes these sums for
+``check_window``, ``check_window_operators`` and the vectorised screen of the
+search, which scores restricted-growth strings in chunks generated in numpy.
+G_d never reads T, so the two verdicts still cross-check two representations.
 Both checks write nothing and return a report holding the verdict and the
 member probabilities their picture certifies; ``Window`` is frozen and carries
 the two reports, so consumers read the verdicts instead of checking again.
@@ -27,27 +28,29 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .core import TOLERANCES, as_operator, heisenberg, is_projector, max_abs
-from .decoherence import DecoherenceState, d_form
-from .histories import Proposition, PropositionSpace, proposition, unit_proposition
-from .propositions import WrightOperator, hs_inner, probability
+from .decoherence import d_gram
+from .histories import Proposition, PropositionSpace
+from .propositions import WrightOperator, hs_inner
 
 __all__ = [
     "ConsistencyReport",
+    "BaseFamily",
+    "base_family",
     "Window",
     "window",
     "check_window",
     "check_window_operators",
+    "partition_windows",
     "is_refinement",
     "strict_refinements",
     "search_windows",
     "is_maximally_refined",
-    "set_partitions",
     "MAX_BASE_FAMILY",
 ]
 
@@ -55,9 +58,6 @@ MAX_BASE_FAMILY = 12
 # Restricted-growth strings scored per vectorised screen batch; bounds the
 # screen's memory independently of the Bell number of the family.
 _SCREEN_CHUNK = 256
-# Multiple of the summation-order rounding bound by which the screen widens
-# the check_window thresholds (see _rounding_slack).
-_ROUNDING_ULPS = 16
 
 
 @dataclass(frozen=True)
@@ -73,106 +73,169 @@ class ConsistencyReport:
 
 
 @dataclass(frozen=True, eq=False)
+class BaseFamily:
+    """Orthogonal projectors summing to e on the sector of ``t``, stacked along
+    axis 0 of ``ops``, with the two Gram matrices of its windows."""
+
+    t: WrightOperator
+    ops: np.ndarray
+    gram_t: np.ndarray  # <base_a, T base_b>
+    gram_d: np.ndarray  # d(base_a, base_b), from the chain form
+
+    @property
+    def space(self) -> PropositionSpace:
+        return self.t.space
+
+
+def _decomposition(elements, name: str, dim: int) -> list[np.ndarray]:
+    """The elements as operators; ``ValueError`` naming the decomposition unless
+    they are dim x dim projectors summing to the identity."""
+    ops = [as_operator(p) for p in elements]
+    if any(op.shape != (dim, dim) for op in ops):
+        raise ValueError(f"decomposition {name}: sector mismatch: elements must be {dim}x{dim}")
+    if not all(is_projector(op) for op in ops):
+        raise ValueError(f"decomposition {name}: elements must be projectors")
+    if max_abs(sum(ops) - np.eye(dim)) > TOLERANCES.consistency:
+        raise ValueError(f"decomposition {name}: elements must sum to the identity")
+    return ops
+
+
+def base_family(t: WrightOperator, decompositions: Sequence[Sequence[np.ndarray]],
+                names: Sequence[str] | None = None) -> BaseFamily:
+    """The Kronecker products of ``decompositions[k]``, the projector
+    decomposition offered at the k-th support time of ``t`` (operators on
+    the single-time space, already in the picture the sector uses), in
+    row-major order over the times.
+
+    Each decomposition is checked here and nowhere else: ``ValueError``
+    naming it (``names[k]``, by default ``decompositions[k]``) unless its
+    elements are projectors summing to the identity, and when the family
+    has more than ``MAX_BASE_FAMILY`` elements.
+    """
+    space = t.space
+    if len(decompositions) != space.n_times:
+        raise ValueError("need one decomposition per support time")
+    names = names or [f"decompositions[{k}]" for k in range(space.n_times)]
+    factors = [_decomposition(elements, name, space.dim_single)
+               for elements, name in zip(decompositions, names)]
+    size = int(np.prod([len(f) for f in factors]))
+    if size > MAX_BASE_FAMILY:
+        raise ValueError(f"base family too large: {size} > {MAX_BASE_FAMILY}")
+    ops = np.array([functools.reduce(np.kron, combo) for combo in itertools.product(*factors)])
+    return BaseFamily(t=t, ops=ops, gram_t=t.gram(ops),
+                      gram_d=d_gram(t.state, ops, space.n_times))
+
+
+@dataclass(frozen=True, eq=False)
 class Window:
-    """Finite family of propositions; a decided window carries its verdicts."""
+    """A coarse graining of a base family with its verdicts in both pictures.
 
-    space: PropositionSpace
-    members: tuple[Proposition, ...]
-    kreport: ConsistencyReport | None = None  # sector picture
-    opreport: ConsistencyReport | None = None  # operator picture
+    ``labels[a]`` is the member that base element a belongs to; every member
+    index below ``max(labels) + 1`` is used.
+    """
 
-    def __post_init__(self):
-        if len(self.members) == 0:
-            raise ValueError("window must have at least one member")
-        self.space.require(*self.members)
+    family: BaseFamily
+    labels: tuple[int, ...]
+    kreport: ConsistencyReport  # sector picture
+    opreport: ConsistencyReport  # operator picture
+
+    @property
+    def space(self) -> PropositionSpace:
+        return self.family.space
 
     @functools.cached_property
-    def projective(self) -> bool:
-        """True when every member is a projector; tested once per window."""
-        return all(is_projector(x.op) for x in self.members)
-
-    def decide(self, t: WrightOperator) -> Window:
-        """A copy with the verdicts of ``check_window`` for ``t`` and, when every
-        member is a projector, ``check_window_operators`` for ``t.state``."""
-        kreport = check_window(self, t)
-        opreport = check_window_operators(t.state, self) if self.projective else None
-        return replace(self, kreport=kreport, opreport=opreport)
+    def members(self) -> tuple[Proposition, ...]:
+        """The block sums of the base, in member order."""
+        labels = np.array(self.labels)
+        return tuple(Proposition(space=self.space, op=np.sum(self.family.ops[labels == v], axis=0))
+                     for v in range(labels.max() + 1))
 
 
-def window(space: PropositionSpace, ops: Sequence[np.ndarray]) -> Window:
-    members = tuple(proposition(space, op) for op in ops)
-    return Window(space=space, members=members)
+def _labels(family: BaseFamily, labels) -> np.ndarray:
+    """``labels`` as one string of block indices; ``ValueError`` unless it
+    labels every base element and uses every block below its maximum."""
+    rgs = np.asarray(labels, dtype=np.intp)
+    if rgs.shape != (len(family.ops),) or rgs.min() < 0 or not np.bincount(rgs).all():
+        raise ValueError(f"labels must give each of the {len(family.ops)} base elements "
+                         "a block, using every block from 0 up")
+    return rgs
 
 
-def _bound(name: str, residual: float, violated: list[str], residuals: list[float]) -> None:
-    residuals.append(residual)
-    if residual > TOLERANCES.consistency:
-        violated.append(name)
+def _block_sums(g: np.ndarray, rgs: np.ndarray) -> np.ndarray:
+    """Re(O^T G O) for the one-hot block matrix O[a, i] = [rgs[r, a] == i] of
+    each string r: entry [r, i, j] sums Re G over block i x block j.
+
+    The one kernel of every window value.  O is real, so Re(O^T G O) is
+    O^T Re(G) O, and real matmuls are cheaper.
+    """
+    onehot = np.take(np.eye(g.shape[0]), rgs, axis=0)
+    return onehot.transpose(0, 2, 1) @ g.real @ onehot
 
 
-def _pair_max(measure, items: Sequence, floor: float = 0.0) -> float:
-    """Largest ``measure(a, b)`` over the pairs a before b of ``items``, at least ``floor``."""
-    pairs = itertools.combinations(items, 2)
-    return max(itertools.chain([floor], itertools.starmap(measure, pairs)))
+def _cross(sums: np.ndarray) -> np.ndarray:
+    """Largest |off-diagonal block sum| per string; G is Hermitian, so Re G is
+    symmetric and the upper triangle suffices."""
+    upper = np.triu(np.ones(sums.shape[1:], dtype=bool), 1)
+    return np.max(np.abs(sums[:, upper]), axis=1, initial=0.0)
 
 
-def _structure(w: Window, overlap) -> tuple[list[str], list[float]]:
-    """The conditions both pictures share: pairwise orthogonality under
-    ``overlap`` and completeness (the members sum to e)."""
-    violated: list[str] = []
-    residuals: list[float] = []
-    _bound("orthogonality", _pair_max(overlap, w.members), violated, residuals)
-    _bound("completeness", max_abs(sum(x.op for x in w.members) - np.eye(w.space.op_dim)),
-           violated, residuals)
-    return violated, residuals
+def _sector_terms(sums: np.ndarray, rgs: np.ndarray):
+    """Per string of the G_T block sums: the probabilities, whether every used
+    block has 0 < p <= 1, and the additivity residual (the largest cross
+    term or the distance of the total from 1)."""
+    probs = np.diagonal(sums, axis1=1, axis2=2)
+    used = np.arange(rgs.shape[1]) <= rgs.max(axis=1, keepdims=True)
+    positive = np.all(~used | ((probs > TOLERANCES.strict_positive)
+                               & (probs <= 1.0 + TOLERANCES.consistency)), axis=1)
+    total = probs.sum(axis=1)  # empty blocks add exact zeros
+    return probs, positive, np.maximum(_cross(sums), np.abs(total - 1.0))
 
 
-def _verdict(violated: list[str], residuals: list[float], probs: tuple) -> ConsistencyReport:
+def _report(violated: list[str], residual: float, probs: np.ndarray) -> ConsistencyReport:
     return ConsistencyReport(
         verdict="consistent" if not violated else "inconsistent",
         violated=tuple(violated),
-        max_residual=max(residuals) if residuals else 0.0,
-        probabilities=probs,
+        max_residual=float(residual),
+        probabilities=tuple(float(p) for p in probs),
     )
 
 
-def check_window(w: Window, t: WrightOperator) -> ConsistencyReport:
-    """Sector-picture consistency of ``w`` for the state ``t``.
+def check_window(family: BaseFamily, labels) -> ConsistencyReport:
+    """Sector-picture consistency of the coarse graining ``labels`` of ``family``.
 
-    Conditions: pairwise orthogonality, completeness (sum = e), strict
-    positivity 0 < p <= 1, and additivity of the probabilities as a measure
-    on the Boolean algebra the members generate, i.e. Re <x_i, T x_j> = 0 for
-    i != j together with sum p = 1.  (The total sum alone is too weak: for a
-    complete product family it equals 1 identically even with interference
-    between the members.)  The report's probabilities are <x_i, T x_i>.
+    Conditions: strict positivity 0 < p <= 1, and additivity of the
+    probabilities as a measure on the Boolean algebra the members generate,
+    i.e. Re <x_i, T x_j> = 0 for i != j together with sum p = 1.  (The total
+    sum alone is too weak: for a complete product family it equals 1
+    identically even with interference between the members.)  The report's
+    probabilities are <x_i, T x_i>, block sums of G_T.
     """
-    t.space.require(w)
-    violated, residuals = _structure(w, lambda x, y: abs(hs_inner(x, y)))
-
-    probs = tuple(probability(t, x) for x in w.members)
-    if any(p <= TOLERANCES.strict_positive or p > 1.0 + TOLERANCES.consistency for p in probs):
-        violated.append("positivity")
-    residuals.append(max([p - 1.0 for p in probs if p > 1.0], default=0.0))
-
-    pairs = [(x, t.apply(x)) for x in w.members]  # (x_i, T x_i)
-    add = _pair_max(lambda a, b: abs(hs_inner(a[0], b[1]).real), pairs, abs(sum(probs) - 1.0))
-    _bound("additivity", add, violated, residuals)
-
-    return _verdict(violated, residuals, probs)
+    rgs = _labels(family, labels)[None]
+    probs, positive, additivity = _sector_terms(_block_sums(family.gram_t, rgs), rgs)
+    probs = probs[0, :rgs.max() + 1]
+    violated = [] if positive[0] else ["positivity"]
+    if additivity[0] > TOLERANCES.consistency:
+        violated.append("additivity")
+    return _report(violated, max(probs.max() - 1.0, additivity[0], 0.0), probs)
 
 
-def check_window_operators(ds: DecoherenceState, w: Window) -> ConsistencyReport:
-    """Operator-picture consistency: orthogonal complete projections with
-    vanishing real off-diagonal decoherence values.  The report's
-    probabilities are the diagonal values Re d(x_i, x_i)."""
-    if not w.projective:
-        raise ValueError("non-projector member")
-    violated, residuals = _structure(w, lambda x, y: max_abs(x.op @ y.op))
+def check_window_operators(family: BaseFamily, labels) -> ConsistencyReport:
+    """Operator-picture consistency of the coarse graining ``labels`` of
+    ``family``: every real off-diagonal decoherence value vanishes.  The
+    report's probabilities are the diagonal values Re d(x_i, x_i), block sums
+    of G_d."""
+    rgs = _labels(family, labels)[None]
+    sums = _block_sums(family.gram_d, rgs)
+    cross = _cross(sums)[0]
+    violated = ["re-cross-term"] if cross > TOLERANCES.consistency else []
+    return _report(violated, cross, np.diagonal(sums[0])[:rgs.max() + 1])
 
-    cross = _pair_max(lambda a, b: abs(d_form(ds, a, b).real), w.members)
-    _bound("re-cross-term", cross, violated, residuals)
-    probs = tuple(d_form(ds, x, x).real for x in w.members)
-    return _verdict(violated, residuals, probs)
+
+def window(family: BaseFamily, labels) -> Window:
+    """The coarse graining ``labels`` of ``family``, decided in both pictures."""
+    rgs = _labels(family, labels)
+    return Window(family=family, labels=tuple(rgs.tolist()),
+                  kreport=check_window(family, rgs), opreport=check_window_operators(family, rgs))
 
 
 def is_refinement(fine: Window, coarse: Window) -> bool:
@@ -223,14 +286,12 @@ def _rgs_chunks(n: int) -> Iterator[np.ndarray]:
                   for i in reversed(range(0, len(children), _SCREEN_CHUNK))]
 
 
-def set_partitions(items: Sequence) -> Iterator[list[list]]:
-    """Set partitions of ``items`` in restricted-growth-string order."""
-    items = list(items)
-    for rgs in itertools.chain.from_iterable(chunk.tolist() for chunk in _rgs_chunks(len(items))):
-        blocks: list[list] = [[] for _ in range(max(rgs, default=-1) + 1)]
-        for item, value in zip(items, rgs):
-            blocks[value].append(item)
-        yield blocks
+def partition_windows(family: BaseFamily) -> Iterator[Window]:
+    """Every coarse graining of ``family``, decided in both pictures, in
+    restricted-growth-string order."""
+    for chunk in _rgs_chunks(len(family.ops)):
+        for row in chunk:
+            yield window(family, row)
 
 
 def _member_key(op: np.ndarray) -> bytes:
@@ -242,76 +303,40 @@ def _window_key(w: Window) -> tuple[bytes, ...]:
     return tuple(sorted(_member_key(x.op) for x in w.members))
 
 
-def _rounding_slack(g: np.ndarray, op_dim: int) -> float:
-    """How far a screened block sum may differ from ``check_window``'s value.
-
-    Both compute the same exact numbers in different summation orders: the
-    screen adds up to N^2 entries of G, and each entry and each value of
-    ``check_window`` is itself a sum over the op_dim^2 vector entries.
-    """
-    n = g.shape[0]
-    scale = max(1.0, max_abs(g))
-    return _ROUNDING_ULPS * (n * n + op_dim * op_dim) * np.finfo(float).eps * scale
-
-
-def _screen(g: np.ndarray, chunks: Iterable[np.ndarray], slack: float) -> Iterator[np.ndarray]:
-    """The rows of each chunk of strings whose partition ``check_window`` may accept.
-
-    With the one-hot block matrix O[a, i] = [rgs[a] == i] of a partition,
-    O^T G O holds <x_i, T x_j> for its coarse members x_i.  Positivity and
-    additivity (cross terms, sum to one) are tested on these block sums with
-    every threshold widened by ``slack``, so no partition that
-    ``check_window`` accepts is dropped.  Orthogonality and completeness are
-    left to ``check_window``: an omitted test only keeps more partitions.
-    """
-    n = g.shape[0]
-    onehot_rows = np.eye(n)  # row v is the one-hot code of block v
-    blocks = np.arange(n)
-    upper = np.triu(np.ones((n, n), dtype=bool), 1)
-    greal = g.real  # O is real, so Re(O^T G O) = O^T Re(G) O; real matmuls are cheaper
-    bound = TOLERANCES.consistency + slack
-    floor = TOLERANCES.strict_positive - slack
+def _screen(g: np.ndarray, chunks: Iterable[np.ndarray]) -> Iterator[np.ndarray]:
+    """The rows of each chunk of strings that pass the sector picture on the
+    Gram matrix ``g``: the tests of ``check_window``, a chunk at a time."""
     for rgs in chunks:
-        onehot = np.take(onehot_rows, rgs, axis=0)
-        sums = onehot.transpose(0, 2, 1) @ greal @ onehot
-        probs = np.diagonal(sums, axis1=1, axis2=2)
-        used = blocks <= rgs.max(axis=1, keepdims=True)
-        positive = np.all(~used | ((probs > floor) & (probs <= 1.0 + bound)), axis=1)
-        cross = np.max(np.abs(sums[:, upper]), axis=1, initial=0.0)
-        total = probs.sum(axis=1)  # empty blocks add exact zeros
-        yield rgs[positive & (np.maximum(cross, np.abs(total - 1.0)) <= bound)]
+        _, positive, additivity = _sector_terms(_block_sums(g, rgs), rgs)
+        yield rgs[positive & (additivity <= TOLERANCES.consistency)]
 
 
 def search_windows(t: WrightOperator,
                    pvms: Sequence[Sequence[Sequence[np.ndarray]]]) -> list[Window]:
     """Enumerate consistent coarse grainings of product-history families.
 
-    ``pvms[k]`` lists the alternative projective decompositions offered at
-    the k-th support time of ``t``.  For every choice of one decomposition
-    per time, the Cartesian product of their elements (transported to the
-    Heisenberg picture and tensored in time order) forms a base family of at
-    most ``MAX_BASE_FAMILY`` orthogonal projectors.  The set partitions of
-    the base family are its restricted-growth strings.  Every decomposition
-    must consist of projectors summing to the identity, else ``ValueError``
-    naming it.
+    ``pvms[k]`` lists the alternative projector decompositions offered at
+    the k-th support time of ``t``.  Every choice of one decomposition per
+    time, transported to the Heisenberg picture, builds one base family;
+    :func:`base_family` refuses a decomposition ``pvms[k][j]`` whose elements
+    are not projectors summing to the identity, naming it.  Without
+    decompositions the family is the identity at every time, whose one
+    window is the unit.
 
-    The strings are generated in numpy in chunks of at most
-    ``_SCREEN_CHUNK``, so memory does not grow with the Bell number.  Each
-    chunk is scored at once from ``G[a, b] = <base_a, T base_b>``, built once
-    per family: every block probability and cross term of a coarse graining
-    is a block sum of it.  The screen keeps every partition that
-    ``check_window`` could accept; only those become windows, and
-    ``Window.decide`` alone attaches their verdicts.
+    The set partitions of each family are its restricted-growth strings,
+    generated in numpy in chunks of at most ``_SCREEN_CHUNK``, so memory
+    does not grow with the Bell number.  Each chunk is screened at once on
+    the family's G_T; ``check_window`` reports on every string the screen
+    keeps, and each consistent one becomes a window with its operator verdict.
 
     Returns the consistent windows, deduplicated, largest first, with ties
     broken by a canonical byte key, so the output does not depend on the
     ordering of the supplied decomposition elements.
     """
     space, ds = t.space, t.state
-    results: dict[tuple[bytes, ...], Window] = {}
-
     if len(pvms) == 0:
-        return [Window(space=space, members=(unit_proposition(space),)).decide(t)]
+        unit = [[np.eye(space.dim_single)]] * space.n_times
+        return [window(base_family(t, unit), (0,))]
 
     if len(pvms) != space.n_times:
         raise ValueError("need one decomposition list per support time")
@@ -319,37 +344,20 @@ def search_windows(t: WrightOperator,
         if len(klists) == 0:
             raise ValueError("each time needs at least one decomposition")
 
-    eye = np.eye(ds.model.dim)
-    transported: list[list[list[np.ndarray]]] = []
-    for k, (time, klists) in enumerate(zip(space.support, pvms)):
-        per_time = []
-        for j, pvm in enumerate(klists):
-            elements = [as_operator(p) for p in pvm]
-            if not all(is_projector(p) for p in elements):
-                raise ValueError(f"decomposition pvms[{k}][{j}]: elements must be projectors")
-            if max_abs(sum(elements) - eye) > TOLERANCES.consistency:
-                raise ValueError(f"decomposition pvms[{k}][{j}]: "
-                                 "elements must sum to the identity")
-            per_time.append([heisenberg(ds.model, p, time, ds.grid.t0) for p in elements])
-        transported.append(per_time)
-
-    for choice in itertools.product(*transported):
-        combos = list(itertools.product(*choice))
-        if len(combos) > MAX_BASE_FAMILY:
-            raise ValueError(
-                f"base family too large: {len(combos)} > {MAX_BASE_FAMILY}")
-        base = np.array([functools.reduce(np.kron, combo) for combo in combos])
-        g = t.gram(base)
-        for kept in _screen(g, _rgs_chunks(len(base)), _rounding_slack(g, space.op_dim)):
+    transported = [[[heisenberg(ds.model, p, time, ds.grid.t0) for p in pvm] for pvm in klists]
+                   for time, klists in zip(space.support, pvms)]
+    results: dict[tuple[bytes, ...], Window] = {}
+    for choice in itertools.product(*(range(len(klists)) for klists in pvms)):
+        family = base_family(t, [transported[k][j] for k, j in enumerate(choice)],
+                             [f"pvms[{k}][{j}]" for k, j in enumerate(choice)])
+        for kept in _screen(family.gram_t, _rgs_chunks(len(family.ops))):
             for row in kept:
-                ops = [np.sum(base[row == v], axis=0) for v in range(row.max() + 1)]
-                # a sum drifting past the projector bound gets no operator verdict
-                cand = window(space, ops).decide(t)
-                if not cand.kreport.consistent:
+                kreport = check_window(family, row)
+                if not kreport.consistent:  # the screen's batched sums may round apart
                     continue
-                key = _window_key(cand)
-                if key not in results:
-                    results[key] = cand
+                cand = Window(family=family, labels=tuple(row.tolist()), kreport=kreport,
+                              opreport=check_window_operators(family, row))
+                results.setdefault(_window_key(cand), cand)
 
     ordered = sorted(results.items(), key=lambda kv: (-len(kv[1].members), kv[0]))
     return [w for _, w in ordered]

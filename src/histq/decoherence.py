@@ -10,9 +10,11 @@ form, :func:`d_basis_sum` the expansion over products of orthonormal bases,
 and :class:`IlsOperator` the reconstruction d(p, q) = tr((p (x) q) X) from a
 single operator X on the doubled tensor space.  :func:`d_form` is the
 sesquilinear extension to arbitrary operators on one support sector via the
-chain map.  :func:`d_form`, :func:`d_basis_sum` and
-:meth:`IlsOperator.pair_value` take two :class:`~histq.histories.Proposition`
-arguments of one sector; ``embed`` turns a history into one.
+chain map, and :func:`d_gram` its matrix on a stack of operators, which
+both :func:`d_form` and the reconstruction read.  :func:`d_form`,
+:func:`d_basis_sum` and :meth:`IlsOperator.pair_value` take two
+:class:`~histq.histories.Proposition` arguments of one sector of the state's
+dimension; ``embed`` turns a history into one.
 
 The reconstruction is performed on a Hermitian operator basis, where the
 bilinear and sesquilinear extensions agree; values of ``pair_value`` are
@@ -44,6 +46,7 @@ __all__ = [
     "require_sector",
     "d_trace",
     "d_form",
+    "d_gram",
     "d_basis_sum",
     "hermitian_basis",
     "IlsOperator",
@@ -100,13 +103,27 @@ def d_trace(ds: DecoherenceState, h: HomogeneousHistory, k: HomogeneousHistory) 
     return complex(np.trace(ch.conj().T @ ds.model.rho @ ck))
 
 
+def _pair_sector(ds: DecoherenceState, p: Proposition, q: Proposition) -> PropositionSpace:
+    """The common sector of ``p`` and ``q``; ``ValueError`` on two supports, and
+    "sector mismatch" when its single-time dimension is not the state's."""
+    if p.space != q.space:
+        raise ValueError("mixed temporal support")
+    return PropositionSpace(support=p.space.support, dim_single=ds.model.dim).require(p)
+
+
+def d_gram(ds: DecoherenceState, ops: np.ndarray, n_times: int) -> np.ndarray:
+    """``G[a, b] = tr(pi(ops_a)^dag rho pi(ops_b))`` for a stack ``ops`` of
+    operators on one n-time sector: one chain map call, then two matmuls."""
+    chains = chain_map(ops, ds.model.dim, n_times)
+    n = len(chains)
+    left = chains.conj().transpose(0, 2, 1) @ ds.model.rho  # pi(ops_a)^dag rho
+    return left.reshape(n, -1) @ chains.transpose(0, 2, 1).reshape(n, -1).T
+
+
 def d_form(ds: DecoherenceState, b1: Proposition, b2: Proposition) -> complex:
     """Sesquilinear extension tr(pi(b1)^dag rho pi(b2)) on a common support."""
-    if b1.space != b2.space:
-        raise ValueError("mixed temporal support")
-    cx = chain_map(b1.op, b1.space.dim_single, b1.n_times)
-    cy = chain_map(b2.op, b2.space.dim_single, b2.n_times)
-    return complex(np.trace(cx.conj().T @ ds.model.rho @ cy))
+    space = _pair_sector(ds, b1, b2)
+    return complex(d_gram(ds, np.stack((b1.op, b2.op)), space.n_times)[0, 1])
 
 
 def d_basis_sum(ds: DecoherenceState, p: Proposition, q: Proposition,
@@ -126,10 +143,8 @@ def d_basis_sum(ds: DecoherenceState, p: Proposition, q: Proposition,
     conjugate linear in the first slot like :func:`d_form`.  Memory is
     O(dim^(2n)), the size of P and Q.
     """
-    if p.space != q.space:
-        raise ValueError("mixed temporal support")
+    n = _pair_sector(ds, p, q).n_times
     dim = ds.model.dim
-    n = p.n_times
     psi = ds.model.vectors
     if bases is None:
         bases = [psi] * (2 * n - 1)
@@ -190,9 +205,13 @@ class IlsOperator:
     xd: np.ndarray
 
     def pair_value(self, p: Proposition, q: Proposition) -> complex:
-        """Reconstructed d(p, q); exact only for self-adjoint p, q."""
-        self.space.require(p, q)
-        return complex(np.trace(tensor_product([p.op, q.op]) @ self.xd))
+        """Reconstructed d(p, q); exact only for self-adjoint p, q.
+
+        tr((p (x) q) X) contracted on X's four k-dimensional slots
+        X[(i, k), (j, l)], without forming the k^2 x k^2 product p (x) q.
+        """
+        k = self.space.require(p, q).op_dim
+        return complex(np.einsum("ji,lk,ikjl->", p.op, q.op, self.xd.reshape((k,) * 4)))
 
 
 def ils_reconstruct(ds: DecoherenceState, support: Sequence[float]) -> IlsOperator:
@@ -203,12 +222,9 @@ def ils_reconstruct(ds: DecoherenceState, support: Sequence[float]) -> IlsOperat
     the functional on all Hermitian pairs.  Its trace is d(1, 1) = 1.
     """
     space = require_sector(ds, support, "ILS reconstruction")
-    dim, n, k = space.dim_single, space.n_times, space.op_dim
+    k = space.op_dim
     basis = hermitian_basis(k)
-    chains = np.stack([chain_map(g, dim, n) for g in basis])
-    # values[a, b] = tr( chain(G_a)^dag rho chain(G_b) )
-    values = np.einsum("aji,jk,bki->ab", chains.conj(), ds.model.rho, chains,
-                       optimize=True)
+    values = d_gram(ds, basis, space.n_times)  # values[a, b] = d(G_a, G_b)
     mixed = np.einsum("ab,aij,bkl->ikjl", values, basis, basis, optimize=True)
     xd = mixed.reshape(k * k, k * k)
     return IlsOperator(space=space, xd=xd)

@@ -11,10 +11,10 @@ recovers I(T, W) and p = 1 the original projector-dimension weighting.  The
 family is monotone non-increasing under consistent refinement exactly for
 1 <= p <= 2, which :func:`refinement_gap` quantifies for a single split.
 
-Windows are scored from their verdicts (``Window.decide``), never checked
-again: p_i comes from the sector verdict, and the p-norm family reads Re d(x, x)
-from the operator-picture verdict; ``ValueError`` when that verdict is missing
-or inconsistent.
+Windows are scored from the verdicts they carry (``consistency.window``),
+never checked again: p_i comes from the sector verdict, and the p-norm family
+reads Re d(x, x) from the operator-picture verdict; ``ValueError`` when that
+verdict is inconsistent.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import numpy as np
 from numpy.typing import ArrayLike
 
 from .core import TOLERANCES
-from .consistency import ConsistencyReport, Window, strict_refinements
+from .consistency import Window, strict_refinements
 from .propositions import hs_inner, p_norm
 
 __all__ = [
@@ -67,30 +67,23 @@ def _report(p: float, pairs: Sequence[tuple[float, float]]) -> EntropyReport:
     return EntropyReport(p=p, value=value, terms=tuple(terms))
 
 
-def _consistent(report: ConsistencyReport | None, picture: str) -> bool:
-    """The verdict of a decided window's report; ``ValueError`` without one."""
-    if report is None:
-        raise ValueError(f"window carries no {picture} verdict")
-    return report.consistent
-
-
 def window_entropy(w: Window) -> EntropyReport:
-    """Entropy of a decided sector-consistent window for its state."""
-    if not _consistent(w.kreport, "sector"):
+    """Entropy of a sector-consistent window for its state."""
+    if not w.kreport.consistent:
         raise ValueError("entropy undefined for inconsistent window")
     pairs = [(p, hs_inner(x, x).real) for p, x in zip(w.kreport.probabilities, w.members)]
     return _report(2.0, pairs)
 
 
 def window_entropy_pnorm(w: Window, p: float) -> EntropyReport:
-    """p-norm entropy of a decided operator-consistent projector window.
+    """p-norm entropy of an operator-consistent window.
 
     p = 2 coincides with :func:`window_entropy`; p = 1 weighs each member by
     its squared normalized trace norm (rank over dimension for projectors).
     """
     if p < 1:
         raise ValueError("p must be >= 1")
-    if not _consistent(w.opreport, "operator-picture"):
+    if not w.opreport.consistent:
         raise ValueError("entropy undefined for inconsistent window")
     pairs = [(diag, p_norm(x, p) ** 2) for diag, x in zip(w.opreport.probabilities, w.members)]
     return _report(float(p), pairs)

@@ -192,22 +192,22 @@ def class_operator(model: SystemModel, h: HomogeneousHistory, t0: float = 0.0) -
     return out
 
 
-def chain_map(op: np.ndarray, dim: int, n_times: int | None = None) -> np.ndarray:
-    """Collapse an operator on dim^n tensor space to the ordered single-time product.
+def chain_map(op: np.ndarray, dim: int, n_times: int) -> np.ndarray:
+    """Collapse operators on dim^n tensor space to ordered single-time products.
 
-    On a homogeneous element b_1 (x) ... (x) b_n the result is b_1 b_2 ... b_n;
+    ``op`` is one operator or a stack of them along leading axes.  On a
+    homogeneous element b_1 (x) ... (x) b_n the result is b_1 b_2 ... b_n;
     general operators are handled by linearity over matrix-unit dyads, which
-    here reduces to one tensor contraction.
+    here reduces to one tensor contraction for the whole stack.
     """
-    op = as_operator(op)
-    if n_times is None:
-        n_times = int(round(np.log(op.shape[0]) / np.log(dim))) if dim > 1 else 1
-    if dim ** n_times != op.shape[0]:
-        raise ValueError("operator dimension is not a power of dim")
+    op = np.asarray(op, dtype=complex)
+    k = dim ** n_times
+    if op.ndim < 2 or op.shape[-2:] != (k, k):
+        raise ValueError("operator dimension is not dim ** n_times")
     if n_times == 1:
         return op.copy()
-    tensor = op.reshape([dim] * (2 * n_times))
+    tensor = op.reshape(op.shape[:-2] + (dim,) * (2 * n_times))
     # row slots i_1..i_n, column slots j_1..j_n; the dyad product forces
     # j_k = i_{k+1}, leaving indices (i_1, j_n).
-    subscripts = list(range(n_times)) + list(range(1, n_times + 1))
-    return np.einsum(tensor, subscripts, [0, n_times])
+    subscripts = [..., *range(n_times), *range(1, n_times + 1)]
+    return np.einsum(tensor, subscripts, [..., 0, n_times])

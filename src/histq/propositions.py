@@ -49,15 +49,15 @@ def p_norm(x: Proposition, p: float) -> float:
 
 
 def chain_matrix(dim: int, n_times: int) -> np.ndarray:
-    """Matrix of the chain map on column-major vectorized operators."""
+    """Matrix of the chain map on column-major vectorized operators.
+
+    Column m is the image of the matrix unit E[m % k, m // k], the m-th
+    column-major basis operator; all k^2 units go through one chain map call.
+    """
     k = dim ** n_times
-    cols = np.empty((dim * dim, k * k), dtype=complex)
-    for m in range(k * k):
-        i, j = m % k, m // k
-        unit = np.zeros((k, k), dtype=complex)
-        unit[i, j] = 1.0
-        cols[:, m] = chain_map(unit, dim, n_times).flatten(order="F")
-    return cols
+    units = np.eye(k * k, dtype=complex).reshape(k * k, k, k).transpose(0, 2, 1)
+    chains = chain_map(units, dim, n_times)
+    return chains.transpose(0, 2, 1).reshape(k * k, dim * dim).T
 
 
 @dataclass(frozen=True, eq=False)

@@ -46,7 +46,7 @@ def random_projector(rng: np.random.Generator, dim: int, rank: int | None = None
 
 
 def random_pvm(rng: np.random.Generator, dim: int) -> list[np.ndarray]:
-    """Rank-1 projective decomposition from a Haar-random basis."""
+    """Rank-1 projector decomposition from a Haar-random basis."""
     u = random_unitary(rng, dim)
     return [projector_onto(u[:, [i]]) for i in range(dim)]
 

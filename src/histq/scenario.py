@@ -10,7 +10,7 @@ A scenario file is a JSON object with the fields
 * ``times``: strictly increasing list of reals;
 * ``histories``: list of ``{"label": str, "projectors": [spec, ...]}`` with
   one projector spec per time; labels (default ``h<i>``) must be distinct;
-* ``pvms``: per-time lists of alternative projective decompositions, aligned
+* ``pvms``: per-time lists of alternative projector decompositions, aligned
   with the first ``len(pvms)`` times;
 * ``entropy_p``: list of finite norm parameters >= 1;
 * ``seed``: non-negative integer driving all randomized verification.

@@ -13,13 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .consistency import (
-    Window,
-    search_windows,
-    set_partitions,
-    strict_refinements,
-    window,
-)
+from .consistency import (Window, base_family, partition_windows, search_windows,
+                          strict_refinements, window)
 from .core import TOLERANCES, SystemModel, TimeGrid
 from .decoherence import (CapacityError, DecoherenceState, d_basis_sum, d_form, d_trace,
                           ils_reconstruct, sector_fits)
@@ -156,11 +151,6 @@ def scenario_windows(scn: Scenario) -> list[Window]:
     return search_windows(t, scn.pvms)
 
 
-def _unchecked_note(count: int) -> str:
-    """Detail suffix for windows without an operator-picture verdict."""
-    return f"; {count} window(s) without operator check: members not projectors" if count else ""
-
-
 def _check_bridge(scn: Scenario, rng) -> CheckResult:
     decided: list[Window] = []
     for ds in _side_states(rng, dims=(2, 2, 3)):
@@ -168,12 +158,8 @@ def _check_bridge(scn: Scenario, rng) -> CheckResult:
             if two_time and ds.model.dim > 2:
                 continue  # keeps the partition count desk scale
             t = wright_operator(ds, ds.grid.times[:2 if two_time else 1])
-            base = random_pvm(rng, ds.model.dim)  # all its coarse grainings, unfiltered
-            if two_time:
-                second = random_pvm(rng, ds.model.dim)
-                base = [np.kron(a, b) for a in base for b in second]
-            decided += [window(t.space, [np.sum(block, axis=0) for block in blocks]).decide(t)
-                        for blocks in set_partitions(base)]
+            factors = [random_pvm(rng, ds.model.dim) for _ in t.space.support]
+            decided += partition_windows(base_family(t, factors))  # all, unfiltered
     skipped = ""
     if scn.pvms:
         try:
@@ -182,12 +168,10 @@ def _check_bridge(scn: Scenario, rng) -> CheckResult:
             skipped = f"; scenario windows skipped: {exc}"
     positive = [w for w in decided
                 if all(p > TOLERANCES.strict_positive for p in w.kreport.probabilities)]
-    compared = [w for w in positive if w.opreport is not None]
-    skipped += _unchecked_note(len(positive) - len(compared))
-    mismatches = sum(w.kreport.consistent != w.opreport.consistent for w in compared)
+    mismatches = sum(w.kreport.consistent != w.opreport.consistent for w in positive)
     bound = _THRESHOLDS["mismatches"]
     return CheckResult("picture-bridge", mismatches <= bound, float(mismatches), bound,
-                       f"verdict agreement on {len(compared)} strictly positive "
+                       f"verdict agreement on {len(positive)} strictly positive "
                        f"windows{skipped}")
 
 
@@ -235,15 +219,12 @@ def _check_entropy(scn: Scenario, rng) -> CheckResult:
     worst_p2 = 0.0
     monotone_ok = True
     pairs = 0
-    unscored = 0
     states = _side_states(rng, dims=(2, 3, 4), times=(0.0,))
     for ds in states:
         t = wright_operator(ds, (0.0,))
         found = search_windows(t, [[random_pvm(rng, ds.model.dim)]])
-        scored = [w for w in found if w.opreport is not None]  # p-norm needs it
-        unscored += len(found) - len(scored)
         pnorm = {(w, p): window_entropy_pnorm(w, p).value
-                 for w in scored for p in (1.0, 1.5, 2.0)}
+                 for w in found for p in (1.0, 1.5, 2.0)}
         for w in found:
             rep = window_entropy(w)
             probs = w.kreport.probabilities
@@ -251,10 +232,9 @@ def _check_entropy(scn: Scenario, rng) -> CheckResult:
             regroup = shannon + sum(
                 p * math.log(hs_inner(x, x).real) for p, x in zip(probs, w.members))
             worst_identity = max(worst_identity, abs(rep.value - regroup))
-            if w.opreport is not None:
-                worst_p2 = max(worst_p2, abs(rep.value - pnorm[w, 2.0]))
-        for coarse in scored:
-            for fine in strict_refinements(coarse, scored):
+            worst_p2 = max(worst_p2, abs(rep.value - pnorm[w, 2.0]))
+        for coarse in found:
+            for fine in strict_refinements(coarse, found):
                 pairs += 1
                 for p in (1.0, 1.5, 2.0):
                     if pnorm[coarse, p] - pnorm[fine, p] < -_THRESHOLDS["p-norm"]:
@@ -264,10 +244,9 @@ def _check_entropy(scn: Scenario, rng) -> CheckResult:
     mm = DecoherenceState(
         model=SystemModel.from_matrices(np.zeros((2, 2)), np.eye(2) / 2),
         grid=TimeGrid(times=(0.0,)))
-    t = wright_operator(mm, (0.0,))
-    coarse_w = window(t.space, [np.eye(2, dtype=complex)]).decide(t)
-    fine_w = window(t.space, [np.diag([1.0, 0.0]).astype(complex),
-                              np.diag([0.0, 1.0]).astype(complex)]).decide(t)
+    split = base_family(wright_operator(mm, (0.0,)),
+                        [[np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]])
+    coarse_w, fine_w = window(split, (0, 0)), window(split, (0, 1))
     rise = (window_entropy_pnorm(fine_w, 3.0).value
             - window_entropy_pnorm(coarse_w, 3.0).value)
     counterexample_ok = abs(rise - math.log(2) / 3.0) <= _THRESHOLDS["counterexample"]
@@ -278,7 +257,7 @@ def _check_entropy(scn: Scenario, rng) -> CheckResult:
     return CheckResult(
         "entropy-identities", passed, worst, _THRESHOLDS["p-norm"],
         f"regrouping and p=2 agreement, monotone on {pairs} refinement pairs, "
-        f"p=3 counterexample rise {rise:.6f}{_unchecked_note(unscored)}")
+        f"p=3 counterexample rise {rise:.6f}")
 
 
 def run_suite(scn: Scenario) -> list[CheckResult]:

@@ -1,0 +1,107 @@
+"""Slow reference implementations that the program's fast paths are tested against.
+
+* :func:`check_window` and :func:`check_window_operators` decide a window from
+  its member matrices, measuring every condition again (orthogonality,
+  completeness, projectivity and every pairwise overlap), where the program
+  reads block sums of its base family's two Gram matrices.
+* :func:`restricted_growth_strings` is the loop that generates the set
+  partitions one string at a time, where the program expands prefixes in numpy.
+"""
+
+from __future__ import annotations
+
+import itertools
+from typing import Sequence
+
+import numpy as np
+
+from histq.consistency import ConsistencyReport
+from histq.core import TOLERANCES, is_projector, max_abs
+from histq.decoherence import DecoherenceState, d_form
+from histq.histories import Proposition, proposition
+from histq.propositions import WrightOperator, hs_inner, probability
+
+
+def restricted_growth_strings(n):
+    """All restricted-growth strings of length n in lexicographic order, one
+    tuple at a time."""
+    if n == 0:
+        yield ()
+        return
+    a = [0] * n
+    b = [0] + [1] * (n - 1)  # b[j] = 1 + max(a[:j]); position 0 never increments
+    while True:
+        yield tuple(a)
+        j = n - 1
+        while j >= 0 and a[j] == b[j]:
+            j -= 1
+        if j < 1:
+            return
+        a[j] += 1
+        for i in range(j + 1, n):
+            a[i] = 0
+            b[i] = max(b[j], a[j] + 1)
+
+
+def partitions(items: Sequence):
+    """(string, blocks) for every set partition of ``items``, in string order."""
+    for rgs in restricted_growth_strings(len(items)):
+        yield rgs, [[x for x, v in zip(items, rgs) if v == block]
+                    for block in range(max(rgs, default=-1) + 1)]
+
+
+def members(space, base: Sequence[np.ndarray], rgs) -> list[Proposition]:
+    """The block sums of ``base`` grouped by the string ``rgs``."""
+    return [proposition(space, np.sum([op for op, v in zip(base, rgs) if v == block], axis=0))
+            for block in range(max(rgs) + 1)]
+
+
+def _bound(name, residual, violated, residuals):
+    residuals.append(residual)
+    if residual > TOLERANCES.consistency:
+        violated.append(name)
+
+
+def _pair_max(measure, items, floor=0.0):
+    """Largest ``measure(a, b)`` over the pairs a before b of ``items``, at least ``floor``."""
+    pairs = itertools.combinations(items, 2)
+    return max(itertools.chain([floor], itertools.starmap(measure, pairs)))
+
+
+def _structure(ws: Sequence[Proposition], overlap):
+    """Pairwise orthogonality under ``overlap`` and completeness (sum = e)."""
+    violated, residuals = [], []
+    _bound("orthogonality", _pair_max(overlap, ws), violated, residuals)
+    eye = np.eye(ws[0].space.op_dim)
+    _bound("completeness", max_abs(sum(x.op for x in ws) - eye), violated, residuals)
+    return violated, residuals
+
+
+def _verdict(violated, residuals, probs):
+    return ConsistencyReport(verdict="consistent" if not violated else "inconsistent",
+                             violated=tuple(violated), max_residual=max(residuals),
+                             probabilities=tuple(probs))
+
+
+def check_window(ws: Sequence[Proposition], t: WrightOperator) -> ConsistencyReport:
+    """Sector-picture consistency from the member matrices ``ws``."""
+    t.space.require(*ws)
+    violated, residuals = _structure(ws, lambda x, y: abs(hs_inner(x, y)))
+    probs = [probability(t, x) for x in ws]
+    if any(p <= TOLERANCES.strict_positive or p > 1.0 + TOLERANCES.consistency for p in probs):
+        violated.append("positivity")
+    residuals.append(max([p - 1.0 for p in probs if p > 1.0], default=0.0))
+    pairs = [(x, t.apply(x)) for x in ws]  # (x_i, T x_i)
+    add = _pair_max(lambda a, b: abs(hs_inner(a[0], b[1]).real), pairs, abs(sum(probs) - 1.0))
+    _bound("additivity", add, violated, residuals)
+    return _verdict(violated, residuals, probs)
+
+
+def check_window_operators(ds: DecoherenceState, ws: Sequence[Proposition]) -> ConsistencyReport:
+    """Operator-picture consistency from the member matrices ``ws``."""
+    if not all(is_projector(x.op) for x in ws):
+        raise ValueError("non-projector member")
+    violated, residuals = _structure(ws, lambda x, y: max_abs(x.op @ y.op))
+    _bound("re-cross-term", _pair_max(lambda a, b: abs(d_form(ds, a, b).real), ws),
+           violated, residuals)
+    return _verdict(violated, residuals, [d_form(ds, x, x).real for x in ws])

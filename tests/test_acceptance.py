@@ -11,13 +11,7 @@ import time
 import numpy as np
 
 from histq.cli import main as cli_main
-from histq.consistency import (
-    check_window,
-    check_window_operators,
-    is_refinement,
-    set_partitions,
-    window,
-)
+from histq.consistency import base_family, is_refinement, partition_windows, window
 from histq.core import TimeGrid
 from histq.decoherence import DecoherenceState, d_basis_sum, d_trace, ils_reconstruct
 from histq.divergence import b1_direct_value, b1_series, b2_series, growth_fit
@@ -130,7 +124,7 @@ def test_criterion_4_worked_qubit_numbers():
 
     ds_mixed = qubit_state(np.diag([0.75, 0.25]))
     t = wright_operator(ds_mixed, (0.0,))
-    w = window(t.space, [P0, P1]).decide(t)
+    w = window(base_family(t, [[P0, P1]]), (0, 1))
     i2 = window_entropy(w).value
     i1 = window_entropy_pnorm(w, 1).value
     i2_ok = abs(i2 - (-0.13081)) <= 1e-4
@@ -140,10 +134,12 @@ def test_criterion_4_worked_qubit_numbers():
              f"d={d_value.real:.12f}, I2={i2:.5f}, I1={i1:.5f}")
 
 
-def _partition_refines(fine_blocks, coarse_blocks) -> bool:
-    """Set-theoretic oracle on index partitions."""
-    sets = [frozenset(b) for b in coarse_blocks]
-    return all(any(frozenset(fb) <= cs for cs in sets) for fb in fine_blocks)
+def _partition_refines(fine_labels, coarse_labels) -> bool:
+    """Set-theoretic oracle on index partitions, given as label strings."""
+    def blocks(labels):
+        return [frozenset(i for i, v in enumerate(labels) if v == b) for b in set(labels)]
+    sets = blocks(coarse_labels)
+    return all(any(fb <= cs for cs in sets) for fb in blocks(fine_labels))
 
 
 def test_criterion_5_refinement_monotonicity():
@@ -156,17 +152,12 @@ def test_criterion_5_refinement_monotonicity():
         ds = DecoherenceState(model=random_model(rng, dim),
                               grid=TimeGrid(times=(0.0,)))
         t = wright_operator(ds, (0.0,))
-        base = random_pvm(rng, dim)
-        indexed = list(enumerate(base))
         entries = []
-        for blocks in set_partitions(indexed):
-            idx_blocks = [[i for i, _ in block] for block in blocks]
-            ops = [np.sum([op for _, op in block], axis=0) for block in blocks]
-            w = window(t.space, ops).decide(t)
+        for w in partition_windows(base_family(t, [random_pvm(rng, dim)])):
             if not w.kreport.consistent:
                 continue
             values = {p: window_entropy_pnorm(w, p).value for p in (1.0, 1.5, 2.0)}
-            entries.append((idx_blocks, w, values))
+            entries.append((w.labels, w, values))
         for (fine_idx, fine_w, fine_vals), (coarse_idx, coarse_w, coarse_vals) \
                 in itertools.permutations(entries, 2):
             if not _partition_refines(fine_idx, coarse_idx):
@@ -181,8 +172,8 @@ def test_criterion_5_refinement_monotonicity():
 
     ds_mm = qubit_state(np.eye(2) / 2)
     t = wright_operator(ds_mm, (0.0,))
-    split = window(t.space, [P0, P1]).decide(t)
-    unit = window(t.space, [np.eye(2, dtype=complex)]).decide(t)
+    family = base_family(t, [[P0, P1]])
+    split, unit = window(family, (0, 1)), window(family, (0, 0))
     rise = window_entropy_pnorm(split, 3).value - window_entropy_pnorm(unit, 3).value
     counterexample_ok = abs(rise - math.log(2) / 3) <= 1e-6 and rise > 0
 
@@ -240,16 +231,12 @@ def test_criterion_8_picture_bridge():
                               grid=TimeGrid(times=(0.0, 1.0)))
         n = 2 if two_time else 1
         t = wright_operator(ds, ds.grid.times[:n])
-        base = random_pvm(rng, dim)
-        if two_time:
-            base = [np.kron(a, b) for a in base for b in random_pvm(rng, dim)]
-        for blocks in set_partitions(base):
-            w = window(t.space, [np.sum(b, axis=0) for b in blocks])
-            krep = check_window(w, t)
-            if any(p <= 1e-12 for p in krep.probabilities):
+        factors = [random_pvm(rng, dim) for _ in range(n)]
+        for w in partition_windows(base_family(t, factors)):
+            if any(p <= 1e-12 for p in w.kreport.probabilities):
                 continue
             windows_checked += 1
-            if krep.consistent != check_window_operators(ds, w).consistent:
+            if w.kreport.consistent != w.opreport.consistent:
                 mismatches += 1
     ok = mismatches == 0 and windows_checked >= 100
     _verdict("criterion-8 picture bridge", ok,

@@ -55,8 +55,8 @@ def write_scenario(tmp_path, kind):
     elif kind == "near-bound":
         # P = [[1, d], [d, 0]] has P^2 - P = d^2 1 = 8.8e-11, within the 1e-10
         # projector bound, so {P, 1 - P} parses; a sum of two products P (x) Q
-        # at two times has residual 2 d^2 and fails it, so the windows made of
-        # such sums get no operator-picture verdict
+        # at two times has residual 2 d^2 and fails it, yet as a block sum of
+        # its base family it is decided in both pictures
         d = 9.4e-6
         pair = {"projectors": [{"matrix": {"real": [[1.0, d], [d, 0.0]]}},
                                {"matrix": {"real": [[0.0, -d], [-d, 1.0]]}}]}
@@ -129,13 +129,14 @@ class TestVerify:
         threshold = {c["name"]: c["threshold"] for c in checks}
         assert threshold["representation-agreement"] == threshold["wright-state"] == 1e-9
 
-    def test_windows_without_operator_check_are_named(self, tmp_path):
+    def test_near_bound_windows_are_compared_in_both_pictures(self, tmp_path):
         code = run(["verify", "--scenario", str(write_scenario(tmp_path, "near-bound")),
                     "--out", str(tmp_path / "o")])
-        assert code in (0, 3)
+        assert code == 0
         checks = strict_json(tmp_path / "o" / "verify.json")["verify"]["checks"]
         bridge = next(c for c in checks if c["name"] == "picture-bridge")
-        assert "window(s) without operator check: members not projectors" in bridge["detail"]
+        # the 42 side-scenario and product windows and the two near-bound sums
+        assert bridge["detail"] == "verdict agreement on 44 strictly positive windows"
 
 
 class TestValidationExit:
@@ -352,21 +353,21 @@ class TestEntropy:
         assert run(["entropy", "--out", str(tmp_path)]) == 0
         assert "skipped" not in json.loads((tmp_path / "entropy.json").read_text())["entropy"]
 
-    def test_non_projector_windows_are_skipped_by_name(self, tmp_path):
+    def test_near_bound_windows_are_scored_at_every_p(self, tmp_path):
         assert run(["entropy", "--scenario", str(write_scenario(tmp_path, "near-bound")),
                     "--out", str(tmp_path)]) == 0
         payload = strict_json(tmp_path / "entropy.json")
-        unchecked = [e["label"] for e in payload["windows"]["windows"]
-                     if e["operator_check"] is None]
-        assert unchecked == ["w00", "w03"]  # sums of two near-bound products
-        assert payload["entropy"]["skipped"] == [
-            {"window": label, "p": 1.0, "reason": "members are not projectors"}
-            for label in unchecked]
+        entries = payload["windows"]["windows"]
+        assert [e["label"] for e in entries] == ["w00", "w01", "w02", "w03", "w04"]
+        # w00 and w03 are sums of two near-bound products
+        assert all(e["operator_check"]["verdict"] == "consistent" for e in entries)
+        assert "skipped" not in payload["entropy"]
         rows = {(row["window"], row["p"]) for row in payload["entropy"]["table"]}
-        assert all((label, 1.0) not in rows and (label, 2.0) in rows for label in unchecked)
+        assert rows == {(e["label"], p) for e in entries for p in (1.0, 2.0)}
 
     @pytest.mark.parametrize("opreport, reason", [
-        (None, "members are not projectors"),
+        (ConsistencyReport("inconsistent", ("re-cross-term",), 0.1, (0.5, 0.5)),
+         "operator picture inconsistent: re-cross-term"),
         (ConsistencyReport("inconsistent", ("orthogonality", "re-cross-term"), 0.1, (0.5, 0.5)),
          "operator picture inconsistent: orthogonality, re-cross-term"),
     ])

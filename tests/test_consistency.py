@@ -1,55 +1,42 @@
+import collections
 import dataclasses
 import functools
 import itertools
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
+from histq.cli import main as cli_main
 from histq.consistency import (
     _SCREEN_CHUNK,
     _rgs_chunks,
-    _rounding_slack,
     _screen,
     _window_key,
+    base_family,
     check_window,
     check_window_operators,
     is_maximally_refined,
     is_refinement,
+    partition_windows,
     search_windows,
-    set_partitions,
     strict_refinements,
     window,
 )
 from histq.core import (TOLERANCES, SystemModel, heisenberg, is_projector, max_abs,
                         named_basis, projector_onto)
-from histq.propositions import wright_operator
-from histq.sampling import random_density, random_hermitian, random_model, random_pvm, random_unitary
+from histq.decoherence import d_form
+from histq.propositions import hs_inner, wright_operator
+from histq.sampling import (random_density, random_hermitian, random_model, random_pvm,
+                            random_unitary)
 from helpers import MINUS, P0, P1, PLUS, count_calls, qubit_state, state_for
+from oracles import restricted_growth_strings
 
 BELL = {0: 1, 1: 1, 2: 2, 3: 5, 4: 15, 5: 52, 6: 203, 7: 877, 8: 4140, 9: 21147, 10: 115975}
-
-
-def restricted_growth_strings(n):
-    """All restricted-growth strings of length n in lexicographic order, one
-    tuple at a time: the loop ``_rgs_chunks`` replaced, kept as its oracle."""
-    if n == 0:
-        yield ()
-        return
-    a = [0] * n
-    b = [0] + [1] * (n - 1)  # b[j] = 1 + max(a[:j]); position 0 never increments
-    while True:
-        yield tuple(a)
-        j = n - 1
-        while j >= 0 and a[j] == b[j]:
-            j -= 1
-        if j < 1:
-            return
-        a[j] += 1
-        for i in range(j + 1, n):
-            a[i] = 0
-            b[i] = max(b[j], a[j] + 1)
+EYE = np.eye(2, dtype=complex)
 
 
 def generated_strings(n):
@@ -62,36 +49,42 @@ def mixed_qubit(rho=None):
     return ds, t
 
 
+def single(t, *elements):
+    """The one-time base family of one decomposition."""
+    return base_family(t, [list(elements)])
+
+
 class TestCheckWindow:
     def test_unit_window(self):
         ds, t = mixed_qubit()
-        w = window(t.space, [np.eye(2, dtype=complex)])
-        report = check_window(w, t)
+        report = check_window(single(t, EYE), (0,))
         assert report.consistent and report.probabilities == (1.0,)
 
     def test_computational_window(self):
         ds, t = mixed_qubit()
-        w = window(t.space, [P0, P1])
-        report = check_window(w, t)
+        report = check_window(single(t, P0, P1), (0, 1))
         assert report.consistent
         assert report.probabilities == pytest.approx((0.75, 0.25), abs=1e-12)
 
     def test_eigenstate_breaks_strict_positivity(self):
         ds, t = mixed_qubit(np.diag([1.0, 0.0]))
-        w = window(t.space, [P0, P1])
-        report = check_window(w, t)
+        report = check_window(single(t, P0, P1), (0, 1))
         assert not report.consistent
         assert "positivity" in report.violated
 
     def test_incomplete_family_flagged(self):
+        # no window can be incomplete: its family refuses the decomposition
         ds, t = mixed_qubit()
-        report = check_window(window(t.space, [P0]), t)
-        assert "completeness" in report.violated
+        with pytest.raises(ValueError,
+                           match=r"decompositions\[0\]: elements must sum to the identity"):
+            single(t, P0)
 
     def test_overlapping_members_flagged(self):
+        # projectors summing to the identity are orthogonal, so an overlapping
+        # decomposition fails the sum
         ds, t = mixed_qubit()
-        report = check_window(window(t.space, [P0, PLUS]), t)
-        assert "orthogonality" in report.violated
+        with pytest.raises(ValueError, match="elements must sum to the identity"):
+            single(t, P0, PLUS)
 
     def test_interfering_product_family_fails_additivity(self):
         # all 4 two-time product histories: total probability is exactly 1,
@@ -99,12 +92,16 @@ class TestCheckWindow:
         rng = np.random.default_rng(31)
         ds = state_for(random_model(rng, 2))
         t = wright_operator(ds, (0.0, 1.0))
-        first, second = random_pvm(rng, 2), random_pvm(rng, 2)
-        ops = [np.kron(a, b) for a in first for b in second]
-        w = window(t.space, ops)
-        report = check_window(w, t)
+        family = base_family(t, [random_pvm(rng, 2), random_pvm(rng, 2)])
+        report = check_window(family, (0, 1, 2, 3))
         assert abs(sum(report.probabilities) - 1.0) <= 1e-12
         assert "additivity" in report.violated
+
+    @pytest.mark.parametrize("labels", [(0, 1, 1), (0, 2), (1, 1), (0, -1)])
+    def test_labels_must_cover_the_family_with_used_blocks(self, labels):
+        ds, t = mixed_qubit()
+        with pytest.raises(ValueError, match="labels must give each of the 2 base elements"):
+            check_window(single(t, P0, P1), labels)
 
 
 class TestCheckWindowOperators:
@@ -113,31 +110,37 @@ class TestCheckWindowOperators:
         for dim in (2, 3):
             ds = state_for(random_model(rng, dim))
             t = wright_operator(ds, (0.0,))
-            w = window(t.space, random_pvm(rng, dim))
-            assert check_window_operators(ds, w).consistent
+            assert check_window_operators(single(t, *random_pvm(rng, dim)), range(dim)).consistent
 
     def test_contrast_with_sector_picture(self):
         ds, t = mixed_qubit(np.diag([1.0, 0.0]))
-        w = window(t.space, [P0, P1])
-        assert check_window_operators(ds, w).consistent
-        assert not check_window(w, t).consistent
+        family = single(t, P0, P1)
+        assert check_window_operators(family, (0, 1)).consistent
+        assert not check_window(family, (0, 1)).consistent
 
     def test_two_time_computational_products(self):
         ds, t = mixed_qubit(np.diag([1.0, 0.0]))
         t2 = wright_operator(ds, (0.0, 1.0))
-        ops = [np.kron(a, b) for a in (P0, P1) for b in (P0, P1)]
-        w = window(t2.space, ops)
-        assert check_window_operators(ds, w).consistent
+        family = base_family(t2, [[P0, P1], [P0, P1]])
+        assert check_window_operators(family, (0, 1, 2, 3)).consistent
 
     def test_non_projector_member_rejected(self):
+        # members are block sums of projectors: the family refuses the rest
         ds, t = mixed_qubit()
-        w = window(t.space, [0.5 * P0, np.eye(2) - 0.5 * P0])
-        with pytest.raises(ValueError, match="non-projector member"):
-            check_window_operators(ds, w)
+        with pytest.raises(ValueError, match="elements must be projectors"):
+            single(t, 0.5 * P0, np.eye(2) - 0.5 * P0)
+
+    def test_reads_the_chain_form_gram_only(self):
+        ds, t = mixed_qubit()
+        family = single(t, P0, P1)
+        tampered = dataclasses.replace(family, gram_d=family.gram_d + np.array([[0, 1], [1, 0]]))
+        assert check_window_operators(family, (0, 1)).consistent
+        assert check_window_operators(tampered, (0, 1)).violated == ("re-cross-term",)
+        assert check_window(tampered, (0, 1)).consistent
 
     def test_probabilities_are_diagonal_decoherence_values(self):
         ds, t = mixed_qubit(np.diag([1.0, 0.0]))
-        report = check_window_operators(ds, window(t.space, [P0, P1]))
+        report = check_window_operators(single(t, P0, P1), (0, 1))
         assert report.probabilities == pytest.approx((1.0, 0.0), abs=1e-12)
         assert all(isinstance(p, float) for p in report.probabilities)
 
@@ -145,15 +148,18 @@ class TestCheckWindowOperators:
 class TestDecide:
     def test_checks_write_nothing(self):
         ds, t = mixed_qubit()
-        w = window(t.space, [P0, P1])
-        check_window(w, t)
-        check_window_operators(ds, w)
-        assert w.kreport is None and w.opreport is None
+        family = single(t, P0, P1)
+        before = [a.copy() for a in (family.ops, family.gram_t, family.gram_d)]
+        check_window(family, (0, 1))
+        check_window_operators(family, (0, 1))
+        after = (family.ops, family.gram_t, family.gram_d)
+        assert all(np.array_equal(a, b) for a, b in zip(before, after))
 
     def test_window_fields_cannot_be_assigned(self):
         ds, t = mixed_qubit()
-        w = window(t.space, [P0, P1]).decide(t)
-        for field, value in (("kreport", None), ("opreport", None), ("members", ())):
+        w = window(single(t, P0, P1), (0, 1))
+        for field, value in (("kreport", None), ("opreport", None), ("members", ()),
+                             ("labels", ()), ("family", None)):
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(w, field, value)
         with pytest.raises(dataclasses.FrozenInstanceError):
@@ -161,56 +167,99 @@ class TestDecide:
 
     def test_attaches_both_reports_to_a_copy(self):
         ds, t = mixed_qubit()
-        w = window(t.space, [P0, P1])
-        decided = w.decide(t)
-        assert w.kreport is None and w.opreport is None
-        assert decided.members is w.members
-        assert decided.kreport == check_window(w, t)
-        assert decided.opreport == check_window_operators(ds, w)
+        family = single(t, P0, P1)
+        labels = np.array([1, 0])
+        w = window(family, labels)
+        assert w.family is family and w.labels == (1, 0)
+        assert w.kreport == check_window(family, labels)
+        assert w.opreport == check_window_operators(family, labels)
+        labels[0] = 0  # the window holds its own copy of the labels
+        assert w.labels == (1, 0)
+        assert np.allclose([x.op for x in w.members], [P1, P0])
 
     def test_operator_verdict_does_not_wait_for_the_sector_one(self):
         ds, t = mixed_qubit(np.diag([1.0, 0.0]))
-        decided = window(t.space, [P0, P1]).decide(t)
+        decided = window(single(t, P0, P1), (0, 1))
         assert not decided.kreport.consistent
         assert decided.opreport.consistent
 
-    def test_non_projector_window_gets_no_operator_verdict(self):
-        ds, t = mixed_qubit()
-        decided = window(t.space, [0.5 * P0, np.eye(2) - 0.5 * P0]).decide(t)
-        assert decided.kreport is not None and decided.opreport is None
+    def test_near_bound_sums_carry_an_operator_verdict(self):
+        # P^2 - P = d^2 1 is within the projector bound, so {P, 1 - P} is a
+        # decomposition; a sum of two products P (x) Q misses the bound by
+        # 2 d^2 and still gets its operator-picture verdict
+        d = 9.4e-6
+        p = np.array([[1.0, d], [d, 0.0]])
+        ds, _ = mixed_qubit()
+        family = base_family(wright_operator(ds, (0.0, 1.0)), [[p, EYE - p]] * 2)
+        w = window(family, (0, 0, 0, 1))
+        assert not is_projector(w.members[0].op)
+        assert w.kreport.consistent and w.opreport.consistent
 
     def test_each_member_is_checked_once(self, monkeypatch):
+        # each decomposition element is checked where its family is built,
+        # and no window member is checked again
         ds, t = mixed_qubit()
         calls = count_calls(monkeypatch, "is_projector")
-        decided = window(t.space, [P0, P1]).decide(t)
+        family = single(t, P0, P1)
+        assert np.allclose([op for (op,) in calls], [P0, P1])
+        decided = window(family, (0, 1))
         assert decided.opreport.consistent
-        assert [id(op) for (op,) in calls] == [id(x.op) for x in decided.members]
+        assert len(calls) == 2
+
+
+class TestBaseFamily:
+    def test_kronecker_products_in_row_major_order(self):
+        ds, _ = mixed_qubit()
+        family = base_family(wright_operator(ds, (0.0, 1.0)), [[P0, P1], [PLUS, MINUS]])
+        expected = [np.kron(a, b) for a in (P0, P1) for b in (PLUS, MINUS)]
+        assert np.allclose(family.ops, expected)
+
+    def test_one_decomposition_per_support_time(self):
+        ds, t = mixed_qubit()
+        with pytest.raises(ValueError, match="need one decomposition per support time"):
+            base_family(t, [[P0, P1], [P0, P1]])
+
+    def test_decomposition_is_named_in_the_refusal(self):
+        ds, t = mixed_qubit()
+        with pytest.raises(ValueError, match=r"decomposition given: elements must be projectors"):
+            base_family(t, [[0.5 * EYE, 0.5 * EYE]], ["given"])
+
+    def test_gram_matrices_are_the_two_pictures(self):
+        rng = np.random.default_rng(38)
+        ds = state_for(random_model(rng, 2))
+        t = wright_operator(ds, (0.0, 1.0))
+        family = base_family(t, [random_pvm(rng, 2), random_pvm(rng, 2)])
+        members = oracles.members(t.space, family.ops, (0, 1, 2, 3))
+        for a, x in enumerate(members):
+            for b, y in enumerate(members):
+                assert family.gram_t[a, b] == pytest.approx(hs_inner(x, t.apply(y)), abs=1e-14)
+                assert family.gram_d[a, b] == pytest.approx(d_form(ds, x, y), abs=1e-14)
 
 
 class TestRefinement:
     def test_window_refines_itself(self):
         _, t = mixed_qubit()
-        w = window(t.space, [P0, P1])
+        w = window(single(t, P0, P1), (0, 1))
         assert is_refinement(w, w)
 
     def test_everything_refines_unit(self):
         _, t = mixed_qubit()
-        unit = window(t.space, [np.eye(2, dtype=complex)])
-        assert is_refinement(window(t.space, [P0, P1]), unit)
-        assert is_refinement(window(t.space, [PLUS, MINUS]), unit)
+        unit = window(single(t, EYE), (0,))
+        assert is_refinement(window(single(t, P0, P1), (0, 1)), unit)
+        assert is_refinement(window(single(t, PLUS, MINUS), (0, 1)), unit)
 
     def test_incompatible_bases_do_not_refine(self):
         _, t = mixed_qubit()
-        assert not is_refinement(window(t.space, [PLUS, MINUS]),
-                                 window(t.space, [P0, P1]))
+        assert not is_refinement(window(single(t, PLUS, MINUS), (0, 1)),
+                                 window(single(t, P0, P1), (0, 1)))
 
     def test_partition_blocks_refine(self):
         rng = np.random.default_rng(33)
         ds = state_for(random_model(rng, 4))
         t = wright_operator(ds, (0.0,))
-        base = random_pvm(rng, 4)
-        fine = window(t.space, base)
-        coarse = window(t.space, [base[0] + base[1], base[2] + base[3]])
+        family = single(t, *random_pvm(rng, 4))
+        fine = window(family, (0, 1, 2, 3))
+        coarse = window(family, (0, 0, 1, 1))
         assert is_refinement(fine, coarse)
         assert not is_refinement(coarse, fine)
 
@@ -228,16 +277,14 @@ class TestPartitionEnumeration:
 
     def test_matches_brute_force_partitions(self):
         # oracle: all partitions via equivalence classes of surjections
-        items = list(range(4))
-        seen = {tuple(sorted(tuple(sorted(b)) for b in blocks))
-                for blocks in set_partitions(items)}
-        brute = set()
-        for assign in itertools.product(range(4), repeat=4):
+        def blocks_of(assign):
             blocks = {}
             for idx, a in enumerate(assign):
                 blocks.setdefault(a, []).append(idx)
-            brute.add(tuple(sorted(tuple(sorted(b)) for b in blocks.values())))
-        assert seen == brute
+            return tuple(sorted(tuple(sorted(b)) for b in blocks.values()))
+
+        seen = {blocks_of(rgs) for rgs in generated_strings(4)}
+        assert seen == {blocks_of(assign) for assign in itertools.product(range(4), repeat=4)}
 
     def test_lexicographic_order(self):
         strings = generated_strings(4)
@@ -253,14 +300,16 @@ class TestPartitionEnumeration:
     def test_empty_string_is_generated_once(self):
         # a walk that expanded a prefix before testing its length would miss n = 0
         assert [chunk.shape for chunk in _rgs_chunks(0)] == [(1, 0)]
-        assert list(set_partitions([])) == [[]]
 
     def test_partitions_follow_string_order(self):
-        items = ["a", "b", "c", "d"]
-        expected = [[[items[i] for i, v in enumerate(rgs) if v == block]
-                     for block in range(max(rgs) + 1)]
-                    for rgs in restricted_growth_strings(4)]
-        assert list(set_partitions(items)) == expected
+        rng = np.random.default_rng(39)
+        ds = state_for(random_model(rng, 4))
+        t = wright_operator(ds, (0.0,))
+        base = random_pvm(rng, 4)
+        found = list(partition_windows(single(t, *base)))
+        assert [w.labels for w in found] == list(restricted_growth_strings(4))
+        for w, (rgs, blocks) in zip(found, oracles.partitions(base)):
+            assert np.allclose([x.op for x in w.members], [np.sum(b, axis=0) for b in blocks])
 
 
 class TestSearchWindows:
@@ -306,6 +355,19 @@ class TestSearchWindows:
         for w in search_windows(t, [[random_pvm(rng, 3)]]):
             assert sum(w.kreport.probabilities) == pytest.approx(1.0, abs=1e-9)
 
+    def test_bundled_entropy_checks_only_parsed_and_decomposition_projectors(
+            self, monkeypatch, tmp_path):
+        # 6 history entries and 2 x 2 named-basis elements at parse time, the
+        # 4 decomposition elements again where the two families are built,
+        # and no window member
+        calls = collections.Counter()
+        for name, module in list(sys.modules.items()):
+            if name.startswith("histq") and hasattr(module, "is_projector"):
+                monkeypatch.setattr(module, "is_projector",
+                                    lambda p, _name=name: calls.update([_name]) or is_projector(p))
+        assert cli_main(["entropy", "--out", str(tmp_path)]) == 0
+        assert calls == {"histq.scenario": 8, "histq.consistency": 4}
+
 
 class TestMaximallyRefined:
     def test_finest_partition_is_maximal(self):
@@ -323,7 +385,7 @@ class TestMaximallyRefined:
 
     def test_singleton_family(self):
         ds, t = mixed_qubit()
-        w = window(t.space, [np.eye(2, dtype=complex)]).decide(t)
+        w = window(single(t, EYE), (0,))
         assert is_maximally_refined(w, [w])
 
 
@@ -337,18 +399,12 @@ class TestPictureBridge:
             two_time = dim == 2 and bool(rng.integers(2))
             n = 2 if two_time else 1
             t = wright_operator(ds, ds.grid.times[:n])
-            base = random_pvm(rng, dim)
-            if two_time:
-                other = random_pvm(rng, dim)
-                base = [np.kron(a, b) for a in base for b in other]
-            for blocks in set_partitions(base):
-                w = window(t.space, [np.sum(b, axis=0) for b in blocks])
-                krep = check_window(w, t)
-                if any(p <= 1e-12 for p in krep.probabilities):
+            factors = [random_pvm(rng, dim) for _ in range(n)]
+            for w in partition_windows(base_family(t, factors)):
+                if any(p <= 1e-12 for p in w.kreport.probabilities):
                     continue
                 checked += 1
-                oprep = check_window_operators(ds, w)
-                assert krep.consistent == oprep.consistent
+                assert w.kreport.consistent == w.opreport.consistent
         assert checked > 50
 
 
@@ -360,47 +416,47 @@ def base_families(ds, t, pvms):
         yield [functools.reduce(np.kron, combo) for combo in itertools.product(*choice)]
 
 
-def oracle_search(ds, t, pvms, on_partition=None):
-    """The exhaustive reference: every set partition -> check_window ->
-    check_window_operators on projector members -> _window_key dedup -> sort.
+@dataclasses.dataclass
+class OracleWindow:
+    members: list
+    kreport: object
+    opreport: object
 
-    ``on_partition(family, rgs, window, report)`` sees every checked partition.
-    """
+
+def oracle_search(ds, t, pvms):
+    """The exhaustive reference: every set partition -> member-matrix sector
+    check -> member-matrix operator check -> _window_key dedup -> sort."""
     results = {}
-    for family, base in enumerate(base_families(ds, t, pvms)):
-        pairs = zip(restricted_growth_strings(len(base)), set_partitions(base))
-        for rgs, blocks in pairs:
-            cand = window(t.space, [np.sum(block, axis=0) for block in blocks])
-            report = check_window(cand, t)
-            if on_partition is not None:
-                on_partition(family, rgs, cand, report)
-            if not report.consistent:
-                continue
-            opreport = None
-            if all(is_projector(x.op) for x in cand.members):
-                opreport = check_window_operators(ds, cand)
-            cand = dataclasses.replace(cand, kreport=report, opreport=opreport)
-            results.setdefault(_window_key(cand), cand)
+    for base in base_families(ds, t, pvms):
+        for rgs, _ in oracles.partitions(base):
+            ws = oracles.members(t.space, base, rgs)
+            report = oracles.check_window(ws, t)
+            if report.consistent:
+                cand = OracleWindow(ws, report, oracles.check_window_operators(ds, ws))
+                results.setdefault(_window_key(cand), cand)
     ordered = sorted(results.items(), key=lambda kv: (-len(kv[1].members), kv[0]))
     return [w for _, w in ordered]
+
+
+def assert_same_reports(got, want):
+    for rep, ref in ((got.kreport, want.kreport), (got.opreport, want.opreport)):
+        assert (rep.verdict, rep.violated) == (ref.verdict, ref.violated)
+        assert rep.max_residual == pytest.approx(ref.max_residual, rel=0.0, abs=1e-12)
+        assert np.allclose(rep.probabilities, ref.probabilities, rtol=0.0, atol=1e-12)
 
 
 def assert_same_windows(found, expected):
     assert len(found) == len(expected)
     for got, want in zip(found, expected):
         assert _window_key(got) == _window_key(want)
-        for rep, ref in ((got.kreport, want.kreport), (got.opreport, want.opreport)):
-            assert (rep is None) == (ref is None)
-            if ref is not None:
-                assert (rep.verdict, rep.violated) == (ref.verdict, ref.violated)
-                assert rep.max_residual == pytest.approx(ref.max_residual, rel=0.0, abs=1e-12)
-                assert np.allclose(rep.probabilities, ref.probabilities, rtol=0.0, atol=1e-12)
+        assert_same_reports(got, want)
 
 
 @st.composite
-def search_cases(draw):
-    """A state and per-time decompositions with base families of at most 8."""
-    dim, n_times = draw(st.sampled_from([(2, 1), (2, 2), (2, 3), (3, 1)]))
+def search_cases(draw, shapes=((2, 1), (2, 2), (2, 3), (3, 1), (3, 2))):
+    """A state and per-time decompositions of (dim, times) in ``shapes``, with
+    base families of at most 8 elements."""
+    dim, n_times = draw(st.sampled_from(shapes))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 31 - 1)))
     hamiltonian = (np.zeros((dim, dim)) if draw(st.booleans())
                    else random_hermitian(rng, dim))
@@ -412,35 +468,36 @@ def search_cases(draw):
                    times=(0.0, 0.7, 1.5)[:max(n_times, 2)])
     t = wright_operator(ds, ds.grid.times[:n_times])
 
-    def decomposition():
-        if dim == 3 and draw(st.booleans()):  # a rank-2 projector and its complement
+    def decomposition(rank_two):
+        if rank_two:  # a rank-2 projector and its complement
             u = random_unitary(rng, dim)
             return [projector_onto(u[:, :2]), projector_onto(u[:, 2:])]
         return random_pvm(rng, dim)
 
-    repeated = decomposition()
-    same_at_every_time = draw(st.booleans())
+    # at dim 3 on two times the second decomposition is a rank-2 split, which
+    # keeps the oracle's Bell(N) member-matrix checks at N <= 6
+    split = [dim == 3 and (k == 1 or draw(st.booleans())) for k in range(n_times)]
+    same_at_every_time = len(set(split)) == 1 and draw(st.booleans())
+    repeated = decomposition(split[0])
     alternatives = 1 if n_times == 3 else draw(st.integers(1, 2))
-    pvms = [[repeated if same_at_every_time else decomposition()
-             for _ in range(alternatives)] for _ in range(n_times)]
+    pvms = [[repeated if same_at_every_time else decomposition(split[k])
+             for _ in range(alternatives)] for k in range(n_times)]
     return ds, t, pvms
 
 
-def kept_strings(g, n, slack):
+def kept_strings(g, n):
     """The strings of length n that ``_screen`` keeps, over all chunks."""
-    kept = _screen(g, _rgs_chunks(n), slack)
-    return {tuple(map(int, row)) for chunk in kept for row in chunk}
+    return {tuple(map(int, row)) for chunk in _screen(g, _rgs_chunks(n)) for row in chunk}
 
 
 def two_matrix_screen(t, base):
-    """The screen as it was with the Hilbert-Schmidt Gram matrix
-    S[a, b] = <base_a, base_b> beside G, orthogonality tested on S's block
-    sums: the strings it keeps, over all strings at once."""
+    """The screen with the Hilbert-Schmidt Gram matrix S[a, b] = <base_a, base_b>
+    beside G, orthogonality tested on S's block sums: the strings it keeps,
+    over all strings at once."""
     tol = TOLERANCES
     n, k, _ = base.shape
     vecs = base.transpose(0, 2, 1).reshape(n, k * k)
     g, s = vecs.conj() @ t.matrix @ vecs.T / k, vecs.conj() @ vecs.T / k
-    slack = 16 * (n * n + k * k) * np.finfo(float).eps * max(1.0, np.abs(g).max(), np.abs(s).max())
     rgs = np.array(list(restricted_growth_strings(n)))
     onehot = (rgs[:, :, None] == np.arange(n)).astype(float)
     onehot_t = onehot.transpose(0, 2, 1)
@@ -449,13 +506,13 @@ def two_matrix_screen(t, base):
     used = np.arange(n) < rgs.max(axis=1, keepdims=True) + 1
     probs = np.diagonal(greal, axis1=1, axis2=2)
     upper = np.triu(np.ones((n, n), dtype=bool), 1)
-    bound = tol.consistency + slack
     orth = np.max(overlap[:, upper], axis=1, initial=0.0)
     cross = np.max(np.abs(greal[:, upper]), axis=1, initial=0.0)
     total = probs.sum(axis=1)
-    positive = np.all(~used | ((probs > tol.strict_positive - slack) & (probs <= 1.0 + bound)),
+    positive = np.all(~used | ((probs > tol.strict_positive) & (probs <= 1.0 + tol.consistency)),
                       axis=1)
-    keep = positive & (orth <= bound) & (np.maximum(cross, np.abs(total - 1.0)) <= bound)
+    keep = (positive & (orth <= tol.consistency)
+            & (np.maximum(cross, np.abs(total - 1.0)) <= tol.consistency))
     return {tuple(map(int, row)) for row in rgs[keep]}
 
 
@@ -487,23 +544,29 @@ class TestGramScreen:
     @given(search_cases())
     @settings(max_examples=30, deadline=None)
     def test_matches_exhaustive_oracle(self, case):
+        # the screen-kept path: the same windows in the same order, with the
+        # oracle's verdicts and probabilities
         ds, t, pvms = case
-        screens = []
-        for base in base_families(ds, t, pvms):
-            g = t.gram(np.array(base))
-            slack = _rounding_slack(g, t.space.op_dim)
-            screens.append((g, slack, kept_strings(g, len(base), slack)))
+        assert_same_windows(search_windows(t, pvms), oracle_search(ds, t, pvms))
 
-        def superset(family, rgs, cand, report):
-            g, slack, kept = screens[family]
-            blocks = [np.flatnonzero(np.array(rgs) == v) for v in range(max(rgs) + 1)]
-            screened = [g[np.ix_(b, b)].sum().real for b in blocks]
-            assert np.max(np.abs(np.subtract(screened, report.probabilities))) <= slack
-            if report.consistent:
-                assert rgs in kept
-
-        expected = oracle_search(ds, t, pvms, on_partition=superset)
-        assert_same_windows(search_windows(t, pvms), expected)
+    @given(search_cases(shapes=((2, 1), (2, 2), (3, 1), (3, 2))))
+    @settings(max_examples=30, deadline=None)
+    def test_every_partition_matches_the_member_matrix_oracles(self, case):
+        # the bridge path: every partition of every family, decided from the
+        # two Gram matrices, against the checks on the member matrices
+        ds, t, pvms = case
+        for factors in itertools.product(*pvms):
+            transported = [[heisenberg(ds.model, p, time, ds.grid.t0) for p in pvm]
+                           for time, pvm in zip(t.space.support, factors)]
+            family = base_family(t, transported)
+            found = list(partition_windows(family))
+            assert [w.labels for w in found] == list(restricted_growth_strings(len(family.ops)))
+            for w in found:
+                ws = oracles.members(t.space, family.ops, w.labels)
+                assert np.array_equal([x.op for x in w.members], [x.op for x in ws])
+                expected = OracleWindow(ws, oracles.check_window(ws, t),
+                                        oracles.check_window_operators(ds, ws))
+                assert_same_reports(w, expected)
 
     @given(search_cases())
     @settings(max_examples=30, deadline=None)
@@ -512,9 +575,7 @@ class TestGramScreen:
         # changes no survivor
         ds, t, pvms = case
         for base in map(np.array, base_families(ds, t, pvms)):
-            g = t.gram(base)
-            assert kept_strings(g, len(base), _rounding_slack(g, t.space.op_dim)) \
-                == two_matrix_screen(t, base)
+            assert kept_strings(t.gram(base), len(base)) == two_matrix_screen(t, base)
 
     @given(frame_families())
     @settings(max_examples=30, deadline=None)
@@ -524,11 +585,10 @@ class TestGramScreen:
         vecs = base.transpose(0, 2, 1).reshape(n, k * k)
         s = vecs.conj() @ vecs.T / k
         assert max_abs(s - np.diag(np.diag(s))) > 1e-3  # S is not diagonal
-        g = t.gram(base)
-        kept = kept_strings(g, n, _rounding_slack(g, k))
+        kept = kept_strings(t.gram(base), n)
         accepted = 0
-        for rgs, blocks in zip(restricted_growth_strings(n), set_partitions(base)):
-            if check_window(window(t.space, [np.sum(b, axis=0) for b in blocks]), t).consistent:
+        for rgs, _ in oracles.partitions(base):
+            if oracles.check_window(oracles.members(t.space, base, rgs), t).consistent:
                 accepted += 1
                 assert rgs in kept
         assert accepted >= 1  # the one-block window is e
@@ -543,6 +603,16 @@ class TestGramScreen:
         t = wright_operator(ds, ds.grid.times)
         pvms = [[basis]] * 3
         assert_same_windows(search_windows(t, pvms), oracle_search(ds, t, pvms))
+
+    def test_nine_element_family_at_dim_three_on_two_times(self):
+        # the largest family two times of dim 3 give: Bell(9) = 21147 strings
+        rng = np.random.default_rng(40)
+        ds = state_for(random_model(rng, 3))
+        t = wright_operator(ds, (0.0, 1.0))
+        pvms = [[random_pvm(rng, 3)], [random_pvm(rng, 3)]]
+        found = search_windows(t, pvms)
+        assert len(found) > 1
+        assert_same_windows(found, oracle_search(ds, t, pvms))
 
     def test_rank_two_projectors_at_dim_three(self):
         rng = np.random.default_rng(37)

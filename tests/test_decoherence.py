@@ -11,12 +11,13 @@ from histq.decoherence import (
     DecoherenceState,
     d_basis_sum,
     d_form,
+    d_gram,
     d_trace,
     hermitian_basis,
     ils_reconstruct,
     sector_fits,
 )
-from histq.histories import PropositionSpace, embed, history, proposition
+from histq.histories import PropositionSpace, chain_map, embed, history, proposition
 from histq.propositions import wright_operator
 from histq.sampling import (
     random_hermitian,
@@ -279,7 +280,54 @@ class TestBasisSumForm:
             d_basis_sum(ds, e, e, bases=bases)
 
 
+@pytest.mark.parametrize("form", [d_form, d_basis_sum])
+def test_state_of_another_dimension_is_a_sector_mismatch(form):
+    # a dim-3 proposition and a dim-2 state fail the one sector check, not a matmul
+    ds = qubit_state(np.diag([0.6, 0.4]))
+    x = sector_op((0.0,), 3, np.eye(3))
+    with pytest.raises(ValueError, match="^sector mismatch$"):
+        form(ds, x, x)
+
+
+class TestGram:
+    def test_entries_are_the_chain_form(self):
+        rng = np.random.default_rng(17)
+        for dim, n in ((2, 1), (2, 2), (3, 2)):
+            ds = state_for(random_model(rng, dim))
+            ops = np.array([random_operator(rng, dim ** n) for _ in range(3)])
+            gram = d_gram(ds, ops, n)
+            chains = [chain_map(op, dim, n) for op in ops]  # one operator per call
+            for a, b in itertools.product(range(3), repeat=2):
+                expected = np.trace(chains[a].conj().T @ ds.model.rho @ chains[b])
+                assert gram[a, b] == pytest.approx(expected, abs=1e-12)
+
+    def test_reconstruction_reads_the_same_gram(self, monkeypatch):
+        rng = np.random.default_rng(18)
+        ds = state_for(random_model(rng, 2))
+        seen = []
+
+        def spy(state, ops, n_times):
+            seen.append(len(ops))
+            return d_gram(state, ops, n_times)
+
+        monkeypatch.setattr("histq.decoherence.d_gram", spy)
+        ils_reconstruct(ds, (0.0, 1.0))
+        assert seen == [16]  # one stack: the Hermitian basis of the 4 x 4 sector
+
+
 class TestIlsReconstruction:
+    @given(st.integers(0, 2 ** 31 - 1))
+    @settings(max_examples=20, deadline=None)
+    def test_pair_value_is_the_trace_against_the_kronecker_product(self, seed):
+        rng = np.random.default_rng(seed)
+        dim, n = ((2, 1), (2, 2), (3, 1), (3, 2))[seed % 4]
+        ds = state_for(random_model(rng, dim))
+        x = ils_reconstruct(ds, ds.grid.times[:n])
+        p, q = (sector_op(ds.grid.times[:n], dim, random_operator(rng, dim ** n))
+                for _ in range(2))
+        kron = np.trace(tensor_product([p.op, q.op]) @ x.xd)
+        assert x.pair_value(p, q) == pytest.approx(kron, abs=1e-12)
+
     def test_unit_trace(self):
         rng = np.random.default_rng(13)
         ds = state_for(random_model(rng, 3))

@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 
 import histq
 from histq.cli import main as cli_main
-from histq.consistency import is_refinement, search_windows, set_partitions, window
+from histq.consistency import (Window, base_family, is_refinement, partition_windows,
+                               search_windows, window)
 from histq.entropy import (
     min_entropy,
     refinement_gap,
@@ -36,8 +37,10 @@ def family_for(t):
     return search_windows(t, [[[P0, P1], [PLUS, MINUS]]])
 
 
-def decided(t, ops):
-    return window(t.space, ops).decide(t)
+def decided(t, base, labels=None):
+    """The window of the one-time family ``base`` grouped by ``labels`` (by
+    default each element its own member), decided in both pictures."""
+    return window(base_family(t, [base]), range(len(base)) if labels is None else labels)
 
 
 def scored(family):
@@ -71,14 +74,10 @@ class TestWindowEntropy:
             window_entropy(w)
 
     def test_undecided_window_rejected(self):
+        # a window is built with both verdicts, so no entropy meets one without
         t = mixed_qubit()
-        w = window(t.space, [P0, P1])
-        with pytest.raises(ValueError, match="no sector verdict"):
-            window_entropy(w)
-        with pytest.raises(ValueError, match="no operator-picture verdict"):
-            window_entropy_pnorm(w, 1)
-        with pytest.raises(ValueError, match="no sector verdict"):
-            scored([w])  # so neither aggregate can take it
+        with pytest.raises(TypeError, match="kreport"):
+            Window(family=base_family(t, [[P0, P1]]), labels=(0, 1))
 
     def test_terms_recompose_value(self):
         t = mixed_qubit()
@@ -130,8 +129,11 @@ class TestPnormEntropy:
             window_entropy_pnorm(decided(t, [P0, P1]), 0.99)
 
     def test_operator_inconsistent_window_rejected(self):
-        t = mixed_qubit()
-        w = decided(t, [P0, PLUS])  # overlapping members
+        # all four two-time products of two random bases interfere
+        rng = np.random.default_rng(44)
+        t = wright_operator(state_for(random_model(rng, 2)), (0.0, 1.0))
+        w = window(base_family(t, [random_pvm(rng, 2), random_pvm(rng, 2)]), (0, 1, 2, 3))
+        assert w.opreport.violated == ("re-cross-term",)
         with pytest.raises(ValueError, match="entropy undefined"):
             window_entropy_pnorm(w, 1)
 
@@ -233,10 +235,8 @@ class TestRefinementGap:
             ds = state_for(random_model(rng, dim))
             t = wright_operator(ds, (0.0,))
             base = random_pvm(rng, dim)
-            y_op, z_op = base[0], base[1]
-            rest = base[2:]
-            fine = decided(t, [y_op, z_op] + rest)
-            coarse = decided(t, [y_op + z_op] + rest)
+            fine = decided(t, base)
+            coarse = decided(t, base, [0, 0, *range(1, dim - 1)])  # y + z, then the rest
             i_fine = window_entropy(fine)
             i_coarse = window_entropy(coarse)
             p_y = fine.kreport.probabilities[0]
@@ -256,12 +256,8 @@ class TestMonotonicity:
             dim = int(rng.choice([2, 3, 4]))
             ds = state_for(random_model(rng, dim))
             t = wright_operator(ds, (0.0,))
-            base = random_pvm(rng, dim)
-            windows = []
-            for blocks in set_partitions(base):
-                w = decided(t, [np.sum(b, axis=0) for b in blocks])
-                if w.kreport.consistent:
-                    windows.append(w)
+            windows = [w for w in partition_windows(base_family(t, [random_pvm(rng, dim)]))
+                       if w.kreport.consistent]
             for coarse in windows:
                 for fine in windows:
                     if fine is coarse or not is_refinement(fine, coarse):
@@ -341,8 +337,9 @@ class TestAggregates:
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, spy(getattr(module, name)))
         assert cli_main(["entropy", "--out", str(tmp_path)]) == 0
-        assert len(callers) == 8  # two base families, Bell(2) = 2 partitions each
-        assert set(callers) == {("decide", "search_windows")}
+        # two base families, Bell(2) = 2 partitions each, every one consistent
+        assert len(callers) == 8
+        assert set(callers) == {("search_windows", "scenario_windows")}
 
     def test_each_window_is_scored_once(self, monkeypatch, tmp_path):
         # the search-qubit3 benchmark scenario at seed 1: eight windows, of

@@ -130,7 +130,7 @@ class TestChainMap:
         rng = np.random.default_rng(5)
         model = SystemModel.from_matrices(random_hermitian(rng, 2), np.eye(2) / 2)
         h = history({0.0: random_projector(rng, 2), 1.0: random_projector(rng, 2)})
-        via_embed = chain_map(embed(model, h).op, 2)
+        via_embed = chain_map(embed(model, h).op, 2, 2)
         assert np.max(np.abs(via_embed - class_operator(model, h))) <= 1e-12
 
     def test_dyad_contraction_oracle(self):
@@ -140,7 +140,7 @@ class TestChainMap:
         a, b, c, d = vecs
         dyad = np.outer(np.kron(a, b), np.kron(c, d).conj())
         expected = (c.conj() @ b) * np.outer(a, d.conj())
-        assert np.max(np.abs(chain_map(dyad, 3) - expected)) <= 1e-12
+        assert np.max(np.abs(chain_map(dyad, 3, 2) - expected)) <= 1e-12
 
     @given(st.integers(0, 2 ** 31 - 1))
     @settings(max_examples=25, deadline=None)
@@ -148,13 +148,25 @@ class TestChainMap:
         rng = np.random.default_rng(seed)
         a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
         b = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        assert np.max(np.abs(chain_map(np.kron(a, b), 3) - a @ b)) <= 1e-12
+        assert np.max(np.abs(chain_map(np.kron(a, b), 3, 2) - a @ b)) <= 1e-12
+
+    def test_stack_axes_map_each_operator(self):
+        rng = np.random.default_rng(14)
+        stack = rng.standard_normal((2, 3, 8, 8)) + 1j * rng.standard_normal((2, 3, 8, 8))
+        got = chain_map(stack, 2, 3)
+        assert got.shape == (2, 3, 2, 2)
+        for i, j in np.ndindex(2, 3):
+            assert np.array_equal(got[i, j], chain_map(stack[i, j], 2, 3))
+
+    def test_dimension_must_be_dim_to_the_times(self):
+        with pytest.raises(ValueError, match="operator dimension is not dim"):
+            chain_map(np.eye(4), 2, 3)
 
     def test_three_slots(self):
         rng = np.random.default_rng(13)
         mats = [rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
                 for _ in range(3)]
-        got = chain_map(tensor_product(mats), 2)
+        got = chain_map(tensor_product(mats), 2, 3)
         assert np.max(np.abs(got - mats[0] @ mats[1] @ mats[2])) <= 1e-12
 
 

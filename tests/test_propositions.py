@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from histq.consistency import Window, check_window, is_refinement, window
+from histq.consistency import base_family, is_refinement, window
 from histq.decoherence import d_basis_sum, d_form, ils_reconstruct
 from histq.histories import PropositionSpace, chain_map, proposition, unit_proposition
 from histq.propositions import (
@@ -186,7 +186,7 @@ class TestWrightOperator:
         pmat = chain_matrix(2, 2)
         b = random_operator(rng, 4)
         assert np.allclose(pmat @ b.flatten(order="F"),
-                           chain_map(b, 2).flatten(order="F"))
+                           chain_map(b, 2, 2).flatten(order="F"))
 
 
 class TestProbability:
@@ -232,12 +232,10 @@ FOREIGN_OPERANDS = {
     "d_basis_sum": (lambda c: d_basis_sum(c["ds"], c["x"], c["y"]), "mixed temporal support"),
     "pair_value-second": (lambda c: c["ils"].pair_value(c["x"], c["y"]), "sector mismatch"),
     "pair_value-both": (lambda c: c["ils"].pair_value(c["y"], c["y"]), "sector mismatch"),
-    "check_window": (lambda c: check_window(window(SECTOR_B, [P0, P1]), c["t"]),
-                     "sector mismatch"),
-    "is_refinement": (lambda c: is_refinement(window(SECTOR_A, [P0, P1]),
-                                              window(SECTOR_B, [np.eye(2)])),
+    "base_family": (lambda c: base_family(c["t"], [[np.eye(3)]]), "sector mismatch"),
+    "is_refinement": (lambda c: is_refinement(window(base_family(c["t"], [[P0, P1]]), (0, 1)),
+                                              window(base_family(c["t_b"], [[P0, P1]]), (0, 0))),
                       "sector mismatch"),
-    "Window": (lambda c: Window(space=SECTOR_A, members=(c["x"], c["y"])), "sector mismatch"),
 }
 
 
@@ -245,6 +243,7 @@ FOREIGN_OPERANDS = {
 def test_operand_from_another_sector_is_refused(name):
     ds = qubit_state(np.diag([0.75, 0.25]))
     case = {"ds": ds, "t": wright_operator(ds, SECTOR_A.support),
+            "t_b": wright_operator(ds, SECTOR_B.support),
             "ils": ils_reconstruct(ds, SECTOR_A.support),
             "x": proposition(SECTOR_A, P0), "y": proposition(SECTOR_B, P0)}
     assert case["t"].space == case["ils"].space == SECTOR_A
