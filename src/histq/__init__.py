@@ -30,6 +30,7 @@ from .decoherence import (
     d_basis_sum,
     d_form,
     d_trace,
+    d_trace_matrix,
     hermitian_basis,
     ils_reconstruct,
 )

@@ -23,7 +23,8 @@ from importlib import resources
 from pathlib import Path
 
 from .consistency import is_maximally_refined
-from .decoherence import CapacityError, DecoherenceState, d_basis_sum, d_trace, ils_reconstruct
+from .decoherence import (CapacityError, DecoherenceState, d_basis_sum, d_trace_matrix,
+                          ils_reconstruct)
 from .divergence import b1_grid, b1_series, b2_grid, b2_series, growth_fit
 from .entropy import min_entropy, sup_refinement_entropy, window_entropy, window_entropy_pnorm
 from .histories import embed
@@ -69,15 +70,16 @@ def _decohere_payload(scn: Scenario) -> dict:
     residual_ils = 0.0
     labels = [label for label, _ in scn.histories]
     embedded = [embed(scn.model, h, support, scn.grid.t0) for _, h in scn.histories]
+    chains = d_trace_matrix(ds, [h for _, h in scn.histories]).tolist()
     ils = None
     ils_note = None
     try:
         ils = ils_reconstruct(ds, support)
     except CapacityError as exc:
         ils_note = str(exc)
-    for (label_h, h), hb in zip(scn.histories, embedded):
-        for (label_k, k), kb in zip(scn.histories, embedded):
-            chain = d_trace(ds, h, k)
+    for i, (label_h, hb) in enumerate(zip(labels, embedded)):
+        for j, (label_k, kb) in enumerate(zip(labels, embedded)):
+            chain = chains[i][j]
             values = {TAG_CHAIN: chain, TAG_BASIS_SUM: d_basis_sum(ds, hb, kb)}
             residual_sum = max(residual_sum, abs(chain - values[TAG_BASIS_SUM]))
             if ils is not None:

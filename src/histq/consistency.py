@@ -2,9 +2,9 @@
 
 Every window is a coarse graining of a base family: the Kronecker products
 of one projector decomposition per support time of a Wright operator T.
-Each decomposition is checked once, where its family is built (projectors
-summing to the identity), so the family's members are orthogonal projectors
-summing to e and so is every coarse graining of it.  A window is its family
+Each decomposition is checked once, where the first family containing it is
+built (projectors summing to the identity), so the family's members are
+orthogonal projectors summing to e and so is every coarse graining of it.  A window is its family
 together with a label string that assigns each base element to a member,
 and its members are the block sums of the base.
 
@@ -107,23 +107,29 @@ def base_family(t: WrightOperator, decompositions: Sequence[Sequence[np.ndarray]
     the single-time space, already in the picture the sector uses), in
     row-major order over the times.
 
-    Each decomposition is checked here and nowhere else: ``ValueError``
-    naming it (``names[k]``, by default ``decompositions[k]``) unless its
-    elements are projectors summing to the identity, and when the family
-    has more than ``MAX_BASE_FAMILY`` elements.
+    Each decomposition is checked here: ``ValueError`` naming it
+    (``names[k]``, by default ``decompositions[k]``) unless its elements are
+    projectors summing to the identity, and when the family has more than
+    ``MAX_BASE_FAMILY`` elements.  :func:`search_windows`, which builds many
+    families from few decompositions, runs the same check once per
+    decomposition instead.
     """
     space = t.space
     if len(decompositions) != space.n_times:
         raise ValueError("need one decomposition per support time")
     names = names or [f"decompositions[{k}]" for k in range(space.n_times)]
-    factors = [_decomposition(elements, name, space.dim_single)
-               for elements, name in zip(decompositions, names)]
+    return _build_family(t, [_decomposition(elements, name, space.dim_single)
+                             for elements, name in zip(decompositions, names)])
+
+
+def _build_family(t: WrightOperator, factors: Sequence[Sequence[np.ndarray]]) -> BaseFamily:
+    """:func:`base_family` of decompositions already checked by ``_decomposition``."""
     size = int(np.prod([len(f) for f in factors]))
     if size > MAX_BASE_FAMILY:
         raise ValueError(f"base family too large: {size} > {MAX_BASE_FAMILY}")
     ops = np.array([functools.reduce(np.kron, combo) for combo in itertools.product(*factors)])
     return BaseFamily(t=t, ops=ops, gram_t=t.gram(ops),
-                      gram_d=d_gram(t.state, ops, space.n_times))
+                      gram_d=d_gram(t.state, ops, t.space.n_times))
 
 
 @dataclass(frozen=True, eq=False)
@@ -317,11 +323,11 @@ def search_windows(t: WrightOperator,
 
     ``pvms[k]`` lists the alternative projector decompositions offered at
     the k-th support time of ``t``.  Every choice of one decomposition per
-    time, transported to the Heisenberg picture, builds one base family;
-    :func:`base_family` refuses a decomposition ``pvms[k][j]`` whose elements
-    are not projectors summing to the identity, naming it.  Without
-    decompositions the family is the identity at every time, whose one
-    window is the unit.
+    time, transported to the Heisenberg picture, builds one base family.
+    Each decomposition ``pvms[k][j]`` is checked once, when the first family
+    containing it is built, and refused, named, unless its elements are
+    projectors summing to the identity.  Without decompositions the family
+    is the identity at every time, whose one window is the unit.
 
     The set partitions of each family are its restricted-growth strings,
     generated in numpy in chunks of at most ``_SCREEN_CHUNK``, so memory
@@ -346,10 +352,15 @@ def search_windows(t: WrightOperator,
 
     transported = [[[heisenberg(ds.model, p, time, ds.grid.t0) for p in pvm] for pvm in klists]
                    for time, klists in zip(space.support, pvms)]
+
+    @functools.cache
+    def checked(k: int, j: int) -> list[np.ndarray]:
+        """``pvms[k][j]`` transported, checked once per search."""
+        return _decomposition(transported[k][j], f"pvms[{k}][{j}]", space.dim_single)
+
     results: dict[tuple[bytes, ...], Window] = {}
     for choice in itertools.product(*(range(len(klists)) for klists in pvms)):
-        family = base_family(t, [transported[k][j] for k, j in enumerate(choice)],
-                             [f"pvms[{k}][{j}]" for k, j in enumerate(choice)])
+        family = _build_family(t, [checked(k, j) for k, j in enumerate(choice)])
         for kept in _screen(family.gram_t, _rgs_chunks(len(family.ops))):
             for row in kept:
                 kreport = check_window(family, row)

@@ -6,7 +6,8 @@ picture, earliest time leftmost) the functional is
     d(h, k) = tr( C(h)^dag rho C(k) ),     C(h) = P_t1 P_t2 ... P_tn,
 
 conjugate linear in the first slot.  :func:`d_trace` evaluates this chain
-form, :func:`d_basis_sum` the expansion over products of orthonormal bases,
+form (:func:`d_trace_matrix` on every pair of a list, building each chain
+once), :func:`d_basis_sum` the expansion over products of orthonormal bases,
 and :class:`IlsOperator` the reconstruction d(p, q) = tr((p (x) q) X) from a
 single operator X on the doubled tensor space.  :func:`d_form` is the
 sesquilinear extension to arbitrary operators on one support sector via the
@@ -45,6 +46,7 @@ __all__ = [
     "sector_fits",
     "require_sector",
     "d_trace",
+    "d_trace_matrix",
     "d_form",
     "d_gram",
     "d_basis_sum",
@@ -92,15 +94,24 @@ def _chain(ds: DecoherenceState, h: HomogeneousHistory) -> np.ndarray:
     return class_operator(ds.model, h, ds.grid.t0)
 
 
+def _chain_pair(ds: DecoherenceState, ch: np.ndarray, ck: np.ndarray) -> complex:
+    return complex(np.trace(ch.conj().T @ ds.model.rho @ ck))
+
+
 def d_trace(ds: DecoherenceState, h: HomogeneousHistory, k: HomogeneousHistory) -> complex:
     """Chain form of the decoherence functional on two homogeneous histories.
 
     Histories are canonicalized first; distinct supports are fine because
     identity padding never changes the chains.
     """
-    ch = _chain(ds, h)
-    ck = _chain(ds, k)
-    return complex(np.trace(ch.conj().T @ ds.model.rho @ ck))
+    return _chain_pair(ds, _chain(ds, h), _chain(ds, k))
+
+
+def d_trace_matrix(ds: DecoherenceState, histories: Sequence[HomogeneousHistory]) -> np.ndarray:
+    """``D[i, j] = d_trace(ds, histories[i], histories[j])``, building each chain once."""
+    chains = [_chain(ds, h) for h in histories]
+    return np.array([[_chain_pair(ds, ch, ck) for ck in chains] for ch in chains],
+                    dtype=complex).reshape(len(chains), len(chains))
 
 
 def _pair_sector(ds: DecoherenceState, p: Proposition, q: Proposition) -> PropositionSpace:
@@ -140,12 +151,16 @@ def d_basis_sum(ds: DecoherenceState, p: Proposition, q: Proposition,
 
         sum_j w[j_1] P[j_2n..j_(n+1); j_1, j_2n..j_(n+2)] Q[j_1..j_n; j_2..j_(n+1)],
 
-    conjugate linear in the first slot like :func:`d_form`.  Memory is
-    O(dim^(2n)), the size of P and Q.
+    conjugate linear in the first slot like :func:`d_form`.  P and Q are
+    per-operand forms, memoised on ``p`` and ``q`` (``Proposition.slot_forms``)
+    under their role and the bytes of the slot bases they read, so a history
+    paired with many others is written in the slot bases once per role.
+    Memory is O(dim^(2n)) per call, and each operand holds one such form per
+    role and set of bases while it lives.
     """
     n = _pair_sector(ds, p, q).n_times
     dim = ds.model.dim
-    psi = ds.model.vectors
+    psi = np.asarray(ds.model.vectors, dtype=complex)
     if bases is None:
         bases = [psi] * (2 * n - 1)
     elif len(bases) != 2 * n - 1:
@@ -164,11 +179,20 @@ def d_basis_sum(ds: DecoherenceState, p: Proposition, q: Proposition,
             kron[key] = tensor_product([slot[m] for m in ms])
         return kron[key]
 
+    def form(x: Proposition, role: str, rows: list[int], cols: list[int]) -> np.ndarray:
+        """``R^dag a C``, a = x^dag (role P) or x (role Q), with R and C the
+        slot-basis products on ``rows`` and ``cols``."""
+        key = (role, tuple(slot[m].tobytes() for m in rows + cols))
+        if key not in x.slot_forms:
+            a = x.op.conj().T if role == "P" else x.op
+            x.slot_forms[key] = product(rows).conj().T @ a @ product(cols)
+        return x.slot_forms[key]
+
     rows_p = list(range(2 * n - 1, n - 1, -1))
     cols_p = [0] + rows_p[:-1]
     rows_q, cols_q = list(range(n)), list(range(1, n + 1))
-    pt = product(rows_p).conj().T @ p.op.conj().T @ product(cols_p)
-    qt = product(rows_q).conj().T @ q.op @ product(cols_q)
+    pt = form(p, "P", rows_p, cols_p)
+    qt = form(q, "Q", rows_q, cols_q)
     axes = [dim] * (2 * n)
     return complex(np.einsum(ds.model.weights, [0], pt.reshape(axes), rows_p + cols_p,
                              qt.reshape(axes), rows_q + cols_q, []))

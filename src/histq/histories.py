@@ -22,7 +22,7 @@ multiplying the slots out in time order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -133,10 +133,16 @@ class PropositionSpace:
 
 @dataclass(frozen=True, eq=False)
 class Proposition:
-    """An element of one sector; not necessarily a projection."""
+    """An element of one sector; not necessarily a projection.
+
+    ``op`` is never written after construction: ``slot_forms`` memoises
+    forms derived from it (``decoherence.d_basis_sum`` writes ``op`` in the
+    slot bases there, keyed by role and by the bytes of those bases).
+    """
 
     space: PropositionSpace
     op: np.ndarray
+    slot_forms: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def n_times(self) -> int:

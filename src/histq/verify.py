@@ -17,7 +17,7 @@ from .consistency import (Window, base_family, partition_windows, search_windows
                           strict_refinements, window)
 from .core import TOLERANCES, SystemModel, TimeGrid
 from .decoherence import (CapacityError, DecoherenceState, d_basis_sum, d_form, d_trace,
-                          ils_reconstruct, sector_fits)
+                          d_trace_matrix, ils_reconstruct, sector_fits)
 from .divergence import b1_direct_value, b1_grid, b1_series, b2_grid, b2_series, growth_fit
 from .entropy import refinement_gap, window_entropy, window_entropy_pnorm
 from .histories import embed, history, proposition, unit_proposition
@@ -76,9 +76,9 @@ def _check_axioms(scn: Scenario, rng) -> CheckResult:
             n = int(rng.integers(1, min(2, len(ds.grid.times)) + 1))
             h = _product_history(rng, ds, n)
             k = _product_history(rng, ds, n)
-            hk = d_trace(ds, h, k)
-            worst = max(worst, abs(hk - d_trace(ds, k, h).conjugate()))
-            worst = max(worst, max(0.0, -d_trace(ds, h, h).real))
+            (hh, hk), (kh, _) = d_trace_matrix(ds, [h, k]).tolist()
+            worst = max(worst, abs(hk - kh.conjugate()))
+            worst = max(worst, max(0.0, -hh.real))
     bound = _THRESHOLDS["axioms"]
     return CheckResult("decoherence-axioms", worst <= bound, worst, bound,
                        "unit norm, Hermiticity, diagonal positivity")

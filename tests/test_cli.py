@@ -17,11 +17,15 @@ from histq.cli import (
     bundled_scenario_path,
     main,
 )
+import histq.cli
 from histq.consistency import ConsistencyReport
+from histq.decoherence import IlsOperator
 from histq.sampling import (random_density, random_hermitian, random_projector, random_pvm,
                             random_unitary)
 from histq.scenario import load_scenario
-from histq.verify import scenario_windows
+from histq.verify import _check_axioms, scenario_windows
+
+from helpers import count_calls
 
 
 def run(args):
@@ -116,6 +120,14 @@ class TestVerify:
         b = json.loads((tmp_path / "b" / "verify.json").read_text())
         assert a["verify"]["passed"] and b["verify"]["passed"]
         assert a["scenario"]["seed"] == 1 and b["scenario"]["seed"] == 2
+
+    def test_axioms_build_two_chains_per_draw(self, monkeypatch):
+        # two side states and the scenario's: the unit pair, then 10 draws of
+        # (h, k) read from one 2 x 2 chain table each
+        scn = load_scenario(bundled_scenario_path())
+        chains = count_calls(monkeypatch, "class_operator")
+        assert _check_axioms(scn, np.random.default_rng(1)).passed
+        assert len(chains) == 3 * (2 + 10 * 2)
 
     def test_negative_seed_exits_2(self, tmp_path, capsys):
         code = run(["verify", "--out", str(tmp_path / "o"), "--seed", "-1"])
@@ -294,6 +306,25 @@ class TestDecohere:
         agreement = _decohere_payload(scn)["agreement"]
         assert agreement["chain_vs_basis_sum"] <= 1e-9
         assert agreement["chain_vs_ils"] <= 1e-9
+
+    def test_each_chain_and_slot_form_is_built_once(self, monkeypatch, tmp_path):
+        # three histories: 3 chains for the 9 chain-form pairs, and each
+        # embedded history written in the slot bases once per role, while
+        # the basis sum and the reconstruction are still called per pair
+        chains = count_calls(monkeypatch, "class_operator")
+        sums = count_calls(monkeypatch, "d_basis_sum")
+        pairs = []
+        pair_value = IlsOperator.pair_value
+        monkeypatch.setattr(IlsOperator, "pair_value",
+                            lambda self, p, q: pairs.append((p, q)) or pair_value(self, p, q))
+        embedded = []
+        embed = histq.cli.embed
+        monkeypatch.setattr(histq.cli, "embed",
+                            lambda *args: embedded.append(embed(*args)) or embedded[-1])
+        assert run(["decohere", "--out", str(tmp_path)]) == 0
+        assert len(chains) == 3
+        assert len(sums) == len(pairs) == 9
+        assert [sorted(role for role, _ in x.slot_forms) for x in embedded] == [["P", "Q"]] * 3
 
     def test_worked_numbers_in_report(self, tmp_path):
         assert run(["decohere", "--out", str(tmp_path)]) == 0

@@ -323,6 +323,22 @@ class TestSearchWindows:
         assert (0.5, 0.5) in probs
         assert (1.0,) in probs
 
+    def test_search_checks_each_decomposition_once(self, monkeypatch):
+        # four families from two decompositions per time: 8 elements, each
+        # checked once, not once per family (16)
+        ds, _ = mixed_qubit()
+        t2 = wright_operator(ds, (0.0, 1.0))
+        calls = count_calls(monkeypatch, "is_projector")
+        search_windows(t2, [[[P0, P1], [PLUS, MINUS]]] * 2)
+        assert len(calls) == 8
+
+    def test_search_names_the_refused_decomposition(self):
+        ds, _ = mixed_qubit()
+        t2 = wright_operator(ds, (0.0, 1.0))
+        with pytest.raises(ValueError,
+                           match=r"^decomposition pvms\[1\]\[1\]: elements must sum to the identity$"):
+            search_windows(t2, [[[P0, P1]], [[PLUS, MINUS], [P0, P0]]])
+
     def test_empty_family_returns_unit_window(self):
         ds, t = mixed_qubit()
         found = search_windows(t, [])

@@ -13,6 +13,7 @@ from histq.decoherence import (
     d_form,
     d_gram,
     d_trace,
+    d_trace_matrix,
     hermitian_basis,
     ils_reconstruct,
     sector_fits,
@@ -97,6 +98,33 @@ def basis_sum_cases(draw):
     return ds, x, y, bases
 
 
+@st.composite
+def memo_cases(draw):
+    """Product or non-product operands, possibly one object in both slots, and
+    a sequence of calls on them, each with the default or a custom bases list
+    and in either slot order."""
+    dim = draw(st.integers(2, 3))
+    n = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 31 - 1)))
+    ds = state_for(random_model(rng, dim), times=tuple(range(n)))
+
+    def operand():
+        if draw(st.booleans()):
+            return embed(ds.model, product_history(rng, ds, n), ds.grid.times, ds.grid.t0)
+        return sector_op(ds.grid.times, dim, random_operator(rng, dim ** n))
+
+    x = operand()
+    y = x if draw(st.booleans()) else operand()
+    custom = [[random_unitary(rng, dim) for _ in range(2 * n - 1)] for _ in range(2)]
+    calls = draw(st.lists(st.tuples(st.sampled_from([None, 0, 1]), st.booleans()),
+                          min_size=2, max_size=6))
+    return ds, x, y, [(None if c is None else custom[c], swap) for c, swap in calls]
+
+
+def fresh(x):
+    return proposition(x.space, x.op.copy())
+
+
 class TestTraceForm:
     def test_unit_pair_is_one(self):
         ds = qubit_state(np.diag([0.6, 0.4]))
@@ -137,6 +165,23 @@ class TestTraceForm:
                 hk = d_trace(ds, h, k)
                 assert abs(hk - d_trace(ds, k, h).conjugate()) <= 1e-12
                 assert d_trace(ds, h, h).real >= -1e-12
+
+
+@given(dim=st.integers(2, 3), count=st.integers(0, 4), seed=st.integers(0, 2 ** 31 - 1))
+@settings(max_examples=30, deadline=None)
+def test_trace_matrix_entries_are_the_trace_form(dim, count, seed):
+    # histories on random subsets of the grid, some entries the identity
+    rng = np.random.default_rng(seed)
+    ds = state_for(random_model(rng, dim), times=(0.0, 0.7, 1.3))
+    histories = []
+    for _ in range(count):
+        times = [t for t in ds.grid.times if rng.random() < 0.7]
+        histories.append(history({t: np.eye(dim) if rng.random() < 0.2
+                                  else random_projector(rng, dim) for t in times}))
+    table = d_trace_matrix(ds, histories)
+    assert table.shape == (count, count)
+    for (i, h), (j, k) in itertools.product(enumerate(histories), repeat=2):
+        assert table[i, j] == d_trace(ds, h, k)
 
 
 class TestSesquilinearForm:
@@ -238,6 +283,30 @@ class TestBasisSumForm:
         ds, x, y, bases = case
         assert abs(d_basis_sum(ds, x, y, bases=bases)
                    - _basis_sum_loop(ds, x, y, bases=bases)) <= 1e-12
+
+    @given(memo_cases())
+    @settings(max_examples=40, deadline=None)
+    def test_memoised_forms_match_a_cold_call(self, case):
+        # the cold call on fresh copies is the unmemoised oracle
+        ds, x, y, calls = case
+        for bases, swap in calls:
+            p, q = (y, x) if swap else (x, y)
+            cold_p = fresh(p)
+            cold_q = cold_p if q is p else fresh(q)
+            assert d_basis_sum(ds, p, q, bases=bases) == d_basis_sum(ds, cold_p, cold_q,
+                                                                    bases=bases)
+
+    def test_custom_bases_do_not_read_the_default_forms(self):
+        rng = np.random.default_rng(20)
+        ds = state_for(random_model(rng, 2))
+        x = sector_op(ds.grid.times, 2, random_operator(rng, 4))
+        bases = [random_unitary(rng, 2) for _ in range(3)]
+        default = d_basis_sum(ds, x, x)
+        custom = d_basis_sum(ds, x, x, bases=bases)
+        assert len(x.slot_forms) == 4  # P and Q under each of the two slot lists
+        assert d_basis_sum(ds, x, x) == default
+        assert d_basis_sum(ds, x, x, bases=bases) == custom
+        assert len(x.slot_forms) == 4
 
     def test_benchmark_shape_matches_trace_form(self):
         rng = np.random.default_rng(18)
