@@ -36,7 +36,7 @@ import numpy as np
 from .core import TOLERANCES, as_operator, heisenberg, is_projector, max_abs
 from .decoherence import d_gram
 from .histories import Proposition, PropositionSpace
-from .propositions import WrightOperator, hs_inner
+from .propositions import WrightOperator
 
 __all__ = [
     "ConsistencyReport",
@@ -248,26 +248,19 @@ def is_refinement(fine: Window, coarse: Window) -> bool:
     """True when every coarse member is the sum of a block of fine members,
     the blocks partitioning ``fine``.
 
-    Assignment uses the overlap <y, x>/<y, y>, which determines the owning
-    block for orthogonal families; the explicit sum check makes the answer
-    sound either way.
+    The members of both windows are orthogonal projectors summing to e, so
+    this holds exactly when every fine member y is nonzero and lies under a
+    coarse member x, that is <y, x> = <y, y>.  The coarse members sum to e,
+    so <y, y> = <y, e> is the row sum of the overlaps <y, x>, and one
+    overlap matrix decides the question.
     """
-    coarse.space.require(fine)
-    blocks: dict[int, list[Proposition]] = {i: [] for i in range(len(coarse.members))}
-    for y in fine.members:
-        normsq = hs_inner(y, y).real
-        if normsq <= TOLERANCES.strict_positive:
-            return False
-        scores = [hs_inner(y, x).real / normsq for x in coarse.members]
-        owner = int(np.argmax(scores))
-        if scores[owner] < 0.5:
-            return False
-        blocks[owner].append(y)
-    for i, x in enumerate(coarse.members):
-        total = sum((y.op for y in blocks[i]), np.zeros_like(x.op))
-        if max_abs(total - x.op) > TOLERANCES.consistency:
-            return False
-    return True
+    k = coarse.space.require(fine).op_dim
+    fine_ops = np.array([y.op for y in fine.members])
+    coarse_ops = np.array([x.op for x in coarse.members])
+    overlaps = np.einsum("aij,bij->ab", fine_ops.conj(), coarse_ops).real / k
+    norms = overlaps.sum(axis=1)
+    contained = np.abs(overlaps - norms[:, None]) <= TOLERANCES.consistency
+    return bool(np.all(norms > TOLERANCES.strict_positive) and contained.any(axis=1).all())
 
 
 def _rgs_chunks(n: int) -> Iterator[np.ndarray]:
@@ -326,8 +319,7 @@ def search_windows(t: WrightOperator,
     time, transported to the Heisenberg picture, builds one base family.
     Each decomposition ``pvms[k][j]`` is checked once, when the first family
     containing it is built, and refused, named, unless its elements are
-    projectors summing to the identity.  Without decompositions the family
-    is the identity at every time, whose one window is the unit.
+    projectors summing to the identity.
 
     The set partitions of each family are its restricted-growth strings,
     generated in numpy in chunks of at most ``_SCREEN_CHUNK``, so memory
@@ -340,10 +332,6 @@ def search_windows(t: WrightOperator,
     ordering of the supplied decomposition elements.
     """
     space, ds = t.space, t.state
-    if len(pvms) == 0:
-        unit = [[np.eye(space.dim_single)]] * space.n_times
-        return [window(base_family(t, unit), (0,))]
-
     if len(pvms) != space.n_times:
         raise ValueError("need one decomposition list per support time")
     for klists in pvms:

@@ -20,7 +20,6 @@ __all__ = [
     "as_operator",
     "max_abs",
     "is_hermitian",
-    "is_unitary",
     "is_projector",
     "projector_onto",
     "named_basis",
@@ -43,7 +42,6 @@ class Tolerances:
 
     equality: float = 1e-10
     hermitian: float = 1e-12
-    unitary: float = 1e-10
     projector: float = 1e-10
     trace_one: float = 1e-12
     orthonormal: float = 1e-12
@@ -73,12 +71,6 @@ def is_hermitian(a) -> bool:
     a = as_operator(a)
     scale = max(max_abs(a), 1.0)
     return max_abs(a - a.conj().T) <= TOLERANCES.hermitian * scale
-
-
-def is_unitary(u) -> bool:
-    u = as_operator(u)
-    eye = np.eye(u.shape[0])
-    return max_abs(u.conj().T @ u - eye) <= TOLERANCES.unitary
 
 
 def is_projector(p) -> bool:

@@ -7,9 +7,10 @@ picture, earliest time leftmost) the functional is
 
 conjugate linear in the first slot.  :func:`d_trace` evaluates this chain
 form (:func:`d_trace_matrix` on every pair of a list, building each chain
-once), :func:`d_basis_sum` the expansion over products of orthonormal bases,
-and :class:`IlsOperator` the reconstruction d(p, q) = tr((p (x) q) X) from a
-single operator X on the doubled tensor space.  :func:`d_form` is the
+once), :func:`d_basis_sum` the expansion over products of the rho
+eigenbasis, and :class:`IlsOperator` the reconstruction
+d(p, q) = tr((p (x) q) X) from a single operator X on the doubled tensor
+space.  :func:`d_form` is the
 sesquilinear extension to arbitrary operators on one support sector via the
 chain map, and :func:`d_gram` its matrix on a stack of operators, which
 both :func:`d_form` and the reconstruction read.  :func:`d_form`,
@@ -29,7 +30,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import SystemModel, TimeGrid, is_unitary, tensor_product
+from .core import SystemModel, TimeGrid, tensor_product
 from .histories import (
     HomogeneousHistory,
     Proposition,
@@ -137,65 +138,40 @@ def d_form(ds: DecoherenceState, b1: Proposition, b2: Proposition) -> complex:
     return complex(d_gram(ds, np.stack((b1.op, b2.op)), space.n_times)[0, 1])
 
 
-def d_basis_sum(ds: DecoherenceState, p: Proposition, q: Proposition,
-                bases: Sequence[np.ndarray] | None = None) -> complex:
+def d_basis_sum(ds: DecoherenceState, p: Proposition, q: Proposition) -> complex:
     """Basis-expansion form of the functional on an n-time support.
 
     Sums over 2n basis indices j_1..j_2n: j_1 runs over the spectral
-    resolution of rho (weights w) and j_2..j_2n over auxiliary orthonormal
-    bases.  By default every auxiliary basis is the rho eigenbasis; any list
-    of 2n-1 dim x dim unitaries (columns = basis vectors) may be supplied
-    instead, and the value must not depend on the choice.  With P = p^dag
-    and Q = q written in the slot-basis tensor products, one axis per time,
-    the sum is the single contraction
+    resolution of rho (weights w), j_2..j_2n over auxiliary orthonormal
+    bases.  The value does not depend on the auxiliary bases (Isham, Linden
+    and Schreckenberg, J. Math. Phys. 35, 1994), so every slot uses the rho
+    eigenbasis psi and each operand x is read through one form
+    E(x) = Psi^dag x Psi, Psi = psi^(x n), one axis per time.  The first
+    operand enters as p^dag, whose form E(p)^dag is conj(E(p)) with its row
+    and column indices swapped.  The sum is the single contraction
 
-        sum_j w[j_1] P[j_2n..j_(n+1); j_1, j_2n..j_(n+2)] Q[j_1..j_n; j_2..j_(n+1)],
+        sum_j w[j_1] conj(E(p))[j_1, j_2n..j_(n+2); j_2n..j_(n+1)] E(q)[j_1..j_n; j_2..j_(n+1)],
 
-    conjugate linear in the first slot like :func:`d_form`.  P and Q are
-    per-operand forms, memoised on ``p`` and ``q`` (``Proposition.slot_forms``)
-    under their role and the bytes of the slot bases they read, so a history
-    paired with many others is written in the slot bases once per role.
-    Memory is O(dim^(2n)) per call, and each operand holds one such form per
-    role and set of bases while it lives.
+    conjugate linear in the first slot like :func:`d_form`.  E(x) is
+    memoised on ``x`` (``Proposition.eigen_forms``), so a history paired
+    with many others is written in the eigenbasis once; each operand holds
+    one O(dim^(2n)) form per eigenbasis while it lives.
     """
     n = _pair_sector(ds, p, q).n_times
-    dim = ds.model.dim
     psi = np.asarray(ds.model.vectors, dtype=complex)
-    if bases is None:
-        bases = [psi] * (2 * n - 1)
-    elif len(bases) != 2 * n - 1:
-        raise ValueError(f"expected {2 * n - 1} auxiliary bases")
-    else:
-        bases = [np.asarray(b, dtype=complex) for b in bases]
-        for i, b in enumerate(bases):
-            if b.shape != (dim, dim) or not is_unitary(b):
-                raise ValueError(f"bases[{i}] is not a {dim}x{dim} unitary")
-    slot = [psi] + bases  # slot[m] is the basis of index j_(m+1)
-    kron: dict[tuple[int, ...], np.ndarray] = {}  # built once per distinct slot list
-
-    def product(ms: list[int]) -> np.ndarray:
-        key = tuple(id(slot[m]) for m in ms)
-        if key not in kron:
-            kron[key] = tensor_product([slot[m] for m in ms])
-        return kron[key]
-
-    def form(x: Proposition, role: str, rows: list[int], cols: list[int]) -> np.ndarray:
-        """``R^dag a C``, a = x^dag (role P) or x (role Q), with R and C the
-        slot-basis products on ``rows`` and ``cols``."""
-        key = (role, tuple(slot[m].tobytes() for m in rows + cols))
-        if key not in x.slot_forms:
-            a = x.op.conj().T if role == "P" else x.op
-            x.slot_forms[key] = product(rows).conj().T @ a @ product(cols)
-        return x.slot_forms[key]
-
+    key = psi.tobytes()  # a proposition read under two states keeps both forms
+    if key not in p.eigen_forms or key not in q.eigen_forms:
+        big = tensor_product([psi] * n)  # Psi, built once per call that misses a form
+        for x in (p, q):
+            if key not in x.eigen_forms:
+                x.eigen_forms[key] = big.conj().T @ x.op @ big
     rows_p = list(range(2 * n - 1, n - 1, -1))
     cols_p = [0] + rows_p[:-1]
     rows_q, cols_q = list(range(n)), list(range(1, n + 1))
-    pt = form(p, "P", rows_p, cols_p)
-    qt = form(q, "Q", rows_q, cols_q)
-    axes = [dim] * (2 * n)
-    return complex(np.einsum(ds.model.weights, [0], pt.reshape(axes), rows_p + cols_p,
-                             qt.reshape(axes), rows_q + cols_q, []))
+    axes = [ds.model.dim] * (2 * n)
+    return complex(np.einsum(ds.model.weights, [0],
+                             p.eigen_forms[key].conj().reshape(axes), cols_p + rows_p,
+                             q.eigen_forms[key].reshape(axes), rows_q + cols_q, []))
 
 
 def hermitian_basis(k: int) -> np.ndarray:

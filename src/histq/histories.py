@@ -76,8 +76,9 @@ class HomogeneousHistory:
 
 
 def history(entries: Mapping[float, np.ndarray]) -> HomogeneousHistory:
-    """Build a history from a time -> projector mapping; ``ValueError`` on a non-projector."""
-    items = tuple(sorted(((float(t), as_operator(p)) for t, p in entries.items()),
+    """Build a history from a time -> projector mapping, copying each projector;
+    ``ValueError`` on a non-projector."""
+    items = tuple(sorted(((float(t), as_operator(p).copy()) for t, p in entries.items()),
                          key=lambda tp: tp[0]))
     for t, p in items:
         if not is_projector(p):
@@ -135,14 +136,15 @@ class PropositionSpace:
 class Proposition:
     """An element of one sector; not necessarily a projection.
 
-    ``op`` is never written after construction: ``slot_forms`` memoises
-    forms derived from it (``decoherence.d_basis_sum`` writes ``op`` in the
-    slot bases there, keyed by role and by the bytes of those bases).
+    ``op`` is never written after construction, and the public constructors
+    copy it.  ``eigen_forms`` maps the bytes of a state's eigenbasis psi to
+    E(op) = Psi^dag op Psi with Psi = psi^(x n), the form that
+    ``decoherence.d_basis_sum`` reads and writes there.
     """
 
     space: PropositionSpace
     op: np.ndarray
-    slot_forms: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    eigen_forms: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def n_times(self) -> int:
@@ -150,7 +152,10 @@ class Proposition:
 
 
 def proposition(space: PropositionSpace, op) -> Proposition:
-    m = as_operator(op)
+    """``op`` as an element of ``space``, copied so that the caller's buffer
+    cannot change it later; ``ValueError`` on a dimension mismatch or a
+    non-finite entry."""
+    m = as_operator(op).copy()
     if m.shape[0] != space.op_dim:
         raise ValueError(f"operator dimension {m.shape[0]} does not match "
                          f"sector dimension {space.op_dim}")

@@ -68,12 +68,6 @@ class WrightOperator:
     matrix: np.ndarray
     state: DecoherenceState  # the functional T reproduces on this sector
 
-    def apply(self, x: Proposition) -> Proposition:
-        self.space.require(x)
-        k = self.space.op_dim
-        vec = self.matrix @ x.op.flatten(order="F")
-        return Proposition(space=self.space, op=vec.reshape((k, k), order="F"))
-
     def gram(self, base: np.ndarray) -> np.ndarray:
         """``G[a, b] = <base_a, T base_b>``.
 

@@ -6,6 +6,11 @@
   reads block sums of its base family's two Gram matrices.
 * :func:`restricted_growth_strings` is the loop that generates the set
   partitions one string at a time, where the program expands prefixes in numpy.
+* :func:`is_refinement` assigns each fine member to the coarse member it
+  overlaps most and sums the blocks, where the program tests projector
+  containment on one overlap matrix.
+* :func:`apply` is T x from the Wright operator's matrix on vectorised
+  operators, which the program only reads through quadratic forms.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from histq.consistency import ConsistencyReport
+from histq.consistency import ConsistencyReport, Window
 from histq.core import TOLERANCES, is_projector, max_abs
 from histq.decoherence import DecoherenceState, d_form
 from histq.histories import Proposition, proposition
@@ -56,6 +61,36 @@ def members(space, base: Sequence[np.ndarray], rgs) -> list[Proposition]:
             for block in range(max(rgs) + 1)]
 
 
+def apply(t: WrightOperator, x: Proposition) -> Proposition:
+    """T x, with T acting on column-major vectorised operators."""
+    t.space.require(x)
+    k = t.space.op_dim
+    vec = t.matrix @ x.op.flatten(order="F")
+    return Proposition(space=t.space, op=vec.reshape((k, k), order="F"))
+
+
+def is_refinement(fine: Window, coarse: Window) -> bool:
+    """True when every coarse member is the sum of a block of fine members:
+    each fine member y goes to the coarse member x with the largest
+    <y, x>/<y, y> (at least 1/2), and every block must sum to its x."""
+    coarse.space.require(fine)
+    blocks: dict[int, list[Proposition]] = {i: [] for i in range(len(coarse.members))}
+    for y in fine.members:
+        normsq = hs_inner(y, y).real
+        if normsq <= TOLERANCES.strict_positive:
+            return False
+        scores = [hs_inner(y, x).real / normsq for x in coarse.members]
+        owner = int(np.argmax(scores))
+        if scores[owner] < 0.5:
+            return False
+        blocks[owner].append(y)
+    for i, x in enumerate(coarse.members):
+        total = sum((y.op for y in blocks[i]), np.zeros_like(x.op))
+        if max_abs(total - x.op) > TOLERANCES.consistency:
+            return False
+    return True
+
+
 def _bound(name, residual, violated, residuals):
     residuals.append(residual)
     if residual > TOLERANCES.consistency:
@@ -91,7 +126,7 @@ def check_window(ws: Sequence[Proposition], t: WrightOperator) -> ConsistencyRep
     if any(p <= TOLERANCES.strict_positive or p > 1.0 + TOLERANCES.consistency for p in probs):
         violated.append("positivity")
     residuals.append(max([p - 1.0 for p in probs if p > 1.0], default=0.0))
-    pairs = [(x, t.apply(x)) for x in ws]  # (x_i, T x_i)
+    pairs = [(x, apply(t, x)) for x in ws]  # (x_i, T x_i)
     add = _pair_max(lambda a, b: abs(hs_inner(a[0], b[1]).real), pairs, abs(sum(probs) - 1.0))
     _bound("additivity", add, violated, residuals)
     return _verdict(violated, residuals, probs)

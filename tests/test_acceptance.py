@@ -26,6 +26,7 @@ from histq.sampling import (
 )
 
 from helpers import P0, P1, PLUS, qubit_state
+from oracles import apply
 
 
 def _verdict(name: str, ok: bool, detail: str):
@@ -107,8 +108,8 @@ def test_criterion_3_wright_operator():
                               abs(probability(t, b) - d_form(ds, b, b).real))
             b2 = proposition(t.space, random_operator(rng, t.space.op_dim))
             from histq.propositions import hs_inner
-            lhs = hs_inner(b, t.apply(b2))
-            rhs = hs_inner(t.apply(b), b2)
+            lhs = hs_inner(b, apply(t, b2))
+            rhs = hs_inner(apply(t, b), b2)
             worst_selfadj = max(worst_selfadj, abs(lhs - rhs))
     ok = worst_unit <= 1e-12 and worst_agree <= 1e-9 and worst_selfadj <= 1e-10
     _verdict("criterion-3 wright operator", ok,

@@ -309,7 +309,7 @@ class TestDecohere:
 
     def test_each_chain_and_slot_form_is_built_once(self, monkeypatch, tmp_path):
         # three histories: 3 chains for the 9 chain-form pairs, and each
-        # embedded history written in the slot bases once per role, while
+        # embedded history written in the state's eigenbasis once, while
         # the basis sum and the reconstruction are still called per pair
         chains = count_calls(monkeypatch, "class_operator")
         sums = count_calls(monkeypatch, "d_basis_sum")
@@ -324,7 +324,7 @@ class TestDecohere:
         assert run(["decohere", "--out", str(tmp_path)]) == 0
         assert len(chains) == 3
         assert len(sums) == len(pairs) == 9
-        assert [sorted(role for role, _ in x.slot_forms) for x in embedded] == [["P", "Q"]] * 3
+        assert [len(x.eigen_forms) for x in embedded] == [1] * 3
 
     def test_worked_numbers_in_report(self, tmp_path):
         assert run(["decohere", "--out", str(tmp_path)]) == 0

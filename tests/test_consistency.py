@@ -33,7 +33,7 @@ from histq.propositions import hs_inner, wright_operator
 from histq.sampling import (random_density, random_hermitian, random_model, random_pvm,
                             random_unitary)
 from helpers import MINUS, P0, P1, PLUS, count_calls, qubit_state, state_for
-from oracles import restricted_growth_strings
+from oracles import apply, restricted_growth_strings
 
 BELL = {0: 1, 1: 1, 2: 2, 3: 5, 4: 15, 5: 52, 6: 203, 7: 877, 8: 4140, 9: 21147, 10: 115975}
 EYE = np.eye(2, dtype=complex)
@@ -232,8 +232,35 @@ class TestBaseFamily:
         members = oracles.members(t.space, family.ops, (0, 1, 2, 3))
         for a, x in enumerate(members):
             for b, y in enumerate(members):
-                assert family.gram_t[a, b] == pytest.approx(hs_inner(x, t.apply(y)), abs=1e-14)
+                assert family.gram_t[a, b] == pytest.approx(hs_inner(x, apply(t, y)), abs=1e-14)
                 assert family.gram_d[a, b] == pytest.approx(d_form(ds, x, y), abs=1e-14)
+
+
+@st.composite
+def refinement_windows(draw):
+    """Decided windows of one sector: every partition of two random base
+    families, zero-probability ones included, and the search's windows over
+    two decompositions per time.  The second family shares the first one's
+    last decomposition, so some refinements cross families; on one time a
+    decomposition may carry a zero projector, which gives a zero member."""
+    dim, n_times = draw(st.sampled_from([(2, 1), (3, 1), (2, 2)]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 31 - 1)))
+    pure = draw(st.booleans())
+    if pure:  # H = 0 and rho's eigenbasis in the first family: exact zero probabilities
+        u = random_unitary(rng, dim)
+        model = SystemModel.from_matrices(np.zeros((dim, dim)), projector_onto(u[:, [0]]))
+    else:
+        model = random_model(rng, dim)
+    ds = state_for(model)
+    t = wright_operator(ds, ds.grid.times[:n_times])
+    first = [[projector_onto(u[:, [i]]) for i in range(dim)] if pure else random_pvm(rng, dim)
+             for _ in range(n_times)]
+    if n_times == 1 and draw(st.booleans()):
+        first[0] = first[0] + [np.zeros((dim, dim), dtype=complex)]
+    second = [random_pvm(rng, dim) for _ in range(n_times - 1)] + [first[-1]]
+    windows = [w for f in (first, second) for w in partition_windows(base_family(t, f))]
+    windows += search_windows(t, [[a, b] for a, b in zip(first, second)])
+    return windows
 
 
 class TestRefinement:
@@ -262,6 +289,20 @@ class TestRefinement:
         coarse = window(family, (0, 0, 1, 1))
         assert is_refinement(fine, coarse)
         assert not is_refinement(coarse, fine)
+
+    def test_zero_member_refines_nothing(self):
+        _, t = mixed_qubit()
+        family = single(t, P0, P1, np.zeros((2, 2), dtype=complex))
+        assert not is_refinement(window(family, (0, 1, 2)), window(family, (0, 1, 1)))
+        assert is_refinement(window(family, (0, 1, 1)), window(family, (0, 0, 0)))
+
+    @given(refinement_windows())
+    @settings(max_examples=25, deadline=None)
+    def test_containment_matches_the_block_sum_oracle(self, windows):
+        verdicts = [(is_refinement(fine, coarse), oracles.is_refinement(fine, coarse))
+                    for fine in windows for coarse in windows]
+        assert [got for got, _ in verdicts] == [want for _, want in verdicts]
+        assert any(got for got, _ in verdicts) and not all(got for got, _ in verdicts)
 
 
 class TestPartitionEnumeration:
@@ -339,11 +380,13 @@ class TestSearchWindows:
                            match=r"^decomposition pvms\[1\]\[1\]: elements must sum to the identity$"):
             search_windows(t2, [[[P0, P1]], [[PLUS, MINUS], [P0, P0]]])
 
-    def test_empty_family_returns_unit_window(self):
+    def test_unit_window_is_the_identity_family_and_empty_pvms_are_refused(self):
         ds, t = mixed_qubit()
-        found = search_windows(t, [])
-        assert len(found) == 1
-        assert np.allclose(found[0].members[0].op, np.eye(2))
+        unit = window(base_family(t, [[EYE]] * t.space.n_times), (0,))
+        assert np.array_equal(unit.members[0].op, EYE)
+        assert unit.kreport.consistent and unit.opreport.consistent
+        with pytest.raises(ValueError, match="^need one decomposition list per support time$"):
+            search_windows(t, [])
 
     def test_family_cap_enforced(self, monkeypatch):
         # rank-1 decompositions under the sector cap give at most 9 base

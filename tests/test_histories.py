@@ -96,6 +96,15 @@ class TestEmbed:
         with pytest.raises(ValueError, match="not a projector"):
             history({0.0: SIGMA_X + np.eye(2)})
 
+    def test_history_holds_a_copy_of_each_projector(self):
+        # the entry was checked as a projector, so a later write to the
+        # caller's buffer must not reach the history
+        p = P0.copy()
+        h = history({0.0: p})
+        p[:] = SIGMA_X
+        assert np.array_equal(h.operator_at(0.0), P0)
+        assert np.array_equal(embed(qubit_model(), h).op, P0)
+
     def test_projector_iff_factors_are(self):
         assert is_projector(tensor_product([P0, PLUS]))
         assert not is_projector(tensor_product([P0, 0.5 * EYE]))
