@@ -153,7 +153,8 @@ class Window:
     def members(self) -> tuple[Proposition, ...]:
         """The block sums of the base, in member order."""
         labels = np.array(self.labels)
-        return tuple(Proposition(space=self.space, op=np.sum(self.family.ops[labels == v], axis=0))
+        return tuple(Proposition(space=self.space,
+                                 factors=(np.sum(self.family.ops[labels == v], axis=0),))
                      for v in range(labels.max() + 1))
 
 

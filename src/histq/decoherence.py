@@ -138,6 +138,18 @@ def d_form(ds: DecoherenceState, b1: Proposition, b2: Proposition) -> complex:
     return complex(d_gram(ds, np.stack((b1.op, b2.op)), space.n_times)[0, 1])
 
 
+def _eigen_form(x: Proposition, psi: np.ndarray) -> np.ndarray:
+    """E(x) = (x)_f Psi_f^dag f Psi_f over the factors f of ``x``, where
+    Psi_f = psi^(x m_f) for a factor on m_f times."""
+    forms = []
+    for f in x.factors:
+        big = psi
+        while len(big) < len(f):
+            big = np.kron(big, psi)
+        forms.append(big.conj().T @ f @ big)
+    return tensor_product(forms)
+
+
 def d_basis_sum(ds: DecoherenceState, p: Proposition, q: Proposition) -> complex:
     """Basis-expansion form of the functional on an n-time support.
 
@@ -145,10 +157,14 @@ def d_basis_sum(ds: DecoherenceState, p: Proposition, q: Proposition) -> complex
     resolution of rho (weights w), j_2..j_2n over auxiliary orthonormal
     bases.  The value does not depend on the auxiliary bases (Isham, Linden
     and Schreckenberg, J. Math. Phys. 35, 1994), so every slot uses the rho
-    eigenbasis psi and each operand x is read through one form
-    E(x) = Psi^dag x Psi, Psi = psi^(x n), one axis per time.  The first
-    operand enters as p^dag, whose form E(p)^dag is conj(E(p)) with its row
-    and column indices swapped.  The sum is the single contraction
+    eigenbasis psi and each operand x is read through one form E(x), x
+    written in the basis psi^(x n), one axis per time.  E(x) is built from
+    the operand's factors, each in the eigenbasis of its own times: for an
+    embedded history it is the product of the n single-time forms
+    psi^dag P_t psi, and for a one-factor operand Psi^dag x Psi with
+    Psi = psi^(x n).  The first operand enters as p^dag, whose form E(p)^dag
+    is conj(E(p)) with its row and column indices swapped.  The sum is the
+    single contraction
 
         sum_j w[j_1] conj(E(p))[j_1, j_2n..j_(n+2); j_2n..j_(n+1)] E(q)[j_1..j_n; j_2..j_(n+1)],
 
@@ -160,11 +176,9 @@ def d_basis_sum(ds: DecoherenceState, p: Proposition, q: Proposition) -> complex
     n = _pair_sector(ds, p, q).n_times
     psi = np.asarray(ds.model.vectors, dtype=complex)
     key = psi.tobytes()  # a proposition read under two states keeps both forms
-    if key not in p.eigen_forms or key not in q.eigen_forms:
-        big = tensor_product([psi] * n)  # Psi, built once per call that misses a form
-        for x in (p, q):
-            if key not in x.eigen_forms:
-                x.eigen_forms[key] = big.conj().T @ x.op @ big
+    for x in (p, q):
+        if key not in x.eigen_forms:
+            x.eigen_forms[key] = _eigen_form(x, psi)
     rows_p = list(range(2 * n - 1, n - 1, -1))
     cols_p = [0] + rows_p[:-1]
     rows_q, cols_q = list(range(n)), list(range(1, n + 1))

@@ -11,7 +11,7 @@ operators:
 
 * :func:`embed` produces the projector on the tensor-product space over the
   support, with each factor transported to the Heisenberg picture, as a
-  :class:`Proposition`;
+  :class:`Proposition` that keeps its n factors;
 * :func:`class_operator` produces the time-ordered product of the transported
   projectors on the single-time space (earliest factor leftmost).
 
@@ -22,6 +22,7 @@ multiplying the slots out in time order.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -136,19 +137,27 @@ class PropositionSpace:
 class Proposition:
     """An element of one sector; not necessarily a projection.
 
-    ``op`` is never written after construction, and the public constructors
-    copy it.  ``eigen_forms`` maps the bytes of a state's eigenbasis psi to
-    E(op) = Psi^dag op Psi with Psi = psi^(x n), the form that
-    ``decoherence.d_basis_sum`` reads and writes there.
+    ``factors`` are operators on consecutive groups of the support's times
+    whose Kronecker product, in time order, is the operator ``op``: :func:`embed`
+    keeps one dim x dim factor per time, the other constructors one factor,
+    the whole operator.  ``op`` is built the first time it is read (for one
+    factor it is that array); neither is written after construction, and the
+    public constructors copy what they are given.  ``eigen_forms`` maps the
+    bytes of a state's eigenbasis psi to the operator's form E(op) there,
+    which ``decoherence.d_basis_sum`` reads and writes.
     """
 
     space: PropositionSpace
-    op: np.ndarray
+    factors: tuple[np.ndarray, ...]
     eigen_forms: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def n_times(self) -> int:
         return self.space.n_times
+
+    @functools.cached_property
+    def op(self) -> np.ndarray:
+        return tensor_product(self.factors)
 
 
 def proposition(space: PropositionSpace, op) -> Proposition:
@@ -161,17 +170,18 @@ def proposition(space: PropositionSpace, op) -> Proposition:
                          f"sector dimension {space.op_dim}")
     if not np.all(np.isfinite(m.view(float))):
         raise ValueError("proposition entries must be finite")
-    return Proposition(space=space, op=m)
+    return Proposition(space=space, factors=(m,))
 
 
 def unit_proposition(space: PropositionSpace) -> Proposition:
     """The always-true proposition e (identity on the sector's tensor space)."""
-    return Proposition(space=space, op=np.eye(space.op_dim, dtype=complex))
+    return Proposition(space=space, factors=(np.eye(space.op_dim, dtype=complex),))
 
 
 def embed(model: SystemModel, h: HomogeneousHistory,
           support: Sequence[float] | None = None, t0: float = 0.0) -> Proposition:
-    """Tensor product of the Heisenberg-transported projectors in time order.
+    """Tensor product of the Heisenberg-transported projectors in time order,
+    kept as its factors, one per support time.
 
     If ``support`` is given it must contain the history's times; missing times
     are padded with identities, so the empty history embeds as the identity on
@@ -188,7 +198,7 @@ def embed(model: SystemModel, h: HomogeneousHistory,
             factors.append(heisenberg(model, h.operator_at(t), t, t0))
         else:
             factors.append(np.eye(model.dim, dtype=complex))
-    return Proposition(space=space, op=tensor_product(factors))
+    return Proposition(space=space, factors=tuple(factors))
 
 
 def class_operator(model: SystemModel, h: HomogeneousHistory, t0: float = 0.0) -> np.ndarray:

@@ -11,6 +11,9 @@
   containment on one overlap matrix.
 * :func:`apply` is T x from the Wright operator's matrix on vectorised
   operators, which the program only reads through quadratic forms.
+* :func:`eigen_form` writes a proposition's dense operator in the state's
+  eigenbasis with one Kronecker power, where the program writes each factor
+  in the eigenbasis of its own times.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from histq.consistency import ConsistencyReport, Window
-from histq.core import TOLERANCES, is_projector, max_abs
+from histq.core import TOLERANCES, is_projector, max_abs, tensor_product
 from histq.decoherence import DecoherenceState, d_form
 from histq.histories import Proposition, proposition
 from histq.propositions import WrightOperator, hs_inner, probability
@@ -66,7 +69,13 @@ def apply(t: WrightOperator, x: Proposition) -> Proposition:
     t.space.require(x)
     k = t.space.op_dim
     vec = t.matrix @ x.op.flatten(order="F")
-    return Proposition(space=t.space, op=vec.reshape((k, k), order="F"))
+    return Proposition(space=t.space, factors=(vec.reshape((k, k), order="F"),))
+
+
+def eigen_form(x: Proposition, psi: np.ndarray) -> np.ndarray:
+    """E(x) = Psi^dag x Psi with Psi = psi^(x n), from the dense operator of ``x``."""
+    big = tensor_product([psi] * x.n_times)
+    return big.conj().T @ x.op @ big
 
 
 def is_refinement(fine: Window, coarse: Window) -> bool:

@@ -18,6 +18,7 @@ from histq.cli import (
     main,
 )
 import histq.cli
+import histq.histories
 from histq.consistency import ConsistencyReport
 from histq.decoherence import IlsOperator
 from histq.sampling import (random_density, random_hermitian, random_projector, random_pvm,
@@ -307,10 +308,20 @@ class TestDecohere:
         assert agreement["chain_vs_basis_sum"] <= 1e-9
         assert agreement["chain_vs_ils"] <= 1e-9
 
-    def test_each_chain_and_slot_form_is_built_once(self, monkeypatch, tmp_path):
+    @pytest.mark.parametrize("times", [2, 4])
+    def test_each_chain_and_eigenbasis_form_is_built_once(self, monkeypatch, tmp_path, times):
         # three histories: 3 chains for the 9 chain-form pairs, and each
         # embedded history written in the state's eigenbasis once, while
-        # the basis sum and the reconstruction are still called per pair
+        # the basis sum and the reconstruction are still called per pair.
+        # The dense operator of a history is built once, by the
+        # reconstruction, and not at all above the sector cap, where
+        # nothing reads it.
+        scenario = json.loads(bundled_scenario_path().read_text())
+        scenario["times"] = [float(t) for t in range(times)]
+        for entry in scenario["histories"]:
+            entry["projectors"] *= times // 2
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(scenario), encoding="utf-8")
         chains = count_calls(monkeypatch, "class_operator")
         sums = count_calls(monkeypatch, "d_basis_sum")
         pairs = []
@@ -321,10 +332,18 @@ class TestDecohere:
         embed = histq.cli.embed
         monkeypatch.setattr(histq.cli, "embed",
                             lambda *args: embedded.append(embed(*args)) or embedded[-1])
-        assert run(["decohere", "--out", str(tmp_path)]) == 0
+        dense = []
+        tensor_product = histq.histories.tensor_product
+        monkeypatch.setattr(histq.histories, "tensor_product",
+                            lambda factors: dense.append(factors) or tensor_product(factors))
+        assert run(["decohere", "--scenario", str(path), "--out", str(tmp_path / "o")]) == 0
+        ils = times == 2
         assert len(chains) == 3
-        assert len(sums) == len(pairs) == 9
+        assert len(sums) == 9
+        assert len(pairs) == (9 if ils else 0)
         assert [len(x.eigen_forms) for x in embedded] == [1] * 3
+        assert ["op" in vars(x) for x in embedded] == [ils] * 3
+        assert dense == ([x.factors for x in embedded] if ils else [])
 
     def test_worked_numbers_in_report(self, tmp_path):
         assert run(["decohere", "--out", str(tmp_path)]) == 0

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from histq.core import SystemModel, TimeGrid, tensor_product
+from histq.core import SystemModel, TimeGrid, heisenberg, tensor_product
 from histq.decoherence import (
     CapacityError,
     DecoherenceState,
@@ -18,7 +18,8 @@ from histq.decoherence import (
     ils_reconstruct,
     sector_fits,
 )
-from histq.histories import PropositionSpace, chain_map, embed, history, proposition
+from histq.histories import (Proposition, PropositionSpace, chain_map, embed, history,
+                             proposition, unit_proposition)
 from histq.propositions import wright_operator
 from histq.sampling import (
     random_hermitian,
@@ -28,6 +29,7 @@ from histq.sampling import (
     random_unitary,
 )
 
+import oracles
 from helpers import MINUS, P0, PLUS, qubit_state, state_for
 
 UNIT = history({})
@@ -122,8 +124,37 @@ def memo_cases(draw):
     return x, y, calls
 
 
+@st.composite
+def form_cases(draw):
+    """An embedded history on a support that may be wider than its times,
+    paired in either order with another history, the unit proposition or a
+    dense operator; and each embedded operand's product of transported
+    factors, built eagerly."""
+    dim = draw(st.integers(2, 3))
+    n = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 31 - 1)))
+    ds = state_for(random_model(rng, dim), times=tuple(range(n)))
+    space = PropositionSpace(support=ds.grid.times, dim_single=dim)
+    eager = {}
+
+    def embedded():
+        h = history({t: random_projector(rng, dim) for t in ds.grid.times if draw(st.booleans())})
+        x = embed(ds.model, h, ds.grid.times, ds.grid.t0)
+        eager[x] = tensor_product([heisenberg(ds.model, h.operator_at(t), t, ds.grid.t0)
+                                   if t in h.times else np.eye(dim, dtype=complex)
+                                   for t in ds.grid.times])
+        return x
+
+    other = {"history": embedded,
+             "unit": lambda: unit_proposition(space),
+             "dense": lambda: proposition(space, random_operator(rng, dim ** n))}
+    pair = (embedded(), other[draw(st.sampled_from(sorted(other)))]())
+    return ds, pair[::-1] if draw(st.booleans()) else pair, eager
+
+
 def fresh(x):
-    return proposition(x.space, x.op.copy())
+    """A cold copy of ``x``: the same factors, so the same route to its form."""
+    return Proposition(space=x.space, factors=tuple(f.copy() for f in x.factors))
 
 
 class TestTraceForm:
@@ -321,13 +352,29 @@ class TestBasisSumForm:
 
     def test_benchmark_shape_matches_trace_form(self):
         rng = np.random.default_rng(18)
-        ds = state_for(random_model(rng, 2), times=tuple(range(7)))
-        for _ in range(2):
-            h = product_history(rng, ds, 7)
-            k = product_history(rng, ds, 7)
-            hb = embed(ds.model, h, ds.grid.times, ds.grid.t0)
-            kb = embed(ds.model, k, ds.grid.times, ds.grid.t0)
-            assert abs(d_basis_sum(ds, hb, kb) - d_trace(ds, h, k)) <= 1e-9
+        for n in (7, 10):
+            ds = state_for(random_model(rng, 2), times=tuple(range(n)))
+            for _ in range(2):
+                h = product_history(rng, ds, n)
+                k = product_history(rng, ds, n)
+                hb = embed(ds.model, h, ds.grid.times, ds.grid.t0)
+                kb = embed(ds.model, k, ds.grid.times, ds.grid.t0)
+                assert abs(d_basis_sum(ds, hb, kb) - d_trace(ds, h, k)) <= 1e-9
+
+    @given(form_cases())
+    @settings(max_examples=40, deadline=None)
+    def test_factor_forms_match_the_dense_oracle(self, case):
+        # E(x) from the factors against Psi^dag x Psi; an embedded history's
+        # operator is built only when read, and then equals the eager product
+        ds, (p, q), eager = case
+        value = d_basis_sum(ds, p, q)
+        assert ["op" in vars(x) for x in eager] == [False] * len(eager)
+        for x in (p, q):
+            (form,) = x.eigen_forms.values()
+            assert np.max(np.abs(form - oracles.eigen_form(x, ds.model.vectors))) <= 1e-12
+        for x, product in eager.items():
+            assert np.array_equal(x.op, product)
+        assert abs(value - _basis_sum_loop(ds, p, q)) <= 1e-12
 
     def test_conjugate_linear_in_first_slot(self):
         rng = np.random.default_rng(19)
