@@ -10,7 +10,8 @@ a tolerance override (refused: the tolerances are fixed) or an ``--out`` that
 cannot be written, 3 property failure, 4 support sector too large for the
 dense constructions (``CapacityError``).  Without ``--scenario`` the bundled
 qubit scenario is used.  Reports are computed before ``--out`` is created,
-so a failed run leaves none.
+so a failed run leaves none.  Each subcommand imports the modules it runs
+when it runs, so a call loads only those.
 """
 
 from __future__ import annotations
@@ -22,13 +23,7 @@ import sys
 from importlib import resources
 from pathlib import Path
 
-from .consistency import is_maximally_refined
-from .decoherence import (CapacityError, DecoherenceState, d_basis_sum, d_trace_matrix,
-                          ils_reconstruct)
-from .divergence import b1_grid, b1_series, b2_grid, b2_series, growth_fit
-from .entropy import min_entropy, sup_refinement_entropy, window_entropy, window_entropy_pnorm
-from .histories import embed
-from .propositions import hs_inner
+from .decoherence import CapacityError
 from .report import (
     TAG_BASIS_SUM,
     TAG_CHAIN,
@@ -40,7 +35,6 @@ from .report import (
     write_json,
 )
 from .scenario import Scenario, ScenarioError, load_scenario
-from .verify import run_suite, scenario_windows
 
 __all__ = ["main", "bundled_scenario_path"]
 
@@ -63,6 +57,9 @@ def _scenario_section(scn: Scenario, source: str) -> dict:
 
 
 def _decohere_payload(scn: Scenario) -> dict:
+    from .decoherence import DecoherenceState, d_basis_sum, d_trace_matrix, ils_reconstruct
+    from .histories import embed
+
     ds = DecoherenceState(model=scn.model, grid=scn.grid)
     support = scn.grid.times
     rows = []
@@ -105,6 +102,9 @@ def _report_entry(report) -> dict:
 
 
 def _windows_payload(scn: Scenario, found, labels) -> dict:
+    from .consistency import is_maximally_refined
+    from .propositions import hs_inner
+
     entries = []
     for label, w in zip(labels, found):
         entries.append({
@@ -121,6 +121,9 @@ def _windows_payload(scn: Scenario, found, labels) -> dict:
 
 
 def _entropy_payload(scn: Scenario, found, labels) -> dict:
+    from .entropy import (min_entropy, sup_refinement_entropy, window_entropy,
+                          window_entropy_pnorm)
+
     table = []
     skipped = []
     scored = {w: window_entropy(w) for w in found}  # the search keeps consistent windows only
@@ -160,6 +163,8 @@ def _entropy_payload(scn: Scenario, found, labels) -> dict:
 
 def _series_section(series) -> dict:
     """Report entry of one truncation series."""
+    from .divergence import growth_fit
+
     fit = growth_fit(series)
     return {
         "representation": TAG_BASIS_SUM,
@@ -173,6 +178,8 @@ def _series_section(series) -> dict:
 def _diverge_payload(which: str, max_n: int | None) -> tuple[dict, list]:
     """The report of the series ``--series`` names, and those series; each is
     also written as ``<label>.csv``."""
+    from .divergence import b1_grid, b1_series, b2_grid, b2_series
+
     # the growth fit needs two decades of N, so never stop below 10^3 or 2^11
     payload, series = {}, []
     if which in ("b1", "both"):
@@ -190,6 +197,8 @@ def _diverge_payload(which: str, max_n: int | None) -> tuple[dict, list]:
 
 
 def _verify_payload(scn: Scenario) -> tuple[dict, bool]:
+    from .verify import run_suite
+
     results = run_suite(scn)
     checks = [{
         "name": r.name,
@@ -244,6 +253,8 @@ def main(argv=None) -> int:
         if args.subcommand == "decohere":
             payload["decoherence"] = _decohere_payload(scn)
         elif args.subcommand in ("windows", "entropy"):
+            from .consistency import scenario_windows
+
             found = scenario_windows(scn)
             labels = [f"w{idx:02d}" for idx in range(len(found))]  # by search position
             payload["windows"] = _windows_payload(scn, found, labels)

@@ -34,9 +34,10 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .core import TOLERANCES, as_operator, heisenberg, is_projector, max_abs
-from .decoherence import d_gram
+from .decoherence import DecoherenceState, d_gram
 from .histories import Proposition, PropositionSpace
-from .propositions import WrightOperator
+from .propositions import WrightOperator, wright_operator
+from .scenario import Scenario, ScenarioError
 
 __all__ = [
     "ConsistencyReport",
@@ -361,6 +362,17 @@ def search_windows(t: WrightOperator,
 
     ordered = sorted(results.items(), key=lambda kv: (-len(kv[1].members), kv[0]))
     return [w for _, w in ordered]
+
+
+def scenario_windows(scn: Scenario) -> list[Window]:
+    """Decided windows of the scenario's decompositions; the one path of
+    ``verify``, ``windows`` and ``entropy``.  ``ScenarioError`` without
+    decompositions, ``CapacityError`` over the sector cap."""
+    if not scn.pvms:
+        raise ScenarioError("pvms", "scenario defines no decompositions to search")
+    ds = DecoherenceState(model=scn.model, grid=scn.grid)
+    t = wright_operator(ds, scn.grid.times[:len(scn.pvms)])
+    return search_windows(t, scn.pvms)
 
 
 def strict_refinements(w: Window, candidates: Sequence[Window]) -> Iterator[Window]:

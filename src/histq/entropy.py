@@ -21,14 +21,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
-from numpy.typing import ArrayLike
 
 from .core import TOLERANCES
 from .consistency import Window, strict_refinements
 from .propositions import hs_inner, p_norm
+
+if TYPE_CHECKING:
+    from numpy.typing import ArrayLike
 
 __all__ = [
     "EntropyTerm",

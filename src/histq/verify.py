@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .consistency import (Window, base_family, partition_windows, search_windows,
-                          strict_refinements, window)
+from .consistency import (Window, base_family, partition_windows, scenario_windows,
+                          search_windows, strict_refinements, window)
 from .core import TOLERANCES, SystemModel, TimeGrid
 from .decoherence import (CapacityError, DecoherenceState, d_basis_sum, d_form, d_trace,
                           d_trace_matrix, ils_reconstruct, sector_fits)
@@ -23,7 +23,7 @@ from .entropy import refinement_gap, window_entropy, window_entropy_pnorm
 from .histories import embed, history, proposition, unit_proposition
 from .propositions import hs_inner, probability, wright_operator
 from .sampling import random_model, random_operator, random_projector, random_pvm
-from .scenario import Scenario, ScenarioError
+from .scenario import Scenario
 
 __all__ = ["CheckResult", "run_suite"]
 
@@ -138,17 +138,6 @@ def _check_wright(scn: Scenario, rng) -> CheckResult:
               and worst_selfadj <= _THRESHOLDS["wright-self-adjoint"])
     return CheckResult("wright-state", passed, worst, bound,
                        "unit expectation, quadratic-form agreement, self-adjointness")
-
-
-def scenario_windows(scn: Scenario) -> list[Window]:
-    """Decided windows of the scenario's decompositions; the one path of
-    ``verify``, ``windows`` and ``entropy``.  ``ScenarioError`` without
-    decompositions, ``CapacityError`` over the sector cap."""
-    if not scn.pvms:
-        raise ScenarioError("pvms", "scenario defines no decompositions to search")
-    ds = DecoherenceState(model=scn.model, grid=scn.grid)
-    t = wright_operator(ds, scn.grid.times[:len(scn.pvms)])
-    return search_windows(t, scn.pvms)
 
 
 def _check_bridge(scn: Scenario, rng) -> CheckResult:

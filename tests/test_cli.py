@@ -17,14 +17,13 @@ from histq.cli import (
     bundled_scenario_path,
     main,
 )
-import histq.cli
 import histq.histories
-from histq.consistency import ConsistencyReport
+from histq.consistency import ConsistencyReport, scenario_windows
 from histq.decoherence import IlsOperator
 from histq.sampling import (random_density, random_hermitian, random_projector, random_pvm,
                             random_unitary)
 from histq.scenario import load_scenario
-from histq.verify import _check_axioms, scenario_windows
+from histq.verify import _check_axioms
 
 from helpers import count_calls
 
@@ -329,8 +328,8 @@ class TestDecohere:
         monkeypatch.setattr(IlsOperator, "pair_value",
                             lambda self, p, q: pairs.append((p, q)) or pair_value(self, p, q))
         embedded = []
-        embed = histq.cli.embed
-        monkeypatch.setattr(histq.cli, "embed",
+        embed = histq.histories.embed
+        monkeypatch.setattr(histq.histories, "embed",
                             lambda *args: embedded.append(embed(*args)) or embedded[-1])
         dense = []
         tensor_product = histq.histories.tensor_product

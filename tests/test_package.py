@@ -1,0 +1,58 @@
+"""The ``histq`` package namespace: names resolve on first use to the objects
+their defining modules bind."""
+
+import importlib
+
+import pytest
+
+import histq
+
+# Every name the package re-exports, by its defining module.
+EXPORTED = {
+    "core": {"TOLERANCES", "SystemModel", "TimeGrid", "Tolerances", "evolve", "heisenberg",
+             "named_basis", "projector_onto", "tensor_product"},
+    "histories": {"HomogeneousHistory", "Proposition", "PropositionSpace", "chain_map",
+                  "class_operator", "embed", "history", "proposition", "support_reduce",
+                  "unit_proposition"},
+    "decoherence": {"CapacityError", "DecoherenceState", "IlsOperator", "d_basis_sum",
+                    "d_form", "d_trace", "d_trace_matrix", "hermitian_basis",
+                    "ils_reconstruct"},
+    "propositions": {"WrightOperator", "hs_inner", "p_norm", "probability",
+                     "wright_operator"},
+    "consistency": {"BaseFamily", "ConsistencyReport", "Window", "base_family",
+                    "check_window", "check_window_operators", "is_maximally_refined",
+                    "is_refinement", "search_windows", "window"},
+    "entropy": {"EntropyReport", "min_entropy", "refinement_gap", "sup_refinement_entropy",
+                "window_entropy", "window_entropy_pnorm"},
+    "divergence": {"GrowthVerdict", "TruncationSeries", "b1_series", "b2_series",
+                   "growth_fit"},
+}
+DEFINED_IN = {name: module for module, names in EXPORTED.items() for name in names}
+
+
+def test_all_lists_every_exported_name_once():
+    assert len(histq.__all__) == len(set(histq.__all__)) == 54
+    assert set(histq.__all__) == set(DEFINED_IN)
+
+
+def test_each_name_is_its_defining_modules_object():
+    for name, module_name in DEFINED_IN.items():
+        module = importlib.import_module(f"histq.{module_name}")
+        value = getattr(histq, name)
+        assert value is getattr(module, name), name
+        # functions and classes carry their defining module; TOLERANCES its class's
+        assert value.__module__ == module.__name__, name
+
+
+def test_dir_and_star_import_cover_all():
+    assert set(histq.__all__) <= set(dir(histq))
+    namespace = {}
+    exec("from histq import *", namespace)
+    assert set(histq.__all__) <= set(namespace)
+
+
+def test_unknown_name_raises_attribute_error_naming_it():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        histq.no_such_name  # noqa: B018
+    with pytest.raises(ImportError, match="no_such_name"):
+        exec("from histq import no_such_name", {})
