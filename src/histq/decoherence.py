@@ -30,7 +30,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import SystemModel, TimeGrid, tensor_product
+from .core import SystemModel, TimeGrid
 from .histories import (
     HomogeneousHistory,
     Proposition,
@@ -138,16 +138,25 @@ def d_form(ds: DecoherenceState, b1: Proposition, b2: Proposition) -> complex:
     return complex(d_gram(ds, np.stack((b1.op, b2.op)), space.n_times)[0, 1])
 
 
-def _eigen_form(x: Proposition, psi: np.ndarray) -> np.ndarray:
-    """E(x) = (x)_f Psi_f^dag f Psi_f over the factors f of ``x``, where
-    Psi_f = psi^(x m_f) for a factor on m_f times."""
-    forms = []
+def _slice(x: Proposition, psi: np.ndarray) -> np.ndarray:
+    """S(x)[a, b, J] = E(x)[(a, J), (J, b)], the entries of x's eigenbasis form
+    E(x) = (x)_f Psi_f^dag f Psi_f (Psi_f = psi^(x m_f) for a factor f on m_f
+    times) that :func:`d_basis_sum` reads.
+
+    Each factor contributes its partial diagonal F[a, J_f, b]; consecutive
+    factors join on their shared boundary index by an outer product, which
+    becomes one more inner index.  For a one-time factor F is psi^dag f psi.
+    """
+    dim = len(psi)
+    out = None
     for f in x.factors:
         big = psi
         while len(big) < len(f):
             big = np.kron(big, psi)
-        forms.append(big.conj().T @ f @ big)
-    return tensor_product(forms)
+        inner = len(f) // dim
+        part = np.einsum("ajjb->ajb", (big.conj().T @ f @ big).reshape(dim, inner, inner, dim))
+        out = part if out is None else (out[..., None, None] * part).reshape(dim, -1, dim)
+    return np.ascontiguousarray(out.transpose(0, 2, 1))
 
 
 def d_basis_sum(ds: DecoherenceState, p: Proposition, q: Proposition) -> complex:
@@ -157,35 +166,33 @@ def d_basis_sum(ds: DecoherenceState, p: Proposition, q: Proposition) -> complex
     resolution of rho (weights w), j_2..j_2n over auxiliary orthonormal
     bases.  The value does not depend on the auxiliary bases (Isham, Linden
     and Schreckenberg, J. Math. Phys. 35, 1994), so every slot uses the rho
-    eigenbasis psi and each operand x is read through one form E(x), x
-    written in the basis psi^(x n), one axis per time.  E(x) is built from
-    the operand's factors, each in the eigenbasis of its own times: for an
-    embedded history it is the product of the n single-time forms
-    psi^dag P_t psi, and for a one-factor operand Psi^dag x Psi with
-    Psi = psi^(x n).  The first operand enters as p^dag, whose form E(p)^dag
-    is conj(E(p)) with its row and column indices swapped.  The sum is the
-    single contraction
+    eigenbasis psi and each operand x is read through its form E(x), x
+    written in the basis psi^(x n), one axis per time.  The sum reads only
+    the entries E(x)[(a, J), (J, b)], a and b the first and last index and
+    J the n - 1 inner ones, so each operand enters as its slice
+    S(x)[a, b, J], built from the operand's factors: for an embedded history
+    S(q)[a, b, J] = F_1[a, J_1] F_2[J_1, J_2] ... F_n[J_(n-1), b] with
+    F_t = psi^dag P_t psi, and for a one-factor operand the partial diagonal
+    of Psi^dag x Psi with Psi = psi^(x n).  The first operand enters as
+    p^dag, whose form is conj(E(p)) with its row and column indices swapped,
+    so the sum is the single contraction
 
-        sum_j w[j_1] conj(E(p))[j_1, j_2n..j_(n+2); j_2n..j_(n+1)] E(q)[j_1..j_n; j_2..j_(n+1)],
+        sum_{a, b, J, K} w[a] conj(S(p))[a, b, K] S(q)[a, b, J]
 
-    conjugate linear in the first slot like :func:`d_form`.  E(x) is
-    memoised on ``x`` (``Proposition.eigen_forms``), so a history paired
-    with many others is written in the eigenbasis once; each operand holds
-    one O(dim^(2n)) form per eigenbasis while it lives.
+    over all dim^(2n) index tuples, conjugate linear in the first slot like
+    :func:`d_form`.  S(x) is memoised on ``x`` (``Proposition.eigen_forms``),
+    so a history paired with many others is written in the eigenbasis once;
+    each operand holds dim^(n+1) entries per eigenbasis while it lives.  The
+    weights enter per pair, so states that share psi share the memo.
     """
-    n = _pair_sector(ds, p, q).n_times
+    _pair_sector(ds, p, q)
     psi = np.asarray(ds.model.vectors, dtype=complex)
-    key = psi.tobytes()  # a proposition read under two states keeps both forms
+    key = psi.tobytes()  # a proposition read in two eigenbases keeps both slices
     for x in (p, q):
         if key not in x.eigen_forms:
-            x.eigen_forms[key] = _eigen_form(x, psi)
-    rows_p = list(range(2 * n - 1, n - 1, -1))
-    cols_p = [0] + rows_p[:-1]
-    rows_q, cols_q = list(range(n)), list(range(1, n + 1))
-    axes = [ds.model.dim] * (2 * n)
-    return complex(np.einsum(ds.model.weights, [0],
-                             p.eigen_forms[key].conj().reshape(axes), cols_p + rows_p,
-                             q.eigen_forms[key].reshape(axes), rows_q + cols_q, []))
+            x.eigen_forms[key] = _slice(x, psi)
+    left = p.eigen_forms[key].conj() * np.asarray(ds.model.weights)[:, None, None]
+    return complex(np.einsum("abj,abk->", left, q.eigen_forms[key]))
 
 
 def hermitian_basis(k: int) -> np.ndarray:

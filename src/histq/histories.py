@@ -143,8 +143,9 @@ class Proposition:
     the whole operator.  ``op`` is built the first time it is read (for one
     factor it is that array); neither is written after construction, and the
     public constructors copy what they are given.  ``eigen_forms`` maps the
-    bytes of a state's eigenbasis psi to the operator's form E(op) there,
-    which ``decoherence.d_basis_sum`` reads and writes.
+    bytes of a state's eigenbasis psi to the dim^(n+1) entries of the
+    operator's form E(op) there that ``decoherence.d_basis_sum`` sums over,
+    which it reads and writes.
     """
 
     space: PropositionSpace

@@ -14,6 +14,10 @@
 * :func:`eigen_form` writes a proposition's dense operator in the state's
   eigenbasis with one Kronecker power, where the program writes each factor
   in the eigenbasis of its own times.
+* :func:`basis_sum_dense` is the basis-expansion sum as one 2n-index
+  contraction of two dense dim^n x dim^n eigenbasis forms, each the Kronecker
+  product of its factors' forms, where the program reads dim^(n+1) entries
+  of each form.
 """
 
 from __future__ import annotations
@@ -76,6 +80,32 @@ def eigen_form(x: Proposition, psi: np.ndarray) -> np.ndarray:
     """E(x) = Psi^dag x Psi with Psi = psi^(x n), from the dense operator of ``x``."""
     big = tensor_product([psi] * x.n_times)
     return big.conj().T @ x.op @ big
+
+
+def factor_form(x: Proposition, psi: np.ndarray) -> np.ndarray:
+    """E(x) = (x)_f Psi_f^dag f Psi_f over the factors f of ``x``, where
+    Psi_f = psi^(x m_f) for a factor on m_f times."""
+    forms = []
+    for f in x.factors:
+        big = psi
+        while len(big) < len(f):
+            big = np.kron(big, psi)
+        forms.append(big.conj().T @ f @ big)
+    return tensor_product(forms)
+
+
+def basis_sum_dense(ds: DecoherenceState, p: Proposition, q: Proposition) -> complex:
+    """sum_j w[j_1] conj(E(p))[j_1, j_2n..j_(n+2); j_2n..j_(n+1)] E(q)[j_1..j_n; j_2..j_(n+1)]
+    over all 2n indices, with E from :func:`factor_form` in the rho eigenbasis."""
+    n = p.n_times
+    psi = np.asarray(ds.model.vectors, dtype=complex)
+    rows_p = list(range(2 * n - 1, n - 1, -1))
+    cols_p = [0] + rows_p[:-1]
+    rows_q, cols_q = list(range(n)), list(range(1, n + 1))
+    axes = [ds.model.dim] * (2 * n)
+    return complex(np.einsum(ds.model.weights, [0],
+                             factor_form(p, psi).conj().reshape(axes), cols_p + rows_p,
+                             factor_form(q, psi).reshape(axes), rows_q + cols_q, []))
 
 
 def is_refinement(fine: Window, coarse: Window) -> bool:

@@ -307,18 +307,19 @@ class TestDecohere:
         assert agreement["chain_vs_basis_sum"] <= 1e-9
         assert agreement["chain_vs_ils"] <= 1e-9
 
-    @pytest.mark.parametrize("times", [2, 4])
+    @pytest.mark.parametrize("times", [2, 4, 11])
     def test_each_chain_and_eigenbasis_form_is_built_once(self, monkeypatch, tmp_path, times):
         # three histories: 3 chains for the 9 chain-form pairs, and each
-        # embedded history written in the state's eigenbasis once, while
-        # the basis sum and the reconstruction are still called per pair.
+        # embedded history written in the state's eigenbasis once, as the
+        # 2^(n+1) entries of its form that the basis sum reads, while the
+        # basis sum and the reconstruction are still called per pair.
         # The dense operator of a history is built once, by the
         # reconstruction, and not at all above the sector cap, where
         # nothing reads it.
         scenario = json.loads(bundled_scenario_path().read_text())
         scenario["times"] = [float(t) for t in range(times)]
         for entry in scenario["histories"]:
-            entry["projectors"] *= times // 2
+            entry["projectors"] = [entry["projectors"][t % 2] for t in range(times)]
         path = tmp_path / "scenario.json"
         path.write_text(json.dumps(scenario), encoding="utf-8")
         chains = count_calls(monkeypatch, "class_operator")
@@ -341,8 +342,11 @@ class TestDecohere:
         assert len(sums) == 9
         assert len(pairs) == (9 if ils else 0)
         assert [len(x.eigen_forms) for x in embedded] == [1] * 3
+        assert [s.size for x in embedded for s in x.eigen_forms.values()] == [2 ** (times + 1)] * 3
         assert ["op" in vars(x) for x in embedded] == [ils] * 3
         assert dense == ([x.factors for x in embedded] if ils else [])
+        report = json.loads((tmp_path / "o" / "decohere.json").read_text())
+        assert report["decoherence"]["agreement"]["chain_vs_basis_sum"] <= 1e-9
 
     def test_worked_numbers_in_report(self, tmp_path):
         assert run(["decohere", "--out", str(tmp_path)]) == 0

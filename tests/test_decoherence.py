@@ -152,6 +152,29 @@ def form_cases(draw):
     return ds, pair[::-1] if draw(st.booleans()) else pair, eager
 
 
+@st.composite
+def dense_oracle_cases(draw):
+    """Two operands at dim 1-3 on 1-3 times, each an embedded product
+    history, a sum of two of them or a dense one-factor operator; the
+    second is the first object itself when the draw says so."""
+    dim = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 31 - 1)))
+    ds = state_for(random_model(rng, dim), times=tuple(range(n)))
+
+    def embedded():
+        return embed(ds.model, product_history(rng, ds, n), ds.grid.times, ds.grid.t0)
+
+    kinds = {"history": embedded,
+             "sum": lambda: sector_op(ds.grid.times, dim,
+                                      sum(complex(*rng.standard_normal(2)) * embedded().op
+                                          for _ in range(2))),
+             "dense": lambda: sector_op(ds.grid.times, dim, random_operator(rng, dim ** n))}
+    p = kinds[draw(st.sampled_from(sorted(kinds)))]()
+    q = p if draw(st.booleans()) else kinds[draw(st.sampled_from(sorted(kinds)))]()
+    return ds, p, q
+
+
 def fresh(x):
     """A cold copy of ``x``: the same factors, so the same route to its form."""
     return Proposition(space=x.space, factors=tuple(f.copy() for f in x.factors))
@@ -339,6 +362,31 @@ class TestBasisSumForm:
         assert [d_basis_sum(ds, x, x) for ds in (first, second)] == values
         assert len(x.eigen_forms) == 2
 
+    @given(dense_oracle_cases())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_the_dense_contraction(self, case):
+        # every dim^(2n) term of the two dense eigenbasis forms, in both
+        # slot orders; p is q when the draw says so
+        ds, p, q = case
+        for a, b in ((p, q), (q, p)):
+            assert abs(d_basis_sum(ds, a, b) - oracles.basis_sum_dense(ds, a, b)) <= 1e-12
+
+    def test_states_that_share_an_eigenbasis_share_the_slice_not_the_weights(self):
+        # one H and one eigenbasis under two spectra: one memo entry per
+        # operand, and each state's value is its own
+        rng = np.random.default_rng(22)
+        h, psi = random_hermitian(rng, 2), random_unitary(rng, 2)
+        states = [state_for(SystemModel.from_spectral(h, w, psi))
+                  for w in ([0.7, 0.3], [0.4, 0.6])]
+        first = states[0]
+        x, y = (embed(first.model, product_history(rng, first, 2), first.grid.times)
+                for _ in range(2))
+        values = [d_basis_sum(ds, x, y) for ds in states]
+        assert [len(x.eigen_forms), len(y.eigen_forms)] == [1, 1]
+        for ds, value in zip(states, values):
+            assert abs(value - oracles.basis_sum_dense(ds, x, y)) <= 1e-12
+        assert abs(values[0] - values[1]) > 1e-3
+
     def test_later_writes_to_the_callers_array_change_nothing(self):
         rng = np.random.default_rng(21)
         ds = state_for(random_model(rng, 2))
@@ -364,14 +412,20 @@ class TestBasisSumForm:
     @given(form_cases())
     @settings(max_examples=40, deadline=None)
     def test_factor_forms_match_the_dense_oracle(self, case):
-        # E(x) from the factors against Psi^dag x Psi; an embedded history's
-        # operator is built only when read, and then equals the eager product
+        # the memoised slice from the factors against the entries
+        # [(a, J), (J, b)] of Psi^dag x Psi; an embedded history's operator
+        # is built only when read, and then equals the eager product
         ds, (p, q), eager = case
         value = d_basis_sum(ds, p, q)
         assert ["op" in vars(x) for x in eager] == [False] * len(eager)
+        dim, n = ds.model.dim, p.n_times
+        inner = dim ** (n - 1)
+        a, b, j = np.meshgrid(range(dim), range(dim), range(inner), indexing="ij")
         for x in (p, q):
-            (form,) = x.eigen_forms.values()
-            assert np.max(np.abs(form - oracles.eigen_form(x, ds.model.vectors))) <= 1e-12
+            (piece,) = x.eigen_forms.values()
+            assert piece.shape == (dim, dim, inner)
+            form = oracles.eigen_form(x, ds.model.vectors)
+            assert np.max(np.abs(piece - form[a * inner + j, j * dim + b])) <= 1e-12
         for x, product in eager.items():
             assert np.array_equal(x.op, product)
         assert abs(value - _basis_sum_loop(ds, p, q)) <= 1e-12
