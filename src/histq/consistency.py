@@ -17,11 +17,26 @@ once, G_T[a, b] = <base_a, T base_b> from T and G_d[a, b] = d(base_a, base_b)
 from the chain form, and each window reads its values as the block sums
 O^T G O of its one-hot block matrix O.  One kernel computes these sums for
 ``check_window``, ``check_window_operators`` and the vectorised screen of the
-search, which scores restricted-growth strings in chunks generated in numpy.
+search, which scores restricted-growth strings in pieces generated in numpy.
 G_d never reads T, so the two verdicts still cross-check two representations.
 Both checks write nothing and return a report holding the verdict and the
 member probabilities their picture certifies; ``Window`` is frozen and carries
 the two reports, so consumers read the verdicts instead of checking again.
+
+The screen prunes by coarse graining, which keeps a consistent set
+consistent (Gell-Mann and Hartle, 1990).  If Q refines P, each block sum of
+P is a sum of block sums of Q: S_P[I, J] = sum of S_Q[i, j] over i in I,
+j in J.  When Q is additive (|S_Q[i, j]| <= tol for i != j and the diagonal
+sums to 1 within tol, tol = ``TOLERANCES.consistency``), P's cross terms and
+the distance of its total from 1 are each at most N²·tol.  So the screen
+walks the refinement tree of the strings, from the one-block window e down,
+and skips every refinement of a string whose additivity residual exceeds
+2·N²·tol, the factor 2 covering rounding; it loses no string that passes.
+Positivity never prunes: a refinement can pass it where its coarsening
+fails.  The walk scores pieces of at most ``_SCREEN_CHUNK`` strings, so its
+memory does not grow with the Bell number (a cached table of the 3^N - 2^N
+nonempty submasks of N-bit masks, 8.6 MB at N = 12, numbers the children);
+when every string is additive it scores all Bell(N) of them.
 """
 
 from __future__ import annotations
@@ -29,7 +44,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -56,8 +71,8 @@ __all__ = [
 ]
 
 MAX_BASE_FAMILY = 12
-# Restricted-growth strings scored per vectorised screen batch; bounds the
-# screen's memory independently of the Bell number of the family.
+# Restricted-growth strings generated or scored per vectorised batch; bounds
+# the memory of enumeration and screen independently of the Bell number.
 _SCREEN_CHUNK = 256
 
 
@@ -304,12 +319,118 @@ def _window_key(w: Window) -> tuple[bytes, ...]:
     return tuple(sorted(_member_key(x.op) for x in w.members))
 
 
-def _screen(g: np.ndarray, chunks: Iterable[np.ndarray]) -> Iterator[np.ndarray]:
-    """The rows of each chunk of strings that pass the sector picture on the
-    Gram matrix ``g``: the tests of ``check_window``, a chunk at a time."""
-    for rgs in chunks:
+@functools.cache
+def _submasks(n: int) -> tuple[np.ndarray, ...]:
+    """The nonempty submasks S of every n-bit mask F, 3^n - 2^n entries in
+    all: mask F has ``count[F]`` of them, from ``table[start[F]]`` on, and the
+    k-th keeps the set bits of F whose rank among them is a set bit of k.
+    ``after[j]`` masks the bits above the lowest bit of ``table[j]`` that it
+    leaves clear, and ``bits[S]`` is the mask S as n booleans."""
+    masks = np.arange(1 << n)
+    bits = (masks[:, None] >> np.arange(n)) & 1 == 1
+    count = (1 << bits.sum(axis=1)) - 1
+    start = np.cumsum(count) - count
+    owner = np.repeat(masks, count)
+    k = np.arange(len(owner)) - start[owner] + 1
+    table = np.zeros_like(owner)
+    rank = np.zeros_like(owner)
+    for i in range(n):
+        bit = (owner >> i) & 1
+        table |= ((k >> rank) & bit) << i
+        rank += bit
+    out = count, start, table, ~table & -(table & -table), bits
+    for a in out:  # shared by every later call
+        a.flags.writeable = False
+    return out
+
+
+class _Children:
+    """The children of a batch of parents in the refinement tree, handed out
+    in pieces.
+
+    A parent string a with b blocks, whose label b - 1 first appears at
+    position m, has one child per nonempty subset S of its free positions
+    {i > m : a[i] = 0}: a with S relabelled b, whose own free positions are
+    those of a after min(S) and outside S.  A row of the walk is a string
+    followed by its free positions as a bit mask and by b, so a batch needs
+    no scan of its strings: its children are numbered consecutively, and any
+    range of them is generated in numpy from the table of :func:`_submasks`.
+    """
+
+    def __init__(self, parents: np.ndarray):
+        self.n = parents.shape[1] - 2
+        count, start, self.table, self.after, self.bits = _submasks(self.n)
+        counts = count[parents[:, -2]]
+        self.ends = np.cumsum(counts)
+        # table index of each parent's child 0, minus that child's number
+        self.first = start[parents[:, -2]] - self.ends + counts
+        self.parents, self.taken, self.total = parents, 0, int(self.ends[-1])
+
+    @property
+    def left(self) -> int:
+        return self.total - self.taken
+
+    def take(self, k: int) -> np.ndarray:
+        """The rows of the next (at most) k children."""
+        index = np.arange(self.taken, min(self.taken + k, self.total))
+        self.taken += len(index)
+        owner = np.searchsorted(self.ends, index, side="right")
+        entry = self.first[owner] + index
+        rows = self.parents[owner]
+        np.copyto(rows[:, :-2], rows[:, -1:], where=self.bits[self.table[entry]])
+        rows[:, -2] &= self.after[entry]
+        rows[:, -1] += 1
+        return rows
+
+
+def _walk(n: int, score: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
+          ) -> Iterator[np.ndarray]:
+    """Walk the refinement tree of the restricted-growth strings of length n
+    (n >= 1) and yield ``piece[keep]`` for every piece of strings it scores,
+    where ``keep, expand = score(piece)`` are row masks; only the rows
+    ``expand`` selects have their children visited.
+
+    The root is the one-block string 0...0, and every other string is the
+    child (:class:`_Children`) of the string that relabels its largest block
+    0, a coarsening of it, so an unpruned walk visits each string once.
+    Children are packed into pieces of ``_SCREEN_CHUNK`` strings, drawn from
+    the newest batch of parents first.  The stack of batches holds fewer than
+    n of them, each of at most ``_SCREEN_CHUNK`` parents, because the fewest
+    blocks of any parent in a batch exceed those of every batch below it;
+    so memory does not grow with the Bell number.
+    """
+    stack: list[_Children] = []
+    piece = np.array([[0] * n + [(1 << n) - 2, 1]])  # the root, free after position 0
+    while len(piece):
+        keep, expand = score(piece[:, :n])
+        yield piece[keep, :n]
+        if expand.any():
+            children = _Children(piece[expand])
+            if children.left:
+                stack.append(children)
+        parts, room = [], _SCREEN_CHUNK
+        while stack and room:
+            parts.append(stack[-1].take(room))
+            room -= len(parts[-1])
+            if not stack[-1].left:
+                stack.pop()
+        piece = np.concatenate(parts) if parts else piece[:0]
+
+
+def _screen(g: np.ndarray) -> Iterator[np.ndarray]:
+    """The strings that pass the sector picture on the Gram matrix ``g`` (the
+    tests of ``check_window``), a piece at a time, from a walk of the
+    refinement tree that expands a string only while its additivity residual
+    is at most 2·N²·tol: above that bound no refinement is additive (see the
+    module docstring)."""
+    n = len(g)
+    margin = 2 * n * n * TOLERANCES.consistency
+
+    def score(rgs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         _, positive, additivity = _sector_terms(_block_sums(g, rgs), rgs)
-        yield rgs[positive & (additivity <= TOLERANCES.consistency)]
+        return positive & (additivity <= TOLERANCES.consistency), additivity <= margin
+
+    return _walk(n, score)
 
 
 def search_windows(t: WrightOperator,
@@ -323,11 +444,17 @@ def search_windows(t: WrightOperator,
     containing it is built, and refused, named, unless its elements are
     projectors summing to the identity.
 
-    The set partitions of each family are its restricted-growth strings,
-    generated in numpy in chunks of at most ``_SCREEN_CHUNK``, so memory
-    does not grow with the Bell number.  Each chunk is screened at once on
-    the family's G_T; ``check_window`` reports on every string the screen
-    keeps, and each consistent one becomes a window with its operator verdict.
+    The set partitions of each family are its restricted-growth strings.
+    The screen walks them as a refinement tree from the one-block window e,
+    scoring pieces of at most ``_SCREEN_CHUNK`` strings generated in numpy
+    on the family's G_T, so memory does not grow with the Bell number.  It
+    skips the refinements of every string whose additivity residual exceeds
+    2·N²·tol, a bound no coarsening of an additive string reaches; when
+    every string is additive it scores all Bell(N) of them.
+    ``check_window`` reports on every string the screen keeps, in
+    lexicographic order, so deduplication keeps the window an exhaustive
+    screen in string order would, and each consistent one becomes a window
+    with its operator verdict.
 
     Returns the consistent windows, deduplicated, largest first, with ties
     broken by a canonical byte key, so the output does not depend on the
@@ -351,14 +478,14 @@ def search_windows(t: WrightOperator,
     results: dict[tuple[bytes, ...], Window] = {}
     for choice in itertools.product(*(range(len(klists)) for klists in pvms)):
         family = _build_family(t, [checked(k, j) for k, j in enumerate(choice)])
-        for kept in _screen(family.gram_t, _rgs_chunks(len(family.ops))):
-            for row in kept:
-                kreport = check_window(family, row)
-                if not kreport.consistent:  # the screen's batched sums may round apart
-                    continue
-                cand = Window(family=family, labels=tuple(row.tolist()), kreport=kreport,
-                              opreport=check_window_operators(family, row))
-                results.setdefault(_window_key(cand), cand)
+        for labels in sorted(tuple(row.tolist()) for kept in _screen(family.gram_t)
+                             for row in kept):
+            kreport = check_window(family, labels)
+            if not kreport.consistent:  # the screen's batched sums may round apart
+                continue
+            cand = Window(family=family, labels=labels, kreport=kreport,
+                          opreport=check_window_operators(family, labels))
+            results.setdefault(_window_key(cand), cand)
 
     ordered = sorted(results.items(), key=lambda kv: (-len(kv[1].members), kv[0]))
     return [w for _, w in ordered]

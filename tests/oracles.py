@@ -6,6 +6,9 @@
   reads block sums of its base family's two Gram matrices.
 * :func:`restricted_growth_strings` is the loop that generates the set
   partitions one string at a time, where the program expands prefixes in numpy.
+* :func:`screen_exhaustive` scores every restricted-growth string of a Gram
+  matrix in lexicographic chunks, where the program's screen walks the
+  refinement tree and skips the refinements of strings far from additive.
 * :func:`is_refinement` assigns each fine member to the coarse member it
   overlaps most and sums the blocks, where the program tests projector
   containment on one overlap matrix.
@@ -27,7 +30,8 @@ from typing import Sequence
 
 import numpy as np
 
-from histq.consistency import ConsistencyReport, Window
+from histq.consistency import (ConsistencyReport, Window, _block_sums, _rgs_chunks,
+                               _sector_terms)
 from histq.core import TOLERANCES, is_projector, max_abs, tensor_product
 from histq.decoherence import DecoherenceState, d_form
 from histq.histories import Proposition, proposition
@@ -53,6 +57,14 @@ def restricted_growth_strings(n):
         for i in range(j + 1, n):
             a[i] = 0
             b[i] = max(b[j], a[j] + 1)
+
+
+def screen_exhaustive(g: np.ndarray):
+    """The strings that pass the sector picture on the Gram matrix ``g``, one
+    array per chunk of ``_rgs_chunks``: every string scored."""
+    for rgs in _rgs_chunks(len(g)):
+        _, positive, additivity = _sector_terms(_block_sums(g, rgs), rgs)
+        yield rgs[positive & (additivity <= TOLERANCES.consistency)]
 
 
 def partitions(items: Sequence):

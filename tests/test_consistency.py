@@ -12,9 +12,11 @@ from hypothesis import strategies as st
 import oracles
 from histq.cli import main as cli_main
 from histq.consistency import (
+    BaseFamily,
     _SCREEN_CHUNK,
     _rgs_chunks,
     _screen,
+    _walk,
     _window_key,
     base_family,
     check_window,
@@ -544,9 +546,14 @@ def search_cases(draw, shapes=((2, 1), (2, 2), (2, 3), (3, 1), (3, 2))):
     return ds, t, pvms
 
 
-def kept_strings(g, n):
-    """The strings of length n that ``_screen`` keeps, over all chunks."""
-    return {tuple(map(int, row)) for chunk in _screen(g, _rgs_chunks(n)) for row in chunk}
+def kept_strings(g):
+    """The strings that ``_screen`` keeps on the Gram matrix ``g``, over all pieces."""
+    return {tuple(map(int, row)) for piece in _screen(g) for row in piece}
+
+
+def oracle_kept(g):
+    """The strings that the exhaustive screen keeps, over all chunks."""
+    return {tuple(map(int, row)) for chunk in oracles.screen_exhaustive(g) for row in chunk}
 
 
 def two_matrix_screen(t, base):
@@ -634,7 +641,7 @@ class TestGramScreen:
         # changes no survivor
         ds, t, pvms = case
         for base in map(np.array, base_families(ds, t, pvms)):
-            assert kept_strings(t.gram(base), len(base)) == two_matrix_screen(t, base)
+            assert kept_strings(t.gram(base)) == two_matrix_screen(t, base)
 
     @given(frame_families())
     @settings(max_examples=30, deadline=None)
@@ -644,7 +651,7 @@ class TestGramScreen:
         vecs = base.transpose(0, 2, 1).reshape(n, k * k)
         s = vecs.conj() @ vecs.T / k
         assert max_abs(s - np.diag(np.diag(s))) > 1e-3  # S is not diagonal
-        kept = kept_strings(t.gram(base), n)
+        kept = kept_strings(t.gram(base))
         accepted = 0
         for rgs, _ in oracles.partitions(base):
             if oracles.check_window(oracles.members(t.space, base, rgs), t).consistent:
@@ -656,8 +663,9 @@ class TestGramScreen:
     @pytest.mark.parametrize("weight", [0.0, 2e-12])
     def test_strict_positivity_edge_over_many_chunks(self, basis, weight):
         # H = 0 and one basis at every time: mixed-outcome histories have
-        # probability 0 (pure rho) or just above strict_positive; N = 8
-        # spans eighteen chunks of at most 256 strings
+        # probability 0 (pure rho) or just above strict_positive; every
+        # string of the N = 8 family is additive, so the walk prunes nothing
+        # and scores all 4140 strings in pieces of at most 256
         ds = qubit_state(np.diag([1.0 - weight, weight]), times=(0.0, 1.0, 2.0))
         t = wright_operator(ds, ds.grid.times)
         pvms = [[basis]] * 3
@@ -679,6 +687,114 @@ class TestGramScreen:
         t = wright_operator(ds, (0.0,))
         u = random_unitary(rng, 3)
         pvms = [[[projector_onto(u[:, :2]), projector_onto(u[:, 2:])], random_pvm(rng, 3)]]
+        assert_same_windows(search_windows(t, pvms), oracle_search(ds, t, pvms))
+
+
+@st.composite
+def near_additive_grams(draw):
+    """Hermitian Gram matrices of N <= 8 elements whose diagonal is a
+    probability vector and whose off-diagonal entries have magnitudes up to
+    a scale of 1e-11 to 1e-7, around the additivity tolerance, so coarse
+    strings fail where their refinements pass."""
+    n = draw(st.integers(2, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 31 - 1)))
+    scale = 10.0 ** draw(st.floats(-11.0, -7.0))
+    cross = scale * rng.uniform(-1.0, 1.0, (n, n)) * np.exp(2j * np.pi * rng.uniform(size=(n, n)))
+    upper = np.triu(cross, 1)
+    return np.diag(rng.dirichlet(np.ones(n))) + upper + upper.conj().T
+
+
+def degenerate_case(dim, n_times):
+    """The maximally mixed state with H = 0 and the computational basis at
+    every time: every string of the dim^n_times family is additive, so the
+    tree prunes nothing."""
+    ds = state_for(SystemModel.from_matrices(np.zeros((dim, dim)), np.eye(dim) / dim),
+                   times=tuple(float(k) for k in range(max(n_times, 2))))
+    t = wright_operator(ds, ds.grid.times[:n_times])
+    basis = named_basis("computational", dim)
+    return ds, t, [[[projector_onto(basis[:, [i]]) for i in range(dim)]]] * n_times
+
+
+class TestRefinementScreen:
+    @given(search_cases())
+    @settings(max_examples=30, deadline=None)
+    def test_keeps_what_the_exhaustive_screen_keeps(self, case):
+        ds, t, pvms = case
+        for base in map(np.array, base_families(ds, t, pvms)):
+            g = t.gram(base)
+            assert kept_strings(g) == oracle_kept(g)
+
+    @given(frame_families())
+    @settings(max_examples=30, deadline=None)
+    def test_keeps_what_the_exhaustive_screen_keeps_on_overlapping_families(self, case):
+        # the coarsening bound is linear algebra on G, so it holds for
+        # families whose overlap matrix is not diagonal
+        ds, t, base = case
+        g = t.gram(base)
+        assert kept_strings(g) == oracle_kept(g)
+
+    @given(near_additive_grams())
+    @settings(max_examples=60, deadline=None)
+    def test_keeps_what_the_exhaustive_screen_keeps_near_the_tolerance(self, g):
+        assert kept_strings(g) == oracle_kept(g)
+
+    def test_margin_keeps_a_finest_string_whose_coarsenings_fail(self):
+        # every cross term at 0.9 tol: the finest string passes, its two-block
+        # coarsenings sit at 1.8 tol and the one-block root at 5.4 tol, so a
+        # prune at tol itself would never reach the finest string
+        tol = TOLERANCES.consistency
+        g = np.full((3, 3), 0.9 * tol) + np.diag(np.array([0.5, 0.3, 0.2]) - 0.9 * tol)
+        assert kept_strings(g) == oracle_kept(g) == {(0, 1, 2)}
+        family = BaseFamily(t=None, ops=np.zeros((3, 1, 1)), gram_t=g, gram_d=g)
+        residual = {rgs: check_window(family, rgs).max_residual
+                    for rgs in [(0, 0, 0), (0, 0, 1), (0, 1, 2)]}
+        assert residual == pytest.approx({(0, 0, 0): 5.4 * tol, (0, 0, 1): 1.8 * tol,
+                                          (0, 1, 2): 0.9 * tol}, rel=1e-6)
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_unpruned_tree_visits_every_string_once(self, n):
+        def everything(piece):
+            rows = np.ones(len(piece), dtype=bool)
+            return rows, rows
+
+        visited = [tuple(map(int, row)) for piece in _walk(n, everything) for row in piece]
+        assert len(visited) == len(set(visited)) == BELL[n]
+        assert set(visited) == set(restricted_growth_strings(n))
+
+    def test_a_pruned_string_loses_exactly_its_subtree(self):
+        # expanding only strings of at most two blocks visits exactly the
+        # strings of at most three, each after its parent was expanded
+        expanded = set()
+
+        def two_blocks(piece):
+            expand = piece.max(axis=1) <= 1
+            expanded.update(map(tuple, piece[expand].tolist()))
+            return np.ones(len(piece), dtype=bool), expand
+
+        visited = [tuple(row) for piece in _walk(6, two_blocks) for row in piece.tolist()]
+        assert sorted(visited) == [s for s in restricted_growth_strings(6) if max(s) <= 2]
+        for row in visited[1:]:
+            assert tuple(0 if v == max(row) else v for v in row) in expanded
+
+    @pytest.mark.parametrize("n", [9, 12])
+    def test_no_piece_exceeds_the_chunk(self, n):
+        # the root alone has 2^(n-1) - 1 children; at n = 12 only the root and
+        # its children are expanded, to keep the walk short
+        sizes = []
+
+        def score(piece):
+            sizes.append(len(piece))
+            rows = np.ones(len(piece), dtype=bool)
+            return rows, rows if n < 12 else piece.max(axis=1) == 0
+
+        visited = sum(len(piece) for piece in _walk(n, score))
+        assert max(sizes) <= _SCREEN_CHUNK
+        assert visited == (BELL[n] if n < 12 else 2 ** (n - 1))
+        assert sizes.count(_SCREEN_CHUNK) >= visited // _SCREEN_CHUNK - n  # pieces are packed
+
+    @pytest.mark.parametrize("dim,n_times", [(2, 3), (3, 2)])
+    def test_degenerate_family_scores_every_string(self, dim, n_times):
+        ds, t, pvms = degenerate_case(dim, n_times)
         assert_same_windows(search_windows(t, pvms), oracle_search(ds, t, pvms))
 
 
