@@ -26,6 +26,7 @@ _EXPORTS = {
                 "window_entropy", "window_entropy_pnorm"),
     "divergence": ("GrowthVerdict", "TruncationSeries", "b1_series", "b2_series",
                    "growth_fit"),
+    "sampling": ("random_projectors",),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

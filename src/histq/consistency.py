@@ -143,7 +143,11 @@ def _build_family(t: WrightOperator, factors: Sequence[Sequence[np.ndarray]]) ->
     size = int(np.prod([len(f) for f in factors]))
     if size > MAX_BASE_FAMILY:
         raise ValueError(f"base family too large: {size} > {MAX_BASE_FAMILY}")
-    ops = np.array([functools.reduce(np.kron, combo) for combo in itertools.product(*factors)])
+    ops = np.array(factors[0])
+    for f in map(np.asarray, factors[1:]):  # Kronecker products, first factor slowest
+        count, dim = len(ops) * len(f), ops.shape[1] * f.shape[1]
+        ops = (ops[:, None, :, None, :, None] * f[None, :, None, :, None, :]).reshape(
+            count, dim, dim)
     return BaseFamily(t=t, ops=ops, gram_t=t.gram(ops),
                       gram_d=d_gram(t.state, ops, t.space.n_times))
 

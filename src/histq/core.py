@@ -64,7 +64,7 @@ def as_operator(a) -> np.ndarray:
 
 def max_abs(a) -> float:
     a = np.asarray(a)
-    return float(np.max(np.abs(a))) if a.size else 0.0
+    return float(np.abs(a).max()) if a.size else 0.0
 
 
 def is_hermitian(a) -> bool:

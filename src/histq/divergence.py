@@ -64,8 +64,9 @@ class GrowthVerdict:
 
 
 def geometric_weights(n: int) -> np.ndarray:
-    """Spectral weights w_k = 2^-k for k = 1..n (summable, tail 2^-n)."""
-    return 0.5 ** np.arange(1, n + 1)
+    """Spectral weights w_k = 2^-k for k = 1..n (summable, tail 2^-n), each
+    set exactly by its exponent."""
+    return np.ldexp(1.0, -np.arange(1, n + 1))
 
 
 def b1_grid(top: int = 10_000) -> list[int]:

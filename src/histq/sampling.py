@@ -1,4 +1,11 @@
-"""Seeded random models and operators for property verification."""
+"""Seeded random models and operators for property verification.
+
+Haar-random unitaries use the QR-plus-phase method of Mezzadri (Notices AMS
+54, 2007): the Q factor of a complex Gaussian matrix, each column multiplied
+by the phase of the matching diagonal entry of R.  One kernel resolves a
+whole stack of Gaussian matrices with one stacked QR; the single draws call
+it on a stack of one.
+"""
 
 from __future__ import annotations
 
@@ -11,6 +18,7 @@ __all__ = [
     "random_density",
     "random_unitary",
     "random_projector",
+    "random_projectors",
     "random_pvm",
     "random_model",
     "random_operator",
@@ -26,9 +34,15 @@ def random_hermitian(rng: np.random.Generator, dim: int) -> np.ndarray:
     return 0.5 * (a + a.conj().T)
 
 
+def _haar(z: np.ndarray) -> np.ndarray:
+    """The Haar unitaries of a stack of complex Gaussian matrices, by one QR."""
+    q, r = np.linalg.qr(z)
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (d / np.abs(d))[..., None, :]
+
+
 def random_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
-    q, r = np.linalg.qr(random_operator(rng, dim))
-    return q * (np.diag(r) / np.abs(np.diag(r)))
+    return _haar(random_operator(rng, dim)[None])[0]
 
 
 def random_density(rng: np.random.Generator, dim: int) -> np.ndarray:
@@ -43,6 +57,24 @@ def random_projector(rng: np.random.Generator, dim: int, rank: int | None = None
         rank = int(rng.integers(1, dim + 1))
     u = random_unitary(rng, dim)
     return projector_onto(u[:, :rank])
+
+
+def random_projectors(rng: np.random.Generator, dim: int, count: int) -> list[np.ndarray]:
+    """``count`` projectors of random rank, equal to ``count`` calls of
+    :func:`random_projector` and leaving ``rng`` in the same state.
+
+    Draw order: for each projector in turn its rank (``rng.integers``), then
+    its two Gaussian matrices, exactly as the single calls draw them; only
+    then are all of them resolved by one stacked QR.  Drawing the ranks as one
+    batch would move the Gaussian stream, since bounded integers consume
+    buffered half-words of the bit generator.
+    """
+    ranks = []
+    z = np.empty((count, dim, dim), dtype=complex)
+    for i in range(count):
+        ranks.append(int(rng.integers(1, dim + 1)))
+        z[i] = random_operator(rng, dim)
+    return [projector_onto(u[:, :rank]) for u, rank in zip(_haar(z), ranks)]
 
 
 def random_pvm(rng: np.random.Generator, dim: int) -> list[np.ndarray]:

@@ -22,7 +22,7 @@ from .divergence import b1_direct_value, b1_grid, b1_series, b2_grid, b2_series,
 from .entropy import refinement_gap, window_entropy, window_entropy_pnorm
 from .histories import embed, history, proposition, unit_proposition
 from .propositions import hs_inner, probability, wright_operator
-from .sampling import random_model, random_operator, random_projector, random_pvm
+from .sampling import random_model, random_operator, random_projectors, random_pvm
 from .scenario import Scenario
 
 __all__ = ["CheckResult", "run_suite"]
@@ -62,8 +62,18 @@ def _side_states(rng, dims=(2, 3), times=(0.0, 1.0)) -> list[DecoherenceState]:
     return out
 
 
-def _product_history(rng, ds: DecoherenceState, n_times: int):
-    return history({t: random_projector(rng, ds.model.dim) for t in ds.grid.times[:n_times]})
+def _product_histories(rng, ds: DecoherenceState, n_times: int, count: int):
+    """``count`` product histories on the first ``n_times`` times of ``ds``.
+
+    Draw order: history by history, and within a history time by time, each
+    projector drawing its rank and then its Gaussian matrices, so the draws
+    are those of ``count * n_times`` single calls to ``random_projector``;
+    one stacked QR then resolves them all.
+    """
+    times = ds.grid.times[:n_times]
+    ps = random_projectors(rng, ds.model.dim, count * n_times)
+    return [history(dict(zip(times, ps[i:i + n_times])))
+            for i in range(0, len(ps), n_times)]
 
 
 def _check_axioms(scn: Scenario, rng) -> CheckResult:
@@ -74,8 +84,7 @@ def _check_axioms(scn: Scenario, rng) -> CheckResult:
         worst = max(worst, abs(d_trace(ds, unit, unit) - 1.0))
         for _ in range(10):
             n = int(rng.integers(1, min(2, len(ds.grid.times)) + 1))
-            h = _product_history(rng, ds, n)
-            k = _product_history(rng, ds, n)
+            h, k = _product_histories(rng, ds, n, 2)
             (hh, hk), (kh, _) = d_trace_matrix(ds, [h, k]).tolist()
             worst = max(worst, abs(hk - kh.conjugate()))
             worst = max(worst, max(0.0, -hh.real))
@@ -98,9 +107,8 @@ def _check_representations(scn: Scenario, rng) -> CheckResult:
                 continue
             support = ds.grid.times[:n]
             ils = ils_reconstruct(ds, support)
-            for _ in range(8):
-                h = _product_history(rng, ds, n)
-                k = _product_history(rng, ds, n)
+            histories = _product_histories(rng, ds, n, 16)
+            for h, k in zip(histories[::2], histories[1::2]):
                 ref = d_trace(ds, h, k)
                 hb = embed(ds.model, h, support, ds.grid.t0)
                 kb = embed(ds.model, k, support, ds.grid.t0)

@@ -21,10 +21,17 @@
   contraction of two dense dim^n x dim^n eigenbasis forms, each the Kronecker
   product of its factors' forms, where the program reads dim^(n+1) entries
   of each form.
+* :func:`kron_family` builds a base family's elements one Kronecker product
+  at a time, where the program multiplies the factor stacks out in one
+  broadcast per time.
+* :func:`haar_unitary`, :func:`random_projector` and :func:`random_pvm` draw
+  and resolve one Haar unitary per call, each with its own QR, where the
+  program resolves a stack of Gaussian matrices with one stacked QR.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from typing import Sequence
 
@@ -32,10 +39,11 @@ import numpy as np
 
 from histq.consistency import (ConsistencyReport, Window, _block_sums, _rgs_chunks,
                                _sector_terms)
-from histq.core import TOLERANCES, is_projector, max_abs, tensor_product
+from histq.core import TOLERANCES, is_projector, max_abs, projector_onto, tensor_product
 from histq.decoherence import DecoherenceState, d_form
 from histq.histories import Proposition, proposition
 from histq.propositions import WrightOperator, hs_inner, probability
+from histq.sampling import random_operator
 
 
 def restricted_growth_strings(n):
@@ -65,6 +73,30 @@ def screen_exhaustive(g: np.ndarray):
     for rgs in _rgs_chunks(len(g)):
         _, positive, additivity = _sector_terms(_block_sums(g, rgs), rgs)
         yield rgs[positive & (additivity <= TOLERANCES.consistency)]
+
+
+def kron_family(factors: Sequence[Sequence[np.ndarray]]) -> np.ndarray:
+    """The Kronecker products of one element per decomposition, first
+    decomposition slowest, each built by ``np.kron``."""
+    return np.array([functools.reduce(np.kron, combo) for combo in itertools.product(*factors)])
+
+
+def haar_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
+    """One Haar unitary by QR plus phase fix, from one Gaussian draw."""
+    q, r = np.linalg.qr(random_operator(rng, dim))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def random_projector(rng: np.random.Generator, dim: int) -> np.ndarray:
+    """A projector of random rank: the rank, then one Haar unitary."""
+    rank = int(rng.integers(1, dim + 1))
+    return projector_onto(haar_unitary(rng, dim)[:, :rank])
+
+
+def random_pvm(rng: np.random.Generator, dim: int) -> list[np.ndarray]:
+    """The rank-1 projectors onto the columns of one Haar unitary."""
+    u = haar_unitary(rng, dim)
+    return [projector_onto(u[:, [i]]) for i in range(dim)]
 
 
 def partitions(items: Sequence):

@@ -56,6 +56,13 @@ def single(t, *elements):
     return base_family(t, [list(elements)])
 
 
+def random_decomposition(rng, dim):
+    """A Haar-random basis grouped into blocks at random cut points."""
+    u = random_unitary(rng, dim)
+    cuts = sorted(rng.choice(np.arange(1, dim), size=rng.integers(0, dim), replace=False))
+    return [projector_onto(u[:, a:b]) for a, b in zip([0, *cuts], [*cuts, dim])]
+
+
 class TestCheckWindow:
     def test_unit_window(self):
         ds, t = mixed_qubit()
@@ -215,6 +222,29 @@ class TestBaseFamily:
         family = base_family(wright_operator(ds, (0.0, 1.0)), [[P0, P1], [PLUS, MINUS]])
         expected = [np.kron(a, b) for a in (P0, P1) for b in (PLUS, MINUS)]
         assert np.allclose(family.ops, expected)
+
+    @staticmethod
+    def assert_builds_like_kron(t, factors):
+        ops, expected = base_family(t, factors).ops, oracles.kron_family(factors)
+        assert ops.shape == expected.shape
+        assert ops.tobytes() == expected.tobytes()  # signed zeros included
+
+    @pytest.mark.parametrize("dim, n_times", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (4, 1)])
+    def test_elements_equal_one_kron_at_a_time(self, dim, n_times):
+        rng = np.random.default_rng(100 * dim + n_times)
+        ds = state_for(random_model(rng, dim), times=tuple(map(float, range(n_times))))
+        t = wright_operator(ds, ds.grid.times)
+        for _ in range(3):
+            self.assert_builds_like_kron(t, [random_decomposition(rng, dim)
+                                             for _ in range(n_times)])
+
+    def test_negative_zeros_keep_their_sign(self):
+        # conj gives every real entry the imaginary part -0.0, which a product
+        # with 1 + 0j would turn into +0.0
+        ds, _ = mixed_qubit()
+        for times in [(0.0,), (0.0, 1.0)]:
+            t = wright_operator(ds, times)
+            self.assert_builds_like_kron(t, [[PLUS.conj(), MINUS.conj()], [P0, P1]][:len(times)])
 
     def test_one_decomposition_per_support_time(self):
         ds, t = mixed_qubit()

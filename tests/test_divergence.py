@@ -8,6 +8,7 @@ from histq.divergence import (
     TruncationSeries,
     b1_direct_value,
     b1_series,
+    b2_grid,
     b2_series,
     geometric_weights,
     growth_fit,
@@ -116,3 +117,8 @@ class TestWeights:
     def test_geometric_rule(self):
         w = geometric_weights(5)
         assert np.allclose(w, [0.5, 0.25, 0.125, 0.0625, 0.03125])
+
+    def test_exponent_build_equals_powers_bit_for_bit(self):
+        # up to the largest default truncation, subnormal and zero tail included
+        n = b2_grid()[-1]
+        assert np.array_equal(geometric_weights(n), 0.5 ** np.arange(1, n + 1))

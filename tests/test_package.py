@@ -26,12 +26,13 @@ EXPORTED = {
                 "window_entropy", "window_entropy_pnorm"},
     "divergence": {"GrowthVerdict", "TruncationSeries", "b1_series", "b2_series",
                    "growth_fit"},
+    "sampling": {"random_projectors"},
 }
 DEFINED_IN = {name: module for module, names in EXPORTED.items() for name in names}
 
 
 def test_all_lists_every_exported_name_once():
-    assert len(histq.__all__) == len(set(histq.__all__)) == 54
+    assert len(histq.__all__) == len(set(histq.__all__)) == 55
     assert set(histq.__all__) == set(DEFINED_IN)
 
 

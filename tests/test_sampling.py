@@ -1,0 +1,58 @@
+"""Seeded draws: the stacked Haar kernel against the per-call draws of
+``tests/oracles.py``, value for value and generator state for state."""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import oracles
+from histq.cli import bundled_scenario_path
+from histq.sampling import random_projector, random_projectors, random_pvm, random_unitary
+from histq.scenario import load_scenario
+from histq.verify import run_suite
+
+SEEDS = st.integers(0, 2 ** 32 - 1)
+
+
+def _twins(seed):
+    return np.random.default_rng(seed), np.random.default_rng(seed)
+
+
+def _same_state(a, b):
+    return a.bit_generator.state == b.bit_generator.state
+
+
+@given(dim=st.integers(1, 4), count=st.integers(1, 24), seed=SEEDS)
+@settings(max_examples=60, deadline=None)
+def test_stack_equals_per_call_draws(dim, count, seed):
+    rng, twin = _twins(seed)
+    stacked = random_projectors(rng, dim, count)
+    single = [oracles.random_projector(twin, dim) for _ in range(count)]
+    assert len(stacked) == count
+    assert all(np.array_equal(p, q) for p, q in zip(stacked, single))
+    assert _same_state(rng, twin)
+
+
+@given(dim=st.integers(1, 4), seed=SEEDS)
+@settings(max_examples=30, deadline=None)
+def test_single_draws_equal_per_call_draws(dim, seed):
+    rng, twin = _twins(seed)
+    assert np.array_equal(random_unitary(rng, dim), oracles.haar_unitary(twin, dim))
+    assert all(np.array_equal(p, q)
+               for p, q in zip(random_pvm(rng, dim), oracles.random_pvm(twin, dim)))
+    assert np.array_equal(random_projector(rng, dim), oracles.random_projector(twin, dim))
+    assert _same_state(rng, twin)
+
+
+def test_bundled_verify_runs_few_qr(monkeypatch):
+    scn = load_scenario(bundled_scenario_path())
+    calls = []
+    qr = np.linalg.qr
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return qr(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "qr", counting)
+    assert all(r.passed for r in run_suite(scn))
+    assert 0 < len(calls) <= 50  # one per stacked block, where single draws made 244
