@@ -17,8 +17,7 @@ _EXPORTS = {
     "decoherence": ("CapacityError", "DecoherenceState", "IlsOperator", "d_basis_sum",
                     "d_form", "d_trace", "d_trace_matrix", "hermitian_basis",
                     "ils_reconstruct"),
-    "propositions": ("WrightOperator", "hs_inner", "p_norm", "probability",
-                     "wright_operator"),
+    "propositions": ("WrightOperator", "hs_inner", "probability", "wright_operator"),
     "consistency": ("BaseFamily", "ConsistencyReport", "Window", "base_family",
                     "check_window", "check_window_operators", "is_maximally_refined",
                     "is_refinement", "search_windows", "window"),

@@ -103,7 +103,6 @@ def _report_entry(report) -> dict:
 
 def _windows_payload(scn: Scenario, found, labels) -> dict:
     from .consistency import is_maximally_refined
-    from .propositions import hs_inner
 
     entries = []
     for label, w in zip(labels, found):
@@ -112,7 +111,7 @@ def _windows_payload(scn: Scenario, found, labels) -> dict:
             "members": len(w.members),
             "representation": TAG_QUADRATIC,
             "probabilities": [float(p) for p in w.kreport.probabilities],
-            "squared_norms": [hs_inner(x, x).real for x in w.members],
+            "squared_norms": list(w.squared_norms),
             "sector_check": _report_entry(w.kreport),
             "operator_check": _report_entry(w.opreport),
             "maximally_refined": is_maximally_refined(w, found),

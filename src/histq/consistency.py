@@ -9,19 +9,23 @@ together with a label string that assigns each base element to a member,
 and its members are the block sums of the base.
 
 A window is consistent in the sector picture when its probabilities
-<x_i, T x_i> are strictly positive, at most 1, and additive: Re <x_i, T x_j>
-vanishes for i != j and the probabilities sum to 1.  It is consistent in the
-operator picture when every Re d(x_i, x_j) with i != j vanishes.  Both
-values are sesquilinear in the members, so a family builds two Gram matrices
-once, G_T[a, b] = <base_a, T base_b> from T and G_d[a, b] = d(base_a, base_b)
-from the chain form, and each window reads its values as the block sums
-O^T G O of its one-hot block matrix O.  One kernel computes these sums for
-``check_window``, ``check_window_operators`` and the vectorised screen of the
-search, which scores restricted-growth strings in pieces generated in numpy.
-G_d never reads T, so the two verdicts still cross-check two representations.
-Both checks write nothing and return a report holding the verdict and the
-member probabilities their picture certifies; ``Window`` is frozen and carries
-the two reports, so consumers read the verdicts instead of checking again.
+<x_i, T x_i> are strictly positive, at most 1, and additive as a measure on
+the Boolean algebra the members generate: Re <x_i, T x_j> vanishes for
+i != j and the probabilities sum to 1.  (The total alone is too weak: for a
+complete product family it is 1 even when the members interfere.)  It is
+consistent in the operator picture when every Re d(x_i, x_j) with i != j
+vanishes.  These values and the squared norms <x_i, x_i> are sesquilinear in
+the members, so a family builds three Gram matrices once, G_T[a, b] =
+<base_a, T base_b> from T, G_d[a, b] = d(base_a, base_b) from the chain form
+and G_e[a, b] = <base_a, base_b>, and a window reads its numbers as the block
+sums O^T G O of its one-hot block matrix O.  One decision kernel reads a
+stack of label strings with one block-sum call per Gram matrix; ``window``,
+``check_window`` and ``check_window_operators`` are one-row views of it, and
+the screen of the search scores pieces on G_T with the same block sums.  G_d
+never reads T, so the two verdicts still cross-check two representations.
+``Window`` is frozen and carries both reports, each holding the verdict and
+the member probabilities its picture certifies, and the squared norms, so
+consumers read them instead of checking again.
 
 The screen prunes by coarse graining, which keeps a consistent set
 consistent (Gell-Mann and Hartle, 1990).  If Q refines P, each block sum of
@@ -91,12 +95,13 @@ class ConsistencyReport:
 @dataclass(frozen=True, eq=False)
 class BaseFamily:
     """Orthogonal projectors summing to e on the sector of ``t``, stacked along
-    axis 0 of ``ops``, with the two Gram matrices of its windows."""
+    axis 0 of ``ops``, with the three Gram matrices of its windows."""
 
     t: WrightOperator
     ops: np.ndarray
     gram_t: np.ndarray  # <base_a, T base_b>
     gram_d: np.ndarray  # d(base_a, base_b), from the chain form
+    gram_e: np.ndarray  # <base_a, base_b>
 
     @property
     def space(self) -> PropositionSpace:
@@ -148,8 +153,10 @@ def _build_family(t: WrightOperator, factors: Sequence[Sequence[np.ndarray]]) ->
         count, dim = len(ops) * len(f), ops.shape[1] * f.shape[1]
         ops = (ops[:, None, :, None, :, None] * f[None, :, None, :, None, :]).reshape(
             count, dim, dim)
+    vecs = ops.reshape(len(ops), -1)
     return BaseFamily(t=t, ops=ops, gram_t=t.gram(ops),
-                      gram_d=d_gram(t.state, ops, t.space.n_times))
+                      gram_d=d_gram(t.state, ops, t.space.n_times),
+                      gram_e=vecs.conj() @ vecs.T / t.space.op_dim)
 
 
 @dataclass(frozen=True, eq=False)
@@ -164,6 +171,7 @@ class Window:
     labels: tuple[int, ...]
     kreport: ConsistencyReport  # sector picture
     opreport: ConsistencyReport  # operator picture
+    squared_norms: tuple[float, ...]  # <x_i, x_i> per member, block sums of G_e
 
     @property
     def space(self) -> PropositionSpace:
@@ -200,10 +208,9 @@ def _block_sums(g: np.ndarray, rgs: np.ndarray) -> np.ndarray:
 
 
 def _cross(sums: np.ndarray) -> np.ndarray:
-    """Largest |off-diagonal block sum| per string; G is Hermitian, so Re G is
-    symmetric and the upper triangle suffices."""
-    upper = np.triu(np.ones(sums.shape[1:], dtype=bool), 1)
-    return np.max(np.abs(sums[:, upper]), axis=1, initial=0.0)
+    """Largest |off-diagonal block sum| per string (0 for one block); G is
+    Hermitian, so Re G is symmetric and the upper triangle suffices."""
+    return np.max(np.abs(np.triu(sums, 1)), axis=(1, 2))
 
 
 def _sector_terms(sums: np.ndarray, rgs: np.ndarray):
@@ -218,51 +225,56 @@ def _sector_terms(sums: np.ndarray, rgs: np.ndarray):
     return probs, positive, np.maximum(_cross(sums), np.abs(total - 1.0))
 
 
-def _report(violated: list[str], residual: float, probs: np.ndarray) -> ConsistencyReport:
+def _report(violated: list[str], residual: float, probs: list[float]) -> ConsistencyReport:
     return ConsistencyReport(
         verdict="consistent" if not violated else "inconsistent",
         violated=tuple(violated),
         max_residual=float(residual),
-        probabilities=tuple(float(p) for p in probs),
+        probabilities=tuple(probs),
     )
 
 
-def check_window(family: BaseFamily, labels) -> ConsistencyReport:
-    """Sector-picture consistency of the coarse graining ``labels`` of ``family``.
-
-    Conditions: strict positivity 0 < p <= 1, and additivity of the
-    probabilities as a measure on the Boolean algebra the members generate,
-    i.e. Re <x_i, T x_j> = 0 for i != j together with sum p = 1.  (The total
-    sum alone is too weak: for a complete product family it equals 1
-    identically even with interference between the members.)  The report's
-    probabilities are <x_i, T x_i>, block sums of G_T.
-    """
-    rgs = _labels(family, labels)[None]
+def _decide(family: BaseFamily, rgs: np.ndarray) -> list[Window]:
+    """The coarse grainings of ``family`` by the rows of ``rgs``, strings that
+    pass ``_labels``, decided in both pictures (see the module docstring) with
+    one block-sum call per Gram matrix for the whole stack.  The sector report
+    holds <x_i, T x_i>, the operator report Re d(x_i, x_i)."""
     probs, positive, additivity = _sector_terms(_block_sums(family.gram_t, rgs), rgs)
-    probs = probs[0, :rgs.max() + 1]
-    violated = [] if positive[0] else ["positivity"]
-    if additivity[0] > TOLERANCES.consistency:
-        violated.append("additivity")
-    return _report(violated, max(probs.max() - 1.0, additivity[0], 0.0), probs)
-
-
-def check_window_operators(family: BaseFamily, labels) -> ConsistencyReport:
-    """Operator-picture consistency of the coarse graining ``labels`` of
-    ``family``: every real off-diagonal decoherence value vanishes.  The
-    report's probabilities are the diagonal values Re d(x_i, x_i), block sums
-    of G_d."""
-    rgs = _labels(family, labels)[None]
-    sums = _block_sums(family.gram_d, rgs)
-    cross = _cross(sums)[0]
-    violated = ["re-cross-term"] if cross > TOLERANCES.consistency else []
-    return _report(violated, cross, np.diagonal(sums[0])[:rgs.max() + 1])
+    d_sums = _block_sums(family.gram_d, rgs)
+    cross = _cross(d_sums)
+    norms = np.diagonal(_block_sums(family.gram_e, rgs), axis1=1, axis2=2)
+    rows = zip(rgs.tolist(), probs.tolist(), positive.tolist(), additivity.tolist(),
+               np.diagonal(d_sums, axis1=1, axis2=2).tolist(), cross.tolist(), norms.tolist())
+    windows = []
+    for labels, p, pos, add, diag, cr, norm in rows:
+        used = max(labels) + 1
+        p = p[:used]
+        violated = ([] if pos else ["positivity"]) + (
+            ["additivity"] if add > TOLERANCES.consistency else [])
+        kreport = _report(violated, max(max(p) - 1.0, add, 0.0), p)
+        opreport = _report(["re-cross-term"] if cr > TOLERANCES.consistency else [], cr,
+                           diag[:used])
+        windows.append(Window(family=family, labels=tuple(labels), kreport=kreport,
+                              opreport=opreport, squared_norms=tuple(norm[:used])))
+    return windows
 
 
 def window(family: BaseFamily, labels) -> Window:
-    """The coarse graining ``labels`` of ``family``, decided in both pictures."""
-    rgs = _labels(family, labels)
-    return Window(family=family, labels=tuple(rgs.tolist()),
-                  kreport=check_window(family, rgs), opreport=check_window_operators(family, rgs))
+    """The coarse graining ``labels`` of ``family``, decided in both pictures
+    (see :func:`_decide`)."""
+    return _decide(family, _labels(family, labels)[None])[0]
+
+
+def check_window(family: BaseFamily, labels) -> ConsistencyReport:
+    """Sector-picture verdict of the coarse graining ``labels`` of ``family``:
+    strict positivity and additivity of the probabilities <x_i, T x_i>."""
+    return window(family, labels).kreport
+
+
+def check_window_operators(family: BaseFamily, labels) -> ConsistencyReport:
+    """Operator-picture verdict of the coarse graining ``labels`` of
+    ``family``: every real off-diagonal decoherence value vanishes."""
+    return window(family, labels).opreport
 
 
 def is_refinement(fine: Window, coarse: Window) -> bool:
@@ -310,8 +322,7 @@ def partition_windows(family: BaseFamily) -> Iterator[Window]:
     """Every coarse graining of ``family``, decided in both pictures, in
     restricted-growth-string order."""
     for chunk in _rgs_chunks(len(family.ops)):
-        for row in chunk:
-            yield window(family, row)
+        yield from _decide(family, chunk)
 
 
 def _member_key(op: np.ndarray) -> bytes:
@@ -448,17 +459,11 @@ def search_windows(t: WrightOperator,
     containing it is built, and refused, named, unless its elements are
     projectors summing to the identity.
 
-    The set partitions of each family are its restricted-growth strings.
-    The screen walks them as a refinement tree from the one-block window e,
-    scoring pieces of at most ``_SCREEN_CHUNK`` strings generated in numpy
-    on the family's G_T, so memory does not grow with the Bell number.  It
-    skips the refinements of every string whose additivity residual exceeds
-    2·N²·tol, a bound no coarsening of an additive string reaches; when
-    every string is additive it scores all Bell(N) of them.
-    ``check_window`` reports on every string the screen keeps, in
-    lexicographic order, so deduplication keeps the window an exhaustive
-    screen in string order would, and each consistent one becomes a window
-    with its operator verdict.
+    The screen (see the module docstring) walks the restricted-growth
+    strings of each family on its G_T.  ``check_window`` reports on every
+    string it keeps, in lexicographic order, so deduplication keeps the
+    window an exhaustive screen in string order would, and the consistent
+    ones are decided as one stack.
 
     Returns the consistent windows, deduplicated, largest first, with ties
     broken by a canonical byte key, so the output does not depend on the
@@ -482,13 +487,15 @@ def search_windows(t: WrightOperator,
     results: dict[tuple[bytes, ...], Window] = {}
     for choice in itertools.product(*(range(len(klists)) for klists in pvms)):
         family = _build_family(t, [checked(k, j) for k, j in enumerate(choice)])
+        consistent = []
         for labels in sorted(tuple(row.tolist()) for kept in _screen(family.gram_t)
                              for row in kept):
             kreport = check_window(family, labels)
             if not kreport.consistent:  # the screen's batched sums may round apart
                 continue
-            cand = Window(family=family, labels=labels, kreport=kreport,
-                          opreport=check_window_operators(family, labels))
+            consistent.append(labels)
+        rgs = np.array(consistent, dtype=np.intp).reshape(-1, len(family.ops))
+        for cand in _decide(family, rgs):
             results.setdefault(_window_key(cand), cand)
 
     ordered = sorted(results.items(), key=lambda kv: (-len(kv[1].members), kv[0]))

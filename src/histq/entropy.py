@@ -14,20 +14,22 @@ family is monotone non-increasing under consistent refinement exactly for
 Windows are scored from the verdicts they carry (``consistency.window``),
 never checked again: p_i comes from the sector verdict, and the p-norm family
 reads Re d(x, x) from the operator-picture verdict; ``ValueError`` when that
-verdict is inconsistent.
+verdict is inconsistent.  The squared norms <x, x> are the window's own,
+block sums of <base_a, base_b>.  Every member is a block sum of Kronecker
+products of checked projector decompositions, hence a projector: x^dag x = x,
+so ||x||_p^p = tr(x) / tr(1) = <x, x> and ||x||_p^2 = <x, x>^(2/p) exactly.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping
 
 import numpy as np
 
 from .core import TOLERANCES
 from .consistency import Window, strict_refinements
-from .propositions import hs_inner, p_norm
 
 if TYPE_CHECKING:
     from numpy.typing import ArrayLike
@@ -57,7 +59,7 @@ class EntropyReport:
     terms: tuple[EntropyTerm, ...]
 
 
-def _report(p: float, pairs: Sequence[tuple[float, float]]) -> EntropyReport:
+def _report(p: float, pairs: Iterable[tuple[float, float]]) -> EntropyReport:
     terms = []
     for prob, normsq in pairs:
         if prob <= TOLERANCES.strict_positive:
@@ -73,8 +75,7 @@ def window_entropy(w: Window) -> EntropyReport:
     """Entropy of a sector-consistent window for its state."""
     if not w.kreport.consistent:
         raise ValueError("entropy undefined for inconsistent window")
-    pairs = [(p, hs_inner(x, x).real) for p, x in zip(w.kreport.probabilities, w.members)]
-    return _report(2.0, pairs)
+    return _report(2.0, zip(w.kreport.probabilities, w.squared_norms))
 
 
 def window_entropy_pnorm(w: Window, p: float) -> EntropyReport:
@@ -87,7 +88,8 @@ def window_entropy_pnorm(w: Window, p: float) -> EntropyReport:
         raise ValueError("p must be >= 1")
     if not w.opreport.consistent:
         raise ValueError("entropy undefined for inconsistent window")
-    pairs = [(diag, p_norm(x, p) ** 2) for diag, x in zip(w.opreport.probabilities, w.members)]
+    pairs = ((diag, normsq ** (2.0 / p))
+             for diag, normsq in zip(w.opreport.probabilities, w.squared_norms))
     return _report(float(p), pairs)
 
 

@@ -1,4 +1,4 @@
-"""The inner product, the norms and the state of one support sector.
+"""The inner product and the state of one support sector.
 
 The propositions of a sector (``histories.Proposition``) carry the normalized
 Hilbert-Schmidt inner product <x, y> = tr(x^dag y) / tr(1).  The unit
@@ -26,7 +26,6 @@ from .histories import Proposition, PropositionSpace, chain_map
 
 __all__ = [
     "hs_inner",
-    "p_norm",
     "WrightOperator",
     "wright_operator",
     "probability",
@@ -38,14 +37,6 @@ def hs_inner(x: Proposition, y: Proposition) -> complex:
     """Normalized Hilbert-Schmidt inner product tr(x^dag y) / tr(1)."""
     space = x.space.require(y)
     return complex(np.trace(x.op.conj().T @ y.op) / space.op_dim)
-
-
-def p_norm(x: Proposition, p: float) -> float:
-    """(tr((x^dag x)^(p/2)) / tr(1))^(1/p), computed from singular values."""
-    if p < 1:
-        raise ValueError("p must be >= 1")
-    sv = np.linalg.svd(x.op, compute_uv=False)
-    return float((np.sum(sv ** p) / x.space.op_dim) ** (1.0 / p))
 
 
 def chain_matrix(dim: int, n_times: int) -> np.ndarray:

@@ -20,7 +20,7 @@ from .decoherence import (CapacityError, DecoherenceState, d_basis_sum, d_form, 
                           d_trace_matrix, ils_reconstruct, sector_fits)
 from .divergence import b1_direct_value, b1_grid, b1_series, b2_grid, b2_series, growth_fit
 from .entropy import refinement_gap, window_entropy, window_entropy_pnorm
-from .histories import embed, history, proposition, unit_proposition
+from .histories import HomogeneousHistory, embed, history, proposition, unit_proposition
 from .propositions import hs_inner, probability, wright_operator
 from .sampling import random_model, random_operator, random_projectors, random_pvm
 from .scenario import Scenario
@@ -68,11 +68,12 @@ def _product_histories(rng, ds: DecoherenceState, n_times: int, count: int):
     Draw order: history by history, and within a history time by time, each
     projector drawing its rank and then its Gaussian matrices, so the draws
     are those of ``count * n_times`` single calls to ``random_projector``;
-    one stacked QR then resolves them all.
+    one stacked QR then resolves them all.  The draws are projectors by
+    construction, so the histories are built without checking them again.
     """
     times = ds.grid.times[:n_times]
     ps = random_projectors(rng, ds.model.dim, count * n_times)
-    return [history(dict(zip(times, ps[i:i + n_times])))
+    return [HomogeneousHistory(tuple(zip(times, ps[i:i + n_times])))
             for i in range(0, len(ps), n_times)]
 
 

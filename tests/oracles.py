@@ -14,6 +14,9 @@
   containment on one overlap matrix.
 * :func:`apply` is T x from the Wright operator's matrix on vectorised
   operators, which the program only reads through quadratic forms.
+* :func:`p_norm` is the normalised Schatten p-norm of any operator from its
+  singular values, where the program reads ||x||_p^2 = <x, x>^(2/p) of a
+  projector from its squared norm.
 * :func:`eigen_form` writes a proposition's dense operator in the state's
   eigenbasis with one Kronecker power, where the program writes each factor
   in the eigenbasis of its own times.
@@ -118,6 +121,14 @@ def apply(t: WrightOperator, x: Proposition) -> Proposition:
     k = t.space.op_dim
     vec = t.matrix @ x.op.flatten(order="F")
     return Proposition(space=t.space, factors=(vec.reshape((k, k), order="F"),))
+
+
+def p_norm(x: Proposition, p: float) -> float:
+    """(tr((x^dag x)^(p/2)) / tr(1))^(1/p), computed from singular values."""
+    if p < 1:
+        raise ValueError("p must be >= 1")
+    sv = np.linalg.svd(x.op, compute_uv=False)
+    return float((np.sum(sv ** p) / x.space.op_dim) ** (1.0 / p))
 
 
 def eigen_form(x: Proposition, psi: np.ndarray) -> np.ndarray:

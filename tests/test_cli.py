@@ -129,6 +129,14 @@ class TestVerify:
         assert _check_axioms(scn, np.random.default_rng(1)).passed
         assert len(chains) == 3 * (2 + 10 * 2)
 
+    def test_drawn_history_projectors_are_not_checked_again(self, monkeypatch, tmp_path):
+        # the scenario's projectors at parse and the searched decompositions;
+        # the drawn ones are projectors by construction (272 calls when every
+        # drawn history checked them again)
+        calls = count_calls(monkeypatch, "is_projector")
+        assert run(["verify", "--out", str(tmp_path)]) == 0
+        assert 0 < len(calls) <= 40
+
     def test_negative_seed_exits_2(self, tmp_path, capsys):
         code = run(["verify", "--out", str(tmp_path / "o"), "--seed", "-1"])
         assert code == 2
@@ -401,6 +409,20 @@ class TestEntropy:
         assert by_key[(best["window"], 1.0)] == pytest.approx(-0.82396, abs=1e-4)
         assert by_key[(best["window"], 2.0)] == pytest.approx(-0.13081, abs=1e-4)
 
+
+    @pytest.mark.parametrize("subcommand", ["entropy", "verify"])
+    def test_no_singular_values(self, monkeypatch, tmp_path, subcommand):
+        # squared norms are block sums of the family; no member is decomposed
+        calls = []
+        svd = np.linalg.svd
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting)
+        assert run([subcommand, "--out", str(tmp_path)]) == 0
+        assert calls == []
 
     def test_bundled_report_names_no_skipped_rows(self, tmp_path):
         assert run(["entropy", "--out", str(tmp_path)]) == 0

@@ -266,6 +266,7 @@ class TestBaseFamily:
             for b, y in enumerate(members):
                 assert family.gram_t[a, b] == pytest.approx(hs_inner(x, apply(t, y)), abs=1e-14)
                 assert family.gram_d[a, b] == pytest.approx(d_form(ds, x, y), abs=1e-14)
+                assert family.gram_e[a, b] == pytest.approx(hs_inner(x, y), abs=1e-14)
 
 
 @st.composite
@@ -721,6 +722,59 @@ class TestGramScreen:
 
 
 @st.composite
+def decision_families(draw):
+    """A base family of ``search_cases`` (first alternative at every time),
+    with a zero element added to its first decomposition when the family
+    then has at most 8 elements."""
+    ds, t, pvms = draw(search_cases())
+    factors = [[heisenberg(ds.model, p, time, ds.grid.t0) for p in klists[0]]
+               for time, klists in zip(t.space.support, pvms)]
+    size = np.prod([len(f) for f in factors])
+    if draw(st.booleans()) and size // len(factors[0]) * (len(factors[0]) + 1) <= 8:
+        factors[0] = [*factors[0], np.zeros_like(factors[0][0])]
+    return base_family(t, factors)
+
+
+def decided_fields(w):
+    return w.labels, w.kreport, w.opreport, w.squared_norms
+
+
+class TestBatchedDecision:
+    @given(decision_families())
+    @settings(max_examples=40, deadline=None)
+    def test_partition_windows_decide_like_one_string_at_a_time(self, family):
+        batched = [decided_fields(w) for w in partition_windows(family)]
+        single_rows = [decided_fields(window(family, rgs))
+                       for rgs in restricted_growth_strings(len(family.ops))]
+        assert batched == single_rows
+
+    @pytest.mark.parametrize("dim, n_times", [(2, 1), (2, 2), (3, 1)])
+    def test_family_with_a_zero_element(self, dim, n_times):
+        rng = np.random.default_rng(10 * dim + n_times)
+        ds = state_for(random_model(rng, dim), times=(0.0, 1.0))
+        t = wright_operator(ds, ds.grid.times[:n_times])
+        factors = [[*random_pvm(rng, dim), np.zeros((dim, dim))]] + [
+            random_pvm(rng, dim) for _ in range(n_times - 1)]
+        family = base_family(t, factors)
+        batched = [decided_fields(w) for w in partition_windows(family)]
+        assert batched == [decided_fields(window(family, rgs))
+                           for rgs in restricted_growth_strings(len(family.ops))]
+        # the zero elements come last; as one member they have squared norm
+        # and probabilities 0, and the rest sums to e
+        w = window(family, [0] * dim ** n_times + [1] * dim ** (n_times - 1))
+        assert w.squared_norms == pytest.approx((1.0, 0.0), abs=1e-13)
+        assert w.kreport.probabilities[1] == w.opreport.probabilities[1] == 0.0
+        assert w.kreport.violated == ("positivity",)
+
+    @given(decision_families())
+    @settings(max_examples=20, deadline=None)
+    def test_squared_norms_are_the_members_inner_products(self, family):
+        for w in itertools.islice(partition_windows(family), 0, None, 7):
+            norms = [hs_inner(x, x).real for x in w.members]
+            assert np.allclose(w.squared_norms, norms, rtol=0.0, atol=1e-13)
+
+
+@st.composite
 def near_additive_grams(draw):
     """Hermitian Gram matrices of N <= 8 elements whose diagonal is a
     probability vector and whose off-diagonal entries have magnitudes up to
@@ -775,7 +829,7 @@ class TestRefinementScreen:
         tol = TOLERANCES.consistency
         g = np.full((3, 3), 0.9 * tol) + np.diag(np.array([0.5, 0.3, 0.2]) - 0.9 * tol)
         assert kept_strings(g) == oracle_kept(g) == {(0, 1, 2)}
-        family = BaseFamily(t=None, ops=np.zeros((3, 1, 1)), gram_t=g, gram_d=g)
+        family = BaseFamily(t=None, ops=np.zeros((3, 1, 1)), gram_t=g, gram_d=g, gram_e=g)
         residual = {rgs: check_window(family, rgs).max_residual
                     for rgs in [(0, 0, 0), (0, 0, 1), (0, 1, 2)]}
         assert residual == pytest.approx({(0, 0, 0): 5.4 * tol, (0, 0, 1): 1.8 * tol,

@@ -25,6 +25,7 @@ from histq.entropy import (
 )
 from histq.propositions import hs_inner, wright_operator
 from histq.sampling import random_model, random_pvm
+import oracles
 from helpers import MINUS, P0, P1, PLUS, count_calls, qubit_state, state_for
 
 
@@ -136,6 +137,25 @@ class TestPnormEntropy:
         assert w.opreport.violated == ("re-cross-term",)
         with pytest.raises(ValueError, match="entropy undefined"):
             window_entropy_pnorm(w, 1)
+
+    @given(st.integers(0, 2 ** 31 - 1), st.sampled_from([(2, 1), (3, 1), (4, 1), (2, 2)]))
+    @settings(max_examples=30, deadline=None)
+    def test_squared_norms_match_the_singular_value_oracle(self, seed, shape):
+        # members are projectors, so ||x||_p^2 = <x, x>^(2/p); the oracle sums
+        # the singular values of the member matrices
+        dim, n_times = shape
+        rng = np.random.default_rng(seed)
+        t = wright_operator(state_for(random_model(rng, dim)), (0.0, 1.0)[:n_times])
+        family = base_family(t, [random_pvm(rng, dim) for _ in range(n_times)])
+        for w in partition_windows(family):
+            for p in (1.0, 1.5, 3.0):
+                oracle = [oracles.p_norm(x, p) ** 2 for x in w.members]
+                assert [s ** (2 / p) for s in w.squared_norms] == pytest.approx(
+                    oracle, rel=0.0, abs=1e-12)
+                if w.opreport.consistent:
+                    terms = window_entropy_pnorm(w, p).terms
+                    assert [term.squared_norm for term in terms] == pytest.approx(
+                        oracle, rel=0.0, abs=1e-12)
 
     def test_zero_diagonal_member_contributes_nothing(self):
         t = mixed_qubit(np.diag([1.0, 0.0]))
@@ -337,8 +357,9 @@ class TestAggregates:
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, spy(getattr(module, name)))
         assert cli_main(["entropy", "--out", str(tmp_path)]) == 0
-        # two base families, Bell(2) = 2 partitions each, every one consistent
-        assert len(callers) == 8
+        # two base families, Bell(2) = 2 partitions each, every one consistent:
+        # one sector check per string, whose window then carries both reports
+        assert len(callers) == 4
         assert set(callers) == {("search_windows", "scenario_windows")}
 
     def test_each_window_is_scored_once(self, monkeypatch, tmp_path):

@@ -10,14 +10,13 @@ from histq.propositions import (
     WrightOperator,
     chain_matrix,
     hs_inner,
-    p_norm,
     probability,
     wright_operator,
 )
 from histq.sampling import random_model, random_operator, random_projector
 
 from helpers import P0, P1, PLUS, qubit_state, state_for
-from oracles import apply
+from oracles import apply, p_norm
 
 SINGLE = PropositionSpace(support=(0.0,), dim_single=2)
 DOUBLE = PropositionSpace(support=(0.0, 1.0), dim_single=2)
