@@ -17,11 +17,14 @@ when it runs, so a call loads only those.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
 from importlib import resources
 from pathlib import Path
+
+import numpy as np
 
 from .decoherence import CapacityError
 from .report import (
@@ -57,7 +60,7 @@ def _scenario_section(scn: Scenario, source: str) -> dict:
 
 
 def _decohere_payload(scn: Scenario) -> dict:
-    from .decoherence import DecoherenceState, d_basis_sum, d_trace_matrix, ils_reconstruct
+    from .decoherence import DecoherenceState, chain_gram, d_basis_sum, ils_reconstruct
     from .histories import embed
 
     ds = DecoherenceState(model=scn.model, grid=scn.grid)
@@ -67,7 +70,8 @@ def _decohere_payload(scn: Scenario) -> dict:
     residual_ils = 0.0
     labels = [label for label, _ in scn.histories]
     embedded = [embed(scn.model, h, support, scn.grid.t0) for _, h in scn.histories]
-    chains = d_trace_matrix(ds, [h for _, h in scn.histories]).tolist()
+    chains = [functools.reduce(np.matmul, x.factors) for x in embedded]  # embed's factors
+    chains = chain_gram(ds, np.array(chains, dtype=complex).reshape(-1, scn.dim, scn.dim)).tolist()
     ils = None
     ils_note = None
     try:

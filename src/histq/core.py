@@ -9,7 +9,6 @@ field of the one fixed record ``TOLERANCES``; nothing at run time changes it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import reduce
 from typing import Sequence
 
 import numpy as np
@@ -101,11 +100,14 @@ def named_basis(name: str, dim: int) -> np.ndarray:
 
 
 def tensor_product(ops: Sequence[np.ndarray]) -> np.ndarray:
-    """Kronecker product of the operators in listed (time) order."""
+    """Kronecker product of the operators in listed (time) order: one broadcast
+    outer product per factor, so each entry is ``np.kron``'s product."""
     if len(ops) == 0:
         raise ValueError("empty tensor factor list")
-    mats = [as_operator(op) for op in ops]
-    return reduce(np.kron, mats)
+    out = as_operator(ops[0])
+    for b in map(as_operator, ops[1:]):
+        out = (out[:, None, :, None] * b[None, :, None, :]).reshape(len(out) * len(b), -1)
+    return out
 
 
 @dataclass(frozen=True)
@@ -208,10 +210,12 @@ def evolve(model: SystemModel, t: float, t0: float = 0.0) -> np.ndarray:
     return (model.energy_basis * phases) @ model.energy_basis.conj().T
 
 
-def heisenberg(model: SystemModel, a: np.ndarray, t: float, t0: float = 0.0) -> np.ndarray:
+def heisenberg(model: SystemModel, a: np.ndarray, t, t0: float = 0.0) -> np.ndarray:
     """Heisenberg-picture transport U(t,t0)^dag A U(t,t0) of any operator A.
 
-    Checks nothing: projectors are validated where they enter the program.
+    ``a`` is one operator or a stack (..., dim, dim), ``t`` one time or times
+    that broadcast against its leading axes (one per time slot of a history
+    stack (count, n, dim, dim)): one :func:`evolve` per time.  Checks nothing.
     """
-    u = evolve(model, t, t0)
-    return u.conj().T @ as_operator(a) @ u
+    u = np.reshape([evolve(model, s, t0) for s in np.ravel(t)], np.shape(t) + (model.dim,) * 2)
+    return u.conj().swapaxes(-1, -2) @ np.asarray(a, dtype=complex) @ u

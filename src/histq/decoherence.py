@@ -5,18 +5,17 @@ picture, earliest time leftmost) the functional is
 
     d(h, k) = tr( C(h)^dag rho C(k) ),     C(h) = P_t1 P_t2 ... P_tn,
 
-conjugate linear in the first slot.  :func:`d_trace` evaluates this chain
-form (:func:`d_trace_matrix` on every pair of a list, building each chain
-once), :func:`d_basis_sum` the expansion over products of the rho
-eigenbasis, and :class:`IlsOperator` the reconstruction
-d(p, q) = tr((p (x) q) X) from a single operator X on the doubled tensor
-space.  :func:`d_form` is the
-sesquilinear extension to arbitrary operators on one support sector via the
-chain map, and :func:`d_gram` its matrix on a stack of operators, which
-both :func:`d_form` and the reconstruction read.  :func:`d_form`,
-:func:`d_basis_sum` and :meth:`IlsOperator.pair_value` take two
-:class:`~histq.histories.Proposition` arguments of one sector of the state's
-dimension; ``embed`` turns a history into one.
+conjugate linear in the first slot.  One kernel, :func:`chain_gram`, reads
+every pair of a stack of chains with one GEMM.  The chain form reads it:
+:func:`d_trace` and :func:`d_trace_matrix` on history chains, ``verify`` and
+``decohere`` on chains multiplied out from transported factors.  So does
+:func:`d_gram`, the sesquilinear extension on a stack of operators of one
+support sector via the chain map, which :func:`d_form` and the
+reconstruction read.  Computed apart from it: :func:`d_basis_sum`, the
+expansion over products of the rho eigenbasis, and :meth:`IlsOperator.pair_value`,
+d(p, q) = tr((p (x) q) X) for one operator X on the doubled tensor space.
+These three take two :class:`~histq.histories.Proposition` arguments of one
+sector of the state's dimension; ``embed`` turns a history into one.
 
 The reconstruction is performed on a Hermitian operator basis, where the
 bilinear and sesquilinear extensions agree; values of ``pair_value`` are
@@ -46,6 +45,7 @@ __all__ = [
     "CapacityError",
     "sector_fits",
     "require_sector",
+    "chain_gram",
     "d_trace",
     "d_trace_matrix",
     "d_form",
@@ -95,8 +95,12 @@ def _chain(ds: DecoherenceState, h: HomogeneousHistory) -> np.ndarray:
     return class_operator(ds.model, h, ds.grid.t0)
 
 
-def _chain_pair(ds: DecoherenceState, ch: np.ndarray, ck: np.ndarray) -> complex:
-    return complex(np.trace(ch.conj().T @ ds.model.rho @ ck))
+def chain_gram(ds: DecoherenceState, chains: np.ndarray) -> np.ndarray:
+    """``D[a, b] = tr(chains_a^dag rho chains_b)`` for a stack (m, dim, dim):
+    one batched matmul by rho, then one GEMM over the flattened chains."""
+    m, dim, _ = chains.shape
+    left = chains.conj().transpose(0, 2, 1) @ ds.model.rho  # chains_a^dag rho
+    return left.reshape(m, dim * dim) @ chains.transpose(0, 2, 1).reshape(m, dim * dim).T
 
 
 def d_trace(ds: DecoherenceState, h: HomogeneousHistory, k: HomogeneousHistory) -> complex:
@@ -105,14 +109,13 @@ def d_trace(ds: DecoherenceState, h: HomogeneousHistory, k: HomogeneousHistory) 
     Histories are canonicalized first; distinct supports are fine because
     identity padding never changes the chains.
     """
-    return _chain_pair(ds, _chain(ds, h), _chain(ds, k))
+    return complex(d_trace_matrix(ds, [h, k])[0, 1])
 
 
 def d_trace_matrix(ds: DecoherenceState, histories: Sequence[HomogeneousHistory]) -> np.ndarray:
     """``D[i, j] = d_trace(ds, histories[i], histories[j])``, building each chain once."""
-    chains = [_chain(ds, h) for h in histories]
-    return np.array([[_chain_pair(ds, ch, ck) for ck in chains] for ch in chains],
-                    dtype=complex).reshape(len(chains), len(chains))
+    chains = np.array([_chain(ds, h) for h in histories], dtype=complex)
+    return chain_gram(ds, chains.reshape(-1, ds.model.dim, ds.model.dim))
 
 
 def _pair_sector(ds: DecoherenceState, p: Proposition, q: Proposition) -> PropositionSpace:
@@ -125,11 +128,8 @@ def _pair_sector(ds: DecoherenceState, p: Proposition, q: Proposition) -> Propos
 
 def d_gram(ds: DecoherenceState, ops: np.ndarray, n_times: int) -> np.ndarray:
     """``G[a, b] = tr(pi(ops_a)^dag rho pi(ops_b))`` for a stack ``ops`` of
-    operators on one n-time sector: one chain map call, then two matmuls."""
-    chains = chain_map(ops, ds.model.dim, n_times)
-    n = len(chains)
-    left = chains.conj().transpose(0, 2, 1) @ ds.model.rho  # pi(ops_a)^dag rho
-    return left.reshape(n, -1) @ chains.transpose(0, 2, 1).reshape(n, -1).T
+    operators on one n-time sector: :func:`chain_gram` on their chain-map images."""
+    return chain_gram(ds, chain_map(ops, ds.model.dim, n_times))
 
 
 def d_form(ds: DecoherenceState, b1: Proposition, b2: Proposition) -> complex:

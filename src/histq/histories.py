@@ -193,13 +193,9 @@ def embed(model: SystemModel, h: HomogeneousHistory,
                              dim_single=model.dim)
     if not set(times) <= set(space.support):
         raise ValueError("support does not contain the history's times")
-    factors = []
-    for t in space.support:
-        if t in times:
-            factors.append(heisenberg(model, h.operator_at(t), t, t0))
-        else:
-            factors.append(np.eye(model.dim, dtype=complex))
-    return Proposition(space=space, factors=tuple(factors))
+    eye = np.eye(model.dim, dtype=complex)
+    return Proposition(space=space, factors=tuple(
+        heisenberg(model, h.operator_at(t), t, t0) if t in times else eye for t in space.support))
 
 
 def class_operator(model: SystemModel, h: HomogeneousHistory, t0: float = 0.0) -> np.ndarray:

@@ -17,7 +17,6 @@ __all__ = [
     "random_hermitian",
     "random_density",
     "random_unitary",
-    "random_projector",
     "random_projectors",
     "random_pvm",
     "random_model",
@@ -52,19 +51,12 @@ def random_density(rng: np.random.Generator, dim: int) -> np.ndarray:
     return rho / np.trace(rho).real
 
 
-def random_projector(rng: np.random.Generator, dim: int, rank: int | None = None) -> np.ndarray:
-    if rank is None:
-        rank = int(rng.integers(1, dim + 1))
-    u = random_unitary(rng, dim)
-    return projector_onto(u[:, :rank])
-
-
 def random_projectors(rng: np.random.Generator, dim: int, count: int) -> list[np.ndarray]:
-    """``count`` projectors of random rank, equal to ``count`` calls of
-    :func:`random_projector` and leaving ``rng`` in the same state.
+    """``count`` projectors of random rank, each the projector onto the first
+    rank columns of a Haar unitary.
 
     Draw order: for each projector in turn its rank (``rng.integers``), then
-    its two Gaussian matrices, exactly as the single calls draw them; only
+    its two Gaussian matrices, exactly as one draw per projector would; only
     then are all of them resolved by one stacked QR.  Drawing the ranks as one
     batch would move the Gaussian stream, since bounded integers consume
     buffered half-words of the bit generator.

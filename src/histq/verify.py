@@ -8,6 +8,7 @@ generator seeded by the scenario, so two runs produce identical reports.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -15,12 +16,12 @@ import numpy as np
 
 from .consistency import (Window, base_family, partition_windows, scenario_windows,
                           search_windows, strict_refinements, window)
-from .core import TOLERANCES, SystemModel, TimeGrid
-from .decoherence import (CapacityError, DecoherenceState, d_basis_sum, d_form, d_trace,
-                          d_trace_matrix, ils_reconstruct, sector_fits)
+from .core import TOLERANCES, SystemModel, TimeGrid, heisenberg
+from .decoherence import (CapacityError, DecoherenceState, chain_gram, d_basis_sum, d_form,
+                          d_trace, ils_reconstruct, sector_fits)
 from .divergence import b1_direct_value, b1_grid, b1_series, b2_grid, b2_series, growth_fit
 from .entropy import refinement_gap, window_entropy, window_entropy_pnorm
-from .histories import HomogeneousHistory, embed, history, proposition, unit_proposition
+from .histories import Proposition, PropositionSpace, history, proposition, unit_proposition
 from .propositions import hs_inner, probability, wright_operator
 from .sampling import random_model, random_operator, random_projectors, random_pvm
 from .scenario import Scenario
@@ -56,25 +57,23 @@ class CheckResult:
 
 def _side_states(rng, dims=(2, 3), times=(0.0, 1.0)) -> list[DecoherenceState]:
     grid = TimeGrid(times=times)
-    out = []
-    for dim in dims:
-        out.append(DecoherenceState(model=random_model(rng, dim), grid=grid))
-    return out
+    return [DecoherenceState(model=random_model(rng, dim), grid=grid) for dim in dims]
 
 
-def _product_histories(rng, ds: DecoherenceState, n_times: int, count: int):
-    """``count`` product histories on the first ``n_times`` times of ``ds``.
+def _product_histories(ds: DecoherenceState, n_times: int, ps) -> np.ndarray:
+    """The projectors ``ps``, drawn history by history and within a history
+    time by time, as the stack (count, n_times, dim, dim) of product histories
+    on the first ``n_times`` times of ``ds``, transported once per time.
+    ``random_projectors`` draws each projector's rank and Gaussian matrices in
+    turn, so a block's draws are those of one call per projector; they are
+    projectors by construction, so nothing checks them again."""
+    stack = np.reshape(ps, (-1, n_times, ds.model.dim, ds.model.dim))
+    return heisenberg(ds.model, stack, ds.grid.times[:n_times], ds.grid.t0)
 
-    Draw order: history by history, and within a history time by time, each
-    projector drawing its rank and then its Gaussian matrices, so the draws
-    are those of ``count * n_times`` single calls to ``random_projector``;
-    one stacked QR then resolves them all.  The draws are projectors by
-    construction, so the histories are built without checking them again.
-    """
-    times = ds.grid.times[:n_times]
-    ps = random_projectors(rng, ds.model.dim, count * n_times)
-    return [HomogeneousHistory(tuple(zip(times, ps[i:i + n_times])))
-            for i in range(0, len(ps), n_times)]
+
+def _chains(stack: np.ndarray) -> np.ndarray:
+    """The chains P_1 P_2 ... P_n of a history stack: n - 1 batched matmuls."""
+    return functools.reduce(np.matmul, stack.swapaxes(0, 1))
 
 
 def _check_axioms(scn: Scenario, rng) -> CheckResult:
@@ -83,12 +82,16 @@ def _check_axioms(scn: Scenario, rng) -> CheckResult:
     unit = history({})
     for ds in states:
         worst = max(worst, abs(d_trace(ds, unit, unit) - 1.0))
+        drawn = {1: [], 2: []}  # each iteration's h and k, by their number of times
         for _ in range(10):
             n = int(rng.integers(1, min(2, len(ds.grid.times)) + 1))
-            h, k = _product_histories(rng, ds, n, 2)
-            (hh, hk), (kh, _) = d_trace_matrix(ds, [h, k]).tolist()
-            worst = max(worst, abs(hk - kh.conjugate()))
-            worst = max(worst, max(0.0, -hh.real))
+            drawn[n] += random_projectors(rng, ds.model.dim, 2 * n)
+        for n, ps in drawn.items():
+            if ps:
+                d = chain_gram(ds, _chains(_product_histories(ds, n, ps)))
+                h = np.arange(0, len(d), 2)  # h at even rows, its k after it
+                worst = max(worst, float(np.abs(d[h, h + 1] - d[h + 1, h].conj()).max()),
+                            float(-d[h, h].real.min()))
     bound = _THRESHOLDS["axioms"]
     return CheckResult("decoherence-axioms", worst <= bound, worst, bound,
                        "unit norm, Hermiticity, diagonal positivity")
@@ -108,13 +111,14 @@ def _check_representations(scn: Scenario, rng) -> CheckResult:
                 continue
             support = ds.grid.times[:n]
             ils = ils_reconstruct(ds, support)
-            histories = _product_histories(rng, ds, n, 16)
-            for h, k in zip(histories[::2], histories[1::2]):
-                ref = d_trace(ds, h, k)
-                hb = embed(ds.model, h, support, ds.grid.t0)
-                kb = embed(ds.model, k, support, ds.grid.t0)
-                worst = max(worst, abs(ref - d_basis_sum(ds, hb, kb)))
-                worst = max(worst, abs(ref - ils.pair_value(hb, kb)))
+            stack = _product_histories(ds, n, random_projectors(rng, ds.model.dim, 16 * n))
+            ref = chain_gram(ds, _chains(stack)).tolist()  # chain form from the factors
+            space = PropositionSpace(support=support, dim_single=ds.model.dim)
+            embedded = [Proposition(space=space, factors=tuple(x)) for x in stack]
+            for i in range(0, len(stack), 2):
+                hb, kb = embedded[i], embedded[i + 1]
+                worst = max(worst, abs(ref[i][i + 1] - d_basis_sum(ds, hb, kb)),
+                            abs(ref[i][i + 1] - ils.pair_value(hb, kb)))
     bound = TOLERANCES.agreement
     detail = "chain form vs basis sum vs doubled-space reconstruction"
     if skipped:

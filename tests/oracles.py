@@ -30,6 +30,13 @@
 * :func:`haar_unitary`, :func:`random_projector` and :func:`random_pvm` draw
   and resolve one Haar unitary per call, each with its own QR, where the
   program resolves a stack of Gaussian matrices with one stacked QR.
+* :func:`kron_product` is the Kronecker product by ``np.kron``, one factor at
+  a time, where the program forms one broadcast outer product per factor.
+* :func:`d_trace` is the chain form of one pair of histories: each history
+  reduced to its support, its chain built by ``class_operator`` from one
+  ``heisenberg`` call per projector, then the scalar trace, where the program
+  transports history stacks once per time, multiplies their chains out by
+  batched matmuls and reads every pair from one chain Gram matrix.
 """
 
 from __future__ import annotations
@@ -44,7 +51,8 @@ from histq.consistency import (ConsistencyReport, Window, _block_sums, _rgs_chun
                                _sector_terms)
 from histq.core import TOLERANCES, is_projector, max_abs, projector_onto, tensor_product
 from histq.decoherence import DecoherenceState, d_form
-from histq.histories import Proposition, proposition
+from histq.histories import (HomogeneousHistory, Proposition, class_operator, proposition,
+                             support_reduce)
 from histq.propositions import WrightOperator, hs_inner, probability
 from histq.sampling import random_operator
 
@@ -84,15 +92,27 @@ def kron_family(factors: Sequence[Sequence[np.ndarray]]) -> np.ndarray:
     return np.array([functools.reduce(np.kron, combo) for combo in itertools.product(*factors)])
 
 
+def kron_product(ops: Sequence[np.ndarray]) -> np.ndarray:
+    """The Kronecker product of ``ops`` in listed order, by ``np.kron``."""
+    return functools.reduce(np.kron, [np.asarray(op, dtype=complex) for op in ops])
+
+
+def d_trace(ds: DecoherenceState, h: HomogeneousHistory, k: HomogeneousHistory) -> complex:
+    """tr(C(h)^dag rho C(k)), each chain built from its history's support."""
+    ch, ck = (class_operator(ds.model, support_reduce(x), ds.grid.t0) for x in (h, k))
+    return complex(np.trace(ch.conj().T @ ds.model.rho @ ck))
+
+
 def haar_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
     """One Haar unitary by QR plus phase fix, from one Gaussian draw."""
     q, r = np.linalg.qr(random_operator(rng, dim))
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
-def random_projector(rng: np.random.Generator, dim: int) -> np.ndarray:
-    """A projector of random rank: the rank, then one Haar unitary."""
-    rank = int(rng.integers(1, dim + 1))
+def random_projector(rng: np.random.Generator, dim: int, rank: int | None = None) -> np.ndarray:
+    """A projector of the given or a random rank: the rank, then one Haar unitary."""
+    if rank is None:
+        rank = int(rng.integers(1, dim + 1))
     return projector_onto(haar_unitary(rng, dim)[:, :rank])
 
 

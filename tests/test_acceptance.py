@@ -21,12 +21,11 @@ from histq.propositions import probability, wright_operator
 from histq.sampling import (
     random_model,
     random_operator,
-    random_projector,
     random_pvm,
 )
 
 from helpers import P0, P1, PLUS, qubit_state
-from oracles import apply
+from oracles import apply, random_projector
 
 
 def _verdict(name: str, ok: bool, detail: str):

@@ -20,12 +20,12 @@ from histq.cli import (
 import histq.histories
 from histq.consistency import ConsistencyReport, scenario_windows
 from histq.decoherence import IlsOperator
-from histq.sampling import (random_density, random_hermitian, random_projector, random_pvm,
-                            random_unitary)
+from histq.sampling import random_density, random_hermitian, random_pvm, random_unitary
 from histq.scenario import load_scenario
-from histq.verify import _check_axioms
+from histq.verify import _check_axioms, run_suite
 
 from helpers import count_calls
+from oracles import random_projector
 
 
 def run(args):
@@ -123,11 +123,17 @@ class TestVerify:
 
     def test_axioms_build_two_chains_per_draw(self, monkeypatch):
         # two side states and the scenario's: the unit pair, then 10 draws of
-        # (h, k) read from one 2 x 2 chain table each
+        # (h, k), each state's draws read as one chain stack per number of
+        # times; only the unit pair goes through the per-history chain, and
+        # each stack is transported once per time
         scn = load_scenario(bundled_scenario_path())
-        chains = count_calls(monkeypatch, "class_operator")
+        grams = count_calls(monkeypatch, "chain_gram")
+        per_history = count_calls(monkeypatch, "class_operator")
+        evolve = count_calls(monkeypatch, "evolve")
         assert _check_axioms(scn, np.random.default_rng(1)).passed
-        assert len(chains) == 3 * (2 + 10 * 2)
+        assert sum(len(chains) for _, chains in grams) == 3 * (2 + 10 * 2)
+        assert len(per_history) == 3 * 2
+        assert len(evolve) <= 3 * (1 + 2)
 
     def test_drawn_history_projectors_are_not_checked_again(self, monkeypatch, tmp_path):
         # the scenario's projectors at parse and the searched decompositions;
@@ -136,6 +142,23 @@ class TestVerify:
         calls = count_calls(monkeypatch, "is_projector")
         assert run(["verify", "--out", str(tmp_path)]) == 0
         assert 0 < len(calls) <= 40
+
+    def test_drawn_histories_are_transported_once_per_time(self, monkeypatch, tmp_path):
+        # each stack of drawn histories moves to the Heisenberg picture by one
+        # evolve per time (296 calls when every projector was transported
+        # twice, by embed and by the chain)
+        calls = count_calls(monkeypatch, "evolve")
+        assert run(["verify", "--out", str(tmp_path)]) == 0
+        assert 0 < len(calls) <= 40
+
+    @pytest.mark.parametrize("seed", [1, 7])
+    def test_results_hold_builtin_json_types(self, seed):
+        # write_json refuses numpy scalars such as np.bool_
+        scn = load_scenario(bundled_scenario_path())
+        scn.seed = seed
+        for r in run_suite(scn):
+            assert type(r.passed) is bool, r.name
+            assert type(r.residual) is float and type(r.threshold) is float, r.name
 
     def test_negative_seed_exits_2(self, tmp_path, capsys):
         code = run(["verify", "--out", str(tmp_path / "o"), "--seed", "-1"])
@@ -317,20 +340,23 @@ class TestDecohere:
 
     @pytest.mark.parametrize("times", [2, 4, 11])
     def test_each_chain_and_eigenbasis_form_is_built_once(self, monkeypatch, tmp_path, times):
-        # three histories: 3 chains for the 9 chain-form pairs, and each
-        # embedded history written in the state's eigenbasis once, as the
-        # 2^(n+1) entries of its form that the basis sum reads, while the
-        # basis sum and the reconstruction are still called per pair.
-        # The dense operator of a history is built once, by the
-        # reconstruction, and not at all above the sector cap, where
-        # nothing reads it.
+        # three histories: each projector transported once, by embed, and
+        # the 3 chains multiplied out from those factors for one chain Gram
+        # matrix of the 9 chain-form pairs; each embedded history written in
+        # the state's eigenbasis once, as the 2^(n+1) entries of its form
+        # that the basis sum reads, while the basis sum and the
+        # reconstruction are still called per pair.  The dense operator of
+        # a history is built once, by the reconstruction, and not at all
+        # above the sector cap, where nothing reads it.
         scenario = json.loads(bundled_scenario_path().read_text())
         scenario["times"] = [float(t) for t in range(times)]
         for entry in scenario["histories"]:
             entry["projectors"] = [entry["projectors"][t % 2] for t in range(times)]
         path = tmp_path / "scenario.json"
         path.write_text(json.dumps(scenario), encoding="utf-8")
-        chains = count_calls(monkeypatch, "class_operator")
+        per_history = count_calls(monkeypatch, "class_operator")
+        evolve = count_calls(monkeypatch, "evolve")
+        grams = count_calls(monkeypatch, "chain_gram")
         sums = count_calls(monkeypatch, "d_basis_sum")
         pairs = []
         pair_value = IlsOperator.pair_value
@@ -346,7 +372,10 @@ class TestDecohere:
                             lambda factors: dense.append(factors) or tensor_product(factors))
         assert run(["decohere", "--scenario", str(path), "--out", str(tmp_path / "o")]) == 0
         ils = times == 2
-        assert len(chains) == 3
+        assert per_history == []
+        assert len(evolve) == 3 * times
+        # the reconstruction reads the kernel on its 4^n Hermitian basis images
+        assert [len(chains) for _, chains in grams] == [3] + ([4 ** times] if ils else [])
         assert len(sums) == 9
         assert len(pairs) == (9 if ils else 0)
         assert [len(x.eigen_forms) for x in embedded] == [1] * 3

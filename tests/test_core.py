@@ -20,9 +20,24 @@ from histq.core import (
 )
 from histq.consistency import search_windows
 from histq.propositions import wright_operator
-from histq.sampling import random_hermitian, random_projector
+from histq.sampling import random_hermitian
 
-from helpers import H_ZERO, P0, P1, SIGMA_X, state_for
+import oracles
+from helpers import H_ZERO, P0, P1, SIGMA_X, count_calls, state_for
+from oracles import random_projector
+
+# real and imaginary parts: both signed zeros, ones and values that round in products
+PARTS = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.1, -2.5, 1e-300, 3.0e150])
+
+
+@st.composite
+def factor_lists(draw):
+    """One to three square complex factors of sizes 1-3, entries from ``PARTS``."""
+    out = []
+    for d in draw(st.lists(st.integers(1, 3), min_size=1, max_size=3)):
+        parts = draw(st.lists(PARTS, min_size=2 * d * d, max_size=2 * d * d))
+        out.append(np.array(parts[::2]).reshape(d, d) + 1j * np.array(parts[1::2]).reshape(d, d))
+    return out
 
 
 class TestTensorProduct:
@@ -49,6 +64,16 @@ class TestTensorProduct:
     def test_empty_list_rejected(self):
         with pytest.raises(ValueError, match="empty tensor factor list"):
             tensor_product([])
+
+    @given(factor_lists())
+    @settings(max_examples=200, deadline=None)
+    def test_bytes_equal_the_kron_oracle(self, mats):
+        # every entry is the product np.kron forms, in its order: the same bits,
+        # signed zeros, infinities and NaNs included
+        with np.errstate(over="ignore", invalid="ignore"):  # 3e150 squared overflows
+            got, want = tensor_product(mats), oracles.kron_product(mats)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
 
     @given(st.integers(0, 2 ** 31 - 1))
     @settings(max_examples=25, deadline=None)
@@ -128,6 +153,24 @@ class TestHeisenberg:
         half = np.eye(2) / 2
         with pytest.raises(ValueError, match=r"pvms\[0\]\[0\]: elements must be projectors"):
             search_windows(t, [[[half, half]]])
+
+    @given(dim=st.integers(1, 4), count=st.integers(1, 5), n=st.integers(1, 3),
+           seed=st.integers(0, 2 ** 31 - 1))
+    @settings(max_examples=30, deadline=None)
+    def test_stack_equals_the_single_transports(self, dim, count, n, seed):
+        # one evolve per time, and the bits of one call per operator
+        rng = np.random.default_rng(seed)
+        model = SystemModel.from_matrices(random_hermitian(rng, dim), np.eye(dim) / dim)
+        times = tuple(float(t) for t in np.cumsum(rng.uniform(0.1, 1.0, n)))
+        stack = rng.standard_normal((count, n, dim, dim)) + 0j
+        single = [[heisenberg(model, stack[i, j], times[j], 0.3) for j in range(n)]
+                  for i in range(count)]
+        with pytest.MonkeyPatch.context() as patch:
+            calls = count_calls(patch, "evolve")
+            moved = heisenberg(model, stack, times, 0.3)
+        assert len(calls) == n
+        assert moved.shape == stack.shape
+        assert np.array_equal(moved, np.array(single))
 
     def test_transports_any_operator(self):
         # U(1) = exp(-i pi/2 sigma_x) = -i sigma_x, so U^dag A U = sigma_x A sigma_x

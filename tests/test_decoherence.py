@@ -9,6 +9,7 @@ from histq.core import SystemModel, TimeGrid, heisenberg, tensor_product
 from histq.decoherence import (
     CapacityError,
     DecoherenceState,
+    chain_gram,
     d_basis_sum,
     d_form,
     d_gram,
@@ -18,19 +19,20 @@ from histq.decoherence import (
     ils_reconstruct,
     sector_fits,
 )
-from histq.histories import (Proposition, PropositionSpace, chain_map, embed, history,
-                             proposition, unit_proposition)
+from histq.histories import (HomogeneousHistory, Proposition, PropositionSpace, chain_map,
+                             embed, history, proposition, unit_proposition)
 from histq.propositions import wright_operator
 from histq.sampling import (
     random_hermitian,
     random_model,
     random_operator,
-    random_projector,
     random_unitary,
 )
+from histq.verify import _chains, _product_histories
 
 import oracles
 from helpers import MINUS, P0, PLUS, qubit_state, state_for
+from oracles import random_projector
 
 UNIT = history({})
 
@@ -236,7 +238,31 @@ def test_trace_matrix_entries_are_the_trace_form(dim, count, seed):
     table = d_trace_matrix(ds, histories)
     assert table.shape == (count, count)
     for (i, h), (j, k) in itertools.product(enumerate(histories), repeat=2):
-        assert table[i, j] == d_trace(ds, h, k)
+        # a GEMM rounds by its shape, so the pair's own 2 x 2 matrix may differ
+        # from the m x m one in the last bits
+        assert abs(table[i, j] - d_trace(ds, h, k)) <= 1e-15
+        assert abs(table[i, j] - oracles.d_trace(ds, h, k)) <= 1e-13
+
+
+@given(dim=st.integers(1, 4), n=st.integers(1, 3), count=st.integers(1, 5),
+       seed=st.integers(0, 2 ** 31 - 1))
+@settings(max_examples=60, deadline=None)
+def test_chain_gram_of_transported_stacks_is_the_per_history_oracle(dim, n, count, seed):
+    # ranks run over 1..dim, so some entries are the identity: the oracle's
+    # support_reduce drops their times, and the histories' supports differ
+    rng = np.random.default_rng(seed)
+    ds = state_for(random_model(rng, dim), times=(0.0, 0.7, 1.3), t0=-0.4)
+    ranks = rng.integers(1, dim + 1, size=count * n)
+    raw = [random_unitary(rng, dim)[:, :r] for r in ranks]
+    raw = np.array([u @ u.conj().T for u in raw]).reshape(count, n, dim, dim)
+    gram = chain_gram(ds, _chains(_product_histories(ds, n, raw)))
+    histories = [HomogeneousHistory(tuple(zip(ds.grid.times[:n], ps))) for ps in raw]
+    table = d_trace_matrix(ds, histories)
+    assert gram.shape == table.shape == (count, count)
+    for (i, h), (j, k) in itertools.product(enumerate(histories), repeat=2):
+        want = oracles.d_trace(ds, h, k)
+        assert abs(gram[i, j] - want) <= 1e-13
+        assert abs(table[i, j] - want) <= 1e-13
 
 
 class TestSesquilinearForm:

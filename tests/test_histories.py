@@ -13,9 +13,10 @@ from histq.histories import (
     history,
     support_reduce,
 )
-from histq.sampling import random_hermitian, random_projector
+from histq.sampling import random_hermitian
 
 from helpers import H_ZERO, P0, P1, PLUS, SIGMA_X, count_calls
+from oracles import random_projector
 
 EYE = np.eye(2, dtype=complex)
 

@@ -13,10 +13,10 @@ from histq.propositions import (
     probability,
     wright_operator,
 )
-from histq.sampling import random_model, random_operator, random_projector
+from histq.sampling import random_model, random_operator
 
 from helpers import P0, P1, PLUS, qubit_state, state_for
-from oracles import apply, p_norm
+from oracles import apply, p_norm, random_projector
 
 SINGLE = PropositionSpace(support=(0.0,), dim_single=2)
 DOUBLE = PropositionSpace(support=(0.0, 1.0), dim_single=2)

@@ -7,9 +7,10 @@ from hypothesis import strategies as st
 
 import oracles
 from histq.cli import bundled_scenario_path
-from histq.sampling import random_projector, random_projectors, random_pvm, random_unitary
+from histq.decoherence import DecoherenceState, sector_fits
+from histq.sampling import random_projectors, random_pvm, random_unitary
 from histq.scenario import load_scenario
-from histq.verify import run_suite
+from histq.verify import _check_axioms, _check_representations, _side_states, run_suite
 
 SEEDS = st.integers(0, 2 ** 32 - 1)
 
@@ -40,7 +41,6 @@ def test_single_draws_equal_per_call_draws(dim, seed):
     assert np.array_equal(random_unitary(rng, dim), oracles.haar_unitary(twin, dim))
     assert all(np.array_equal(p, q)
                for p, q in zip(random_pvm(rng, dim), oracles.random_pvm(twin, dim)))
-    assert np.array_equal(random_projector(rng, dim), oracles.random_projector(twin, dim))
     assert _same_state(rng, twin)
 
 
@@ -56,3 +56,37 @@ def test_bundled_verify_runs_few_qr(monkeypatch):
     monkeypatch.setattr(np.linalg, "qr", counting)
     assert all(r.passed for r in run_suite(scn))
     assert 0 < len(calls) <= 50  # one per stacked block, where single draws made 244
+
+
+def _per_call_axiom_draws(scn, rng):
+    """The draws of the axioms check, one projector per call: per state ten
+    iterations of a number of times n, then h and k on n times each."""
+    for ds in _side_states(rng) + [DecoherenceState(model=scn.model, grid=scn.grid)]:
+        for _ in range(10):
+            n = int(rng.integers(1, min(2, len(ds.grid.times)) + 1))
+            for _ in range(2 * n):
+                oracles.random_projector(rng, ds.model.dim)
+
+
+def _per_call_representation_draws(scn, rng):
+    """The draws of the representation check, one projector per call: 16
+    histories per state and admitted number of times."""
+    for ds in _side_states(rng) + [DecoherenceState(model=scn.model, grid=scn.grid)]:
+        for n in (1, 2):
+            if n <= len(ds.grid.times) and sector_fits(ds.model.dim, n):
+                for _ in range(16 * n):
+                    oracles.random_projector(rng, ds.model.dim)
+
+
+@given(seed=SEEDS)
+@settings(max_examples=5, deadline=None)
+def test_stacked_checks_leave_the_per_call_stream(seed):
+    # the history stacks keep the draw order of one call per projector, so
+    # every later check sees the same generator state
+    scn = load_scenario(bundled_scenario_path())
+    for check, per_call in ((_check_axioms, _per_call_axiom_draws),
+                            (_check_representations, _per_call_representation_draws)):
+        rng, twin = _twins(seed)
+        assert check(scn, rng).passed
+        per_call(scn, twin)
+        assert _same_state(rng, twin)
