@@ -15,8 +15,7 @@ _EXPORTS = {
                   "class_operator", "embed", "history", "proposition", "support_reduce",
                   "unit_proposition"),
     "decoherence": ("CapacityError", "DecoherenceState", "IlsOperator", "d_basis_sum",
-                    "d_form", "d_trace", "d_trace_matrix", "hermitian_basis",
-                    "ils_reconstruct"),
+                    "d_form", "d_trace", "d_trace_matrix", "ils_reconstruct"),
     "propositions": ("WrightOperator", "hs_inner", "probability", "wright_operator"),
     "consistency": ("BaseFamily", "ConsistencyReport", "Window", "base_family",
                     "check_window", "check_window_operators", "is_maximally_refined",

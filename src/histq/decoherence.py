@@ -17,9 +17,9 @@ d(p, q) = tr((p (x) q) X) for one operator X on the doubled tensor space.
 These three take two :class:`~histq.histories.Proposition` arguments of one
 sector of the state's dimension; ``embed`` turns a history into one.
 
-The reconstruction is performed on a Hermitian operator basis, where the
-bilinear and sesquilinear extensions agree; values of ``pair_value`` are
-therefore only claimed for self-adjoint arguments.
+X is read off the functional's Gram matrix on the matrix units, and
+tr((p (x) q) X) is bilinear, so ``pair_value(p, q)`` is d(p^dag, q) for any
+operands; on self-adjoint ones it is d(p, q).
 """
 
 from __future__ import annotations
@@ -51,7 +51,6 @@ __all__ = [
     "d_form",
     "d_gram",
     "d_basis_sum",
-    "hermitian_basis",
     "IlsOperator",
     "ils_reconstruct",
 ]
@@ -195,38 +194,15 @@ def d_basis_sum(ds: DecoherenceState, p: Proposition, q: Proposition) -> complex
     return complex(np.einsum("abj,abk->", left, q.eigen_forms[key]))
 
 
-def hermitian_basis(k: int) -> np.ndarray:
-    """Stack of k^2 Hermitian matrices, orthonormal under tr(A B).
-
-    Order: diagonal units, then for each pair i < j the symmetric and the
-    antisymmetric combination.
-    """
-    mats = []
-    for i in range(k):
-        m = np.zeros((k, k), dtype=complex)
-        m[i, i] = 1.0
-        mats.append(m)
-    for i in range(k):
-        for j in range(i + 1, k):
-            m = np.zeros((k, k), dtype=complex)
-            m[i, j] = m[j, i] = 1.0 / np.sqrt(2.0)
-            mats.append(m)
-            m = np.zeros((k, k), dtype=complex)
-            m[i, j] = -1j / np.sqrt(2.0)
-            m[j, i] = 1j / np.sqrt(2.0)
-            mats.append(m)
-    return np.stack(mats)
-
-
 @dataclass(frozen=True)
 class IlsOperator:
-    """Operator X on the doubled tensor space with tr((p (x) q) X) = d(p, q)."""
+    """Operator X on the doubled tensor space with tr((p (x) q) X) = d(p^dag, q)."""
 
     space: PropositionSpace
     xd: np.ndarray
 
     def pair_value(self, p: Proposition, q: Proposition) -> complex:
-        """Reconstructed d(p, q); exact only for self-adjoint p, q.
+        """Reconstructed d(p^dag, q), which is d(p, q) for self-adjoint p.
 
         tr((p (x) q) X) contracted on X's four k-dimensional slots
         X[(i, k), (j, l)], without forming the k^2 x k^2 product p (x) q.
@@ -238,14 +214,14 @@ class IlsOperator:
 def ils_reconstruct(ds: DecoherenceState, support: Sequence[float]) -> IlsOperator:
     """Solve for the doubled-space operator reproducing the functional.
 
-    Expands over the Hermitian basis {G_a} of the support sector:
-    X = sum_ab d(G_a, G_b) G_a (x) G_b, which is the unique operator matching
-    the functional on all Hermitian pairs.  Its trace is d(1, 1) = 1.
+    X[(i, m), (j, l)] = d(E_ij, E_lm) on the matrix units E_ij of the support
+    sector: one :func:`d_gram` call on the k^2 units and one index reordering.
+    Then tr((p (x) q) X) = d(p^dag, q) for all operators p, q on the sector,
+    which fixes X uniquely.  Its trace is d(1, 1) = 1.
     """
     space = require_sector(ds, support, "ILS reconstruction")
     k = space.op_dim
-    basis = hermitian_basis(k)
-    values = d_gram(ds, basis, space.n_times)  # values[a, b] = d(G_a, G_b)
-    mixed = np.einsum("ab,aij,bkl->ikjl", values, basis, basis, optimize=True)
-    xd = mixed.reshape(k * k, k * k)
+    units = np.eye(k * k).reshape(k * k, k, k)  # units[i k + j] = E_ij
+    gram = d_gram(ds, units, space.n_times)  # gram[i k + j, l k + m] = d(E_ij, E_lm)
+    xd = gram.reshape((k,) * 4).transpose(0, 3, 1, 2).reshape(k * k, k * k)
     return IlsOperator(space=space, xd=xd)

@@ -62,8 +62,8 @@ class WrightOperator:
     def gram(self, base: np.ndarray) -> np.ndarray:
         """``G[a, b] = <base_a, T base_b>``.
 
-        ``base`` stacks the N family operators along axis 0.  Row a of ``vecs``
-        is the column-major vectorisation of ``base[a]``, as in ``probability``.
+        ``base`` stacks the N operators along axis 0.  Row a of ``vecs`` is
+        the column-major vectorisation of ``base[a]``, on which T acts.
         """
         n, k, _ = base.shape
         vecs = base.transpose(0, 2, 1).reshape(n, k * k)
@@ -89,10 +89,10 @@ def wright_operator(ds: DecoherenceState, support: Sequence[float]) -> WrightOpe
 
 
 def probability(t: WrightOperator, x: Proposition) -> float:
-    """Quadratic form <x, T x>; may leave [0, 1] for inconsistent propositions."""
+    """Quadratic form <x, T x>, the one-proposition :meth:`WrightOperator.gram`;
+    may leave [0, 1] for inconsistent propositions."""
     t.space.require(x)
-    vec = x.op.flatten(order="F")
-    value = complex(vec.conj() @ t.matrix @ vec) / t.space.op_dim
+    value = complex(t.gram(x.op[None])[0, 0])
     if abs(value.imag) > TOLERANCES.agreement:
         raise ValueError("non-real quadratic form")
     return float(value.real)

@@ -37,6 +37,10 @@
   ``heisenberg`` call per projector, then the scalar trace, where the program
   transports history stacks once per time, multiplies their chains out by
   batched matmuls and reads every pair from one chain Gram matrix.
+* :func:`hermitian_basis` and :func:`ils_expansion` build the doubled-space
+  operator as sum_ab d(G_a, G_b) G_a (x) G_b over a Hermitian basis {G_a}
+  orthonormal under tr(A B), where the program reorders the functional's
+  Gram matrix on the matrix units.
 """
 
 from __future__ import annotations
@@ -50,7 +54,7 @@ import numpy as np
 from histq.consistency import (ConsistencyReport, Window, _block_sums, _rgs_chunks,
                                _sector_terms)
 from histq.core import TOLERANCES, is_projector, max_abs, projector_onto, tensor_product
-from histq.decoherence import DecoherenceState, d_form
+from histq.decoherence import DecoherenceState, d_form, d_gram
 from histq.histories import (HomogeneousHistory, Proposition, class_operator, proposition,
                              support_reduce)
 from histq.propositions import WrightOperator, hs_inner, probability
@@ -101,6 +105,39 @@ def d_trace(ds: DecoherenceState, h: HomogeneousHistory, k: HomogeneousHistory) 
     """tr(C(h)^dag rho C(k)), each chain built from its history's support."""
     ch, ck = (class_operator(ds.model, support_reduce(x), ds.grid.t0) for x in (h, k))
     return complex(np.trace(ch.conj().T @ ds.model.rho @ ck))
+
+
+def hermitian_basis(k: int) -> np.ndarray:
+    """Stack of k^2 Hermitian matrices, orthonormal under tr(A B).
+
+    Order: diagonal units, then for each pair i < j the symmetric and the
+    antisymmetric combination.
+    """
+    mats = []
+    for i in range(k):
+        m = np.zeros((k, k), dtype=complex)
+        m[i, i] = 1.0
+        mats.append(m)
+    for i in range(k):
+        for j in range(i + 1, k):
+            m = np.zeros((k, k), dtype=complex)
+            m[i, j] = m[j, i] = 1.0 / np.sqrt(2.0)
+            mats.append(m)
+            m = np.zeros((k, k), dtype=complex)
+            m[i, j] = -1j / np.sqrt(2.0)
+            m[j, i] = 1j / np.sqrt(2.0)
+            mats.append(m)
+    return np.stack(mats)
+
+
+def ils_expansion(ds: DecoherenceState, support: Sequence[float]) -> np.ndarray:
+    """X = sum_ab d(G_a, G_b) G_a (x) G_b over :func:`hermitian_basis` of the
+    support sector, as a k^2 x k^2 matrix X[(i, k), (j, l)]."""
+    k = ds.model.dim ** len(support)
+    basis = hermitian_basis(k)
+    values = d_gram(ds, basis, len(support))  # values[a, b] = d(G_a, G_b)
+    mixed = np.einsum("ab,aij,bkl->ikjl", values, basis, basis, optimize=True)
+    return mixed.reshape(k * k, k * k)
 
 
 def haar_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:

@@ -374,7 +374,7 @@ class TestDecohere:
         ils = times == 2
         assert per_history == []
         assert len(evolve) == 3 * times
-        # the reconstruction reads the kernel on its 4^n Hermitian basis images
+        # the reconstruction reads the kernel on its 4^n matrix units
         assert [len(chains) for _, chains in grams] == [3] + ([4 ** times] if ils else [])
         assert len(sums) == 9
         assert len(pairs) == (9 if ils else 0)

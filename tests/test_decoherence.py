@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from histq.core import SystemModel, TimeGrid, heisenberg, tensor_product
+from histq.core import SystemModel, TimeGrid, heisenberg, max_abs, tensor_product
 from histq.decoherence import (
     CapacityError,
     DecoherenceState,
@@ -15,7 +15,6 @@ from histq.decoherence import (
     d_gram,
     d_trace,
     d_trace_matrix,
-    hermitian_basis,
     ils_reconstruct,
     sector_fits,
 )
@@ -507,7 +506,7 @@ class TestGram:
 
         monkeypatch.setattr("histq.decoherence.d_gram", spy)
         ils_reconstruct(ds, (0.0, 1.0))
-        assert seen == [16]  # one stack: the Hermitian basis of the 4 x 4 sector
+        assert seen == [16]  # one stack: the matrix units of the 4 x 4 sector
 
 
 class TestIlsReconstruction:
@@ -522,6 +521,31 @@ class TestIlsReconstruction:
                 for _ in range(2))
         kron = np.trace(tensor_product([p.op, q.op]) @ x.xd)
         assert x.pair_value(p, q) == pytest.approx(kron, abs=1e-12)
+
+    @given(st.integers(0, 2 ** 31 - 1))
+    @settings(max_examples=20, deadline=None)
+    def test_operator_is_the_hermitian_basis_expansion(self, seed):
+        rng = np.random.default_rng(seed)
+        dim, n = ((2, 1), (2, 2), (3, 1), (3, 2))[seed % 4]
+        ds = state_for(random_model(rng, dim))
+        support = ds.grid.times[:n]
+        x = ils_reconstruct(ds, support)
+        assert np.max(np.abs(x.xd - oracles.ils_expansion(ds, support))) <= 1e-12
+
+    @given(st.integers(0, 2 ** 31 - 1))
+    @settings(max_examples=20, deadline=None)
+    def test_pair_value_is_the_form_on_the_adjoint_for_any_operands(self, seed):
+        # complex, non-Hermitian operands: tr((p (x) q) X) = d(p^dag, q)
+        rng = np.random.default_rng(seed)
+        dim, n = ((2, 1), (2, 2), (3, 1), (3, 2))[seed % 4]
+        ds = state_for(random_model(rng, dim))
+        support = ds.grid.times[:n]
+        x = ils_reconstruct(ds, support)
+        scale = rng.uniform(0.1, 10.0, size=2)
+        p, q = (sector_op(support, dim, c * random_operator(rng, dim ** n)) for c in scale)
+        p_dag = sector_op(support, dim, p.op.conj().T)
+        bound = 1e-12 * max_abs(p.op) * max_abs(q.op)
+        assert abs(x.pair_value(p, q) - d_form(ds, p_dag, q)) <= bound
 
     def test_unit_trace(self):
         rng = np.random.default_rng(13)
@@ -593,7 +617,7 @@ class TestSectorGuard:
 
 class TestHermitianBasis:
     def test_orthonormal_and_hermitian(self):
-        basis = hermitian_basis(3)
+        basis = oracles.hermitian_basis(3)
         assert basis.shape == (9, 3, 3)
         for a, b in itertools.product(range(9), repeat=2):
             inner = np.trace(basis[a] @ basis[b]).real

@@ -15,8 +15,7 @@ EXPORTED = {
                   "class_operator", "embed", "history", "proposition", "support_reduce",
                   "unit_proposition"},
     "decoherence": {"CapacityError", "DecoherenceState", "IlsOperator", "d_basis_sum",
-                    "d_form", "d_trace", "d_trace_matrix", "hermitian_basis",
-                    "ils_reconstruct"},
+                    "d_form", "d_trace", "d_trace_matrix", "ils_reconstruct"},
     "propositions": {"WrightOperator", "hs_inner", "probability", "wright_operator"},
     "consistency": {"BaseFamily", "ConsistencyReport", "Window", "base_family",
                     "check_window", "check_window_operators", "is_maximally_refined",
@@ -31,7 +30,7 @@ DEFINED_IN = {name: module for module, names in EXPORTED.items() for name in nam
 
 
 def test_all_lists_every_exported_name_once():
-    assert len(histq.__all__) == len(set(histq.__all__)) == 54
+    assert len(histq.__all__) == len(set(histq.__all__)) == 53
     assert set(histq.__all__) == set(DEFINED_IN)
 
 
