@@ -18,10 +18,10 @@ _EXPORTS = {
                     "d_form", "d_trace", "d_trace_matrix", "ils_reconstruct"),
     "propositions": ("WrightOperator", "hs_inner", "probability", "wright_operator"),
     "consistency": ("BaseFamily", "ConsistencyReport", "Window", "base_family",
-                    "check_window", "check_window_operators", "is_maximally_refined",
-                    "is_refinement", "search_windows", "window"),
-    "entropy": ("EntropyReport", "min_entropy", "refinement_gap", "sup_refinement_entropy",
-                "window_entropy", "window_entropy_pnorm"),
+                    "check_window", "check_window_operators", "refinements",
+                    "search_windows", "window"),
+    "entropy": ("EntropyReport", "min_entropy", "refinement_gap", "window_entropy",
+                "window_entropy_pnorm"),
     "divergence": ("GrowthVerdict", "TruncationSeries", "b1_series", "b2_series",
                    "growth_fit"),
     "sampling": ("random_projectors",),

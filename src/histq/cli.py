@@ -105,11 +105,9 @@ def _report_entry(report) -> dict:
     }
 
 
-def _windows_payload(scn: Scenario, found, labels) -> dict:
-    from .consistency import is_maximally_refined
-
+def _windows_payload(scn: Scenario, found, labels, refines) -> dict:
     entries = []
-    for label, w in zip(labels, found):
+    for label, w, row in zip(labels, found, refines):
         entries.append({
             "label": label,
             "members": len(w.members),
@@ -118,20 +116,19 @@ def _windows_payload(scn: Scenario, found, labels) -> dict:
             "squared_norms": list(w.squared_norms),
             "sector_check": _report_entry(w.kreport),
             "operator_check": _report_entry(w.opreport),
-            "maximally_refined": is_maximally_refined(w, found),
+            "maximally_refined": not row.any(),
         })
     return {"support": list(scn.grid.times[:len(scn.pvms)]), "windows": entries}
 
 
-def _entropy_payload(scn: Scenario, found, labels) -> dict:
-    from .entropy import (min_entropy, sup_refinement_entropy, window_entropy,
-                          window_entropy_pnorm)
+def _entropy_payload(found, labels, refines, entropy_p) -> dict:
+    from .entropy import min_entropy, window_entropy, window_entropy_pnorm
 
     table = []
     skipped = []
     scored = {w: window_entropy(w) for w in found}  # the search keeps consistent windows only
     for label, w in zip(labels, found):
-        for p in scn.entropy_p:
+        for p in entropy_p:
             if p == 2.0:
                 rep = scored[w]
             elif not w.opreport.consistent:
@@ -151,10 +148,11 @@ def _entropy_payload(scn: Scenario, found, labels) -> dict:
                           for term in rep.terms],
             })
     best_value, best_window = min_entropy(scored)
+    values = np.array([scored[w].value for w in found])
     sups = [{"window": label,
              "representation": TAG_ENTROPY,
-             "sup_over_refinements": sup_refinement_entropy(w, scored)}
-            for label, w in zip(labels, found)]
+             "sup_over_refinements": float(max([value, *values[row]]))}
+            for label, value, row in zip(labels, values, refines)]
     return {
         "table": table,
         **({"skipped": skipped} if skipped else {}),
@@ -256,13 +254,14 @@ def main(argv=None) -> int:
         if args.subcommand == "decohere":
             payload["decoherence"] = _decohere_payload(scn)
         elif args.subcommand in ("windows", "entropy"):
-            from .consistency import scenario_windows
+            from .consistency import refinements, scenario_windows
 
             found = scenario_windows(scn)
+            refines = refinements(found)
             labels = [f"w{idx:02d}" for idx in range(len(found))]  # by search position
-            payload["windows"] = _windows_payload(scn, found, labels)
+            payload["windows"] = _windows_payload(scn, found, labels, refines)
             if args.subcommand == "entropy":
-                payload["entropy"] = _entropy_payload(scn, found, labels)
+                payload["entropy"] = _entropy_payload(found, labels, refines, scn.entropy_p)
         elif args.subcommand == "diverge":
             payload["divergence"], series = _diverge_payload(args.series, args.max_n)
         elif args.subcommand == "verify":

@@ -25,7 +25,9 @@ the screen of the search scores pieces on G_T with the same block sums.  G_d
 never reads T, so the two verdicts still cross-check two representations.
 ``Window`` is frozen and carries both reports, each holding the verdict and
 the member probabilities its picture certifies, and the squared norms, so
-consumers read them instead of checking again.
+consumers read them instead of checking again.  ``refinements`` decides which
+windows of a list refine which, whatever their families, by projector
+containment read off the overlaps of their members.
 
 The screen prunes by coarse graining, which keeps a consistent set
 consistent (Gell-Mann and Hartle, 1990).  If Q refines P, each block sum of
@@ -67,10 +69,8 @@ __all__ = [
     "check_window",
     "check_window_operators",
     "partition_windows",
-    "is_refinement",
-    "strict_refinements",
+    "refinements",
     "search_windows",
-    "is_maximally_refined",
     "MAX_BASE_FAMILY",
 ]
 
@@ -277,23 +277,35 @@ def check_window_operators(family: BaseFamily, labels) -> ConsistencyReport:
     return window(family, labels).opreport
 
 
-def is_refinement(fine: Window, coarse: Window) -> bool:
-    """True when every coarse member is the sum of a block of fine members,
-    the blocks partitioning ``fine``.
-
-    The members of both windows are orthogonal projectors summing to e, so
-    this holds exactly when every fine member y is nonzero and lies under a
-    coarse member x, that is <y, x> = <y, y>.  The coarse members sum to e,
-    so <y, y> = <y, e> is the row sum of the overlaps <y, x>, and one
-    overlap matrix decides the question.
+def refinements(windows: Sequence[Window]) -> np.ndarray:
+    """The refinement order of ``windows``, which share a sector (else
+    ``ValueError``, "sector mismatch"): [i, j] is True when ``windows[j]`` has
+    more members than ``windows[i]`` (else it would match a consistent i one
+    to one) and each member of i is a sum of members of j.  Members are
+    orthogonal projectors summing to e, so it is when every member y of j is
+    nonzero and its largest overlap with a member of i reaches <y, y>, their
+    sum.  A family's windows share their members (at most 2^N - 1), and each
+    enters the overlaps once, formed for a block of coarse windows at a time.
     """
-    k = coarse.space.require(fine).op_dim
-    fine_ops = np.array([y.op for y in fine.members])
-    coarse_ops = np.array([x.op for x in coarse.members])
-    overlaps = np.einsum("aij,bij->ab", fine_ops.conj(), coarse_ops).real / k
-    norms = overlaps.sum(axis=1)
-    contained = np.abs(overlaps - norms[:, None]) <= TOLERANCES.consistency
-    return bool(np.all(norms > TOLERANCES.strict_positive) and contained.any(axis=1).all())
+    if not windows:
+        return np.zeros((0, 0), dtype=bool)
+    space = windows[0].space.require(*windows)
+    counts = np.array([len(w.members) for w in windows])
+    starts = np.cumsum(counts) - counts  # each window's first member
+    ids = {}  # the bytes of each distinct member, numbered as they first appear
+    index = np.array([ids.setdefault(x.op.tobytes(), len(ids)) for w in windows for x in w.members])
+    vecs = np.frombuffer(b"".join(ids), dtype=complex).reshape(len(ids), -1)
+    out = np.empty((len(windows), len(windows)), dtype=bool)
+    pieces = min(len(windows), -(-len(index) * (len(vecs) + len(windows)) // (1 << 22)))
+    for block in np.array_split(np.arange(len(windows)), pieces):  # coarse windows i
+        lo, hi = starts[block[0]], starts[block[-1]] + counts[block[-1]]
+        overlaps = (vecs.conj() @ vecs[index[lo:hi]].T).real / space.op_dim
+        norms = np.add.reduceat(overlaps, starts[block] - lo, axis=1)  # [y, i]: <y, y>
+        nearest = np.maximum.reduceat(overlaps, starts[block] - lo, axis=1)
+        under = (norms - nearest <= TOLERANCES.consistency) & (norms > TOLERANCES.strict_positive)
+        out[block] = (np.logical_and.reduceat(under[index], starts, axis=0).T
+                      & (counts[block, None] < counts))
+    return out
 
 
 def _rgs_chunks(n: int) -> Iterator[np.ndarray]:
@@ -511,15 +523,3 @@ def scenario_windows(scn: Scenario) -> list[Window]:
     ds = DecoherenceState(model=scn.model, grid=scn.grid)
     t = wright_operator(ds, scn.grid.times[:len(scn.pvms)])
     return search_windows(t, scn.pvms)
-
-
-def strict_refinements(w: Window, candidates: Sequence[Window]) -> Iterator[Window]:
-    """The candidates with more members than ``w`` that refine it, in order.  A
-    refinement with no more members matches a consistent ``w`` member for member."""
-    return (cand for cand in candidates
-            if len(cand.members) > len(w.members) and is_refinement(cand, w))
-
-
-def is_maximally_refined(w: Window, candidates: Sequence[Window]) -> bool:
-    """True when no candidate is a strictly finer consistent refinement."""
-    return next(strict_refinements(w, candidates), None) is None

@@ -18,6 +18,9 @@ verdict is inconsistent.  The squared norms <x, x> are the window's own,
 block sums of <base_a, base_b>.  Every member is a block sum of Kronecker
 products of checked projector decompositions, hence a projector: x^dag x = x,
 so ||x||_p^p = tr(x) / tr(1) = <x, x> and ||x||_p^2 = <x, x>^(2/p) exactly.
+
+The supremum over a window's refinements is the largest of its own value
+and those of the refinements ``consistency.refinements`` selects for it.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from typing import TYPE_CHECKING, Iterable, Mapping
 import numpy as np
 
 from .core import TOLERANCES
-from .consistency import Window, strict_refinements
+from .consistency import Window
 
 if TYPE_CHECKING:
     from numpy.typing import ArrayLike
@@ -41,7 +44,6 @@ __all__ = [
     "window_entropy_pnorm",
     "refinement_gap",
     "min_entropy",
-    "sup_refinement_entropy",
 ]
 
 
@@ -127,12 +129,3 @@ def min_entropy(scored: Mapping[Window, EntropyReport]) -> tuple[float, Window]:
     best = min(scored, key=lambda w: scored[w].value)  # min keeps the first of equals
     return scored[best].value, best
 
-
-def sup_refinement_entropy(w: Window, scored: Mapping[Window, EntropyReport]) -> float:
-    """Supremum of the entropy over the refinements of ``w`` in a scored family.
-
-    ``scored`` is as in :func:`min_entropy` and holds ``w``.  ``w`` itself
-    counts as a refinement; in finite dimension every value is finite, so the
-    supremum is a maximum.
-    """
-    return max(scored[cand].value for cand in (w, *strict_refinements(w, scored)))

@@ -29,6 +29,7 @@ the offending field.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -69,25 +70,32 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _reals(node) -> bool:
+    """True for a finite JSON number (not NaN or Infinity) or nested lists of them."""
+    if isinstance(node, list):
+        return all(map(_reals, node))
+    return (_is_int(node) or isinstance(node, float)) and abs(node) <= sys.float_info.max
+
+
 def _real(value, path: str) -> float:
-    try:
-        return float(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ScenarioError(path, f"expected a real number, got {value!r}") from None
+    """``value`` as a float; ``ScenarioError`` unless it is a finite JSON number."""
+    if isinstance(value, list) or not _reals(value):
+        raise ScenarioError(path, f"expected a finite real number, got {value!r}")
+    return float(value)
 
 
 def _complex_array(node, shape: tuple[int, ...], path: str) -> np.ndarray:
     if not isinstance(node, dict) or "real" not in node:
         raise ScenarioError(path, "expected an object with 'real' (and optional 'imag') arrays")
+    if not (_reals(node["real"]) and _reals(node.get("imag", []))):
+        raise ScenarioError(path, "entries must be finite JSON numbers")
     try:
         real = np.asarray(node["real"], dtype=float)
         imag = np.asarray(node.get("imag", np.zeros_like(real)), dtype=float)
-    except (TypeError, ValueError, OverflowError) as exc:
+    except ValueError as exc:  # ragged lists
         raise ScenarioError(path, f"not numeric arrays: {exc}") from None
     if real.shape != imag.shape:
         raise ScenarioError(path, "'real' and 'imag' shapes differ")
-    if not (np.isfinite(real).all() and np.isfinite(imag).all()):  # null reads as NaN
-        raise ScenarioError(path, "entries must be finite numbers")
     m = real + 1j * imag
     if m.shape != shape:
         raise ScenarioError(path, f"expected shape {shape}, got {m.shape}")
@@ -194,10 +202,14 @@ def parse_scenario(data: dict) -> Scenario:
     if not isinstance(times, list) or not times:
         raise ScenarioError("times", "expected a nonempty list of reals")
     t0 = _real(data.get("t0", 0.0), "t0")
+    times = tuple(_real(t, "times") for t in times)
     try:
-        grid = TimeGrid(times=tuple(float(t) for t in times), t0=t0)
-    except (TypeError, ValueError, OverflowError) as exc:
+        grid = TimeGrid(times=times, t0=t0)
+    except ValueError as exc:
         raise ScenarioError("times", str(exc)) from None
+    # the largest phase |E| |t - t0|, in Python floats: an overflow reads inf, or NaN at E = 0
+    if not np.isfinite(float(np.abs(model.energies).max()) * max(abs(t - t0) for t in times)):
+        raise ScenarioError("times", "the evolution phases E (t - t0) overflow")
 
     histories: list[tuple[str, HomogeneousHistory]] = []
     history_nodes = data.get("histories", [])
@@ -232,12 +244,9 @@ def parse_scenario(data: dict) -> Scenario:
     entropy_p = data.get("entropy_p", [1.0, 2.0])
     if not isinstance(entropy_p, list) or not entropy_p:
         raise ScenarioError("entropy_p", "expected a nonempty list of reals >= 1")
-    try:
-        entropy_p = [float(p) for p in entropy_p]
-    except (TypeError, ValueError, OverflowError):
-        raise ScenarioError("entropy_p", "expected a nonempty list of reals >= 1") from None
-    if not all(np.isfinite(p) and p >= 1 for p in entropy_p):
-        raise ScenarioError("entropy_p", "norm parameters must be finite and >= 1")
+    entropy_p = [_real(p, "entropy_p") for p in entropy_p]
+    if not all(p >= 1 for p in entropy_p):
+        raise ScenarioError("entropy_p", "norm parameters must be >= 1")
 
     seed = data.get("seed", 0)
     if not _is_int(seed) or seed < 0:

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .consistency import (Window, base_family, partition_windows, scenario_windows,
-                          search_windows, strict_refinements, window)
+from .consistency import (Window, base_family, partition_windows, refinements,
+                          scenario_windows, search_windows, window)
 from .core import TOLERANCES, SystemModel, TimeGrid, heisenberg
 from .decoherence import (CapacityError, DecoherenceState, chain_gram, d_basis_sum, d_form,
                           d_trace, ils_reconstruct, sector_fits)
@@ -235,12 +235,10 @@ def _check_entropy(scn: Scenario, rng) -> CheckResult:
                 p * math.log(hs_inner(x, x).real) for p, x in zip(probs, w.members))
             worst_identity = max(worst_identity, abs(rep.value - regroup))
             worst_p2 = max(worst_p2, abs(rep.value - pnorm[w, 2.0]))
-        for coarse in found:
-            for fine in strict_refinements(coarse, found):
-                pairs += 1
-                for p in (1.0, 1.5, 2.0):
-                    if pnorm[coarse, p] - pnorm[fine, p] < -_THRESHOLDS["p-norm"]:
-                        monotone_ok = False
+        refining = list(zip(*np.nonzero(refinements(found))))  # (i, j): j refines i
+        pairs += len(refining)
+        monotone_ok &= all(pnorm[found[i], p] - pnorm[found[j], p] >= -_THRESHOLDS["p-norm"]
+                           for i, j in refining for p in (1.0, 1.5, 2.0))
 
     # p = 3 must fail monotonicity on the maximally mixed qubit split.
     mm = DecoherenceState(

@@ -9,9 +9,10 @@
 * :func:`screen_exhaustive` scores every restricted-growth string of a Gram
   matrix in lexicographic chunks, where the program's screen walks the
   refinement tree and skips the refinements of strings far from additive.
-* :func:`is_refinement` assigns each fine member to the coarse member it
-  overlaps most and sums the blocks, where the program tests projector
-  containment on one overlap matrix.
+* :func:`is_refinement` decides one pair: it assigns each fine member to the
+  coarse member it overlaps most and sums the blocks, where the program
+  decides every pair of a window list by projector containment, from one
+  overlap matrix of all their members (``consistency.refinements``).
 * :func:`apply` is T x from the Wright operator's matrix on vectorised
   operators, which the program only reads through quadratic forms.
 * :func:`p_norm` is the normalised Schatten p-norm of any operator from its

@@ -18,7 +18,7 @@ from histq.cli import (
     main,
 )
 import histq.histories
-from histq.consistency import ConsistencyReport, scenario_windows
+from histq.consistency import ConsistencyReport, refinements, scenario_windows
 from histq.decoherence import IlsOperator
 from histq.sampling import random_density, random_hermitian, random_pvm, random_unitary
 from histq.scenario import load_scenario
@@ -95,6 +95,25 @@ def test_every_subcommand_exits_with_a_documented_code(tmp_path, capsys, subcomm
         assert capsys.readouterr().err.startswith(f"error: {REFUSED[kind]}: ")
     for report in (tmp_path / "o").glob("*.json"):
         strict_json(report)
+
+
+OVERFLOWING_PHASES = {  # finite inputs whose phases E (t - t0) overflow
+    "shifted-times": {"times": [1e308, 1.5e308], "t0": -1e308},
+    "large-energies": {"times": [0.0, 1e200],
+                       "hamiltonian": {"real": [[1e200, 0.0], [0.0, -1e200]]}},
+}
+
+
+@pytest.mark.parametrize("subcommand", SUBCOMMANDS)
+@pytest.mark.parametrize("kind", OVERFLOWING_PHASES)
+def test_overflowing_phases_are_refused_at_parse_time(tmp_path, capsys, subcommand, kind):
+    # every evolution U(t, t0) would be NaN, whichever subcommand reads it
+    scenario = {**json.loads(bundled_scenario_path().read_text()), **OVERFLOWING_PHASES[kind]}
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(scenario), encoding="utf-8")
+    assert run([subcommand, "--scenario", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith("error: times: ")
+    assert not (tmp_path / "o").exists()
 
 
 class TestVerify:
@@ -480,7 +499,7 @@ class TestEntropy:
         found = scenario_windows(scn)
         found[0] = dataclasses.replace(found[0], opreport=opreport)
         labels = [f"w{idx:02d}" for idx in range(len(found))]
-        payload = _entropy_payload(scn, found, labels)
+        payload = _entropy_payload(found, labels, refinements(found), scn.entropy_p)
         assert payload["skipped"] == [{"window": "w00", "p": p, "reason": reason}
                                       for p in (1.0, 1.5, 3.0)]
         assert {row["window"] for row in payload["table"] if row["p"] != 2.0} == {"w01", "w02"}

@@ -21,11 +21,9 @@ from histq.consistency import (
     base_family,
     check_window,
     check_window_operators,
-    is_maximally_refined,
-    is_refinement,
     partition_windows,
+    refinements,
     search_windows,
-    strict_refinements,
     window,
 )
 from histq.core import (TOLERANCES, SystemModel, heisenberg, is_projector, max_abs,
@@ -296,22 +294,36 @@ def refinement_windows(draw):
     return windows
 
 
+def oracle_relation(windows):
+    """The refinement order by the per-pair oracle: [i, j] when window j has
+    more members than window i and refines it."""
+    return np.array([[len(fine.members) > len(coarse.members)
+                      and oracles.is_refinement(fine, coarse) for fine in windows]
+                     for coarse in windows], dtype=bool).reshape(len(windows), len(windows))
+
+
 class TestRefinement:
     def test_window_refines_itself(self):
+        # the oracle's relation is reflexive; the kernel's is strict
         _, t = mixed_qubit()
         w = window(single(t, P0, P1), (0, 1))
-        assert is_refinement(w, w)
+        assert oracles.is_refinement(w, w)
+        assert not refinements([w, w]).any()
 
     def test_everything_refines_unit(self):
         _, t = mixed_qubit()
         unit = window(single(t, EYE), (0,))
-        assert is_refinement(window(single(t, P0, P1), (0, 1)), unit)
-        assert is_refinement(window(single(t, PLUS, MINUS), (0, 1)), unit)
+        found = [unit, window(single(t, P0, P1), (0, 1)), window(single(t, PLUS, MINUS), (0, 1))]
+        assert refinements(found).tolist() == [[False, True, True], [False] * 3, [False] * 3]
 
     def test_incompatible_bases_do_not_refine(self):
-        _, t = mixed_qubit()
-        assert not is_refinement(window(single(t, PLUS, MINUS), (0, 1)),
-                                 window(single(t, P0, P1), (0, 1)))
+        rng = np.random.default_rng(34)
+        ds = state_for(random_model(rng, 4))
+        t = wright_operator(ds, (0.0,))
+        coarse = window(single(t, *random_pvm(rng, 4)), (0, 0, 1, 1))
+        fine = window(single(t, *random_pvm(rng, 4)), (0, 1, 2, 3))
+        assert not refinements([coarse, fine]).any()
+        assert not oracles.is_refinement(fine, coarse)
 
     def test_partition_blocks_refine(self):
         rng = np.random.default_rng(33)
@@ -320,22 +332,42 @@ class TestRefinement:
         family = single(t, *random_pvm(rng, 4))
         fine = window(family, (0, 1, 2, 3))
         coarse = window(family, (0, 0, 1, 1))
-        assert is_refinement(fine, coarse)
-        assert not is_refinement(coarse, fine)
+        assert refinements([fine, coarse]).tolist() == [[False, False], [True, False]]
 
     def test_zero_member_refines_nothing(self):
         _, t = mixed_qubit()
         family = single(t, P0, P1, np.zeros((2, 2), dtype=complex))
-        assert not is_refinement(window(family, (0, 1, 2)), window(family, (0, 1, 1)))
-        assert is_refinement(window(family, (0, 1, 1)), window(family, (0, 0, 0)))
+        with_zero, split, unit = (window(family, labels)
+                                  for labels in ((0, 1, 2), (0, 1, 1), (0, 0, 0)))
+        assert refinements([unit, split, with_zero]).tolist() == [
+            [False, True, False], [False, False, False], [False, False, False]]
+
+    def test_relation_is_strict_and_empty_list_is_empty(self):
+        _, t = mixed_qubit()
+        found = list(partition_windows(single(t, P0, P1, np.zeros((2, 2), dtype=complex))))
+        assert not np.diagonal(refinements(found)).any()
+        assert refinements([]).shape == (0, 0) and refinements([]).dtype == bool
+
+    def test_overlap_blocks_agree_with_label_refinement(self):
+        # 922 windows of one family with 2572 members, listed three times:
+        # 7716 members against 2766 windows need six blocks of coarse windows
+        # under the 2^22 budget.  Within one family whose elements are all
+        # nonzero, refinement is refinement of the label partitions.
+        ds, t, pvms = degenerate_case(3, 2)
+        found = search_windows(t, pvms)
+        same = np.array([np.equal.outer(w.labels, w.labels) for w in found])
+        finer = (same[:, None] | ~same[None, :]).all(axis=(2, 3))  # [i, j]: j's blocks in i's
+        counts = np.array([len(w.members) for w in found])
+        assert (len(found), counts.sum()) == (922, 2572)
+        expected = np.tile(finer & (counts[:, None] < counts), (3, 3))
+        assert np.array_equal(refinements(found * 3), expected)
 
     @given(refinement_windows())
     @settings(max_examples=25, deadline=None)
     def test_containment_matches_the_block_sum_oracle(self, windows):
-        verdicts = [(is_refinement(fine, coarse), oracles.is_refinement(fine, coarse))
-                    for fine in windows for coarse in windows]
-        assert [got for got, _ in verdicts] == [want for _, want in verdicts]
-        assert any(got for got, _ in verdicts) and not all(got for got, _ in verdicts)
+        got = refinements(windows)
+        assert got.dtype == bool and np.array_equal(got, oracle_relation(windows))
+        assert got.any() and not got.all()
 
 
 class TestPartitionEnumeration:
@@ -462,23 +494,24 @@ class TestSearchWindows:
 
 
 class TestMaximallyRefined:
+    # a window is maximally refined when its row of the relation is empty
     def test_finest_partition_is_maximal(self):
         ds, t = mixed_qubit()
         found = search_windows(t, [[[P0, P1], [PLUS, MINUS]]])
-        comp = next(w for w in found
+        comp = next(i for i, w in enumerate(found)
                     if tuple(round(p, 6) for p in w.kreport.probabilities) == (0.75, 0.25))
-        assert is_maximally_refined(comp, found)
+        assert not refinements(found)[comp].any()
 
     def test_unit_window_is_not_maximal_here(self):
         ds, t = mixed_qubit()
         found = search_windows(t, [[[P0, P1], [PLUS, MINUS]]])
-        unit = next(w for w in found if len(w.members) == 1)
-        assert not is_maximally_refined(unit, found)
+        unit = next(i for i, w in enumerate(found) if len(w.members) == 1)
+        assert refinements(found)[unit].tolist() == [len(w.members) == 2 for w in found]
 
     def test_singleton_family(self):
         ds, t = mixed_qubit()
         w = window(single(t, EYE), (0,))
-        assert is_maximally_refined(w, [w])
+        assert refinements([w]).tolist() == [[False]]
 
 
 class TestPictureBridge:
@@ -887,9 +920,10 @@ class TestStrictRefinements:
     @settings(max_examples=30, deadline=None)
     def test_member_count_filter_loses_no_refinement(self, case):
         # on search output, refinements with no more members than the window
-        # are the window itself, so the filtered scan equals the full one
+        # are the window itself, so the strict relation is the oracle's
+        # reflexive one without its diagonal
         ds, t, pvms = case
         found = search_windows(t, pvms)
-        for w in found:
-            full = [c for c in found if c is not w and is_refinement(c, w)]
-            assert list(map(id, strict_refinements(w, found))) == list(map(id, full))
+        full = np.array([[c is not w and oracles.is_refinement(c, w) for c in found]
+                         for w in found], dtype=bool).reshape(len(found), len(found))
+        assert np.array_equal(refinements(found), full)

@@ -13,16 +13,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import histq
+from histq.cli import _entropy_payload
 from histq.cli import main as cli_main
-from histq.consistency import (Window, base_family, is_refinement, partition_windows,
+from histq.consistency import (Window, base_family, partition_windows, refinements,
                                search_windows, window)
-from histq.entropy import (
-    min_entropy,
-    refinement_gap,
-    sup_refinement_entropy,
-    window_entropy,
-    window_entropy_pnorm,
-)
+from histq.entropy import min_entropy, refinement_gap, window_entropy, window_entropy_pnorm
 from histq.propositions import hs_inner, wright_operator
 from histq.sampling import random_model, random_pvm
 import oracles
@@ -46,6 +41,14 @@ def decided(t, base, labels=None):
 
 def scored(family):
     return {w: window_entropy(w) for w in family}
+
+
+def suprema(family):
+    """Each window's supremum of the entropy over its refinements in
+    ``family``, as ``histq entropy`` reports it."""
+    labels = [f"w{i}" for i in range(len(family))]
+    payload = _entropy_payload(family, labels, refinements(family), [2.0])
+    return [row["sup_over_refinements"] for row in payload["suprema"]]
 
 
 class TestWindowEntropy:
@@ -278,15 +281,12 @@ class TestMonotonicity:
             t = wright_operator(ds, (0.0,))
             windows = [w for w in partition_windows(base_family(t, [random_pvm(rng, dim)]))
                        if w.kreport.consistent]
-            for coarse in windows:
-                for fine in windows:
-                    if fine is coarse or not is_refinement(fine, coarse):
-                        continue
-                    pairs += 1
-                    for p in (1.0, 1.5, 2.0):
-                        drop = (window_entropy_pnorm(coarse, p).value
-                                - window_entropy_pnorm(fine, p).value)
-                        assert drop >= -1e-10
+            for coarse, fine in zip(*np.nonzero(refinements(windows))):
+                pairs += 1
+                for p in (1.0, 1.5, 2.0):
+                    drop = (window_entropy_pnorm(windows[coarse], p).value
+                            - window_entropy_pnorm(windows[fine], p).value)
+                    assert drop >= -1e-10
         assert pairs >= 40
 
 
@@ -320,22 +320,22 @@ class TestAggregates:
     def test_sup_over_refinements_of_unit(self):
         t = mixed_qubit()
         family = family_for(t)
-        unit = next(w for w in family if len(w.members) == 1)
-        assert sup_refinement_entropy(unit, scored(family)) == pytest.approx(0.0, abs=1e-12)
+        unit = next(i for i, w in enumerate(family) if len(w.members) == 1)
+        assert suprema(family)[unit] == pytest.approx(0.0, abs=1e-12)
 
     def test_sup_of_maximally_refined_is_own_entropy(self):
         t = mixed_qubit()
         family = family_for(t)
-        comp = next(w for w in family
+        comp = next(i for i, w in enumerate(family)
                     if tuple(round(p, 4) for p in w.kreport.probabilities) == (0.75, 0.25))
-        assert sup_refinement_entropy(comp, scored(family)) == pytest.approx(
-            window_entropy(comp).value, abs=1e-12)
+        assert suprema(family)[comp] == pytest.approx(
+            window_entropy(family[comp]).value, abs=1e-12)
 
     def test_sup_of_inconsistent_window_rejected(self):
         t = mixed_qubit(np.diag([1.0, 0.0]))
         w = decided(t, [P0, P1])
         with pytest.raises(ValueError, match="entropy undefined"):
-            sup_refinement_entropy(w, scored([w]))
+            suprema([w])
 
     def test_checks_run_only_in_the_search_decide_step(self, monkeypatch, tmp_path):
         # every histq module that binds a check gets a wrapper recording the
@@ -380,6 +380,5 @@ class TestAggregates:
     def test_sup_dominates_own_entropy(self):
         t = mixed_qubit()
         family = family_for(t)
-        for w in family:
-            assert (sup_refinement_entropy(w, scored(family))
-                    >= window_entropy(w).value - 1e-12)
+        for w, sup in zip(family, suprema(family)):
+            assert type(sup) is float and sup >= window_entropy(w).value - 1e-12

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from histq.consistency import base_family, is_refinement, window
+from histq.consistency import base_family, refinements, window
 from histq.decoherence import d_basis_sum, d_form, ils_reconstruct
 from histq.histories import PropositionSpace, chain_map, proposition, unit_proposition
 from histq.propositions import (
@@ -233,9 +233,9 @@ FOREIGN_OPERANDS = {
     "pair_value-second": (lambda c: c["ils"].pair_value(c["x"], c["y"]), "sector mismatch"),
     "pair_value-both": (lambda c: c["ils"].pair_value(c["y"], c["y"]), "sector mismatch"),
     "base_family": (lambda c: base_family(c["t"], [[np.eye(3)]]), "sector mismatch"),
-    "is_refinement": (lambda c: is_refinement(window(base_family(c["t"], [[P0, P1]]), (0, 1)),
-                                              window(base_family(c["t_b"], [[P0, P1]]), (0, 0))),
-                      "sector mismatch"),
+    "refinements": (lambda c: refinements([window(base_family(c["t"], [[P0, P1]]), (0, 1)),
+                                           window(base_family(c["t_b"], [[P0, P1]]), (0, 0))]),
+                    "sector mismatch"),
 }
 
 

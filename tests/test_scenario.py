@@ -256,6 +256,30 @@ def test_malformed_value_names_its_field(path, value, field):
     assert err.value.path == field
 
 
+@pytest.mark.parametrize("path, value, field", [
+    (("t0",), "0.5", "t0"),
+    (("t0",), True, "t0"),
+    (("times",), ["0", "1"], "times"),
+    (("times",), [0.0, True], "times"),
+    (("entropy_p",), [True], "entropy_p"),
+    (("entropy_p",), ["2"], "entropy_p"),
+    (("rho", "spectral", 0, "weight"), "0.75", "rho.spectral[0].weight"),
+    (("rho", "spectral", 1, "weight"), False, "rho.spectral[1].weight"),
+    (("hamiltonian", "real", 0, 0), "0", "hamiltonian"),
+    (("hamiltonian", "imag", 1, 1), False, "hamiltonian"),
+    (("rho", "spectral", 0, "vector", "real", 0), True, "rho.spectral[0].vector"),
+    (("histories", 1, "projectors", 0), {"matrix": {"real": [["1", 0], [0, 0]]}},
+     "histories[1].projectors[0].matrix"),
+], ids=["t0-string", "t0-bool", "times-strings", "times-bool", "entropy_p-bool",
+        "entropy_p-string", "weight-string", "weight-bool", "matrix-string", "matrix-bool",
+        "vector-bool", "projector-string"])
+def test_real_must_be_a_json_number(path, value, field):
+    # float() reads "0.5" and True, so every real is checked for its JSON type
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario(replaced(BUNDLED, path, value))
+    assert err.value.path == field
+
+
 @given(st.sampled_from(list(node_paths(BUNDLED))), JSON_VALUES)
 @settings(max_examples=500, deadline=None)
 def test_any_json_value_parses_or_raises_scenario_error(path, value):
