@@ -201,13 +201,11 @@ def _verify_payload(scn: Scenario) -> tuple[dict, bool]:
     from .verify import run_suite
 
     results = run_suite(scn)
-    checks = [{
-        "name": r.name,
-        "passed": r.passed,
-        "residual": r.residual,
-        "threshold": r.threshold,
-        "detail": r.detail,
-    } for r in results]
+    for r in results:
+        print(f"{'PASS' if r.passed else 'FAIL'} {r.name}: {r.detail} (residual {r.residual:.3e})")
+    # a row per check, its fields in order; JSON has no NaN, so a NaN residual is null
+    checks = [{**vars(r), "residual": None if math.isnan(r.residual) else r.residual}
+              for r in results]
     ok = all(r.passed for r in results)
     return {"checks": checks, "passed": ok}, ok
 
@@ -266,10 +264,6 @@ def main(argv=None) -> int:
             payload["divergence"], series = _diverge_payload(args.series, args.max_n)
         elif args.subcommand == "verify":
             payload["verify"], ok = _verify_payload(scn)
-            for check in payload["verify"]["checks"]:
-                status = "PASS" if check["passed"] else "FAIL"
-                print(f"{status} {check['name']}: {check['detail']} "
-                      f"(residual {check['residual']:.3e})")
             if not ok:
                 exit_code = 3
         out_dir = Path(args.out)  # created only now that every report is computed

@@ -114,7 +114,7 @@ def _decomposition(elements, name: str, dim: int) -> list[np.ndarray]:
     ops = [as_operator(p) for p in elements]
     if any(op.shape != (dim, dim) for op in ops):
         raise ValueError(f"decomposition {name}: sector mismatch: elements must be {dim}x{dim}")
-    if not all(is_projector(op) for op in ops):
+    if not np.all(is_projector(np.reshape(ops, (-1, dim, dim)))):
         raise ValueError(f"decomposition {name}: elements must be projectors")
     if max_abs(sum(ops) - np.eye(dim)) > TOLERANCES.consistency:
         raise ValueError(f"decomposition {name}: elements must sum to the identity")
@@ -488,8 +488,9 @@ def search_windows(t: WrightOperator,
         if len(klists) == 0:
             raise ValueError("each time needs at least one decomposition")
 
-    transported = [[[heisenberg(ds.model, p, time, ds.grid.t0) for p in pvm] for pvm in klists]
-                   for time, klists in zip(space.support, pvms)]
+    shape = (space.dim_single,) * 2
+    transported = [[heisenberg(ds.model, np.reshape(pvm, (len(pvm), *shape)), time, ds.grid.t0)
+                    for pvm in klists] for time, klists in zip(space.support, pvms)]
 
     @functools.cache
     def checked(k: int, j: int) -> list[np.ndarray]:

@@ -61,20 +61,25 @@ def as_operator(a) -> np.ndarray:
     return m
 
 
-def max_abs(a) -> float:
-    a = np.asarray(a)
-    return float(np.abs(a).max()) if a.size else 0.0
+def max_abs(a) -> np.ndarray:
+    """The largest |entry| of a matrix, or of each matrix of a stack; 0 when empty."""
+    return np.abs(np.asarray(a)).max(axis=(-2, -1), initial=0.0)
 
 
-def is_hermitian(a) -> bool:
-    a = as_operator(a)
-    scale = max(max_abs(a), 1.0)
-    return max_abs(a - a.conj().T) <= TOLERANCES.hermitian * scale
+def is_hermitian(a) -> np.ndarray:
+    """Hermitian within ``TOLERANCES.hermitian`` times the largest entry (at
+    least 1): one verdict per matrix of a stack (..., d, d)."""
+    a = np.asarray(a, dtype=complex)
+    if a.ndim < 2 or a.shape[-2] != a.shape[-1]:
+        raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    scale = np.maximum(max_abs(a), 1.0)
+    return max_abs(a - a.conj().swapaxes(-1, -2)) <= TOLERANCES.hermitian * scale
 
 
-def is_projector(p) -> bool:
-    p = as_operator(p)
-    return is_hermitian(p) and max_abs(p @ p - p) <= TOLERANCES.projector
+def is_projector(p) -> np.ndarray:
+    """Hermitian and idempotent within ``TOLERANCES.projector``, per matrix of a stack."""
+    p = np.asarray(p, dtype=complex)
+    return is_hermitian(p) & (max_abs(p @ p - p) <= TOLERANCES.projector)
 
 
 def projector_onto(vectors) -> np.ndarray:

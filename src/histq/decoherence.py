@@ -144,16 +144,20 @@ def _slice(x: Proposition, psi: np.ndarray) -> np.ndarray:
 
     Each factor contributes its partial diagonal F[a, J_f, b]; consecutive
     factors join on their shared boundary index by an outer product, which
-    becomes one more inner index.  For a one-time factor F is psi^dag f psi.
+    becomes one more inner index.  For a one-time factor F is psi^dag f psi,
+    formed for all of them in one stacked product.
     """
     dim = len(psi)
+    ones = [f for f in x.factors if len(f) == dim]
+    single = iter(psi.conj().T @ np.reshape(ones, (len(ones), dim, dim)) @ psi)
     out = None
     for f in x.factors:
         big = psi
         while len(big) < len(f):
             big = np.kron(big, psi)
         inner = len(f) // dim
-        part = np.einsum("ajjb->ajb", (big.conj().T @ f @ big).reshape(dim, inner, inner, dim))
+        form = next(single) if inner == 1 else big.conj().T @ f @ big
+        part = np.einsum("ajjb->ajb", form.reshape(dim, inner, inner, dim))
         out = part if out is None else (out[..., None, None] * part).reshape(dim, -1, dim)
     return np.ascontiguousarray(out.transpose(0, 2, 1))
 

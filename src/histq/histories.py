@@ -69,20 +69,15 @@ class HomogeneousHistory:
     def times(self) -> tuple[float, ...]:
         return tuple(t for t, _ in self.items)
 
-    def operator_at(self, t: float) -> np.ndarray:
-        for s, p in self.items:
-            if s == t:
-                return p
-        raise KeyError(t)
-
 
 def history(entries: Mapping[float, np.ndarray]) -> HomogeneousHistory:
     """Build a history from a time -> projector mapping, copying each projector;
     ``ValueError`` on a non-projector."""
     items = tuple(sorted(((float(t), as_operator(p).copy()) for t, p in entries.items()),
                          key=lambda tp: tp[0]))
-    for t, p in items:
-        if not is_projector(p):
+    verdicts = is_projector(np.array([p for _, p in items])) if items else ()
+    for (t, _), ok in zip(items, verdicts):
+        if not ok:
             raise ValueError(f"history entry at time {t!r} is not a projector")
     return HomogeneousHistory(items)
 
@@ -194,8 +189,14 @@ def embed(model: SystemModel, h: HomogeneousHistory,
     if not set(times) <= set(space.support):
         raise ValueError("support does not contain the history's times")
     eye = np.eye(model.dim, dtype=complex)
-    return Proposition(space=space, factors=tuple(
-        heisenberg(model, h.operator_at(t), t, t0) if t in times else eye for t in space.support))
+    moved = dict(zip(times, _transported(model, h, t0)))
+    return Proposition(space=space, factors=tuple(moved.get(t, eye) for t in space.support))
+
+
+def _transported(model: SystemModel, h: HomogeneousHistory, t0: float) -> np.ndarray:
+    """``h``'s projectors in the Heisenberg picture, by one :func:`heisenberg` call."""
+    stack = np.reshape([p for _, p in h.items], (len(h.items), model.dim, model.dim))
+    return heisenberg(model, stack, h.times, t0)
 
 
 def class_operator(model: SystemModel, h: HomogeneousHistory, t0: float = 0.0) -> np.ndarray:
@@ -204,10 +205,8 @@ def class_operator(model: SystemModel, h: HomogeneousHistory, t0: float = 0.0) -
     The map is not injective: repeating a projector at a second time yields
     the same operator by idempotence.  The result has operator norm <= 1.
     """
-    out = np.eye(model.dim, dtype=complex)
-    for t, p in h.items:
-        out = out @ heisenberg(model, p, t, t0)
-    return out
+    eye = np.eye(model.dim, dtype=complex)
+    return functools.reduce(np.matmul, _transported(model, h, t0), eye)
 
 
 def chain_map(op: np.ndarray, dim: int, n_times: int) -> np.ndarray:

@@ -17,6 +17,8 @@ __all__ = [
     "random_hermitian",
     "random_density",
     "random_unitary",
+    "draw_projectors",
+    "resolve_projectors",
     "random_projectors",
     "random_pvm",
     "random_model",
@@ -51,22 +53,30 @@ def random_density(rng: np.random.Generator, dim: int) -> np.ndarray:
     return rho / np.trace(rho).real
 
 
-def random_projectors(rng: np.random.Generator, dim: int, count: int) -> list[np.ndarray]:
-    """``count`` projectors of random rank, each the projector onto the first
-    rank columns of a Haar unitary.
-
-    Draw order: for each projector in turn its rank (``rng.integers``), then
-    its two Gaussian matrices, exactly as one draw per projector would; only
-    then are all of them resolved by one stacked QR.  Drawing the ranks as one
-    batch would move the Gaussian stream, since bounded integers consume
-    buffered half-words of the bit generator.
-    """
+def draw_projectors(rng: np.random.Generator, dim: int,
+                    count: int) -> tuple[list[int], np.ndarray]:
+    """The ranks and Gaussian matrices of ``count`` projectors, drawn in the
+    order of one draw per projector: its rank (``rng.integers``), then its two
+    Gaussian matrices.  Drawing the ranks as one batch would move the Gaussian
+    stream, since bounded integers consume buffered half-words of the bit
+    generator."""
     ranks = []
     z = np.empty((count, dim, dim), dtype=complex)
     for i in range(count):
         ranks.append(int(rng.integers(1, dim + 1)))
         z[i] = random_operator(rng, dim)
+    return ranks, z
+
+
+def resolve_projectors(ranks: list[int], z: np.ndarray) -> list[np.ndarray]:
+    """The projectors onto the first rank columns of the Haar unitaries of
+    ``z``, by one stacked QR, whichever draws ``z`` joins."""
     return [projector_onto(u[:, :rank]) for u, rank in zip(_haar(z), ranks)]
+
+
+def random_projectors(rng: np.random.Generator, dim: int, count: int) -> list[np.ndarray]:
+    """``count`` projectors of random rank: one draw, resolved by one stacked QR."""
+    return resolve_projectors(*draw_projectors(rng, dim, count))
 
 
 def random_pvm(rng: np.random.Generator, dim: int) -> list[np.ndarray]:

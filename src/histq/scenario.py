@@ -29,6 +29,7 @@ the offending field.
 from __future__ import annotations
 
 import json
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -73,6 +74,8 @@ def _is_int(value) -> bool:
 def _reals(node) -> bool:
     """True for a finite JSON number (not NaN or Infinity) or nested lists of them."""
     if isinstance(node, list):
+        if set(map(type, node)) <= {float}:  # a row of floats: one C-level pass
+            return all(map(math.isfinite, node))
         return all(map(_reals, node))
     return (_is_int(node) or isinstance(node, float)) and abs(node) <= sys.float_info.max
 
@@ -91,7 +94,7 @@ def _complex_array(node, shape: tuple[int, ...], path: str) -> np.ndarray:
         raise ScenarioError(path, "entries must be finite JSON numbers")
     try:
         real = np.asarray(node["real"], dtype=float)
-        imag = np.asarray(node.get("imag", np.zeros_like(real)), dtype=float)
+        imag = np.asarray(node["imag"], dtype=float) if "imag" in node else np.zeros_like(real)
     except ValueError as exc:  # ragged lists
         raise ScenarioError(path, f"not numeric arrays: {exc}") from None
     if real.shape != imag.shape:
@@ -126,11 +129,12 @@ def _rho(node, dim: int, path: str) -> SystemModel | tuple:
     raise ScenarioError(path, "expected 'matrix' or 'spectral'")
 
 
-def _projector(node, dim: int, path: str) -> np.ndarray:
+def _projector(node, dim: int, path: str) -> tuple[np.ndarray, str | None]:
+    """The spec's matrix and the path it is checked under (none for the exact identity)."""
     if not isinstance(node, dict):
         raise ScenarioError(path, "expected an object")
     if node.get("identity"):
-        return np.eye(dim, dtype=complex)
+        return np.eye(dim, dtype=complex), None
     if "matrix" in node:
         p, field = _complex_array(node["matrix"], (dim, dim), f"{path}.matrix"), "matrix"
     elif "basis" in node:
@@ -151,24 +155,32 @@ def _projector(node, dim: int, path: str) -> np.ndarray:
         p, field = projector_onto(basis[:, indices]), "basis"  # rounding can fail a tight bound
     else:
         raise ScenarioError(path, "unknown projector spec (need identity/matrix/basis)")
-    if not is_projector(p):
-        raise ScenarioError(f"{path}.{field}", "not a projector within the projector bound "
-                                               f"{TOLERANCES.projector:g}")
-    return p
+    return p, f"{path}.{field}"
+
+
+def _projectors(specs: list[tuple[np.ndarray, str | None]]) -> list[np.ndarray]:
+    """One spec list's matrices from :func:`_projector`, checked by one
+    ``is_projector`` call; ``ScenarioError`` under the first refused one's path."""
+    checked = [(p, path) for p, path in specs if path]
+    if checked:
+        bad = np.flatnonzero(np.logical_not(is_projector(np.array([p for p, _ in checked]))))
+        if bad.size:
+            raise ScenarioError(checked[bad[0]][1], "not a projector within the projector "
+                                                    f"bound {TOLERANCES.projector:g}")
+    return [p for p, _ in specs]
 
 
 def _pvm(node, dim: int, path: str) -> list[np.ndarray]:
     if not isinstance(node, dict):
         raise ScenarioError(path, "expected an object")
     if "basis" in node and "projectors" not in node:
-        return [_projector({"basis": node["basis"], "index": i}, dim, path) for i in range(dim)]
+        return _projectors([_projector({"basis": node["basis"], "index": i}, dim, path)
+                            for i in range(dim)])
     if "projectors" in node:
         if not isinstance(node["projectors"], list):
             raise ScenarioError(f"{path}.projectors", "expected a list of projector specs")
-        elements = [
-            _projector(sub, dim, f"{path}.projectors[{i}]")
-            for i, sub in enumerate(node["projectors"])
-        ]
+        elements = _projectors([_projector(sub, dim, f"{path}.projectors[{i}]")
+                                for i, sub in enumerate(node["projectors"])])
         total = sum(elements)
         if np.max(np.abs(total - np.eye(dim))) > TOLERANCES.consistency:
             raise ScenarioError(f"{path}.projectors", "elements must sum to the identity")
@@ -226,9 +238,9 @@ def parse_scenario(data: dict) -> Scenario:
         if not isinstance(specs, list) or len(specs) != len(grid.times):
             raise ScenarioError(f"{hpath}.projectors",
                                 f"need one projector spec per time ({len(grid.times)})")
-        items = tuple((t, _projector(spec, dim, f"{hpath}.projectors[{k}]"))
-                      for k, (t, spec) in enumerate(zip(grid.times, specs)))
-        histories.append((label, HomogeneousHistory(items)))
+        items = zip(grid.times, _projectors([_projector(spec, dim, f"{hpath}.projectors[{k}]")
+                                             for k, spec in enumerate(specs)]))
+        histories.append((label, HomogeneousHistory(tuple(items))))
 
     pvms: list[list[list[np.ndarray]]] = []
     pvm_nodes = data.get("pvms", [])

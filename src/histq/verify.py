@@ -23,7 +23,8 @@ from .divergence import b1_direct_value, b1_grid, b1_series, b2_grid, b2_series,
 from .entropy import refinement_gap, window_entropy, window_entropy_pnorm
 from .histories import Proposition, PropositionSpace, history, proposition, unit_proposition
 from .propositions import hs_inner, probability, wright_operator
-from .sampling import random_model, random_operator, random_projectors, random_pvm
+from .sampling import (draw_projectors, random_model, random_operator, random_projectors,
+                       random_pvm, resolve_projectors)
 from .scenario import Scenario
 
 __all__ = ["CheckResult", "run_suite"]
@@ -46,6 +47,11 @@ _THRESHOLDS = {
 }
 
 
+def _worst(*residuals: float) -> float:
+    """The largest residual, or NaN when one is NaN (``max`` can drop a NaN)."""
+    return math.nan if any(map(math.isnan, residuals)) else max(residuals)
+
+
 @dataclass
 class CheckResult:
     name: str
@@ -64,7 +70,7 @@ def _product_histories(ds: DecoherenceState, n_times: int, ps) -> np.ndarray:
     """The projectors ``ps``, drawn history by history and within a history
     time by time, as the stack (count, n_times, dim, dim) of product histories
     on the first ``n_times`` times of ``ds``, transported once per time.
-    ``random_projectors`` draws each projector's rank and Gaussian matrices in
+    ``draw_projectors`` takes each projector's rank and Gaussian matrices in
     turn, so a block's draws are those of one call per projector; they are
     projectors by construction, so nothing checks them again."""
     stack = np.reshape(ps, (-1, n_times, ds.model.dim, ds.model.dim))
@@ -81,17 +87,21 @@ def _check_axioms(scn: Scenario, rng) -> CheckResult:
     states = _side_states(rng) + [DecoherenceState(model=scn.model, grid=scn.grid)]
     unit = history({})
     for ds in states:
-        worst = max(worst, abs(d_trace(ds, unit, unit) - 1.0))
-        drawn = {1: [], 2: []}  # each iteration's h and k, by their number of times
+        worst = _worst(worst, abs(d_trace(ds, unit, unit) - 1.0))
+        times, ranks, zs = [], [], []  # per drawn projector: its history's number of times
         for _ in range(10):
             n = int(rng.integers(1, min(2, len(ds.grid.times)) + 1))
-            drawn[n] += random_projectors(rng, ds.model.dim, 2 * n)
-        for n, ps in drawn.items():
+            r, z = draw_projectors(rng, ds.model.dim, 2 * n)  # the iteration's h and k
+            times, ranks = times + [n] * len(r), ranks + r
+            zs.append(z)
+        drawn = resolve_projectors(ranks, np.concatenate(zs))  # one QR per state
+        for n in (1, 2):
+            ps = [p for p, m in zip(drawn, times) if m == n]
             if ps:
                 d = chain_gram(ds, _chains(_product_histories(ds, n, ps)))
                 h = np.arange(0, len(d), 2)  # h at even rows, its k after it
-                worst = max(worst, float(np.abs(d[h, h + 1] - d[h + 1, h].conj()).max()),
-                            float(-d[h, h].real.min()))
+                worst = _worst(worst, float(np.abs(d[h, h + 1] - d[h + 1, h].conj()).max()),
+                               float(-d[h, h].real.min()))
     bound = _THRESHOLDS["axioms"]
     return CheckResult("decoherence-axioms", worst <= bound, worst, bound,
                        "unit norm, Hermiticity, diagonal positivity")
@@ -117,8 +127,8 @@ def _check_representations(scn: Scenario, rng) -> CheckResult:
             embedded = [Proposition(space=space, factors=tuple(x)) for x in stack]
             for i in range(0, len(stack), 2):
                 hb, kb = embedded[i], embedded[i + 1]
-                worst = max(worst, abs(ref[i][i + 1] - d_basis_sum(ds, hb, kb)),
-                            abs(ref[i][i + 1] - ils.pair_value(hb, kb)))
+                worst = _worst(worst, abs(ref[i][i + 1] - d_basis_sum(ds, hb, kb)),
+                               abs(ref[i][i + 1] - ils.pair_value(hb, kb)))
     bound = TOLERANCES.agreement
     detail = "chain form vs basis sum vs doubled-space reconstruction"
     if skipped:
@@ -139,13 +149,13 @@ def _check_wright(scn: Scenario, rng) -> CheckResult:
             support = ds.grid.times[:n]
             t = wright_operator(ds, support)
             e = unit_proposition(t.space)
-            worst_state = max(worst_state, abs(probability(t, e) - 1.0))
-            worst_selfadj = max(worst_selfadj, t.self_adjoint_residual())
+            worst_state = _worst(worst_state, abs(probability(t, e) - 1.0))
+            worst_selfadj = _worst(worst_selfadj, t.self_adjoint_residual())
             for _ in range(10):
                 b = proposition(t.space, random_operator(rng, t.space.op_dim))
-                worst_agree = max(worst_agree,
-                                  abs(probability(t, b) - d_form(ds, b, b).real))
-    worst = max(worst_state, worst_agree, worst_selfadj)
+                worst_agree = _worst(worst_agree,
+                                     abs(probability(t, b) - d_form(ds, b, b).real))
+    worst = _worst(worst_state, worst_agree, worst_selfadj)
     bound = TOLERANCES.agreement
     passed = (worst_state <= _THRESHOLDS["wright-unit"] and worst_agree <= bound
               and worst_selfadj <= _THRESHOLDS["wright-self-adjoint"])
@@ -179,15 +189,15 @@ def _check_bridge(scn: Scenario, rng) -> CheckResult:
 
 def _check_gap_grid(scn: Scenario, rng) -> CheckResult:
     grid = np.logspace(math.log10(0.1), math.log10(10.0), 60)
-    worst = 0.0
+    worst = 0.0  # the largest negative part of a gap
     argmin_ok = True
     for q in (1.0, 1.5, 2.0, 3.0):
         values = refinement_gap(grid[:, None], grid[None, :], q)  # row a, column b
-        worst = min(worst, float(values.min()))
+        worst = _worst(worst, -float(values.min()))
         argmin_ok &= bool(np.all(np.abs(np.argmin(values, axis=1) - np.arange(grid.size)) <= 1))
     bound = _THRESHOLDS["gap"]
-    passed = worst >= -bound and argmin_ok
-    return CheckResult("split-gap-grid", passed, abs(min(worst, 0.0)), bound,
+    passed = worst <= bound and argmin_ok
+    return CheckResult("split-gap-grid", passed, worst, bound,
                        "nonnegativity and argmin location on the 60x60 grid")
 
 
@@ -207,7 +217,7 @@ def _check_divergence(scn: Scenario, rng) -> CheckResult:
     direct_worst = 0.0
     for n in (2, 4, 6):
         reduced = dict(b1_series([n]).points)[n]
-        direct_worst = max(direct_worst, abs(reduced - b1_direct_value(n)))
+        direct_worst = _worst(direct_worst, abs(reduced - b1_direct_value(n)))
     passed = s1_ok and s2_ok and direct_worst <= _THRESHOLDS["b1-direct"]
     return CheckResult(
         "divergence-trends", passed, direct_worst, _THRESHOLDS["b1-direct"],
@@ -233,8 +243,8 @@ def _check_entropy(scn: Scenario, rng) -> CheckResult:
             shannon = -sum(p * math.log(p) for p in probs)
             regroup = shannon + sum(
                 p * math.log(hs_inner(x, x).real) for p, x in zip(probs, w.members))
-            worst_identity = max(worst_identity, abs(rep.value - regroup))
-            worst_p2 = max(worst_p2, abs(rep.value - pnorm[w, 2.0]))
+            worst_identity = _worst(worst_identity, abs(rep.value - regroup))
+            worst_p2 = _worst(worst_p2, abs(rep.value - pnorm[w, 2.0]))
         refining = list(zip(*np.nonzero(refinements(found))))  # (i, j): j refines i
         pairs += len(refining)
         monotone_ok &= all(pnorm[found[i], p] - pnorm[found[j], p] >= -_THRESHOLDS["p-norm"]
@@ -251,7 +261,7 @@ def _check_entropy(scn: Scenario, rng) -> CheckResult:
             - window_entropy_pnorm(coarse_w, 3.0).value)
     counterexample_ok = abs(rise - math.log(2) / 3.0) <= _THRESHOLDS["counterexample"]
 
-    worst = max(worst_identity, worst_p2)
+    worst = _worst(worst_identity, worst_p2)
     passed = (worst_identity <= _THRESHOLDS["regrouping"] and worst_p2 <= _THRESHOLDS["p-norm"]
               and monotone_ok and counterexample_ok)
     return CheckResult(

@@ -34,10 +34,15 @@
 * :func:`kron_product` is the Kronecker product by ``np.kron``, one factor at
   a time, where the program forms one broadcast outer product per factor.
 * :func:`d_trace` is the chain form of one pair of histories: each history
-  reduced to its support, its chain built by ``class_operator`` from one
+  reduced to its support, its chain built by :func:`chain` from one
   ``heisenberg`` call per projector, then the scalar trace, where the program
   transports history stacks once per time, multiplies their chains out by
   batched matmuls and reads every pair from one chain Gram matrix.
+* :func:`is_hermitian` and :func:`is_projector` decide one matrix at a time, where the program
+  decides a stack of them with one call.
+* :func:`eigen_slice` forms each factor's eigenbasis form by its own
+  product, where the program forms those of all one-time factors in one
+  stacked product.
 * :func:`hermitian_basis` and :func:`ils_expansion` build the doubled-space
   operator as sum_ab d(G_a, G_b) G_a (x) G_b over a Hermitian basis {G_a}
   orthonormal under tr(A B), where the program reorders the functional's
@@ -54,10 +59,10 @@ import numpy as np
 
 from histq.consistency import (ConsistencyReport, Window, _block_sums, _rgs_chunks,
                                _sector_terms)
-from histq.core import TOLERANCES, is_projector, max_abs, projector_onto, tensor_product
+from histq.core import (TOLERANCES, SystemModel, heisenberg, max_abs, projector_onto,
+                        tensor_product)
 from histq.decoherence import DecoherenceState, d_form, d_gram
-from histq.histories import (HomogeneousHistory, Proposition, class_operator, proposition,
-                             support_reduce)
+from histq.histories import HomogeneousHistory, Proposition, proposition, support_reduce
 from histq.propositions import WrightOperator, hs_inner, probability
 from histq.sampling import random_operator
 
@@ -102,10 +107,32 @@ def kron_product(ops: Sequence[np.ndarray]) -> np.ndarray:
     return functools.reduce(np.kron, [np.asarray(op, dtype=complex) for op in ops])
 
 
+def chain(model: SystemModel, h: HomogeneousHistory, t0: float = 0.0) -> np.ndarray:
+    """The chain of ``h``: its projectors, each moved by its own ``heisenberg``
+    call, multiplied in time order onto the identity."""
+    out = np.eye(model.dim, dtype=complex)
+    for t, p in h.items:
+        out = out @ heisenberg(model, p, t, t0)
+    return out
+
+
 def d_trace(ds: DecoherenceState, h: HomogeneousHistory, k: HomogeneousHistory) -> complex:
     """tr(C(h)^dag rho C(k)), each chain built from its history's support."""
-    ch, ck = (class_operator(ds.model, support_reduce(x), ds.grid.t0) for x in (h, k))
+    ch, ck = (chain(ds.model, support_reduce(x), ds.grid.t0) for x in (h, k))
     return complex(np.trace(ch.conj().T @ ds.model.rho @ ck))
+
+
+def is_hermitian(a: np.ndarray) -> bool:
+    """The Hermitian rule on one matrix: within the hermitian bound times its
+    largest entry (at least 1)."""
+    scale = max(float(np.abs(a).max(initial=0.0)), 1.0)
+    return float(np.abs(a - a.conj().T).max(initial=0.0)) <= TOLERANCES.hermitian * scale
+
+
+def is_projector(p: np.ndarray) -> bool:
+    """The projector rule on one matrix: Hermitian, then idempotent within the
+    absolute projector bound."""
+    return is_hermitian(p) and float(np.abs(p @ p - p).max(initial=0.0)) <= TOLERANCES.projector
 
 
 def hermitian_basis(k: int) -> np.ndarray:
@@ -205,6 +232,22 @@ def factor_form(x: Proposition, psi: np.ndarray) -> np.ndarray:
             big = np.kron(big, psi)
         forms.append(big.conj().T @ f @ big)
     return tensor_product(forms)
+
+
+def eigen_slice(x: Proposition, psi: np.ndarray) -> np.ndarray:
+    """S(x)[a, b, J] = E(x)[(a, J), (J, b)] of :func:`factor_form`, built one
+    factor at a time: the partial diagonal of each factor's own form, joined
+    to the previous factors by an outer product on the shared index."""
+    dim = len(psi)
+    out = None
+    for f in x.factors:
+        big = psi
+        while len(big) < len(f):
+            big = np.kron(big, psi)
+        inner = len(f) // dim
+        part = np.einsum("ajjb->ajb", (big.conj().T @ f @ big).reshape(dim, inner, inner, dim))
+        out = part if out is None else (out[..., None, None] * part).reshape(dim, -1, dim)
+    return np.ascontiguousarray(out.transpose(0, 2, 1))
 
 
 def basis_sum_dense(ds: DecoherenceState, p: Proposition, q: Proposition) -> complex:

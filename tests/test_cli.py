@@ -125,6 +125,18 @@ class TestVerify:
         assert len(lines) == 7
         assert all(l.startswith("PASS") for l in lines)
 
+    def test_nan_residual_fails_its_check_and_is_written_as_null(self, monkeypatch, tmp_path,
+                                                                  capsys):
+        # every reduced-vs-direct residual NaN: a fold that drops NaN would
+        # report 0 and pass the check
+        monkeypatch.setattr("histq.verify.b1_direct_value", lambda n: math.nan)
+        assert run(["verify", "--out", str(tmp_path)]) == 3
+        assert "FAIL divergence-trends" in capsys.readouterr().out
+        checks = {c["name"]: c for c in strict_json(tmp_path / "verify.json")["verify"]["checks"]}
+        assert checks["divergence-trends"]["residual"] is None
+        assert not checks["divergence-trends"]["passed"]
+        assert sum(c["passed"] for c in checks.values()) == 6
+
     def test_reports_are_byte_identical(self, tmp_path):
         run(["verify", "--out", str(tmp_path / "a")])
         run(["verify", "--out", str(tmp_path / "b")])

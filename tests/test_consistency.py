@@ -203,15 +203,15 @@ class TestDecide:
         assert w.kreport.consistent and w.opreport.consistent
 
     def test_each_member_is_checked_once(self, monkeypatch):
-        # each decomposition element is checked where its family is built,
-        # and no window member is checked again
+        # each decomposition is checked, as one stack of its elements, where
+        # its family is built, and no window member is checked again
         ds, t = mixed_qubit()
         calls = count_calls(monkeypatch, "is_projector")
         family = single(t, P0, P1)
-        assert np.allclose([op for (op,) in calls], [P0, P1])
+        assert [np.array_equal(stack, [P0, P1]) for (stack,) in calls] == [True]
         decided = window(family, (0, 1))
         assert decided.opreport.consistent
-        assert len(calls) == 2
+        assert len(calls) == 1
 
 
 class TestBaseFamily:
@@ -430,13 +430,13 @@ class TestSearchWindows:
         assert (1.0,) in probs
 
     def test_search_checks_each_decomposition_once(self, monkeypatch):
-        # four families from two decompositions per time: 8 elements, each
-        # checked once, not once per family (16)
+        # four families from two decompositions per time: 4 stacks of 2
+        # elements, each checked once, not once per family (8 stacks)
         ds, _ = mixed_qubit()
         t2 = wright_operator(ds, (0.0, 1.0))
         calls = count_calls(monkeypatch, "is_projector")
         search_windows(t2, [[[P0, P1], [PLUS, MINUS]]] * 2)
-        assert len(calls) == 8
+        assert [stack.shape for (stack,) in calls] == [(2, 2, 2)] * 4
 
     def test_search_names_the_refused_decomposition(self):
         ds, _ = mixed_qubit()
@@ -481,16 +481,23 @@ class TestSearchWindows:
 
     def test_bundled_entropy_checks_only_parsed_and_decomposition_projectors(
             self, monkeypatch, tmp_path):
-        # 6 history entries and 2 x 2 named-basis elements at parse time, the
-        # 4 decomposition elements again where the two families are built,
-        # and no window member
-        calls = collections.Counter()
+        # one stack per spec list at parse time (2 histories with 4
+        # non-identity entries, 2 decompositions of 2 named-basis elements),
+        # each decomposition again where the two families are built, and no
+        # window member; each count is (stacks, matrices)
+        calls = collections.defaultdict(lambda: [0, 0])
+
+        def counted(p, _name):
+            calls[_name][0] += 1
+            calls[_name][1] += len(p)
+            return is_projector(p)
+
         for name, module in list(sys.modules.items()):
             if name.startswith("histq") and hasattr(module, "is_projector"):
                 monkeypatch.setattr(module, "is_projector",
-                                    lambda p, _name=name: calls.update([_name]) or is_projector(p))
+                                    lambda p, _name=name: counted(p, _name))
         assert cli_main(["entropy", "--out", str(tmp_path)]) == 0
-        assert calls == {"histq.scenario": 8, "histq.consistency": 4}
+        assert calls == {"histq.scenario": [4, 8], "histq.consistency": [2, 4]}
 
 
 class TestMaximallyRefined:

@@ -14,6 +14,7 @@ from histq.core import (
     Tolerances,
     evolve,
     heisenberg,
+    is_hermitian,
     is_projector,
     named_basis,
     tensor_product,
@@ -177,6 +178,46 @@ class TestHeisenberg:
         model = SystemModel.from_matrices((np.pi / 2) * SIGMA_X, np.eye(2) / 2)
         a = np.array([[1.0, 2.0j], [3.0, 4.0 - 1.0j]])
         assert np.max(np.abs(heisenberg(model, a, 1.0) - SIGMA_X @ a @ SIGMA_X)) <= 1e-12
+
+
+class TestIsProjector:
+    """One call decides a stack, one verdict per matrix, by the per-matrix rule."""
+
+    @given(dim=st.integers(1, 4), seed=st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_stack_agrees_with_the_per_matrix_rule_near_the_bounds(self, dim, seed):
+        # projectors moved off by anti-Hermitian and Hermitian errors around
+        # each bound, some scaled up so the Hermitian bound scales with them
+        rng = np.random.default_rng(seed)
+        mats = []
+        for scale in (1.0, 1e3):
+            for size in np.logspace(-14, -8, 13):
+                e = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+                e /= np.abs(e).max()
+                for err in (e - e.conj().T, e + e.conj().T):
+                    mats.append(scale * (random_projector(rng, dim) + size * err / 2))
+        stack = np.array(mats)
+        verdicts = is_projector(stack)
+        assert verdicts.shape == (len(mats),)
+        assert verdicts.tolist() == [oracles.is_projector(m) for m in mats]
+        assert is_hermitian(stack).tolist() == [oracles.is_hermitian(m) for m in mats]
+        nested = is_projector(stack.reshape(2, -1, dim, dim))
+        assert nested.tolist() == verdicts.reshape(2, -1).tolist()
+
+    def test_both_verdicts_occur_near_the_bounds(self):
+        off = np.array([[0.0, 1.0], [-1.0, 0.0]]) * 1e-12  # anti-Hermitian
+        near = [P0 + 0.4 * off, P0 + 2.0 * off, P0 + 0.5e-10 * P1, P0 + 2e-10 * P1]
+        assert is_projector(np.array(near)).tolist() == [True, False, True, False]
+        assert [oracles.is_projector(p) for p in near] == [True, False, True, False]
+
+    def test_one_matrix_gives_one_verdict_and_empty_stacks_none(self):
+        assert is_projector(P0).shape == () and bool(is_projector(P0))
+        assert is_projector(np.empty((0, 2, 2))).shape == (0,)
+
+    @pytest.mark.parametrize("shape", [(2,), (2, 3), (4, 2, 3)])
+    def test_non_square_rejected(self, shape):
+        with pytest.raises(ValueError, match="expected a square matrix"):
+            is_projector(np.zeros(shape))
 
 
 class TestSystemModel:

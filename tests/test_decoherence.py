@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from histq.core import SystemModel, TimeGrid, heisenberg, max_abs, tensor_product
 from histq.decoherence import (
     CapacityError,
+    _slice,
     DecoherenceState,
     chain_gram,
     d_basis_sum,
@@ -141,7 +142,7 @@ def form_cases(draw):
     def embedded():
         h = history({t: random_projector(rng, dim) for t in ds.grid.times if draw(st.booleans())})
         x = embed(ds.model, h, ds.grid.times, ds.grid.t0)
-        eager[x] = tensor_product([heisenberg(ds.model, h.operator_at(t), t, ds.grid.t0)
+        eager[x] = tensor_product([heisenberg(ds.model, dict(h.items)[t], t, ds.grid.t0)
                                    if t in h.times else np.eye(dim, dtype=complex)
                                    for t in ds.grid.times])
         return x
@@ -454,6 +455,25 @@ class TestBasisSumForm:
         for x, product in eager.items():
             assert np.array_equal(x.op, product)
         assert abs(value - _basis_sum_loop(ds, p, q)) <= 1e-12
+
+    @given(form_cases())
+    @settings(max_examples=40, deadline=None)
+    def test_slices_equal_the_per_factor_oracle(self, case):
+        # the one-time forms psi^dag f psi of one stacked product carry the
+        # bits of one product per factor
+        ds, pair, _ = case
+        psi = np.asarray(ds.model.vectors, dtype=complex)
+        for x in pair:
+            assert np.array_equal(_slice(x, psi), oracles.eigen_slice(x, psi))
+
+    @pytest.mark.parametrize("groups", [(1, 2, 1), (2, 1), (3,), (1, 1, 1)])
+    def test_grouped_factor_slices_equal_the_per_factor_oracle(self, groups):
+        rng = np.random.default_rng(sum(groups) * 10 + len(groups))
+        model = random_model(rng, 2)
+        space = PropositionSpace(support=tuple(range(sum(groups))), dim_single=2)
+        x = Proposition(space=space, factors=tuple(random_operator(rng, 2 ** m) for m in groups))
+        psi = np.asarray(model.vectors, dtype=complex)
+        assert np.array_equal(_slice(x, psi), oracles.eigen_slice(x, psi))
 
     def test_conjugate_linear_in_first_slot(self):
         rng = np.random.default_rng(19)

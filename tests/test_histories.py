@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from histq.core import SystemModel, TimeGrid, is_projector, tensor_product
+from histq.core import SystemModel, TimeGrid, heisenberg, is_projector, tensor_product
 from histq.decoherence import DecoherenceState, d_trace
 from histq.histories import (
     PropositionSpace,
@@ -13,9 +13,10 @@ from histq.histories import (
     history,
     support_reduce,
 )
-from histq.sampling import random_hermitian
+from histq.sampling import random_hermitian, random_model
 
 from helpers import H_ZERO, P0, P1, PLUS, SIGMA_X, count_calls
+import oracles
 from oracles import random_projector
 
 EYE = np.eye(2, dtype=complex)
@@ -51,7 +52,7 @@ class TestSupportReduce:
         twice = support_reduce(once)
         assert once.times == twice.times
         for t in once.times:  # nothing non-identity was removed
-            assert np.max(np.abs(h.operator_at(t) - np.eye(3))) > 1e-10
+            assert np.max(np.abs(dict(h.items)[t] - np.eye(3))) > 1e-10
 
 
 class TestEmbed:
@@ -103,12 +104,41 @@ class TestEmbed:
         p = P0.copy()
         h = history({0.0: p})
         p[:] = SIGMA_X
-        assert np.array_equal(h.operator_at(0.0), P0)
+        assert np.array_equal(dict(h.items)[0.0], P0)
         assert np.array_equal(embed(qubit_model(), h).op, P0)
 
     def test_projector_iff_factors_are(self):
         assert is_projector(tensor_product([P0, PLUS]))
         assert not is_projector(tensor_product([P0, 0.5 * EYE]))
+
+
+class TestOneTransportPerHistory:
+    """``embed`` and ``class_operator`` move a history's projectors by one
+    ``heisenberg`` call, with the bits of one call per projector."""
+
+    @given(dim=st.integers(1, 3), n=st.integers(1, 4), seed=st.integers(0, 2 ** 31 - 1),
+           data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_stacked_factors_equal_the_single_transports(self, dim, n, seed, data):
+        rng = np.random.default_rng(seed)
+        model, t0 = random_model(rng, dim), float(rng.uniform(-1.0, 1.0))
+        support = tuple(np.sort(rng.uniform(-3.0, 3.0, n)).tolist())
+        kept = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+        h = history({t: random_projector(rng, dim) for t, keep in zip(support, kept) if keep})
+        x = embed(model, h, support, t0)
+        for t, f in zip(support, x.factors):
+            single = (heisenberg(model, dict(h.items)[t], t, t0) if t in h.times
+                      else np.eye(dim, dtype=complex))
+            assert np.array_equal(f, single)
+        assert np.array_equal(class_operator(model, h, t0), oracles.chain(model, h, t0))
+
+    def test_one_heisenberg_call_per_history(self, monkeypatch):
+        model = qubit_model(SIGMA_X)
+        h = history({0.0: P0, 1.0: PLUS, 2.0: P1})
+        calls = count_calls(monkeypatch, "heisenberg")
+        embed(model, h, (0.0, 0.5, 1.0, 2.0))
+        class_operator(model, h)
+        assert [stack.shape for _, stack, _, _ in calls] == [(3, 2, 2)] * 2
 
 
 class TestClassOperator:

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 import oracles
 from histq.cli import bundled_scenario_path
 from histq.decoherence import DecoherenceState, sector_fits
-from histq.sampling import random_projectors, random_pvm, random_unitary
+from histq.sampling import (draw_projectors, random_projectors, random_pvm, random_unitary,
+                            resolve_projectors)
 from histq.scenario import load_scenario
 from histq.verify import _check_axioms, _check_representations, _side_states, run_suite
 
@@ -44,8 +45,24 @@ def test_single_draws_equal_per_call_draws(dim, seed):
     assert _same_state(rng, twin)
 
 
-def test_bundled_verify_runs_few_qr(monkeypatch):
-    scn = load_scenario(bundled_scenario_path())
+@given(dim=st.integers(1, 4), counts=st.lists(st.integers(0, 6), min_size=1, max_size=4),
+       seed=SEEDS)
+@settings(max_examples=60, deadline=None)
+def test_draws_resolved_together_equal_per_call_draws(dim, counts, seed):
+    # the draw step takes the per-call stream (rank, then two Gaussian
+    # matrices, per projector), and whichever draws one QR resolves, the
+    # projectors are those of one call per projector
+    rng, twin = _twins(seed)
+    draws = [draw_projectors(rng, dim, count) for count in counts]
+    single = [oracles.random_projector(twin, dim) for _ in range(sum(counts))]
+    assert _same_state(rng, twin)
+    ranks = [r for rs, _ in draws for r in rs]
+    together = resolve_projectors(ranks, np.concatenate([z for _, z in draws]))
+    assert len(together) == sum(counts)
+    assert all(np.array_equal(p, q) for p, q in zip(together, single))
+
+
+def _count_qr(monkeypatch) -> list:
     calls = []
     qr = np.linalg.qr
 
@@ -54,6 +71,21 @@ def test_bundled_verify_runs_few_qr(monkeypatch):
         return qr(*args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "qr", counting)
+    return calls
+
+
+def test_axioms_resolve_each_state_by_one_qr(monkeypatch):
+    # ten iterations per state, each drawing its number of times between its
+    # projectors, resolved as one stack: the two side states and the scenario
+    scn = load_scenario(bundled_scenario_path())
+    calls = _count_qr(monkeypatch)
+    assert _check_axioms(scn, np.random.default_rng(scn.seed)).passed
+    assert len(calls) == 3
+
+
+def test_bundled_verify_runs_few_qr(monkeypatch):
+    scn = load_scenario(bundled_scenario_path())
+    calls = _count_qr(monkeypatch)
     assert all(r.passed for r in run_suite(scn))
     assert 0 < len(calls) <= 50  # one per stacked block, where single draws made 244
 

@@ -98,7 +98,7 @@ class TestParsing:
         data["pvms"] = []
         scn = parse_scenario(data)
         _, h = scn.histories[0]
-        assert np.allclose(h.operator_at(0.0), np.diag([1.0, 0.0, 1.0]))
+        assert np.allclose(dict(h.items)[0.0], np.diag([1.0, 0.0, 1.0]))
 
     def test_spectral_rho(self):
         data = base_scenario()
@@ -110,12 +110,16 @@ class TestParsing:
         assert np.allclose(scn.model.rho, np.diag([0.75, 0.25]))
 
     def test_each_projector_is_checked_once(self, monkeypatch):
+        # one stacked call per spec list: each history with a non-identity
+        # spec, then each decomposition; every checked matrix in it once
         calls = count_calls(monkeypatch, "is_projector")
         scn = parse_scenario(copy.deepcopy(BUNDLED))
-        checked = [p for _, h in scn.histories[1:] for _, p in h.items]  # not the unit's
-        checked += [p for per_time in scn.pvms for pvm in per_time for p in pvm]
-        assert len(checked) == 8  # identity specs are exact and need no check
-        assert [id(p) for (p,) in calls] == [id(p) for p in checked]
+        lists = [[p for _, p in h.items] for _, h in scn.histories[1:]]  # not the unit's
+        lists += [pvm for per_time in scn.pvms for pvm in per_time]
+        assert sum(map(len, lists)) == 8  # identity specs are exact and need no check
+        assert [stack.shape for (stack,) in calls] == [(len(ps), 2, 2) for ps in lists]
+        for (stack,), ps in zip(calls, lists):
+            assert np.array_equal(stack, ps)
 
 
 class TestValidationErrors:
@@ -165,7 +169,8 @@ class TestValidationErrors:
         else:
             data["pvms"] = [[spec]]
         parse_scenario(data)
-        monkeypatch.setattr("histq.scenario.is_projector", lambda p: not np.any(p @ p - p))
+        monkeypatch.setattr("histq.scenario.is_projector",  # exact, one verdict per matrix
+                            lambda p: ~np.any(p @ p - p, axis=(-2, -1)))
         with pytest.raises(ScenarioError) as err:
             parse_scenario(data)
         assert err.value.path == path
