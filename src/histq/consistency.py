@@ -19,10 +19,10 @@ the members, so a family builds three Gram matrices once, G_T[a, b] =
 <base_a, T base_b> from T, G_d[a, b] = d(base_a, base_b) from the chain form
 and G_e[a, b] = <base_a, base_b>, and a window reads its numbers as the block
 sums O^T G O of its one-hot block matrix O.  One decision kernel reads a
-stack of label strings with one block-sum call per Gram matrix; ``window``,
-``check_window`` and ``check_window_operators`` are one-row views of it, and
-the screen of the search scores pieces on G_T with the same block sums.  G_d
-never reads T, so the two verdicts still cross-check two representations.
+stack of label strings with one block-sum call per Gram matrix; ``window``
+and ``check_window`` are one-row views of it, and the screen of the search
+scores pieces on G_T with the same block sums.  G_d never reads T, so the
+two verdicts still cross-check two representations.
 ``Window`` is frozen and carries both reports, each holding the verdict and
 the member probabilities its picture certifies, and the squared norms, so
 consumers read them instead of checking again.  ``refinements`` decides which
@@ -42,7 +42,9 @@ Positivity never prunes: a refinement can pass it where its coarsening
 fails.  The walk scores pieces of at most ``_SCREEN_CHUNK`` strings, so its
 memory does not grow with the Bell number (a cached table of the 3^N - 2^N
 nonempty submasks of N-bit masks, 8.6 MB at N = 12, numbers the children);
-when every string is additive it scores all Bell(N) of them.
+when every string is additive it scores all Bell(N) of them.  The same walk
+with nothing pruned is the one enumerator of the strings:
+``partition_windows`` decides every coarse graining of a family from it.
 """
 
 from __future__ import annotations
@@ -67,7 +69,6 @@ __all__ = [
     "Window",
     "window",
     "check_window",
-    "check_window_operators",
     "partition_windows",
     "refinements",
     "search_windows",
@@ -75,8 +76,8 @@ __all__ = [
 ]
 
 MAX_BASE_FAMILY = 12
-# Restricted-growth strings generated or scored per vectorised batch; bounds
-# the memory of enumeration and screen independently of the Bell number.
+# Strings per piece of the refinement walk: bounds the memory of the screen
+# and of ``partition_windows`` independently of the Bell number.
 _SCREEN_CHUNK = 256
 
 
@@ -121,15 +122,14 @@ def _decomposition(elements, name: str, dim: int) -> list[np.ndarray]:
     return ops
 
 
-def base_family(t: WrightOperator, decompositions: Sequence[Sequence[np.ndarray]],
-                names: Sequence[str] | None = None) -> BaseFamily:
+def base_family(t: WrightOperator, decompositions: Sequence[Sequence[np.ndarray]]) -> BaseFamily:
     """The Kronecker products of ``decompositions[k]``, the projector
     decomposition offered at the k-th support time of ``t`` (operators on
     the single-time space, already in the picture the sector uses), in
     row-major order over the times.
 
     Each decomposition is checked here: ``ValueError`` naming it
-    (``names[k]``, by default ``decompositions[k]``) unless its elements are
+    (``decompositions[k]``) unless its elements are
     projectors summing to the identity, and when the family has more than
     ``MAX_BASE_FAMILY`` elements.  :func:`search_windows`, which builds many
     families from few decompositions, runs the same check once per
@@ -138,9 +138,8 @@ def base_family(t: WrightOperator, decompositions: Sequence[Sequence[np.ndarray]
     space = t.space
     if len(decompositions) != space.n_times:
         raise ValueError("need one decomposition per support time")
-    names = names or [f"decompositions[{k}]" for k in range(space.n_times)]
-    return _build_family(t, [_decomposition(elements, name, space.dim_single)
-                             for elements, name in zip(decompositions, names)])
+    return _build_family(t, [_decomposition(elements, f"decompositions[{k}]", space.dim_single)
+                             for k, elements in enumerate(decompositions)])
 
 
 def _build_family(t: WrightOperator, factors: Sequence[Sequence[np.ndarray]]) -> BaseFamily:
@@ -271,12 +270,6 @@ def check_window(family: BaseFamily, labels) -> ConsistencyReport:
     return window(family, labels).kreport
 
 
-def check_window_operators(family: BaseFamily, labels) -> ConsistencyReport:
-    """Operator-picture verdict of the coarse graining ``labels`` of
-    ``family``: every real off-diagonal decoherence value vanishes."""
-    return window(family, labels).opreport
-
-
 def refinements(windows: Sequence[Window]) -> np.ndarray:
     """The refinement order of ``windows``, which share a sector (else
     ``ValueError``, "sector mismatch"): [i, j] is True when ``windows[j]`` has
@@ -306,35 +299,6 @@ def refinements(windows: Sequence[Window]) -> np.ndarray:
         out[block] = (np.logical_and.reduceat(under[index], starts, axis=0).T
                       & (counts[block, None] < counts))
     return out
-
-
-def _rgs_chunks(n: int) -> Iterator[np.ndarray]:
-    """The restricted-growth strings of length n in lexicographic order, as
-    integer arrays of at most ``_SCREEN_CHUNK`` rows.
-
-    String a encodes the set partition with blocks {i : a[i] = v}, and
-    a[i] <= 1 + max(a[:i]).  Depth first from the empty prefix, each piece of
-    at most ``_SCREEN_CHUNK`` prefixes repeats every row once per allowed next
-    value and appends the values, so memory does not grow with the Bell number.
-    """
-    stack = [np.zeros((1, 0), dtype=np.intp)]  # the lexicographically first piece on top
-    while stack:
-        piece = stack.pop()
-        if piece.shape[1] == n:
-            yield piece
-            continue
-        allowed = piece.max(axis=1, initial=-1) + 2  # next values 0 .. block count
-        values = np.arange(allowed.sum()) - np.repeat(np.cumsum(allowed) - allowed, allowed)
-        children = np.column_stack((np.repeat(piece, allowed, axis=0), values))
-        stack += [children[i:i + _SCREEN_CHUNK]
-                  for i in reversed(range(0, len(children), _SCREEN_CHUNK))]
-
-
-def partition_windows(family: BaseFamily) -> Iterator[Window]:
-    """Every coarse graining of ``family``, decided in both pictures, in
-    restricted-growth-string order."""
-    for chunk in _rgs_chunks(len(family.ops)):
-        yield from _decide(family, chunk)
 
 
 def _member_key(op: np.ndarray) -> bytes:
@@ -413,7 +377,7 @@ class _Children:
 def _walk(n: int, score: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
           ) -> Iterator[np.ndarray]:
     """Walk the refinement tree of the restricted-growth strings of length n
-    (n >= 1) and yield ``piece[keep]`` for every piece of strings it scores,
+    and yield ``piece[keep]`` for every piece of strings it scores,
     where ``keep, expand = score(piece)`` are row masks; only the rows
     ``expand`` selects have their children visited.
 
@@ -427,7 +391,7 @@ def _walk(n: int, score: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
     so memory does not grow with the Bell number.
     """
     stack: list[_Children] = []
-    piece = np.array([[0] * n + [(1 << n) - 2, 1]])  # the root, free after position 0
+    piece = np.array([[0] * n + [((1 << n) - 1) & ~1, 1]])  # the root, free after position 0
     while len(piece):
         keep, expand = score(piece[:, :n])
         yield piece[keep, :n]
@@ -442,6 +406,20 @@ def _walk(n: int, score: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
             if not stack[-1].left:
                 stack.pop()
         piece = np.concatenate(parts) if parts else piece[:0]
+
+
+def partition_windows(family: BaseFamily) -> Iterator[Window]:
+    """Every coarse graining of ``family``, decided in both pictures, in the
+    order of the refinement walk with nothing pruned (each string once), in
+    stacks of at least ``_SCREEN_CHUNK`` strings but the last."""
+    stack: list[np.ndarray] = []
+    for piece in _walk(len(family.ops), lambda rgs: (np.ones(len(rgs), dtype=bool),) * 2):
+        stack.append(piece)
+        if sum(map(len, stack)) >= _SCREEN_CHUNK:
+            yield from _decide(family, np.concatenate(stack))
+            stack = []
+    if stack:
+        yield from _decide(family, np.concatenate(stack))
 
 
 def _screen(g: np.ndarray) -> Iterator[np.ndarray]:
@@ -488,14 +466,11 @@ def search_windows(t: WrightOperator,
         if len(klists) == 0:
             raise ValueError("each time needs at least one decomposition")
 
-    shape = (space.dim_single,) * 2
-    transported = [[heisenberg(ds.model, np.reshape(pvm, (len(pvm), *shape)), time, ds.grid.t0)
-                    for pvm in klists] for time, klists in zip(space.support, pvms)]
-
     @functools.cache
-    def checked(k: int, j: int) -> list[np.ndarray]:
-        """``pvms[k][j]`` transported, checked once per search."""
-        return _decomposition(transported[k][j], f"pvms[{k}][{j}]", space.dim_single)
+    def checked(k: int, j: int) -> np.ndarray:
+        """``pvms[k][j]``, checked once per search, then transported."""
+        ops = _decomposition(pvms[k][j], f"pvms[{k}][{j}]", space.dim_single)
+        return heisenberg(ds.model, np.array(ops), space.support[k], ds.grid.t0)
 
     results: dict[tuple[bytes, ...], Window] = {}
     for choice in itertools.product(*(range(len(klists)) for klists in pvms)):

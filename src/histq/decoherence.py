@@ -7,7 +7,7 @@ picture, earliest time leftmost) the functional is
 
 conjugate linear in the first slot.  One kernel, :func:`chain_gram`, reads
 every pair of a stack of chains with one GEMM.  The chain form reads it:
-:func:`d_trace` and :func:`d_trace_matrix` on history chains, ``verify`` and
+:func:`d_trace` on the chains of two histories, ``verify`` and
 ``decohere`` on chains multiplied out from transported factors.  So does
 :func:`d_gram`, the sesquilinear extension on a stack of operators of one
 support sector via the chain map, which :func:`d_form` and the
@@ -47,7 +47,6 @@ __all__ = [
     "require_sector",
     "chain_gram",
     "d_trace",
-    "d_trace_matrix",
     "d_form",
     "d_gram",
     "d_basis_sum",
@@ -106,15 +105,10 @@ def d_trace(ds: DecoherenceState, h: HomogeneousHistory, k: HomogeneousHistory) 
     """Chain form of the decoherence functional on two homogeneous histories.
 
     Histories are canonicalized first; distinct supports are fine because
-    identity padding never changes the chains.
+    identity padding never changes the chains.  One :func:`chain_gram` call
+    on the two chains.
     """
-    return complex(d_trace_matrix(ds, [h, k])[0, 1])
-
-
-def d_trace_matrix(ds: DecoherenceState, histories: Sequence[HomogeneousHistory]) -> np.ndarray:
-    """``D[i, j] = d_trace(ds, histories[i], histories[j])``, building each chain once."""
-    chains = np.array([_chain(ds, h) for h in histories], dtype=complex)
-    return chain_gram(ds, chains.reshape(-1, ds.model.dim, ds.model.dim))
+    return complex(chain_gram(ds, np.array([_chain(ds, h), _chain(ds, k)], dtype=complex))[0, 1])
 
 
 def _pair_sector(ds: DecoherenceState, p: Proposition, q: Proposition) -> PropositionSpace:

@@ -1,14 +1,16 @@
 """Slow reference implementations that the program's fast paths are tested against.
 
-* :func:`check_window` and :func:`check_window_operators` decide a window from
+* :func:`check_window` and :func:`check_operator_picture` decide a window from
   its member matrices, measuring every condition again (orthogonality,
   completeness, projectivity and every pairwise overlap), where the program
   reads block sums of its base family's two Gram matrices.
 * :func:`restricted_growth_strings` is the loop that generates the set
-  partitions one string at a time, where the program expands prefixes in numpy.
+  partitions one string at a time in lexicographic order, where the program
+  walks the refinement tree in numpy.
 * :func:`screen_exhaustive` scores every restricted-growth string of a Gram
-  matrix in lexicographic chunks, where the program's screen walks the
-  refinement tree and skips the refinements of strings far from additive.
+  matrix in lexicographic chunks of that loop, where the program's screen
+  walks the refinement tree and skips the refinements of strings far from
+  additive.
 * :func:`is_refinement` decides one pair: it assigns each fine member to the
   coarse member it overlaps most and sums the blocks, where the program
   decides every pair of a window list by projector containment, from one
@@ -57,8 +59,7 @@ from typing import Sequence
 
 import numpy as np
 
-from histq.consistency import (ConsistencyReport, Window, _block_sums, _rgs_chunks,
-                               _sector_terms)
+from histq.consistency import ConsistencyReport, Window, _block_sums, _sector_terms
 from histq.core import (TOLERANCES, SystemModel, heisenberg, max_abs, projector_onto,
                         tensor_product)
 from histq.decoherence import DecoherenceState, d_form, d_gram
@@ -88,10 +89,13 @@ def restricted_growth_strings(n):
             b[i] = max(b[j], a[j] + 1)
 
 
-def screen_exhaustive(g: np.ndarray):
+def screen_exhaustive(g: np.ndarray, chunk: int = 256):
     """The strings that pass the sector picture on the Gram matrix ``g``, one
-    array per chunk of ``_rgs_chunks``: every string scored."""
-    for rgs in _rgs_chunks(len(g)):
+    array per chunk of ``chunk`` strings from :func:`restricted_growth_strings`:
+    every string scored."""
+    strings = restricted_growth_strings(len(g))
+    while rows := list(itertools.islice(strings, chunk)):
+        rgs = np.array(rows, dtype=np.intp)
         _, positive, additivity = _sector_terms(_block_sums(g, rgs), rgs)
         yield rgs[positive & (additivity <= TOLERANCES.consistency)]
 
@@ -327,7 +331,7 @@ def check_window(ws: Sequence[Proposition], t: WrightOperator) -> ConsistencyRep
     return _verdict(violated, residuals, probs)
 
 
-def check_window_operators(ds: DecoherenceState, ws: Sequence[Proposition]) -> ConsistencyReport:
+def check_operator_picture(ds: DecoherenceState, ws: Sequence[Proposition]) -> ConsistencyReport:
     """Operator-picture consistency from the member matrices ``ws``."""
     if not all(is_projector(x.op) for x in ws):
         raise ValueError("non-projector member")

@@ -14,13 +14,11 @@ from histq.cli import main as cli_main
 from histq.consistency import (
     BaseFamily,
     _SCREEN_CHUNK,
-    _rgs_chunks,
     _screen,
     _walk,
     _window_key,
     base_family,
     check_window,
-    check_window_operators,
     partition_windows,
     refinements,
     search_windows,
@@ -39,8 +37,15 @@ BELL = {0: 1, 1: 1, 2: 2, 3: 5, 4: 15, 5: 52, 6: 203, 7: 877, 8: 4140, 9: 21147,
 EYE = np.eye(2, dtype=complex)
 
 
+def everything(piece):
+    """A walk score that keeps and expands every string: nothing pruned."""
+    rows = np.ones(len(piece), dtype=bool)
+    return rows, rows
+
+
 def generated_strings(n):
-    return [tuple(map(int, row)) for chunk in _rgs_chunks(n) for row in chunk]
+    """The strings of the unpruned refinement walk, in walk order."""
+    return [tuple(row) for piece in _walk(n, everything) for row in piece.tolist()]
 
 
 def mixed_qubit(rho=None):
@@ -117,19 +122,19 @@ class TestCheckWindowOperators:
         for dim in (2, 3):
             ds = state_for(random_model(rng, dim))
             t = wright_operator(ds, (0.0,))
-            assert check_window_operators(single(t, *random_pvm(rng, dim)), range(dim)).consistent
+            assert window(single(t, *random_pvm(rng, dim)), range(dim)).opreport.consistent
 
     def test_contrast_with_sector_picture(self):
         ds, t = mixed_qubit(np.diag([1.0, 0.0]))
         family = single(t, P0, P1)
-        assert check_window_operators(family, (0, 1)).consistent
+        assert window(family, (0, 1)).opreport.consistent
         assert not check_window(family, (0, 1)).consistent
 
     def test_two_time_computational_products(self):
         ds, t = mixed_qubit(np.diag([1.0, 0.0]))
         t2 = wright_operator(ds, (0.0, 1.0))
         family = base_family(t2, [[P0, P1], [P0, P1]])
-        assert check_window_operators(family, (0, 1, 2, 3)).consistent
+        assert window(family, (0, 1, 2, 3)).opreport.consistent
 
     def test_non_projector_member_rejected(self):
         # members are block sums of projectors: the family refuses the rest
@@ -141,13 +146,13 @@ class TestCheckWindowOperators:
         ds, t = mixed_qubit()
         family = single(t, P0, P1)
         tampered = dataclasses.replace(family, gram_d=family.gram_d + np.array([[0, 1], [1, 0]]))
-        assert check_window_operators(family, (0, 1)).consistent
-        assert check_window_operators(tampered, (0, 1)).violated == ("re-cross-term",)
+        assert window(family, (0, 1)).opreport.consistent
+        assert window(tampered, (0, 1)).opreport.violated == ("re-cross-term",)
         assert check_window(tampered, (0, 1)).consistent
 
     def test_probabilities_are_diagonal_decoherence_values(self):
         ds, t = mixed_qubit(np.diag([1.0, 0.0]))
-        report = check_window_operators(single(t, P0, P1), (0, 1))
+        report = window(single(t, P0, P1), (0, 1)).opreport
         assert report.probabilities == pytest.approx((1.0, 0.0), abs=1e-12)
         assert all(isinstance(p, float) for p in report.probabilities)
 
@@ -158,7 +163,7 @@ class TestDecide:
         family = single(t, P0, P1)
         before = [a.copy() for a in (family.ops, family.gram_t, family.gram_d)]
         check_window(family, (0, 1))
-        check_window_operators(family, (0, 1))
+        window(family, (0, 1))
         after = (family.ops, family.gram_t, family.gram_d)
         assert all(np.array_equal(a, b) for a, b in zip(before, after))
 
@@ -179,7 +184,7 @@ class TestDecide:
         w = window(family, labels)
         assert w.family is family and w.labels == (1, 0)
         assert w.kreport == check_window(family, labels)
-        assert w.opreport == check_window_operators(family, labels)
+        assert w.opreport == window(family, labels).opreport
         labels[0] = 0  # the window holds its own copy of the labels
         assert w.labels == (1, 0)
         assert np.allclose([x.op for x in w.members], [P1, P0])
@@ -251,8 +256,9 @@ class TestBaseFamily:
 
     def test_decomposition_is_named_in_the_refusal(self):
         ds, t = mixed_qubit()
-        with pytest.raises(ValueError, match=r"decomposition given: elements must be projectors"):
-            base_family(t, [[0.5 * EYE, 0.5 * EYE]], ["given"])
+        with pytest.raises(ValueError, match=r"^decomposition decompositions\[0\]: "
+                                              r"elements must be projectors$"):
+            base_family(t, [[0.5 * EYE, 0.5 * EYE]])
 
     def test_gram_matrices_are_the_two_pictures(self):
         rng = np.random.default_rng(38)
@@ -392,30 +398,35 @@ class TestPartitionEnumeration:
         seen = {blocks_of(rgs) for rgs in generated_strings(4)}
         assert seen == {blocks_of(assign) for assign in itertools.product(range(4), repeat=4)}
 
-    def test_lexicographic_order(self):
-        strings = generated_strings(4)
-        assert strings == sorted(strings)
-
     @pytest.mark.parametrize("n", range(11))
-    def test_numpy_chunks_match_the_loop_oracle(self, n):
-        chunks = list(_rgs_chunks(n))
-        assert all(chunk.shape[1] == n and 0 < len(chunk) <= _SCREEN_CHUNK for chunk in chunks)
-        assert sum(len(chunk) for chunk in chunks) == BELL[n]
-        assert generated_strings(n) == list(restricted_growth_strings(n))
+    def test_numpy_chunks_match_the_loop_oracle(self, n, monkeypatch):
+        # partition_windows decides the walk in stacks of at least a chunk
+        # (the last may be short) and fewer than two, each string once
+        stacks = []
+        monkeypatch.setattr("histq.consistency._decide",
+                            lambda family, rgs: stacks.append(rgs) or [])
+        family = BaseFamily(t=None, ops=np.zeros((n, 1, 1)), gram_t=None, gram_d=None,
+                            gram_e=None)
+        assert list(partition_windows(family)) == []
+        assert all(stack.shape[1] == n and len(stack) < 2 * _SCREEN_CHUNK for stack in stacks)
+        assert all(len(stack) >= _SCREEN_CHUNK for stack in stacks[:-1])
+        strings = [tuple(row) for stack in stacks for row in stack.tolist()]
+        assert sorted(strings) == list(restricted_growth_strings(n))
 
     def test_empty_string_is_generated_once(self):
-        # a walk that expanded a prefix before testing its length would miss n = 0
-        assert [chunk.shape for chunk in _rgs_chunks(0)] == [(1, 0)]
+        # the root of a walk of length 0 is the empty string, with no children
+        assert [piece.shape for piece in _walk(0, everything)] == [(1, 0)]
 
     def test_partitions_follow_string_order(self):
         rng = np.random.default_rng(39)
         ds = state_for(random_model(rng, 4))
         t = wright_operator(ds, (0.0,))
         base = random_pvm(rng, 4)
-        found = list(partition_windows(single(t, *base)))
-        assert [w.labels for w in found] == list(restricted_growth_strings(4))
-        for w, (rgs, blocks) in zip(found, oracles.partitions(base)):
-            assert np.allclose([x.op for x in w.members], [np.sum(b, axis=0) for b in blocks])
+        found = {w.labels: w for w in partition_windows(single(t, *base))}
+        assert len(found) == BELL[4]
+        for rgs, blocks in oracles.partitions(base):
+            assert np.allclose([x.op for x in found[rgs].members],
+                               [np.sum(b, axis=0) for b in blocks])
 
 
 class TestSearchWindows:
@@ -444,6 +455,12 @@ class TestSearchWindows:
         with pytest.raises(ValueError,
                            match=r"^decomposition pvms\[1\]\[1\]: elements must sum to the identity$"):
             search_windows(t2, [[[P0, P1]], [[PLUS, MINUS], [P0, P0]]])
+
+    def test_search_checks_the_shape_before_transporting(self):
+        ds, t = mixed_qubit()
+        with pytest.raises(ValueError, match=r"^decomposition pvms\[0\]\[0\]: sector mismatch: "
+                                             r"elements must be 2x2$"):
+            search_windows(t, [[[np.eye(3)]]])
 
     def test_unit_window_is_the_identity_family_and_empty_pvms_are_refused(self):
         ds, t = mixed_qubit()
@@ -564,7 +581,7 @@ def oracle_search(ds, t, pvms):
             ws = oracles.members(t.space, base, rgs)
             report = oracles.check_window(ws, t)
             if report.consistent:
-                cand = OracleWindow(ws, report, oracles.check_window_operators(ds, ws))
+                cand = OracleWindow(ws, report, oracles.check_operator_picture(ds, ws))
                 results.setdefault(_window_key(cand), cand)
     ordered = sorted(results.items(), key=lambda kv: (-len(kv[1].members), kv[0]))
     return [w for _, w in ordered]
@@ -697,12 +714,13 @@ class TestGramScreen:
                            for time, pvm in zip(t.space.support, factors)]
             family = base_family(t, transported)
             found = list(partition_windows(family))
-            assert [w.labels for w in found] == list(restricted_growth_strings(len(family.ops)))
+            assert sorted(w.labels for w in found) == list(
+                restricted_growth_strings(len(family.ops)))
             for w in found:
                 ws = oracles.members(t.space, family.ops, w.labels)
                 assert np.array_equal([x.op for x in w.members], [x.op for x in ws])
                 expected = OracleWindow(ws, oracles.check_window(ws, t),
-                                        oracles.check_window_operators(ds, ws))
+                                        oracles.check_operator_picture(ds, ws))
                 assert_same_reports(w, expected)
 
     @given(search_cases())
@@ -783,7 +801,7 @@ class TestBatchedDecision:
     @given(decision_families())
     @settings(max_examples=40, deadline=None)
     def test_partition_windows_decide_like_one_string_at_a_time(self, family):
-        batched = [decided_fields(w) for w in partition_windows(family)]
+        batched = sorted(map(decided_fields, partition_windows(family)), key=lambda f: f[0])
         single_rows = [decided_fields(window(family, rgs))
                        for rgs in restricted_growth_strings(len(family.ops))]
         assert batched == single_rows
@@ -796,7 +814,7 @@ class TestBatchedDecision:
         factors = [[*random_pvm(rng, dim), np.zeros((dim, dim))]] + [
             random_pvm(rng, dim) for _ in range(n_times - 1)]
         family = base_family(t, factors)
-        batched = [decided_fields(w) for w in partition_windows(family)]
+        batched = sorted(map(decided_fields, partition_windows(family)), key=lambda f: f[0])
         assert batched == [decided_fields(window(family, rgs))
                            for rgs in restricted_growth_strings(len(family.ops))]
         # the zero elements come last; as one member they have squared norm
@@ -875,13 +893,11 @@ class TestRefinementScreen:
         assert residual == pytest.approx({(0, 0, 0): 5.4 * tol, (0, 0, 1): 1.8 * tol,
                                           (0, 1, 2): 0.9 * tol}, rel=1e-6)
 
-    @pytest.mark.parametrize("n", range(1, 10))
+    @pytest.mark.parametrize("n", range(1, 11))
     def test_unpruned_tree_visits_every_string_once(self, n):
-        def everything(piece):
-            rows = np.ones(len(piece), dtype=bool)
-            return rows, rows
-
-        visited = [tuple(map(int, row)) for piece in _walk(n, everything) for row in piece]
+        pieces = list(_walk(n, everything))
+        assert all(piece.shape[1] == n and 0 < len(piece) <= _SCREEN_CHUNK for piece in pieces)
+        visited = [tuple(row) for piece in pieces for row in piece.tolist()]
         assert len(visited) == len(set(visited)) == BELL[n]
         assert set(visited) == set(restricted_growth_strings(n))
 

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from histq.core import SystemModel, TimeGrid, heisenberg, max_abs, tensor_product
 from histq.decoherence import (
     CapacityError,
+    _chain,
     _slice,
     DecoherenceState,
     chain_gram,
@@ -15,7 +16,6 @@ from histq.decoherence import (
     d_form,
     d_gram,
     d_trace,
-    d_trace_matrix,
     ils_reconstruct,
     sector_fits,
 )
@@ -235,13 +235,14 @@ def test_trace_matrix_entries_are_the_trace_form(dim, count, seed):
         times = [t for t in ds.grid.times if rng.random() < 0.7]
         histories.append(history({t: np.eye(dim) if rng.random() < 0.2
                                   else random_projector(rng, dim) for t in times}))
-    table = d_trace_matrix(ds, histories)
+    table = chain_gram(ds, np.array([_chain(ds, h) for h in histories]).reshape(-1, dim, dim))
     assert table.shape == (count, count)
     for (i, h), (j, k) in itertools.product(enumerate(histories), repeat=2):
         # a GEMM rounds by its shape, so the pair's own 2 x 2 matrix may differ
         # from the m x m one in the last bits
         assert abs(table[i, j] - d_trace(ds, h, k)) <= 1e-15
         assert abs(table[i, j] - oracles.d_trace(ds, h, k)) <= 1e-13
+        assert abs(d_trace(ds, h, k) - oracles.d_trace(ds, h, k)) <= 1e-13
 
 
 @given(dim=st.integers(1, 4), n=st.integers(1, 3), count=st.integers(1, 5),
@@ -257,12 +258,11 @@ def test_chain_gram_of_transported_stacks_is_the_per_history_oracle(dim, n, coun
     raw = np.array([u @ u.conj().T for u in raw]).reshape(count, n, dim, dim)
     gram = chain_gram(ds, _chains(_product_histories(ds, n, raw)))
     histories = [HomogeneousHistory(tuple(zip(ds.grid.times[:n], ps))) for ps in raw]
-    table = d_trace_matrix(ds, histories)
-    assert gram.shape == table.shape == (count, count)
+    assert gram.shape == (count, count)
     for (i, h), (j, k) in itertools.product(enumerate(histories), repeat=2):
         want = oracles.d_trace(ds, h, k)
         assert abs(gram[i, j] - want) <= 1e-13
-        assert abs(table[i, j] - want) <= 1e-13
+        assert abs(d_trace(ds, h, k) - want) <= 1e-13
 
 
 class TestSesquilinearForm:
