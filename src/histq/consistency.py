@@ -4,9 +4,10 @@ Every window is a coarse graining of a base family: the Kronecker products
 of one projector decomposition per support time of a Wright operator T.
 Each decomposition is checked once, where the first family containing it is
 built (projectors summing to the identity), so the family's members are
-orthogonal projectors summing to e and so is every coarse graining of it.  A window is its family
-together with a label string that assigns each base element to a member,
-and its members are the block sums of the base.
+orthogonal projectors summing to e and so is every coarse graining of it.
+A window is its family together with a label string that assigns each base
+element to a member, and its members are the block sums of the base, which
+one kernel forms for a stack of strings.
 
 A window is consistent in the sector picture when its probabilities
 <x_i, T x_i> are strictly positive, at most 1, and additive as a measure on
@@ -20,9 +21,9 @@ the members, so a family builds three Gram matrices once, G_T[a, b] =
 and G_e[a, b] = <base_a, base_b>, and a window reads its numbers as the block
 sums O^T G O of its one-hot block matrix O.  One decision kernel reads a
 stack of label strings with one block-sum call per Gram matrix; ``window``
-and ``check_window`` are one-row views of it, and the screen of the search
-scores pieces on G_T with the same block sums.  G_d never reads T, so the
-two verdicts still cross-check two representations.
+is its one-row view, while ``check_window`` and the screen of the search
+read the G_T block sums only.  G_d never reads T, so the two verdicts still
+cross-check two representations.
 ``Window`` is frozen and carries both reports, each holding the verdict and
 the member probabilities its picture certifies, and the squared norms, so
 consumers read them instead of checking again.  ``refinements`` decides which
@@ -178,21 +179,35 @@ class Window:
 
     @functools.cached_property
     def members(self) -> tuple[Proposition, ...]:
-        """The block sums of the base, in member order."""
-        labels = np.array(self.labels)
-        return tuple(Proposition(space=self.space,
-                                 factors=(np.sum(self.family.ops[labels == v], axis=0),))
-                     for v in range(labels.max() + 1))
+        """The block sums of the base, in member order (a search fills them from its stack)."""
+        stack, _ = _member_stack(self.family.ops, np.array([self.labels]))
+        return tuple(Proposition(space=self.space, factors=(x,)) for x in stack)
+
+
+def _member_stack(ops: np.ndarray, rgs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The one kernel of window members: those of every string of ``rgs``,
+    stacked string by string, and the ``np.split`` cuts between strings.
+    Member v of row r adds the ``ops[a]`` with ``rgs[r, a] == v`` to 0 in
+    increasing a, as ``np.sum`` reduces axis 0, so the two are bit-equal."""
+    counts = rgs.max(axis=1) + 1
+    starts = np.cumsum(counts) - counts
+    out = np.zeros((int(counts.sum()), *ops.shape[1:]), dtype=ops.dtype)
+    for a, op in enumerate(ops):
+        out[starts + rgs[:, a]] += op
+    return out, starts[1:]
 
 
 def _labels(family: BaseFamily, labels) -> np.ndarray:
-    """``labels`` as one string of block indices; ``ValueError`` unless it
-    labels every base element and uses every block below its maximum."""
-    rgs = np.asarray(labels, dtype=np.intp)
-    if rgs.shape != (len(family.ops),) or rgs.min() < 0 or not np.bincount(rgs).all():
-        raise ValueError(f"labels must give each of the {len(family.ops)} base elements "
+    """``labels`` as one string of block indices; ``ValueError`` unless they are
+    integers, not bools, label every base element and use every block up to their maximum."""
+    n = len(family.ops)
+    rgs = np.asarray(labels)
+    if (rgs.shape != (n,) or rgs.dtype.kind not in "iu"
+            or any(isinstance(v, (bool, np.bool_)) for v in labels)
+            or rgs.min() < 0 or len(set(rgs.tolist())) != rgs.max() + 1):
+        raise ValueError(f"labels must give each of the {n} base elements "
                          "a block, using every block from 0 up")
-    return rgs
+    return rgs.astype(np.intp, copy=False)
 
 
 def _block_sums(g: np.ndarray, rgs: np.ndarray) -> np.ndarray:
@@ -209,7 +224,11 @@ def _block_sums(g: np.ndarray, rgs: np.ndarray) -> np.ndarray:
 def _cross(sums: np.ndarray) -> np.ndarray:
     """Largest |off-diagonal block sum| per string (0 for one block); G is
     Hermitian, so Re G is symmetric and the upper triangle suffices."""
-    return np.max(np.abs(np.triu(sums, 1)), axis=(1, 2))
+    rows, cols = _upper(sums.shape[1])
+    return np.abs(sums[:, rows, cols]).max(axis=1, initial=0.0)
+
+
+_upper = functools.cache(functools.partial(np.triu_indices, k=1))  # n -> strict upper triangle
 
 
 def _sector_terms(sums: np.ndarray, rgs: np.ndarray):
@@ -233,24 +252,33 @@ def _report(violated: list[str], residual: float, probs: list[float]) -> Consist
     )
 
 
+def _sector_reports(family: BaseFamily, rgs: np.ndarray) -> list[ConsistencyReport]:
+    """The sector report of each string of ``rgs``, from one block-sum call
+    on G_T: the probabilities <x_i, T x_i>, positivity and additivity."""
+    probs, positive, additivity = _sector_terms(_block_sums(family.gram_t, rgs), rgs)
+    reports = []
+    for p, used, pos, add in zip(probs.tolist(), (rgs.max(axis=1) + 1).tolist(),
+                                 positive.tolist(), additivity.tolist()):
+        p = p[:used]
+        violated = ([] if pos else ["positivity"]) + (
+            ["additivity"] if add > TOLERANCES.consistency else [])
+        reports.append(_report(violated, max(max(p) - 1.0, add, 0.0), p))
+    return reports
+
+
 def _decide(family: BaseFamily, rgs: np.ndarray) -> list[Window]:
     """The coarse grainings of ``family`` by the rows of ``rgs``, strings that
     pass ``_labels``, decided in both pictures (see the module docstring) with
     one block-sum call per Gram matrix for the whole stack.  The sector report
     holds <x_i, T x_i>, the operator report Re d(x_i, x_i)."""
-    probs, positive, additivity = _sector_terms(_block_sums(family.gram_t, rgs), rgs)
     d_sums = _block_sums(family.gram_d, rgs)
     cross = _cross(d_sums)
     norms = np.diagonal(_block_sums(family.gram_e, rgs), axis1=1, axis2=2)
-    rows = zip(rgs.tolist(), probs.tolist(), positive.tolist(), additivity.tolist(),
+    rows = zip(_sector_reports(family, rgs), rgs.tolist(),
                np.diagonal(d_sums, axis1=1, axis2=2).tolist(), cross.tolist(), norms.tolist())
     windows = []
-    for labels, p, pos, add, diag, cr, norm in rows:
-        used = max(labels) + 1
-        p = p[:used]
-        violated = ([] if pos else ["positivity"]) + (
-            ["additivity"] if add > TOLERANCES.consistency else [])
-        kreport = _report(violated, max(max(p) - 1.0, add, 0.0), p)
+    for kreport, labels, diag, cr, norm in rows:
+        used = len(kreport.probabilities)
         opreport = _report(["re-cross-term"] if cr > TOLERANCES.consistency else [], cr,
                            diag[:used])
         windows.append(Window(family=family, labels=tuple(labels), kreport=kreport,
@@ -265,9 +293,9 @@ def window(family: BaseFamily, labels) -> Window:
 
 
 def check_window(family: BaseFamily, labels) -> ConsistencyReport:
-    """Sector-picture verdict of the coarse graining ``labels`` of ``family``:
-    strict positivity and additivity of the probabilities <x_i, T x_i>."""
-    return window(family, labels).kreport
+    """``window(family, labels).kreport``, the sector-picture verdict on the
+    probabilities <x_i, T x_i>, read from the G_T block sums alone."""
+    return _sector_reports(family, _labels(family, labels)[None])[0]
 
 
 def refinements(windows: Sequence[Window]) -> np.ndarray:
@@ -299,15 +327,6 @@ def refinements(windows: Sequence[Window]) -> np.ndarray:
         out[block] = (np.logical_and.reduceat(under[index], starts, axis=0).T
                       & (counts[block, None] < counts))
     return out
-
-
-def _member_key(op: np.ndarray) -> bytes:
-    rounded = np.round(np.asarray(op, dtype=complex), 9) + 0.0
-    return rounded.tobytes()
-
-
-def _window_key(w: Window) -> tuple[bytes, ...]:
-    return tuple(sorted(_member_key(x.op) for x in w.members))
 
 
 @functools.cache
@@ -450,10 +469,11 @@ def search_windows(t: WrightOperator,
     projectors summing to the identity.
 
     The screen (see the module docstring) walks the restricted-growth
-    strings of each family on its G_T.  ``check_window`` reports on every
-    string it keeps, in lexicographic order, so deduplication keeps the
-    window an exhaustive screen in string order would, and the consistent
-    ones are decided as one stack.
+    strings of each family on its G_T.  ``check_window`` reads the G_T sums
+    of every string it keeps, in lexicographic order, so deduplication keeps
+    the window an exhaustive screen in string order would.  The consistent
+    ones are decided, and their members formed, in stacks of at most
+    ``_SCREEN_CHUNK``, and each key is read from one rounded copy of a stack.
 
     Returns the consistent windows, deduplicated, largest first, with ties
     broken by a canonical byte key, so the output does not depend on the
@@ -462,9 +482,8 @@ def search_windows(t: WrightOperator,
     space, ds = t.space, t.state
     if len(pvms) != space.n_times:
         raise ValueError("need one decomposition list per support time")
-    for klists in pvms:
-        if len(klists) == 0:
-            raise ValueError("each time needs at least one decomposition")
+    if any(len(klists) == 0 for klists in pvms):
+        raise ValueError("each time needs at least one decomposition")
 
     @functools.cache
     def checked(k: int, j: int) -> np.ndarray:
@@ -478,16 +497,21 @@ def search_windows(t: WrightOperator,
         consistent = []
         for labels in sorted(tuple(row.tolist()) for kept in _screen(family.gram_t)
                              for row in kept):
-            kreport = check_window(family, labels)
-            if not kreport.consistent:  # the screen's batched sums may round apart
-                continue
-            consistent.append(labels)
+            if check_window(family, labels).consistent:  # the screen's sums may round apart
+                consistent.append(labels)
         rgs = np.array(consistent, dtype=np.intp).reshape(-1, len(family.ops))
-        for cand in _decide(family, rgs):
-            results.setdefault(_window_key(cand), cand)
+        for piece in np.split(rgs, range(_SCREEN_CHUNK, len(rgs), _SCREEN_CHUNK)):
+            stack, cuts = _member_stack(family.ops, piece)
+            rounded = np.round(stack, 9) + 0.0  # the key: members to 1e-9, no -0.0
+            for cand, members, keyed in zip(_decide(family, piece), np.split(stack, cuts),
+                                            np.split(rounded, cuts)):
+                key = tuple(sorted(x.tobytes() for x in keyed))
+                if key not in results:  # fill the cached property from the stack
+                    cand.__dict__["members"] = tuple(
+                        Proposition(space=space, factors=(x,)) for x in members)
+                    results[key] = cand
 
-    ordered = sorted(results.items(), key=lambda kv: (-len(kv[1].members), kv[0]))
-    return [w for _, w in ordered]
+    return [results[key] for key in sorted(results, key=lambda key: (-len(key), key))]
 
 
 def scenario_windows(scn: Scenario) -> list[Window]:

@@ -45,6 +45,9 @@
 * :func:`eigen_slice` forms each factor's eigenbasis form by its own
   product, where the program forms those of all one-time factors in one
   stacked product.
+* :func:`members` forms each member of a window by its own ``np.sum`` and
+  :func:`window_key` rounds and serialises them one at a time, where the
+  program builds and keys the members of a stack of strings at once.
 * :func:`hermitian_basis` and :func:`ils_expansion` build the doubled-space
   operator as sum_ab d(G_a, G_b) G_a (x) G_b over a Hermitian basis {G_a}
   orthonormal under tr(A B), where the program reorders the functional's
@@ -202,6 +205,13 @@ def members(space, base: Sequence[np.ndarray], rgs) -> list[Proposition]:
     """The block sums of ``base`` grouped by the string ``rgs``."""
     return [proposition(space, np.sum([op for op, v in zip(base, rgs) if v == block], axis=0))
             for block in range(max(rgs) + 1)]
+
+
+def window_key(w) -> tuple[bytes, ...]:
+    """The dedup and tie-break key of a window: the bytes of each member
+    rounded to 1e-9 (without -0.0), one member at a time, sorted."""
+    return tuple(sorted((np.round(np.asarray(x.op, dtype=complex), 9) + 0.0).tobytes()
+                        for x in w.members))
 
 
 def apply(t: WrightOperator, x: Proposition) -> Proposition:

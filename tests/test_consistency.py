@@ -14,9 +14,9 @@ from histq.cli import main as cli_main
 from histq.consistency import (
     BaseFamily,
     _SCREEN_CHUNK,
+    _member_stack,
     _screen,
     _walk,
-    _window_key,
     base_family,
     check_window,
     partition_windows,
@@ -109,11 +109,27 @@ class TestCheckWindow:
         assert abs(sum(report.probabilities) - 1.0) <= 1e-12
         assert "additivity" in report.violated
 
-    @pytest.mark.parametrize("labels", [(0, 1, 1), (0, 2), (1, 1), (0, -1)])
+    @pytest.mark.parametrize("labels", [(0, 1, 1), (0, 2), (1, 1), (0, -1), (0, 10 ** 12)])
     def test_labels_must_cover_the_family_with_used_blocks(self, labels):
         ds, t = mixed_qubit()
         with pytest.raises(ValueError, match="labels must give each of the 2 base elements"):
             check_window(single(t, P0, P1), labels)
+
+    @pytest.mark.parametrize("labels", [[0, 0.7], [0, 1.9], ["0", "1"], [True, False],
+                                        [0, True], np.array([0.0, 1.0])])
+    def test_labels_must_be_integers(self, labels):
+        # refused, not truncated, parsed or read as 0 and 1
+        ds, t = mixed_qubit()
+        family = single(t, P0, P1)
+        for decide in (check_window, window):
+            with pytest.raises(ValueError, match="labels must give each of the 2 base elements"):
+                decide(family, labels)
+
+    def test_numpy_integer_labels_are_accepted(self):
+        ds, t = mixed_qubit()
+        family = single(t, P0, P1)
+        assert window(family, np.array([1, 0], dtype=np.uint8)).labels == (1, 0)
+        assert window(family, [np.int64(0), 1]).labels == (0, 1)
 
 
 class TestCheckWindowOperators:
@@ -574,7 +590,7 @@ class OracleWindow:
 
 def oracle_search(ds, t, pvms):
     """The exhaustive reference: every set partition -> member-matrix sector
-    check -> member-matrix operator check -> _window_key dedup -> sort."""
+    check -> member-matrix operator check -> per-member key dedup -> sort."""
     results = {}
     for base in base_families(ds, t, pvms):
         for rgs, _ in oracles.partitions(base):
@@ -582,7 +598,7 @@ def oracle_search(ds, t, pvms):
             report = oracles.check_window(ws, t)
             if report.consistent:
                 cand = OracleWindow(ws, report, oracles.check_operator_picture(ds, ws))
-                results.setdefault(_window_key(cand), cand)
+                results.setdefault(oracles.window_key(cand), cand)
     ordered = sorted(results.items(), key=lambda kv: (-len(kv[1].members), kv[0]))
     return [w for _, w in ordered]
 
@@ -597,7 +613,7 @@ def assert_same_reports(got, want):
 def assert_same_windows(found, expected):
     assert len(found) == len(expected)
     for got, want in zip(found, expected):
-        assert _window_key(got) == _window_key(want)
+        assert oracles.window_key(got) == oracles.window_key(want)
         assert_same_reports(got, want)
 
 
@@ -855,6 +871,68 @@ def degenerate_case(dim, n_times):
     t = wright_operator(ds, ds.grid.times[:n_times])
     basis = named_basis("computational", dim)
     return ds, t, [[[projector_onto(basis[:, [i]]) for i in range(dim)]]] * n_times
+
+
+def report_bits(report):
+    """A report's fields, its floats as hex strings, so -0.0 and 0.0 differ."""
+    return (report.verdict, report.violated, report.max_residual.hex(),
+            tuple(p.hex() for p in report.probabilities))
+
+
+class TestStackedMembers:
+    @given(decision_families())
+    @settings(max_examples=20, deadline=None)
+    def test_kernel_is_bit_equal_to_one_sum_per_member(self, family):
+        # every string, zero base elements included, and the lazy members of
+        # a window made outside a search
+        strings = list(restricted_growth_strings(len(family.ops)))
+        stack, cuts = _member_stack(family.ops, np.array(strings))
+        for i, (rgs, members) in enumerate(zip(strings, np.split(stack, cuts))):
+            want = np.array([x.op for x in oracles.members(family.space, family.ops, rgs)])
+            assert members.tobytes() == want.tobytes()
+            if i % 7 == 0:
+                got = np.array([x.op for x in window(family, rgs).members])
+                assert got.tobytes() == want.tobytes()
+
+    def test_kernel_keeps_the_signs_of_zero_that_np_sum_gives(self):
+        ops = np.array([[[-0.0, 1.0], [complex(-0.0, -0.0), 2j]],
+                        [[-0.0, -1.0], [complex(0.0, -0.0), -0.0]],
+                        [[complex(-0.0, -0.0), -0.0], [-0.0, 0.5]]])
+        strings = list(restricted_growth_strings(3))
+        stack, cuts = _member_stack(ops, np.array(strings))
+        for rgs, members in zip(strings, np.split(stack, cuts)):
+            labels = np.array(rgs)
+            want = [np.sum(ops[labels == v], axis=0) for v in range(max(rgs) + 1)]
+            assert members.tobytes() == np.array(want).tobytes()
+
+    @given(decision_families())
+    @settings(max_examples=20, deadline=None)
+    def test_check_window_is_the_windows_sector_report(self, family):
+        for rgs in restricted_growth_strings(len(family.ops)):
+            assert report_bits(check_window(family, rgs)) == report_bits(
+                window(family, rgs).kreport)
+
+    @given(near_additive_grams())
+    @settings(max_examples=40, deadline=None)
+    def test_check_window_is_the_windows_sector_report_near_the_tolerance(self, g):
+        n = len(g)
+        family = BaseFamily(t=None, ops=np.zeros((n, 1, 1)), gram_t=g, gram_d=g, gram_e=g)
+        for rgs in itertools.islice(restricted_growth_strings(n), 0, None, BELL[n] // 60 + 1):
+            assert report_bits(check_window(family, rgs)) == report_bits(
+                window(family, rgs).kreport)
+
+    @given(st.integers(0, 2 ** 31 - 1))
+    @settings(max_examples=20, deadline=None)
+    def test_search_keeps_the_first_of_two_strings_with_one_member_set(self, seed):
+        # with a zero third element, (0, 1, 0) and (0, 1, 1) have the same
+        # members; the search keeps the first in string order
+        rng = np.random.default_rng(seed)
+        ds = state_for(random_model(rng, 2))
+        t = wright_operator(ds, (0.0,))
+        pvms = [[[*random_pvm(rng, 2), np.zeros((2, 2))]]]
+        found = search_windows(t, pvms)
+        assert [w.labels for w in found] == [(0, 1, 0), (0, 0, 0)]
+        assert_same_windows(found, oracle_search(ds, t, pvms))
 
 
 class TestRefinementScreen:
