@@ -58,7 +58,7 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .core import TOLERANCES, as_operator, heisenberg, is_projector, max_abs
-from .decoherence import DecoherenceState, d_gram
+from .decoherence import CapacityError, DecoherenceState, d_gram
 from .histories import Proposition, PropositionSpace
 from .propositions import WrightOperator, wright_operator
 from .scenario import Scenario, ScenarioError
@@ -131,8 +131,8 @@ def base_family(t: WrightOperator, decompositions: Sequence[Sequence[np.ndarray]
 
     Each decomposition is checked here: ``ValueError`` naming it
     (``decompositions[k]``) unless its elements are
-    projectors summing to the identity, and when the family has more than
-    ``MAX_BASE_FAMILY`` elements.  :func:`search_windows`, which builds many
+    projectors summing to the identity; ``CapacityError`` when the family
+    has more than ``MAX_BASE_FAMILY`` elements.  :func:`search_windows`, which builds many
     families from few decompositions, runs the same check once per
     decomposition instead.
     """
@@ -147,7 +147,7 @@ def _build_family(t: WrightOperator, factors: Sequence[Sequence[np.ndarray]]) ->
     """:func:`base_family` of decompositions already checked by ``_decomposition``."""
     size = int(np.prod([len(f) for f in factors]))
     if size > MAX_BASE_FAMILY:
-        raise ValueError(f"base family too large: {size} > {MAX_BASE_FAMILY}")
+        raise CapacityError(f"base family too large: {size} > {MAX_BASE_FAMILY}")
     ops = np.array(factors[0])
     for f in map(np.asarray, factors[1:]):  # Kronecker products, first factor slowest
         count, dim = len(ops) * len(f), ops.shape[1] * f.shape[1]
@@ -517,7 +517,7 @@ def search_windows(t: WrightOperator,
 def scenario_windows(scn: Scenario) -> list[Window]:
     """Decided windows of the scenario's decompositions; the one path of
     ``verify``, ``windows`` and ``entropy``.  ``ScenarioError`` without
-    decompositions, ``CapacityError`` over the sector cap."""
+    decompositions, ``CapacityError`` over the sector or family cap."""
     if not scn.pvms:
         raise ScenarioError("pvms", "scenario defines no decompositions to search")
     ds = DecoherenceState(model=scn.model, grid=scn.grid)

@@ -5,21 +5,17 @@ picture, earliest time leftmost) the functional is
 
     d(h, k) = tr( C(h)^dag rho C(k) ),     C(h) = P_t1 P_t2 ... P_tn,
 
-conjugate linear in the first slot.  One kernel, :func:`chain_gram`, reads
-every pair of a stack of chains with one GEMM.  The chain form reads it:
-:func:`d_trace` on the chains of two histories, ``verify`` and
-``decohere`` on chains multiplied out from transported factors.  So does
-:func:`d_gram`, the sesquilinear extension on a stack of operators of one
-support sector via the chain map, which :func:`d_form` and the
-reconstruction read.  Computed apart from it: :func:`d_basis_sum`, the
-expansion over products of the rho eigenbasis, and :meth:`IlsOperator.pair_value`,
-d(p, q) = tr((p (x) q) X) for one operator X on the doubled tensor space.
-These three take two :class:`~histq.histories.Proposition` arguments of one
-sector of the state's dimension; ``embed`` turns a history into one.
-
-X is read off the functional's Gram matrix on the matrix units, and
-tr((p (x) q) X) is bilinear, so ``pair_value(p, q)`` is d(p^dag, q) for any
-operands; on self-adjoint ones it is d(p, q).
+conjugate linear in the first slot.  The chain form is one kernel,
+:func:`chain_gram`, every pair of a stack of chains by one GEMM; :func:`d_trace`
+reads it on two histories, and :func:`d_gram` (so :func:`d_form` and the
+reconstruction) on the chain-map images of a stack of one sector's operators.
+Computed apart from it: the expansion over products of the rho eigenbasis,
+:func:`d_basis_sum` on two :class:`~histq.histories.Proposition` operands and
+:func:`d_basis_sums` on stacks of transported product histories; and
+tr((p (x) q) X) for one operator X on the doubled tensor space, read off the
+functional's Gram matrix on the matrix units (:meth:`IlsOperator.pair_values`).
+That trace is bilinear, so it is d(p^dag, q) for any operands and d(p, q) on
+self-adjoint ones.
 """
 
 from __future__ import annotations
@@ -30,14 +26,8 @@ from typing import Sequence
 import numpy as np
 
 from .core import SystemModel, TimeGrid
-from .histories import (
-    HomogeneousHistory,
-    Proposition,
-    PropositionSpace,
-    chain_map,
-    class_operator,
-    support_reduce,
-)
+from .histories import (HomogeneousHistory, Proposition, PropositionSpace, chain_map,
+                        class_operator, support_reduce)
 
 __all__ = [
     "DecoherenceState",
@@ -50,6 +40,7 @@ __all__ = [
     "d_form",
     "d_gram",
     "d_basis_sum",
+    "d_basis_sums",
     "IlsOperator",
     "ils_reconstruct",
 ]
@@ -59,7 +50,7 @@ SECTOR_CAP = 81
 
 
 class CapacityError(ValueError):
-    """A support sector whose operator space exceeds ``SECTOR_CAP``."""
+    """A support sector over ``SECTOR_CAP`` or a base family over its cap."""
 
 
 def sector_fits(dim: int, n_times: int) -> bool:
@@ -102,12 +93,8 @@ def chain_gram(ds: DecoherenceState, chains: np.ndarray) -> np.ndarray:
 
 
 def d_trace(ds: DecoherenceState, h: HomogeneousHistory, k: HomogeneousHistory) -> complex:
-    """Chain form of the decoherence functional on two homogeneous histories.
-
-    Histories are canonicalized first; distinct supports are fine because
-    identity padding never changes the chains.  One :func:`chain_gram` call
-    on the two chains.
-    """
+    """Chain form on two homogeneous histories, canonicalized first (identity
+    padding never changes a chain, so supports may differ): one :func:`chain_gram`."""
     return complex(chain_gram(ds, np.array([_chain(ds, h), _chain(ds, k)], dtype=complex))[0, 1])
 
 
@@ -131,56 +118,58 @@ def d_form(ds: DecoherenceState, b1: Proposition, b2: Proposition) -> complex:
     return complex(d_gram(ds, np.stack((b1.op, b2.op)), space.n_times)[0, 1])
 
 
-def _slice(x: Proposition, psi: np.ndarray) -> np.ndarray:
-    """S(x)[a, b, J] = E(x)[(a, J), (J, b)], the entries of x's eigenbasis form
-    E(x) = (x)_f Psi_f^dag f Psi_f (Psi_f = psi^(x m_f) for a factor f on m_f
-    times) that :func:`d_basis_sum` reads.
+def _join(parts) -> np.ndarray:
+    """The slice S[..., a, b, J] of partial diagonals F[..., a, J_f, b] in time order,
+    each joined to the last by an outer product on their shared (now inner) index."""
+    out = parts[0]
+    for part in parts[1:]:
+        out = (out[..., None, None] * part[..., None, None, :, :, :]).reshape(
+            out.shape[:-2] + (-1, out.shape[-1]))
+    return np.ascontiguousarray(out.swapaxes(-1, -2))
 
-    Each factor contributes its partial diagonal F[a, J_f, b]; consecutive
-    factors join on their shared boundary index by an outer product, which
-    becomes one more inner index.  For a one-time factor F is psi^dag f psi,
-    formed for all of them in one stacked product.
-    """
+
+def _diagonals(psi: np.ndarray, fs: np.ndarray) -> np.ndarray:
+    """The partial diagonals psi^dag f psi (..., dim, 1, dim) of a stack of one-time factors."""
+    return (psi.conj().T @ fs @ psi)[..., None, :]
+
+
+def _slice(x: Proposition, psi: np.ndarray) -> np.ndarray:
+    """S(x): :func:`_join` of the partial diagonals of Psi_f^dag f Psi_f, Psi_f = psi^(x m_f)
+    for the factors f of x on m_f times, one stacked product for all one-time factors."""
     dim = len(psi)
-    ones = [f for f in x.factors if len(f) == dim]
-    single = iter(psi.conj().T @ np.reshape(ones, (len(ones), dim, dim)) @ psi)
-    out = None
+    single = iter(_diagonals(psi, np.reshape([f for f in x.factors if len(f) == dim],
+                                             (-1, dim, dim))))
+    parts = []
     for f in x.factors:
         big = psi
         while len(big) < len(f):
             big = np.kron(big, psi)
         inner = len(f) // dim
-        form = next(single) if inner == 1 else big.conj().T @ f @ big
-        part = np.einsum("ajjb->ajb", form.reshape(dim, inner, inner, dim))
-        out = part if out is None else (out[..., None, None] * part).reshape(dim, -1, dim)
-    return np.ascontiguousarray(out.transpose(0, 2, 1))
+        parts.append(next(single) if inner == 1 else np.einsum(
+            "ajjb->ajb", (big.conj().T @ f @ big).reshape(dim, inner, inner, dim)))
+    return _join(parts)
+
+
+def _contract(ds: DecoherenceState, sp: np.ndarray, sq: np.ndarray) -> np.ndarray:
+    """sum_{a, b, J, K} w[a] conj(sp)[..., a, b, K] sq[..., a, b, J] over all
+    dim^(2n) index tuples, one value per pair of slices."""
+    left = sp.conj() * np.asarray(ds.model.weights)[:, None, None]
+    return np.einsum("...abj,...abk->...", left, sq)
 
 
 def d_basis_sum(ds: DecoherenceState, p: Proposition, q: Proposition) -> complex:
     """Basis-expansion form of the functional on an n-time support.
 
-    Sums over 2n basis indices j_1..j_2n: j_1 runs over the spectral
-    resolution of rho (weights w), j_2..j_2n over auxiliary orthonormal
-    bases.  The value does not depend on the auxiliary bases (Isham, Linden
-    and Schreckenberg, J. Math. Phys. 35, 1994), so every slot uses the rho
-    eigenbasis psi and each operand x is read through its form E(x), x
-    written in the basis psi^(x n), one axis per time.  The sum reads only
-    the entries E(x)[(a, J), (J, b)], a and b the first and last index and
-    J the n - 1 inner ones, so each operand enters as its slice
-    S(x)[a, b, J], built from the operand's factors: for an embedded history
-    S(q)[a, b, J] = F_1[a, J_1] F_2[J_1, J_2] ... F_n[J_(n-1), b] with
-    F_t = psi^dag P_t psi, and for a one-factor operand the partial diagonal
-    of Psi^dag x Psi with Psi = psi^(x n).  The first operand enters as
-    p^dag, whose form is conj(E(p)) with its row and column indices swapped,
-    so the sum is the single contraction
-
-        sum_{a, b, J, K} w[a] conj(S(p))[a, b, K] S(q)[a, b, J]
-
-    over all dim^(2n) index tuples, conjugate linear in the first slot like
-    :func:`d_form`.  S(x) is memoised on ``x`` (``Proposition.eigen_forms``),
-    so a history paired with many others is written in the eigenbasis once;
-    each operand holds dim^(n+1) entries per eigenbasis while it lives.  The
-    weights enter per pair, so states that share psi share the memo.
+    It sums over 2n basis indices: j_1 over the spectral resolution of rho
+    (weights w), the others over auxiliary orthonormal bases, on which the
+    value does not depend (Isham, Linden and Schreckenberg, J. Math. Phys.
+    35, 1994).  With the rho eigenbasis psi in every slot it reads of each
+    operand x only the slice S(x)[a, b, J] = E(x)[(a, J), (J, b)] of its form
+    E(x) in the basis psi^(x n), a and b the first and last index and J the
+    n - 1 inner ones; for an embedded history F_1[a, J_1] ... F_n[J_(n-1), b]
+    with F_t = psi^dag P_t psi.  p enters as p^dag: one :func:`_contract`,
+    conjugate linear in the first slot like :func:`d_form`.  S(x) is memoised
+    on x (``Proposition.eigen_forms``); the weights enter per pair.
     """
     _pair_sector(ds, p, q)
     psi = np.asarray(ds.model.vectors, dtype=complex)
@@ -188,8 +177,16 @@ def d_basis_sum(ds: DecoherenceState, p: Proposition, q: Proposition) -> complex
     for x in (p, q):
         if key not in x.eigen_forms:
             x.eigen_forms[key] = _slice(x, psi)
-    left = p.eigen_forms[key].conj() * np.asarray(ds.model.weights)[:, None, None]
-    return complex(np.einsum("abj,abk->", left, q.eigen_forms[key]))
+    return complex(_contract(ds, p.eigen_forms[key], q.eigen_forms[key]))
+
+
+def d_basis_sums(ds: DecoherenceState, hs: np.ndarray, ks: np.ndarray) -> np.ndarray:
+    """:func:`d_basis_sum` of each pair (hs[i], ks[i]) of two stacks (count, n,
+    dim, dim) of transported projectors, one per time: all slices from one
+    stacked product psi^dag P_t psi each, and one contraction."""
+    psi = np.asarray(ds.model.vectors, dtype=complex)
+    sp, sq = (_join(list(_diagonals(psi, x).swapaxes(0, 1))) for x in (hs, ks))
+    return _contract(ds, sp, sq)
 
 
 @dataclass(frozen=True)
@@ -199,14 +196,17 @@ class IlsOperator:
     space: PropositionSpace
     xd: np.ndarray
 
-    def pair_value(self, p: Proposition, q: Proposition) -> complex:
-        """Reconstructed d(p^dag, q), which is d(p, q) for self-adjoint p.
+    def pair_values(self, ps: np.ndarray, qs: np.ndarray) -> np.ndarray:
+        """tr((p (x) q) X) of each pair (ps[i], qs[i]) of two stacks (count, k, k),
+        contracted on X's four k-dimensional slots X[(i, k), (j, l)] by one
+        einsum, without forming the k^2 x k^2 products p (x) q."""
+        k = self.space.op_dim
+        return np.einsum("...ji,...lk,ikjl->...", ps, qs, self.xd.reshape((k,) * 4))
 
-        tr((p (x) q) X) contracted on X's four k-dimensional slots
-        X[(i, k), (j, l)], without forming the k^2 x k^2 product p (x) q.
-        """
-        k = self.space.require(p, q).op_dim
-        return complex(np.einsum("ji,lk,ikjl->", p.op, q.op, self.xd.reshape((k,) * 4)))
+    def pair_value(self, p: Proposition, q: Proposition) -> complex:
+        """Reconstructed d(p^dag, q): one pair of :meth:`pair_values`."""
+        self.space.require(p, q)
+        return complex(self.pair_values(p.op, q.op))
 
 
 def ils_reconstruct(ds: DecoherenceState, support: Sequence[float]) -> IlsOperator:

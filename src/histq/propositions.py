@@ -6,7 +6,8 @@ proposition e is the identity, and <b, b> grows with how coarse grained b is
 (rank / tr(1) for projectors).
 
 A state on the sector is a Wright operator: a self-adjoint operator T with
-<e, T e> = 1 whose quadratic form <x, T x> yields the probabilities.  For
+<e, T e> = 1 whose quadratic form <x, T x> yields the probabilities, read
+for a whole stack of operators by one call (:func:`probabilities`).  For
 the standard functional it is T = tr(1) * pi^adj (rho . pi(b)), represented
 here as a matrix acting on column-major vectorized operators.  One T exists
 per sector and records the decoherence state it was built from; no global
@@ -29,6 +30,7 @@ __all__ = [
     "WrightOperator",
     "wright_operator",
     "probability",
+    "probabilities",
     "chain_matrix",
 ]
 
@@ -88,11 +90,19 @@ def wright_operator(ds: DecoherenceState, support: Sequence[float]) -> WrightOpe
     return WrightOperator(space=space, matrix=matrix, state=ds)
 
 
-def probability(t: WrightOperator, x: Proposition) -> float:
-    """Quadratic form <x, T x>, the one-proposition :meth:`WrightOperator.gram`;
-    may leave [0, 1] for inconsistent propositions."""
-    t.space.require(x)
-    value = complex(t.gram(x.op[None])[0, 0])
-    if abs(value.imag) > TOLERANCES.agreement:
+def probabilities(t: WrightOperator, ops: np.ndarray) -> np.ndarray:
+    """Quadratic forms <x, T x> of a stack ``ops`` (count, k, k) of operators on
+    t's sector, the diagonal of :meth:`WrightOperator.gram` without the rest;
+    they may leave [0, 1] for inconsistent propositions."""
+    count, k, _ = ops.shape
+    vecs = ops.transpose(0, 2, 1).reshape(count, k * k)
+    values = np.einsum("ai,ai->a", vecs.conj() @ t.matrix, vecs) / k
+    if np.any(np.abs(values.imag) > TOLERANCES.agreement):
         raise ValueError("non-real quadratic form")
-    return float(value.real)
+    return values.real
+
+
+def probability(t: WrightOperator, x: Proposition) -> float:
+    """Quadratic form <x, T x>: one row of :func:`probabilities`."""
+    t.space.require(x)
+    return float(probabilities(t, x.op[None])[0])

@@ -4,6 +4,8 @@ Each check exercises one contract of the engine on the supplied scenario plus
 seeded random side scenarios, and records the worst residual it saw together
 with the threshold it was held to.  All randomness is drawn from one
 generator seeded by the scenario, so two runs produce identical reports.
+The decoherence checks evaluate each sector's random histories or operators
+as one stack, with one call per representation of the functional.
 """
 
 from __future__ import annotations
@@ -17,12 +19,12 @@ import numpy as np
 from .consistency import (Window, base_family, partition_windows, refinements,
                           scenario_windows, search_windows, window)
 from .core import TOLERANCES, SystemModel, TimeGrid, heisenberg
-from .decoherence import (CapacityError, DecoherenceState, chain_gram, d_basis_sum, d_form,
+from .decoherence import (CapacityError, DecoherenceState, chain_gram, d_basis_sums, d_gram,
                           d_trace, ils_reconstruct, sector_fits)
 from .divergence import b1_direct_value, b1_grid, b1_series, b2_grid, b2_series, growth_fit
 from .entropy import refinement_gap, window_entropy, window_entropy_pnorm
-from .histories import Proposition, PropositionSpace, history, proposition, unit_proposition
-from .propositions import hs_inner, probability, wright_operator
+from .histories import history
+from .propositions import hs_inner, probabilities, wright_operator
 from .sampling import (draw_projectors, random_model, random_operator, random_projectors,
                        random_pvm, resolve_projectors)
 from .scenario import Scenario
@@ -82,6 +84,17 @@ def _chains(stack: np.ndarray) -> np.ndarray:
     return functools.reduce(np.matmul, stack.swapaxes(0, 1))
 
 
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The Kronecker products a[c] (x) b[c] of two stacks of matrices."""
+    return (a[:, :, None, :, None] * b[:, None, :, None, :]).reshape(
+        len(a), a.shape[1] * b.shape[1], -1)
+
+
+def _gap(a: np.ndarray, b: np.ndarray) -> float:
+    """The largest |a - b| of two arrays of values; NaN when one is NaN."""
+    return float(np.abs(a - b).max())
+
+
 def _check_axioms(scn: Scenario, rng) -> CheckResult:
     worst = 0.0
     states = _side_states(rng) + [DecoherenceState(model=scn.model, grid=scn.grid)]
@@ -100,7 +113,7 @@ def _check_axioms(scn: Scenario, rng) -> CheckResult:
             if ps:
                 d = chain_gram(ds, _chains(_product_histories(ds, n, ps)))
                 h = np.arange(0, len(d), 2)  # h at even rows, its k after it
-                worst = _worst(worst, float(np.abs(d[h, h + 1] - d[h + 1, h].conj()).max()),
+                worst = _worst(worst, _gap(d[h, h + 1], d[h + 1, h].conj()),
                                float(-d[h, h].real.min()))
     bound = _THRESHOLDS["axioms"]
     return CheckResult("decoherence-axioms", worst <= bound, worst, bound,
@@ -119,16 +132,13 @@ def _check_representations(scn: Scenario, rng) -> CheckResult:
                 if ds is scn_state:
                     skipped.append(f"n = {n}")
                 continue
-            support = ds.grid.times[:n]
-            ils = ils_reconstruct(ds, support)
+            ils = ils_reconstruct(ds, ds.grid.times[:n])
             stack = _product_histories(ds, n, random_projectors(rng, ds.model.dim, 16 * n))
-            ref = chain_gram(ds, _chains(stack)).tolist()  # chain form from the factors
-            space = PropositionSpace(support=support, dim_single=ds.model.dim)
-            embedded = [Proposition(space=space, factors=tuple(x)) for x in stack]
-            for i in range(0, len(stack), 2):
-                hb, kb = embedded[i], embedded[i + 1]
-                worst = _worst(worst, abs(ref[i][i + 1] - d_basis_sum(ds, hb, kb)),
-                               abs(ref[i][i + 1] - ils.pair_value(hb, kb)))
+            h = np.arange(0, len(stack), 2)  # h at even rows, its k after it
+            chain = chain_gram(ds, _chains(stack))[h, h + 1]  # chain form from the factors
+            dense = functools.reduce(_kron, stack.swapaxes(0, 1))  # each history's operator
+            worst = _worst(worst, _gap(chain, d_basis_sums(ds, stack[h], stack[h + 1])),
+                           _gap(chain, ils.pair_values(dense[h], dense[h + 1])))
     bound = TOLERANCES.agreement
     detail = "chain form vs basis sum vs doubled-space reconstruction"
     if skipped:
@@ -146,15 +156,14 @@ def _check_wright(scn: Scenario, rng) -> CheckResult:
         for n in (1, 2):
             if not sector_fits(ds.model.dim, n):
                 continue
-            support = ds.grid.times[:n]
-            t = wright_operator(ds, support)
-            e = unit_proposition(t.space)
-            worst_state = _worst(worst_state, abs(probability(t, e) - 1.0))
+            t = wright_operator(ds, ds.grid.times[:n])
+            k = t.space.op_dim
+            ops = np.array([np.eye(k)] + [random_operator(rng, k) for _ in range(10)])  # e first
+            probs = probabilities(t, ops)
+            worst_state = _worst(worst_state, abs(probs[0] - 1.0))
             worst_selfadj = _worst(worst_selfadj, t.self_adjoint_residual())
-            for _ in range(10):
-                b = proposition(t.space, random_operator(rng, t.space.op_dim))
-                worst_agree = _worst(worst_agree,
-                                     abs(probability(t, b) - d_form(ds, b, b).real))
+            worst_agree = _worst(worst_agree,
+                                 _gap(probs[1:], d_gram(ds, ops[1:], n).diagonal().real))
     worst = _worst(worst_state, worst_agree, worst_selfadj)
     bound = TOLERANCES.agreement
     passed = (worst_state <= _THRESHOLDS["wright-unit"] and worst_agree <= bound

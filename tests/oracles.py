@@ -52,6 +52,8 @@
   operator as sum_ab d(G_a, G_b) G_a (x) G_b over a Hermitian basis {G_a}
   orthonormal under tr(A B), where the program reorders the functional's
   Gram matrix on the matrix units.
+* :func:`ils_pair_value` contracts tr((p (x) q) X) for one pair of
+  operators, where the program contracts a stack of pairs in one einsum.
 """
 
 from __future__ import annotations
@@ -65,7 +67,7 @@ import numpy as np
 from histq.consistency import ConsistencyReport, Window, _block_sums, _sector_terms
 from histq.core import (TOLERANCES, SystemModel, heisenberg, max_abs, projector_onto,
                         tensor_product)
-from histq.decoherence import DecoherenceState, d_form, d_gram
+from histq.decoherence import DecoherenceState, IlsOperator, d_form, d_gram
 from histq.histories import HomogeneousHistory, Proposition, proposition, support_reduce
 from histq.propositions import WrightOperator, hs_inner, probability
 from histq.sampling import random_operator
@@ -173,6 +175,13 @@ def ils_expansion(ds: DecoherenceState, support: Sequence[float]) -> np.ndarray:
     values = d_gram(ds, basis, len(support))  # values[a, b] = d(G_a, G_b)
     mixed = np.einsum("ab,aij,bkl->ikjl", values, basis, basis, optimize=True)
     return mixed.reshape(k * k, k * k)
+
+
+def ils_pair_value(x: IlsOperator, p: np.ndarray, q: np.ndarray) -> complex:
+    """tr((p (x) q) X) for one pair of k x k operators, contracted on X's four
+    k-dimensional slots X[(i, k), (j, l)]."""
+    k = x.space.op_dim
+    return complex(np.einsum("ji,lk,ikjl->", p, q, x.xd.reshape((k,) * 4)))
 
 
 def haar_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:

@@ -72,6 +72,13 @@ def write_scenario(tmp_path, kind):
             scenario["pvms"] = [[{"basis": "computational"}]]
     elif kind == "no-pvms":
         scenario["pvms"] = []
+    elif kind == "family-over-cap":
+        # computational P0, P1 and three zero projectors at each of the two
+        # times: 5 x 5 = 25 base elements, over MAX_BASE_FAMILY = 12
+        zero = {"matrix": {"real": [[0.0, 0.0], [0.0, 0.0]]}}
+        padded = {"projectors": [{"basis": "computational", "index": 0},
+                                 {"basis": "computational", "index": 1}, zero, zero, zero]}
+        scenario["pvms"] = [[padded], [padded]]
     path = tmp_path / f"{kind}.json"
     path.write_text(json.dumps(scenario), encoding="utf-8")
     return path
@@ -85,7 +92,8 @@ def strict_json(path):
 
 
 @pytest.mark.parametrize("subcommand", SUBCOMMANDS)
-@pytest.mark.parametrize("kind", ["bundled", "dim4", "dim3-three-times", *REFUSED])
+@pytest.mark.parametrize("kind", ["bundled", "dim4", "dim3-three-times", "family-over-cap",
+                                  *REFUSED])
 def test_every_subcommand_exits_with_a_documented_code(tmp_path, capsys, subcommand, kind):
     code = run([subcommand, "--scenario", str(write_scenario(tmp_path, kind)),
                 "--out", str(tmp_path / "o")])
@@ -329,6 +337,23 @@ class TestCapacity:
         assert code == 4
         assert capsys.readouterr().err == "error: support too large for Wright construction\n"
 
+    @pytest.mark.parametrize("subcommand", ["windows", "entropy"])
+    def test_family_over_cap_exits_4(self, tmp_path, capsys, subcommand):
+        code = run([subcommand, "--scenario", str(write_scenario(tmp_path, "family-over-cap")),
+                    "--out", str(tmp_path / "o")])
+        assert code == 4
+        assert capsys.readouterr().err == "error: base family too large: 25 > 12\n"
+        assert not (tmp_path / "o").exists()
+
+    def test_verify_names_the_skipped_family(self, tmp_path):
+        code = run(["verify", "--scenario", str(write_scenario(tmp_path, "family-over-cap")),
+                    "--out", str(tmp_path / "o")])
+        checks = json.loads((tmp_path / "o" / "verify.json").read_text())["verify"]["checks"]
+        detail = {c["name"]: c["detail"] for c in checks}
+        assert code == 0
+        assert detail["picture-bridge"].endswith(
+            "; scenario windows skipped: base family too large: 25 > 12")
+
     def test_decohere_reports_skipped_ils(self, tmp_path):
         code = run(["decohere", "--scenario", str(write_scenario(tmp_path, "dim4")),
                     "--out", str(tmp_path / "o")])
@@ -349,6 +374,51 @@ class TestCapacity:
         assert detail["picture-bridge"].endswith(
             "; scenario windows skipped: support too large for Wright construction")
         assert "skipped" in capsys.readouterr().out
+
+
+class TestOneStackedCallPerSector:
+    """``verify`` reads each drawn stack with one call per representation;
+    ``decohere`` still pairs its histories one call at a time."""
+
+    FUNCTIONS = ("d_basis_sum", "d_basis_sums", "d_form", "probability", "probabilities")
+
+    def spies(self, monkeypatch) -> dict:
+        calls = {name: count_calls(monkeypatch, name) for name in self.FUNCTIONS}
+        for method in ("pair_value", "pair_values"):
+            calls[method] = []
+
+            def spy(ils, *args, _original=getattr(IlsOperator, method), _calls=calls[method]):
+                _calls.append(args)
+                return _original(ils, *args)
+
+            monkeypatch.setattr(IlsOperator, method, spy)
+        return calls
+
+    def test_verify_makes_one_stacked_call_per_sector(self, monkeypatch, tmp_path):
+        # side states of dim 2 and 3 and the dim-2 bundled scenario, each on
+        # one and two times: 6 sectors for the representation check, of
+        # 16 histories (8 pairs) each; the Wright check reads the side
+        # states' 4 sectors, each with the unit and 10 drawn operators
+        calls = self.spies(monkeypatch)
+        grams = count_calls(monkeypatch, "d_gram")
+        assert run(["verify", "--out", str(tmp_path)]) == 0
+        assert {name: len(c) for name, c in calls.items()} == {
+            "d_basis_sum": 0, "d_basis_sums": 6, "d_form": 0, "probability": 0,
+            "probabilities": 4, "pair_value": 0, "pair_values": 6}
+        assert [len(hs) for _, hs, _ in calls["d_basis_sums"]] == [8] * 6
+        assert [len(ps) for ps, _ in calls["pair_values"]] == [8] * 6
+        assert [len(ops) for _, ops in calls["probabilities"]] == [11] * 4
+        # the forms are held against one Gram matrix of the 10 draws per sector
+        assert [len(ops) for _, ops, _ in grams if len(ops) == 10] == [10] * 4
+
+    def test_decohere_still_pairs_one_at_a_time(self, monkeypatch, tmp_path):
+        # three bundled histories: 9 pairs, each its own basis sum and its
+        # own one-pair view of the reconstruction
+        calls = self.spies(monkeypatch)
+        assert run(["decohere", "--out", str(tmp_path)]) == 0
+        assert {name: len(c) for name, c in calls.items()} == {
+            "d_basis_sum": 9, "d_basis_sums": 0, "d_form": 0, "probability": 0,
+            "probabilities": 0, "pair_value": 9, "pair_values": 9}
 
 
 class TestDecohere:

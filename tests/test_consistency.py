@@ -26,7 +26,7 @@ from histq.consistency import (
 )
 from histq.core import (TOLERANCES, SystemModel, heisenberg, is_projector, max_abs,
                         named_basis, projector_onto)
-from histq.decoherence import d_form
+from histq.decoherence import CapacityError, d_form
 from histq.propositions import hs_inner, wright_operator
 from histq.sampling import (random_density, random_hermitian, random_model, random_pvm,
                             random_unitary)
@@ -488,11 +488,13 @@ class TestSearchWindows:
 
     def test_family_cap_enforced(self, monkeypatch):
         # rank-1 decompositions under the sector cap give at most 9 base
-        # histories, so exercise the guard with a lowered cap
+        # histories, but zero projectors pad a decomposition past the cap
+        # (tests/test_cli.py, "family-over-cap": 25 > 12); a lowered cap
+        # exercises the guard on the smallest two-time family
         monkeypatch.setattr("histq.consistency.MAX_BASE_FAMILY", 3)
         ds, _ = mixed_qubit(np.eye(2) / 2)
         t2 = wright_operator(ds, (0.0, 1.0))
-        with pytest.raises(ValueError, match="base family too large: 4 > 3"):
+        with pytest.raises(CapacityError, match="base family too large: 4 > 3"):
             search_windows(t2, [[[P0, P1]], [[P0, P1]]])
 
     def test_invariant_under_element_permutation(self):

@@ -2,7 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from histq.core import SystemModel, TimeGrid, heisenberg, max_abs, tensor_product
@@ -13,6 +13,7 @@ from histq.decoherence import (
     DecoherenceState,
     chain_gram,
     d_basis_sum,
+    d_basis_sums,
     d_form,
     d_gram,
     d_trace,
@@ -175,6 +176,27 @@ def dense_oracle_cases(draw):
     p = kinds[draw(st.sampled_from(sorted(kinds)))]()
     q = p if draw(st.booleans()) else kinds[draw(st.sampled_from(sorted(kinds)))]()
     return ds, p, q
+
+
+@st.composite
+def stacked_pair_cases(draw):
+    """Two stacks of 1-4 transported product histories at dim 1-3 on 1-3
+    times, some factors the identity, under a state that may have zero
+    spectral weights."""
+    dim = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 3))
+    count = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 31 - 1)))
+    rank = draw(st.integers(1, dim))
+    weights = np.zeros(dim)
+    weights[rng.permutation(dim)[:rank]] = rng.dirichlet(np.ones(rank))
+    model = SystemModel.from_spectral(random_hermitian(rng, dim), weights,
+                                      random_unitary(rng, dim))
+    ds = DecoherenceState(model=model, grid=TimeGrid(times=tuple(range(n))))
+    ps = [np.eye(dim, dtype=complex) if draw(st.booleans()) else random_projector(rng, dim)
+          for _ in range(2 * count * n)]
+    stack = _product_histories(ds, n, ps)
+    return ds, stack[0::2], stack[1::2]
 
 
 def fresh(x):
@@ -494,6 +516,21 @@ class TestBasisSumForm:
                 assert abs(d_basis_sum(ds, x, y) - d_form(ds, x, y)) <= 1e-10
 
 
+@given(stacked_pair_cases())
+@settings(max_examples=60, deadline=None)
+def test_stacked_basis_sums_are_the_per_pair_sum_and_the_dense_oracle(case):
+    # every pair of the two stacks, each history as the Proposition of its
+    # transported factors that decohere pairs one at a time
+    ds, hs, ks = case
+    space = PropositionSpace(support=ds.grid.times, dim_single=ds.model.dim)
+    values = d_basis_sums(ds, hs, ks)
+    assert values.shape == (len(hs),)
+    for value, h, k in zip(values, hs, ks):
+        p, q = (Proposition(space=space, factors=tuple(x)) for x in (h, k))
+        assert abs(value - d_basis_sum(ds, p, q)) <= 1e-12
+        assert abs(value - oracles.basis_sum_dense(ds, p, q)) <= 1e-12
+
+
 @pytest.mark.parametrize("form", [d_form, d_basis_sum])
 def test_state_of_another_dimension_is_a_sector_mismatch(form):
     # a dim-3 proposition and a dim-2 state fail the one sector check, not a matmul
@@ -566,6 +603,29 @@ class TestIlsReconstruction:
         p_dag = sector_op(support, dim, p.op.conj().T)
         bound = 1e-12 * max_abs(p.op) * max_abs(q.op)
         assert abs(x.pair_value(p, q) - d_form(ds, p_dag, q)) <= bound
+
+    @given(dim=st.integers(1, 3), n=st.integers(1, 3), count=st.integers(1, 4),
+           seed=st.integers(0, 2 ** 31 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_pair_values_are_the_per_pair_values(self, dim, n, count, seed):
+        # complex operands: one einsum for the stack against the one-pair
+        # view, the per-pair contraction and the trace against the Kronecker
+        # product with the Hermitian-basis expansion of X
+        assume(sector_fits(dim, n))
+        rng = np.random.default_rng(seed)
+        ds = state_for(random_model(rng, dim), times=tuple(range(n)))
+        x = ils_reconstruct(ds, ds.grid.times)
+        dense = oracles.ils_expansion(ds, ds.grid.times)
+        ps, qs = (np.array([random_operator(rng, dim ** n) for _ in range(count)])
+                  for _ in range(2))
+        values = x.pair_values(ps, qs)
+        assert values.shape == (count,)
+        for value, p, q in zip(values, ps, qs):
+            bound = 1e-12 * max(1.0, max_abs(p) * max_abs(q))
+            assert abs(value - x.pair_value(*(sector_op(ds.grid.times, dim, o)
+                                             for o in (p, q)))) <= bound
+            assert abs(value - oracles.ils_pair_value(x, p, q)) <= bound
+            assert abs(value - np.trace(np.kron(p, q) @ dense)) <= bound * dim ** (2 * n)
 
     def test_unit_trace(self):
         rng = np.random.default_rng(13)

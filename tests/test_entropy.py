@@ -1,6 +1,7 @@
 import functools
 import importlib
 import importlib.util
+import inspect
 import json
 import math
 import pkgutil
@@ -339,14 +340,23 @@ class TestAggregates:
 
     def test_checks_run_only_in_the_search_decide_step(self, monkeypatch, tmp_path):
         # every histq module that binds a check gets a wrapper recording the
-        # caller and the caller's caller of each call
+        # function that calls it and that function's caller; a comprehension
+        # or generator frame (its own frame under Python 3.11) counts as part
+        # of the function it runs in, so the record names functions, not the
+        # shape of their loops
         callers = []
+
+        def function(frame):
+            while (frame.f_code.co_name in ("<listcomp>", "<setcomp>", "<dictcomp>", "<genexpr>")
+                   or frame.f_code.co_flags & inspect.CO_GENERATOR):
+                frame = frame.f_back
+            return frame
 
         def spy(check):
             @functools.wraps(check)
             def wrapper(*args, **kwargs):
-                frame = sys._getframe(1)
-                callers.append((frame.f_code.co_name, frame.f_back.f_code.co_name))
+                frame = function(sys._getframe(1))
+                callers.append((frame.f_code.co_name, function(frame.f_back).f_code.co_name))
                 return check(*args, **kwargs)
             return wrapper
 

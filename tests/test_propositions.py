@@ -1,15 +1,16 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from histq.consistency import base_family, refinements, window
-from histq.decoherence import d_basis_sum, d_form, ils_reconstruct
+from histq.decoherence import d_basis_sum, d_form, ils_reconstruct, sector_fits
 from histq.histories import PropositionSpace, chain_map, proposition, unit_proposition
 from histq.propositions import (
     WrightOperator,
     chain_matrix,
     hs_inner,
+    probabilities,
     probability,
     wright_operator,
 )
@@ -220,6 +221,38 @@ class TestProbability:
         t = wright_operator(ds, (0.0,))
         with pytest.raises(ValueError, match="sector mismatch"):
             probability(t, unit_proposition(DOUBLE))
+
+    @given(dim=st.integers(1, 3), n=st.integers(1, 3), count=st.integers(1, 5),
+           seed=st.integers(0, 2 ** 31 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_stacked_forms_are_the_gram_diagonal(self, dim, n, count, seed):
+        # the unit, a projector and complex operators in one stack: each form
+        # is its row of the Gram matrix and the one-row view, entry by entry
+        assume(sector_fits(dim, n))
+        rng = np.random.default_rng(seed)
+        t = wright_operator(state_for(random_model(rng, dim), times=tuple(range(n))),
+                            tuple(range(n)))
+        k = t.space.op_dim
+        ops = np.array([np.eye(k), random_projector(rng, k)]
+                       + [random_operator(rng, k) for _ in range(count)])
+        values = probabilities(t, ops)
+        gram = t.gram(ops)
+        assert values.dtype == float and values.shape == (len(ops),)
+        for a, op in enumerate(ops):
+            bound = 1e-12 * max(1.0, abs(gram[a, a]))
+            assert abs(values[a] - gram[a, a]) <= bound
+            assert abs(values[a] - probability(t, proposition(t.space, op))) <= bound
+        assert abs(values[0] - 1.0) <= 1e-12
+
+    def test_one_non_real_form_refuses_the_stack(self):
+        # T + i |vec(P0)><vec(P0)| is not Hermitian: <P1, T P1> stays real,
+        # <P0, T P0> gains the imaginary part 1/2
+        t = wright_operator(qubit_state(np.diag([0.75, 0.25])), (0.0,))
+        bad = WrightOperator(space=t.space, matrix=t.matrix + 1j * np.diag([1.0, 0, 0, 0]),
+                             state=t.state)
+        assert probabilities(bad, P1[None]) == pytest.approx([0.25], abs=1e-12)
+        with pytest.raises(ValueError, match="^non-real quadratic form$"):
+            probabilities(bad, np.array([P1, P0]))
 
 
 # Sector A and sector B share dim_single = 2 but not their support.
