@@ -15,8 +15,8 @@ _EXPORTS = {
                   "class_operator", "embed", "history", "proposition", "support_reduce",
                   "unit_proposition"),
     "decoherence": ("CapacityError", "DecoherenceState", "IlsOperator", "d_basis_sum",
-                    "d_form", "d_trace", "ils_reconstruct"),
-    "propositions": ("WrightOperator", "hs_inner", "probability", "wright_operator"),
+                    "d_trace", "ils_reconstruct"),
+    "propositions": ("WrightOperator", "hs_inner", "wright_operator"),
     "consistency": ("BaseFamily", "ConsistencyReport", "Window", "base_family",
                     "check_window", "refinements", "search_windows", "window"),
     "entropy": ("EntropyReport", "min_entropy", "refinement_gap", "window_entropy",

@@ -61,26 +61,22 @@ def _scenario_section(scn: Scenario, source: str) -> dict:
 
 def _decohere_payload(scn: Scenario) -> dict:
     from .decoherence import DecoherenceState, chain_gram, d_basis_sum, ils_reconstruct
-    from .histories import embed
+    from .histories import embed_stack
 
     ds = DecoherenceState(model=scn.model, grid=scn.grid)
     support = scn.grid.times
-    rows = []
-    residual_sum = 0.0
-    residual_ils = 0.0
+    rows, residual_sum, residual_ils = [], 0.0, 0.0
     labels = [label for label, _ in scn.histories]
-    embedded = [embed(scn.model, h, support, scn.grid.t0) for _, h in scn.histories]
-    chains = [functools.reduce(np.matmul, x.factors) for x in embedded]  # embed's factors
-    chains = chain_gram(ds, np.array(chains, dtype=complex).reshape(-1, scn.dim, scn.dim)).tolist()
-    ils = None
-    ils_note = None
+    embedded = embed_stack(scn.model, [h for _, h in scn.histories], support, scn.grid.t0)
+    factors = np.reshape([x.factors for x in embedded], (-1, len(support), scn.dim, scn.dim))
+    chains = chain_gram(ds, functools.reduce(np.matmul, factors.swapaxes(0, 1))).tolist()
+    ils, ils_note = None, None
     try:
         ils = ils_reconstruct(ds, support)
     except CapacityError as exc:
         ils_note = str(exc)
-    for i, (label_h, hb) in enumerate(zip(labels, embedded)):
-        for j, (label_k, kb) in enumerate(zip(labels, embedded)):
-            chain = chains[i][j]
+    for label_h, hb, row in zip(labels, embedded, chains):
+        for label_k, kb, chain in zip(labels, embedded, row):
             values = {TAG_CHAIN: chain, TAG_BASIS_SUM: d_basis_sum(ds, hb, kb)}
             residual_sum = max(residual_sum, abs(chain - values[TAG_BASIS_SUM]))
             if ils is not None:

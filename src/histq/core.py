@@ -220,7 +220,8 @@ def heisenberg(model: SystemModel, a: np.ndarray, t, t0: float = 0.0) -> np.ndar
 
     ``a`` is one operator or a stack (..., dim, dim), ``t`` one time or times
     that broadcast against its leading axes (one per time slot of a history
-    stack (count, n, dim, dim)): one :func:`evolve` per time.  Checks nothing.
+    stack (count, n, dim, dim)): one :func:`evolve` per distinct time.  Checks nothing.
     """
-    u = np.reshape([evolve(model, s, t0) for s in np.ravel(t)], np.shape(t) + (model.dim,) * 2)
+    once = {s: evolve(model, s, t0) for s in set(np.ravel(t).tolist())}
+    u = np.reshape([once[s] for s in np.ravel(t).tolist()], np.shape(t) + (model.dim,) * 2)
     return u.conj().swapaxes(-1, -2) @ np.asarray(a, dtype=complex) @ u

@@ -7,8 +7,8 @@ picture, earliest time leftmost) the functional is
 
 conjugate linear in the first slot.  The chain form is one kernel,
 :func:`chain_gram`, every pair of a stack of chains by one GEMM; :func:`d_trace`
-reads it on two histories, and :func:`d_gram` (so :func:`d_form` and the
-reconstruction) on the chain-map images of a stack of one sector's operators.
+reads it on two histories, and :func:`d_gram` (so the reconstruction) on the
+chain-map images of a stack of one sector's operators.
 Computed apart from it: the expansion over products of the rho eigenbasis,
 :func:`d_basis_sum` on two :class:`~histq.histories.Proposition` operands and
 :func:`d_basis_sums` on stacks of transported product histories; and
@@ -37,7 +37,6 @@ __all__ = [
     "require_sector",
     "chain_gram",
     "d_trace",
-    "d_form",
     "d_gram",
     "d_basis_sum",
     "d_basis_sums",
@@ -98,24 +97,10 @@ def d_trace(ds: DecoherenceState, h: HomogeneousHistory, k: HomogeneousHistory) 
     return complex(chain_gram(ds, np.array([_chain(ds, h), _chain(ds, k)], dtype=complex))[0, 1])
 
 
-def _pair_sector(ds: DecoherenceState, p: Proposition, q: Proposition) -> PropositionSpace:
-    """The common sector of ``p`` and ``q``; ``ValueError`` on two supports, and
-    "sector mismatch" when its single-time dimension is not the state's."""
-    if p.space != q.space:
-        raise ValueError("mixed temporal support")
-    return PropositionSpace(support=p.space.support, dim_single=ds.model.dim).require(p)
-
-
 def d_gram(ds: DecoherenceState, ops: np.ndarray, n_times: int) -> np.ndarray:
     """``G[a, b] = tr(pi(ops_a)^dag rho pi(ops_b))`` for a stack ``ops`` of
     operators on one n-time sector: :func:`chain_gram` on their chain-map images."""
     return chain_gram(ds, chain_map(ops, ds.model.dim, n_times))
-
-
-def d_form(ds: DecoherenceState, b1: Proposition, b2: Proposition) -> complex:
-    """Sesquilinear extension tr(pi(b1)^dag rho pi(b2)) on a common support."""
-    space = _pair_sector(ds, b1, b2)
-    return complex(d_gram(ds, np.stack((b1.op, b2.op)), space.n_times)[0, 1])
 
 
 def _join(parts) -> np.ndarray:
@@ -168,10 +153,13 @@ def d_basis_sum(ds: DecoherenceState, p: Proposition, q: Proposition) -> complex
     E(x) in the basis psi^(x n), a and b the first and last index and J the
     n - 1 inner ones; for an embedded history F_1[a, J_1] ... F_n[J_(n-1), b]
     with F_t = psi^dag P_t psi.  p enters as p^dag: one :func:`_contract`,
-    conjugate linear in the first slot like :func:`d_form`.  S(x) is memoised
+    conjugate linear in the first slot like :func:`chain_gram`.  S(x) is memoised
     on x (``Proposition.eigen_forms``); the weights enter per pair.
     """
-    _pair_sector(ds, p, q)
+    if p.space != q.space:
+        raise ValueError("mixed temporal support")
+    if p.space.dim_single != ds.model.dim:
+        raise ValueError("sector mismatch")
     psi = np.asarray(ds.model.vectors, dtype=complex)
     key = psi.tobytes()  # a proposition read in two eigenbases keeps both slices
     for x in (p, q):

@@ -11,7 +11,8 @@ operators:
 
 * :func:`embed` produces the projector on the tensor-product space over the
   support, with each factor transported to the Heisenberg picture, as a
-  :class:`Proposition` that keeps its n factors;
+  :class:`Proposition` that keeps its n factors (:func:`embed_stack` for a
+  list of histories on one support);
 * :func:`class_operator` produces the time-ordered product of the transported
   projectors on the single-time space (earliest factor leftmost).
 
@@ -47,6 +48,7 @@ __all__ = [
     "history",
     "support_reduce",
     "embed",
+    "embed_stack",
     "class_operator",
     "chain_map",
 ]
@@ -174,39 +176,41 @@ def unit_proposition(space: PropositionSpace) -> Proposition:
     return Proposition(space=space, factors=(np.eye(space.op_dim, dtype=complex),))
 
 
+def embed_stack(model: SystemModel, histories: Sequence[HomogeneousHistory],
+                support: Sequence[float], t0: float = 0.0) -> list[Proposition]:
+    """:func:`embed` of each history on ``support``, in one shared sector: one
+    :func:`heisenberg` call (one ``evolve`` per time) moves the present entries
+    of a grid (count, n, dim, dim) whose missing ones are exact identities."""
+    space = PropositionSpace(support=support, dim_single=model.dim)
+    slot = {t: j for j, t in enumerate(space.support)}
+    if not all(set(h.times) <= slot.keys() for h in histories):
+        raise ValueError("support does not contain the history's times")
+    at = np.array([(row, slot[t]) for row, h in enumerate(histories) for t in h.times],
+                  dtype=int).reshape(-1, 2)
+    stack = np.reshape([p for h in histories for _, p in h.items], (-1, model.dim, model.dim))
+    grid = np.tile(np.eye(model.dim, dtype=complex), (len(histories), space.n_times, 1, 1))
+    grid[at[:, 0], at[:, 1]] = heisenberg(model, stack, [t for h in histories for t in h.times], t0)
+    return [Proposition(space=space, factors=tuple(row)) for row in grid]
+
+
 def embed(model: SystemModel, h: HomogeneousHistory,
           support: Sequence[float] | None = None, t0: float = 0.0) -> Proposition:
-    """Tensor product of the Heisenberg-transported projectors in time order,
-    kept as its factors, one per support time.
-
-    If ``support`` is given it must contain the history's times; missing times
-    are padded with identities, so the empty history embeds as the identity on
-    any support.
-    """
-    times = h.times
-    space = PropositionSpace(support=times if support is None else support,
-                             dim_single=model.dim)
-    if not set(times) <= set(space.support):
-        raise ValueError("support does not contain the history's times")
-    eye = np.eye(model.dim, dtype=complex)
-    moved = dict(zip(times, _transported(model, h, t0)))
-    return Proposition(space=space, factors=tuple(moved.get(t, eye) for t in space.support))
-
-
-def _transported(model: SystemModel, h: HomogeneousHistory, t0: float) -> np.ndarray:
-    """``h``'s projectors in the Heisenberg picture, by one :func:`heisenberg` call."""
-    stack = np.reshape([p for _, p in h.items], (len(h.items), model.dim, model.dim))
-    return heisenberg(model, stack, h.times, t0)
+    """Tensor product of the Heisenberg-transported projectors in time order, kept as its
+    factors, one per time of ``support`` (default: its own times), which must hold them;
+    a missing time is an identity.  :func:`embed_stack` of one history."""
+    return embed_stack(model, [h], h.times if support is None else support, t0)[0]
 
 
 def class_operator(model: SystemModel, h: HomogeneousHistory, t0: float = 0.0) -> np.ndarray:
     """Time-ordered product of the Heisenberg projectors on the single-time space.
 
     The map is not injective: repeating a projector at a second time yields
-    the same operator by idempotence.  The result has operator norm <= 1.
+    the same operator by idempotence.  The result has operator norm <= 1.  The
+    projectors are transported by one :func:`heisenberg` call.
     """
+    stack = np.reshape([p for _, p in h.items], (len(h.items), model.dim, model.dim))
     eye = np.eye(model.dim, dtype=complex)
-    return functools.reduce(np.matmul, _transported(model, h, t0), eye)
+    return functools.reduce(np.matmul, heisenberg(model, stack, h.times, t0), eye)
 
 
 def chain_map(op: np.ndarray, dim: int, n_times: int) -> np.ndarray:

@@ -29,7 +29,6 @@ __all__ = [
     "hs_inner",
     "WrightOperator",
     "wright_operator",
-    "probability",
     "probabilities",
     "chain_matrix",
 ]
@@ -100,9 +99,3 @@ def probabilities(t: WrightOperator, ops: np.ndarray) -> np.ndarray:
     if np.any(np.abs(values.imag) > TOLERANCES.agreement):
         raise ValueError("non-real quadratic form")
     return values.real
-
-
-def probability(t: WrightOperator, x: Proposition) -> float:
-    """Quadratic form <x, T x>: one row of :func:`probabilities`."""
-    t.space.require(x)
-    return float(probabilities(t, x.op[None])[0])

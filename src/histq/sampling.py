@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import SystemModel, projector_onto
+from .core import SystemModel
 
 __all__ = [
     "random_hermitian",
@@ -23,11 +23,18 @@ __all__ = [
     "random_pvm",
     "random_model",
     "random_operator",
+    "random_operators",
 ]
 
 
+def random_operators(rng: np.random.Generator, dim: int, count: int) -> np.ndarray:
+    """``count`` complex Gaussian matrices (real, then imaginary part) by one draw."""
+    z = rng.standard_normal((count, 2, dim, dim))
+    return z[:, 0] + 1j * z[:, 1]
+
+
 def random_operator(rng: np.random.Generator, dim: int) -> np.ndarray:
-    return rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    return random_operators(rng, dim, 1)[0]
 
 
 def random_hermitian(rng: np.random.Generator, dim: int) -> np.ndarray:
@@ -57,21 +64,27 @@ def draw_projectors(rng: np.random.Generator, dim: int,
                     count: int) -> tuple[list[int], np.ndarray]:
     """The ranks and Gaussian matrices of ``count`` projectors, drawn in the
     order of one draw per projector: its rank (``rng.integers``), then its two
-    Gaussian matrices.  Drawing the ranks as one batch would move the Gaussian
+    Gaussian matrices by one call.  Drawing the ranks as one batch would move the Gaussian
     stream, since bounded integers consume buffered half-words of the bit
     generator."""
     ranks = []
-    z = np.empty((count, dim, dim), dtype=complex)
+    z = np.empty((count, 2, dim, dim))
     for i in range(count):
         ranks.append(int(rng.integers(1, dim + 1)))
-        z[i] = random_operator(rng, dim)
-    return ranks, z
+        z[i] = rng.standard_normal((2, dim, dim))
+    return ranks, z[:, 0] + 1j * z[:, 1]
 
 
 def resolve_projectors(ranks: list[int], z: np.ndarray) -> list[np.ndarray]:
     """The projectors onto the first rank columns of the Haar unitaries of
-    ``z``, by one stacked QR, whichever draws ``z`` joins."""
-    return [projector_onto(u[:, :rank]) for u, rank in zip(_haar(z), ranks)]
+    ``z``, by one stacked QR, whichever draws ``z`` joins, and one batched
+    product v v^dag per distinct rank."""
+    us, out = _haar(z), np.empty(z.shape, dtype=complex)
+    for rank in set(ranks):  # not np.unique, which imports numpy.ma
+        at = [i for i, r in enumerate(ranks) if r == rank]
+        v = us[at, :, :rank]
+        out[at] = v @ v.conj().swapaxes(-1, -2)
+    return list(out)
 
 
 def random_projectors(rng: np.random.Generator, dim: int, count: int) -> list[np.ndarray]:
@@ -81,8 +94,8 @@ def random_projectors(rng: np.random.Generator, dim: int, count: int) -> list[np
 
 def random_pvm(rng: np.random.Generator, dim: int) -> list[np.ndarray]:
     """Rank-1 projector decomposition from a Haar-random basis."""
-    u = random_unitary(rng, dim)
-    return [projector_onto(u[:, [i]]) for i in range(dim)]
+    v = random_unitary(rng, dim).T[:, :, None]  # the columns, as a stack of dim x 1
+    return list(v @ v.conj().swapaxes(-1, -2))
 
 
 def random_model(rng: np.random.Generator, dim: int) -> SystemModel:

@@ -28,6 +28,7 @@ the offending field.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import sys
@@ -74,8 +75,11 @@ def _is_int(value) -> bool:
 def _reals(node) -> bool:
     """True for a finite JSON number (not NaN or Infinity) or nested lists of them."""
     if isinstance(node, list):
-        if set(map(type, node)) <= {float}:  # a row of floats: one C-level pass
+        types = set(map(type, node))
+        if types <= {float}:  # a row of floats: one C-level pass
             return all(map(math.isfinite, node))
+        if types == {list}:  # lists of lists: one level flattened per call
+            return _reals([x for row in node for x in row])
         return all(map(_reals, node))
     return (_is_int(node) or isinstance(node, float)) and abs(node) <= sys.float_info.max
 
@@ -87,29 +91,39 @@ def _real(value, path: str) -> float:
     return float(value)
 
 
-def _complex_array(node, shape: tuple[int, ...], path: str) -> np.ndarray:
-    if not isinstance(node, dict) or "real" not in node:
-        raise ScenarioError(path, "expected an object with 'real' (and optional 'imag') arrays")
-    if not (_reals(node["real"]) and _reals(node.get("imag", []))):
-        raise ScenarioError(path, "entries must be finite JSON numbers")
-    try:
-        real = np.asarray(node["real"], dtype=float)
-        imag = np.asarray(node["imag"], dtype=float) if "imag" in node else np.zeros_like(real)
-    except ValueError as exc:  # ragged lists
-        raise ScenarioError(path, f"not numeric arrays: {exc}") from None
-    if real.shape != imag.shape:
-        raise ScenarioError(path, "'real' and 'imag' shapes differ")
-    m = real + 1j * imag
-    if m.shape != shape:
-        raise ScenarioError(path, f"expected shape {shape}, got {m.shape}")
-    return m
+def _complex_arrays(nodes: list, shape: tuple[int, ...], paths: list[str]) -> np.ndarray:
+    """The 'real'/'imag' objects ``nodes`` as one array (count, *shape): one ``_reals`` pass and
+    one float conversion over all parts, else node by node to name the first bad one's path."""
+    if all(isinstance(m, dict) and "real" in m for m in nodes):
+        zero = np.zeros(shape).tolist()
+        parts = [[m["real"] for m in nodes], [m.get("imag", zero) for m in nodes]]
+        with contextlib.suppress(ValueError):  # ragged lists
+            if _reals(parts) and (z := np.asarray(parts, dtype=float)).shape[2:] == shape:
+                return z[0] + 1j * z[1]
+    out = []
+    for node, path in zip(nodes, paths):
+        if not isinstance(node, dict) or "real" not in node:
+            raise ScenarioError(path, "expected an object with 'real' (and optional 'imag') arrays")
+        if not (_reals(node["real"]) and _reals(node.get("imag", []))):
+            raise ScenarioError(path, "entries must be finite JSON numbers")
+        try:
+            real = np.asarray(node["real"], dtype=float)
+            imag = np.asarray(node["imag"], dtype=float) if "imag" in node else np.zeros_like(real)
+        except ValueError as exc:  # ragged lists
+            raise ScenarioError(path, f"not numeric arrays: {exc}") from None
+        if real.shape != imag.shape:
+            raise ScenarioError(path, "'real' and 'imag' shapes differ")
+        if real.shape != shape:
+            raise ScenarioError(path, f"expected shape {shape}, got {real.shape}")
+        out.append(real + 1j * imag)
+    return np.reshape(out, (-1, *shape))
 
 
 def _rho(node, dim: int, path: str) -> SystemModel | tuple:
     if not isinstance(node, dict):
         raise ScenarioError(path, "expected an object with 'matrix' or 'spectral'")
     if "matrix" in node:
-        return ("matrix", _complex_array(node["matrix"], (dim, dim), f"{path}.matrix"))
+        return ("matrix", _complex_arrays([node["matrix"]], (dim, dim), [f"{path}.matrix"])[0])
     if "spectral" in node:
         entries = node["spectral"]
         if not isinstance(entries, list) or not entries:
@@ -120,8 +134,8 @@ def _rho(node, dim: int, path: str) -> SystemModel | tuple:
             if not isinstance(entry, dict):
                 raise ScenarioError(epath, "expected an object")
             weights.append(_real(_require(entry, "weight", f"{epath}."), f"{epath}.weight"))
-            vectors.append(_complex_array(_require(entry, "vector", f"{epath}."), (dim,),
-                                          f"{epath}.vector"))
+            vectors.append(_complex_arrays([_require(entry, "vector", f"{epath}.")], (dim,),
+                                           [f"{epath}.vector"])[0])
         if len(entries) != dim:
             raise ScenarioError(f"{path}.spectral",
                                 f"need exactly dim={dim} entries (pad with zero weights)")
@@ -129,58 +143,66 @@ def _rho(node, dim: int, path: str) -> SystemModel | tuple:
     raise ScenarioError(path, "expected 'matrix' or 'spectral'")
 
 
-def _projector(node, dim: int, path: str) -> tuple[np.ndarray, str | None]:
-    """The spec's matrix and the path it is checked under (none for the exact identity)."""
+def _projector(node, dim: int, path: str) -> tuple[np.ndarray | None, str | None]:
+    """The spec's matrix (none for a matrix spec) and its check path (none for the identity)."""
     if not isinstance(node, dict):
         raise ScenarioError(path, "expected an object")
     if node.get("identity"):
         return np.eye(dim, dtype=complex), None
     if "matrix" in node:
-        p, field = _complex_array(node["matrix"], (dim, dim), f"{path}.matrix"), "matrix"
-    elif "basis" in node:
-        try:
-            basis = named_basis(node["basis"], dim)
-        except ValueError as exc:
-            raise ScenarioError(f"{path}.basis", str(exc)) from None
-        key = "index" if "index" in node else "indices"
-        if key not in node:
-            raise ScenarioError(path, "basis projector needs 'index' or 'indices'")
-        indices = [node["index"]] if key == "index" else node["indices"]
-        if not isinstance(indices, list):
-            raise ScenarioError(f"{path}.{key}", "expected a list of integers")
-        for i in indices:
-            if not _is_int(i) or not 0 <= i < dim:
-                raise ScenarioError(f"{path}.{key}",
-                                    f"basis index {i!r} is not an integer in [0, {dim})")
-        p, field = projector_onto(basis[:, indices]), "basis"  # rounding can fail a tight bound
-    else:
+        return None, f"{path}.matrix"
+    if "basis" not in node:
         raise ScenarioError(path, "unknown projector spec (need identity/matrix/basis)")
-    return p, f"{path}.{field}"
+    try:
+        basis = named_basis(node["basis"], dim)
+    except ValueError as exc:
+        raise ScenarioError(f"{path}.basis", str(exc)) from None
+    key = "index" if "index" in node else "indices"
+    if key not in node:
+        raise ScenarioError(path, "basis projector needs 'index' or 'indices'")
+    indices = [node["index"]] if key == "index" else node["indices"]
+    if not isinstance(indices, list):
+        raise ScenarioError(f"{path}.{key}", "expected a list of integers")
+    for i in indices:
+        if not _is_int(i) or not 0 <= i < dim:
+            raise ScenarioError(f"{path}.{key}",
+                                f"basis index {i!r} is not an integer in [0, {dim})")
+    return projector_onto(basis[:, indices]), f"{path}.basis"  # rounding can fail a tight bound
 
 
-def _projectors(specs: list[tuple[np.ndarray, str | None]]) -> list[np.ndarray]:
-    """One spec list's matrices from :func:`_projector`, checked by one
-    ``is_projector`` call; ``ScenarioError`` under the first refused one's path."""
-    checked = [(p, path) for p, path in specs if path]
+def _projectors(specs: list, dim: int, paths: list[str]) -> list[np.ndarray]:
+    """One spec list's matrices, its matrix specs converted together and every
+    non-identity one checked by one ``is_projector`` call; ``ScenarioError``
+    under the first refused one's path."""
+    built = []
+    try:
+        for node, path in zip(specs, paths):
+            built.append(_projector(node, dim, path))
+    finally:  # so a bad matrix before a refused spec is named first
+        pending = [(node["matrix"], path) for node, (p, path) in zip(specs, built) if p is None]
+        matrices = iter(_complex_arrays([m for m, _ in pending], (dim, dim),
+                                        [path for _, path in pending]))
+    built = [(next(matrices) if p is None else p, path) for p, path in built]
+    checked = [(p, path) for p, path in built if path]
     if checked:
         bad = np.flatnonzero(np.logical_not(is_projector(np.array([p for p, _ in checked]))))
         if bad.size:
             raise ScenarioError(checked[bad[0]][1], "not a projector within the projector "
                                                     f"bound {TOLERANCES.projector:g}")
-    return [p for p, _ in specs]
+    return [p for p, _ in built]
 
 
 def _pvm(node, dim: int, path: str) -> list[np.ndarray]:
     if not isinstance(node, dict):
         raise ScenarioError(path, "expected an object")
     if "basis" in node and "projectors" not in node:
-        return _projectors([_projector({"basis": node["basis"], "index": i}, dim, path)
-                            for i in range(dim)])
+        return _projectors([{"basis": node["basis"], "index": i} for i in range(dim)], dim,
+                           [path] * dim)
     if "projectors" in node:
         if not isinstance(node["projectors"], list):
             raise ScenarioError(f"{path}.projectors", "expected a list of projector specs")
-        elements = _projectors([_projector(sub, dim, f"{path}.projectors[{i}]")
-                                for i, sub in enumerate(node["projectors"])])
+        elements = _projectors(node["projectors"], dim,
+                               [f"{path}.projectors[{i}]" for i in range(len(node["projectors"]))])
         total = sum(elements)
         if np.max(np.abs(total - np.eye(dim))) > TOLERANCES.consistency:
             raise ScenarioError(f"{path}.projectors", "elements must sum to the identity")
@@ -196,7 +218,7 @@ def parse_scenario(data: dict) -> Scenario:
     if not _is_int(dim) or dim < 1:
         raise ScenarioError("dim", "must be a positive integer")
 
-    hmat = _complex_array(_require(data, "hamiltonian", ""), (dim, dim), "hamiltonian")
+    hmat = _complex_arrays([_require(data, "hamiltonian", "")], (dim, dim), ["hamiltonian"])[0]
     rho_spec = _rho(_require(data, "rho", ""), dim, "rho")
 
     try:  # finite entries may still overflow: refused, not carried as inf or NaN
@@ -231,15 +253,17 @@ def parse_scenario(data: dict) -> Scenario:
         hpath = f"histories[{i}]"
         if not isinstance(node, dict):
             raise ScenarioError(hpath, "expected an object")
-        label = str(node.get("label", f"h{i}"))
+        label = node.get("label", f"h{i}")
+        if not isinstance(label, str):  # labels are report strings, never str() of a value
+            raise ScenarioError(f"{hpath}.label", "expected a string")
         if label in (seen for seen, _ in histories):  # labels name the report rows
             raise ScenarioError(f"{hpath}.label", f"repeats the label {label!r}")
         specs = _require(node, "projectors", f"{hpath}.")
         if not isinstance(specs, list) or len(specs) != len(grid.times):
             raise ScenarioError(f"{hpath}.projectors",
                                 f"need one projector spec per time ({len(grid.times)})")
-        items = zip(grid.times, _projectors([_projector(spec, dim, f"{hpath}.projectors[{k}]")
-                                             for k, spec in enumerate(specs)]))
+        items = zip(grid.times, _projectors(specs, dim, [f"{hpath}.projectors[{k}]"
+                                                         for k in range(len(specs))]))
         histories.append((label, HomogeneousHistory(tuple(items))))
 
     pvms: list[list[list[np.ndarray]]] = []

@@ -25,7 +25,7 @@ from .divergence import b1_direct_value, b1_grid, b1_series, b2_grid, b2_series,
 from .entropy import refinement_gap, window_entropy, window_entropy_pnorm
 from .histories import history
 from .propositions import hs_inner, probabilities, wright_operator
-from .sampling import (draw_projectors, random_model, random_operator, random_projectors,
+from .sampling import (draw_projectors, random_model, random_operators, random_projectors,
                        random_pvm, resolve_projectors)
 from .scenario import Scenario
 
@@ -158,7 +158,7 @@ def _check_wright(scn: Scenario, rng) -> CheckResult:
                 continue
             t = wright_operator(ds, ds.grid.times[:n])
             k = t.space.op_dim
-            ops = np.array([np.eye(k)] + [random_operator(rng, k) for _ in range(10)])  # e first
+            ops = np.concatenate([np.eye(k)[None], random_operators(rng, k, 10)])  # e first
             probs = probabilities(t, ops)
             worst_state = _worst(worst_state, abs(probs[0] - 1.0))
             worst_selfadj = _worst(worst_selfadj, t.self_adjoint_residual())

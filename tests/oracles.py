@@ -54,23 +54,137 @@
   Gram matrix on the matrix units.
 * :func:`ils_pair_value` contracts tr((p (x) q) X) for one pair of
   operators, where the program contracts a stack of pairs in one einsum.
+* :func:`reals`, :func:`complex_array` and :func:`projector_specs` check and
+  convert a scenario's arrays and projector specs one list and one spec at a
+  time, where the parser flattens nested lists and converts the matrix specs
+  of a list together.
+* :func:`embed` transports one history over its own times, where the program
+  moves a grid of histories on a common support with one evolution per time.
+* :func:`d_form` and :func:`probability` evaluate the chain form and the
+  quadratic form on one pair or one proposition, which no program path needs.
+* :func:`random_operator` draws the real and the imaginary part of a Gaussian
+  matrix by two calls, where the program draws a stack of them by one.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import sys
 from typing import Sequence
 
 import numpy as np
 
 from histq.consistency import ConsistencyReport, Window, _block_sums, _sector_terms
-from histq.core import (TOLERANCES, SystemModel, heisenberg, max_abs, projector_onto,
-                        tensor_product)
-from histq.decoherence import DecoherenceState, IlsOperator, d_form, d_gram
-from histq.histories import HomogeneousHistory, Proposition, proposition, support_reduce
-from histq.propositions import WrightOperator, hs_inner, probability
-from histq.sampling import random_operator
+from histq.core import (TOLERANCES, SystemModel, heisenberg, max_abs, named_basis,
+                        projector_onto, tensor_product)
+from histq.decoherence import DecoherenceState, IlsOperator, d_gram
+from histq.histories import (HomogeneousHistory, Proposition, PropositionSpace, proposition,
+                             support_reduce)
+from histq.propositions import WrightOperator, hs_inner, probabilities
+from histq.scenario import ScenarioError, _is_int
+
+
+def random_operator(rng: np.random.Generator, dim: int) -> np.ndarray:
+    """A complex Gaussian matrix from two draws: the real part, then the imaginary part."""
+    return rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+
+
+def embed(model: SystemModel, h: HomogeneousHistory,
+          support: Sequence[float] | None = None, t0: float = 0.0) -> Proposition:
+    """One history's Heisenberg-transported projectors as the factors of a
+    proposition on ``support`` (default: its own times), by one ``heisenberg``
+    call over its own times; each missing time an exact identity."""
+    times = h.times
+    space = PropositionSpace(support=times if support is None else support,
+                             dim_single=model.dim)
+    if not set(times) <= set(space.support):
+        raise ValueError("support does not contain the history's times")
+    stack = np.reshape([p for _, p in h.items], (len(h.items), model.dim, model.dim))
+    moved = dict(zip(times, heisenberg(model, stack, times, t0)))
+    eye = np.eye(model.dim, dtype=complex)
+    return Proposition(space=space, factors=tuple(moved.get(t, eye) for t in space.support))
+
+
+def reals(node) -> bool:
+    """True for a finite JSON number or nested lists of them, one list at a time."""
+    if isinstance(node, list):
+        return all(map(reals, node))
+    return (_is_int(node) or isinstance(node, float)) and abs(node) <= sys.float_info.max
+
+
+def complex_array(node, shape: tuple[int, ...], path: str) -> np.ndarray:
+    """One object of 'real' (and optional 'imag') arrays as a complex array of
+    ``shape``; ``ScenarioError`` under ``path`` naming the first failed check."""
+    if not isinstance(node, dict) or "real" not in node:
+        raise ScenarioError(path, "expected an object with 'real' (and optional 'imag') arrays")
+    if not (reals(node["real"]) and reals(node.get("imag", []))):
+        raise ScenarioError(path, "entries must be finite JSON numbers")
+    try:
+        real = np.asarray(node["real"], dtype=float)
+        imag = np.asarray(node["imag"], dtype=float) if "imag" in node else np.zeros_like(real)
+    except ValueError as exc:  # ragged lists
+        raise ScenarioError(path, f"not numeric arrays: {exc}") from None
+    if real.shape != imag.shape:
+        raise ScenarioError(path, "'real' and 'imag' shapes differ")
+    m = real + 1j * imag
+    if m.shape != shape:
+        raise ScenarioError(path, f"expected shape {shape}, got {m.shape}")
+    return m
+
+
+def projector_specs(specs: Sequence, dim: int, paths: Sequence[str]) -> list[np.ndarray]:
+    """A spec list's matrices, each spec converted on its own (a matrix spec by
+    its own :func:`complex_array` call) and checked by ``is_projector``;
+    ``ScenarioError`` under the first refused one's path."""
+    built = []
+    for node, path in zip(specs, paths):
+        if not isinstance(node, dict):
+            raise ScenarioError(path, "expected an object")
+        if node.get("identity"):
+            built.append((np.eye(dim, dtype=complex), None))
+        elif "matrix" in node:
+            built.append((complex_array(node["matrix"], (dim, dim), f"{path}.matrix"),
+                          f"{path}.matrix"))
+        elif "basis" in node:
+            try:
+                basis = named_basis(node["basis"], dim)
+            except ValueError as exc:
+                raise ScenarioError(f"{path}.basis", str(exc)) from None
+            key = "index" if "index" in node else "indices"
+            if key not in node:
+                raise ScenarioError(path, "basis projector needs 'index' or 'indices'")
+            indices = [node["index"]] if key == "index" else node["indices"]
+            if not isinstance(indices, list):
+                raise ScenarioError(f"{path}.{key}", "expected a list of integers")
+            for i in indices:
+                if not _is_int(i) or not 0 <= i < dim:
+                    raise ScenarioError(f"{path}.{key}",
+                                        f"basis index {i!r} is not an integer in [0, {dim})")
+            built.append((projector_onto(basis[:, indices]), f"{path}.basis"))
+        else:
+            raise ScenarioError(path, "unknown projector spec (need identity/matrix/basis)")
+    for p, path in built:
+        if path and not is_projector(p):
+            raise ScenarioError(path, "not a projector within the projector "
+                                      f"bound {TOLERANCES.projector:g}")
+    return [p for p, _ in built]
+
+
+def d_form(ds: DecoherenceState, b1: Proposition, b2: Proposition) -> complex:
+    """tr(pi(b1)^dag rho pi(b2)) of one pair on a common support, from the dense
+    operators' chain-map images."""
+    if b1.space != b2.space:
+        raise ValueError("mixed temporal support")
+    if b1.space.dim_single != ds.model.dim:
+        raise ValueError("sector mismatch")
+    return complex(d_gram(ds, np.stack((b1.op, b2.op)), b1.n_times)[0, 1])
+
+
+def probability(t: WrightOperator, x: Proposition) -> float:
+    """The quadratic form <x, T x> of one proposition."""
+    t.space.require(x)
+    return float(probabilities(t, x.op[None])[0])
 
 
 def restricted_growth_strings(n):

@@ -17,7 +17,7 @@ from histq.decoherence import DecoherenceState, d_basis_sum, d_trace, ils_recons
 from histq.divergence import b1_direct_value, b1_series, b2_series, growth_fit
 from histq.entropy import refinement_gap, window_entropy, window_entropy_pnorm
 from histq.histories import embed, history, proposition, unit_proposition
-from histq.propositions import probability, wright_operator
+from histq.propositions import wright_operator
 from histq.sampling import (
     random_model,
     random_operator,
@@ -25,7 +25,7 @@ from histq.sampling import (
 )
 
 from helpers import P0, P1, PLUS, qubit_state
-from oracles import apply, random_projector
+from oracles import apply, d_form, probability, random_projector
 
 
 def _verdict(name: str, ok: bool, detail: str):
@@ -102,7 +102,6 @@ def test_criterion_3_wright_operator():
         for _ in range(25):
             draws += 1
             b = proposition(t.space, random_operator(rng, t.space.op_dim))
-            from histq.decoherence import d_form
             worst_agree = max(worst_agree,
                               abs(probability(t, b) - d_form(ds, b, b).real))
             b2 = proposition(t.space, random_operator(rng, t.space.op_dim))

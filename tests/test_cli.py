@@ -36,7 +36,7 @@ SUBCOMMANDS = ["decohere", "windows", "entropy", "diverge", "verify"]
 
 # variants that parse_scenario refuses, each with the field it names
 REFUSED = {"malformed": "rho", "nan-p": "entropy_p", "inf-p": "entropy_p",
-           "negative-seed": "seed"}
+           "negative-seed": "seed", "null-label": "histories[0].label"}
 
 
 def write_scenario(tmp_path, kind):
@@ -56,6 +56,8 @@ def write_scenario(tmp_path, kind):
         scenario["entropy_p"] = [math.nan if kind == "nan-p" else math.inf, 2.0]
     elif kind == "negative-seed":
         scenario["seed"] = -1
+    elif kind == "null-label":  # never written to a report as "None"
+        scenario["histories"][0]["label"] = None
     elif kind == "near-bound":
         # P = [[1, d], [d, 0]] has P^2 - P = d^2 1 = 8.8e-11, within the 1e-10
         # projector bound, so {P, 1 - P} parses; a sum of two products P (x) Q
@@ -380,7 +382,7 @@ class TestOneStackedCallPerSector:
     """``verify`` reads each drawn stack with one call per representation;
     ``decohere`` still pairs its histories one call at a time."""
 
-    FUNCTIONS = ("d_basis_sum", "d_basis_sums", "d_form", "probability", "probabilities")
+    FUNCTIONS = ("d_basis_sum", "d_basis_sums", "probabilities")
 
     def spies(self, monkeypatch) -> dict:
         calls = {name: count_calls(monkeypatch, name) for name in self.FUNCTIONS}
@@ -403,8 +405,8 @@ class TestOneStackedCallPerSector:
         grams = count_calls(monkeypatch, "d_gram")
         assert run(["verify", "--out", str(tmp_path)]) == 0
         assert {name: len(c) for name, c in calls.items()} == {
-            "d_basis_sum": 0, "d_basis_sums": 6, "d_form": 0, "probability": 0,
-            "probabilities": 4, "pair_value": 0, "pair_values": 6}
+            "d_basis_sum": 0, "d_basis_sums": 6, "probabilities": 4, "pair_value": 0,
+            "pair_values": 6}
         assert [len(hs) for _, hs, _ in calls["d_basis_sums"]] == [8] * 6
         assert [len(ps) for ps, _ in calls["pair_values"]] == [8] * 6
         assert [len(ops) for _, ops in calls["probabilities"]] == [11] * 4
@@ -417,8 +419,8 @@ class TestOneStackedCallPerSector:
         calls = self.spies(monkeypatch)
         assert run(["decohere", "--out", str(tmp_path)]) == 0
         assert {name: len(c) for name, c in calls.items()} == {
-            "d_basis_sum": 9, "d_basis_sums": 0, "d_form": 0, "probability": 0,
-            "probabilities": 0, "pair_value": 9, "pair_values": 9}
+            "d_basis_sum": 9, "d_basis_sums": 0, "probabilities": 0, "pair_value": 9,
+            "pair_values": 9}
 
 
 class TestDecohere:
@@ -441,14 +443,14 @@ class TestDecohere:
 
     @pytest.mark.parametrize("times", [2, 4, 11])
     def test_each_chain_and_eigenbasis_form_is_built_once(self, monkeypatch, tmp_path, times):
-        # three histories: each projector transported once, by embed, and
-        # the 3 chains multiplied out from those factors for one chain Gram
-        # matrix of the 9 chain-form pairs; each embedded history written in
-        # the state's eigenbasis once, as the 2^(n+1) entries of its form
-        # that the basis sum reads, while the basis sum and the
-        # reconstruction are still called per pair.  The dense operator of
-        # a history is built once, by the reconstruction, and not at all
-        # above the sector cap, where nothing reads it.
+        # three histories: all transported by one embed_stack call, one
+        # evolve per time, and the 3 chains multiplied out from those
+        # factors for one chain Gram matrix of the 9 chain-form pairs; each
+        # embedded history written in the state's eigenbasis once, as the
+        # 2^(n+1) entries of its form that the basis sum reads, while the
+        # basis sum and the reconstruction are still called per pair.  The
+        # dense operator of a history is built once, by the reconstruction,
+        # and not at all above the sector cap, where nothing reads it.
         scenario = json.loads(bundled_scenario_path().read_text())
         scenario["times"] = [float(t) for t in range(times)]
         for entry in scenario["histories"]:
@@ -463,10 +465,10 @@ class TestDecohere:
         pair_value = IlsOperator.pair_value
         monkeypatch.setattr(IlsOperator, "pair_value",
                             lambda self, p, q: pairs.append((p, q)) or pair_value(self, p, q))
-        embedded = []
-        embed = histq.histories.embed
-        monkeypatch.setattr(histq.histories, "embed",
-                            lambda *args: embedded.append(embed(*args)) or embedded[-1])
+        stacks = []
+        embed_stack = histq.histories.embed_stack
+        monkeypatch.setattr(histq.histories, "embed_stack",
+                            lambda *args: stacks.append(embed_stack(*args)) or stacks[-1])
         dense = []
         tensor_product = histq.histories.tensor_product
         monkeypatch.setattr(histq.histories, "tensor_product",
@@ -474,7 +476,9 @@ class TestDecohere:
         assert run(["decohere", "--scenario", str(path), "--out", str(tmp_path / "o")]) == 0
         ils = times == 2
         assert per_history == []
-        assert len(evolve) == 3 * times
+        assert len(evolve) == times
+        assert [len(embedded) for embedded in stacks] == [3]
+        embedded = stacks[0]
         # the reconstruction reads the kernel on its 4^n matrix units
         assert [len(chains) for _, chains in grams] == [3] + ([4 ** times] if ils else [])
         assert len(sums) == 9

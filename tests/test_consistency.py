@@ -26,12 +26,12 @@ from histq.consistency import (
 )
 from histq.core import (TOLERANCES, SystemModel, heisenberg, is_projector, max_abs,
                         named_basis, projector_onto)
-from histq.decoherence import CapacityError, d_form
+from histq.decoherence import CapacityError
 from histq.propositions import hs_inner, wright_operator
 from histq.sampling import (random_density, random_hermitian, random_model, random_pvm,
                             random_unitary)
 from helpers import MINUS, P0, P1, PLUS, count_calls, qubit_state, state_for
-from oracles import apply, restricted_growth_strings
+from oracles import apply, d_form, restricted_growth_strings
 
 BELL = {0: 1, 1: 1, 2: 2, 3: 5, 4: 15, 5: 52, 6: 203, 7: 877, 8: 4140, 9: 21147, 10: 115975}
 EYE = np.eye(2, dtype=complex)

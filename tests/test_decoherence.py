@@ -14,7 +14,6 @@ from histq.decoherence import (
     chain_gram,
     d_basis_sum,
     d_basis_sums,
-    d_form,
     d_gram,
     d_trace,
     ils_reconstruct,
@@ -33,7 +32,7 @@ from histq.verify import _chains, _product_histories
 
 import oracles
 from helpers import MINUS, P0, PLUS, qubit_state, state_for
-from oracles import random_projector
+from oracles import d_form, random_projector
 
 UNIT = history({})
 

@@ -10,6 +10,7 @@ from histq.histories import (
     chain_map,
     class_operator,
     embed,
+    embed_stack,
     history,
     support_reduce,
 )
@@ -139,6 +140,48 @@ class TestOneTransportPerHistory:
         embed(model, h, (0.0, 0.5, 1.0, 2.0))
         class_operator(model, h)
         assert [stack.shape for _, stack, _, _ in calls] == [(3, 2, 2)] * 2
+
+
+class TestEmbedStack:
+    """``embed_stack`` moves a grid of histories by one ``heisenberg`` call with
+    the bits of the one-history oracle, one transport per history."""
+
+    @given(dim=st.integers(1, 3), n=st.integers(1, 4), count=st.integers(0, 4),
+           seed=st.integers(0, 2 ** 31 - 1), data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_equals_the_one_history_oracle_bit_for_bit(self, dim, n, count, seed, data):
+        rng = np.random.default_rng(seed)
+        model, t0 = random_model(rng, dim), float(rng.uniform(-1.0, 1.0))
+        support = tuple(np.linspace(-2.0, 2.0, n) + rng.uniform(-0.4, 0.4, n))
+        kinds = st.sampled_from(["missing", "identity", "zero", "drawn"])
+        entry = {"identity": lambda: np.eye(dim), "zero": lambda: np.zeros((dim, dim)),
+                 "drawn": lambda: random_projector(rng, dim)}
+        histories = [history({t: entry[kind]() for t, kind in zip(support, row)
+                              if kind != "missing"})
+                     for row in data.draw(st.lists(st.lists(kinds, min_size=n, max_size=n),
+                                                   min_size=count, max_size=count))]
+        stacked = embed_stack(model, histories, support, t0)
+        assert len(stacked) == count
+        assert len({id(x.space) for x in stacked}) <= 1  # one shared sector
+        for h, x in zip(histories, stacked):
+            want = oracles.embed(model, h, support, t0)
+            assert x.space == want.space
+            assert [f.tobytes() for f in x.factors] == [f.tobytes() for f in want.factors]
+
+    def test_one_evolve_per_time_and_one_heisenberg_call(self, monkeypatch):
+        model = qubit_model(SIGMA_X)
+        histories = [history({0.0: P0, 1.0: PLUS, 2.0: P1}), history({}),
+                     history({1.0: P1, 2.0: EYE})]
+        transports = count_calls(monkeypatch, "heisenberg")
+        evolutions = count_calls(monkeypatch, "evolve")
+        stacked = embed_stack(model, histories, (0.0, 0.5, 1.0, 2.0))
+        assert [stack.shape for _, stack, _, _ in transports] == [(5, 2, 2)]
+        assert sorted(t for _, t, _ in evolutions) == [0.0, 1.0, 2.0]  # none at 0.5
+        assert all(np.array_equal(x.factors[1], EYE) for x in stacked)
+
+    def test_support_must_hold_every_history(self):
+        with pytest.raises(ValueError, match="support does not contain"):
+            embed_stack(qubit_model(), [history({}), history({3.0: P0})], (0.0, 1.0))
 
 
 class TestClassOperator:

@@ -15,8 +15,8 @@ EXPORTED = {
                   "class_operator", "embed", "history", "proposition", "support_reduce",
                   "unit_proposition"},
     "decoherence": {"CapacityError", "DecoherenceState", "IlsOperator", "d_basis_sum",
-                    "d_form", "d_trace", "ils_reconstruct"},
-    "propositions": {"WrightOperator", "hs_inner", "probability", "wright_operator"},
+                    "d_trace", "ils_reconstruct"},
+    "propositions": {"WrightOperator", "hs_inner", "wright_operator"},
     "consistency": {"BaseFamily", "ConsistencyReport", "Window", "base_family",
                     "check_window", "refinements", "search_windows", "window"},
     "entropy": {"EntropyReport", "min_entropy", "refinement_gap", "window_entropy",
@@ -29,7 +29,7 @@ DEFINED_IN = {name: module for module, names in EXPORTED.items() for name in nam
 
 
 def test_all_lists_every_exported_name_once():
-    assert len(histq.__all__) == len(set(histq.__all__)) == 49
+    assert len(histq.__all__) == len(set(histq.__all__)) == 47
     assert set(histq.__all__) == set(DEFINED_IN)
 
 

@@ -4,20 +4,19 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from histq.consistency import base_family, refinements, window
-from histq.decoherence import d_basis_sum, d_form, ils_reconstruct, sector_fits
+from histq.decoherence import d_basis_sum, ils_reconstruct, sector_fits
 from histq.histories import PropositionSpace, chain_map, proposition, unit_proposition
 from histq.propositions import (
     WrightOperator,
     chain_matrix,
     hs_inner,
     probabilities,
-    probability,
     wright_operator,
 )
 from histq.sampling import random_model, random_operator
 
 from helpers import P0, P1, PLUS, qubit_state, state_for
-from oracles import apply, p_norm, random_projector
+from oracles import apply, d_form, p_norm, probability, random_projector
 
 SINGLE = PropositionSpace(support=(0.0,), dim_single=2)
 DOUBLE = PropositionSpace(support=(0.0, 1.0), dim_single=2)

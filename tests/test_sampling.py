@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 import oracles
 from histq.cli import bundled_scenario_path
 from histq.decoherence import DecoherenceState, sector_fits
-from histq.sampling import (draw_projectors, random_projectors, random_pvm, random_unitary,
-                            resolve_projectors)
+from histq.sampling import (draw_projectors, random_operator, random_operators,
+                            random_projectors, random_pvm, random_unitary, resolve_projectors)
 from histq.scenario import load_scenario
 from histq.verify import _check_axioms, _check_representations, _side_states, run_suite
 
@@ -32,6 +32,18 @@ def test_stack_equals_per_call_draws(dim, count, seed):
     single = [oracles.random_projector(twin, dim) for _ in range(count)]
     assert len(stacked) == count
     assert all(np.array_equal(p, q) for p, q in zip(stacked, single))
+    assert _same_state(rng, twin)
+
+
+@given(dim=st.integers(1, 4), count=st.integers(0, 12), seed=SEEDS)
+@settings(max_examples=40, deadline=None)
+def test_operator_stack_equals_two_draws_per_operator(dim, count, seed):
+    rng, twin = _twins(seed)
+    stacked = random_operators(rng, dim, count)
+    single = [oracles.random_operator(twin, dim) for _ in range(count)]
+    assert stacked.shape == (count, dim, dim)
+    assert [z.tobytes() for z in stacked] == [z.tobytes() for z in single]
+    assert random_operator(rng, dim).tobytes() == oracles.random_operator(twin, dim).tobytes()
     assert _same_state(rng, twin)
 
 

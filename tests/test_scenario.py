@@ -8,8 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from histq.cli import bundled_scenario_path
-from histq.scenario import Scenario, ScenarioError, load_scenario, parse_scenario
+from histq.scenario import Scenario, ScenarioError, _projectors, load_scenario, parse_scenario
 from helpers import count_calls
+import oracles
 
 BUNDLED = json.loads(bundled_scenario_path().read_text(encoding="utf-8"))
 
@@ -214,9 +215,9 @@ class TestValidationErrors:
         with pytest.raises(ScenarioError, match="dim"):
             parse_scenario(data)
 
-    @pytest.mark.parametrize("first, second", [("z", "z"), (1, "1"), (None, "h0")])
+    @pytest.mark.parametrize("first, second", [("z", "z"), (None, "h0")])
     def test_repeated_label_names_its_path(self, first, second):
-        # labels compare as report strings, after the default h<i> is filled in
+        # labels compare as strings, after the default h<i> is filled in
         data = base_scenario()
         data["histories"].append(copy.deepcopy(data["histories"][0]))
         data["histories"][1]["label"] = second
@@ -227,6 +228,15 @@ class TestValidationErrors:
         with pytest.raises(ScenarioError) as err:
             parse_scenario(data)
         assert err.value.path == "histories[1].label"
+
+    @pytest.mark.parametrize("label", [None, True, 1, 1.5, [1], {"a": 1}])
+    def test_label_that_is_not_a_string_is_refused(self, label):
+        # never written as str(label): "None", "True" or "{'a': 1}" in a JSON report
+        data = base_scenario()
+        data["histories"][0]["label"] = label
+        with pytest.raises(ScenarioError) as err:
+            parse_scenario(data)
+        assert (err.value.path, err.value.message) == ("histories[0].label", "expected a string")
 
     def test_unreadable_file(self, tmp_path):
         with pytest.raises(ScenarioError, match="unreadable"):
@@ -293,3 +303,69 @@ def test_any_json_value_parses_or_raises_scenario_error(path, value):
     except ScenarioError:
         return
     assert isinstance(scn, Scenario)
+
+
+# Projector specs of a dim-2 list: exact identities, named-basis projectors
+# and matrix specs, the last with integer or float entries and with or
+# without their imaginary parts.
+PLUS_SPEC = {"real": [[0.5, 0.5], [0.5, 0.5]]}
+SPECS = st.sampled_from([
+    {"identity": True},
+    {"basis": "computational", "index": 1},
+    {"basis": "hadamard", "indices": [0]},
+    {"basis": "computational", "indices": []},
+    {"basis": "hadamard", "indices": [0, 1]},
+    {"matrix": {"real": [[1, 0], [0, 0]]}},
+    {"matrix": {"real": [[0.0, 0.0], [0.0, 0.0]], "imag": [[0.0, 0.0], [0.0, 0.0]]}},
+    {"matrix": PLUS_SPEC},
+    {"matrix": {"real": [[0.5, 0.0], [0.0, 0.5]], "imag": [[0.0, -0.5], [0.5, 0.0]]}},
+])
+# A bad matrix spec and whether its conversion (not the projector check) refuses it.
+BAD_MATRICES = st.sampled_from([
+    ({"real": [[True, 0], [0, 0]]}, True),
+    ({"real": [["1", 0], [0, 0]]}, True),
+    ({"real": [[math.nan, 0.0], [0.0, 0.0]]}, True),
+    ({"real": [[1.0, 0.0], [0.0, 0.0]], "imag": [[math.inf, 0.0], [0.0, 0.0]]}, True),
+    ({"real": [[1, 0], [0]]}, True),
+    ({"real": [[1, 0, 0], [0, 0, 0]]}, True),
+    ({"real": [[1, 0], [0, 0]], "imag": [[0, 0]]}, True),
+    ({"real": 1.0}, True),
+    ([[1, 0], [0, 0]], True),
+    ({"real": [[1, 1], [0, 0]]}, False),
+])
+PATH = "histories[0].projectors"
+
+
+def _paths(specs):
+    return [f"{PATH}[{k}]" for k in range(len(specs))]
+
+
+class TestSpecListConversion:
+    """``_projectors`` converts a list's matrix specs together; it must return
+    and refuse exactly what one conversion per spec does."""
+
+    @given(specs=st.lists(SPECS, max_size=6))
+    @settings(max_examples=80, deadline=None)
+    def test_equals_the_per_spec_conversion(self, specs):
+        got = _projectors(specs, 2, _paths(specs))
+        want = oracles.projector_specs(specs, 2, _paths(specs))
+        assert [p.dtype for p in got] == [complex] * len(specs)
+        assert [p.tobytes() for p in got] == [p.tobytes() for p in want]
+
+    @given(specs=st.lists(SPECS, min_size=1, max_size=5), data=st.data(), bad=BAD_MATRICES,
+           later=st.sampled_from([None, {"basis": "computational", "index": 2},
+                                  {"matrix": {"real": [[math.nan]]}}, {"nope": 1}]))
+    @settings(max_examples=120, deadline=None)
+    def test_a_bad_matrix_is_named_by_its_position(self, specs, data, bad, later):
+        # a later refused spec is named only when the bad matrix passes its
+        # conversion and fails the projector check after every conversion
+        node, converting = bad
+        k = data.draw(st.integers(0, len(specs)), label="k")
+        specs = specs[:k] + [{"matrix": node}] + specs[k:] + ([later] if later else [])
+        with pytest.raises(ScenarioError) as want:
+            oracles.projector_specs(specs, 2, _paths(specs))
+        with pytest.raises(ScenarioError) as got:
+            _projectors(specs, 2, _paths(specs))
+        assert (got.value.path, got.value.message) == (want.value.path, want.value.message)
+        if converting or later is None:
+            assert got.value.path == f"{PATH}[{k}].matrix"
