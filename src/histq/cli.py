@@ -11,7 +11,7 @@ cannot be written, 3 property failure, 4 support sector too large for the
 dense constructions (``CapacityError``).  Without ``--scenario`` the bundled
 qubit scenario is used.  Reports are computed before ``--out`` is created,
 so a failed run leaves none.  Each subcommand imports the modules it runs
-when it runs, so a call loads only those.
+when it runs, so a call loads only those, and the parser is built once per process.
 """
 
 from __future__ import annotations
@@ -206,7 +206,9 @@ def _verify_payload(scn: Scenario) -> tuple[dict, bool]:
     return {"checks": checks, "passed": ok}, ok
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="histq",
         description="decoherence functionals, consistent windows, entropies, "
@@ -221,7 +223,11 @@ def main(argv=None) -> int:
     parser.add_argument("--max-n", type=int, default=None,
                         help="largest truncation for diverge")
     parser.add_argument("--series", choices=["b1", "b2", "both"], default="both")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
 
     try:
         if "HISTQ_TOL" in os.environ:  # refused, not ignored: its setter expects other bounds

@@ -209,19 +209,22 @@ class TimeGrid:
         return t
 
 
-def evolve(model: SystemModel, t: float, t0: float = 0.0) -> np.ndarray:
-    """Unitary U(t, t0) = exp(-i H (t - t0)) from the model's eigendecomposition of H."""
-    phases = np.exp(-1j * model.energies * (t - t0))
-    return (model.energy_basis * phases) @ model.energy_basis.conj().T
+def evolve(model: SystemModel, t, t0: float = 0.0) -> np.ndarray:
+    """Unitary U(t, t0) = exp(-i H (t - t0)) from the model's eigendecomposition of H:
+    (dim, dim) for one time ``t``, (len(t), dim, dim) for a 1-D sequence of times."""
+    phases = np.exp(-1j * model.energies * np.subtract(t, t0)[..., None])
+    return (model.energy_basis * phases[..., None, :]) @ model.energy_basis.conj().T
 
 
 def heisenberg(model: SystemModel, a: np.ndarray, t, t0: float = 0.0) -> np.ndarray:
     """Heisenberg-picture transport U(t,t0)^dag A U(t,t0) of any operator A.
 
-    ``a`` is one operator or a stack (..., dim, dim), ``t`` one time or times
-    that broadcast against its leading axes (one per time slot of a history
-    stack (count, n, dim, dim)): one :func:`evolve` per distinct time.  Checks nothing.
+    ``a`` is one operator or a stack (..., dim, dim), ``t`` one time or times that broadcast
+    against its leading axes (one per time slot of a history stack (count, n, dim, dim)):
+    one :func:`evolve` call on its distinct times, if any.  Checks nothing.
     """
-    once = {s: evolve(model, s, t0) for s in set(np.ravel(t).tolist())}
-    u = np.reshape([once[s] for s in np.ravel(t).tolist()], np.shape(t) + (model.dim,) * 2)
+    times = np.ravel(t).tolist()
+    slot = {s: j for j, s in enumerate(dict.fromkeys(times))}
+    u = evolve(model, list(slot), t0) if slot else np.zeros((0, model.dim, model.dim))
+    u = u[np.fromiter(map(slot.get, times), int).reshape(np.shape(t))]
     return u.conj().swapaxes(-1, -2) @ np.asarray(a, dtype=complex) @ u

@@ -136,10 +136,11 @@ def _slice(x: Proposition, psi: np.ndarray) -> np.ndarray:
 
 
 def _contract(ds: DecoherenceState, sp: np.ndarray, sq: np.ndarray) -> np.ndarray:
-    """sum_{a, b, J, K} w[a] conj(sp)[..., a, b, K] sq[..., a, b, J] over all
-    dim^(2n) index tuples, one value per pair of slices."""
+    """sum_{a, b, J, K} w[a] conj(sp)[..., a, b, K] sq[..., a, b, J], one value per pair of
+    slices: one matmul over (a, b) forms all dim^(2n) terms as (..., K, J), then one sum."""
     left = sp.conj() * np.asarray(ds.model.weights)[:, None, None]
-    return np.einsum("...abj,...abk->...", left, sq)
+    flat = (*sp.shape[:-3], sp.shape[-3] * sp.shape[-2], sp.shape[-1])
+    return (left.reshape(flat).swapaxes(-1, -2) @ sq.reshape(flat)).sum(axis=(-2, -1))
 
 
 def d_basis_sum(ds: DecoherenceState, p: Proposition, q: Proposition) -> complex:

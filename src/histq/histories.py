@@ -9,10 +9,9 @@ its tensor space: the one operator type that the decoherence forms, the
 sector state, the windows and the entropies take.  Two maps take histories to
 operators:
 
-* :func:`embed` produces the projector on the tensor-product space over the
-  support, with each factor transported to the Heisenberg picture, as a
-  :class:`Proposition` that keeps its n factors (:func:`embed_stack` for a
-  list of histories on one support);
+* :func:`embed_stack` produces the projector of each of a list of histories on
+  the tensor-product space over one support, with each factor transported to
+  the Heisenberg picture, as a :class:`Proposition` that keeps its n factors;
 * :func:`class_operator` produces the time-ordered product of the transported
   projectors on the single-time space (earliest factor leftmost).
 
@@ -44,10 +43,8 @@ __all__ = [
     "PropositionSpace",
     "Proposition",
     "proposition",
-    "unit_proposition",
     "history",
     "support_reduce",
-    "embed",
     "embed_stack",
     "class_operator",
     "chain_map",
@@ -135,7 +132,7 @@ class Proposition:
     """An element of one sector; not necessarily a projection.
 
     ``factors`` are operators on consecutive groups of the support's times
-    whose Kronecker product, in time order, is the operator ``op``: :func:`embed`
+    whose Kronecker product, in time order, is the operator ``op``: :func:`embed_stack`
     keeps one dim x dim factor per time, the other constructors one factor,
     the whole operator.  ``op`` is built the first time it is read (for one
     factor it is that array); neither is written after construction, and the
@@ -171,16 +168,11 @@ def proposition(space: PropositionSpace, op) -> Proposition:
     return Proposition(space=space, factors=(m,))
 
 
-def unit_proposition(space: PropositionSpace) -> Proposition:
-    """The always-true proposition e (identity on the sector's tensor space)."""
-    return Proposition(space=space, factors=(np.eye(space.op_dim, dtype=complex),))
-
-
 def embed_stack(model: SystemModel, histories: Sequence[HomogeneousHistory],
                 support: Sequence[float], t0: float = 0.0) -> list[Proposition]:
-    """:func:`embed` of each history on ``support``, in one shared sector: one
-    :func:`heisenberg` call (one ``evolve`` per time) moves the present entries
-    of a grid (count, n, dim, dim) whose missing ones are exact identities."""
+    """Each history's Heisenberg projectors as the factors of a proposition on ``support``,
+    which must hold its times, in one shared sector: one :func:`heisenberg` call moves the
+    present entries of a grid (count, n, dim, dim) whose missing ones are exact identities."""
     space = PropositionSpace(support=support, dim_single=model.dim)
     slot = {t: j for j, t in enumerate(space.support)}
     if not all(set(h.times) <= slot.keys() for h in histories):
@@ -191,14 +183,6 @@ def embed_stack(model: SystemModel, histories: Sequence[HomogeneousHistory],
     grid = np.tile(np.eye(model.dim, dtype=complex), (len(histories), space.n_times, 1, 1))
     grid[at[:, 0], at[:, 1]] = heisenberg(model, stack, [t for h in histories for t in h.times], t0)
     return [Proposition(space=space, factors=tuple(row)) for row in grid]
-
-
-def embed(model: SystemModel, h: HomogeneousHistory,
-          support: Sequence[float] | None = None, t0: float = 0.0) -> Proposition:
-    """Tensor product of the Heisenberg-transported projectors in time order, kept as its
-    factors, one per time of ``support`` (default: its own times), which must hold them;
-    a missing time is an identity.  :func:`embed_stack` of one history."""
-    return embed_stack(model, [h], h.times if support is None else support, t0)[0]
 
 
 def class_operator(model: SystemModel, h: HomogeneousHistory, t0: float = 0.0) -> np.ndarray:

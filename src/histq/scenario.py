@@ -23,7 +23,10 @@ projectors onto named basis vectors.  A decomposition spec is either
 ``{"projectors": [spec, ...]}``.
 
 Validation failures raise :class:`ScenarioError` carrying the JSON path of
-the offending field.
+the offending field.  Histories are read in two passes: the structure of each
+(object, label, projector list), then all their specs as one list, projector
+check last.  So of two bad histories a later one's structural or spec error
+can be named before an earlier one's; one bad field names the same path.
 """
 
 from __future__ import annotations
@@ -93,10 +96,10 @@ def _real(value, path: str) -> float:
 
 def _complex_arrays(nodes: list, shape: tuple[int, ...], paths: list[str]) -> np.ndarray:
     """The 'real'/'imag' objects ``nodes`` as one array (count, *shape): one ``_reals`` pass and
-    one float conversion over all parts, else node by node to name the first bad one's path."""
-    if all(isinstance(m, dict) and "real" in m for m in nodes):
-        zero = np.zeros(shape).tolist()
-        parts = [[m["real"] for m in nodes], [m.get("imag", zero) for m in nodes]]
+    one float conversion over all parts when each node has both, else node by node to name
+    the first bad one's path, a missing 'imag' read as a zero scalar (nothing of ``shape``)."""
+    if all(isinstance(m, dict) and "real" in m and "imag" in m for m in nodes):
+        parts = [[m["real"] for m in nodes], [m["imag"] for m in nodes]]
         with contextlib.suppress(ValueError):  # ragged lists
             if _reals(parts) and (z := np.asarray(parts, dtype=float)).shape[2:] == shape:
                 return z[0] + 1j * z[1]
@@ -108,10 +111,10 @@ def _complex_arrays(nodes: list, shape: tuple[int, ...], paths: list[str]) -> np
             raise ScenarioError(path, "entries must be finite JSON numbers")
         try:
             real = np.asarray(node["real"], dtype=float)
-            imag = np.asarray(node["imag"], dtype=float) if "imag" in node else np.zeros_like(real)
+            imag = np.asarray(node.get("imag", 0.0), dtype=float)
         except ValueError as exc:  # ragged lists
             raise ScenarioError(path, f"not numeric arrays: {exc}") from None
-        if real.shape != imag.shape:
+        if "imag" in node and real.shape != imag.shape:
             raise ScenarioError(path, "'real' and 'imag' shapes differ")
         if real.shape != shape:
             raise ScenarioError(path, f"expected shape {shape}, got {real.shape}")
@@ -245,7 +248,7 @@ def parse_scenario(data: dict) -> Scenario:
     if not np.isfinite(float(np.abs(model.energies).max()) * max(abs(t - t0) for t in times)):
         raise ScenarioError("times", "the evolution phases E (t - t0) overflow")
 
-    histories: list[tuple[str, HomogeneousHistory]] = []
+    labels, specs, paths = [], [], []
     history_nodes = data.get("histories", [])
     if not isinstance(history_nodes, list):
         raise ScenarioError("histories", "expected a list of histories")
@@ -256,15 +259,18 @@ def parse_scenario(data: dict) -> Scenario:
         label = node.get("label", f"h{i}")
         if not isinstance(label, str):  # labels are report strings, never str() of a value
             raise ScenarioError(f"{hpath}.label", "expected a string")
-        if label in (seen for seen, _ in histories):  # labels name the report rows
+        if label in labels:  # labels name the report rows
             raise ScenarioError(f"{hpath}.label", f"repeats the label {label!r}")
-        specs = _require(node, "projectors", f"{hpath}.")
-        if not isinstance(specs, list) or len(specs) != len(grid.times):
+        labels.append(label)
+        row = _require(node, "projectors", f"{hpath}.")
+        if not isinstance(row, list) or len(row) != len(grid.times):
             raise ScenarioError(f"{hpath}.projectors",
                                 f"need one projector spec per time ({len(grid.times)})")
-        items = zip(grid.times, _projectors(specs, dim, [f"{hpath}.projectors[{k}]"
-                                                         for k in range(len(specs))]))
-        histories.append((label, HomogeneousHistory(tuple(items))))
+        specs += row
+        paths += [f"{hpath}.projectors[{k}]" for k in range(len(row))]
+    matrices, n = _projectors(specs, dim, paths), len(grid.times)
+    histories = [(label, HomogeneousHistory(tuple(zip(grid.times, matrices[i * n:(i + 1) * n]))))
+                 for i, label in enumerate(labels)]
 
     pvms: list[list[list[np.ndarray]]] = []
     pvm_nodes = data.get("pvms", [])

@@ -71,7 +71,7 @@ def _side_states(rng, dims=(2, 3), times=(0.0, 1.0)) -> list[DecoherenceState]:
 def _product_histories(ds: DecoherenceState, n_times: int, ps) -> np.ndarray:
     """The projectors ``ps``, drawn history by history and within a history
     time by time, as the stack (count, n_times, dim, dim) of product histories
-    on the first ``n_times`` times of ``ds``, transported once per time.
+    on the first ``n_times`` times of ``ds``, transported by one ``heisenberg`` call.
     ``draw_projectors`` takes each projector's rank and Gaussian matrices in
     turn, so a block's draws are those of one call per projector; they are
     projectors by construction, so nothing checks them again."""

@@ -57,9 +57,21 @@
 * :func:`reals`, :func:`complex_array` and :func:`projector_specs` check and
   convert a scenario's arrays and projector specs one list and one spec at a
   time, where the parser flattens nested lists and converts the matrix specs
-  of a list together.
-* :func:`embed` transports one history over its own times, where the program
-  moves a grid of histories on a common support with one evolution per time.
+  of a list together.  :func:`parse_histories` reads a scenario's histories
+  one at a time, each history's specs before the next history's structure,
+  where the parser checks every history's structure first and then reads all
+  their specs as one list.
+* :func:`evolve` and :func:`heisenberg` form the unitary of one time and move
+  one operator by it, where the program evolves to all distinct times of a
+  stack by one call and moves the stack by one batched product.
+* :func:`embed` transports one history, each projector by its own
+  :func:`heisenberg`, where the program moves a grid of histories on a common
+  support with one evolution call.
+* :func:`unit_proposition` is the identity on a sector's tensor space, which
+  no program path builds.
+* :func:`contract` is the basis-sum contraction of two slices as one
+  unoptimised ``einsum``, where the program forms the terms by one matmul
+  over the first and last indices.
 * :func:`d_form` and :func:`probability` evaluate the chain form and the
   quadratic form on one pair or one proposition, which no program path needs.
 * :func:`random_operator` draws the real and the imaginary part of a Gaussian
@@ -76,8 +88,8 @@ from typing import Sequence
 import numpy as np
 
 from histq.consistency import ConsistencyReport, Window, _block_sums, _sector_terms
-from histq.core import (TOLERANCES, SystemModel, heisenberg, max_abs, named_basis,
-                        projector_onto, tensor_product)
+from histq.core import (TOLERANCES, SystemModel, max_abs, named_basis, projector_onto,
+                        tensor_product)
 from histq.decoherence import DecoherenceState, IlsOperator, d_gram
 from histq.histories import (HomogeneousHistory, Proposition, PropositionSpace, proposition,
                              support_reduce)
@@ -90,20 +102,42 @@ def random_operator(rng: np.random.Generator, dim: int) -> np.ndarray:
     return rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
 
 
+def evolve(model: SystemModel, t: float, t0: float = 0.0) -> np.ndarray:
+    """U(t, t0) = exp(-i H (t - t0)) at one time, from the eigendecomposition of H."""
+    phases = np.exp(-1j * model.energies * (t - t0))
+    return (model.energy_basis * phases) @ model.energy_basis.conj().T
+
+
+def heisenberg(model: SystemModel, a: np.ndarray, t: float, t0: float = 0.0) -> np.ndarray:
+    """U(t, t0)^dag A U(t, t0) of one operator at one time, by its own :func:`evolve`."""
+    u = evolve(model, t, t0)
+    return u.conj().T @ np.asarray(a, dtype=complex) @ u
+
+
 def embed(model: SystemModel, h: HomogeneousHistory,
           support: Sequence[float] | None = None, t0: float = 0.0) -> Proposition:
-    """One history's Heisenberg-transported projectors as the factors of a
-    proposition on ``support`` (default: its own times), by one ``heisenberg``
-    call over its own times; each missing time an exact identity."""
-    times = h.times
-    space = PropositionSpace(support=times if support is None else support,
+    """One history's Heisenberg-transported projectors, each by its own
+    :func:`heisenberg`, as the factors of a proposition on ``support``
+    (default: its own times); each missing time an exact identity."""
+    space = PropositionSpace(support=h.times if support is None else support,
                              dim_single=model.dim)
-    if not set(times) <= set(space.support):
+    if not set(h.times) <= set(space.support):
         raise ValueError("support does not contain the history's times")
-    stack = np.reshape([p for _, p in h.items], (len(h.items), model.dim, model.dim))
-    moved = dict(zip(times, heisenberg(model, stack, times, t0)))
+    moved = {t: heisenberg(model, p, t, t0) for t, p in h.items}
     eye = np.eye(model.dim, dtype=complex)
     return Proposition(space=space, factors=tuple(moved.get(t, eye) for t in space.support))
+
+
+def unit_proposition(space: PropositionSpace) -> Proposition:
+    """The always-true proposition e: the identity on the sector's tensor space."""
+    return Proposition(space=space, factors=(np.eye(space.op_dim, dtype=complex),))
+
+
+def contract(ds: DecoherenceState, sp: np.ndarray, sq: np.ndarray) -> np.ndarray:
+    """sum_{a, b, J, K} w[a] conj(sp)[..., a, b, K] sq[..., a, b, J], one value per
+    pair of slices, by one unoptimised ``einsum``."""
+    left = sp.conj() * np.asarray(ds.model.weights)[:, None, None]
+    return np.einsum("...abj,...abk->...", left, sq)
 
 
 def reals(node) -> bool:
@@ -169,6 +203,32 @@ def projector_specs(specs: Sequence, dim: int, paths: Sequence[str]) -> list[np.
             raise ScenarioError(path, "not a projector within the projector "
                                       f"bound {TOLERANCES.projector:g}")
     return [p for p, _ in built]
+
+
+def parse_histories(nodes: list, times: tuple[float, ...],
+                    dim: int) -> list[tuple[str, HomogeneousHistory]]:
+    """A scenario's history objects one at a time: each one's structure, then its
+    spec list by :func:`projector_specs`; ``ScenarioError`` at the first refusal."""
+    out = []
+    for i, node in enumerate(nodes):
+        hpath = f"histories[{i}]"
+        if not isinstance(node, dict):
+            raise ScenarioError(hpath, "expected an object")
+        label = node.get("label", f"h{i}")
+        if not isinstance(label, str):
+            raise ScenarioError(f"{hpath}.label", "expected a string")
+        if label in (seen for seen, _ in out):
+            raise ScenarioError(f"{hpath}.label", f"repeats the label {label!r}")
+        if "projectors" not in node:
+            raise ScenarioError(f"{hpath}.projectors", "missing field")
+        specs = node["projectors"]
+        if not isinstance(specs, list) or len(specs) != len(times):
+            raise ScenarioError(f"{hpath}.projectors",
+                                f"need one projector spec per time ({len(times)})")
+        matrices = projector_specs(specs, dim, [f"{hpath}.projectors[{k}]"
+                                                for k in range(len(specs))])
+        out.append((label, HomogeneousHistory(tuple(zip(times, matrices)))))
+    return out
 
 
 def d_form(ds: DecoherenceState, b1: Proposition, b2: Proposition) -> complex:

@@ -16,7 +16,7 @@ from histq.core import TimeGrid
 from histq.decoherence import DecoherenceState, d_basis_sum, d_trace, ils_reconstruct
 from histq.divergence import b1_direct_value, b1_series, b2_series, growth_fit
 from histq.entropy import refinement_gap, window_entropy, window_entropy_pnorm
-from histq.histories import embed, history, proposition, unit_proposition
+from histq.histories import history, proposition
 from histq.propositions import wright_operator
 from histq.sampling import (
     random_model,
@@ -25,7 +25,7 @@ from histq.sampling import (
 )
 
 from helpers import P0, P1, PLUS, qubit_state
-from oracles import apply, d_form, probability, random_projector
+from oracles import apply, d_form, embed, probability, random_projector, unit_proposition
 
 
 def _verdict(name: str, ok: bool, detail: str):

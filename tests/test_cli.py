@@ -1,8 +1,10 @@
+import argparse
 import dataclasses
 import errno
 import json
 import math
 import tempfile
+import types
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import histq.cli
 from histq.cli import (
     MAX_N_LIMIT,
     _decohere_payload,
@@ -166,7 +169,8 @@ class TestVerify:
         # two side states and the scenario's: the unit pair, then 10 draws of
         # (h, k), each state's draws read as one chain stack per number of
         # times; only the unit pair goes through the per-history chain, and
-        # each stack is transported once per time
+        # it has no time to evolve to, while each stack is transported by one
+        # evolve call on its times (9 calls when it was one per time)
         scn = load_scenario(bundled_scenario_path())
         grams = count_calls(monkeypatch, "chain_gram")
         per_history = count_calls(monkeypatch, "class_operator")
@@ -174,7 +178,7 @@ class TestVerify:
         assert _check_axioms(scn, np.random.default_rng(1)).passed
         assert sum(len(chains) for _, chains in grams) == 3 * (2 + 10 * 2)
         assert len(per_history) == 3 * 2
-        assert len(evolve) <= 3 * (1 + 2)
+        assert [len(t) for _, t, _ in evolve] == [1, 2] * 3
 
     def test_drawn_history_projectors_are_not_checked_again(self, monkeypatch, tmp_path):
         # the scenario's projectors at parse and the searched decompositions;
@@ -186,11 +190,11 @@ class TestVerify:
 
     def test_drawn_histories_are_transported_once_per_time(self, monkeypatch, tmp_path):
         # each stack of drawn histories moves to the Heisenberg picture by one
-        # evolve per time (296 calls when every projector was transported
-        # twice, by embed and by the chain)
+        # evolve call on its times (23 calls at one per time, 296 when every
+        # projector was transported twice, by embed and by the chain)
         calls = count_calls(monkeypatch, "evolve")
         assert run(["verify", "--out", str(tmp_path)]) == 0
-        assert 0 < len(calls) <= 40
+        assert len(calls) == 17
 
     @pytest.mark.parametrize("seed", [1, 7])
     def test_results_hold_builtin_json_types(self, seed):
@@ -233,6 +237,17 @@ class TestValidationExit:
         err = capsys.readouterr().err
         assert code == 2
         assert "rho" in err
+
+    def test_undersized_hamiltonian_of_a_large_dim_exits_2(self, tmp_path, capsys):
+        # refused by its shape before anything of dim x dim is built (a
+        # MemoryError traceback when a zero imaginary part of that shape was)
+        scenario = json.loads(bundled_scenario_path().read_text())
+        scenario.update(dim=10 ** 6, hamiltonian={"real": [[0.0]]})
+        path = tmp_path / "large-dim.json"
+        path.write_text(json.dumps(scenario), encoding="utf-8")
+        assert run(["decohere", "--scenario", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.startswith("error: hamiltonian: expected shape")
+        assert not (tmp_path / "o").exists()
 
     def test_missing_file_exits_2(self, tmp_path, capsys):
         code = run(["decohere", "--scenario", str(tmp_path / "nope.json"),
@@ -444,7 +459,7 @@ class TestDecohere:
     @pytest.mark.parametrize("times", [2, 4, 11])
     def test_each_chain_and_eigenbasis_form_is_built_once(self, monkeypatch, tmp_path, times):
         # three histories: all transported by one embed_stack call, one
-        # evolve per time, and the 3 chains multiplied out from those
+        # evolve call on the grid times, and the 3 chains multiplied out from those
         # factors for one chain Gram matrix of the 9 chain-form pairs; each
         # embedded history written in the state's eigenbasis once, as the
         # 2^(n+1) entries of its form that the basis sum reads, while the
@@ -476,7 +491,7 @@ class TestDecohere:
         assert run(["decohere", "--scenario", str(path), "--out", str(tmp_path / "o")]) == 0
         ils = times == 2
         assert per_history == []
-        assert len(evolve) == times
+        assert [t for _, t, _ in evolve] == [scenario["times"]]
         assert [len(embedded) for embedded in stacks] == [3]
         embedded = stacks[0]
         # the reconstruction reads the kernel on its 4^n matrix units
@@ -489,6 +504,36 @@ class TestDecohere:
         assert dense == ([x.factors for x in embedded] if ils else [])
         report = json.loads((tmp_path / "o" / "decohere.json").read_text())
         assert report["decoherence"]["agreement"]["chain_vs_basis_sum"] <= 1e-9
+
+    def test_one_transport_and_one_projector_check_per_call(self, monkeypatch, tmp_path):
+        # all histories are moved by one heisenberg call, which makes one
+        # evolve call, and their specs checked by one is_projector call
+        scenario = json.loads(bundled_scenario_path().read_text())
+        scenario["pvms"] = []
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(scenario), encoding="utf-8")
+        counts = {name: count_calls(monkeypatch, name)
+                  for name in ("heisenberg", "evolve", "is_projector")}
+        assert run(["decohere", "--scenario", str(path), "--out", str(tmp_path / "o")]) == 0
+        assert {name: len(calls) for name, calls in counts.items()} == {
+            "heisenberg": 1, "evolve": 1, "is_projector": 1}
+        assert [len(stack) for (stack,) in counts["is_projector"]] == [4]  # not the unit's
+
+    def test_the_parser_is_built_once_per_process(self, monkeypatch, tmp_path):
+        built = []
+
+        def counting(*args, **kwargs):
+            built.append(kwargs["prog"])
+            return argparse.ArgumentParser(*args, **kwargs)
+
+        monkeypatch.setattr(histq.cli, "argparse", types.SimpleNamespace(ArgumentParser=counting))
+        histq.cli._parser.cache_clear()
+        try:
+            for out in ("a", "b", "c"):
+                assert run(["decohere", "--out", str(tmp_path / out)]) == 0
+        finally:
+            histq.cli._parser.cache_clear()
+        assert built == ["histq"]
 
     def test_worked_numbers_in_report(self, tmp_path):
         assert run(["decohere", "--out", str(tmp_path)]) == 0

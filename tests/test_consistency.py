@@ -516,8 +516,8 @@ class TestSearchWindows:
 
     def test_bundled_entropy_checks_only_parsed_and_decomposition_projectors(
             self, monkeypatch, tmp_path):
-        # one stack per spec list at parse time (2 histories with 4
-        # non-identity entries, 2 decompositions of 2 named-basis elements),
+        # at parse time one stack for the histories' specs (4 non-identity
+        # entries) and one per decomposition (2 of 2 named-basis elements),
         # each decomposition again where the two families are built, and no
         # window member; each count is (stacks, matrices)
         calls = collections.defaultdict(lambda: [0, 0])
@@ -532,7 +532,7 @@ class TestSearchWindows:
                 monkeypatch.setattr(module, "is_projector",
                                     lambda p, _name=name: counted(p, _name))
         assert cli_main(["entropy", "--out", str(tmp_path)]) == 0
-        assert calls == {"histq.scenario": [4, 8], "histq.consistency": [2, 4]}
+        assert calls == {"histq.scenario": [3, 8], "histq.consistency": [2, 4]}
 
 
 class TestMaximallyRefined:

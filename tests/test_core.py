@@ -123,6 +123,24 @@ class TestEvolve:
         monkeypatch.setattr(np.linalg, "eigh", no_eigh)
         assert np.max(np.abs(evolve(model, 1.0) - (-1j) * SIGMA_X)) <= 1e-10
 
+    @given(dim=st.integers(1, 4), seed=st.integers(0, 2 ** 31 - 1),
+           pool=st.lists(st.floats(-50.0, 50.0), min_size=1, max_size=4), data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_times_array_equals_the_per_time_oracle(self, dim, seed, pool, data):
+        # a sequence of times, repeats included, gives one unitary per entry
+        # with the bits of the one-time formula; a scalar time gives one matrix
+        rng = np.random.default_rng(seed)
+        model = SystemModel.from_matrices(random_hermitian(rng, dim), np.eye(dim) / dim)
+        t0 = data.draw(st.floats(-5.0, 5.0))
+        times = data.draw(st.lists(st.sampled_from(pool), max_size=6))
+        stack = evolve(model, times, t0)
+        assert stack.shape == (len(times), dim, dim)
+        for t, u in zip(times, stack):
+            assert np.array_equal(u, oracles.evolve(model, t, t0))
+        assert np.array_equal(evolve(model, pool[0], t0), oracles.evolve(model, pool[0], t0))
+        assert np.array_equal(evolve(model, np.float64(pool[0]), t0),
+                              oracles.evolve(model, pool[0], t0))
+
 
 class TestHeisenberg:
     def test_zero_hamiltonian_fixes_projector(self):
@@ -159,19 +177,45 @@ class TestHeisenberg:
            seed=st.integers(0, 2 ** 31 - 1))
     @settings(max_examples=30, deadline=None)
     def test_stack_equals_the_single_transports(self, dim, count, n, seed):
-        # one evolve per time, and the bits of one call per operator
+        # one evolve call on the n times, and the bits of one transport per operator
         rng = np.random.default_rng(seed)
         model = SystemModel.from_matrices(random_hermitian(rng, dim), np.eye(dim) / dim)
         times = tuple(float(t) for t in np.cumsum(rng.uniform(0.1, 1.0, n)))
         stack = rng.standard_normal((count, n, dim, dim)) + 0j
-        single = [[heisenberg(model, stack[i, j], times[j], 0.3) for j in range(n)]
+        single = [[oracles.heisenberg(model, stack[i, j], times[j], 0.3) for j in range(n)]
                   for i in range(count)]
         with pytest.MonkeyPatch.context() as patch:
             calls = count_calls(patch, "evolve")
             moved = heisenberg(model, stack, times, 0.3)
-        assert len(calls) == n
+        assert [t for _, t, _ in calls] == [list(times)]
         assert moved.shape == stack.shape
         assert np.array_equal(moved, np.array(single))
+
+    @given(dim=st.integers(1, 4), seed=st.integers(0, 2 ** 31 - 1),
+           pool=st.lists(st.floats(-20.0, 20.0), min_size=1, max_size=3), data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_repeated_and_scalar_times_equal_the_oracle(self, dim, seed, pool, data):
+        # a time grid with repeats is evolved by one call on its distinct
+        # times in first-seen order (no call without times); a scalar time
+        # moves a whole stack by one unitary
+        rng = np.random.default_rng(seed)
+        model = SystemModel.from_matrices(random_hermitian(rng, dim), np.eye(dim) / dim)
+        count, n = data.draw(st.integers(0, 3)), data.draw(st.integers(1, 3))
+        times = np.reshape(data.draw(st.lists(st.sampled_from(pool), min_size=count * n,
+                                              max_size=count * n)), (count, n))
+        stack = rng.standard_normal((count, n, dim, dim)) + 1j * rng.standard_normal(
+            (count, n, dim, dim))
+        with pytest.MonkeyPatch.context() as patch:
+            calls = count_calls(patch, "evolve")
+            moved = heisenberg(model, stack, times, -0.7)
+            whole = heisenberg(model, stack, pool[0], -0.7)
+        grid = [list(dict.fromkeys(times.ravel().tolist()))] if count else []
+        assert [t for _, t, _ in calls] == grid + [[pool[0]]]
+        for i, j in np.ndindex(count, n):
+            assert np.array_equal(moved[i, j],
+                                  oracles.heisenberg(model, stack[i, j], times[i, j], -0.7))
+            assert np.array_equal(whole[i, j],
+                                  oracles.heisenberg(model, stack[i, j], pool[0], -0.7))
 
     def test_transports_any_operator(self):
         # U(1) = exp(-i pi/2 sigma_x) = -i sigma_x, so U^dag A U = sigma_x A sigma_x

@@ -9,6 +9,7 @@ from histq.core import SystemModel, TimeGrid, heisenberg, max_abs, tensor_produc
 from histq.decoherence import (
     CapacityError,
     _chain,
+    _contract,
     _slice,
     DecoherenceState,
     chain_gram,
@@ -20,7 +21,7 @@ from histq.decoherence import (
     sector_fits,
 )
 from histq.histories import (HomogeneousHistory, Proposition, PropositionSpace, chain_map,
-                             embed, history, proposition, unit_proposition)
+                             history, proposition)
 from histq.propositions import wright_operator
 from histq.sampling import (
     random_hermitian,
@@ -32,7 +33,7 @@ from histq.verify import _chains, _product_histories
 
 import oracles
 from helpers import MINUS, P0, PLUS, qubit_state, state_for
-from oracles import d_form, random_projector
+from oracles import d_form, embed, random_projector, unit_proposition
 
 UNIT = history({})
 
@@ -528,6 +529,21 @@ def test_stacked_basis_sums_are_the_per_pair_sum_and_the_dense_oracle(case):
         p, q = (Proposition(space=space, factors=tuple(x)) for x in (h, k))
         assert abs(value - d_basis_sum(ds, p, q)) <= 1e-12
         assert abs(value - oracles.basis_sum_dense(ds, p, q)) <= 1e-12
+
+
+@given(dim=st.integers(1, 3), n=st.integers(1, 3), seed=st.integers(0, 2 ** 31 - 1),
+       lead=st.lists(st.integers(0, 3), max_size=2))
+@settings(max_examples=80, deadline=None)
+def test_contraction_matmul_equals_the_einsum_oracle(dim, n, seed, lead):
+    # slices (*lead, dim, dim, J) with J = dim^(n - 1), J = 1 included: the one
+    # matmul over (a, b) sums the same terms as the unoptimised einsum
+    rng = np.random.default_rng(seed)
+    ds = state_for(random_model(rng, dim))
+    shape = (*lead, dim, dim, dim ** (n - 1))
+    sp, sq = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape) for _ in range(2))
+    got, want = _contract(ds, sp, sq), oracles.contract(ds, sp, sq)
+    assert got.shape == want.shape == tuple(lead)
+    assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
 
 
 @pytest.mark.parametrize("form", [d_form, d_basis_sum])

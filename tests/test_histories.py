@@ -3,13 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from histq.core import SystemModel, TimeGrid, heisenberg, is_projector, tensor_product
+from histq.core import SystemModel, TimeGrid, is_projector, tensor_product
 from histq.decoherence import DecoherenceState, d_trace
 from histq.histories import (
     PropositionSpace,
     chain_map,
     class_operator,
-    embed,
     embed_stack,
     history,
     support_reduce,
@@ -18,7 +17,7 @@ from histq.sampling import random_hermitian, random_model
 
 from helpers import H_ZERO, P0, P1, PLUS, SIGMA_X, count_calls
 import oracles
-from oracles import random_projector
+from oracles import embed, random_projector
 
 EYE = np.eye(2, dtype=complex)
 
@@ -57,6 +56,9 @@ class TestSupportReduce:
 
 
 class TestEmbed:
+    """The embedding map, through the one-history oracle that ``embed_stack``
+    is pinned to bit for bit (``TestEmbedStack``)."""
+
     def test_single_time(self):
         model = qubit_model()
         assert np.allclose(embed(model, history({0.0: P0})).op, P0)
@@ -87,8 +89,9 @@ class TestEmbed:
         ({2.0: P0}, (0.0, 1.0), "support does not contain the history's times"),
     ])
     def test_support_validated(self, history_entries, support, message):
+        h = history(history_entries)
         with pytest.raises(ValueError, match=message):
-            embed(qubit_model(), history(history_entries), support=support)
+            embed_stack(qubit_model(), [h], h.times if support is None else support)
 
     def test_returns_a_proposition_of_the_support_sector(self):
         b = embed(qubit_model(), history({1.0: P0}), support=(0.0, 1.0))
@@ -114,8 +117,8 @@ class TestEmbed:
 
 
 class TestOneTransportPerHistory:
-    """``embed`` and ``class_operator`` move a history's projectors by one
-    ``heisenberg`` call, with the bits of one call per projector."""
+    """``embed_stack`` and ``class_operator`` move a history's projectors by one
+    ``heisenberg`` call, with the bits of one transport per projector."""
 
     @given(dim=st.integers(1, 3), n=st.integers(1, 4), seed=st.integers(0, 2 ** 31 - 1),
            data=st.data())
@@ -126,9 +129,9 @@ class TestOneTransportPerHistory:
         support = tuple(np.sort(rng.uniform(-3.0, 3.0, n)).tolist())
         kept = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
         h = history({t: random_projector(rng, dim) for t, keep in zip(support, kept) if keep})
-        x = embed(model, h, support, t0)
+        x = embed_stack(model, [h], support, t0)[0]
         for t, f in zip(support, x.factors):
-            single = (heisenberg(model, dict(h.items)[t], t, t0) if t in h.times
+            single = (oracles.heisenberg(model, dict(h.items)[t], t, t0) if t in h.times
                       else np.eye(dim, dtype=complex))
             assert np.array_equal(f, single)
         assert np.array_equal(class_operator(model, h, t0), oracles.chain(model, h, t0))
@@ -137,9 +140,11 @@ class TestOneTransportPerHistory:
         model = qubit_model(SIGMA_X)
         h = history({0.0: P0, 1.0: PLUS, 2.0: P1})
         calls = count_calls(monkeypatch, "heisenberg")
-        embed(model, h, (0.0, 0.5, 1.0, 2.0))
+        evolutions = count_calls(monkeypatch, "evolve")
+        embed_stack(model, [h], (0.0, 0.5, 1.0, 2.0))
         class_operator(model, h)
         assert [stack.shape for _, stack, _, _ in calls] == [(3, 2, 2)] * 2
+        assert [t for _, t, _ in evolutions] == [[0.0, 1.0, 2.0]] * 2
 
 
 class TestEmbedStack:
@@ -168,7 +173,7 @@ class TestEmbedStack:
             assert x.space == want.space
             assert [f.tobytes() for f in x.factors] == [f.tobytes() for f in want.factors]
 
-    def test_one_evolve_per_time_and_one_heisenberg_call(self, monkeypatch):
+    def test_one_evolve_and_one_heisenberg_call(self, monkeypatch):
         model = qubit_model(SIGMA_X)
         histories = [history({0.0: P0, 1.0: PLUS, 2.0: P1}), history({}),
                      history({1.0: P1, 2.0: EYE})]
@@ -176,7 +181,8 @@ class TestEmbedStack:
         evolutions = count_calls(monkeypatch, "evolve")
         stacked = embed_stack(model, histories, (0.0, 0.5, 1.0, 2.0))
         assert [stack.shape for _, stack, _, _ in transports] == [(5, 2, 2)]
-        assert sorted(t for _, t, _ in evolutions) == [0.0, 1.0, 2.0]  # none at 0.5
+        # one call on the distinct times in first-seen order, none at 0.5
+        assert [t for _, t, _ in evolutions] == [[0.0, 1.0, 2.0]]
         assert all(np.array_equal(x.factors[1], EYE) for x in stacked)
 
     def test_support_must_hold_every_history(self):
@@ -261,7 +267,7 @@ class TestValidatedOnce:
         k = history({0.0: PLUS, 1.0: P1})
         calls = count_calls(monkeypatch, "is_projector")
         d_trace(ds, h, k)
-        embed(model, h)
+        embed_stack(model, [h], h.times)
         class_operator(model, k)
         assert calls == []
         history({0.0: P1})  # the constructor still checks, through the patched name

@@ -3,8 +3,9 @@
 ``histq`` resolves its public names on first use and ``histq.cli`` imports a
 subcommand's modules when that subcommand runs.  These tests pin the result:
 the set-up a benchmark times (``import histq.cli`` plus ``load_scenario``)
-loads exactly what a whole ``decohere`` call loads, and the other subcommands
-add only what they run.  They import whichever ``histq`` this test process
+loads exactly what a whole ``decohere`` call loads, ``decohere`` loads no
+numpy module that ``import numpy`` does not, and the other subcommands add
+only what they run.  They import whichever ``histq`` this test process
 imports, so they also check an installed package.
 """
 
@@ -28,9 +29,12 @@ DECOHERE_MODULES = {"histq", "histq.cli", "histq.core", "histq.histories",
 
 # Run in a new interpreter: prints the sorted histq modules loaded after
 # ``import histq.cli`` plus ``load_scenario``, and after ``main(argv)`` too
-# when argv is not empty.
+# when argv is not empty, and the numpy modules that ``import numpy`` alone
+# does not load.
 PROBE = """
 import json, sys
+import numpy
+bare = set(sys.modules)
 loaded = lambda: sorted(m for m in sys.modules if m.split(".")[0] == "histq")
 import histq.cli
 from histq.scenario import load_scenario
@@ -38,7 +42,8 @@ scenario, argv = sys.argv[1], json.loads(sys.argv[2])
 load_scenario(scenario)
 setup = loaded()
 code = histq.cli.main(argv) if argv else None
-print(json.dumps({"setup": setup, "run": loaded(), "code": code}))
+print(json.dumps({"setup": setup, "run": loaded(), "code": code,
+                  "numpy": sorted(m for m in set(sys.modules) - bare if m.startswith("numpy"))}))
 """
 
 
@@ -54,7 +59,7 @@ def _fresh(code: str, *args: str) -> str:
 def _modules(scenario: Path, argv: list[str]) -> dict:
     result = json.loads(_fresh(PROBE, str(scenario), json.dumps(argv)))
     assert result["code"] in (None, 0)
-    return {key: set(result[key]) for key in ("setup", "run")}
+    return {key: set(result[key]) for key in ("setup", "run", "numpy")}
 
 
 @pytest.fixture(scope="module")
@@ -83,6 +88,9 @@ def test_decohere_loads_what_the_set_up_loads(decohere_qubit7, tmp_path):
     modules = _modules(decohere_qubit7, ["decohere", "--scenario", str(decohere_qubit7),
                                          "--out", str(tmp_path)])
     assert modules["setup"] == modules["run"] == DECOHERE_MODULES
+    # nothing of numpy beyond its bare import, such as the numpy.ma that
+    # np.unique loads: heisenberg finds its distinct times with a dict
+    assert modules["numpy"] == set()
 
 
 def test_diverge_adds_only_divergence(tmp_path):

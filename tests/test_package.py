@@ -12,8 +12,7 @@ EXPORTED = {
     "core": {"TOLERANCES", "SystemModel", "TimeGrid", "Tolerances", "evolve", "heisenberg",
              "named_basis", "projector_onto", "tensor_product"},
     "histories": {"HomogeneousHistory", "Proposition", "PropositionSpace", "chain_map",
-                  "class_operator", "embed", "history", "proposition", "support_reduce",
-                  "unit_proposition"},
+                  "class_operator", "history", "proposition", "support_reduce"},
     "decoherence": {"CapacityError", "DecoherenceState", "IlsOperator", "d_basis_sum",
                     "d_trace", "ils_reconstruct"},
     "propositions": {"WrightOperator", "hs_inner", "wright_operator"},
@@ -29,7 +28,7 @@ DEFINED_IN = {name: module for module, names in EXPORTED.items() for name in nam
 
 
 def test_all_lists_every_exported_name_once():
-    assert len(histq.__all__) == len(set(histq.__all__)) == 47
+    assert len(histq.__all__) == len(set(histq.__all__)) == 45
     assert set(histq.__all__) == set(DEFINED_IN)
 
 

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from histq.consistency import base_family, refinements, window
 from histq.decoherence import d_basis_sum, ils_reconstruct, sector_fits
-from histq.histories import PropositionSpace, chain_map, proposition, unit_proposition
+from histq.histories import PropositionSpace, chain_map, proposition
 from histq.propositions import (
     WrightOperator,
     chain_matrix,
@@ -16,7 +16,7 @@ from histq.propositions import (
 from histq.sampling import random_model, random_operator
 
 from helpers import P0, P1, PLUS, qubit_state, state_for
-from oracles import apply, d_form, p_norm, probability, random_projector
+from oracles import apply, d_form, p_norm, probability, random_projector, unit_proposition
 
 SINGLE = PropositionSpace(support=(0.0,), dim_single=2)
 DOUBLE = PropositionSpace(support=(0.0, 1.0), dim_single=2)

@@ -111,11 +111,11 @@ class TestParsing:
         assert np.allclose(scn.model.rho, np.diag([0.75, 0.25]))
 
     def test_each_projector_is_checked_once(self, monkeypatch):
-        # one stacked call per spec list: each history with a non-identity
-        # spec, then each decomposition; every checked matrix in it once
+        # one stacked call for the specs of all histories, then one per
+        # decomposition; every checked matrix in it once
         calls = count_calls(monkeypatch, "is_projector")
         scn = parse_scenario(copy.deepcopy(BUNDLED))
-        lists = [[p for _, p in h.items] for _, h in scn.histories[1:]]  # not the unit's
+        lists = [[p for _, h in scn.histories[1:] for _, p in h.items]]  # not the unit's
         lists += [pvm for per_time in scn.pvms for pvm in per_time]
         assert sum(map(len, lists)) == 8  # identity specs are exact and need no check
         assert [stack.shape for (stack,) in calls] == [(len(ps), 2, 2) for ps in lists]
@@ -369,3 +369,62 @@ class TestSpecListConversion:
         assert (got.value.path, got.value.message) == (want.value.path, want.value.message)
         if converting or later is None:
             assert got.value.path == f"{PATH}[{k}].matrix"
+
+
+# One bad field of one history: the change it makes to that history object.
+ONE_BAD = st.sampled_from([
+    ("label", True),
+    ("label", None),
+    ("spec", {"basis": "computational", "index": True}),
+    ("spec", {"matrix": {"real": [[True, 0], [0, 0]]}}),
+    ("spec", {"matrix": {"real": [[math.nan, 0.0], [0.0, 0.0]]}}),
+    ("spec", {"matrix": {"real": [[1, 0], [0]]}}),
+    ("spec", {"matrix": {"real": [[1, 0, 0], [0, 0, 0]]}}),
+    ("spec", {"matrix": {"real": [[1, 1], [0, 0]]}}),
+    ("spec", {"nope": 1}),
+    ("projectors", [{"identity": True}]),
+    ("history", 5),
+])
+
+
+class TestHistoriesReadTogether:
+    """``parse_scenario`` checks every history's structure, then reads all their
+    specs as one list; on valid input and on one bad field it must agree with
+    reading the histories one at a time."""
+
+    @staticmethod
+    def scenario(rows):
+        return {**base_scenario(),
+                "histories": [{"label": f"h{i}", "projectors": row} for i, row in enumerate(rows)]}
+
+    @given(rows=st.lists(st.lists(SPECS, min_size=2, max_size=2), max_size=4))
+    @settings(max_examples=60, deadline=None)
+    def test_equals_the_one_history_at_a_time_parse(self, rows):
+        data = self.scenario(rows)
+        got = parse_scenario(data).histories
+        want = oracles.parse_histories(data["histories"], (0.0, 1.0), 2)
+        assert [label for label, _ in got] == [label for label, _ in want]
+        assert [[(t, p.tobytes()) for t, p in h.items] for _, h in got] == \
+            [[(t, p.tobytes()) for t, p in h.items] for _, h in want]
+
+    @given(rows=st.lists(st.lists(SPECS, min_size=2, max_size=2), min_size=1, max_size=4),
+           bad=ONE_BAD, data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_one_bad_field_names_the_one_history_at_a_time_path(self, rows, bad, data):
+        scenario = self.scenario(rows)
+        i = data.draw(st.integers(0, len(rows) - 1), label="history")
+        k = data.draw(st.integers(0, 1), label="spec")
+        where, value = bad
+        node = scenario["histories"][i]
+        if where == "history":
+            scenario["histories"][i] = value
+        elif where == "spec":
+            node["projectors"][k] = value
+        else:
+            node[where] = value
+        with pytest.raises(ScenarioError) as want:
+            oracles.parse_histories(scenario["histories"], (0.0, 1.0), 2)
+        with pytest.raises(ScenarioError) as got:
+            parse_scenario(scenario)
+        assert (got.value.path, got.value.message) == (want.value.path, want.value.message)
+        assert got.value.path.startswith(f"histories[{i}]")
