@@ -12,7 +12,7 @@ _EXPORTS = {
     "core": ("TOLERANCES", "SystemModel", "TimeGrid", "Tolerances", "evolve", "heisenberg",
              "named_basis", "projector_onto", "tensor_product"),
     "histories": ("HomogeneousHistory", "Proposition", "PropositionSpace", "chain_map",
-                  "class_operator", "history", "proposition", "support_reduce"),
+                  "chains", "class_operator", "history", "proposition", "support_reduce"),
     "decoherence": ("CapacityError", "DecoherenceState", "IlsOperator", "d_basis_sum",
                     "d_trace", "ils_reconstruct"),
     "propositions": ("WrightOperator", "hs_inner", "wright_operator"),

@@ -61,7 +61,7 @@ def _scenario_section(scn: Scenario, source: str) -> dict:
 
 def _decohere_payload(scn: Scenario) -> dict:
     from .decoherence import DecoherenceState, chain_gram, d_basis_sum, ils_reconstruct
-    from .histories import embed_stack
+    from .histories import chains, embed_stack
 
     ds = DecoherenceState(model=scn.model, grid=scn.grid)
     support = scn.grid.times
@@ -69,13 +69,13 @@ def _decohere_payload(scn: Scenario) -> dict:
     labels = [label for label, _ in scn.histories]
     embedded = embed_stack(scn.model, [h for _, h in scn.histories], support, scn.grid.t0)
     factors = np.reshape([x.factors for x in embedded], (-1, len(support), scn.dim, scn.dim))
-    chains = chain_gram(ds, functools.reduce(np.matmul, factors.swapaxes(0, 1))).tolist()
+    chain_rows = chain_gram(ds, chains(factors)).tolist()
     ils, ils_note = None, None
     try:
         ils = ils_reconstruct(ds, support)
     except CapacityError as exc:
         ils_note = str(exc)
-    for label_h, hb, row in zip(labels, embedded, chains):
+    for label_h, hb, row in zip(labels, embedded, chain_rows):
         for label_k, kb, chain in zip(labels, embedded, row):
             values = {TAG_CHAIN: chain, TAG_BASIS_SUM: d_basis_sum(ds, hb, kb)}
             residual_sum = max(residual_sum, abs(chain - values[TAG_BASIS_SUM]))

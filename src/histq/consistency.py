@@ -3,8 +3,8 @@
 Every window is a coarse graining of a base family: the Kronecker products
 of one projector decomposition per support time of a Wright operator T.
 Each decomposition is checked once, where the first family containing it is
-built (projectors summing to the identity), so the family's members are
-orthogonal projectors summing to e and so is every coarse graining of it.
+built (projectors summing to the identity; rank-0 elements dropped), so the
+family's members are nonzero orthogonal projectors summing to e, as is every coarse graining.
 A window is its family together with a label string that assigns each base
 element to a member, and its members are the block sums of the base, which
 one kernel forms for a stack of strings.
@@ -42,7 +42,7 @@ and skips every refinement of a string whose additivity residual exceeds
 Positivity never prunes: a refinement can pass it where its coarsening
 fails.  The walk scores pieces of at most ``_SCREEN_CHUNK`` strings, so its
 memory does not grow with the Bell number (a cached table of the 3^N - 2^N
-nonempty submasks of N-bit masks, 8.6 MB at N = 12, numbers the children);
+nonempty submasks of N-bit masks, 19 171 at the largest N = 9, numbers the children);
 when every string is additive it scores all Bell(N) of them.  The same walk
 with nothing pruned is the one enumerator of the strings:
 ``partition_windows`` decides every coarse graining of a family from it.
@@ -57,8 +57,8 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .core import TOLERANCES, as_operator, heisenberg, is_projector, max_abs
-from .decoherence import CapacityError, DecoherenceState, d_gram
+from .core import TOLERANCES, as_operator, heisenberg, is_projector, max_abs, tensor_product
+from .decoherence import DecoherenceState, d_gram
 from .histories import Proposition, PropositionSpace
 from .propositions import WrightOperator, wright_operator
 from .scenario import Scenario, ScenarioError
@@ -73,10 +73,8 @@ __all__ = [
     "partition_windows",
     "refinements",
     "search_windows",
-    "MAX_BASE_FAMILY",
 ]
 
-MAX_BASE_FAMILY = 12
 # Strings per piece of the refinement walk: bounds the memory of the screen
 # and of ``partition_windows`` independently of the Bell number.
 _SCREEN_CHUNK = 256
@@ -110,17 +108,20 @@ class BaseFamily:
         return self.t.space
 
 
-def _decomposition(elements, name: str, dim: int) -> list[np.ndarray]:
-    """The elements as operators; ``ValueError`` naming the decomposition unless
-    they are dim x dim projectors summing to the identity."""
+def _decomposition(elements, name: str, dim: int) -> np.ndarray:
+    """The elements of rank at least 1, at most dim, in order, as one stack;
+    ``ValueError`` naming the decomposition unless all are dim x dim projectors
+    summing to the identity.  A checked projector's eigenvalues lie within
+    about dim·1e-10 of 0 or 1, so a trace of at least 1/2 tells rank >= 1."""
     ops = [as_operator(p) for p in elements]
     if any(op.shape != (dim, dim) for op in ops):
         raise ValueError(f"decomposition {name}: sector mismatch: elements must be {dim}x{dim}")
-    if not np.all(is_projector(np.reshape(ops, (-1, dim, dim)))):
+    ops = np.reshape(ops, (-1, dim, dim))
+    if not np.all(is_projector(ops)):
         raise ValueError(f"decomposition {name}: elements must be projectors")
     if max_abs(sum(ops) - np.eye(dim)) > TOLERANCES.consistency:
         raise ValueError(f"decomposition {name}: elements must sum to the identity")
-    return ops
+    return ops[np.trace(ops, axis1=1, axis2=2).real >= 0.5]
 
 
 def base_family(t: WrightOperator, decompositions: Sequence[Sequence[np.ndarray]]) -> BaseFamily:
@@ -130,11 +131,11 @@ def base_family(t: WrightOperator, decompositions: Sequence[Sequence[np.ndarray]
     row-major order over the times.
 
     Each decomposition is checked here: ``ValueError`` naming it
-    (``decompositions[k]``) unless its elements are
-    projectors summing to the identity; ``CapacityError`` when the family
-    has more than ``MAX_BASE_FAMILY`` elements.  :func:`search_windows`, which builds many
-    families from few decompositions, runs the same check once per
-    decomposition instead.
+    (``decompositions[k]``) unless its elements are projectors summing to
+    the identity.  Its rank-0 elements are dropped, so the family has at
+    most dim^n elements, at most 9 in a sector under ``SECTOR_CAP``.
+    :func:`search_windows`, which builds many families from few
+    decompositions, runs the same check once per decomposition instead.
     """
     space = t.space
     if len(decompositions) != space.n_times:
@@ -143,16 +144,11 @@ def base_family(t: WrightOperator, decompositions: Sequence[Sequence[np.ndarray]
                              for k, elements in enumerate(decompositions)])
 
 
-def _build_family(t: WrightOperator, factors: Sequence[Sequence[np.ndarray]]) -> BaseFamily:
-    """:func:`base_family` of decompositions already checked by ``_decomposition``."""
-    size = int(np.prod([len(f) for f in factors]))
-    if size > MAX_BASE_FAMILY:
-        raise CapacityError(f"base family too large: {size} > {MAX_BASE_FAMILY}")
-    ops = np.array(factors[0])
-    for f in map(np.asarray, factors[1:]):  # Kronecker products, first factor slowest
-        count, dim = len(ops) * len(f), ops.shape[1] * f.shape[1]
-        ops = (ops[:, None, :, None, :, None] * f[None, :, None, :, None, :]).reshape(
-            count, dim, dim)
+def _build_family(t: WrightOperator, factors: Sequence[np.ndarray]) -> BaseFamily:
+    """:func:`base_family` of decompositions already checked by ``_decomposition``:
+    decomposition k's elements on axis k of one broadcast product, first factor slowest."""
+    ops = tensor_product([f[i] for f, i in zip(factors, np.ix_(*(range(len(f)) for f in factors)))])
+    ops = ops.reshape(-1, *ops.shape[-2:])
     vecs = ops.reshape(len(ops), -1)
     return BaseFamily(t=t, ops=ops, gram_t=t.gram(ops),
                       gram_d=d_gram(t.state, ops, t.space.n_times),
@@ -303,8 +299,8 @@ def refinements(windows: Sequence[Window]) -> np.ndarray:
     ``ValueError``, "sector mismatch"): [i, j] is True when ``windows[j]`` has
     more members than ``windows[i]`` (else it would match a consistent i one
     to one) and each member of i is a sum of members of j.  Members are
-    orthogonal projectors summing to e, so it is when every member y of j is
-    nonzero and its largest overlap with a member of i reaches <y, y>, their
+    nonzero orthogonal projectors summing to e, so it is when the largest
+    overlap of every member y of j with a member of i reaches <y, y>, their
     sum.  A family's windows share their members (at most 2^N - 1), and each
     enters the overlaps once, formed for a block of coarse windows at a time.
     """
@@ -323,7 +319,7 @@ def refinements(windows: Sequence[Window]) -> np.ndarray:
         overlaps = (vecs.conj() @ vecs[index[lo:hi]].T).real / space.op_dim
         norms = np.add.reduceat(overlaps, starts[block] - lo, axis=1)  # [y, i]: <y, y>
         nearest = np.maximum.reduceat(overlaps, starts[block] - lo, axis=1)
-        under = (norms - nearest <= TOLERANCES.consistency) & (norms > TOLERANCES.strict_positive)
+        under = norms - nearest <= TOLERANCES.consistency
         out[block] = (np.logical_and.reduceat(under[index], starts, axis=0).T
                       & (counts[block, None] < counts))
     return out
@@ -489,7 +485,7 @@ def search_windows(t: WrightOperator,
     def checked(k: int, j: int) -> np.ndarray:
         """``pvms[k][j]``, checked once per search, then transported."""
         ops = _decomposition(pvms[k][j], f"pvms[{k}][{j}]", space.dim_single)
-        return heisenberg(ds.model, np.array(ops), space.support[k], ds.grid.t0)
+        return heisenberg(ds.model, ops, space.support[k], ds.grid.t0)
 
     results: dict[tuple[bytes, ...], Window] = {}
     for choice in itertools.product(*(range(len(klists)) for klists in pvms)):
@@ -517,7 +513,7 @@ def search_windows(t: WrightOperator,
 def scenario_windows(scn: Scenario) -> list[Window]:
     """Decided windows of the scenario's decompositions; the one path of
     ``verify``, ``windows`` and ``entropy``.  ``ScenarioError`` without
-    decompositions, ``CapacityError`` over the sector or family cap."""
+    decompositions, ``CapacityError`` over ``SECTOR_CAP`` (the families' cap too)."""
     if not scn.pvms:
         raise ScenarioError("pvms", "scenario defines no decompositions to search")
     ds = DecoherenceState(model=scn.model, grid=scn.grid)

@@ -66,12 +66,18 @@ def max_abs(a) -> np.ndarray:
     return np.abs(np.asarray(a)).max(axis=(-2, -1), initial=0.0)
 
 
+def _as_stack(a) -> np.ndarray:
+    """Coerce to a complex square matrix or stack of them (..., d, d)."""
+    m = np.asarray(a, dtype=complex)
+    if m.ndim < 2 or m.shape[-2] != m.shape[-1]:
+        raise ValueError(f"expected a square matrix, got shape {m.shape}")
+    return m
+
+
 def is_hermitian(a) -> np.ndarray:
     """Hermitian within ``TOLERANCES.hermitian`` times the largest entry (at
     least 1): one verdict per matrix of a stack (..., d, d)."""
-    a = np.asarray(a, dtype=complex)
-    if a.ndim < 2 or a.shape[-2] != a.shape[-1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    a = _as_stack(a)
     scale = np.maximum(max_abs(a), 1.0)
     return max_abs(a - a.conj().swapaxes(-1, -2)) <= TOLERANCES.hermitian * scale
 
@@ -105,13 +111,15 @@ def named_basis(name: str, dim: int) -> np.ndarray:
 
 
 def tensor_product(ops: Sequence[np.ndarray]) -> np.ndarray:
-    """Kronecker product of the operators in listed (time) order: one broadcast
-    outer product per factor, so each entry is ``np.kron``'s product."""
+    """Kronecker product of the operators in listed (time) order, or of stacks (..., d, d)
+    whose leading axes broadcast: one broadcast outer product per factor, so each
+    entry is ``np.kron``'s product."""
     if len(ops) == 0:
         raise ValueError("empty tensor factor list")
-    out = as_operator(ops[0])
-    for b in map(as_operator, ops[1:]):
-        out = (out[:, None, :, None] * b[None, :, None, :]).reshape(len(out) * len(b), -1)
+    out, *rest = map(_as_stack, ops)
+    for b in rest:
+        out = out[..., :, None, :, None] * b[..., None, :, None, :]
+        out = out.reshape(*out.shape[:-4], *[out.shape[-4] * out.shape[-3]] * 2)
     return out
 
 

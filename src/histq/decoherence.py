@@ -20,12 +20,13 @@ self-adjoint ones.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .core import SystemModel, TimeGrid
+from .core import SystemModel, TimeGrid, tensor_product
 from .histories import (HomogeneousHistory, Proposition, PropositionSpace, chain_map,
                         class_operator, support_reduce)
 
@@ -49,7 +50,7 @@ SECTOR_CAP = 81
 
 
 class CapacityError(ValueError):
-    """A support sector over ``SECTOR_CAP`` or a base family over its cap."""
+    """A support sector over ``SECTOR_CAP``, the one cap of the dense constructions."""
 
 
 def sector_fits(dim: int, n_times: int) -> bool:
@@ -126,10 +127,8 @@ def _slice(x: Proposition, psi: np.ndarray) -> np.ndarray:
                                              (-1, dim, dim))))
     parts = []
     for f in x.factors:
-        big = psi
-        while len(big) < len(f):
-            big = np.kron(big, psi)
         inner = len(f) // dim
+        big = tensor_product([psi] * round(math.log(len(f), dim))) if inner > 1 else None
         parts.append(next(single) if inner == 1 else np.einsum(
             "ajjb->ajb", (big.conj().T @ f @ big).reshape(dim, inner, inner, dim)))
     return _join(parts)

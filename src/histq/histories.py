@@ -13,7 +13,7 @@ operators:
   the tensor-product space over one support, with each factor transported to
   the Heisenberg picture, as a :class:`Proposition` that keeps its n factors;
 * :func:`class_operator` produces the time-ordered product of the transported
-  projectors on the single-time space (earliest factor leftmost).
+  projectors on the single-time space (earliest factor leftmost), by :func:`chains`.
 
 :func:`chain_map` is the linear extension of the second map to arbitrary
 operators on the tensor space, obtained by expanding in matrix-unit dyads and
@@ -47,6 +47,7 @@ __all__ = [
     "support_reduce",
     "embed_stack",
     "class_operator",
+    "chains",
     "chain_map",
 ]
 
@@ -193,8 +194,16 @@ def class_operator(model: SystemModel, h: HomogeneousHistory, t0: float = 0.0) -
     projectors are transported by one :func:`heisenberg` call.
     """
     stack = np.reshape([p for _, p in h.items], (len(h.items), model.dim, model.dim))
-    eye = np.eye(model.dim, dtype=complex)
-    return functools.reduce(np.matmul, heisenberg(model, stack, h.times, t0), eye)
+    return chains(heisenberg(model, stack, h.times, t0)[None])[0]
+
+
+def chains(stack: np.ndarray) -> np.ndarray:
+    """The one chain kernel: the time-ordered products P_1 ... P_n of a stack (count,
+    n, dim, dim) of histories by n - 1 batched matmuls, the identity for n = 0."""
+    count, n, dim, _ = np.shape(stack)
+    if n == 0:
+        return np.tile(np.eye(dim, dtype=complex), (count, 1, 1))
+    return functools.reduce(np.matmul, np.swapaxes(stack, 0, 1))
 
 
 def chain_map(op: np.ndarray, dim: int, n_times: int) -> np.ndarray:

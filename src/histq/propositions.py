@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import TOLERANCES
+from .core import TOLERANCES, tensor_product
 from .decoherence import DecoherenceState, require_sector
 from .histories import Proposition, PropositionSpace, chain_map
 
@@ -82,9 +82,8 @@ def wright_operator(ds: DecoherenceState, support: Sequence[float]) -> WrightOpe
     <b1, T b2> = tr(pi(b1)^dag rho pi(b2)) for all same-sector b1, b2.
     """
     space = require_sector(ds, support, "Wright construction")
-    dim = space.dim_single
-    pmat = chain_matrix(dim, space.n_times)
-    left_mult_rho = np.kron(np.eye(dim, dtype=complex), ds.model.rho)
+    pmat = chain_matrix(space.dim_single, space.n_times)
+    left_mult_rho = tensor_product([np.eye(space.dim_single), ds.model.rho])
     matrix = space.op_dim * (pmat.conj().T @ left_mult_rho @ pmat)
     return WrightOperator(space=space, matrix=matrix, state=ds)
 

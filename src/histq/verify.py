@@ -10,7 +10,6 @@ as one stack, with one call per representation of the functional.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -18,12 +17,12 @@ import numpy as np
 
 from .consistency import (Window, base_family, partition_windows, refinements,
                           scenario_windows, search_windows, window)
-from .core import TOLERANCES, SystemModel, TimeGrid, heisenberg
+from .core import TOLERANCES, SystemModel, TimeGrid, heisenberg, tensor_product
 from .decoherence import (CapacityError, DecoherenceState, chain_gram, d_basis_sums, d_gram,
                           d_trace, ils_reconstruct, sector_fits)
 from .divergence import b1_direct_value, b1_grid, b1_series, b2_grid, b2_series, growth_fit
 from .entropy import refinement_gap, window_entropy, window_entropy_pnorm
-from .histories import history
+from .histories import chains, history
 from .propositions import hs_inner, probabilities, wright_operator
 from .sampling import (draw_projectors, random_model, random_operators, random_projectors,
                        random_pvm, resolve_projectors)
@@ -79,17 +78,6 @@ def _product_histories(ds: DecoherenceState, n_times: int, ps) -> np.ndarray:
     return heisenberg(ds.model, stack, ds.grid.times[:n_times], ds.grid.t0)
 
 
-def _chains(stack: np.ndarray) -> np.ndarray:
-    """The chains P_1 P_2 ... P_n of a history stack: n - 1 batched matmuls."""
-    return functools.reduce(np.matmul, stack.swapaxes(0, 1))
-
-
-def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The Kronecker products a[c] (x) b[c] of two stacks of matrices."""
-    return (a[:, :, None, :, None] * b[:, None, :, None, :]).reshape(
-        len(a), a.shape[1] * b.shape[1], -1)
-
-
 def _gap(a: np.ndarray, b: np.ndarray) -> float:
     """The largest |a - b| of two arrays of values; NaN when one is NaN."""
     return float(np.abs(a - b).max())
@@ -111,7 +99,7 @@ def _check_axioms(scn: Scenario, rng) -> CheckResult:
         for n in (1, 2):
             ps = [p for p, m in zip(drawn, times) if m == n]
             if ps:
-                d = chain_gram(ds, _chains(_product_histories(ds, n, ps)))
+                d = chain_gram(ds, chains(_product_histories(ds, n, ps)))
                 h = np.arange(0, len(d), 2)  # h at even rows, its k after it
                 worst = _worst(worst, _gap(d[h, h + 1], d[h + 1, h].conj()),
                                float(-d[h, h].real.min()))
@@ -135,8 +123,8 @@ def _check_representations(scn: Scenario, rng) -> CheckResult:
             ils = ils_reconstruct(ds, ds.grid.times[:n])
             stack = _product_histories(ds, n, random_projectors(rng, ds.model.dim, 16 * n))
             h = np.arange(0, len(stack), 2)  # h at even rows, its k after it
-            chain = chain_gram(ds, _chains(stack))[h, h + 1]  # chain form from the factors
-            dense = functools.reduce(_kron, stack.swapaxes(0, 1))  # each history's operator
+            chain = chain_gram(ds, chains(stack))[h, h + 1]  # chain form from the factors
+            dense = tensor_product(stack.swapaxes(0, 1))  # each history's operator
             worst = _worst(worst, _gap(chain, d_basis_sums(ds, stack[h], stack[h + 1])),
                            _gap(chain, ils.pair_values(dense[h], dense[h + 1])))
     bound = TOLERANCES.agreement

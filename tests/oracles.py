@@ -39,7 +39,8 @@
   reduced to its support, its chain built by :func:`chain` from one
   ``heisenberg`` call per projector, then the scalar trace, where the program
   transports history stacks once per time, multiplies their chains out by
-  batched matmuls and reads every pair from one chain Gram matrix.
+  batched matmuls (``histories.chains``) and reads every pair from one chain
+  Gram matrix.
 * :func:`is_hermitian` and :func:`is_projector` decide one matrix at a time, where the program
   decides a stack of them with one call.
 * :func:`eigen_slice` forms each factor's eigenbasis form by its own
@@ -292,10 +293,12 @@ def kron_product(ops: Sequence[np.ndarray]) -> np.ndarray:
 
 def chain(model: SystemModel, h: HomogeneousHistory, t0: float = 0.0) -> np.ndarray:
     """The chain of ``h``: its projectors, each moved by its own ``heisenberg``
-    call, multiplied in time order onto the identity."""
+    call, multiplied in time order by one matmul each; the identity when
+    ``h`` has no time."""
     out = np.eye(model.dim, dtype=complex)
-    for t, p in h.items:
-        out = out @ heisenberg(model, p, t, t0)
+    for k, (t, p) in enumerate(h.items):
+        moved = heisenberg(model, p, t, t0)
+        out = moved if k == 0 else out @ moved
     return out
 
 

@@ -77,12 +77,16 @@ def write_scenario(tmp_path, kind):
             scenario["pvms"] = [[{"basis": "computational"}]]
     elif kind == "no-pvms":
         scenario["pvms"] = []
-    elif kind == "family-over-cap":
-        # computational P0, P1 and three zero projectors at each of the two
-        # times: 5 x 5 = 25 base elements, over MAX_BASE_FAMILY = 12
+    elif kind in ("family-over-cap", "two-time-computational"):
+        # computational P0 and P1 at each of the two times, and for
+        # "family-over-cap" three zero projectors too: 5 x 5 = 25 offered
+        # elements, over the 9 a family under SECTOR_CAP can hold, until the
+        # zero ones leave it
         zero = {"matrix": {"real": [[0.0, 0.0], [0.0, 0.0]]}}
-        padded = {"projectors": [{"basis": "computational", "index": 0},
-                                 {"basis": "computational", "index": 1}, zero, zero, zero]}
+        padded = {"projectors": [{"basis": "computational", "index": 0}, zero,
+                                 {"basis": "computational", "index": 1}, zero, zero]}
+        if kind == "two-time-computational":
+            padded["projectors"] = [p for p in padded["projectors"] if p is not zero]
         scenario["pvms"] = [[padded], [padded]]
     path = tmp_path / f"{kind}.json"
     path.write_text(json.dumps(scenario), encoding="utf-8")
@@ -354,22 +358,32 @@ class TestCapacity:
         assert code == 4
         assert capsys.readouterr().err == "error: support too large for Wright construction\n"
 
-    @pytest.mark.parametrize("subcommand", ["windows", "entropy"])
-    def test_family_over_cap_exits_4(self, tmp_path, capsys, subcommand):
-        code = run([subcommand, "--scenario", str(write_scenario(tmp_path, "family-over-cap")),
-                    "--out", str(tmp_path / "o")])
-        assert code == 4
-        assert capsys.readouterr().err == "error: base family too large: 25 > 12\n"
-        assert not (tmp_path / "o").exists()
+    @staticmethod
+    def padded_and_plain_reports(tmp_path, subcommand):
+        """The reports of the zero-padded scenario and of the same scenario
+        without the zeros, each without its ``scenario.source``; each is
+        compared as its JSON text, so the signs of zeros count."""
+        reports = []
+        for kind in ("family-over-cap", "two-time-computational"):
+            out = tmp_path / kind
+            assert run([subcommand, "--scenario", str(write_scenario(tmp_path, kind)),
+                        "--out", str(out)]) == 0
+            report = json.loads((out / f"{subcommand}.json").read_text())
+            del report["scenario"]["source"]
+            reports.append(report)
+        assert json.dumps(reports[0]) == json.dumps(reports[1])
+        return reports
 
-    def test_verify_names_the_skipped_family(self, tmp_path):
-        code = run(["verify", "--scenario", str(write_scenario(tmp_path, "family-over-cap")),
-                    "--out", str(tmp_path / "o")])
-        checks = json.loads((tmp_path / "o" / "verify.json").read_text())["verify"]["checks"]
-        detail = {c["name"]: c["detail"] for c in checks}
-        assert code == 0
-        assert detail["picture-bridge"].endswith(
-            "; scenario windows skipped: base family too large: 25 > 12")
+    @pytest.mark.parametrize("subcommand", ["windows", "entropy"])
+    def test_zero_padded_family_exits_0(self, tmp_path, subcommand):
+        # the zero elements leave the family: the 4-element family's windows
+        padded, _ = self.padded_and_plain_reports(tmp_path, subcommand)
+        assert len(padded["windows"]["windows"]) > 1
+
+    def test_verify_reads_the_zero_padded_family(self, tmp_path):
+        padded, _ = self.padded_and_plain_reports(tmp_path, "verify")
+        detail = {c["name"]: c["detail"] for c in padded["verify"]["checks"]}
+        assert "skipped" not in detail["picture-bridge"]
 
     def test_decohere_reports_skipped_ils(self, tmp_path):
         code = run(["decohere", "--scenario", str(write_scenario(tmp_path, "dim4")),

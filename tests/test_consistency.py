@@ -14,6 +14,7 @@ from histq.cli import main as cli_main
 from histq.consistency import (
     BaseFamily,
     _SCREEN_CHUNK,
+    _decomposition,
     _member_stack,
     _screen,
     _walk,
@@ -26,7 +27,6 @@ from histq.consistency import (
 )
 from histq.core import (TOLERANCES, SystemModel, heisenberg, is_projector, max_abs,
                         named_basis, projector_onto)
-from histq.decoherence import CapacityError
 from histq.propositions import hs_inner, wright_operator
 from histq.sampling import (random_density, random_hermitian, random_model, random_pvm,
                             random_unitary)
@@ -57,6 +57,13 @@ def mixed_qubit(rho=None):
 def single(t, *elements):
     """The one-time base family of one decomposition."""
     return base_family(t, [list(elements)])
+
+
+def assert_same_family(got, want):
+    """The same elements and Gram matrices, bit for bit."""
+    for name in ("ops", "gram_t", "gram_d", "gram_e"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
 
 
 def random_decomposition(rng, dim):
@@ -295,7 +302,7 @@ def refinement_windows(draw):
     families, zero-probability ones included, and the search's windows over
     two decompositions per time.  The second family shares the first one's
     last decomposition, so some refinements cross families; on one time a
-    decomposition may carry a zero projector, which gives a zero member."""
+    decomposition may carry a zero projector, which leaves its family."""
     dim, n_times = draw(st.sampled_from([(2, 1), (3, 1), (2, 2)]))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 31 - 1)))
     pure = draw(st.booleans())
@@ -357,12 +364,13 @@ class TestRefinement:
         assert refinements([fine, coarse]).tolist() == [[False, False], [True, False]]
 
     def test_zero_member_refines_nothing(self):
+        # the zero element leaves the family, so no window has a zero member
+        # and the relation is the one of the family without it
         _, t = mixed_qubit()
         family = single(t, P0, P1, np.zeros((2, 2), dtype=complex))
-        with_zero, split, unit = (window(family, labels)
-                                  for labels in ((0, 1, 2), (0, 1, 1), (0, 0, 0)))
-        assert refinements([unit, split, with_zero]).tolist() == [
-            [False, True, False], [False, False, False], [False, False, False]]
+        assert_same_family(family, single(t, P0, P1))
+        split, unit = (window(family, labels) for labels in ((0, 1), (0, 0)))
+        assert refinements([unit, split]).tolist() == [[False, True], [False, False]]
 
     def test_relation_is_strict_and_empty_list_is_empty(self):
         _, t = mixed_qubit()
@@ -485,17 +493,6 @@ class TestSearchWindows:
         assert unit.kreport.consistent and unit.opreport.consistent
         with pytest.raises(ValueError, match="^need one decomposition list per support time$"):
             search_windows(t, [])
-
-    def test_family_cap_enforced(self, monkeypatch):
-        # rank-1 decompositions under the sector cap give at most 9 base
-        # histories, but zero projectors pad a decomposition past the cap
-        # (tests/test_cli.py, "family-over-cap": 25 > 12); a lowered cap
-        # exercises the guard on the smallest two-time family
-        monkeypatch.setattr("histq.consistency.MAX_BASE_FAMILY", 3)
-        ds, _ = mixed_qubit(np.eye(2) / 2)
-        t2 = wright_operator(ds, (0.0, 1.0))
-        with pytest.raises(CapacityError, match="base family too large: 4 > 3"):
-            search_windows(t2, [[[P0, P1]], [[P0, P1]]])
 
     def test_invariant_under_element_permutation(self):
         ds, t = mixed_qubit()
@@ -797,16 +794,66 @@ class TestGramScreen:
         assert_same_windows(search_windows(t, pvms), oracle_search(ds, t, pvms))
 
 
+def rank_zero(rng, dim, exact):
+    """An exact zero, or a near-zero projector: a Hermitian matrix with entries
+    up to 1e-11, which passes the projector check."""
+    if exact:
+        return np.zeros((dim, dim), dtype=complex)
+    b = rng.uniform(-1.0, 1.0, (dim, dim)) + 1j * rng.uniform(-1.0, 1.0, (dim, dim))
+    return 10.0 ** rng.uniform(-16.0, -11.0) * (0.5 * (b + b.conj().T))
+
+
+def pad(draw, rng, elements, dim):
+    """``elements`` with one or two rank-0 elements inserted at drawn positions."""
+    out = list(elements)
+    for _ in range(draw(st.integers(1, 2))):
+        out.insert(draw(st.integers(0, len(out))), rank_zero(rng, dim, draw(st.booleans())))
+    return out
+
+
+@st.composite
+def padded_cases(draw):
+    """A ``search_cases`` case and its decompositions with rank-0 elements inserted."""
+    ds, t, pvms = draw(search_cases())
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 31 - 1)))
+    padded = [[pad(draw, rng, pvm, ds.model.dim) for pvm in klists] for klists in pvms]
+    return t, pvms, padded
+
+
+class TestRankZeroElements:
+    @given(padded_cases())
+    @settings(max_examples=30, deadline=None)
+    def test_search_is_unchanged_by_rank_zero_elements(self, case):
+        t, pvms, padded = case
+        got, want = search_windows(t, padded), search_windows(t, pvms)
+        assert [w.labels for w in got] == [w.labels for w in want]
+        for a, b in zip(got, want):
+            for rep, ref in ((a.kreport, b.kreport), (a.opreport, b.opreport)):
+                assert report_bits(rep) == report_bits(ref)
+            assert [v.hex() for v in a.squared_norms] == [v.hex() for v in b.squared_norms]
+            assert (np.array([x.op for x in a.members]).tobytes()
+                    == np.array([x.op for x in b.members]).tobytes())
+
+    @given(st.integers(1, 4), st.integers(0, 2 ** 31 - 1), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_a_checked_decomposition_keeps_at_most_dim_elements(self, dim, seed, data):
+        # the kept elements are the nonzero ones, in order and bit for bit
+        rng = np.random.default_rng(seed)
+        elements = random_decomposition(rng, dim)
+        kept = _decomposition(pad(data.draw, rng, elements, dim), "d", dim)
+        assert len(kept) <= dim
+        assert kept.tobytes() == np.array(elements, dtype=complex).tobytes()
+
+
 @st.composite
 def decision_families(draw):
     """A base family of ``search_cases`` (first alternative at every time),
-    with a zero element added to its first decomposition when the family
-    then has at most 8 elements."""
+    sometimes offered with a zero element in its first decomposition, which
+    leaves the family."""
     ds, t, pvms = draw(search_cases())
     factors = [[heisenberg(ds.model, p, time, ds.grid.t0) for p in klists[0]]
                for time, klists in zip(t.space.support, pvms)]
-    size = np.prod([len(f) for f in factors])
-    if draw(st.booleans()) and size // len(factors[0]) * (len(factors[0]) + 1) <= 8:
+    if draw(st.booleans()):
         factors[0] = [*factors[0], np.zeros_like(factors[0][0])]
     return base_family(t, factors)
 
@@ -826,21 +873,18 @@ class TestBatchedDecision:
 
     @pytest.mark.parametrize("dim, n_times", [(2, 1), (2, 2), (3, 1)])
     def test_family_with_a_zero_element(self, dim, n_times):
+        # the zero element leaves the family: the same elements, Gram
+        # matrices and decided windows as the family without it
         rng = np.random.default_rng(10 * dim + n_times)
         ds = state_for(random_model(rng, dim), times=(0.0, 1.0))
         t = wright_operator(ds, ds.grid.times[:n_times])
-        factors = [[*random_pvm(rng, dim), np.zeros((dim, dim))]] + [
-            random_pvm(rng, dim) for _ in range(n_times - 1)]
-        family = base_family(t, factors)
-        batched = sorted(map(decided_fields, partition_windows(family)), key=lambda f: f[0])
-        assert batched == [decided_fields(window(family, rgs))
-                           for rgs in restricted_growth_strings(len(family.ops))]
-        # the zero elements come last; as one member they have squared norm
-        # and probabilities 0, and the rest sums to e
-        w = window(family, [0] * dim ** n_times + [1] * dim ** (n_times - 1))
-        assert w.squared_norms == pytest.approx((1.0, 0.0), abs=1e-13)
-        assert w.kreport.probabilities[1] == w.opreport.probabilities[1] == 0.0
-        assert w.kreport.violated == ("positivity",)
+        factors = [random_pvm(rng, dim) for _ in range(n_times)]
+        family = base_family(t, [[*factors[0], np.zeros((dim, dim))], *factors[1:]])
+        plain = base_family(t, factors)
+        assert len(family.ops) == dim ** n_times
+        assert_same_family(family, plain)
+        assert (list(map(decided_fields, partition_windows(family)))
+                == list(map(decided_fields, partition_windows(plain))))
 
     @given(decision_families())
     @settings(max_examples=20, deadline=None)
@@ -885,8 +929,7 @@ class TestStackedMembers:
     @given(decision_families())
     @settings(max_examples=20, deadline=None)
     def test_kernel_is_bit_equal_to_one_sum_per_member(self, family):
-        # every string, zero base elements included, and the lazy members of
-        # a window made outside a search
+        # every string, and the lazy members of a window made outside a search
         strings = list(restricted_growth_strings(len(family.ops)))
         stack, cuts = _member_stack(family.ops, np.array(strings))
         for i, (rgs, members) in enumerate(zip(strings, np.split(stack, cuts))):
@@ -926,14 +969,18 @@ class TestStackedMembers:
     @given(st.integers(0, 2 ** 31 - 1))
     @settings(max_examples=20, deadline=None)
     def test_search_keeps_the_first_of_two_strings_with_one_member_set(self, seed):
-        # with a zero third element, (0, 1, 0) and (0, 1, 1) have the same
-        # members; the search keeps the first in string order
+        # one decomposition offered twice at one time, its elements reversed
+        # the second time: the two families have the same windows, and the
+        # search keeps those of the first family it builds
         rng = np.random.default_rng(seed)
         ds = state_for(random_model(rng, 2))
         t = wright_operator(ds, (0.0,))
-        pvms = [[[*random_pvm(rng, 2), np.zeros((2, 2))]]]
+        pvm = random_pvm(rng, 2)
+        pvms = [[pvm, pvm[::-1]]]
         found = search_windows(t, pvms)
-        assert [w.labels for w in found] == [(0, 1, 0), (0, 0, 0)]
+        first = heisenberg(ds.model, np.array(pvm), 0.0, ds.grid.t0)
+        assert [w.labels for w in found] == [(0, 1), (0, 0)]
+        assert all(w.family.ops.tobytes() == first.tobytes() for w in found)
         assert_same_windows(found, oracle_search(ds, t, pvms))
 
 

@@ -41,6 +41,21 @@ def factor_lists(draw):
     return out
 
 
+@st.composite
+def broadcast_stacks(draw):
+    """One to three stacks (..., d, d) of ``PARTS`` entries whose leading axes
+    broadcast: each keeps a drawn suffix of a shape of up to two axes, some of
+    its axes set to 1."""
+    shape = draw(st.lists(st.integers(1, 3), max_size=2))
+    out = []
+    for d in draw(st.lists(st.integers(1, 3), min_size=1, max_size=3)):
+        lead = [draw(st.sampled_from([1, n])) for n in shape][draw(st.integers(0, len(shape))):]
+        size = int(np.prod(lead, dtype=int)) * d * d
+        parts = draw(st.lists(PARTS, min_size=2 * size, max_size=2 * size))
+        out.append((np.array(parts[::2]) + 1j * np.array(parts[1::2])).reshape(*lead, d, d))
+    return out
+
+
 class TestTensorProduct:
     def test_identity_factors(self):
         eye2 = np.eye(2)
@@ -75,6 +90,21 @@ class TestTensorProduct:
             got, want = tensor_product(mats), oracles.kron_product(mats)
         assert got.shape == want.shape and got.dtype == want.dtype
         assert got.tobytes() == want.tobytes()
+
+    @given(broadcast_stacks())
+    @settings(max_examples=200, deadline=None)
+    def test_broadcast_stacks_equal_the_kron_oracle_row_by_row(self, stacks):
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = tensor_product(stacks)
+            lead = np.broadcast_shapes(*(s.shape[:-2] for s in stacks))
+            assert got.shape[:-2] == lead
+            for index in np.ndindex(*lead):
+                rows = [np.broadcast_to(s, (*lead, *s.shape[-2:]))[index] for s in stacks]
+                assert got[index].tobytes() == oracles.kron_product(rows).tobytes()
+
+    def test_non_square_operand_rejected(self):
+        with pytest.raises(ValueError, match="expected a square matrix"):
+            tensor_product([np.eye(2), np.ones((2, 3))])
 
     @given(st.integers(0, 2 ** 31 - 1))
     @settings(max_examples=25, deadline=None)

@@ -21,7 +21,7 @@ from histq.decoherence import (
     sector_fits,
 )
 from histq.histories import (HomogeneousHistory, Proposition, PropositionSpace, chain_map,
-                             history, proposition)
+                             chains, history, proposition)
 from histq.propositions import wright_operator
 from histq.sampling import (
     random_hermitian,
@@ -29,7 +29,7 @@ from histq.sampling import (
     random_operator,
     random_unitary,
 )
-from histq.verify import _chains, _product_histories
+from histq.verify import _product_histories
 
 import oracles
 from helpers import MINUS, P0, PLUS, qubit_state, state_for
@@ -278,7 +278,7 @@ def test_chain_gram_of_transported_stacks_is_the_per_history_oracle(dim, n, coun
     ranks = rng.integers(1, dim + 1, size=count * n)
     raw = [random_unitary(rng, dim)[:, :r] for r in ranks]
     raw = np.array([u @ u.conj().T for u in raw]).reshape(count, n, dim, dim)
-    gram = chain_gram(ds, _chains(_product_histories(ds, n, raw)))
+    gram = chain_gram(ds, chains(_product_histories(ds, n, raw)))
     histories = [HomogeneousHistory(tuple(zip(ds.grid.times[:n], ps))) for ps in raw]
     assert gram.shape == (count, count)
     for (i, h), (j, k) in itertools.product(enumerate(histories), repeat=2):

@@ -7,7 +7,9 @@ from histq.core import SystemModel, TimeGrid, is_projector, tensor_product
 from histq.decoherence import DecoherenceState, d_trace
 from histq.histories import (
     PropositionSpace,
+    HomogeneousHistory,
     chain_map,
+    chains,
     class_operator,
     embed_stack,
     history,
@@ -212,6 +214,26 @@ class TestClassOperator:
         c = class_operator(SystemModel.from_matrices(np.zeros((3, 3)), np.eye(3) / 3),
                            history(entries))
         assert np.linalg.norm(c, 2) <= 1.0 + 1e-12
+
+
+class TestChains:
+    @given(dim=st.integers(1, 3), n=st.integers(0, 4), count=st.integers(1, 4),
+           seed=st.integers(0, 2 ** 31 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_equals_the_per_history_oracle_bit_for_bit(self, dim, n, count, seed):
+        # each history's projectors moved as the oracle moves them, so the
+        # stack and the oracle multiply the same matrices
+        rng = np.random.default_rng(seed)
+        model, t0 = random_model(rng, dim), float(rng.uniform(-1.0, 1.0))
+        times = np.cumsum(rng.uniform(0.5, 1.5, n)).tolist()
+        histories = [HomogeneousHistory(tuple((t, random_projector(rng, dim)) for t in times))
+                     for _ in range(count)]
+        stack = np.reshape([oracles.heisenberg(model, p, t, t0)
+                            for h in histories for t, p in h.items], (count, n, dim, dim))
+        got = chains(stack)
+        assert got.shape == (count, dim, dim)
+        for row, h in zip(got, histories):
+            assert row.tobytes() == oracles.chain(model, h, t0).tobytes()
 
 
 class TestChainMap:

@@ -84,6 +84,14 @@ def test_bare_import_loads_no_submodule():
     )) == ["histq"]
 
 
+def test_the_chain_kernel_loads_only_its_module():
+    # ``histq.chains`` resolves by importing the one module that defines it
+    assert json.loads(_fresh(
+        "import json, sys; from histq import chains; "
+        "print(json.dumps(sorted(m for m in sys.modules if m.startswith('histq'))))"
+    )) == ["histq", "histq.core", "histq.histories"]
+
+
 def test_decohere_loads_what_the_set_up_loads(decohere_qubit7, tmp_path):
     modules = _modules(decohere_qubit7, ["decohere", "--scenario", str(decohere_qubit7),
                                          "--out", str(tmp_path)])

@@ -12,7 +12,7 @@ EXPORTED = {
     "core": {"TOLERANCES", "SystemModel", "TimeGrid", "Tolerances", "evolve", "heisenberg",
              "named_basis", "projector_onto", "tensor_product"},
     "histories": {"HomogeneousHistory", "Proposition", "PropositionSpace", "chain_map",
-                  "class_operator", "history", "proposition", "support_reduce"},
+                  "chains", "class_operator", "history", "proposition", "support_reduce"},
     "decoherence": {"CapacityError", "DecoherenceState", "IlsOperator", "d_basis_sum",
                     "d_trace", "ils_reconstruct"},
     "propositions": {"WrightOperator", "hs_inner", "wright_operator"},
@@ -28,7 +28,7 @@ DEFINED_IN = {name: module for module, names in EXPORTED.items() for name in nam
 
 
 def test_all_lists_every_exported_name_once():
-    assert len(histq.__all__) == len(set(histq.__all__)) == 45
+    assert len(histq.__all__) == len(set(histq.__all__)) == 46
     assert set(histq.__all__) == set(DEFINED_IN)
 
 
@@ -39,6 +39,21 @@ def test_each_name_is_its_defining_modules_object():
         assert value is getattr(module, name), name
         # functions and classes carry their defining module; TOLERANCES its class's
         assert value.__module__ == module.__name__, name
+
+
+def test_each_name_is_in_its_defining_modules_all():
+    for name, module_name in DEFINED_IN.items():
+        assert name in importlib.import_module(f"histq.{module_name}").__all__, name
+
+
+def test_sector_cap_is_the_one_public_cap():
+    # the public constants of the modules whose names the package exports:
+    # the tolerance record and the one cap, which bounds sectors and, as
+    # rank-0 decomposition elements leave them, base families too
+    constants = {name for module_name in EXPORTED
+                 for name in importlib.import_module(f"histq.{module_name}").__all__
+                 if name.isupper()}
+    assert constants == {"TOLERANCES", "SECTOR_CAP"}
 
 
 def test_dir_and_star_import_cover_all():
