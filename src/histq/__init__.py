@@ -11,10 +11,9 @@ import importlib
 _EXPORTS = {
     "core": ("TOLERANCES", "SystemModel", "TimeGrid", "Tolerances", "evolve", "heisenberg",
              "named_basis", "projector_onto", "tensor_product"),
-    "histories": ("HomogeneousHistory", "Proposition", "PropositionSpace", "chain_map",
-                  "chains", "class_operator", "history", "proposition", "support_reduce"),
+    "histories": ("Proposition", "PropositionSpace", "chain_map", "chains", "proposition"),
     "decoherence": ("CapacityError", "DecoherenceState", "IlsOperator", "d_basis_sum",
-                    "d_trace", "ils_reconstruct"),
+                    "ils_reconstruct"),
     "propositions": ("WrightOperator", "hs_inner", "wright_operator"),
     "consistency": ("BaseFamily", "ConsistencyReport", "Window", "base_family",
                     "check_window", "refinements", "search_windows", "window"),

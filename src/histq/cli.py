@@ -60,23 +60,24 @@ def _scenario_section(scn: Scenario, source: str) -> dict:
 
 
 def _decohere_payload(scn: Scenario) -> dict:
+    from .core import heisenberg
     from .decoherence import DecoherenceState, chain_gram, d_basis_sum, ils_reconstruct
-    from .histories import chains, embed_stack
+    from .histories import Proposition, PropositionSpace, chains
 
     ds = DecoherenceState(model=scn.model, grid=scn.grid)
     support = scn.grid.times
     rows, residual_sum, residual_ils = [], 0.0, 0.0
-    labels = [label for label, _ in scn.histories]
-    embedded = embed_stack(scn.model, [h for _, h in scn.histories], support, scn.grid.t0)
-    factors = np.reshape([x.factors for x in embedded], (-1, len(support), scn.dim, scn.dim))
-    chain_rows = chain_gram(ds, chains(factors)).tolist()
+    moved = heisenberg(scn.model, scn.histories, support, scn.grid.t0)  # times broadcast over rows
+    space = PropositionSpace(support=support, dim_single=scn.dim)
+    embedded = [Proposition(space=space, factors=tuple(row)) for row in moved]
+    chain_rows = chain_gram(ds, chains(moved)).tolist()
     ils, ils_note = None, None
     try:
         ils = ils_reconstruct(ds, support)
     except CapacityError as exc:
         ils_note = str(exc)
-    for label_h, hb, row in zip(labels, embedded, chain_rows):
-        for label_k, kb, chain in zip(labels, embedded, row):
+    for label_h, hb, row in zip(scn.labels, embedded, chain_rows):
+        for label_k, kb, chain in zip(scn.labels, embedded, row):
             values = {TAG_CHAIN: chain, TAG_BASIS_SUM: d_basis_sum(ds, hb, kb)}
             residual_sum = max(residual_sum, abs(chain - values[TAG_BASIS_SUM]))
             if ils is not None:
@@ -90,7 +91,7 @@ def _decohere_payload(scn: Scenario) -> dict:
     }
     if ils_note:
         agreement["ils_skipped"] = ils_note
-    return {"histories": labels, "rows": rows, "agreement": agreement}
+    return {"histories": scn.labels, "rows": rows, "agreement": agreement}
 
 
 def _report_entry(report) -> dict:

@@ -6,9 +6,10 @@ picture, earliest time leftmost) the functional is
     d(h, k) = tr( C(h)^dag rho C(k) ),     C(h) = P_t1 P_t2 ... P_tn,
 
 conjugate linear in the first slot.  The chain form is one kernel,
-:func:`chain_gram`, every pair of a stack of chains by one GEMM; :func:`d_trace`
-reads it on two histories, and :func:`d_gram` (so the reconstruction) on the
-chain-map images of a stack of one sector's operators.
+:func:`chain_gram`, every pair of a stack of chains by one GEMM: on the chains
+``histories.chains`` multiplies out of a stack of transported histories, and
+in :func:`d_gram` (so the reconstruction) on the chain-map images of a stack
+of one sector's operators.
 Computed apart from it: the expansion over products of the rho eigenbasis,
 :func:`d_basis_sum` on two :class:`~histq.histories.Proposition` operands and
 :func:`d_basis_sums` on stacks of transported product histories; and
@@ -20,6 +21,7 @@ self-adjoint ones.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -27,8 +29,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import SystemModel, TimeGrid, tensor_product
-from .histories import (HomogeneousHistory, Proposition, PropositionSpace, chain_map,
-                        class_operator, support_reduce)
+from .histories import Proposition, PropositionSpace, chain_map
 
 __all__ = [
     "DecoherenceState",
@@ -37,7 +38,6 @@ __all__ = [
     "sector_fits",
     "require_sector",
     "chain_gram",
-    "d_trace",
     "d_gram",
     "d_basis_sum",
     "d_basis_sums",
@@ -47,6 +47,9 @@ __all__ = [
 
 # Largest admitted operator-space dimension dim^(2n) for the X / T solvers.
 SECTOR_CAP = 81
+
+# Most entries of the (..., K, J) basis-sum terms that one matmul of _contract forms.
+_TERM_BLOCK = 2 ** 22
 
 
 class CapacityError(ValueError):
@@ -77,25 +80,12 @@ class DecoherenceState:
     grid: TimeGrid
 
 
-def _chain(ds: DecoherenceState, h: HomogeneousHistory) -> np.ndarray:
-    h = support_reduce(h)
-    for t in h.times:
-        ds.grid.require(t)
-    return class_operator(ds.model, h, ds.grid.t0)
-
-
 def chain_gram(ds: DecoherenceState, chains: np.ndarray) -> np.ndarray:
     """``D[a, b] = tr(chains_a^dag rho chains_b)`` for a stack (m, dim, dim):
     one batched matmul by rho, then one GEMM over the flattened chains."""
     m, dim, _ = chains.shape
     left = chains.conj().transpose(0, 2, 1) @ ds.model.rho  # chains_a^dag rho
     return left.reshape(m, dim * dim) @ chains.transpose(0, 2, 1).reshape(m, dim * dim).T
-
-
-def d_trace(ds: DecoherenceState, h: HomogeneousHistory, k: HomogeneousHistory) -> complex:
-    """Chain form on two homogeneous histories, canonicalized first (identity
-    padding never changes a chain, so supports may differ): one :func:`chain_gram`."""
-    return complex(chain_gram(ds, np.array([_chain(ds, h), _chain(ds, k)], dtype=complex))[0, 1])
 
 
 def d_gram(ds: DecoherenceState, ops: np.ndarray, n_times: int) -> np.ndarray:
@@ -136,10 +126,15 @@ def _slice(x: Proposition, psi: np.ndarray) -> np.ndarray:
 
 def _contract(ds: DecoherenceState, sp: np.ndarray, sq: np.ndarray) -> np.ndarray:
     """sum_{a, b, J, K} w[a] conj(sp)[..., a, b, K] sq[..., a, b, J], one value per pair of
-    slices: one matmul over (a, b) forms all dim^(2n) terms as (..., K, J), then one sum."""
+    slices: matmuls over (a, b) form the dim^(2n) terms as (..., K, J) in blocks of rows K
+    of at most ``_TERM_BLOCK`` entries (one block for a dim-2 pair up to 12 times), each
+    block summed, and the block sums added in row order."""
     left = sp.conj() * np.asarray(ds.model.weights)[:, None, None]
     flat = (*sp.shape[:-3], sp.shape[-3] * sp.shape[-2], sp.shape[-1])
-    return (left.reshape(flat).swapaxes(-1, -2) @ sq.reshape(flat)).sum(axis=(-2, -1))
+    left, right = left.reshape(flat).swapaxes(-1, -2), sq.reshape(flat)
+    rows = max(1, _TERM_BLOCK // (right[..., 0, :].size or 1))
+    return functools.reduce(np.add, ((left[..., i:i + rows, :] @ right).sum(axis=(-2, -1))
+                                     for i in range(0, left.shape[-2], rows)))
 
 
 def d_basis_sum(ds: DecoherenceState, p: Proposition, q: Proposition) -> complex:

@@ -97,8 +97,8 @@ def b1_direct_value(n: int) -> float:
     """Four-index basis-sum evaluation of the b1 value on the truncated space.
 
     Builds P_N explicitly from the symmetrized pair vectors and sums the
-    two-time expansion term by term; small n only, used to corroborate the
-    closed form of :func:`b1_series`.
+    two-time expansion over all n^4 index terms by one ``einsum``; small n
+    only, used to corroborate the closed form of :func:`b1_series`.
     """
     if n < 2:
         raise ValueError("b1 truncations start at N = 2")
@@ -110,16 +110,8 @@ def b1_direct_value(n: int) -> float:
         phi[0 * n + (i - 1)] = 1.0 / math.sqrt(2.0)
         p += np.outer(phi, phi.conj())
     q = np.eye(n * n, dtype=complex)
-    total = 0.0 + 0.0j
-    for j1 in range(n):
-        for j2 in range(n):
-            for j3 in range(n):
-                for j4 in range(n):
-                    term_p = p[j4 * n + j3, j1 * n + j4]
-                    if term_p == 0.0:
-                        continue
-                    term_q = q[j1 * n + j2, j2 * n + j3]
-                    total += weights[j1] * term_p * term_q
+    # term (j1, j2, j3, j4) = w[j1] P[(j4, j3), (j1, j4)] Q[(j1, j2), (j2, j3)]
+    total = np.einsum("a,dcad,abbc->", weights, p.reshape((n,) * 4), q.reshape((n,) * 4))
     return float(total.real)
 
 

@@ -1,98 +1,36 @@
-"""Homogeneous histories, support sectors, and the maps from histories to operators.
+"""Support sectors, their one operator type, and the maps from histories to operators.
 
-A homogeneous history assigns one projector to each of finitely many times.
-Its canonical representative drops every identity entry (inserting or removing
-identities does not change the physics), and the remaining times form the
-history's support.  A :class:`PropositionSpace` is one support sector,
-validated once when it is built, and a :class:`Proposition` an operator on
-its tensor space: the one operator type that the decoherence forms, the
-sector state, the windows and the entropies take.  Two maps take histories to
-operators:
+A homogeneous history assigns one projector to each time of a support; a
+stack (count, n, dim, dim) holds one history per row, its projectors in time
+order.  A :class:`PropositionSpace` is one support sector, validated once
+when it is built, and a :class:`Proposition` an operator on its tensor space:
+the one operator type that the decoherence forms, the sector state, the
+windows and the entropies take.  A stack's rows, each projector transported
+to the Heisenberg picture, are the factors of propositions on their support.
 
-* :func:`embed_stack` produces the projector of each of a list of histories on
-  the tensor-product space over one support, with each factor transported to
-  the Heisenberg picture, as a :class:`Proposition` that keeps its n factors;
-* :func:`class_operator` produces the time-ordered product of the transported
-  projectors on the single-time space (earliest factor leftmost), by :func:`chains`.
-
-:func:`chain_map` is the linear extension of the second map to arbitrary
-operators on the tensor space, obtained by expanding in matrix-unit dyads and
-multiplying the slots out in time order.
+:func:`chains` takes a stack of transported histories to the time-ordered
+products of their projectors on the single-time space (earliest factor
+leftmost), and :func:`chain_map` is the linear extension of that map to
+arbitrary operators on the tensor space, obtained by expanding in
+matrix-unit dyads and multiplying the slots out in time order.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
 
 import numpy as np
 
-from .core import (
-    TOLERANCES,
-    SystemModel,
-    as_operator,
-    heisenberg,
-    is_projector,
-    max_abs,
-    tensor_product,
-)
+from .core import as_operator, tensor_product
 
 __all__ = [
-    "HomogeneousHistory",
     "PropositionSpace",
     "Proposition",
     "proposition",
-    "history",
-    "support_reduce",
-    "embed_stack",
-    "class_operator",
     "chains",
     "chain_map",
 ]
-
-
-@dataclass(frozen=True)
-class HomogeneousHistory:
-    """Ordered (time, projector) pairs; empty items mean the unit proposition.
-
-    The projectors come checked, by :func:`history` or by the scenario parser.
-    """
-
-    items: tuple[tuple[float, np.ndarray], ...]
-
-    def __post_init__(self):
-        if any(b <= a for (a, _), (b, _) in zip(self.items, self.items[1:])):
-            raise ValueError("history times must be strictly increasing")
-
-    @property
-    def times(self) -> tuple[float, ...]:
-        return tuple(t for t, _ in self.items)
-
-
-def history(entries: Mapping[float, np.ndarray]) -> HomogeneousHistory:
-    """Build a history from a time -> projector mapping, copying each projector;
-    ``ValueError`` on a non-projector."""
-    items = tuple(sorted(((float(t), as_operator(p).copy()) for t, p in entries.items()),
-                         key=lambda tp: tp[0]))
-    verdicts = is_projector(np.array([p for _, p in items])) if items else ()
-    for (t, _), ok in zip(items, verdicts):
-        if not ok:
-            raise ValueError(f"history entry at time {t!r} is not a projector")
-    return HomogeneousHistory(items)
-
-
-def support_reduce(h: HomogeneousHistory) -> HomogeneousHistory:
-    """Canonical representative: drop every time whose entry is the identity.
-
-    Returns ``h`` itself when no entry is dropped.
-    """
-    kept = []
-    for t, p in h.items:
-        eye = np.eye(p.shape[0])
-        if max_abs(p - eye) > TOLERANCES.equality * max(max_abs(p), 1.0):
-            kept.append((t, p))
-    return h if len(kept) == len(h.items) else HomogeneousHistory(tuple(kept))
 
 
 @dataclass(frozen=True)
@@ -133,8 +71,8 @@ class Proposition:
     """An element of one sector; not necessarily a projection.
 
     ``factors`` are operators on consecutive groups of the support's times
-    whose Kronecker product, in time order, is the operator ``op``: :func:`embed_stack`
-    keeps one dim x dim factor per time, the other constructors one factor,
+    whose Kronecker product, in time order, is the operator ``op``: a transported
+    history keeps one dim x dim factor per time, :func:`proposition` one factor,
     the whole operator.  ``op`` is built the first time it is read (for one
     factor it is that array); neither is written after construction, and the
     public constructors copy what they are given.  ``eigen_forms`` maps the
@@ -167,34 +105,6 @@ def proposition(space: PropositionSpace, op) -> Proposition:
     if not np.all(np.isfinite(m.view(float))):
         raise ValueError("proposition entries must be finite")
     return Proposition(space=space, factors=(m,))
-
-
-def embed_stack(model: SystemModel, histories: Sequence[HomogeneousHistory],
-                support: Sequence[float], t0: float = 0.0) -> list[Proposition]:
-    """Each history's Heisenberg projectors as the factors of a proposition on ``support``,
-    which must hold its times, in one shared sector: one :func:`heisenberg` call moves the
-    present entries of a grid (count, n, dim, dim) whose missing ones are exact identities."""
-    space = PropositionSpace(support=support, dim_single=model.dim)
-    slot = {t: j for j, t in enumerate(space.support)}
-    if not all(set(h.times) <= slot.keys() for h in histories):
-        raise ValueError("support does not contain the history's times")
-    at = np.array([(row, slot[t]) for row, h in enumerate(histories) for t in h.times],
-                  dtype=int).reshape(-1, 2)
-    stack = np.reshape([p for h in histories for _, p in h.items], (-1, model.dim, model.dim))
-    grid = np.tile(np.eye(model.dim, dtype=complex), (len(histories), space.n_times, 1, 1))
-    grid[at[:, 0], at[:, 1]] = heisenberg(model, stack, [t for h in histories for t in h.times], t0)
-    return [Proposition(space=space, factors=tuple(row)) for row in grid]
-
-
-def class_operator(model: SystemModel, h: HomogeneousHistory, t0: float = 0.0) -> np.ndarray:
-    """Time-ordered product of the Heisenberg projectors on the single-time space.
-
-    The map is not injective: repeating a projector at a second time yields
-    the same operator by idempotence.  The result has operator norm <= 1.  The
-    projectors are transported by one :func:`heisenberg` call.
-    """
-    stack = np.reshape([p for _, p in h.items], (len(h.items), model.dim, model.dim))
-    return chains(heisenberg(model, stack, h.times, t0)[None])[0]
 
 
 def chains(stack: np.ndarray) -> np.ndarray:

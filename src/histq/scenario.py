@@ -1,4 +1,4 @@
-"""Scenario files: JSON in, validated model + histories + decompositions out.
+"""Scenario files: JSON in, validated model + history stack + decompositions out.
 
 A scenario file is a JSON object with the fields
 
@@ -23,10 +23,12 @@ projectors onto named basis vectors.  A decomposition spec is either
 ``{"projectors": [spec, ...]}``.
 
 Validation failures raise :class:`ScenarioError` carrying the JSON path of
-the offending field.  Histories are read in two passes: the structure of each
-(object, label, projector list), then all their specs as one list, projector
-check last.  So of two bad histories a later one's structural or spec error
-can be named before an earlier one's; one bad field names the same path.
+the offending field.  The histories come out as one stack (count, n, dim,
+dim) of their projectors on the n grid times, beside the list of their
+labels.  They are read in two passes: the structure of each (object, label,
+projector list), then all their specs as one list, projector check last.  So
+of two bad histories a later one's structural or spec error can be named
+before an earlier one's; one bad field names the same path.
 """
 
 from __future__ import annotations
@@ -41,7 +43,6 @@ from pathlib import Path
 import numpy as np
 
 from .core import TOLERANCES, SystemModel, TimeGrid, is_projector, named_basis, projector_onto
-from .histories import HomogeneousHistory
 
 __all__ = ["Scenario", "ScenarioError", "load_scenario", "parse_scenario"]
 
@@ -58,7 +59,8 @@ class Scenario:
     dim: int
     model: SystemModel
     grid: TimeGrid
-    histories: list[tuple[str, HomogeneousHistory]]
+    labels: list[str]
+    histories: np.ndarray  # (len(labels), len(grid.times), dim, dim) projectors
     pvms: list[list[list[np.ndarray]]]
     entropy_p: list[float]
     seed: int
@@ -268,9 +270,8 @@ def parse_scenario(data: dict) -> Scenario:
                                 f"need one projector spec per time ({len(grid.times)})")
         specs += row
         paths += [f"{hpath}.projectors[{k}]" for k in range(len(row))]
-    matrices, n = _projectors(specs, dim, paths), len(grid.times)
-    histories = [(label, HomogeneousHistory(tuple(zip(grid.times, matrices[i * n:(i + 1) * n]))))
-                 for i, label in enumerate(labels)]
+    histories = np.reshape(np.array(_projectors(specs, dim, paths), dtype=complex),
+                           (len(labels), len(grid.times), dim, dim))
 
     pvms: list[list[list[np.ndarray]]] = []
     pvm_nodes = data.get("pvms", [])
@@ -294,7 +295,7 @@ def parse_scenario(data: dict) -> Scenario:
     if not _is_int(seed) or seed < 0:
         raise ScenarioError("seed", "must be a non-negative integer")
 
-    return Scenario(dim=dim, model=model, grid=grid, histories=histories,
+    return Scenario(dim=dim, model=model, grid=grid, labels=labels, histories=histories,
                     pvms=pvms, entropy_p=entropy_p, seed=seed)
 
 

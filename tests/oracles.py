@@ -35,12 +35,16 @@
   program resolves a stack of Gaussian matrices with one stacked QR.
 * :func:`kron_product` is the Kronecker product by ``np.kron``, one factor at
   a time, where the program forms one broadcast outer product per factor.
+* :class:`History` is a homogeneous history as (time, projector) pairs,
+  built by :func:`history`, which checks each projector on its own, where
+  the program holds a scenario's histories as one stack (count, n, dim, dim)
+  on the grid times.
 * :func:`d_trace` is the chain form of one pair of histories: each history
-  reduced to its support, its chain built by :func:`chain` from one
-  ``heisenberg`` call per projector, then the scalar trace, where the program
-  transports history stacks once per time, multiplies their chains out by
-  batched matmuls (``histories.chains``) and reads every pair from one chain
-  Gram matrix.
+  reduced to its support (its entries that are not the identity), its chain
+  built by :func:`chain` from one ``heisenberg`` call per projector, then the
+  scalar trace, where the program transports history stacks once per time,
+  multiplies their chains out by batched matmuls (``histories.chains``) and
+  reads every pair from one chain Gram matrix.
 * :func:`is_hermitian` and :func:`is_projector` decide one matrix at a time, where the program
   decides a stack of them with one call.
 * :func:`eigen_slice` forms each factor's eigenbasis form by its own
@@ -61,13 +65,13 @@
   of a list together.  :func:`parse_histories` reads a scenario's histories
   one at a time, each history's specs before the next history's structure,
   where the parser checks every history's structure first and then reads all
-  their specs as one list.
+  their specs as one list into one stack.
 * :func:`evolve` and :func:`heisenberg` form the unitary of one time and move
   one operator by it, where the program evolves to all distinct times of a
   stack by one call and moves the stack by one batched product.
 * :func:`embed` transports one history, each projector by its own
-  :func:`heisenberg`, where the program moves a grid of histories on a common
-  support with one evolution call.
+  :func:`heisenberg`, where ``decohere`` moves a scenario's stack of
+  histories with one evolution call.
 * :func:`unit_proposition` is the identity on a sector's tensor space, which
   no program path builds.
 * :func:`contract` is the basis-sum contraction of two slices as one
@@ -84,7 +88,8 @@ from __future__ import annotations
 import functools
 import itertools
 import sys
-from typing import Sequence
+from dataclasses import dataclass
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -92,10 +97,35 @@ from histq.consistency import ConsistencyReport, Window, _block_sums, _sector_te
 from histq.core import (TOLERANCES, SystemModel, max_abs, named_basis, projector_onto,
                         tensor_product)
 from histq.decoherence import DecoherenceState, IlsOperator, d_gram
-from histq.histories import (HomogeneousHistory, Proposition, PropositionSpace, proposition,
-                             support_reduce)
+from histq.histories import Proposition, PropositionSpace, proposition
 from histq.propositions import WrightOperator, hs_inner, probabilities
 from histq.scenario import ScenarioError, _is_int
+
+
+@dataclass(frozen=True)
+class History:
+    """Ordered (time, projector) pairs; no pairs is the unit history."""
+
+    items: tuple[tuple[float, np.ndarray], ...]
+
+    def __post_init__(self):
+        if any(b <= a for (a, _), (b, _) in zip(self.items, self.items[1:])):
+            raise ValueError("history times must be strictly increasing")
+
+    @property
+    def times(self) -> tuple[float, ...]:
+        return tuple(t for t, _ in self.items)
+
+
+def history(entries: Mapping[float, np.ndarray]) -> History:
+    """A history from a time -> projector mapping, each projector copied and
+    checked by :func:`is_projector`; ``ValueError`` on a non-projector."""
+    items = tuple(sorted(((float(t), np.array(p, dtype=complex)) for t, p in entries.items()),
+                         key=lambda tp: tp[0]))
+    for t, p in items:
+        if not is_projector(p):
+            raise ValueError(f"history entry at time {t!r} is not a projector")
+    return History(items)
 
 
 def random_operator(rng: np.random.Generator, dim: int) -> np.ndarray:
@@ -115,7 +145,7 @@ def heisenberg(model: SystemModel, a: np.ndarray, t: float, t0: float = 0.0) -> 
     return u.conj().T @ np.asarray(a, dtype=complex) @ u
 
 
-def embed(model: SystemModel, h: HomogeneousHistory,
+def embed(model: SystemModel, h: History,
           support: Sequence[float] | None = None, t0: float = 0.0) -> Proposition:
     """One history's Heisenberg-transported projectors, each by its own
     :func:`heisenberg`, as the factors of a proposition on ``support``
@@ -207,7 +237,7 @@ def projector_specs(specs: Sequence, dim: int, paths: Sequence[str]) -> list[np.
 
 
 def parse_histories(nodes: list, times: tuple[float, ...],
-                    dim: int) -> list[tuple[str, HomogeneousHistory]]:
+                    dim: int) -> list[tuple[str, History]]:
     """A scenario's history objects one at a time: each one's structure, then its
     spec list by :func:`projector_specs`; ``ScenarioError`` at the first refusal."""
     out = []
@@ -228,7 +258,7 @@ def parse_histories(nodes: list, times: tuple[float, ...],
                                 f"need one projector spec per time ({len(times)})")
         matrices = projector_specs(specs, dim, [f"{hpath}.projectors[{k}]"
                                                 for k in range(len(specs))])
-        out.append((label, HomogeneousHistory(tuple(zip(times, matrices)))))
+        out.append((label, History(tuple(zip(times, matrices)))))
     return out
 
 
@@ -291,7 +321,7 @@ def kron_product(ops: Sequence[np.ndarray]) -> np.ndarray:
     return functools.reduce(np.kron, [np.asarray(op, dtype=complex) for op in ops])
 
 
-def chain(model: SystemModel, h: HomogeneousHistory, t0: float = 0.0) -> np.ndarray:
+def chain(model: SystemModel, h: History, t0: float = 0.0) -> np.ndarray:
     """The chain of ``h``: its projectors, each moved by its own ``heisenberg``
     call, multiplied in time order by one matmul each; the identity when
     ``h`` has no time."""
@@ -302,9 +332,14 @@ def chain(model: SystemModel, h: HomogeneousHistory, t0: float = 0.0) -> np.ndar
     return out
 
 
-def d_trace(ds: DecoherenceState, h: HomogeneousHistory, k: HomogeneousHistory) -> complex:
-    """tr(C(h)^dag rho C(k)), each chain built from its history's support."""
-    ch, ck = (chain(ds.model, support_reduce(x), ds.grid.t0) for x in (h, k))
+def d_trace(ds: DecoherenceState, h: History, k: History) -> complex:
+    """tr(C(h)^dag rho C(k)), each chain built from its history's support: the
+    entries farther than the equality bound from the identity."""
+    def support(x: History) -> History:
+        return History(tuple((t, p) for t, p in x.items if max_abs(p - np.eye(len(p)))
+                             > TOLERANCES.equality * max(max_abs(p), 1.0)))
+
+    ch, ck = (chain(ds.model, support(x), ds.grid.t0) for x in (h, k))
     return complex(np.trace(ch.conj().T @ ds.model.rho @ ck))
 
 

@@ -13,10 +13,10 @@ import numpy as np
 from histq.cli import main as cli_main
 from histq.consistency import base_family, partition_windows, refinements, window
 from histq.core import TimeGrid
-from histq.decoherence import DecoherenceState, d_basis_sum, d_trace, ils_reconstruct
+from histq.decoherence import DecoherenceState, d_basis_sum, ils_reconstruct
 from histq.divergence import b1_direct_value, b1_series, b2_series, growth_fit
 from histq.entropy import refinement_gap, window_entropy, window_entropy_pnorm
-from histq.histories import history, proposition
+from histq.histories import proposition
 from histq.propositions import wright_operator
 from histq.sampling import (
     random_model,
@@ -24,8 +24,9 @@ from histq.sampling import (
     random_pvm,
 )
 
-from helpers import P0, P1, PLUS, qubit_state
-from oracles import apply, d_form, embed, probability, random_projector, unit_proposition
+from helpers import P0, P1, PLUS, chain_form, qubit_state
+from oracles import (apply, d_form, embed, history, probability, random_projector,
+                     unit_proposition)
 
 
 def _verdict(name: str, ok: bool, detail: str):
@@ -49,13 +50,13 @@ def test_criterion_1_decoherence_axioms():
         ds = DecoherenceState(model=random_model(rng, dim),
                               grid=TimeGrid(times=(0.0, 0.6, 1.7)))
         scenarios += 1
-        worst = max(worst, abs(d_trace(ds, unit, unit) - 1.0))
+        worst = max(worst, abs(chain_form(ds, unit, unit) - 1.0))
         for _ in range(50):
             n = int(rng.integers(1, 4))
             h = product_history(rng, ds, n)
             k = product_history(rng, ds, n)
-            worst = max(worst, abs(d_trace(ds, h, k) - d_trace(ds, k, h).conjugate()))
-            worst = max(worst, max(0.0, -d_trace(ds, h, h).real))
+            worst = max(worst, abs(chain_form(ds, h, k) - chain_form(ds, k, h).conjugate()))
+            worst = max(worst, max(0.0, -chain_form(ds, h, h).real))
     elapsed = time.perf_counter() - started
     ok = worst <= 1e-12 and elapsed < 30.0
     _verdict("criterion-1 decoherence axioms", ok,
@@ -76,7 +77,7 @@ def test_criterion_2_triple_representation_agreement():
             pairs += 1
             h = product_history(rng, ds, n)
             k = product_history(rng, ds, n)
-            chain = d_trace(ds, h, k)
+            chain = chain_form(ds, h, k)
             hb = embed(ds.model, h, support, ds.grid.t0)
             kb = embed(ds.model, k, support, ds.grid.t0)
             total = d_basis_sum(ds, hb, kb)
@@ -118,7 +119,7 @@ def test_criterion_3_wright_operator():
 def test_criterion_4_worked_qubit_numbers():
     ds = qubit_state(np.diag([1.0, 0.0]))
     h = history({0.0: PLUS, 1.0: P0})
-    d_value = d_trace(ds, h, h)
+    d_value = chain_form(ds, h, h)
     d_ok = abs(d_value - 0.25) <= 1e-12
 
     ds_mixed = qubit_state(np.diag([0.75, 0.25]))

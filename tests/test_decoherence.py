@@ -6,9 +6,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from histq.core import SystemModel, TimeGrid, heisenberg, max_abs, tensor_product
+import histq.decoherence
 from histq.decoherence import (
     CapacityError,
-    _chain,
     _contract,
     _slice,
     DecoherenceState,
@@ -16,12 +16,10 @@ from histq.decoherence import (
     d_basis_sum,
     d_basis_sums,
     d_gram,
-    d_trace,
     ils_reconstruct,
     sector_fits,
 )
-from histq.histories import (HomogeneousHistory, Proposition, PropositionSpace, chain_map,
-                             chains, history, proposition)
+from histq.histories import Proposition, PropositionSpace, chain_map, chains, proposition
 from histq.propositions import wright_operator
 from histq.sampling import (
     random_hermitian,
@@ -32,8 +30,8 @@ from histq.sampling import (
 from histq.verify import _product_histories
 
 import oracles
-from helpers import MINUS, P0, PLUS, qubit_state, state_for
-from oracles import d_form, embed, random_projector, unit_proposition
+from helpers import MINUS, P0, PLUS, chain_form, chain_of, qubit_state, state_for
+from oracles import History, d_form, embed, history, random_projector, unit_proposition
 
 UNIT = history({})
 
@@ -207,43 +205,43 @@ def fresh(x):
 class TestTraceForm:
     def test_unit_pair_is_one(self):
         ds = qubit_state(np.diag([0.6, 0.4]))
-        assert d_trace(ds, UNIT, UNIT) == pytest.approx(1.0, abs=1e-12)
+        assert chain_form(ds, UNIT, UNIT) == pytest.approx(1.0, abs=1e-12)
         ident = history({0.0: np.eye(2, dtype=complex)})
-        assert d_trace(ds, ident, ident) == pytest.approx(1.0, abs=1e-12)
+        assert chain_form(ds, ident, ident) == pytest.approx(1.0, abs=1e-12)
 
     def test_born_rule_single_time(self):
         ds = qubit_state(np.diag([1.0, 0.0]))
         h = history({0.0: PLUS})
-        assert d_trace(ds, h, h) == pytest.approx(0.5, abs=1e-12)
+        assert chain_form(ds, h, h) == pytest.approx(0.5, abs=1e-12)
 
     def test_two_time_chain(self):
         ds = qubit_state(np.diag([1.0, 0.0]))
         h = history({0.0: PLUS, 1.0: P0})
-        assert d_trace(ds, h, h) == pytest.approx(0.25, abs=1e-12)
+        assert chain_form(ds, h, h) == pytest.approx(0.25, abs=1e-12)
 
     def test_orthogonal_cross_term_vanishes(self):
         ds = qubit_state(np.diag([1.0, 0.0]))
-        assert abs(d_trace(ds, history({0.0: PLUS}), history({0.0: MINUS}))) <= 1e-12
+        assert abs(chain_form(ds, history({0.0: PLUS}), history({0.0: MINUS}))) <= 1e-12
 
     def test_mixed_supports_pad_with_identities(self):
         ds = qubit_state(np.diag([0.6, 0.4]))
         short = history({0.0: P0})
         padded = history({0.0: P0, 1.0: np.eye(2, dtype=complex)})
-        assert d_trace(ds, short, padded) == pytest.approx(
-            d_trace(ds, short, short), abs=1e-14)
+        assert chain_form(ds, short, padded) == pytest.approx(
+            chain_form(ds, short, short), abs=1e-14)
 
     def test_axioms_on_random_scenarios(self):
         rng = np.random.default_rng(101)
         for dim in (2, 3, 4):
             ds = state_for(random_model(rng, dim), times=(0.0, 0.7, 1.3))
-            assert d_trace(ds, UNIT, UNIT) == pytest.approx(1.0, abs=1e-12)
+            assert chain_form(ds, UNIT, UNIT) == pytest.approx(1.0, abs=1e-12)
             for _ in range(20):
                 n = int(rng.integers(1, 4))
                 h = product_history(rng, ds, n)
                 k = product_history(rng, ds, n)
-                hk = d_trace(ds, h, k)
-                assert abs(hk - d_trace(ds, k, h).conjugate()) <= 1e-12
-                assert d_trace(ds, h, h).real >= -1e-12
+                hk = chain_form(ds, h, k)
+                assert abs(hk - chain_form(ds, k, h).conjugate()) <= 1e-12
+                assert chain_form(ds, h, h).real >= -1e-12
 
 
 @given(dim=st.integers(2, 3), count=st.integers(0, 4), seed=st.integers(0, 2 ** 31 - 1))
@@ -257,34 +255,34 @@ def test_trace_matrix_entries_are_the_trace_form(dim, count, seed):
         times = [t for t in ds.grid.times if rng.random() < 0.7]
         histories.append(history({t: np.eye(dim) if rng.random() < 0.2
                                   else random_projector(rng, dim) for t in times}))
-    table = chain_gram(ds, np.array([_chain(ds, h) for h in histories]).reshape(-1, dim, dim))
+    table = chain_gram(ds, np.array([chain_of(ds, h) for h in histories]).reshape(-1, dim, dim))
     assert table.shape == (count, count)
     for (i, h), (j, k) in itertools.product(enumerate(histories), repeat=2):
         # a GEMM rounds by its shape, so the pair's own 2 x 2 matrix may differ
         # from the m x m one in the last bits
-        assert abs(table[i, j] - d_trace(ds, h, k)) <= 1e-15
+        assert abs(table[i, j] - chain_form(ds, h, k)) <= 1e-15
         assert abs(table[i, j] - oracles.d_trace(ds, h, k)) <= 1e-13
-        assert abs(d_trace(ds, h, k) - oracles.d_trace(ds, h, k)) <= 1e-13
+        assert abs(chain_form(ds, h, k) - oracles.d_trace(ds, h, k)) <= 1e-13
 
 
 @given(dim=st.integers(1, 4), n=st.integers(1, 3), count=st.integers(1, 5),
        seed=st.integers(0, 2 ** 31 - 1))
 @settings(max_examples=60, deadline=None)
 def test_chain_gram_of_transported_stacks_is_the_per_history_oracle(dim, n, count, seed):
-    # ranks run over 1..dim, so some entries are the identity: the oracle's
-    # support_reduce drops their times, and the histories' supports differ
+    # ranks run over 1..dim, so some entries are the identity: the oracle
+    # drops their times, and the histories' supports differ
     rng = np.random.default_rng(seed)
     ds = state_for(random_model(rng, dim), times=(0.0, 0.7, 1.3), t0=-0.4)
     ranks = rng.integers(1, dim + 1, size=count * n)
     raw = [random_unitary(rng, dim)[:, :r] for r in ranks]
     raw = np.array([u @ u.conj().T for u in raw]).reshape(count, n, dim, dim)
     gram = chain_gram(ds, chains(_product_histories(ds, n, raw)))
-    histories = [HomogeneousHistory(tuple(zip(ds.grid.times[:n], ps))) for ps in raw]
+    histories = [History(tuple(zip(ds.grid.times[:n], ps))) for ps in raw]
     assert gram.shape == (count, count)
     for (i, h), (j, k) in itertools.product(enumerate(histories), repeat=2):
         want = oracles.d_trace(ds, h, k)
         assert abs(gram[i, j] - want) <= 1e-13
-        assert abs(d_trace(ds, h, k) - want) <= 1e-13
+        assert abs(chain_form(ds, h, k) - want) <= 1e-13
 
 
 class TestSesquilinearForm:
@@ -301,7 +299,7 @@ class TestSesquilinearForm:
             k = product_history(rng, ds, 2)
             hb = embed(ds.model, h, ds.grid.times, ds.grid.t0)
             kb = embed(ds.model, k, ds.grid.times, ds.grid.t0)
-            assert abs(d_form(ds, hb, kb) - d_trace(ds, h, k)) <= 1e-12
+            assert abs(d_form(ds, hb, kb) - chain_form(ds, h, k)) <= 1e-12
 
     def test_conjugate_linear_first_slot(self):
         rng = np.random.default_rng(8)
@@ -366,7 +364,7 @@ class TestBasisSumForm:
                     k = product_history(rng, ds, n)
                     hb = embed(ds.model, h, support, ds.grid.t0)
                     kb = embed(ds.model, k, support, ds.grid.t0)
-                    assert abs(d_basis_sum(ds, hb, kb) - d_trace(ds, h, k)) <= 1e-9
+                    assert abs(d_basis_sum(ds, hb, kb) - chain_form(ds, h, k)) <= 1e-9
 
     def test_independent_of_auxiliary_bases(self):
         # the eigenbasis sum equals the explicit loop over other auxiliary bases
@@ -455,7 +453,7 @@ class TestBasisSumForm:
                 k = product_history(rng, ds, n)
                 hb = embed(ds.model, h, ds.grid.times, ds.grid.t0)
                 kb = embed(ds.model, k, ds.grid.times, ds.grid.t0)
-                assert abs(d_basis_sum(ds, hb, kb) - d_trace(ds, h, k)) <= 1e-9
+                assert abs(d_basis_sum(ds, hb, kb) - chain_form(ds, h, k)) <= 1e-9
 
     @given(form_cases())
     @settings(max_examples=40, deadline=None)
@@ -542,6 +540,24 @@ def test_contraction_matmul_equals_the_einsum_oracle(dim, n, seed, lead):
     shape = (*lead, dim, dim, dim ** (n - 1))
     sp, sq = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape) for _ in range(2))
     got, want = _contract(ds, sp, sq), oracles.contract(ds, sp, sq)
+    assert got.shape == want.shape == tuple(lead)
+    assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
+
+
+@given(dim=st.integers(1, 3), n=st.integers(1, 4), seed=st.integers(0, 2 ** 31 - 1),
+       lead=st.lists(st.integers(0, 3), max_size=2), block=st.integers(1, 40))
+@settings(max_examples=80, deadline=None)
+def test_contraction_in_row_blocks_equals_the_einsum_oracle(dim, n, seed, lead, block):
+    # a block bound of a few entries splits the (..., K, J) terms into many
+    # row blocks, one row each when a row alone is over the bound
+    rng = np.random.default_rng(seed)
+    ds = state_for(random_model(rng, dim))
+    shape = (*lead, dim, dim, dim ** (n - 1))
+    sp, sq = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape) for _ in range(2))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(histq.decoherence, "_TERM_BLOCK", block)
+        got = _contract(ds, sp, sq)
+    want = oracles.contract(ds, sp, sq)
     assert got.shape == want.shape == tuple(lead)
     assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
 
@@ -666,7 +682,7 @@ class TestIlsReconstruction:
                 k = product_history(rng, ds, n)
                 hb = embed(ds.model, h, support, ds.grid.t0)
                 kb = embed(ds.model, k, support, ds.grid.t0)
-                worst = max(worst, abs(x.pair_value(hb, kb) - d_trace(ds, h, k)))
+                worst = max(worst, abs(x.pair_value(hb, kb) - chain_form(ds, h, k)))
         assert worst <= 1e-9
 
     def test_nonproduct_hermitian_arguments(self):

@@ -3,23 +3,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from histq.core import SystemModel, TimeGrid, is_projector, tensor_product
-from histq.decoherence import DecoherenceState, d_trace
-from histq.histories import (
-    PropositionSpace,
-    HomogeneousHistory,
-    chain_map,
-    chains,
-    class_operator,
-    embed_stack,
-    history,
-    support_reduce,
-)
+from histq.cli import _decohere_payload
+from histq.core import SystemModel, heisenberg, is_projector, tensor_product
+from histq.histories import PropositionSpace, chain_map, chains
 from histq.sampling import random_hermitian, random_model
+from histq.scenario import parse_scenario
 
-from helpers import H_ZERO, P0, P1, PLUS, SIGMA_X, count_calls
+from helpers import H_ZERO, P0, P1, PLUS, SIGMA_X, chain_of, count_calls, state_for
 import oracles
-from oracles import embed, random_projector
+from oracles import History, embed, history, random_projector
 
 EYE = np.eye(2, dtype=complex)
 
@@ -28,38 +20,27 @@ def qubit_model(hamiltonian=H_ZERO):
     return SystemModel.from_matrices(hamiltonian, np.eye(2) / 2)
 
 
-class TestSupportReduce:
-    def test_drops_identity_entries(self):
-        h = history({0.0: P0, 1.0: EYE, 2.0: PLUS})
-        reduced = support_reduce(h)
-        assert reduced.times == (0.0, 2.0)
+def class_operator(model, h, t0=0.0):
+    """The chain of one history by the program's kernels (``helpers.chain_of``)."""
+    return chain_of(state_for(model, t0=t0), h)
 
-    def test_all_identities_reduce_to_unit(self):
-        assert support_reduce(history({0.0: EYE})).times == ()
 
-    def test_keeps_repeated_nontrivial_entries(self):
-        h = history({0.0: P0, 1.0: P0})
-        assert support_reduce(h).times == (0.0, 1.0)
-
-    @given(st.integers(0, 2 ** 31 - 1))
-    @settings(max_examples=25, deadline=None)
-    def test_idempotent_and_conservative(self, seed):
-        rng = np.random.default_rng(seed)
-        entries = {}
-        for k in range(int(rng.integers(1, 4))):
-            rank = int(rng.integers(1, 4))  # rank 3 = identity on C^3
-            entries[float(k)] = random_projector(rng, 3, rank=rank)
-        h = history(entries)
-        once = support_reduce(h)
-        twice = support_reduce(once)
-        assert once.times == twice.times
-        for t in once.times:  # nothing non-identity was removed
-            assert np.max(np.abs(dict(h.items)[t] - np.eye(3))) > 1e-10
+def qubit_scenario(times, rows, hamiltonian=SIGMA_X):
+    """A parsed dim-2 scenario on ``times`` whose histories have the projector
+    matrices ``rows``, one per time, and no decomposition."""
+    return parse_scenario({
+        "dim": 2, "hamiltonian": {"real": np.real(hamiltonian).tolist()},
+        "rho": {"matrix": {"real": (np.eye(2) / 2).tolist()}}, "times": list(times),
+        "histories": [{"projectors": [{"matrix": {"real": np.real(p).tolist(),
+                                                  "imag": np.imag(p).tolist()}} for p in row]}
+                      for row in rows],
+        "pvms": []})
 
 
 class TestEmbed:
-    """The embedding map, through the one-history oracle that ``embed_stack``
-    is pinned to bit for bit (``TestEmbedStack``)."""
+    """The embedding map, through the one-history oracle that ``decohere``'s
+    transport of a parsed history stack is pinned to bit for bit
+    (``TestEmbedStack`` and ``test_scenario``)."""
 
     def test_single_time(self):
         model = qubit_model()
@@ -91,9 +72,8 @@ class TestEmbed:
         ({2.0: P0}, (0.0, 1.0), "support does not contain the history's times"),
     ])
     def test_support_validated(self, history_entries, support, message):
-        h = history(history_entries)
         with pytest.raises(ValueError, match=message):
-            embed_stack(qubit_model(), [h], h.times if support is None else support)
+            embed(qubit_model(), history(history_entries), support)
 
     def test_returns_a_proposition_of_the_support_sector(self):
         b = embed(qubit_model(), history({1.0: P0}), support=(0.0, 1.0))
@@ -119,39 +99,33 @@ class TestEmbed:
 
 
 class TestOneTransportPerHistory:
-    """``embed_stack`` and ``class_operator`` move a history's projectors by one
-    ``heisenberg`` call, with the bits of one transport per projector."""
+    """A stack of histories on their support moves by one ``heisenberg`` call,
+    with the bits of one transport per projector."""
 
-    @given(dim=st.integers(1, 3), n=st.integers(1, 4), seed=st.integers(0, 2 ** 31 - 1),
-           data=st.data())
+    @given(dim=st.integers(1, 3), n=st.integers(1, 4), seed=st.integers(0, 2 ** 31 - 1))
     @settings(max_examples=40, deadline=None)
-    def test_stacked_factors_equal_the_single_transports(self, dim, n, seed, data):
+    def test_stacked_factors_equal_the_single_transports(self, dim, n, seed):
         rng = np.random.default_rng(seed)
         model, t0 = random_model(rng, dim), float(rng.uniform(-1.0, 1.0))
         support = tuple(np.sort(rng.uniform(-3.0, 3.0, n)).tolist())
-        kept = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
-        h = history({t: random_projector(rng, dim) for t, keep in zip(support, kept) if keep})
-        x = embed_stack(model, [h], support, t0)[0]
-        for t, f in zip(support, x.factors):
-            single = (oracles.heisenberg(model, dict(h.items)[t], t, t0) if t in h.times
-                      else np.eye(dim, dtype=complex))
-            assert np.array_equal(f, single)
-        assert np.array_equal(class_operator(model, h, t0), oracles.chain(model, h, t0))
+        h = History(tuple((t, random_projector(rng, dim)) for t in support))
+        moved = heisenberg(model, np.array([[p for _, p in h.items]]), support, t0)
+        for (t, p), f in zip(h.items, moved[0]):
+            assert np.array_equal(f, oracles.heisenberg(model, p, t, t0))
+        assert np.array_equal(chains(moved)[0], oracles.chain(model, h, t0))
 
     def test_one_heisenberg_call_per_history(self, monkeypatch):
-        model = qubit_model(SIGMA_X)
-        h = history({0.0: P0, 1.0: PLUS, 2.0: P1})
+        scn = qubit_scenario((0.0, 1.0, 2.0), [[P0, PLUS, P1]])
         calls = count_calls(monkeypatch, "heisenberg")
         evolutions = count_calls(monkeypatch, "evolve")
-        embed_stack(model, [h], (0.0, 0.5, 1.0, 2.0))
-        class_operator(model, h)
-        assert [stack.shape for _, stack, _, _ in calls] == [(3, 2, 2)] * 2
-        assert [t for _, t, _ in evolutions] == [[0.0, 1.0, 2.0]] * 2
+        _decohere_payload(scn)
+        assert [stack.shape for _, stack, _, _ in calls] == [(1, 3, 2, 2)]
+        assert [t for _, t, _ in evolutions] == [[0.0, 1.0, 2.0]]
 
 
 class TestEmbedStack:
-    """``embed_stack`` moves a grid of histories by one ``heisenberg`` call with
-    the bits of the one-history oracle, one transport per history."""
+    """``decohere`` moves a scenario's stack of histories by one ``heisenberg``
+    call with the bits of the one-history oracle, one transport per history."""
 
     @given(dim=st.integers(1, 3), n=st.integers(1, 4), count=st.integers(0, 4),
            seed=st.integers(0, 2 ** 31 - 1), data=st.data())
@@ -160,39 +134,37 @@ class TestEmbedStack:
         rng = np.random.default_rng(seed)
         model, t0 = random_model(rng, dim), float(rng.uniform(-1.0, 1.0))
         support = tuple(np.linspace(-2.0, 2.0, n) + rng.uniform(-0.4, 0.4, n))
-        kinds = st.sampled_from(["missing", "identity", "zero", "drawn"])
+        kinds = st.sampled_from(["identity", "zero", "drawn"])
         entry = {"identity": lambda: np.eye(dim), "zero": lambda: np.zeros((dim, dim)),
                  "drawn": lambda: random_projector(rng, dim)}
-        histories = [history({t: entry[kind]() for t, kind in zip(support, row)
-                              if kind != "missing"})
+        histories = [History(tuple((t, np.asarray(entry[kind](), dtype=complex))
+                                   for t, kind in zip(support, row)))
                      for row in data.draw(st.lists(st.lists(kinds, min_size=n, max_size=n),
                                                    min_size=count, max_size=count))]
-        stacked = embed_stack(model, histories, support, t0)
-        assert len(stacked) == count
-        assert len({id(x.space) for x in stacked}) <= 1  # one shared sector
-        for h, x in zip(histories, stacked):
+        stack = np.reshape([p for h in histories for _, p in h.items], (count, n, dim, dim))
+        moved = heisenberg(model, stack, support, t0)
+        for h, row in zip(histories, moved):
             want = oracles.embed(model, h, support, t0)
-            assert x.space == want.space
-            assert [f.tobytes() for f in x.factors] == [f.tobytes() for f in want.factors]
+            assert [f.tobytes() for f in row] == [f.tobytes() for f in want.factors]
 
     def test_one_evolve_and_one_heisenberg_call(self, monkeypatch):
-        model = qubit_model(SIGMA_X)
-        histories = [history({0.0: P0, 1.0: PLUS, 2.0: P1}), history({}),
-                     history({1.0: P1, 2.0: EYE})]
+        scn = qubit_scenario((0.0, 0.5, 1.0, 2.0), [[P0, EYE, PLUS, P1], [EYE] * 4,
+                                                    [EYE, EYE, P1, EYE]])
         transports = count_calls(monkeypatch, "heisenberg")
         evolutions = count_calls(monkeypatch, "evolve")
-        stacked = embed_stack(model, histories, (0.0, 0.5, 1.0, 2.0))
-        assert [stack.shape for _, stack, _, _ in transports] == [(5, 2, 2)]
-        # one call on the distinct times in first-seen order, none at 0.5
-        assert [t for _, t, _ in evolutions] == [[0.0, 1.0, 2.0]]
-        assert all(np.array_equal(x.factors[1], EYE) for x in stacked)
+        _decohere_payload(scn)
+        assert [stack.shape for _, stack, _, _ in transports] == [(3, 4, 2, 2)]
+        # one call on the distinct times in first-seen order
+        assert [t for _, t, _ in evolutions] == [[0.0, 0.5, 1.0, 2.0]]
 
     def test_support_must_hold_every_history(self):
         with pytest.raises(ValueError, match="support does not contain"):
-            embed_stack(qubit_model(), [history({}), history({3.0: P0})], (0.0, 1.0))
+            embed(qubit_model(), history({3.0: P0}), (0.0, 1.0))
 
 
 class TestClassOperator:
+    """The chain of one history: its transported projectors multiplied in time order."""
+
     def test_single_factor(self):
         assert np.allclose(class_operator(qubit_model(), history({0.0: PLUS})), PLUS)
 
@@ -226,7 +198,7 @@ class TestChains:
         rng = np.random.default_rng(seed)
         model, t0 = random_model(rng, dim), float(rng.uniform(-1.0, 1.0))
         times = np.cumsum(rng.uniform(0.5, 1.5, n)).tolist()
-        histories = [HomogeneousHistory(tuple((t, random_projector(rng, dim)) for t in times))
+        histories = [History(tuple((t, random_projector(rng, dim)) for t in times))
                      for _ in range(count)]
         stack = np.reshape([oracles.heisenberg(model, p, t, t0)
                             for h in histories for t, p in h.items], (count, n, dim, dim))
@@ -283,14 +255,9 @@ class TestChainMap:
 
 class TestValidatedOnce:
     def test_built_histories_are_not_rechecked(self, monkeypatch):
-        model = qubit_model((np.pi / 3) * SIGMA_X)
-        ds = DecoherenceState(model=model, grid=TimeGrid(times=(0.0, 1.0)))
-        h = history({0.0: P0, 1.0: PLUS})
-        k = history({0.0: PLUS, 1.0: P1})
+        rows = [[P0, PLUS], [PLUS, P1]]
         calls = count_calls(monkeypatch, "is_projector")
-        d_trace(ds, h, k)
-        embed_stack(model, [h], h.times)
-        class_operator(model, k)
-        assert calls == []
-        history({0.0: P1})  # the constructor still checks, through the patched name
+        scn = qubit_scenario((0.0, 1.0), rows, (np.pi / 3) * SIGMA_X)
+        assert len(calls) == 1  # the parser checks every history's specs by one call
+        _decohere_payload(scn)
         assert len(calls) == 1

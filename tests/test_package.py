@@ -11,10 +11,9 @@ import histq
 EXPORTED = {
     "core": {"TOLERANCES", "SystemModel", "TimeGrid", "Tolerances", "evolve", "heisenberg",
              "named_basis", "projector_onto", "tensor_product"},
-    "histories": {"HomogeneousHistory", "Proposition", "PropositionSpace", "chain_map",
-                  "chains", "class_operator", "history", "proposition", "support_reduce"},
+    "histories": {"Proposition", "PropositionSpace", "chain_map", "chains", "proposition"},
     "decoherence": {"CapacityError", "DecoherenceState", "IlsOperator", "d_basis_sum",
-                    "d_trace", "ils_reconstruct"},
+                    "ils_reconstruct"},
     "propositions": {"WrightOperator", "hs_inner", "wright_operator"},
     "consistency": {"BaseFamily", "ConsistencyReport", "Window", "base_family",
                     "check_window", "refinements", "search_windows", "window"},
@@ -28,7 +27,7 @@ DEFINED_IN = {name: module for module, names in EXPORTED.items() for name in nam
 
 
 def test_all_lists_every_exported_name_once():
-    assert len(histq.__all__) == len(set(histq.__all__)) == 46
+    assert len(histq.__all__) == len(set(histq.__all__)) == 41
     assert set(histq.__all__) == set(DEFINED_IN)
 
 

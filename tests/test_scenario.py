@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from histq.cli import bundled_scenario_path
+from histq.cli import _decohere_payload, bundled_scenario_path
 from histq.scenario import Scenario, ScenarioError, _projectors, load_scenario, parse_scenario
 from helpers import count_calls
 import oracles
@@ -78,8 +78,8 @@ class TestParsing:
         scn = load_scenario(bundled_scenario_path())
         assert scn.dim == 2
         assert scn.grid.times == (0.0, 1.0)
-        assert [label for label, _ in scn.histories] == [
-            "unit", "plus-then-zero", "zero-zero"]
+        assert scn.labels == ["unit", "plus-then-zero", "zero-zero"]
+        assert scn.histories.shape == (3, 2, 2, 2)
         assert len(scn.pvms) == 1 and len(scn.pvms[0]) == 2
         assert np.trace(scn.model.rho).real == pytest.approx(1.0)
 
@@ -98,8 +98,7 @@ class TestParsing:
         ]}]
         data["pvms"] = []
         scn = parse_scenario(data)
-        _, h = scn.histories[0]
-        assert np.allclose(dict(h.items)[0.0], np.diag([1.0, 0.0, 1.0]))
+        assert np.allclose(scn.histories[0, 0], np.diag([1.0, 0.0, 1.0]))
 
     def test_spectral_rho(self):
         data = base_scenario()
@@ -115,7 +114,7 @@ class TestParsing:
         # decomposition; every checked matrix in it once
         calls = count_calls(monkeypatch, "is_projector")
         scn = parse_scenario(copy.deepcopy(BUNDLED))
-        lists = [[p for _, h in scn.histories[1:] for _, p in h.items]]  # not the unit's
+        lists = [list(scn.histories[1:].reshape(-1, 2, 2))]  # not the unit's
         lists += [pvm for per_time in scn.pvms for pvm in per_time]
         assert sum(map(len, lists)) == 8  # identity specs are exact and need no check
         assert [stack.shape for (stack,) in calls] == [(len(ps), 2, 2) for ps in lists]
@@ -401,11 +400,35 @@ class TestHistoriesReadTogether:
     @settings(max_examples=60, deadline=None)
     def test_equals_the_one_history_at_a_time_parse(self, rows):
         data = self.scenario(rows)
-        got = parse_scenario(data).histories
+        got = parse_scenario(data)
         want = oracles.parse_histories(data["histories"], (0.0, 1.0), 2)
-        assert [label for label, _ in got] == [label for label, _ in want]
-        assert [[(t, p.tobytes()) for t, p in h.items] for _, h in got] == \
-            [[(t, p.tobytes()) for t, p in h.items] for _, h in want]
+        assert got.labels == [label for label, _ in want]
+        assert got.histories.shape == (len(want), 2, 2, 2)
+        assert [[p.tobytes() for p in row] for row in got.histories] == \
+            [[p.tobytes() for _, p in h.items] for _, h in want]
+
+    @given(rows=st.lists(st.lists(SPECS, min_size=2, max_size=2), max_size=4),
+           seed=st.integers(0, 2 ** 31 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_decohere_moves_each_history_as_the_oracle_embeds_it(self, rows, seed):
+        # identity, basis and matrix specs, and no history at all: decohere's
+        # one transport of the parsed stack has the bits of one transport per
+        # projector of the one-history-at-a-time parse
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+        data = {**self.scenario(rows), "t0": float(rng.uniform(-1.0, 1.0)),
+                "hamiltonian": {"real": (a + a.conj().T).real.tolist(),
+                                "imag": (a + a.conj().T).imag.tolist()}}
+        scn = parse_scenario(data)
+        with pytest.MonkeyPatch.context() as patch:
+            calls = count_calls(patch, "chains")
+            _decohere_payload(scn)
+        [(moved,)] = calls
+        assert moved.shape == (len(rows), 2, 2, 2)
+        want = oracles.parse_histories(data["histories"], scn.grid.times, 2)
+        for row, (_, h) in zip(moved, want):
+            x = oracles.embed(scn.model, h, scn.grid.times, scn.grid.t0)
+            assert [f.tobytes() for f in row] == [f.tobytes() for f in x.factors]
 
     @given(rows=st.lists(st.lists(SPECS, min_size=2, max_size=2), min_size=1, max_size=4),
            bad=ONE_BAD, data=st.data())
